@@ -280,8 +280,20 @@ def offside_positions(frame: "TrackedFrame") -> frozenset[str]:
 #
 # Recomputing the full grid for every 1 m probe of every candidate is
 # O(events x candidates x 8 x players x cells). Holding everyone else's best
-# time fixed while one player moves gives identical ownership at a fraction
-# of the cost; equality with the naive operations is covered by tests.
+# time fixed while one player moves gives identical ownership: the mover owns
+# a cell iff it arrives strictly first, or ties a larger-index rest owner.
+#
+# Each candidate's 8 probes are evaluated only inside a crop box. A probe
+# moves the candidate's predicted point by at most `shift`, the largest
+# actual distance between a clamped probe's predicted point and the unmoved
+# one (more than 1 m when the player stands off the pitch and the clamp pulls
+# them in). By the triangle inequality a probe's arrival time is at least
+# own_time - shift / max_speed, so no probe can own a cell where
+# own_time - (shift / max_speed + 1e-9) > rest_time (the 1e-9 s absorbs
+# rounding); the box bounds the remaining cells. Owned weights are summed with bincount in row-major order
+# inside the box, which is the full grid's raveled order with only non-owned
+# cells left out, so the sums equal the naive recomputation bitwise
+# (covered by tests).
 # ---------------------------------------------------------------------------
 
 
@@ -294,9 +306,11 @@ class _FrameDominance:
     times: np.ndarray  # (P, ny, nx)
     best: np.ndarray  # (ny, nx) minimal time
     best_idx: np.ndarray  # (ny, nx) argmin index (smallest id on ties)
-    second: np.ndarray  # (ny, nx) second-smallest time
-    second_idx: np.ndarray  # (ny, nx) argmin excluding the best row
-    weights: np.ndarray  # (P, ny, nx) broadcastable per-player weight grids
+    second: np.ndarray  # (ny, nx) minimal time over the non-best players
+    second_idx: np.ndarray  # (ny, nx) argmin over the non-best players
+    att: np.ndarray  # (ny, nx) attacking-team weight grid
+    dfn: np.ndarray  # (ny, nx) defending-team weight grid
+    defending: np.ndarray  # (P,) bool, True where the player uses `dfn`
 
 
 def _prepare_frame_dominance(
@@ -310,53 +324,69 @@ def _prepare_frame_dominance(
     if not players:
         raise ValueError("dominance grid requires at least one eligible player")
     times = _time_stack(players, pitch, mp)
-    best_idx = np.argmin(times, axis=0).astype(np.int32)
-    best = np.min(times, axis=0)
-    if len(players) > 1:
-        second = np.partition(times, 1, axis=0)[1]
-        masked = times.copy()
-        ny, nx = best_idx.shape
-        iy, ix = np.ogrid[:ny, :nx]
-        masked[best_idx, iy, ix] = np.inf
-        second_idx = np.argmin(masked, axis=0).astype(np.int32)
-    else:
-        second = np.full_like(best, np.inf)
-        second_idx = np.zeros_like(best_idx)
+    # One pass over the id-sorted players. Strict comparisons keep the
+    # earlier (smaller-id) player on ties, as argmin does.
+    best = times[0].copy()
+    best_idx = np.zeros(best.shape, dtype=np.int32)
+    second = np.full_like(best, np.inf)
+    second_idx = np.zeros_like(best_idx)
+    beats_best = np.empty(best.shape, dtype=bool)
+    beats_second = np.empty_like(beats_best)
+    for j in range(1, len(players)):
+        t = times[j]
+        np.less(t, best, out=beats_best)
+        np.less(t, second, out=beats_second)
+        # best <= second, so beats_best implies beats_second: keep the rest.
+        np.not_equal(beats_second, beats_best, out=beats_second)
+        np.copyto(second, best, where=beats_best)
+        np.copyto(second_idx, best_idx, where=beats_best)
+        np.copyto(best, t, where=beats_best)
+        np.copyto(best_idx, j, where=beats_best)
+        np.copyto(second, t, where=beats_second)
+        np.copyto(second_idx, j, where=beats_second)
     att = weight_grid(pitch, w, attacking_right=True)
     dfn = weight_grid(pitch, w, attacking_right=False)
-    weights = np.stack([dfn if p.team == DEFENDING else att for p in players])
-    return _FrameDominance(pitch, players, times, best, best_idx, second, second_idx, weights)
-
-
-def _owned_weight_sum(fd: _FrameDominance, idx: int, own_time: np.ndarray) -> float:
-    """Weighted cell sum owned by player `idx` when their time grid is `own_time`.
-
-    Ownership against the rest of the field: strictly earlier arrival, or an
-    exact tie against a larger-id rest owner. Accumulates in raveled cell
-    order (as the full-grid bincount does) so results match the naive
-    recomputation bitwise.
-    """
-    rest_time = np.where(fd.best_idx == idx, fd.second, fd.best)
-    rest_idx = np.where(fd.best_idx == idx, fd.second_idx, fd.best_idx)
-    wins = (own_time < rest_time) | ((own_time == rest_time) & (idx < rest_idx))
-    sums = np.bincount(
-        wins.ravel().astype(np.int64), weights=fd.weights[idx].ravel(), minlength=2
+    defending = np.array([p.team == DEFENDING for p in players])
+    return _FrameDominance(
+        pitch, players, times, best, best_idx, second, second_idx, att, dfn, defending
     )
-    return float(sums[1]) * fd.pitch.grid_cell ** 2
 
 
-def _displaced_times(
-    player: PlayerState, pitch: PitchSpec, mp: MotionParams
-) -> np.ndarray:
-    """Arrival times for the 8 clamped 1 m displacements, shape (8, ny, nx)."""
-    xs, ys = pitch.cell_centers()
+def _probe_deltas(fd: _FrameDominance, idx: int, mp: MotionParams, score: float) -> np.ndarray:
+    """Score change of player `idx` for the 8 clamped 1 m probes (see above)."""
+    player = fd.players[idx]
+    rt = mp.reaction_time
+    qx = player.pos.x + player.vel.x * rt
+    qy = player.pos.y + player.vel.y * rt
     pred = np.empty((8, 2))
     for k, (dx, dy) in enumerate(DIRECTIONS_8):
-        moved = pitch.clamp(Point2(player.pos.x + dx, player.pos.y + dy))
-        pred[k] = (moved.x + player.vel.x * mp.reaction_time, moved.y + player.vel.y * mp.reaction_time)
-    ddx = xs[np.newaxis, np.newaxis, :] - pred[:, 0, np.newaxis, np.newaxis]
-    ddy = ys[np.newaxis, :, np.newaxis] - pred[:, 1, np.newaxis, np.newaxis]
-    return mp.reaction_time + np.sqrt(ddx * ddx + ddy * ddy) / mp.max_speed
+        moved = fd.pitch.clamp(Point2(player.pos.x + dx, player.pos.y + dy))
+        pred[k] = (moved.x + player.vel.x * rt, moved.y + player.vel.y * rt)
+    shift = max(math.hypot(px - qx, py - qy) for px, py in pred)
+
+    mine = fd.best_idx == idx
+    rest_time = np.where(mine, fd.second, fd.best)
+    reach = fd.times[idx] - (shift / mp.max_speed + 1e-9) <= rest_time
+    rows = np.flatnonzero(reach.any(axis=1))
+    cols = np.flatnonzero(reach.any(axis=0))
+    if rows.size:
+        box = (slice(rows[0], rows[-1] + 1), slice(cols[0], cols[-1] + 1))
+    else:
+        box = (slice(0, 0), slice(0, 0))
+
+    xs, ys = fd.pitch.cell_centers()
+    ddx = xs[np.newaxis, np.newaxis, box[1]] - pred[:, 0, np.newaxis, np.newaxis]
+    ddy = ys[np.newaxis, box[0], np.newaxis] - pred[:, 1, np.newaxis, np.newaxis]
+    probe = rt + np.sqrt(ddx * ddx + ddy * ddy) / mp.max_speed  # (8, by, bx)
+    rest_t = rest_time[box]
+    rest_idx = np.where(mine[box], fd.second_idx[box], fd.best_idx[box])
+    wins = (probe < rest_t) | ((probe == rest_t) & (idx < rest_idx))
+    labels = np.where(wins, np.arange(8)[:, np.newaxis, np.newaxis], 8)
+    weight = (fd.dfn if fd.defending[idx] else fd.att)[box]
+    sums = np.bincount(
+        labels.ravel(), weights=np.broadcast_to(weight, probe.shape).ravel(), minlength=9
+    )
+    return sums[:8] * fd.pitch.grid_cell ** 2 - score
 
 
 def batch_scores_with_deltas(
@@ -382,10 +412,9 @@ def batch_scores_with_deltas(
     if delta_ids & excluded:
         raise ValueError(f"deltas requested for excluded players {sorted(delta_ids & excluded)!r}")
 
-    flat = fd.best_idx.ravel()
-    iy, ix = np.unravel_index(np.arange(flat.size), fd.best.shape)
+    owner_weight = np.where(fd.defending[fd.best_idx], fd.dfn, fd.att)
     base_sums = np.bincount(
-        flat, weights=fd.weights[flat, iy, ix], minlength=len(fd.players)
+        fd.best_idx.ravel(), weights=owner_weight.ravel(), minlength=len(fd.players)
     )
 
     entries: dict[str, PlayerSpaceScore] = {}
@@ -398,11 +427,6 @@ def batch_scores_with_deltas(
             continue
         i = index[p.player_id]
         score = float(base_sums[i] * cell_area)
-        deltas = None
-        if p.player_id in delta_ids:
-            probe = _displaced_times(fd.players[i], pitch, mp)
-            deltas = np.empty(8)
-            for k in range(8):
-                deltas[k] = _owned_weight_sum(fd, i, probe[k]) - score
+        deltas = _probe_deltas(fd, i, mp, score) if p.player_id in delta_ids else None
         entries[p.player_id] = PlayerSpaceScore(p.player_id, p.team, score, deltas=deltas)
     return SpaceScoreTable(entries)

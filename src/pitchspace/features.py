@@ -24,7 +24,6 @@ from .dominance import (
     MotionParams,
     arrival_time,
     batch_scores_with_deltas,
-    directional_space_deltas,
     offside_positions,
 )
 from .match_io import MatchEvent, PassEvent, TrackedFrame, pass_events
@@ -360,7 +359,10 @@ def onball_features(
             raise ValueError("holder variant requires at least one defender")
         dist_goal, angle_goal = goal_distance_angle(holder.pos, pitch)
         nearest = min(arrival_time(d, holder.pos, mp) for d in defenders)
-        deltas = directional_space_deltas(frame, holder_id, pitch, mp, w)
+        table = batch_scores_with_deltas(
+            frame, pitch, mp, w, delta_ids=[holder_id], excluded=offside_positions(frame)
+        )
+        deltas = table.entries[holder_id].deltas
         return OnBallFeatures(
             holder=HolderOnBall(
                 holder_id=holder_id,

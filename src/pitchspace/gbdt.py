@@ -26,6 +26,7 @@ from .features import (
     assemble_table,
     extract_event_features,
 )
+from .match_io import SchemaError
 from .pitch import PitchSpec, WeightParams
 
 MODEL_FORMAT = "pitchspace-gbdt-1"
@@ -573,15 +574,36 @@ def save_model(model: GbdtModel, path: str | Path) -> None:
         fh.write("\n")
 
 
+def _check_tree(tree: Tree, n_columns: int, where: str) -> None:
+    """Reject node tables that traversal could not finish: every internal
+    node's children must come after it, so every path ends at a leaf."""
+    n = len(tree.feature)
+    arrays = (tree.threshold, tree.left, tree.right, tree.value, tree.cover)
+    if n == 0 or any(len(a) != n for a in arrays):
+        raise SchemaError(f"{where}: node arrays must be non-empty and of equal length")
+    for node, feat in enumerate(tree.feature):
+        if feat < 0:
+            continue
+        if feat >= n_columns:
+            raise SchemaError(f"{where} node {node}: feature index {feat} >= {n_columns} columns")
+        for child in (tree.left[node], tree.right[node]):
+            if not node < child < n:
+                raise SchemaError(f"{where} node {node}: child index {child} not in ({node}, {n})")
+
+
 def load_model(path: str | Path) -> GbdtModel:
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     if doc.get("format") != MODEL_FORMAT:
         raise ValueError(f"{path}: not a {MODEL_FORMAT} file")
+    columns = [str(c) for c in doc["columns"]]
+    trees = [Tree.from_dict(t) for t in doc["trees"]]
+    for t, tree in enumerate(trees):
+        _check_tree(tree, len(columns), f"{path}: tree {t}")
     return GbdtModel(
         base_score=float(doc["base_score"]),
-        trees=[Tree.from_dict(t) for t in doc["trees"]],
-        feature_names=[str(c) for c in doc["columns"]],
+        trees=trees,
+        feature_names=columns,
         medians={str(k): float(v) for k, v in doc["medians"].items()},
         hyperparams=GbdtHyperParams(**doc["hyperparams"]),
         training_logloss=[float(v) for v in doc["training_logloss"]],

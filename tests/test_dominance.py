@@ -220,21 +220,69 @@ class TestDirectionalDeltas:
         swapped = d1[[0, 7, 6, 5, 4, 3, 2, 1]]  # theta -> -theta
         assert np.allclose(d0, swapped, atol=1e-9)
 
-    def test_batch_path_matches_naive_exactly(self, rng):
-        frame = random_frame(rng, n_attackers=6, n_defenders=6)
+    @pytest.mark.parametrize(
+        "build, pitch",
+        [
+            pytest.param(
+                lambda rng: random_frame(rng, n_attackers=6, n_defenders=6), PITCH, id="random"
+            ),
+            # Beyond the goal lines and a touchline: the clamp pulls probes in
+            # by more than 1 m, so the crop must use the actual shift.
+            pytest.param(
+                lambda rng: make_frame(
+                    [
+                        player("A1", ATTACKING, -57.0, -10.0, 1.0, 0.5),
+                        player("A2", ATTACKING, 20.0, 5.0),
+                        player("B1", DEFENDING, 60.0, 0.0, -2.0, 1.0),
+                        player("B2", DEFENDING, 58.0, 40.0),
+                        player("B3", DEFENDING, 40.0, -10.0),
+                    ],
+                    ball_pos=(0.0, 0.0),
+                ),
+                PITCH,
+                id="off_pitch",
+            ),
+            # A2 owns the cell centre (0.25, 0.25), and A1 and B1 tie 5 m from
+            # it; A2's +y probe makes that an exact three-way tie.
+            pytest.param(
+                lambda rng: make_frame(
+                    [
+                        player("A1", ATTACKING, -4.75, 0.25),
+                        player("A2", ATTACKING, 0.25, 4.25),
+                        player("B1", DEFENDING, 5.25, 0.25),
+                    ],
+                    ball_pos=(10.0, 0.0),
+                ),
+                PITCH,
+                id="three_way_tie",
+            ),
+            # A2 is offside, which leaves A1 as the only eligible player.
+            pytest.param(
+                lambda rng: make_frame(
+                    [player("A1", ATTACKING, -20.0, 5.0, 1.5, -1.0), player("A2", ATTACKING, 30.0, 0.0)],
+                    ball_pos=(0.0, 0.0),
+                ),
+                PITCH,
+                id="single_eligible",
+            ),
+            pytest.param(
+                lambda rng: random_frame(rng, n_attackers=6, n_defenders=6),
+                PitchSpec(grid_cell=1.0),
+                id="coarse_grid",
+            ),
+        ],
+    )
+    def test_batch_path_matches_naive_exactly(self, rng, build, pitch):
+        frame = build(rng)
         excluded = offside_positions(frame)
-        candidates = [
-            p.player_id
-            for p in frame.players
-            if p.team == ATTACKING and p.player_id not in excluded
-        ]
-        table = batch_scores_with_deltas(frame, PITCH, MP, W, candidates, excluded)
-        field = compute_dominance_grid(frame, PITCH, MP, excluded)
+        candidates = sorted(p.player_id for p in frame.players if p.player_id not in excluded)
+        table = batch_scores_with_deltas(frame, pitch, MP, W, candidates, excluded)
+        field = compute_dominance_grid(frame, pitch, MP, excluded)
         naive = space_scores(field, frame, W)
         for pid in candidates:
             assert table.entries[pid].score == naive.score(pid)
-            nd = directional_space_deltas(frame, pid, PITCH, MP, W, excluded=excluded)
-            assert np.array_equal(table.entries[pid].deltas, nd)
+            nd = directional_space_deltas(frame, pid, pitch, MP, W, excluded=excluded)
+            assert table.entries[pid].deltas.tobytes() == nd.tobytes()
 
     def test_batch_path_matches_naive_on_exact_ties(self):
         frame = make_frame(

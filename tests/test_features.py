@@ -3,7 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from pitchspace.dominance import ATTACKING, DEFENDING, MotionParams, arrival_time
+from pitchspace.dominance import (
+    ATTACKING,
+    DEFENDING,
+    MotionParams,
+    arrival_time,
+    directional_space_deltas,
+)
 from pitchspace.features import (
     FEATURE_VARIABLES,
     OffBallFeatures,
@@ -212,6 +218,24 @@ class TestOnballFeatures:
         expected = min(arrival_time(d, Point2(41.5, 0.0), MP) for d in defenders)
         assert out.holder.nearest_defender_time == pytest.approx(expected)
         assert len(out.holder.deltas) == 8
+
+    def test_holder_deltas_equal_naive_deltas(self):
+        frame = self._frame()
+        out = onball_features(frame, "A01", PITCH, MP, W)
+        naive = directional_space_deltas(frame, "A01", PITCH, MP, W)
+        assert np.array(out.holder.deltas).tobytes() == naive.tobytes()
+
+    def test_offside_holder_errors(self):
+        frame = make_frame(
+            [
+                player("A01", ATTACKING, 40.0, 0.0),
+                player("B01", DEFENDING, 45.0, 0.0),
+                player("B02", DEFENDING, 30.0, 5.0),
+            ],
+            ball_pos=(20.0, 0.0),
+        )
+        with pytest.raises(ValueError):
+            onball_features(frame, "A01", PITCH, MP, W)
 
     def test_no_holder_ball_speed(self):
         out = onball_features(self._frame(), None, PITCH, MP, W)

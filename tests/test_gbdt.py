@@ -6,6 +6,8 @@ import pytest
 from pitchspace.features import PassSampleTable
 from pitchspace.gbdt import (
     GbdtHyperParams,
+    GbdtModel,
+    Tree,
     classification_metrics,
     compare_ranking_variables,
     default_grid,
@@ -19,6 +21,7 @@ from pitchspace.gbdt import (
     train_gbdt,
 )
 from pitchspace.dominance import MotionParams
+from pitchspace.match_io import SchemaError
 from pitchspace.pitch import PitchSpec, WeightParams
 from pitchspace.synth import SynthConfig, synthesize_match
 
@@ -305,6 +308,32 @@ class TestSerialization:
         (tmp_path / "bad.json").write_text('{"format": "something-else"}', encoding="utf-8")
         with pytest.raises(ValueError):
             load_model(tmp_path / "bad.json")
+
+    @pytest.mark.parametrize(
+        "tree, located",
+        [
+            pytest.param(
+                Tree([0, 0], [0.5, 0.5], [1, 0], [1, 0], [0.0, 0.0], [2, 2]),
+                "tree 0 node 1",
+                id="cycle",
+            ),
+            pytest.param(
+                Tree([1, -1, -1], [0.5, 0.0, 0.0], [1, -1, -1], [2, -1, -1], [0.0] * 3, [2, 1, 1]),
+                "tree 0 node 0",
+                id="feature_out_of_range",
+            ),
+            pytest.param(
+                Tree([-1, -1], [0.0], [-1, -1], [-1, -1], [0.0, 0.0], [1, 1]),
+                "tree 0: node arrays",
+                id="ragged",
+            ),
+        ],
+    )
+    def test_unfinishable_node_table_rejected(self, tmp_path, tree, located):
+        model = GbdtModel(0.0, [tree], ["f0"], {"f0": 0.0}, GbdtHyperParams())
+        save_model(model, tmp_path / "m.json")
+        with pytest.raises(SchemaError, match=f"m.json: {located}"):
+            load_model(tmp_path / "m.json")
 
 
 class TestRankingComparison:

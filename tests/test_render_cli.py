@@ -14,6 +14,8 @@ from pitchspace.dominance import (
     offside_positions,
     space_scores,
 )
+from pitchspace.features import PassSampleTable
+from pitchspace.gbdt import GbdtHyperParams, GbdtModel, Tree, save_model
 from pitchspace.pitch import PitchSpec, WeightParams
 from pitchspace.render_svg import RenderOptions, render_animation_svg, render_frame_svg
 
@@ -239,6 +241,21 @@ class TestCli:
                            "--events", str(tmp_path / "nope2.jsonl"),
                            "--out", str(tmp_path / "out")])
         assert rc == 2
+
+    def test_cyclic_model_exits_2(self, tmp_path, capsys):
+        # Node 1 routes back to node 0, so traversal would never reach a leaf.
+        cyclic = Tree([0, 0], [0.5, 0.5], [1, 0], [1, 0], [0.0, 0.0], [2, 2])
+        save_model(
+            GbdtModel(0.0, [cyclic], ["f0"], {"f0": 0.5}, GbdtHyperParams()),
+            tmp_path / "model.json",
+        )
+        PassSampleTable(
+            ["e1", "e2"], np.array([0, 1]), ["f0"], np.array([[0.0], [1.0]]), [(), ()]
+        ).to_csv(tmp_path / "features.csv")
+        rc = cli_dispatch(["eval", "--model", str(tmp_path / "model.json"),
+                           "--features", str(tmp_path / "features.csv")])
+        assert rc == 2
+        assert "model.json: tree 0 node 1" in capsys.readouterr().err
 
     def test_bad_config_exits_1(self, tmp_path):
         bad = tmp_path / "bad.cfg"
