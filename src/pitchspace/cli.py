@@ -100,7 +100,7 @@ def _match_dirs(root: Path) -> list[Path]:
         return [root]
     dirs = sorted(d for d in root.iterdir() if d.is_dir() and (d / "tracking.jsonl").exists())
     if not dirs:
-        raise SchemaError(f"no match directories under {root}", root)
+        raise SchemaError("no tracking.jsonl in it or in any subdirectory", root)
     return dirs
 
 

@@ -26,7 +26,7 @@ from .dominance import (
     batch_scores_with_deltas,
     offside_positions,
 )
-from .match_io import MatchEvent, PassEvent, TrackedFrame, pass_events
+from .match_io import MatchEvent, PassEvent, SchemaError, TrackedFrame, pass_events
 from .pitch import PitchSpec, Point2, WeightParams, goal_distance_angle, normalize_attack_direction
 
 logger = logging.getLogger(__name__)
@@ -170,28 +170,48 @@ class PassSampleTable:
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "PassSampleTable":
+        event_ids, labels, rows = [], [], []
         with open(path, encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
-            header = next(reader, None)
-            if not header or header[:2] != ["event_id", "label"]:
-                raise ValueError(f"{path}: not a feature table (bad header)")
-            rest = header[2:]
-            n_cols = len(rest) // 2
-            columns = rest[:n_cols]
-            if rest[n_cols:] != [f"imputed_{c}" for c in columns]:
-                raise ValueError(f"{path}: malformed feature table header")
-            event_ids, labels, rows = [], [], []
-            for rec in reader:
-                event_ids.append(rec[0])
-                labels.append(int(rec[1]))
-                rows.append([float(v) for v in rec[2 : 2 + n_cols]])
-            return cls(
-                event_ids=event_ids,
-                labels=np.array(labels, dtype=np.int64),
-                columns=columns,
-                raw=np.array(rows, dtype=np.float64) if rows else np.empty((0, n_cols)),
-                selected=[() for _ in event_ids],
-            )
+            try:
+                header = next(reader, None)
+                if not header or header[:2] != ["event_id", "label"]:
+                    raise SchemaError("not a feature table (bad header)", path, 1)
+                rest = header[2:]
+                n_cols = len(rest) // 2
+                columns = rest[:n_cols]
+                if rest[n_cols:] != [f"imputed_{c}" for c in columns]:
+                    raise SchemaError("malformed feature table header", path, 1)
+                for rec in reader:
+                    line = reader.line_num
+                    if not rec:
+                        raise SchemaError("blank line", path, line)
+                    if len(rec) != len(header):
+                        raise SchemaError(
+                            f"{len(rec)} fields, the header has {len(header)}", path, line
+                        )
+                    if rec[1] not in ("0", "1"):
+                        raise SchemaError(f"label must be 0 or 1, got {rec[1]!r}", path, line)
+                    values = []
+                    for col, cell in zip(columns, rec[2 : 2 + n_cols]):
+                        try:
+                            values.append(float(cell))
+                        except ValueError:
+                            raise SchemaError(
+                                f"column {col!r}: {cell!r} is not a number", path, line
+                            ) from None
+                    event_ids.append(rec[0])
+                    labels.append(int(rec[1]))
+                    rows.append(values)
+            except csv.Error as exc:
+                raise SchemaError(f"malformed CSV ({exc})", path, reader.line_num) from exc
+        return cls(
+            event_ids=event_ids,
+            labels=np.array(labels, dtype=np.int64),
+            columns=columns,
+            raw=np.array(rows, dtype=np.float64) if rows else np.empty((0, n_cols)),
+            selected=[() for _ in event_ids],
+        )
 
 
 def write_medians(medians: dict[str, float], path: str | Path) -> None:

@@ -4,15 +4,18 @@ Second-order boosting: per round, gradients g = p - y and hessians
 h = p(1 - p) drive exact greedy splits with gain
 0.5 * [GL^2/(HL+lambda) + GR^2/(HR+lambda) - G^2/(H+lambda)] - gamma and leaf
 weights -lr * G/(H+lambda). Split enumeration is feature-order fixed and
-row-order independent (rows canonicalized per node), so permuting training
-rows yields identical trees.
+row-order independent, so permuting training rows yields identical trees:
+each tree puts its rows in a canonical order once and sorts every column
+once by (value, g, h) (presorted column blocks, Chen & Guestrin 2016, §4.1).
+Stable partitions carry both orders to the children exactly as sorting each
+node afresh would, so gradient sums reproduce bitwise.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -210,6 +213,9 @@ def _build_tree(
 ) -> Tree:
     tree = Tree(feature=[], threshold=[], left=[], right=[], value=[], cover=[])
     lam = hp.l2_lambda
+    n_features = X.shape[1]
+    feature_ids = np.arange(n_features)[:, np.newaxis]
+    goes_left = np.zeros(len(X), dtype=bool)  # row -> side of the current split
 
     def new_node() -> int:
         tree.feature.append(-1)
@@ -220,41 +226,39 @@ def _build_tree(
         tree.cover.append(0)
         return len(tree.feature) - 1
 
-    def build(rows: np.ndarray, depth: int) -> int:
-        rows = _canonical_order(rows, X, g)
+    def build(rows: np.ndarray, sorted_rows: np.ndarray | None, depth: int) -> int:
+        """`rows` is in canonical order; row j of `sorted_rows` holds the same
+        rows ordered by (X[:, j], g, h), ties in canonical order. It is None
+        when the node is at max depth and cannot split."""
         node = new_node()
         tree.cover[node] = len(rows)
-        g_node = g[rows]
-        h_node = h[rows]
-        G = float(np.cumsum(g_node)[-1])
-        H = float(np.cumsum(h_node)[-1])
+        G = float(np.cumsum(g[rows])[-1])
+        H = float(np.cumsum(h[rows])[-1])
 
-        best_gain = 0.0
         best_feature = -1
         best_threshold = 0.0
         if depth < hp.max_depth and len(rows) >= 2:
+            # One gain per (feature, cut between distinct sorted values).
+            # Elementwise arithmetic and the sequential cumsum make every
+            # gain bitwise equal to sorting each feature at this node.
             parent_score = G * G / (H + lam)
-            for j in range(X.shape[1]):  # fixed feature order for deterministic ties
-                vals = X[rows, j]
-                order = np.lexsort((h_node, g_node, vals))
-                sv = vals[order]
-                cg = np.cumsum(g_node[order])
-                ch = np.cumsum(h_node[order])
-                cuts = np.nonzero(sv[:-1] < sv[1:])[0]
-                if cuts.size == 0:
-                    continue
-                GL, HL = cg[cuts], ch[cuts]
-                GR, HR = G - GL, H - HL
-                gains = 0.5 * (GL * GL / (HL + lam) + GR * GR / (HR + lam) - parent_score) - hp.gamma
-                ok = (HL >= hp.min_child_weight) & (HR >= hp.min_child_weight)
-                if not ok.any():
-                    continue
-                gains = np.where(ok, gains, -np.inf)
-                k = int(np.argmax(gains))  # first max -> earliest threshold on ties
-                if gains[k] > best_gain:
-                    best_gain = float(gains[k])
-                    best_feature = j
-                    best_threshold = float((sv[cuts[k]] + sv[cuts[k] + 1]) / 2.0)
+            sv = X[sorted_rows, feature_ids]
+            GL = np.cumsum(g[sorted_rows], axis=1)[:, :-1]
+            HL = np.cumsum(h[sorted_rows], axis=1)[:, :-1]
+            GR, HR = G - GL, H - HL
+            gains = 0.5 * (GL * GL / (HL + lam) + GR * GR / (HR + lam) - parent_score) - hp.gamma
+            ok = sv[:, :-1] < sv[:, 1:]
+            ok &= (HL >= hp.min_child_weight) & (HR >= hp.min_child_weight)
+            gains = np.where(ok, gains, -np.inf)
+            k = np.argmax(gains, axis=1)  # first max -> earliest threshold on ties
+            # A NaN maximum disqualifies its feature; the first feature with
+            # the largest positive gain wins (fixed order, deterministic ties).
+            top = gains[feature_ids[:, 0], k]
+            top = np.where(np.isnan(top), -np.inf, top)
+            j = int(np.argmax(top))
+            if top[j] > 0.0:
+                best_feature = j
+                best_threshold = float((sv[j, k[j]] + sv[j, k[j] + 1]) / 2.0)
 
         if best_feature < 0:
             tree.value[node] = -hp.learning_rate * G / (H + lam)
@@ -263,11 +267,25 @@ def _build_tree(
         mask = X[rows, best_feature] <= best_threshold
         tree.feature[node] = best_feature
         tree.threshold[node] = best_threshold
-        tree.left[node] = build(rows[mask], depth + 1)
-        tree.right[node] = build(rows[~mask], depth + 1)
+        # Stable partitions keep both the canonical order and every per-feature
+        # order of the children exactly as sorting their rows afresh would.
+        left_sorted = right_sorted = None
+        if depth + 1 < hp.max_depth:
+            goes_left[rows] = mask
+            side = goes_left[sorted_rows]
+            n_left = int(np.count_nonzero(mask))
+            left_sorted = sorted_rows[side].reshape(n_features, n_left)
+            right_sorted = sorted_rows[~side].reshape(n_features, len(rows) - n_left)
+        tree.left[node] = build(rows[mask], left_sorted, depth + 1)
+        tree.right[node] = build(rows[~mask], right_sorted, depth + 1)
         return node
 
-    build(rows, 0)
+    rows = _canonical_order(rows, X, g)
+    shape = (n_features, len(rows))
+    order = np.lexsort(
+        (np.broadcast_to(h[rows], shape), np.broadcast_to(g[rows], shape), X[rows].T), axis=-1
+    )
+    build(rows, rows[order], 0)
     return tree
 
 
@@ -468,22 +486,36 @@ def grid_search_cv(
 
     Imputation medians are recomputed inside each training fold (train_gbdt
     does it from the fold table), so validation rows never leak into them.
+    Configs that differ only in `n_trees` share one fit per fold with the
+    largest `n_trees`: rounds are deterministic, so a smaller model is exactly
+    a prefix of it, and its validation margin is read off the running sum.
     Best config is the accuracy argmax; ties keep the earlier grid position.
     """
     if not grid:
         raise ValueError("grid must be non-empty")
     folds = stratified_kfold(table.labels, k, seed)
-    results: list[CvResult] = []
-    for hp in grid:
-        accs = []
+    groups: dict[GbdtHyperParams, list[int]] = {}
+    for i, hp in enumerate(grid):
+        groups.setdefault(replace(hp, n_trees=1), []).append(i)
+    accs: list[list[float]] = [[] for _ in grid]
+    for key, members in groups.items():
+        sizes = {grid[i].n_trees for i in members}
+        hp = replace(key, n_trees=max(sizes))
         for f in range(k):
-            val_idx = folds[f]
             train_idx = np.concatenate([folds[j] for j in range(k) if j != f])
             model = train_gbdt(table.subset(train_idx), hp)
-            val = table.subset(val_idx)
-            probs = model.predict_proba_batch(val.raw)
-            accs.append(float(np.mean((probs >= 0.5).astype(np.int64) == val.labels)))
-        results.append(CvResult(hp, accs, float(np.mean(accs))))
+            val = table.subset(folds[f])
+            X = model.impute(val.raw)
+            margin = np.full(len(X), model.base_score)  # summed as in GbdtModel.margin
+            acc_at: dict[int, float] = {}
+            for n_trees, tree in enumerate(model.trees, start=1):
+                margin += tree.predict(X)
+                if n_trees in sizes:
+                    pred = (_sigmoid(margin) >= 0.5).astype(np.int64)
+                    acc_at[n_trees] = float(np.mean(pred == val.labels))
+            for i in members:
+                accs[i].append(acc_at[grid[i].n_trees])
+    results = [CvResult(hp, a, float(np.mean(a))) for hp, a in zip(grid, accs)]
     best = max(range(len(results)), key=lambda i: (results[i].mean_accuracy, -i))
     return results[best].hyperparams, results
 
@@ -574,37 +606,58 @@ def save_model(model: GbdtModel, path: str | Path) -> None:
         fh.write("\n")
 
 
-def _check_tree(tree: Tree, n_columns: int, where: str) -> None:
-    """Reject node tables that traversal could not finish: every internal
-    node's children must come after it, so every path ends at a leaf."""
+def _check_tree(tree: Tree, n_columns: int, path: str | Path, t: int) -> None:
+    """Reject node tables that traversal could not finish or whose margins
+    would not be finite: every internal node's children must come after it,
+    so every path ends at a leaf; thresholds and values must be finite; and
+    an internal node's cover must be the sum of its children's covers."""
     n = len(tree.feature)
     arrays = (tree.threshold, tree.left, tree.right, tree.value, tree.cover)
     if n == 0 or any(len(a) != n for a in arrays):
-        raise SchemaError(f"{where}: node arrays must be non-empty and of equal length")
+        raise SchemaError(f"tree {t}: node arrays must be non-empty and of equal length", path)
     for node, feat in enumerate(tree.feature):
+        where = f"tree {t} node {node}"
+        for name, v in (("threshold", tree.threshold[node]), ("value", tree.value[node])):
+            if not math.isfinite(v):
+                raise SchemaError(f"{where}: {name} {v} is not finite", path)
         if feat < 0:
             continue
         if feat >= n_columns:
-            raise SchemaError(f"{where} node {node}: feature index {feat} >= {n_columns} columns")
+            raise SchemaError(f"{where}: feature index {feat} >= {n_columns} columns", path)
         for child in (tree.left[node], tree.right[node]):
             if not node < child < n:
-                raise SchemaError(f"{where} node {node}: child index {child} not in ({node}, {n})")
+                raise SchemaError(f"{where}: child index {child} not in ({node}, {n})", path)
+    for node, feat in enumerate(tree.feature):  # children are known to be in range now
+        left, right = tree.left[node], tree.right[node]
+        if feat >= 0 and tree.cover[node] != tree.cover[left] + tree.cover[right]:
+            raise SchemaError(
+                f"tree {t} node {node}: cover {tree.cover[node]} is not the sum of its"
+                f" children's covers {tree.cover[left]} + {tree.cover[right]}",
+                path,
+            )
 
 
 def load_model(path: str | Path) -> GbdtModel:
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
-    if doc.get("format") != MODEL_FORMAT:
+    if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         raise ValueError(f"{path}: not a {MODEL_FORMAT} file")
-    columns = [str(c) for c in doc["columns"]]
-    trees = [Tree.from_dict(t) for t in doc["trees"]]
-    for t, tree in enumerate(trees):
-        _check_tree(tree, len(columns), f"{path}: tree {t}")
-    return GbdtModel(
-        base_score=float(doc["base_score"]),
-        trees=trees,
-        feature_names=columns,
-        medians={str(k): float(v) for k, v in doc["medians"].items()},
-        hyperparams=GbdtHyperParams(**doc["hyperparams"]),
-        training_logloss=[float(v) for v in doc["training_logloss"]],
-    )
+    try:
+        model = GbdtModel(
+            base_score=float(doc["base_score"]),
+            trees=[Tree.from_dict(t) for t in doc["trees"]],
+            feature_names=[str(c) for c in doc["columns"]],
+            medians={str(k): float(v) for k, v in doc["medians"].items()},
+            hyperparams=GbdtHyperParams(**doc["hyperparams"]),
+            training_logloss=[float(v) for v in doc["training_logloss"]],
+        )
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise SchemaError(f"malformed model ({type(exc).__name__}: {exc})", path) from exc
+    if not math.isfinite(model.base_score):
+        raise SchemaError(f"base_score {model.base_score} is not finite", path)
+    for col in model.feature_names:
+        if not math.isfinite(model.medians.get(col, math.nan)):
+            raise SchemaError(f"median of column {col!r} is missing or not finite", path)
+    for t, tree in enumerate(model.trees):
+        _check_tree(tree, len(model.feature_names), path, t)
+    return model

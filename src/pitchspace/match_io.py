@@ -43,12 +43,18 @@ _EVENT_KEYS = {"event_id", "type", "frame", "team", "player", "receiver", "outco
 
 
 class SchemaError(ValueError):
-    """Hard validation failure in a data file, located by 1-based line number."""
+    """Hard validation failure in a data file, located by its path and, where
+    there is one, a 1-based line number."""
 
     def __init__(self, message: str, path: str | Path | None = None, line: int | None = None):
         self.path = str(path) if path is not None else None
         self.line = line
-        where = f"{self.path}:{line}: " if path is not None and line is not None else ""
+        if path is None:
+            where = ""
+        elif line is None:
+            where = f"{self.path}: "
+        else:
+            where = f"{self.path}:{line}: "
         super().__init__(f"{where}{message}")
 
 

@@ -27,7 +27,7 @@ from pitchspace.features import (
     write_medians,
     EventFeatures,
 )
-from pitchspace.match_io import PassEvent
+from pitchspace.match_io import PassEvent, SchemaError
 from pitchspace.pitch import PitchSpec, Point2, WeightParams
 from pitchspace.synth import SynthConfig, synthesize_match
 
@@ -383,6 +383,31 @@ class TestAssembleAndDataset:
         assert np.array_equal(np.isfinite(back.raw), np.isfinite(table.raw))
         finite = np.isfinite(table.raw)
         assert np.array_equal(back.raw[finite], table.raw[finite])
+
+    @pytest.mark.parametrize(
+        "edit, located",
+        [
+            pytest.param(lambda rows: rows.insert(2, ""), "f.csv:3: blank line", id="blank_line"),
+            pytest.param(lambda rows: rows.__setitem__(2, rows[2].rsplit(",", 1)[0]),
+                         "f.csv:3: 21 fields, the header has 22", id="short_row"),
+            pytest.param(lambda rows: rows.__setitem__(3, rows[3] + ",0"),
+                         "f.csv:4: 23 fields, the header has 22", id="long_row"),
+            pytest.param(lambda rows: rows.__setitem__(1, rows[1].replace(",1,", ",2,", 1)),
+                         "f.csv:2: label must be 0 or 1, got '2'", id="non_binary_label"),
+            pytest.param(lambda rows: rows.__setitem__(2, rows[2].replace(",1.0,", ",abc,", 1)),
+                         "f.csv:3: column 'dist_ball_1': 'abc' is not a number", id="non_numeric"),
+            pytest.param(lambda rows: rows.__setitem__(2, rows[2] + "0" * 200_000),
+                         "f.csv:3: malformed CSV", id="field_over_csv_limit"),
+        ],
+    )
+    def test_csv_errors_are_located(self, tmp_path, edit, located):
+        table = assemble_table(self._event_features(), 2, "dist_ball")
+        table.to_csv(tmp_path / "f.csv")
+        rows = (tmp_path / "f.csv").read_text(encoding="utf-8").splitlines()
+        edit(rows)
+        (tmp_path / "f.csv").write_text("\r\n".join(rows) + "\r\n", encoding="utf-8")
+        with pytest.raises(SchemaError, match=located):
+            PassSampleTable.from_csv(tmp_path / "f.csv")
 
     def test_medians_sidecar_round_trip(self, tmp_path):
         medians = {"a_1": 1.5, "b_1": -0.25}

@@ -1,8 +1,10 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
+from pitchspace import gbdt
 from pitchspace.features import PassSampleTable
 from pitchspace.gbdt import (
     GbdtHyperParams,
@@ -43,6 +45,83 @@ def random_table(rng, n=400, d=6):
     X = rng.normal(0.0, 1.0, (n, d))
     logit = 1.5 * X[:, 0] - 2.0 * X[:, d // 2] + 0.5 * X[:, d - 1]
     y = (rng.random(n) < 1.0 / (1.0 + np.exp(-logit))).astype(np.int64)
+    return make_table(X, y)
+
+
+def build_tree_per_node_sort(X, g, h, rows, hp):
+    """Reference exact-greedy builder: canonicalizes the rows and lexsorts every
+    column afresh at each node, then loops over the features. The presorted
+    `gbdt._build_tree` must give the same trees bit for bit."""
+    tree = Tree(feature=[], threshold=[], left=[], right=[], value=[], cover=[])
+    lam = hp.l2_lambda
+
+    def new_node():
+        for arr, v in ((tree.feature, -1), (tree.threshold, 0.0), (tree.left, -1),
+                       (tree.right, -1), (tree.value, 0.0), (tree.cover, 0)):
+            arr.append(v)
+        return len(tree.feature) - 1
+
+    def build(rows, depth):
+        rows = gbdt._canonical_order(rows, X, g)
+        node = new_node()
+        tree.cover[node] = len(rows)
+        g_node = g[rows]
+        h_node = h[rows]
+        G = float(np.cumsum(g_node)[-1])
+        H = float(np.cumsum(h_node)[-1])
+        best_gain = 0.0
+        best_feature = -1
+        best_threshold = 0.0
+        if depth < hp.max_depth and len(rows) >= 2:
+            parent_score = G * G / (H + lam)
+            for j in range(X.shape[1]):
+                vals = X[rows, j]
+                order = np.lexsort((h_node, g_node, vals))
+                sv = vals[order]
+                cg = np.cumsum(g_node[order])
+                ch = np.cumsum(h_node[order])
+                cuts = np.nonzero(sv[:-1] < sv[1:])[0]
+                if cuts.size == 0:
+                    continue
+                GL, HL = cg[cuts], ch[cuts]
+                GR, HR = G - GL, H - HL
+                gains = 0.5 * (GL * GL / (HL + lam) + GR * GR / (HR + lam) - parent_score) - hp.gamma
+                ok = (HL >= hp.min_child_weight) & (HR >= hp.min_child_weight)
+                if not ok.any():
+                    continue
+                gains = np.where(ok, gains, -np.inf)
+                k = int(np.argmax(gains))
+                if gains[k] > best_gain:
+                    best_gain = float(gains[k])
+                    best_feature = j
+                    best_threshold = float((sv[cuts[k]] + sv[cuts[k] + 1]) / 2.0)
+        if best_feature < 0:
+            tree.value[node] = -hp.learning_rate * G / (H + lam)
+            return node
+        mask = X[rows, best_feature] <= best_threshold
+        tree.feature[node] = best_feature
+        tree.threshold[node] = best_threshold
+        tree.left[node] = build(rows[mask], depth + 1)
+        tree.right[node] = build(rows[~mask], depth + 1)
+        return node
+
+    build(rows, 0)
+    return tree
+
+
+def oracle_table(rng, n=240, d=5, levels=0, duplicates=False, constant=False):
+    """Random table; `levels` > 0 snaps values to that many per column (ties),
+    `duplicates` repeats whole rows with their labels, `constant` fixes a column."""
+    X = rng.normal(0.0, 1.0, (n, d))
+    if levels:
+        X = np.floor((X + 2.0) * levels / 4.0)
+    if duplicates:
+        X[n // 2 :] = X[: n - n // 2]
+    if constant:
+        X[:, 1] = 7.0
+    y = (rng.random(n) < 1.0 / (1.0 + np.exp(-X[:, 0] + X[:, 2]))).astype(np.int64)
+    if duplicates:
+        y[n // 2 :] = y[: n - n // 2]
     return make_table(X, y)
 
 
@@ -98,6 +177,56 @@ class TestTraining:
         assert m1.base_score == m2.base_score
         for t1, t2 in zip(m1.trees, m2.trees):
             assert t1.to_dict() == t2.to_dict()
+
+    @pytest.mark.parametrize(
+        "table_kw, hp_kw",
+        [
+            pytest.param({}, {}, id="plain"),
+            pytest.param({"levels": 3}, {}, id="many_ties"),
+            pytest.param({"levels": 4, "duplicates": True}, {}, id="duplicated_rows"),
+            pytest.param({"constant": True}, {}, id="constant_column"),
+            pytest.param({"levels": 5}, {"subsample": 0.7, "seed": 3}, id="subsample"),
+            pytest.param({"levels": 6}, {"min_child_weight": 4.0}, id="min_child_weight"),
+            pytest.param({}, {"gamma": 0.4}, id="gamma"),
+            pytest.param({"levels": 3}, {"max_depth": 1}, id="stumps"),
+        ],
+    )
+    def test_presorted_builder_matches_per_node_sort(self, monkeypatch, table_kw, hp_kw):
+        table = oracle_table(np.random.default_rng(8), **table_kw)
+        hp = GbdtHyperParams(**{"n_trees": 8, "max_depth": 4, "learning_rate": 0.3, **hp_kw})
+        fast = train_gbdt(table, hp)
+        monkeypatch.setattr(gbdt, "_build_tree", build_tree_per_node_sort)
+        reference = train_gbdt(table, hp)
+        assert any(len(t.feature) > 1 for t in reference.trees)
+        assert [t.to_dict() for t in fast.trees] == [t.to_dict() for t in reference.trees]
+
+    @pytest.mark.parametrize("depth", [1, 3, 6])
+    def test_presorted_builder_matches_on_permuted_rows_and_degenerate_gains(self, depth):
+        # Unsorted, partial rows. Rows whose p equals their label have
+        # g = h = 0; with no L2 term a cut that isolates only such rows has a
+        # 0/0 = NaN gain, which must disqualify its feature as in the reference.
+        rng = np.random.default_rng(depth)
+        table = oracle_table(rng, levels=4, duplicates=True)
+        X = table.raw
+        p = rng.choice([0.25, 0.5, 0.8], size=len(X))
+        settled = rng.random(len(X)) < 0.3
+        p[settled] = table.labels[settled]
+        g = p - table.labels
+        h = p * (1.0 - p)
+        rows = rng.permutation(len(X))[:-9]
+
+        def outcome(builder, hp):
+            try:
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    return builder(X, g, h, rows, hp).to_dict()
+            except ZeroDivisionError:  # a node whose hessian sum is 0 with no L2 term
+                return "ZeroDivisionError"
+
+        for lam in (1.0, 0.0):
+            hp = GbdtHyperParams(max_depth=depth, l2_lambda=lam)
+            reference = outcome(build_tree_per_node_sort, hp)
+            assert lam == 0.0 or len(reference["feature"]) > 1
+            assert outcome(gbdt._build_tree, hp) == reference
 
     def test_subsample_deterministic_under_seed(self, rng):
         table = random_table(rng)
@@ -286,6 +415,40 @@ class TestCrossValidation:
         _, r2 = grid_search_cv(table, grid, k=3, seed=4)
         assert [r.fold_accuracies for r in r1] == [r.fold_accuracies for r in r2]
 
+    def test_nested_grid_matches_direct_fits(self, rng, monkeypatch):
+        # Configs that differ only in n_trees share one fit per fold; each must
+        # still score exactly like its own fit, in grid order.
+        table = random_table(rng, n=150)
+        grid = [
+            GbdtHyperParams(n_trees=n, max_depth=d, learning_rate=0.3, subsample=s, seed=2)
+            for d, s in ((2, 1.0), (3, 0.8))
+            for n in (12, 3, 6)
+        ]
+        grid.append(grid[1])
+        fitted = []
+
+        def counting_train(table, hp, medians=None):
+            fitted.append(hp.n_trees)
+            return train_gbdt(table, hp, medians)
+
+        monkeypatch.setattr(gbdt, "train_gbdt", counting_train)
+        best, results = grid_search_cv(table, grid, k=3, seed=4)
+        monkeypatch.undo()
+        assert fitted == [12] * 6  # two groups x three folds, largest n_trees only
+        folds = stratified_kfold(table.labels, 3, 4)
+        for hp, result in zip(grid, results):
+            assert result.hyperparams is hp
+            accs = []
+            for f in range(3):
+                train_idx = np.concatenate([folds[j] for j in range(3) if j != f])
+                model = train_gbdt(table.subset(train_idx), hp)
+                val = table.subset(folds[f])
+                probs = model.predict_proba_batch(val.raw)
+                accs.append(float(np.mean((probs >= 0.5).astype(np.int64) == val.labels)))
+            assert result.fold_accuracies == accs
+        top = max(r.mean_accuracy for r in results)
+        assert best is next(r.hyperparams for r in results if r.mean_accuracy == top)
+
     def test_empty_grid_errors(self, rng):
         with pytest.raises(ValueError):
             grid_search_cv(random_table(rng, n=60), [], k=3, seed=0)
@@ -331,6 +494,47 @@ class TestSerialization:
     )
     def test_unfinishable_node_table_rejected(self, tmp_path, tree, located):
         model = GbdtModel(0.0, [tree], ["f0"], {"f0": 0.0}, GbdtHyperParams())
+        save_model(model, tmp_path / "m.json")
+        with pytest.raises(SchemaError, match=f"m.json: {located}"):
+            load_model(tmp_path / "m.json")
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            pytest.param(lambda doc: doc.pop("hyperparams"), id="missing_key"),
+            pytest.param(lambda doc: doc["trees"][0]["value"].__setitem__(1, None), id="null_value"),
+            pytest.param(lambda doc: doc.__setitem__("medians", [0.5]), id="medians_not_object"),
+        ],
+    )
+    def test_malformed_model_document_rejected(self, rng, tmp_path, edit):
+        model = train_gbdt(random_table(rng, n=60), GbdtHyperParams(n_trees=2, max_depth=2))
+        save_model(model, tmp_path / "m.json")
+        doc = json.loads((tmp_path / "m.json").read_text(encoding="utf-8"))
+        edit(doc)
+        (tmp_path / "m.json").write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(SchemaError, match="m.json: malformed model"):
+            load_model(tmp_path / "m.json")
+
+    @pytest.mark.parametrize(
+        "change, located",
+        [
+            pytest.param({"base_score": math.nan}, "base_score nan", id="nan_base_score"),
+            pytest.param({"medians": {}}, "median of column 'f0'", id="missing_median"),
+            pytest.param({"medians": {"f0": math.inf}}, "median of column 'f0'", id="inf_median"),
+            pytest.param({"threshold": [math.nan, 0.0, 0.0]}, "tree 0 node 0: threshold",
+                         id="nan_threshold"),
+            pytest.param({"value": [0.0, 0.1, math.inf]}, "tree 0 node 2: value", id="inf_leaf"),
+            pytest.param({"cover": [5, 2, 2]}, "tree 0 node 0: cover 5", id="cover_mismatch"),
+        ],
+    )
+    def test_invalid_model_values_rejected(self, tmp_path, change, located):
+        stump = {"feature": [0, -1, -1], "threshold": [0.5, 0.0, 0.0], "left": [1, -1, -1],
+                 "right": [2, -1, -1], "value": [0.0, 0.1, -0.1], "cover": [4, 2, 2]}
+        model_fields = {"base_score": 0.0, "medians": {"f0": 0.5}}
+        model_fields.update((k, v) for k, v in change.items() if k in model_fields)
+        stump.update((k, v) for k, v in change.items() if k in stump)
+        model = GbdtModel(trees=[Tree(**stump)], feature_names=["f0"],
+                          hyperparams=GbdtHyperParams(), **model_fields)
         save_model(model, tmp_path / "m.json")
         with pytest.raises(SchemaError, match=f"m.json: {located}"):
             load_model(tmp_path / "m.json")

@@ -69,6 +69,17 @@ class TestLoadTracking:
         assert "3" in str(exc.value) and "5" in str(exc.value)
         assert exc.value.line == 2
 
+    @pytest.mark.parametrize(
+        "path, line, text",
+        [
+            ("tracking.jsonl", 4, "tracking.jsonl:4: bad frame"),
+            ("tracking.jsonl", None, "tracking.jsonl: bad frame"),
+            (None, None, "bad frame"),
+        ],
+    )
+    def test_schema_error_names_the_file(self, path, line, text):
+        assert str(SchemaError("bad frame", path, line)) == text
+
     def test_malformed_json_reports_line(self, tmp_path):
         p = tmp_path / "t.jsonl"
         p.write_text(json.dumps(frame_record(0)) + "\n{not json\n", encoding="utf-8")

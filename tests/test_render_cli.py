@@ -257,6 +257,29 @@ class TestCli:
         assert rc == 2
         assert "model.json: tree 0 node 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "medians, csv_tail, located",
+        [
+            pytest.param({"f0": 0.5}, "\r\ne3,1,2.0,0\r\n", "features.csv:4: blank line",
+                         id="blank_csv_line"),
+            pytest.param({}, "", "model.json: median of column 'f0'", id="missing_median"),
+        ],
+    )
+    def test_bad_eval_inputs_exit_2(self, tmp_path, capsys, medians, csv_tail, located):
+        stump = Tree([0, -1, -1], [0.5, 0.0, 0.0], [1, -1, -1], [2, -1, -1], [0.0, -0.1, 0.1],
+                     [2, 1, 1])
+        save_model(GbdtModel(0.0, [stump], ["f0"], medians, GbdtHyperParams()),
+                   tmp_path / "model.json")
+        PassSampleTable(
+            ["e1", "e2"], np.array([0, 1]), ["f0"], np.array([[0.0], [1.0]]), [(), ()]
+        ).to_csv(tmp_path / "features.csv")
+        with open(tmp_path / "features.csv", "a", encoding="utf-8", newline="") as fh:
+            fh.write(csv_tail)
+        rc = cli_dispatch(["eval", "--model", str(tmp_path / "model.json"),
+                           "--features", str(tmp_path / "features.csv")])
+        assert rc == 2
+        assert located in capsys.readouterr().err
+
     def test_bad_config_exits_1(self, tmp_path):
         bad = tmp_path / "bad.cfg"
         bad.write_text("nonsense.key = 1\n", encoding="utf-8")
