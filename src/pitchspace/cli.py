@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import logging
 import sys
 from pathlib import Path
@@ -35,6 +34,7 @@ from .match_io import (
     save_match,
     segment_attack_sequences,
     synchronization_shift,
+    write_json,
 )
 from .render_svg import RenderOptions, render_animation_svg, render_frame_svg
 from .synth import synthesize_match
@@ -82,9 +82,7 @@ def _write_manifest(
         "inputs": digests,
         "outputs": sorted(outputs),
     }
-    with open(out_dir / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(out_dir / "manifest.json", doc, indent=2)
 
 
 def _out_dir(args) -> Path:
@@ -133,9 +131,7 @@ def cmd_synth(args) -> int:
     out = _out_dir(args)
     frames, events, ground_truth = synthesize_match(cfg.synth, seed, cfg.motion)
     save_match(frames, events, out / "tracking.jsonl", out / "events.jsonl")
-    with open(out / "ground_truth.json", "w", encoding="utf-8") as fh:
-        json.dump(ground_truth, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json(out / "ground_truth.json", ground_truth, indent=1)
     _write_manifest(
         out, "synth", seed, args.config,
         [out / "tracking.jsonl", out / "events.jsonl"],
@@ -152,9 +148,7 @@ def cmd_sync(args) -> int:
     shifts = synchronization_shift(frames, events)
     shifted = apply_shift(events, shifts, frames)
     save_match(frames, shifted, out / "tracking.jsonl", out / "events.jsonl")
-    with open(out / "sync_report.json", "w", encoding="utf-8") as fh:
-        json.dump({"shifts": {str(k): v for k, v in shifts.items()}}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(out / "sync_report.json", {"shifts": {str(k): v for k, v in shifts.items()}}, indent=2)
     _write_manifest(
         out, "sync", args.seed, args.config,
         [Path(args.tracking), Path(args.events)],
@@ -182,9 +176,7 @@ def cmd_segment(args) -> int:
         ],
         "dropped": [{"event_ids": list(d.event_ids), "reason": d.reason} for d in drops],
     }
-    with open(out / "sequences.json", "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json(out / "sequences.json", doc, indent=1)
     _write_manifest(
         out, "segment", args.seed, args.config,
         [Path(args.tracking), Path(args.events)], ["sequences.json"],
@@ -224,20 +216,19 @@ def cmd_train(args) -> int:
     best_hp, results = gbdtmod.grid_search_cv(table, cfg.grid, k=cfg.cv_k, seed=seed)
     model = gbdtmod.train_gbdt(table, best_hp)
     gbdtmod.save_model(model, out / "model.json")
-    with open(out / "cv_results.json", "w", encoding="utf-8") as fh:
-        json.dump(
-            [
-                {
-                    "hyperparams": r.hyperparams.__dict__,
-                    "fold_accuracies": r.fold_accuracies,
-                    "mean_accuracy": r.mean_accuracy,
-                    "best": r.hyperparams == best_hp,
-                }
-                for r in results
-            ],
-            fh, indent=1, sort_keys=True,
-        )
-        fh.write("\n")
+    write_json(
+        out / "cv_results.json",
+        [
+            {
+                "hyperparams": r.hyperparams.__dict__,
+                "fold_accuracies": r.fold_accuracies,
+                "mean_accuracy": r.mean_accuracy,
+                "best": r.hyperparams == best_hp,
+            }
+            for r in results
+        ],
+        indent=1,
+    )
     _write_manifest(
         out, "train", seed, args.config, [Path(args.features)], ["model.json", "cv_results.json"]
     )
@@ -264,26 +255,25 @@ def cmd_eval(args) -> int:
     print(gbdtmod.format_metrics_table({f"n={n}": report}))
     if args.out:
         out = _out_dir(args)
-        with open(out / "metrics.json", "w", encoding="utf-8") as fh:
-            json.dump(
-                {
-                    "accuracy": report.accuracy,
-                    "threshold": report.threshold,
-                    "n_samples": report.n_samples,
-                    "confusion": report.confusion,
-                    "per_class": {
-                        str(c): {"precision": m.precision, "recall": m.recall, "f1": m.f1}
-                        for c, m in report.per_class.items()
-                    },
-                    "macro": {
-                        "precision": report.macro.precision,
-                        "recall": report.macro.recall,
-                        "f1": report.macro.f1,
-                    },
+        write_json(
+            out / "metrics.json",
+            {
+                "accuracy": report.accuracy,
+                "threshold": report.threshold,
+                "n_samples": report.n_samples,
+                "confusion": report.confusion,
+                "per_class": {
+                    str(c): {"precision": m.precision, "recall": m.recall, "f1": m.f1}
+                    for c, m in report.per_class.items()
                 },
-                fh, indent=2, sort_keys=True,
-            )
-            fh.write("\n")
+                "macro": {
+                    "precision": report.macro.precision,
+                    "recall": report.macro.recall,
+                    "f1": report.macro.f1,
+                },
+            },
+            indent=2,
+        )
         _write_manifest(
             out, "eval", args.seed, args.config,
             [Path(args.model), Path(args.features)], ["metrics.json"],
@@ -338,25 +328,24 @@ def cmd_compare_rankings(args) -> int:
         print(gbdtmod.format_ranking_table(report))
     if args.out:
         out = _out_dir(args)
-        with open(out / "ranking_report.json", "w", encoding="utf-8") as fh:
-            json.dump(
-                {
-                    label: {
-                        "best_variable": r.best_variable,
-                        "rows": [
-                            {
-                                "variable": row.variable,
-                                "mean_accuracy": row.mean_accuracy,
-                                "reference_accuracy": row.reference_accuracy,
-                            }
-                            for row in r.rows
-                        ],
-                    }
-                    for label, r in reports.items()
-                },
-                fh, indent=1, sort_keys=True,
-            )
-            fh.write("\n")
+        write_json(
+            out / "ranking_report.json",
+            {
+                label: {
+                    "best_variable": r.best_variable,
+                    "rows": [
+                        {
+                            "variable": row.variable,
+                            "mean_accuracy": row.mean_accuracy,
+                            "reference_accuracy": row.reference_accuracy,
+                        }
+                        for row in r.rows
+                    ],
+                }
+                for label, r in reports.items()
+            },
+            indent=1,
+        )
         _write_manifest(out, "compare-rankings", seed, args.config, inputs, ["ranking_report.json"])
     return EXIT_OK
 
@@ -406,9 +395,6 @@ def cmd_render(args) -> int:
         show_scores=cfg.render.show_scores,
         score_min=cm_min,
         score_max=cm_max,
-        frame_start=selected[0].frame_index,
-        frame_end=selected[-1].frame_index,
-        out_dir=str(out),
     )
     outputs = []
     for (oriented, scores, fld) in prepared:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
@@ -135,20 +135,56 @@ def _sorted_eligible(frame: "TrackedFrame", excluded: Iterable[str]) -> list[Pla
     return players
 
 
-def _time_stack(
-    players: list[PlayerState], pitch: PitchSpec, mp: MotionParams
+def _arrival_grid(
+    xs: np.ndarray, ys: np.ndarray, qx, qy, mp: MotionParams
 ) -> np.ndarray:
-    """Arrival times of each player to every cell center, shape (P, ny, nx)."""
-    xs, ys = pitch.cell_centers()
-    pred = np.array(
-        [
-            (p.pos.x + p.vel.x * mp.reaction_time, p.pos.y + p.vel.y * mp.reaction_time)
-            for p in players
-        ]
-    )
-    dx = xs[np.newaxis, np.newaxis, :] - pred[:, 0, np.newaxis, np.newaxis]
-    dy = ys[np.newaxis, :, np.newaxis] - pred[:, 1, np.newaxis, np.newaxis]
+    """Arrival times from predicted point(s) (qx, qy) to the cell centers xs x ys.
+
+    A scalar point gives shape (len(ys), len(xs)); points of shape (k, 1, 1)
+    give (k, len(ys), len(xs)). The partition and the probes both use this
+    one elementwise formula, so their times agree bitwise.
+    """
+    dx = xs - qx
+    dy = ys[:, np.newaxis] - qy
     return mp.reaction_time + np.sqrt(dx * dx + dy * dy) / mp.max_speed
+
+
+def _partition(
+    players: list[PlayerState], pitch: PitchSpec, mp: MotionParams
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Best and runner-up arrival per cell over the id-sorted players.
+
+    Returns (owner, best, second_idx, second), each of shape (ny, nx); the
+    runner-up is the best player once the owner is left out (index 0 and
+    time +inf when there is nobody else). One pass over the players with
+    strict comparisons keeps the earlier, smaller-id player on ties.
+    """
+    if not players:
+        raise ValueError("dominance grid requires at least one eligible player")
+    xs, ys = pitch.cell_centers()
+    rt = mp.reaction_time
+    grids = (
+        _arrival_grid(xs, ys, p.pos.x + p.vel.x * rt, p.pos.y + p.vel.y * rt, mp)
+        for p in players
+    )
+    best = next(grids)
+    owner = np.zeros(best.shape, dtype=np.int32)
+    second = np.full_like(best, np.inf)
+    second_idx = np.zeros_like(owner)
+    beats_best = np.empty(best.shape, dtype=bool)
+    beats_second = np.empty_like(beats_best)
+    for j, t in enumerate(grids, start=1):
+        np.less(t, best, out=beats_best)
+        np.less(t, second, out=beats_second)
+        # best <= second, so beats_best implies beats_second: keep the rest.
+        np.not_equal(beats_second, beats_best, out=beats_second)
+        np.copyto(second, best, where=beats_best)
+        np.copyto(second_idx, owner, where=beats_best)
+        np.copyto(best, t, where=beats_best)
+        np.copyto(owner, j, where=beats_best)
+        np.copyto(second, t, where=beats_second)
+        np.copyto(second_idx, j, where=beats_second)
+    return owner, best, second_idx, second
 
 
 def compute_dominance_grid(
@@ -159,46 +195,31 @@ def compute_dominance_grid(
 ) -> DominanceField:
     """Assign every grid cell to the player reaching its center first.
 
-    Ties are broken by the smaller player id (ids are totally ordered), which
-    the argmin over id-sorted players implements directly.
+    Ties are broken by the smaller player id (ids are totally ordered).
     """
     players = _sorted_eligible(frame, excluded)
-    if not players:
-        raise ValueError("dominance grid requires at least one eligible player")
-    times = _time_stack(players, pitch, mp)
-    owner = np.argmin(times, axis=0).astype(np.int32)
-    best = np.min(times, axis=0)
-    return DominanceField(
-        pitch=pitch,
-        player_ids=[p.player_id for p in players],
-        owner=owner,
-        time=best,
-    )
-
-
-def _team_weight_sums(
-    field_: DominanceField,
-    teams: Mapping[str, str],
-    w: WeightParams,
-) -> np.ndarray:
-    """Weighted cell-count sums per owner index, using each owner's team weight."""
-    att = weight_grid(field_.pitch, w, attacking_right=True)
-    dfn = weight_grid(field_.pitch, w, attacking_right=False)
-    n = len(field_.player_ids)
-    flat = field_.owner.ravel()
-    sums_att = np.bincount(flat, weights=att.ravel(), minlength=n)
-    sums_def = np.bincount(flat, weights=dfn.ravel(), minlength=n)
-    pick = np.array([teams[pid] == DEFENDING for pid in field_.player_ids])
-    return np.where(pick, sums_def, sums_att)
+    owner, best, _, _ = _partition(players, pitch, mp)
+    return DominanceField(pitch, [p.player_id for p in players], owner, best)
 
 
 def space_scores(
     field_: DominanceField, frame: "TrackedFrame", w: WeightParams
 ) -> SpaceScoreTable:
     """Weighted-area score per player: cell area times field weight, summed
-    over owned cells. Players absent from the field (offside-excluded) get 0."""
+    over owned cells. Players absent from the field (offside-excluded) get 0.
+
+    Attackers use the attacking-direction weight, defenders the mirrored one.
+    """
     teams = {p.player_id: p.team for p in frame.players}
-    sums = _team_weight_sums(field_, teams, w)
+    defending = np.array([teams[pid] == DEFENDING for pid in field_.player_ids])
+    weight = np.where(
+        defending[field_.owner],
+        weight_grid(field_.pitch, w, attacking_right=False),
+        weight_grid(field_.pitch, w, attacking_right=True),
+    )
+    sums = np.bincount(
+        field_.owner.ravel(), weights=weight.ravel(), minlength=len(field_.player_ids)
+    )
     index = {pid: i for i, pid in enumerate(field_.player_ids)}
     entries: dict[str, PlayerSpaceScore] = {}
     for p in sorted(frame.players, key=lambda q: q.player_id):
@@ -276,12 +297,14 @@ def offside_positions(frame: "TrackedFrame") -> frozenset[str]:
 
 
 # ---------------------------------------------------------------------------
-# Batch scoring path used by feature extraction.
+# Batch probe deltas used by the off-ball and on-ball features.
 #
-# Recomputing the full grid for every 1 m probe of every candidate is
-# O(events x candidates x 8 x players x cells). Holding everyone else's best
-# time fixed while one player moves gives identical ownership: the mover owns
-# a cell iff it arrives strictly first, or ties a larger-index rest owner.
+# directional_space_deltas recomputes the full partition for each 1 m probe,
+# which is O(candidates x 8 x players x cells) per pass. The batch path runs
+# the partition once and keeps each cell's runner-up: while one player moves,
+# everyone else's best time is fixed, so the mover owns a cell iff it arrives
+# strictly first, or ties a larger-index rest owner, where the rest is the
+# owner unless the mover owns the cell, and the runner-up if it does.
 #
 # Each candidate's 8 probes are evaluated only inside a crop box. A probe
 # moves the candidate's predicted point by at most `shift`, the largest
@@ -290,83 +313,39 @@ def offside_positions(frame: "TrackedFrame") -> frozenset[str]:
 # them in). By the triangle inequality a probe's arrival time is at least
 # own_time - shift / max_speed, so no probe can own a cell where
 # own_time - (shift / max_speed + 1e-9) > rest_time (the 1e-9 s absorbs
-# rounding); the box bounds the remaining cells. Owned weights are summed with bincount in row-major order
-# inside the box, which is the full grid's raveled order with only non-owned
-# cells left out, so the sums equal the naive recomputation bitwise
-# (covered by tests).
+# rounding); the box bounds the remaining cells. Owned weights are summed
+# with bincount in row-major order inside the box, which is the full grid's
+# raveled order with only non-owned cells left out, so the sums equal the
+# naive recomputation bitwise (covered by tests).
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class _FrameDominance:
-    """Shared per-frame arrays for the batch scoring path."""
-
-    pitch: PitchSpec
-    players: list[PlayerState]
-    times: np.ndarray  # (P, ny, nx)
-    best: np.ndarray  # (ny, nx) minimal time
-    best_idx: np.ndarray  # (ny, nx) argmin index (smallest id on ties)
-    second: np.ndarray  # (ny, nx) minimal time over the non-best players
-    second_idx: np.ndarray  # (ny, nx) argmin over the non-best players
-    att: np.ndarray  # (ny, nx) attacking-team weight grid
-    dfn: np.ndarray  # (ny, nx) defending-team weight grid
-    defending: np.ndarray  # (P,) bool, True where the player uses `dfn`
-
-
-def _prepare_frame_dominance(
-    frame: "TrackedFrame",
-    pitch: PitchSpec,
+def _probe_deltas(
+    field_: DominanceField,
+    second_idx: np.ndarray,
+    second: np.ndarray,
+    idx: int,
+    player: PlayerState,
     mp: MotionParams,
-    w: WeightParams,
-    excluded: Iterable[str] = (),
-) -> _FrameDominance:
-    players = _sorted_eligible(frame, excluded)
-    if not players:
-        raise ValueError("dominance grid requires at least one eligible player")
-    times = _time_stack(players, pitch, mp)
-    # One pass over the id-sorted players. Strict comparisons keep the
-    # earlier (smaller-id) player on ties, as argmin does.
-    best = times[0].copy()
-    best_idx = np.zeros(best.shape, dtype=np.int32)
-    second = np.full_like(best, np.inf)
-    second_idx = np.zeros_like(best_idx)
-    beats_best = np.empty(best.shape, dtype=bool)
-    beats_second = np.empty_like(beats_best)
-    for j in range(1, len(players)):
-        t = times[j]
-        np.less(t, best, out=beats_best)
-        np.less(t, second, out=beats_second)
-        # best <= second, so beats_best implies beats_second: keep the rest.
-        np.not_equal(beats_second, beats_best, out=beats_second)
-        np.copyto(second, best, where=beats_best)
-        np.copyto(second_idx, best_idx, where=beats_best)
-        np.copyto(best, t, where=beats_best)
-        np.copyto(best_idx, j, where=beats_best)
-        np.copyto(second, t, where=beats_second)
-        np.copyto(second_idx, j, where=beats_second)
-    att = weight_grid(pitch, w, attacking_right=True)
-    dfn = weight_grid(pitch, w, attacking_right=False)
-    defending = np.array([p.team == DEFENDING for p in players])
-    return _FrameDominance(
-        pitch, players, times, best, best_idx, second, second_idx, att, dfn, defending
-    )
-
-
-def _probe_deltas(fd: _FrameDominance, idx: int, mp: MotionParams, score: float) -> np.ndarray:
+    weight: np.ndarray,
+    score: float,
+) -> np.ndarray:
     """Score change of player `idx` for the 8 clamped 1 m probes (see above)."""
-    player = fd.players[idx]
+    pitch = field_.pitch
     rt = mp.reaction_time
     qx = player.pos.x + player.vel.x * rt
     qy = player.pos.y + player.vel.y * rt
     pred = np.empty((8, 2))
     for k, (dx, dy) in enumerate(DIRECTIONS_8):
-        moved = fd.pitch.clamp(Point2(player.pos.x + dx, player.pos.y + dy))
+        moved = pitch.clamp(Point2(player.pos.x + dx, player.pos.y + dy))
         pred[k] = (moved.x + player.vel.x * rt, moved.y + player.vel.y * rt)
     shift = max(math.hypot(px - qx, py - qy) for px, py in pred)
 
-    mine = fd.best_idx == idx
-    rest_time = np.where(mine, fd.second, fd.best)
-    reach = fd.times[idx] - (shift / mp.max_speed + 1e-9) <= rest_time
+    xs, ys = pitch.cell_centers()
+    mine = field_.owner == idx
+    rest_time = np.where(mine, second, field_.time)
+    own_time = _arrival_grid(xs, ys, qx, qy, mp)
+    reach = own_time - (shift / mp.max_speed + 1e-9) <= rest_time
     rows = np.flatnonzero(reach.any(axis=1))
     cols = np.flatnonzero(reach.any(axis=0))
     if rows.size:
@@ -374,19 +353,17 @@ def _probe_deltas(fd: _FrameDominance, idx: int, mp: MotionParams, score: float)
     else:
         box = (slice(0, 0), slice(0, 0))
 
-    xs, ys = fd.pitch.cell_centers()
-    ddx = xs[np.newaxis, np.newaxis, box[1]] - pred[:, 0, np.newaxis, np.newaxis]
-    ddy = ys[np.newaxis, box[0], np.newaxis] - pred[:, 1, np.newaxis, np.newaxis]
-    probe = rt + np.sqrt(ddx * ddx + ddy * ddy) / mp.max_speed  # (8, by, bx)
+    qxs = pred[:, 0, np.newaxis, np.newaxis]
+    qys = pred[:, 1, np.newaxis, np.newaxis]
+    probe = _arrival_grid(xs[box[1]], ys[box[0]], qxs, qys, mp)  # (8, by, bx)
     rest_t = rest_time[box]
-    rest_idx = np.where(mine[box], fd.second_idx[box], fd.best_idx[box])
+    rest_idx = np.where(mine[box], second_idx[box], field_.owner[box])
     wins = (probe < rest_t) | ((probe == rest_t) & (idx < rest_idx))
     labels = np.where(wins, np.arange(8)[:, np.newaxis, np.newaxis], 8)
-    weight = (fd.dfn if fd.defending[idx] else fd.att)[box]
     sums = np.bincount(
-        labels.ravel(), weights=np.broadcast_to(weight, probe.shape).ravel(), minlength=9
+        labels.ravel(), weights=np.broadcast_to(weight[box], probe.shape).ravel(), minlength=9
     )
-    return sums[:8] * fd.pitch.grid_cell ** 2 - score
+    return sums[:8] * field_.cell_area - score
 
 
 def batch_scores_with_deltas(
@@ -400,11 +377,9 @@ def batch_scores_with_deltas(
     """Space scores for every player plus 8-direction deltas for `delta_ids`.
 
     Produces the same numbers as compute_dominance_grid -> space_scores ->
-    directional_space_deltas, computed in one pass per frame.
+    directional_space_deltas, with one partition per frame.
     """
     excluded = frozenset(excluded)
-    fd = _prepare_frame_dominance(frame, pitch, mp, w, excluded)
-    index = {p.player_id: i for i, p in enumerate(fd.players)}
     delta_ids = set(delta_ids)
     unknown = delta_ids - {p.player_id for p in frame.players}
     if unknown:
@@ -412,21 +387,13 @@ def batch_scores_with_deltas(
     if delta_ids & excluded:
         raise ValueError(f"deltas requested for excluded players {sorted(delta_ids & excluded)!r}")
 
-    owner_weight = np.where(fd.defending[fd.best_idx], fd.dfn, fd.att)
-    base_sums = np.bincount(
-        fd.best_idx.ravel(), weights=owner_weight.ravel(), minlength=len(fd.players)
-    )
-
-    entries: dict[str, PlayerSpaceScore] = {}
-    cell_area = pitch.grid_cell ** 2
-    for p in sorted(frame.players, key=lambda q: q.player_id):
-        if p.player_id in excluded:
-            entries[p.player_id] = PlayerSpaceScore(
-                p.player_id, p.team, 0.0, deltas=np.zeros(8), excluded_offside=True
-            )
-            continue
-        i = index[p.player_id]
-        score = float(base_sums[i] * cell_area)
-        deltas = _probe_deltas(fd, i, mp, score) if p.player_id in delta_ids else None
-        entries[p.player_id] = PlayerSpaceScore(p.player_id, p.team, score, deltas=deltas)
-    return SpaceScoreTable(entries)
+    players = _sorted_eligible(frame, excluded)
+    owner, best, second_idx, second = _partition(players, pitch, mp)
+    field_ = DominanceField(pitch, [p.player_id for p in players], owner, best)
+    table = space_scores(field_, frame, w)
+    for i, p in enumerate(players):
+        if p.player_id in delta_ids:
+            entry = table.entries[p.player_id]
+            weight = weight_grid(pitch, w, attacking_right=p.team != DEFENDING)
+            entry.deltas = _probe_deltas(field_, second_idx, second, i, p, mp, weight, entry.score)
+    return table

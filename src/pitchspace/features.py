@@ -26,7 +26,7 @@ from .dominance import (
     batch_scores_with_deltas,
     offside_positions,
 )
-from .match_io import MatchEvent, PassEvent, SchemaError, TrackedFrame, pass_events
+from .match_io import MatchEvent, PassEvent, SchemaError, TrackedFrame, pass_events, write_json
 from .pitch import PitchSpec, Point2, WeightParams, goal_distance_angle, normalize_attack_direction
 
 logger = logging.getLogger(__name__)
@@ -215,9 +215,7 @@ class PassSampleTable:
 
 
 def write_medians(medians: dict[str, float], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(medians, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, medians, indent=2)
 
 
 def read_medians(path: str | Path) -> dict[str, float]:
@@ -240,23 +238,18 @@ def infer_attacks_right(frame: TrackedFrame, team_id: str) -> bool:
     return float(np.mean(own)) <= float(np.mean(other))
 
 
-def orient_frame(
-    frame: TrackedFrame,
-    attacking_team_id: str,
-    attacks_right: bool | None = None,
-) -> TrackedFrame:
+def orient_frame(frame: TrackedFrame, attacking_team_id: str) -> TrackedFrame:
     """Relabel teams as attacking/defending and normalize the attack to +x."""
-    if attacks_right is None:
-        if frame.metadata.attacks_right_team is not None:
-            attacks_right = frame.metadata.attacks_right_team == attacking_team_id
-        else:
-            attacks_right = infer_attacks_right(frame, attacking_team_id)
-            logger.warning(
-                "frame %d: no attack-direction marker; inferred attacks_right=%s for team %s",
-                frame.frame_index,
-                attacks_right,
-                attacking_team_id,
-            )
+    if frame.metadata.attacks_right_team is not None:
+        attacks_right = frame.metadata.attacks_right_team == attacking_team_id
+    else:
+        attacks_right = infer_attacks_right(frame, attacking_team_id)
+        logger.warning(
+            "frame %d: no attack-direction marker; inferred attacks_right=%s for team %s",
+            frame.frame_index,
+            attacks_right,
+            attacking_team_id,
+        )
     players = tuple(
         replace(p, team=ATTACKING if p.team == attacking_team_id else DEFENDING)
         for p in frame.players
@@ -467,7 +460,6 @@ def extract_event_features(
     mp: MotionParams,
     w: WeightParams,
     fast_space_vel_semantics: str = "current",
-    attacks_right_override: dict[str, bool] | None = None,
 ) -> list[EventFeatures]:
     """Per-pass candidate features for one match, in event order."""
     frame_by_index = {f.frame_index: f for f in frames}
@@ -479,8 +471,7 @@ def extract_event_features(
                 f"pass {ev.event_id} references frame {ev.frame_index} absent from tracking; "
                 "synchronize the match first"
             )
-        override = attacks_right_override.get(ev.team) if attacks_right_override else None
-        oriented = orient_frame(frame, ev.team, attacks_right=override)
+        oriented = orient_frame(frame, ev.team)
         feats = offball_features(oriented, ev, pitch, mp, w, fast_space_vel_semantics)
         out.append(EventFeatures(ev.event_id, ev.label, feats))
     return out
@@ -532,7 +523,6 @@ def build_dataset(
     w: WeightParams,
     fast_space_vel_semantics: str = "current",
     infinite_times_first: bool = True,
-    attacks_right_override: dict[str, bool] | None = None,
 ) -> tuple[PassSampleTable, dict[str, float]]:
     """One PassSample row per pass event across matches, plus training medians.
 
@@ -543,9 +533,7 @@ def build_dataset(
     all_features: list[EventFeatures] = []
     for frames, events in matches:
         all_features.extend(
-            extract_event_features(
-                frames, events, pitch, mp, w, fast_space_vel_semantics, attacks_right_override
-            )
+            extract_event_features(frames, events, pitch, mp, w, fast_space_vel_semantics)
         )
     table = assemble_table(all_features, n, ranking_variable, infinite_times_first)
     medians = table.finite_medians()

@@ -29,7 +29,7 @@ from .features import (
     assemble_table,
     extract_event_features,
 )
-from .match_io import SchemaError
+from .match_io import SchemaError, write_json
 from .pitch import PitchSpec, WeightParams
 
 MODEL_FORMAT = "pitchspace-gbdt-1"
@@ -325,7 +325,13 @@ def train_gbdt(
             rows = np.sort(rng.choice(n, size=m, replace=False))
         else:
             rows = np.arange(n)
-        tree = _build_tree(X, g, h, rows, hp)
+        try:
+            tree = _build_tree(X, g, h, rows, hp)
+        except ZeroDivisionError:
+            raise ValueError(
+                f"l2_lambda={hp.l2_lambda}: a tree node has hessian sum 0 (the model "
+                "predicts all its rows with certainty); use l2_lambda > 0"
+            ) from None
         trees.append(tree)
         margins += tree.predict(X)
         logloss.append(_logloss(y, margins))
@@ -601,9 +607,7 @@ def save_model(model: GbdtModel, path: str | Path) -> None:
         "training_logloss": model.training_logloss,
         "trees": [t.to_dict() for t in model.trees],
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json(path, doc, indent=1)
 
 
 def _check_tree(tree: Tree, n_columns: int, path: str | Path, t: int) -> None:

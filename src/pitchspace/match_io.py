@@ -382,6 +382,13 @@ def _event_record(e: MatchEvent) -> dict:
     return rec
 
 
+def write_json(path: str | Path, doc, indent: int) -> None:
+    """Write one JSON artifact: sorted keys, the given indent, a final newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=indent, sort_keys=True)
+        fh.write("\n")
+
+
 def save_match(
     frames: Iterable[TrackedFrame],
     events: Iterable[MatchEvent],

@@ -27,9 +27,6 @@ class RenderOptions:
     show_scores: bool = True
     score_min: float | None = None
     score_max: float | None = None
-    frame_start: int | None = None
-    frame_end: int | None = None
-    out_dir: str = "."
 
     def __post_init__(self) -> None:
         if (

@@ -1,9 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from pitchspace.dominance import (
     ATTACKING,
     DEFENDING,
+    DIRECTIONS_8,
     MotionParams,
     PlayerState,
     arrival_time,
@@ -12,8 +15,9 @@ from pitchspace.dominance import (
     directional_space_deltas,
     offside_positions,
     space_scores,
+    _partition,
 )
-from pitchspace.pitch import PitchSpec, Point2, WeightParams
+from pitchspace.pitch import PitchSpec, Point2, WeightParams, weight_grid
 
 from conftest import make_frame, player, random_frame
 
@@ -37,6 +41,58 @@ def nearest_neighbor_owner(frame, pitch):
         dy = np.array([[y - p.pos.y for p in players] for _ in xs])
         owners[iy, :] = np.argmin(dx * dx + dy * dy, axis=1)
     return owners
+
+
+def oracle_partition(frame, pitch, mp, excluded=()):
+    """Independent partition over the (P, ny, nx) arrival-time stack.
+
+    Returns (player ids, owner, best, second_idx, second): argmin/min over the
+    id-sorted players, then again with each cell's owner masked out.
+    """
+    players = sorted(
+        (p for p in frame.players if p.player_id not in excluded), key=lambda p: p.player_id
+    )
+    xs, ys = pitch.cell_centers()
+    rt = mp.reaction_time
+    pred = np.array([(p.pos.x + p.vel.x * rt, p.pos.y + p.vel.y * rt) for p in players])
+    dx = xs[np.newaxis, np.newaxis, :] - pred[:, 0, np.newaxis, np.newaxis]
+    dy = ys[np.newaxis, :, np.newaxis] - pred[:, 1, np.newaxis, np.newaxis]
+    times = rt + np.sqrt(dx * dx + dy * dy) / mp.max_speed
+    owner = np.argmin(times, axis=0)
+    best = np.min(times, axis=0)
+    np.put_along_axis(times, owner[np.newaxis], np.inf, axis=0)
+    second_idx = np.argmin(times, axis=0)
+    second = np.min(times, axis=0)
+    return [p.player_id for p in players], owner, best, second_idx, second
+
+
+def oracle_scores(frame, pitch, w, ids, owner):
+    """Two bincounts, one per team weight, picked per player: {id: score}."""
+    teams = {p.player_id: p.team for p in frame.players}
+    flat = owner.ravel()
+    sums_att = np.bincount(flat, weights=weight_grid(pitch, w, True).ravel(), minlength=len(ids))
+    sums_def = np.bincount(flat, weights=weight_grid(pitch, w, False).ravel(), minlength=len(ids))
+    return {
+        pid: float((sums_def if teams[pid] == DEFENDING else sums_att)[i] * pitch.grid_cell ** 2)
+        for i, pid in enumerate(ids)
+    }
+
+
+def oracle_deltas(frame, pid, pitch, mp, w, excluded):
+    """Space-score change for the 8 clamped 1 m probes, each a full oracle partition."""
+    target = frame.player(pid)
+
+    def score(f):
+        ids, owner, *_ = oracle_partition(f, pitch, mp, excluded)
+        return oracle_scores(f, pitch, w, ids, owner)[pid]
+
+    base = score(frame)
+    deltas = np.empty(8)
+    for k, (dx, dy) in enumerate(DIRECTIONS_8):
+        moved = pitch.clamp(Point2(target.pos.x + dx, target.pos.y + dy))
+        players = tuple(replace(p, pos=moved) if p.player_id == pid else p for p in frame.players)
+        deltas[k] = score(replace(frame, players=players)) - base
+    return deltas
 
 
 class TestArrivalTime:
@@ -276,13 +332,24 @@ class TestDirectionalDeltas:
         frame = build(rng)
         excluded = offside_positions(frame)
         candidates = sorted(p.player_id for p in frame.players if p.player_id not in excluded)
-        table = batch_scores_with_deltas(frame, pitch, MP, W, candidates, excluded)
+        ids, owner, best, second_idx, second = oracle_partition(frame, pitch, MP, excluded)
+        players = [frame.player(pid) for pid in ids]
+        for got, want in zip(_partition(players, pitch, MP), (owner, best, second_idx, second)):
+            assert got.tobytes() == want.astype(got.dtype).tobytes()
         field = compute_dominance_grid(frame, pitch, MP, excluded)
+        assert field.player_ids == ids
+        assert field.owner.tobytes() == owner.astype(np.int32).tobytes()
+        assert field.time.tobytes() == best.tobytes()
+
+        expected = oracle_scores(frame, pitch, W, ids, owner)
+        table = batch_scores_with_deltas(frame, pitch, MP, W, candidates, excluded)
         naive = space_scores(field, frame, W)
         for pid in candidates:
-            assert table.entries[pid].score == naive.score(pid)
+            assert table.entries[pid].score == naive.score(pid) == expected[pid]
             nd = directional_space_deltas(frame, pid, pitch, MP, W, excluded=excluded)
             assert table.entries[pid].deltas.tobytes() == nd.tobytes()
+            od = oracle_deltas(frame, pid, pitch, MP, W, excluded)
+            assert nd.tobytes() == od.tobytes()
 
     def test_batch_path_matches_naive_on_exact_ties(self):
         frame = make_frame(

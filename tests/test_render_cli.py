@@ -280,6 +280,26 @@ class TestCli:
         assert rc == 2
         assert located in capsys.readouterr().err
 
+    def test_zero_hessian_with_zero_l2_lambda_exits_2(self, tmp_path, capsys):
+        # A separable table fitted at learning rate 1 drives the positive
+        # rows' probability to exactly 1 (hessian 0); a subsample of only
+        # positive rows then has hessian sum 0.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            "model.max_depth = 1\nmodel.learning_rate = 1\nmodel.n_trees = 100\n"
+            "model.l2_lambda = 0\nmodel.subsample = 0.5\ncv.k = 2\n",
+            encoding="utf-8",
+        )
+        x = np.arange(20.0)
+        PassSampleTable(
+            [f"e{i}" for i in range(20)], (x >= 4).astype(np.int64), ["f0"],
+            x[:, np.newaxis], [()] * 20,
+        ).to_csv(tmp_path / "features.csv")
+        rc = cli_dispatch(["train", "--config", str(cfg), "--features",
+                           str(tmp_path / "features.csv"), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "l2_lambda=0.0: a tree node has hessian sum 0" in capsys.readouterr().err
+
     def test_bad_config_exits_1(self, tmp_path):
         bad = tmp_path / "bad.cfg"
         bad.write_text("nonsense.key = 1\n", encoding="utf-8")
