@@ -62,7 +62,6 @@ from .gbdt import (
 from .explain import (
     ImportanceSummary,
     ShapExplanation,
-    brute_force_shapley,
     shap_summary,
     tree_shap,
 )

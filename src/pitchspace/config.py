@@ -8,6 +8,7 @@ immediately. List-valued model keys (comma separated) span the search grid.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import re
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
@@ -66,26 +67,20 @@ _GRID_DEFAULTS = {
 
 def _build_grid(overrides: dict[str, list]) -> list[GbdtHyperParams]:
     axes = {k: overrides.get(k, v) for k, v in _GRID_DEFAULTS.items()}
-    grid = []
-    for max_depth in axes["max_depth"]:
-        for learning_rate in axes["learning_rate"]:
-            for n_trees in axes["n_trees"]:
-                for l2_lambda in axes["l2_lambda"]:
-                    for gamma in axes["gamma"]:
-                        for subsample in axes["subsample"]:
-                            for mcw in axes["min_child_weight"]:
-                                grid.append(
-                                    GbdtHyperParams(
-                                        n_trees=int(n_trees),
-                                        max_depth=int(max_depth),
-                                        learning_rate=float(learning_rate),
-                                        min_child_weight=float(mcw),
-                                        l2_lambda=float(l2_lambda),
-                                        gamma=float(gamma),
-                                        subsample=float(subsample),
-                                    )
-                                )
-    return grid
+    # product() varies the last axis fastest, as nested loops in key order would
+    return [
+        GbdtHyperParams(
+            n_trees=int(n_trees),
+            max_depth=int(max_depth),
+            learning_rate=float(learning_rate),
+            min_child_weight=float(mcw),
+            l2_lambda=float(l2_lambda),
+            gamma=float(gamma),
+            subsample=float(subsample),
+        )
+        for max_depth, learning_rate, n_trees, l2_lambda, gamma, subsample, mcw
+        in itertools.product(*axes.values())
+    ]
 
 
 _RULE_TERM = re.compile(r"([+-]?)\s*(\d*\.?\d+)(?:\s*\*\s*([A-Za-z_]\w*))?\s*")
@@ -112,14 +107,6 @@ def parse_rule(text: str) -> tuple[float, dict[str, float]]:
             coeffs[name] = coeffs.get(name, 0.0) + value
         pos = m.end()
     return intercept, coeffs
-
-
-def format_rule(intercept: float, coeffs: dict[str, float]) -> str:
-    parts = [f"{intercept}"]
-    for name in sorted(coeffs):
-        c = coeffs[name]
-        parts.append(f"{'-' if c < 0 else '+'} {abs(c)}*{name}")
-    return " ".join(parts)
 
 
 def _parse_bool(value: str, key: str) -> bool:

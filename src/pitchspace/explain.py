@@ -4,8 +4,8 @@ Attributions use the path-dependent value function: a feature subset S maps
 to the model output where features outside S are marginalized by descending
 both children weighted by training cover counts. Per leaf this reduces to a
 product game over the path's unique features, solved exactly with a small
-generating polynomial; a brute-force subset enumeration over the same value
-function serves as the validation oracle.
+generating polynomial once per on/off pattern; the brute-force subset
+enumeration over the same value function lives in the tests as the oracle.
 
 All attributions are in margin (log-odds) units.
 """
@@ -22,8 +22,6 @@ import numpy as np
 from .features import PassSampleTable
 from .gbdt import GbdtModel, Tree
 
-BRUTE_FORCE_MAX_FEATURES = 12
-
 
 @dataclass
 class ShapExplanation:
@@ -33,9 +31,6 @@ class ShapExplanation:
     values: np.ndarray  # phi per feature, log-odds units
     base_value: float  # expected margin over the training distribution
     margin: float  # model margin for this row
-
-    def reconstruction_error(self) -> float:
-        return abs(self.base_value + float(np.sum(self.values)) - self.margin)
 
 
 @dataclass
@@ -66,62 +61,39 @@ class ImportanceSummary:
                 )
 
 
-@dataclass
-class _LeafGame:
-    """One leaf's product game over the unique features on its path.
+def _leaf_games(tree: Tree) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """(feats, lo, hi, table) for every leaf with at least one path feature.
 
-    o_f(x) = indicator that x satisfies every branch of feature f on the path
-    (an interval test lo < x_f <= hi); z_f = product of the path's cover
-    ratios for f's branches.
+    Each leaf is a product game over the unique features on its path, in
+    first-encounter order: o_f(x) = indicator that x satisfies every branch of
+    feature f on the path (an interval test lo < x_f <= hi); z_f = product of
+    the path's cover ratios for f's branches, in path order. `table` holds the
+    leaf's phi contribution for every on/off pattern (see `_leaf_table`).
     """
-
-    feats: np.ndarray  # unique feature ids, first-encounter order
-    z: np.ndarray
-    lo: np.ndarray
-    hi: np.ndarray
-    value: float
-    reach: float  # product of all z_f = leaf cover / root cover
-
-
-def _leaf_games(tree: Tree) -> list[_LeafGame]:
     if not tree.cover or tree.cover[0] <= 0:
         raise ValueError("tree lacks training cover counts; attribution needs them")
-    games: list[_LeafGame] = []
+    games = []
 
-    def walk(node: int, feats: list[int], z: dict, lo: dict, hi: dict) -> None:
+    def walk(node: int, z: dict, lo: dict, hi: dict) -> None:
         f = tree.feature[node]
         if f < 0:
-            games.append(
-                _LeafGame(
-                    feats=np.array(feats, dtype=np.int64),
-                    z=np.array([z[ff] for ff in feats]),
-                    lo=np.array([lo[ff] for ff in feats]),
-                    hi=np.array([hi[ff] for ff in feats]),
-                    value=tree.value[node],
-                    reach=float(np.prod([z[ff] for ff in feats])) if feats else 1.0,
-                )
-            )
+            if z:  # dicts keep insertion order: first-encounter feature order
+                feats = list(z)
+                games.append((
+                    np.array(feats, dtype=np.int64),
+                    np.array([lo.get(g, -math.inf) for g in feats]),
+                    np.array([hi.get(g, math.inf) for g in feats]),
+                    _leaf_table(np.array([z[g] for g in feats]), tree.value[node]),
+                ))
             return
         t = tree.threshold[node]
-        l, r = tree.left[node], tree.right[node]
-        c, cl, cr = tree.cover[node], tree.cover[l], tree.cover[r]
-        new = f not in z
-        if new:
-            feats = feats + [f]
-        for child, ratio, branch in ((l, cl / c, "le"), (r, cr / c, "gt")):
-            z2 = dict(z)
-            lo2 = dict(lo)
-            hi2 = dict(hi)
-            z2[f] = z.get(f, 1.0) * ratio
-            lo2.setdefault(f, -math.inf)
-            hi2.setdefault(f, math.inf)
-            if branch == "le":
-                hi2[f] = min(hi2[f], t)
-            else:
-                lo2[f] = max(lo2[f], t)
-            walk(child, feats, z2, lo2, hi2)
+        l, r, c = tree.left[node], tree.right[node], tree.cover[node]
+        walk(l, {**z, f: z.get(f, 1.0) * (tree.cover[l] / c)}, lo,
+             {**hi, f: min(hi.get(f, math.inf), t)})
+        walk(r, {**z, f: z.get(f, 1.0) * (tree.cover[r] / c)},
+             {**lo, f: max(lo.get(f, -math.inf), t)}, hi)
 
-    walk(0, [], {}, {}, {})
+    walk(0, {}, {}, {})
     return games
 
 
@@ -131,27 +103,32 @@ def _shapley_weights(u: int) -> np.ndarray:
     return np.array([fact[k] * fact[u - 1 - k] / fact[u] for k in range(u)])
 
 
-def _game_contrib(game: _LeafGame, pattern: int) -> np.ndarray:
-    """phi contribution of this leaf for one on/off indicator pattern."""
-    u = len(game.feats)
-    o = np.array([(pattern >> i) & 1 for i in range(u)], dtype=np.float64)
+def _leaf_table(z: np.ndarray, value: float) -> np.ndarray:
+    """(2**u, u) phi contributions of one leaf, one row per on/off pattern.
+
+    Row p sets o_i = bit i of p. Column j expands the generating polynomial
+    prod_{f != j} (z_f + o_f t) into its coefficients and weighs them with
+    the Shapley weights; `np.vecdot` is the reduction that rounds like the 1-D
+    `coeffs @ weights` of a single pattern (batched matmul does not).
+    """
+    u = len(z)
+    o = ((np.arange(1 << u)[:, np.newaxis] >> np.arange(u)) & 1).astype(np.float64)
     weights = _shapley_weights(u)
-    contrib = np.empty(u)
+    table = np.empty((1 << u, u))
     for j in range(u):
-        coeffs = np.zeros(u)
-        coeffs[0] = 1.0
+        coeffs = np.zeros((1 << u, u))
+        coeffs[:, 0] = 1.0
         deg = 0
         for f2 in range(u):
             if f2 == j:
                 continue
             # multiply by (z + o*t)
-            upper = coeffs[: deg + 1].copy()
-            coeffs[: deg + 1] = upper * game.z[f2]
-            coeffs[1 : deg + 2] += upper * o[f2]
+            upper = coeffs[:, : deg + 1].copy()
+            coeffs[:, : deg + 1] = upper * z[f2]
+            coeffs[:, 1 : deg + 2] += upper * o[:, f2 : f2 + 1]
             deg += 1
-        s = float(coeffs @ weights)
-        contrib[j] = game.value * (o[j] - game.z[j]) * s
-    return contrib
+        table[:, j] = value * (o[:, j] - z[j]) * np.vecdot(coeffs, weights)
+    return table
 
 
 def shap_values(model: GbdtModel, X: np.ndarray) -> tuple[np.ndarray, float]:
@@ -160,25 +137,15 @@ def shap_values(model: GbdtModel, X: np.ndarray) -> tuple[np.ndarray, float]:
     base + phi.sum(axis=1) reconstructs the margin row-exactly.
     """
     X = model.impute(X)
-    n, d = X.shape
-    phi = np.zeros((n, d))
+    phi = np.zeros(X.shape)
     base = model.base_score
     for tree in model.trees:
         games = _leaf_games(tree)  # validates cover counts before any division
         base += tree.expected_value()
-        for game in games:
-            u = len(game.feats)
-            if u == 0:
-                continue
-            o = (X[:, game.feats] > game.lo) & (X[:, game.feats] <= game.hi)
-            patterns = o.astype(np.int64) @ (1 << np.arange(u, dtype=np.int64))
-            cache: dict[int, np.ndarray] = {}
-            for pat in np.unique(patterns):
-                pat = int(pat)
-                if pat not in cache:
-                    cache[pat] = _game_contrib(game, pat)
-                rows = patterns == pat
-                phi[np.ix_(rows, game.feats)] += cache[pat][np.newaxis, :]
+        for feats, lo, hi, table in games:
+            o = (X[:, feats] > lo) & (X[:, feats] <= hi)
+            patterns = o.astype(np.int64) @ (1 << np.arange(len(feats), dtype=np.int64))
+            phi[:, feats] += table[patterns]
     return phi, float(base)
 
 
@@ -195,90 +162,6 @@ def tree_shap(model: GbdtModel, row: np.ndarray | dict) -> ShapExplanation:
         base_value=base,
         margin=margin,
     )
-
-
-# ---------------------------------------------------------------------------
-# Brute-force oracle
-# ---------------------------------------------------------------------------
-
-
-def _descend(tree: Tree, cover: list[int], node: int, row: np.ndarray, mask: int) -> float:
-    f = tree.feature[node]
-    if f < 0:
-        return tree.value[node]
-    if (mask >> f) & 1:
-        child = tree.left[node] if row[f] <= tree.threshold[node] else tree.right[node]
-        return _descend(tree, cover, child, row, mask)
-    l, r = tree.left[node], tree.right[node]
-    return (
-        cover[l] * _descend(tree, cover, l, row, mask)
-        + cover[r] * _descend(tree, cover, r, row, mask)
-    ) / cover[node]
-
-
-def _recount_covers(tree: Tree, X: np.ndarray) -> list[int]:
-    cover = [0] * len(tree.feature)
-
-    def route(node: int, rows: np.ndarray) -> None:
-        cover[node] = len(rows)
-        f = tree.feature[node]
-        if f < 0:
-            return
-        mask = X[rows, f] <= tree.threshold[node]
-        route(tree.left[node], rows[mask])
-        route(tree.right[node], rows[~mask])
-
-    route(0, np.arange(len(X)))
-    return cover
-
-
-def brute_force_shapley(
-    model: GbdtModel,
-    row: np.ndarray | dict,
-    background_table: PassSampleTable | np.ndarray | None = None,
-) -> np.ndarray:
-    """Exact Shapley values by subset enumeration over the same conditional-
-    expectation value function (missing features marginalized by cover-weighted
-    descent through both children). Exponential in feature count; limited to
-    12 features.
-
-    With a background table the node covers are recounted from it; otherwise
-    the training covers stored on the model are used.
-    """
-    d = len(model.feature_names)
-    if d > BRUTE_FORCE_MAX_FEATURES:
-        raise ValueError(f"{d} features exceeds the brute-force limit of {BRUTE_FORCE_MAX_FEATURES}")
-    if isinstance(row, dict):
-        row = np.array([row[c] for c in model.feature_names], dtype=np.float64)
-    row = model.impute(np.asarray(row, dtype=np.float64))[0]
-
-    covers: list[list[int]] = []
-    for tree in model.trees:
-        if not tree.cover or tree.cover[0] <= 0:
-            raise ValueError("tree lacks training cover counts; attribution needs them")
-        if background_table is None:
-            covers.append(list(tree.cover))
-        else:
-            bg = background_table.raw if isinstance(background_table, PassSampleTable) else background_table
-            covers.append(_recount_covers(tree, model.impute(np.asarray(bg, dtype=np.float64))))
-
-    v = np.empty(1 << d)
-    for mask in range(1 << d):
-        v[mask] = sum(
-            _descend(tree, cover, 0, row, mask) for tree, cover in zip(model.trees, covers)
-        )
-
-    fact = [math.factorial(i) for i in range(d + 1)]
-    phi = np.zeros(d)
-    for j in range(d):
-        bit = 1 << j
-        for mask in range(1 << d):
-            if mask & bit:
-                continue
-            s = bin(mask).count("1")
-            weight = fact[s] * fact[d - 1 - s] / fact[d]
-            phi[j] += weight * (v[mask | bit] - v[mask])
-    return phi
 
 
 def shap_summary(model: GbdtModel, table: PassSampleTable | np.ndarray) -> ImportanceSummary:

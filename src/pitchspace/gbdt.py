@@ -72,20 +72,6 @@ class GbdtHyperParams:
             raise ValueError("min_child_weight, l2_lambda, and gamma must be >= 0")
 
 
-def default_grid() -> list[GbdtHyperParams]:
-    """The documented search grid: depth {3,5} x lr {0.1,0.3} x trees {50,100,200}."""
-    grid = []
-    for max_depth in (3, 5):
-        for learning_rate in (0.1, 0.3):
-            for n_trees in (50, 100, 200):
-                grid.append(
-                    GbdtHyperParams(
-                        n_trees=n_trees, max_depth=max_depth, learning_rate=learning_rate
-                    )
-                )
-    return grid
-
-
 @dataclass
 class Tree:
     """One regression tree as parallel node arrays; feature < 0 marks a leaf."""

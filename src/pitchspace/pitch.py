@@ -45,6 +45,12 @@ class Point2:
         return math.hypot(self.x - other.x, self.y - other.y)
 
 
+# Largest area grid (nx * ny cells) a PitchSpec accepts. A dominance partition
+# holds a few float64 grids of this size (32 MB each at the cap); a 0.05 m grid
+# on a 105 x 68 pitch is 2.86 M cells.
+MAX_GRID_CELLS = 4_000_000
+
+
 @dataclass(frozen=True)
 class PitchSpec:
     """Pitch dimensions and the grid resolution used for area computations."""
@@ -54,11 +60,22 @@ class PitchSpec:
     grid_cell: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.length <= 0 or self.width <= 0:
-            raise ValueError(f"pitch dimensions must be positive, got {self.length}x{self.width}")
+        if not (0 < self.length < math.inf and 0 < self.width < math.inf):
+            raise ValueError(
+                f"pitch dimensions must be positive and finite, got {self.length}x{self.width}"
+            )
         if not 0 < self.grid_cell <= min(self.length, self.width) / 10:
             raise ValueError(
                 f"grid_cell must be in (0, {min(self.length, self.width) / 10}], got {self.grid_cell}"
+            )
+        # the first test keeps nx/ny's ceil() away from an infinite quotient
+        if (
+            max(self.length, self.width) / self.grid_cell > MAX_GRID_CELLS
+            or self.nx * self.ny > MAX_GRID_CELLS
+        ):
+            raise ValueError(
+                f"a {self.length}x{self.width} pitch at grid_cell {self.grid_cell} exceeds "
+                f"{MAX_GRID_CELLS} grid cells"
             )
 
     @property

@@ -19,7 +19,7 @@ from pitchspace.dominance import (
     compute_dominance_grid,
     space_scores,
 )
-from pitchspace.explain import brute_force_shapley, shap_summary, shap_values, tree_shap
+from pitchspace.explain import shap_summary, shap_values, tree_shap
 from pitchspace.features import (
     assemble_table,
     extract_event_features,
@@ -38,6 +38,7 @@ from pitchspace.pitch import PitchSpec, Point2, WeightParams
 from pitchspace.synth import SynthConfig, synthesize_match
 
 from conftest import make_frame, player, random_frame
+from test_explain import brute_force_shapley
 
 MP = MotionParams()
 W = WeightParams()

@@ -1,12 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
-from pitchspace.explain import (
-    brute_force_shapley,
-    shap_summary,
-    shap_values,
-    tree_shap,
-)
+from pitchspace.explain import shap_summary, shap_values, tree_shap
+from pitchspace.features import PassSampleTable
 from pitchspace.gbdt import GbdtHyperParams, GbdtModel, Tree, train_gbdt
 
 from test_gbdt import make_table, random_table
@@ -28,6 +26,18 @@ def stump(feature, threshold, left_value, right_value, left_cover, right_cover):
     )
 
 
+def repeated_feature_tree():
+    """Feature 0 splits twice on the path to leaves 3 and 4."""
+    return Tree(
+        feature=[0, 0, -1, -1, -1],
+        threshold=[0.5, -0.5, 0.0, 0.0, 0.0],
+        left=[1, 3, -1, -1, -1],
+        right=[2, 4, -1, -1, -1],
+        value=[0.0, 0.0, 3.0, -1.0, 1.0],
+        cover=[10, 6, 4, 2, 4],
+    )
+
+
 def manual_model(trees, n_features, base=0.0):
     return GbdtModel(
         base_score=base,
@@ -36,6 +46,204 @@ def manual_model(trees, n_features, base=0.0):
         medians={f"f{j}": 0.0 for j in range(n_features)},
         hyperparams=GbdtHyperParams(),
     )
+
+
+# ---------------------------------------------------------------------------
+# Brute-force oracle: subset enumeration over the path-dependent value function
+# ---------------------------------------------------------------------------
+
+BRUTE_FORCE_MAX_FEATURES = 12
+
+
+def _descend(tree: Tree, cover: list[int], node: int, row: np.ndarray, mask: int) -> float:
+    f = tree.feature[node]
+    if f < 0:
+        return tree.value[node]
+    if (mask >> f) & 1:
+        child = tree.left[node] if row[f] <= tree.threshold[node] else tree.right[node]
+        return _descend(tree, cover, child, row, mask)
+    l, r = tree.left[node], tree.right[node]
+    return (
+        cover[l] * _descend(tree, cover, l, row, mask)
+        + cover[r] * _descend(tree, cover, r, row, mask)
+    ) / cover[node]
+
+
+def _recount_covers(tree: Tree, X: np.ndarray) -> list[int]:
+    cover = [0] * len(tree.feature)
+
+    def route(node: int, rows: np.ndarray) -> None:
+        cover[node] = len(rows)
+        f = tree.feature[node]
+        if f < 0:
+            return
+        mask = X[rows, f] <= tree.threshold[node]
+        route(tree.left[node], rows[mask])
+        route(tree.right[node], rows[~mask])
+
+    route(0, np.arange(len(X)))
+    return cover
+
+
+def brute_force_shapley(
+    model: GbdtModel,
+    row: np.ndarray | dict,
+    background_table: PassSampleTable | np.ndarray | None = None,
+) -> np.ndarray:
+    """Exact Shapley values by subset enumeration over the same conditional-
+    expectation value function (missing features marginalized by cover-weighted
+    descent through both children). Exponential in feature count; limited to
+    12 features.
+
+    With a background table the node covers are recounted from it; otherwise
+    the training covers stored on the model are used.
+    """
+    d = len(model.feature_names)
+    if d > BRUTE_FORCE_MAX_FEATURES:
+        raise ValueError(f"{d} features exceeds the brute-force limit of {BRUTE_FORCE_MAX_FEATURES}")
+    if isinstance(row, dict):
+        row = np.array([row[c] for c in model.feature_names], dtype=np.float64)
+    row = model.impute(np.asarray(row, dtype=np.float64))[0]
+
+    covers: list[list[int]] = []
+    for tree in model.trees:
+        if not tree.cover or tree.cover[0] <= 0:
+            raise ValueError("tree lacks training cover counts; attribution needs them")
+        if background_table is None:
+            covers.append(list(tree.cover))
+        else:
+            bg = background_table.raw if isinstance(background_table, PassSampleTable) else background_table
+            covers.append(_recount_covers(tree, model.impute(np.asarray(bg, dtype=np.float64))))
+
+    v = np.empty(1 << d)
+    for mask in range(1 << d):
+        v[mask] = sum(
+            _descend(tree, cover, 0, row, mask) for tree, cover in zip(model.trees, covers)
+        )
+
+    fact = [math.factorial(i) for i in range(d + 1)]
+    phi = np.zeros(d)
+    for j in range(d):
+        bit = 1 << j
+        for mask in range(1 << d):
+            if mask & bit:
+                continue
+            s = bin(mask).count("1")
+            weight = fact[s] * fact[d - 1 - s] / fact[d]
+            phi[j] += weight * (v[mask | bit] - v[mask])
+    return phi
+
+
+# ---------------------------------------------------------------------------
+# Per-pattern oracle: one generating-polynomial evaluation per (leaf, pattern),
+# reduced with a 1-D dot product and scattered row block by row block. The
+# per-leaf pattern tables of `shap_values` must give the same phi bits.
+# ---------------------------------------------------------------------------
+
+
+def per_pattern_leaf_games(tree: Tree) -> list[tuple]:
+    """(feats, z, lo, hi, value) for every leaf, features in first-encounter order."""
+    games = []
+
+    def walk(node: int, feats: list[int], z: dict, lo: dict, hi: dict) -> None:
+        f = tree.feature[node]
+        if f < 0:
+            games.append((
+                np.array(feats, dtype=np.int64),
+                np.array([z[ff] for ff in feats]),
+                np.array([lo[ff] for ff in feats]),
+                np.array([hi[ff] for ff in feats]),
+                tree.value[node],
+            ))
+            return
+        t = tree.threshold[node]
+        l, r = tree.left[node], tree.right[node]
+        c, cl, cr = tree.cover[node], tree.cover[l], tree.cover[r]
+        if f not in z:
+            feats = feats + [f]
+        for child, ratio, branch in ((l, cl / c, "le"), (r, cr / c, "gt")):
+            z2, lo2, hi2 = dict(z), dict(lo), dict(hi)
+            z2[f] = z.get(f, 1.0) * ratio
+            lo2.setdefault(f, -math.inf)
+            hi2.setdefault(f, math.inf)
+            if branch == "le":
+                hi2[f] = min(hi2[f], t)
+            else:
+                lo2[f] = max(lo2[f], t)
+            walk(child, feats, z2, lo2, hi2)
+
+    walk(0, [], {}, {}, {})
+    return games
+
+
+def per_pattern_contrib(z: np.ndarray, value: float, pattern: int) -> np.ndarray:
+    """phi contribution of one leaf for one on/off indicator pattern."""
+    u = len(z)
+    o = np.array([(pattern >> i) & 1 for i in range(u)], dtype=np.float64)
+    fact = [math.factorial(i) for i in range(u + 1)]
+    weights = np.array([fact[k] * fact[u - 1 - k] / fact[u] for k in range(u)])
+    contrib = np.empty(u)
+    for j in range(u):
+        coeffs = np.zeros(u)
+        coeffs[0] = 1.0
+        deg = 0
+        for f2 in range(u):
+            if f2 == j:
+                continue
+            upper = coeffs[: deg + 1].copy()
+            coeffs[: deg + 1] = upper * z[f2]
+            coeffs[1 : deg + 2] += upper * o[f2]
+            deg += 1
+        s = float(coeffs @ weights)
+        contrib[j] = value * (o[j] - z[j]) * s
+    return contrib
+
+
+def per_pattern_shap_values(model: GbdtModel, X: np.ndarray) -> tuple[np.ndarray, float]:
+    X = model.impute(X)
+    phi = np.zeros(X.shape)
+    base = model.base_score
+    for tree in model.trees:
+        base += tree.expected_value()
+        for feats, z, lo, hi, value in per_pattern_leaf_games(tree):
+            u = len(feats)
+            if u == 0:
+                continue
+            o = (X[:, feats] > lo) & (X[:, feats] <= hi)
+            patterns = o.astype(np.int64) @ (1 << np.arange(u, dtype=np.int64))
+            for pat in np.unique(patterns):
+                rows = patterns == pat
+                phi[np.ix_(rows, feats)] += per_pattern_contrib(z, value, int(pat))[np.newaxis, :]
+    return phi, float(base)
+
+
+def pattern_table_case(name):
+    """(model, rows) for the bitwise comparison with the per-pattern oracle."""
+    r = np.random.default_rng(11)
+
+    def trained(d, inf_frac=0.0, **hp):
+        table = random_table(r, n=400, d=d)
+        table.raw[r.random(table.raw.shape) < inf_frac] = np.inf  # imputed to medians
+        return train_gbdt(table, GbdtHyperParams(learning_rate=0.3, **hp)), table.raw
+
+    on_grid = r.choice([-1.0, -0.5, 0.0, 0.5, 1.0], (50, 3))  # hits the thresholds exactly
+    if name == "single_leaf":
+        return manual_model([leaf_tree(0.7)], n_features=3, base=0.1), on_grid
+    if name == "stump":
+        return manual_model([stump(1, 0.0, -1.0, 2.0, 6, 4)], n_features=3), on_grid
+    if name == "repeated_feature":
+        return manual_model([repeated_feature_tree()], n_features=2), on_grid[:, :2]
+    if name == "depth6":
+        return trained(8, inf_frac=0.05, n_trees=8, max_depth=6)
+    if name == "depth6_three_columns":  # features repeat along most paths
+        return trained(3, n_trees=6, max_depth=6)
+    if name == "no_path_features":
+        model, X = trained(4, n_trees=3, max_depth=3)
+        model.trees = [leaf_tree(0.3, cover=400)] + model.trees + [leaf_tree(-0.2, cover=400)]
+        return model, X
+    if name == "subsample":
+        return trained(5, n_trees=10, max_depth=4, subsample=0.8)
+    raise ValueError(name)
 
 
 class TestTreeShapBasics:
@@ -116,6 +324,18 @@ class TestBruteForceOracle:
 
 
 class TestOracleEquivalence:
+    @pytest.mark.parametrize(
+        "case",
+        ["single_leaf", "stump", "repeated_feature", "depth6", "depth6_three_columns",
+         "no_path_features", "subsample"],
+    )
+    def test_pattern_tables_match_per_pattern_oracle_bitwise(self, case):
+        model, X = pattern_table_case(case)
+        phi, base = shap_values(model, X)
+        phi_ref, base_ref = per_pattern_shap_values(model, X)
+        assert phi.tobytes() == phi_ref.tobytes()
+        assert base == base_ref
+
     def test_random_small_ensembles(self, rng):
         worst = 0.0
         for seed in range(4):
@@ -133,15 +353,7 @@ class TestOracleEquivalence:
     def test_duplicated_feature_on_path(self):
         # Feature 0 appears twice on a path; duplicate-feature merging must
         # match the subset-enumeration oracle.
-        tree = Tree(
-            feature=[0, 0, -1, -1, -1],
-            threshold=[0.5, -0.5, 0.0, 0.0, 0.0],
-            left=[1, 3, -1, -1, -1],
-            right=[2, 4, -1, -1, -1],
-            value=[0.0, 0.0, 3.0, -1.0, 1.0],
-            cover=[10, 6, 4, 2, 4],
-        )
-        model = manual_model([tree], n_features=2)
+        model = manual_model([repeated_feature_tree()], n_features=2)
         for x0 in (-1.0, 0.0, 1.0):
             row = np.array([x0, 0.0])
             bf = brute_force_shapley(model, row)

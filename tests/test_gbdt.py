@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from pitchspace import gbdt
+from pitchspace.config import RunConfig
 from pitchspace.features import PassSampleTable
 from pitchspace.gbdt import (
     GbdtHyperParams,
@@ -12,7 +13,6 @@ from pitchspace.gbdt import (
     Tree,
     classification_metrics,
     compare_ranking_variables,
-    default_grid,
     format_metrics_table,
     format_ranking_table,
     grid_search_cv,
@@ -140,7 +140,7 @@ class TestHyperParams:
             GbdtHyperParams(**kwargs)
 
     def test_default_grid_is_documented_cross_product(self):
-        grid = default_grid()
+        grid = RunConfig().grid
         assert len(grid) == 12
         assert {g.max_depth for g in grid} == {3, 5}
         assert {g.learning_rate for g in grid} == {0.1, 0.3}

@@ -5,6 +5,7 @@ import pytest
 
 from pitchspace.dominance import ATTACKING, DEFENDING
 from pitchspace.pitch import (
+    MAX_GRID_CELLS,
     PitchSpec,
     Point2,
     WeightParams,
@@ -32,11 +33,20 @@ class TestTypes:
             {"width": -5.0},
             {"grid_cell": 0.0},
             {"grid_cell": 7.0},  # > min(length, width)/10
+            {"grid_cell": 0.0001},  # 7.1e11 cells
+            {"length": 1e9},
+            {"length": math.inf},
+            {"width": math.nan},
+            {"length": 1e300, "grid_cell": 1e-300},  # length / grid_cell overflows to inf
         ],
     )
     def test_pitch_invariants(self, kwargs):
         with pytest.raises(ValueError):
             PitchSpec(**kwargs)
+
+    def test_grid_cell_cap_admits_fine_grids(self):
+        fine = PitchSpec(grid_cell=0.05)
+        assert fine.nx * fine.ny == 2_856_000 <= MAX_GRID_CELLS
 
     def test_point_finite(self):
         with pytest.raises(ValueError):

@@ -306,6 +306,28 @@ class TestCli:
         rc = cli_dispatch(["synth", "--config", str(bad), "--out", str(tmp_path / "o")])
         assert rc == 1
 
+    @pytest.mark.parametrize(
+        "command, pitch_key",
+        [
+            pytest.param("features", "pitch.grid_cell = 0.0001", id="features_tiny_cell"),
+            pytest.param("render", "pitch.length = 1e9", id="render_huge_pitch"),
+        ],
+    )
+    def test_oversized_grid_exits_1(self, workspace, tmp_path, capsys, command, pitch_key):
+        # Both grids would need gigabytes to terabytes of memory; the config is
+        # refused before any input is read.
+        root, _ = workspace
+        m = root / "match"
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text(pitch_key + "\n", encoding="utf-8")
+        rc = cli_dispatch([command, "--config", str(cfg),
+                           "--tracking", str(m / "tracking.jsonl"),
+                           "--events", str(m / "events.jsonl"),
+                           "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert "grid cells" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_compare_rankings_smoke(self, workspace, capsys, tmp_path):
         root, cfg = workspace
         m = root / "match"
