@@ -286,11 +286,11 @@ def cmd_explain(args) -> int:
     out = _out_dir(args)
     model = gbdtmod.load_model(args.model)
     table = PassSampleTable.from_csv(args.features)
-    summary = explainmod.shap_summary(model, table)
+    phi, base = explainmod.shap_values(model, table.raw)
+    summary = explainmod.ImportanceSummary.from_phi(model.feature_names, phi)
     summary.to_csv(out / "shap_summary.csv")
     outputs = ["shap_summary.csv"]
     if args.per_row:
-        phi, base = explainmod.shap_values(model, table.raw)
         margins = model.margin(table.raw)
         with open(out / "attributions.csv", "w", encoding="utf-8", newline="") as fh:
             fh.write(",".join(["event_id", "base_value", "margin", *model.feature_names]) + "\n")

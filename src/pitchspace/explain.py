@@ -43,6 +43,24 @@ class ImportanceSummary:
     quantile_levels: tuple[float, ...]
     quantiles: np.ndarray  # (n_features, n_levels) of signed phi
 
+    @classmethod
+    def from_phi(cls, feature_names: list[str], phi: np.ndarray) -> "ImportanceSummary":
+        """Mean |phi| per feature with descending ranks and a signed quantile sketch."""
+        if len(phi) == 0:
+            raise ValueError("summary requires a non-empty table")
+        mean_abs = np.mean(np.abs(phi), axis=0)
+        order = np.lexsort((np.arange(len(mean_abs)), -mean_abs))  # ties by column index
+        rank = np.empty(len(mean_abs), dtype=np.int64)
+        rank[order] = np.arange(1, len(mean_abs) + 1)
+        levels = (0.05, 0.25, 0.5, 0.75, 0.95)
+        return cls(
+            feature_names=list(feature_names),
+            mean_abs=mean_abs,
+            rank=rank,
+            quantile_levels=levels,
+            quantiles=np.quantile(phi, levels, axis=0).T,
+        )
+
     def top_feature(self) -> str:
         return self.feature_names[int(np.argmin(self.rank))]
 
@@ -165,21 +183,6 @@ def tree_shap(model: GbdtModel, row: np.ndarray | dict) -> ShapExplanation:
 
 
 def shap_summary(model: GbdtModel, table: PassSampleTable | np.ndarray) -> ImportanceSummary:
-    """Mean |phi| per feature with descending ranks and a signed quantile sketch."""
-    X = table.raw if isinstance(table, PassSampleTable) else np.asarray(table, dtype=np.float64)
-    if len(X) == 0:
-        raise ValueError("summary requires a non-empty table")
-    phi, _ = shap_values(model, X)
-    mean_abs = np.mean(np.abs(phi), axis=0)
-    order = np.lexsort((np.arange(len(mean_abs)), -mean_abs))  # ties by column index
-    rank = np.empty(len(mean_abs), dtype=np.int64)
-    rank[order] = np.arange(1, len(mean_abs) + 1)
-    levels = (0.05, 0.25, 0.5, 0.75, 0.95)
-    quantiles = np.quantile(phi, levels, axis=0).T
-    return ImportanceSummary(
-        feature_names=list(model.feature_names),
-        mean_abs=mean_abs,
-        rank=rank,
-        quantile_levels=levels,
-        quantiles=quantiles,
-    )
+    """`ImportanceSummary.from_phi` of the table's attributions."""
+    X = table.raw if isinstance(table, PassSampleTable) else table
+    return ImportanceSummary.from_phi(model.feature_names, shap_values(model, X)[0])

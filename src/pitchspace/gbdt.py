@@ -5,10 +5,12 @@ h = p(1 - p) drive exact greedy splits with gain
 0.5 * [GL^2/(HL+lambda) + GR^2/(HR+lambda) - G^2/(H+lambda)] - gamma and leaf
 weights -lr * G/(H+lambda). Split enumeration is feature-order fixed and
 row-order independent, so permuting training rows yields identical trees:
-each tree puts its rows in a canonical order once and sorts every column
-once by (value, g, h) (presorted column blocks, Chen & Guestrin 2016, §4.1).
-Stable partitions carry both orders to the children exactly as sorting each
-node afresh would, so gradient sums reproduce bitwise.
+each tree puts its rows in a canonical order and every column in
+(value, g, h) order once (presorted column blocks, Chen & Guestrin 2016,
+§4.1). X is the same for every tree of a fit, so the fit sorts it once; a
+tree re-sorts only groups of identical rows by g and runs of tied values by
+(g, h). Stable partitions carry both orders to the children exactly as
+sorting each node afresh would, so gradient sums reproduce bitwise.
 """
 
 from __future__ import annotations
@@ -172,11 +174,6 @@ class GbdtModel:
     def predict_proba_batch(self, X: np.ndarray) -> np.ndarray:
         return _sigmoid(self.margin(X))
 
-    def decision_paths(self, X: np.ndarray) -> np.ndarray:
-        """Leaf index per (row, tree); the monotone-transform invariant object."""
-        X = self.impute(X)
-        return np.column_stack([t.leaf_indices(X) for t in self.trees])
-
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-np.clip(z, -500, 500)))
@@ -187,15 +184,78 @@ def _logloss(y: np.ndarray, margins: np.ndarray) -> float:
     return float(-np.mean(y * np.log(p) + (1 - y) * np.log(1 - p)))
 
 
-def _canonical_order(rows: np.ndarray, X: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Row order independent of input permutation (value-identical rows are
-    interchangeable), so gradient sums reproduce bitwise."""
-    keys = [g[rows]] + [X[rows, j] for j in range(X.shape[1] - 1, -1, -1)]
-    return rows[np.lexsort(keys)]
+def _runs(starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Run number of every entry, and whether its run is longer than one,
+    given the flags that mark where each run starts (`starts[0]` is True)."""
+    sizes = np.diff(np.flatnonzero(np.append(starts, True)))
+    return np.cumsum(starts), np.repeat(sizes > 1, sizes)
+
+
+def _sort_runs(order: np.ndarray, tied: np.ndarray, run: np.ndarray, *keys: np.ndarray) -> None:
+    """Stably re-sort, in place, the `tied` entries of `order` within their
+    runs by the per-row `keys` (the last key is the primary one). `run` is
+    nondecreasing along `order`, so every run keeps its own positions."""
+    at = np.flatnonzero(tied)
+    if at.size:
+        sub = order[at]
+        order[at] = sub[np.lexsort([key[sub] for key in keys] + [run[at]])]
+
+
+class _Presorted:
+    """The row orders of one training matrix that do not depend on g and h.
+
+    `rows` is the lexicographic order of the rows of X, ties by row index, and
+    `row_group` numbers its groups of identical rows. `cols` is every
+    column's stable value order over `rows`, flattened from (F, n), and
+    `col_run` numbers its runs of tied values. `row_dup` and `col_tied` flag
+    the entries of groups and runs longer than one: only they are re-sorted
+    per tree.
+    """
+
+    def __init__(self, X: np.ndarray) -> None:
+        n, n_features = X.shape
+        self.rows = np.lexsort(X.T[::-1])
+        xs = X[self.rows]
+        starts = np.ones(n, dtype=bool)
+        starts[1:] = np.any(xs[1:] != xs[:-1], axis=1)
+        self.row_group, self.row_dup = _runs(starts)
+        pos = np.argsort(xs.T, axis=1, kind="stable")
+        sv = np.take_along_axis(xs.T, pos, axis=1)
+        starts = np.ones((n_features, n), dtype=bool)
+        starts[:, 1:] = sv[:, 1:] != sv[:, :-1]
+        self.cols = self.rows[pos].reshape(-1)
+        self.col_run, self.col_tied = _runs(starts.reshape(-1))
+
+    def tree_orders(
+        self, rows: np.ndarray, g: np.ndarray, h: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The distinct `rows` in canonical order, by X lexicographically,
+        then g, then row index: independent of input permutation, since
+        value-identical rows are interchangeable, so gradient sums reproduce
+        bitwise. Also the (F, len(rows)) matrix whose row j orders them by
+        (X[:, j], g, h), ties in canonical order. For ascending `rows` both
+        equal lexsorting them afresh; only identical rows and tied values are
+        re-sorted."""
+        keep = np.zeros(len(self.rows), dtype=bool)
+        keep[rows] = True
+        k = keep[self.rows]
+        canon = self.rows[k]
+        _sort_runs(canon, self.row_dup[k], self.row_group[k], g)
+        # Tied values sit in canonical order already, except where identical
+        # rows differ in g, which the (g, h) keys separate anyway.
+        k = keep[self.cols]
+        cols = self.cols[k]
+        _sort_runs(cols, self.col_tied[k], self.col_run[k], h, g)
+        return canon, cols.reshape(-1, len(canon))
 
 
 def _build_tree(
-    X: np.ndarray, g: np.ndarray, h: np.ndarray, rows: np.ndarray, hp: GbdtHyperParams
+    X: np.ndarray,
+    g: np.ndarray,
+    h: np.ndarray,
+    rows: np.ndarray,
+    hp: GbdtHyperParams,
+    presorted: _Presorted,
 ) -> Tree:
     tree = Tree(feature=[], threshold=[], left=[], right=[], value=[], cover=[])
     lam = hp.l2_lambda
@@ -266,12 +326,7 @@ def _build_tree(
         tree.right[node] = build(rows[~mask], right_sorted, depth + 1)
         return node
 
-    rows = _canonical_order(rows, X, g)
-    shape = (n_features, len(rows))
-    order = np.lexsort(
-        (np.broadcast_to(h[rows], shape), np.broadcast_to(g[rows], shape), X[rows].T), axis=-1
-    )
-    build(rows, rows[order], 0)
+    build(*presorted.tree_orders(rows, g, h), 0)
     return tree
 
 
@@ -293,6 +348,7 @@ def train_gbdt(
     if medians is None:
         medians = table.finite_medians()
     X = table.imputed(medians)
+    presorted = _Presorted(X)
 
     p_bar = float(np.mean(y))
     base = math.log(p_bar / (1.0 - p_bar))
@@ -312,7 +368,7 @@ def train_gbdt(
         else:
             rows = np.arange(n)
         try:
-            tree = _build_tree(X, g, h, rows, hp)
+            tree = _build_tree(X, g, h, rows, hp, presorted)
         except ZeroDivisionError:
             raise ValueError(
                 f"l2_lambda={hp.l2_lambda}: a tree node has hessian sum 0 (the model "

@@ -39,6 +39,7 @@ from pitchspace.synth import SynthConfig, synthesize_match
 
 from conftest import make_frame, player, random_frame
 from test_explain import brute_force_shapley
+from test_gbdt import decision_paths
 
 MP = MotionParams()
 W = WeightParams()
@@ -190,7 +191,7 @@ def test_criterion_6_gbdt_correctness(corpus_table):
 
     sub = corpus_table.subset(range(400))
     hp = GbdtHyperParams(n_trees=20, max_depth=3, learning_rate=0.2)
-    base_paths = train_gbdt(sub, hp).decision_paths(sub.raw)
+    base_paths = decision_paths(train_gbdt(sub, hp), sub.raw)
     path_failures = 0
     for k in range(20):
         r = np.random.default_rng(600 + k)
@@ -202,7 +203,7 @@ def test_criterion_6_gbdt_correctness(corpus_table):
             raw=X2, selected=sub.selected,
         )
         m2 = train_gbdt(t2, hp)
-        if not np.array_equal(m2.decision_paths(t2.raw), base_paths):
+        if not np.array_equal(decision_paths(m2, t2.raw), base_paths):
             path_failures += 1
     ok = monotone_violations == 0 and additivity < 1e-9 and path_failures == 0
     report(

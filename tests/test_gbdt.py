@@ -48,10 +48,30 @@ def random_table(rng, n=400, d=6):
     return make_table(X, y)
 
 
-def build_tree_per_node_sort(X, g, h, rows, hp):
+def decision_paths(model, X):
+    """Leaf index per (row, tree); the monotone-transform invariant object."""
+    X = model.impute(X)
+    return np.column_stack([t.leaf_indices(X) for t in model.trees])
+
+
+def canonical_order(rows, X, g):
+    """Rows sorted by X lexicographically, then g, ties in input order."""
+    keys = [g[rows]] + [X[rows, j] for j in range(X.shape[1] - 1, -1, -1)]
+    return rows[np.lexsort(keys)]
+
+
+def lexsorted_columns(rows, X, g, h):
+    """Row j orders the canonical `rows` by (X[:, j], g, h), ties in canonical order."""
+    shape = (X.shape[1], len(rows))
+    keys = (np.broadcast_to(h[rows], shape), np.broadcast_to(g[rows], shape), X[rows].T)
+    return rows[np.lexsort(keys, axis=-1)]
+
+
+def build_tree_per_node_sort(X, g, h, rows, hp, presorted=None):
     """Reference exact-greedy builder: canonicalizes the rows and lexsorts every
     column afresh at each node, then loops over the features. The presorted
-    `gbdt._build_tree` must give the same trees bit for bit."""
+    `gbdt._build_tree` must give the same trees bit for bit. `presorted` is
+    accepted for its signature and ignored."""
     tree = Tree(feature=[], threshold=[], left=[], right=[], value=[], cover=[])
     lam = hp.l2_lambda
 
@@ -62,7 +82,7 @@ def build_tree_per_node_sort(X, g, h, rows, hp):
         return len(tree.feature) - 1
 
     def build(rows, depth):
-        rows = gbdt._canonical_order(rows, X, g)
+        rows = canonical_order(rows, X, g)
         node = new_node()
         tree.cover[node] = len(rows)
         g_node = g[rows]
@@ -109,9 +129,10 @@ def build_tree_per_node_sort(X, g, h, rows, hp):
     return tree
 
 
-def oracle_table(rng, n=240, d=5, levels=0, duplicates=False, constant=False):
+def oracle_table(rng, n=240, d=5, levels=0, duplicates=False, constant=False, missing=0.0):
     """Random table; `levels` > 0 snaps values to that many per column (ties),
-    `duplicates` repeats whole rows with their labels, `constant` fixes a column."""
+    `duplicates` repeats whole rows with their labels, `constant` fixes a column,
+    `missing` is the share of column 0 made non-finite (imputed to its median)."""
     X = rng.normal(0.0, 1.0, (n, d))
     if levels:
         X = np.floor((X + 2.0) * levels / 4.0)
@@ -122,6 +143,9 @@ def oracle_table(rng, n=240, d=5, levels=0, duplicates=False, constant=False):
     y = (rng.random(n) < 1.0 / (1.0 + np.exp(-X[:, 0] + X[:, 2]))).astype(np.int64)
     if duplicates:
         y[n // 2 :] = y[: n - n // 2]
+    if missing:
+        gone = np.flatnonzero(rng.random(n) < missing)
+        X[gone, 0] = np.where(gone % 2 == 0, np.inf, np.nan)
     return make_table(X, y)
 
 
@@ -189,6 +213,12 @@ class TestTraining:
             pytest.param({"levels": 6}, {"min_child_weight": 4.0}, id="min_child_weight"),
             pytest.param({}, {"gamma": 0.4}, id="gamma"),
             pytest.param({"levels": 3}, {"max_depth": 1}, id="stumps"),
+            pytest.param({"missing": 0.3}, {}, id="imputed_median_runs"),
+            pytest.param(
+                {"levels": 4, "duplicates": True}, {"subsample": 0.7, "seed": 3},
+                id="duplicated_rows_subsample",
+            ),
+            pytest.param({"levels": 8}, {"max_depth": 5}, id="depth5"),
         ],
     )
     def test_presorted_builder_matches_per_node_sort(self, monkeypatch, table_kw, hp_kw):
@@ -199,6 +229,30 @@ class TestTraining:
         reference = train_gbdt(table, hp)
         assert any(len(t.feature) > 1 for t in reference.trees)
         assert [t.to_dict() for t in fast.trees] == [t.to_dict() for t in reference.trees]
+
+    @pytest.mark.parametrize(
+        "table_kw",
+        [
+            pytest.param({}, id="plain"),
+            pytest.param({"levels": 3, "duplicates": True}, id="duplicated_rows"),
+            pytest.param({"missing": 0.3}, id="imputed_median_runs"),
+        ],
+    )
+    @pytest.mark.parametrize("subsample", [False, True], ids=["full", "subsample"])
+    def test_fit_orders_equal_canonical_order_and_lexsort(self, table_kw, subsample):
+        # Rounded g and h tie often, within runs of tied values and within
+        # groups of identical rows, so every tie rule of the fresh sort counts.
+        rng = np.random.default_rng(11)
+        X = oracle_table(rng, **table_kw).imputed()
+        g = np.round(rng.normal(0.0, 0.5, len(X)), 1)
+        h = np.round(rng.uniform(0.0, 0.25, len(X)), 2)
+        rows = np.arange(len(X))
+        if subsample:
+            rows = np.sort(rng.choice(len(X), size=170, replace=False))
+        canon, cols = gbdt._Presorted(X).tree_orders(rows, g, h)
+        expected = canonical_order(rows, X, g)
+        assert np.array_equal(canon, expected)
+        assert np.array_equal(cols, lexsorted_columns(expected, X, g, h))
 
     @pytest.mark.parametrize("depth", [1, 3, 6])
     def test_presorted_builder_matches_on_permuted_rows_and_degenerate_gains(self, depth):
@@ -218,7 +272,7 @@ class TestTraining:
         def outcome(builder, hp):
             try:
                 with np.errstate(divide="ignore", invalid="ignore"):
-                    return builder(X, g, h, rows, hp).to_dict()
+                    return builder(X, g, h, rows, hp, gbdt._Presorted(X)).to_dict()
             except ZeroDivisionError:  # a node whose hessian sum is 0 with no L2 term
                 return "ZeroDivisionError"
 
@@ -309,7 +363,7 @@ class TestPrediction:
         table = random_table(rng, n=250)
         hp = GbdtHyperParams(n_trees=15, max_depth=3)
         base_model = train_gbdt(table, hp)
-        base_paths = base_model.decision_paths(table.raw)
+        base_paths = decision_paths(base_model, table.raw)
         for k in range(20):
             r = np.random.default_rng(k)
             a = r.uniform(0.2, 2.0, size=6)
@@ -317,7 +371,7 @@ class TestPrediction:
             X2 = a * table.raw ** 3 + b * table.raw  # strictly increasing per column
             t2 = make_table(X2, table.labels)
             m2 = train_gbdt(t2, hp)
-            assert np.array_equal(m2.decision_paths(X2), base_paths)
+            assert np.array_equal(decision_paths(m2, X2), base_paths)
 
 
 class TestMetrics:

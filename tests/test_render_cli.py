@@ -4,6 +4,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+from pitchspace import explain
 from pitchspace.cli import cli_dispatch
 from pitchspace.config import ConfigError, DEFAULT_CONFIG_TEXT, parse_config, parse_rule
 from pitchspace.dominance import (
@@ -15,7 +16,7 @@ from pitchspace.dominance import (
     space_scores,
 )
 from pitchspace.features import PassSampleTable
-from pitchspace.gbdt import GbdtHyperParams, GbdtModel, Tree, save_model
+from pitchspace.gbdt import GbdtHyperParams, GbdtModel, Tree, load_model, save_model, train_gbdt
 from pitchspace.pitch import PitchSpec, WeightParams
 from pitchspace.render_svg import RenderOptions, render_animation_svg, render_frame_svg
 
@@ -198,6 +199,45 @@ class TestCli:
         assert rc == 0
         assert (root / "explain" / "shap_summary.csv").exists()
         assert (root / "explain" / "attributions.csv").exists()
+
+    def test_explain_per_row_attributes_once(self, tmp_path, monkeypatch):
+        # One shap_values call feeds both files, with the bytes that the
+        # summary and a separate per-row pass over the same table give.
+        rng = np.random.default_rng(3)
+        X = rng.normal(0.0, 1.0, (60, 4))
+        y = (X[:, 0] + rng.normal(0.0, 0.5, 60) > 0).astype(np.int64)
+        X[rng.random(60) < 0.2, 1] = np.inf
+        PassSampleTable(
+            event_ids=[f"E{i}" for i in range(60)], labels=y,
+            columns=["dist_ball", "space", "speed", "angle"], raw=X,
+            selected=[() for _ in y],
+        ).to_csv(tmp_path / "features.csv")
+        table = PassSampleTable.from_csv(tmp_path / "features.csv")
+        save_model(train_gbdt(table, GbdtHyperParams(n_trees=8)), tmp_path / "model.json")
+        model = load_model(tmp_path / "model.json")
+        calls = []
+        shap_values = explain.shap_values
+        monkeypatch.setattr(
+            explain, "shap_values", lambda *a: calls.append(len(a[1])) or shap_values(*a)
+        )
+        rc = cli_dispatch(["explain", "--model", str(tmp_path / "model.json"),
+                           "--features", str(tmp_path / "features.csv"),
+                           "--per-row", "--out", str(tmp_path / "out")])
+        assert rc == 0
+        assert calls == [60]
+        monkeypatch.undo()
+
+        explain.shap_summary(model, table).to_csv(tmp_path / "summary.csv")
+        summary = (tmp_path / "summary.csv").read_bytes()
+        assert (tmp_path / "out" / "shap_summary.csv").read_bytes() == summary
+        phi, base = explain.shap_values(model, table.raw)
+        margins = model.margin(table.raw)
+        lines = [",".join(["event_id", "base_value", "margin", *model.feature_names])]
+        for i, eid in enumerate(table.event_ids):
+            row = [eid, repr(float(base)), repr(float(margins[i]))]
+            lines.append(",".join(row + [repr(float(v)) for v in phi[i]]))
+        expected = "".join(line + "\n" for line in lines).encode()
+        assert (tmp_path / "out" / "attributions.csv").read_bytes() == expected
 
     def test_sync_and_segment(self, workspace):
         root, cfg = workspace
