@@ -67,6 +67,5 @@ from .explain import (
 )
 from .render_svg import RenderOptions, render_frame_svg
 from .config import RunConfig, load_config
-from .cli import cli_dispatch
 
 __version__ = "0.1.0"

@@ -2,8 +2,10 @@
 
 Subcommands: synth, sync, segment, features, train, eval, explain,
 compare-rankings, render. Exit codes: 0 success, 1 usage/config error,
-2 data error, 3 internal error. Every run writes a manifest (config hash,
-seed, input digests) into the output directory.
+2 data error, 3 internal error. Every run with --out writes a manifest
+(command, config hash, seed, input digests, output names) into the output
+directory: each subcommand returns its effective seed, the paths it read and
+the names it wrote, and cli_dispatch writes manifest.json from them.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import argparse
 import hashlib
 import logging
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -85,12 +88,6 @@ def _write_manifest(
     write_json(out_dir / "manifest.json", doc, indent=2)
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _match_dirs(root: Path) -> list[Path]:
     """A match directory holds tracking.jsonl + events.jsonl; accept either a
     single match directory or a directory of them."""
@@ -121,46 +118,39 @@ def _load_matches(args, cfg: RunConfig) -> tuple[list, list[Path]]:
 
 
 # ---------------------------------------------------------------------------
-# Subcommands
+# Subcommands: each takes (args, config, out directory or None) and returns
+# (effective seed, input paths, output names) for the manifest.
 # ---------------------------------------------------------------------------
 
 
-def cmd_synth(args) -> int:
-    cfg = cfgmod.load_config(args.config)
+def cmd_synth(args, cfg: RunConfig, out: Path):
     seed = args.seed if args.seed is not None else 7
-    out = _out_dir(args)
     frames, events, ground_truth = synthesize_match(cfg.synth, seed, cfg.motion)
     save_match(frames, events, out / "tracking.jsonl", out / "events.jsonl")
     write_json(out / "ground_truth.json", ground_truth, indent=1)
-    _write_manifest(
-        out, "synth", seed, args.config,
+    print(f"synth: wrote {len(frames)} frames, {len(events)} events to {out}")
+    return (
+        seed,
         [out / "tracking.jsonl", out / "events.jsonl"],
         ["tracking.jsonl", "events.jsonl", "ground_truth.json"],
     )
-    print(f"synth: wrote {len(frames)} frames, {len(events)} events to {out}")
-    return EXIT_OK
 
 
-def cmd_sync(args) -> int:
-    cfgmod.load_config(args.config)  # validate early; nothing else read here
-    out = _out_dir(args)
+def cmd_sync(args, cfg: RunConfig, out: Path):
     frames, events = load_match(args.tracking, args.events)
     shifts = synchronization_shift(frames, events)
     shifted = apply_shift(events, shifts, frames)
     save_match(frames, shifted, out / "tracking.jsonl", out / "events.jsonl")
     write_json(out / "sync_report.json", {"shifts": {str(k): v for k, v in shifts.items()}}, indent=2)
-    _write_manifest(
-        out, "sync", args.seed, args.config,
+    print(f"sync: shifts {shifts}")
+    return (
+        args.seed,
         [Path(args.tracking), Path(args.events)],
         ["tracking.jsonl", "events.jsonl", "sync_report.json"],
     )
-    print(f"sync: shifts {shifts}")
-    return EXIT_OK
 
 
-def cmd_segment(args) -> int:
-    cfgmod.load_config(args.config)  # validate early; nothing else read here
-    out = _out_dir(args)
+def cmd_segment(args, cfg: RunConfig, out: Path):
     frames, events = load_match(args.tracking, args.events)
     sequences, drops = segment_attack_sequences(events, frames)
     doc = {
@@ -177,17 +167,11 @@ def cmd_segment(args) -> int:
         "dropped": [{"event_ids": list(d.event_ids), "reason": d.reason} for d in drops],
     }
     write_json(out / "sequences.json", doc, indent=1)
-    _write_manifest(
-        out, "segment", args.seed, args.config,
-        [Path(args.tracking), Path(args.events)], ["sequences.json"],
-    )
     print(f"segment: {len(sequences)} sequences, {len(drops)} drop records")
-    return EXIT_OK
+    return args.seed, [Path(args.tracking), Path(args.events)], ["sequences.json"]
 
 
-def cmd_features(args) -> int:
-    cfg = cfgmod.load_config(args.config)
-    out = _out_dir(args)
+def cmd_features(args, cfg: RunConfig, out: Path):
     matches, inputs = _load_matches(args, cfg)
     n = args.n if args.n is not None else cfg.feature_n
     ranking = args.ranking or cfg.ranking_variable
@@ -198,19 +182,14 @@ def cmd_features(args) -> int:
     )
     table.to_csv(out / "features.csv")
     write_medians(medians, out / "medians.json")
-    _write_manifest(
-        out, "features", args.seed, args.config, inputs, ["features.csv", "medians.json"]
-    )
     print(
         f"features: {len(table)} pass samples, {len(table.columns)} columns "
         f"(n={n}, ranked by {ranking})"
     )
-    return EXIT_OK
+    return args.seed, inputs, ["features.csv", "medians.json"]
 
 
-def cmd_train(args) -> int:
-    cfg = cfgmod.load_config(args.config)
-    out = _out_dir(args)
+def cmd_train(args, cfg: RunConfig, out: Path):
     table = PassSampleTable.from_csv(args.features)
     seed = args.seed if args.seed is not None else cfg.cv_seed
     best_hp, results = gbdtmod.grid_search_cv(table, cfg.grid, k=cfg.cv_k, seed=seed)
@@ -218,19 +197,8 @@ def cmd_train(args) -> int:
     gbdtmod.save_model(model, out / "model.json")
     write_json(
         out / "cv_results.json",
-        [
-            {
-                "hyperparams": r.hyperparams.__dict__,
-                "fold_accuracies": r.fold_accuracies,
-                "mean_accuracy": r.mean_accuracy,
-                "best": r.hyperparams == best_hp,
-            }
-            for r in results
-        ],
+        [{**asdict(r), "best": r.hyperparams == best_hp} for r in results],
         indent=1,
-    )
-    _write_manifest(
-        out, "train", seed, args.config, [Path(args.features)], ["model.json", "cv_results.json"]
     )
     best = max(r.mean_accuracy for r in results)
     print(f"train: grid of {len(results)} configs, best CV accuracy {best:.3f}")
@@ -238,11 +206,10 @@ def cmd_train(args) -> int:
         f"train: best config depth={best_hp.max_depth} lr={best_hp.learning_rate} "
         f"trees={best_hp.n_trees}"
     )
-    return EXIT_OK
+    return seed, [Path(args.features)], ["model.json", "cv_results.json"]
 
 
-def cmd_eval(args) -> int:
-    cfg = cfgmod.load_config(args.config)
+def cmd_eval(args, cfg: RunConfig, out: Path | None):
     model = gbdtmod.load_model(args.model)
     table = PassSampleTable.from_csv(args.features)
     if table.columns != model.feature_names:
@@ -253,37 +220,12 @@ def cmd_eval(args) -> int:
     report = gbdtmod.classification_metrics(table.labels, probs, threshold=cfg.threshold)
     n = len(model.feature_names) // 5
     print(gbdtmod.format_metrics_table({f"n={n}": report}))
-    if args.out:
-        out = _out_dir(args)
-        write_json(
-            out / "metrics.json",
-            {
-                "accuracy": report.accuracy,
-                "threshold": report.threshold,
-                "n_samples": report.n_samples,
-                "confusion": report.confusion,
-                "per_class": {
-                    str(c): {"precision": m.precision, "recall": m.recall, "f1": m.f1}
-                    for c, m in report.per_class.items()
-                },
-                "macro": {
-                    "precision": report.macro.precision,
-                    "recall": report.macro.recall,
-                    "f1": report.macro.f1,
-                },
-            },
-            indent=2,
-        )
-        _write_manifest(
-            out, "eval", args.seed, args.config,
-            [Path(args.model), Path(args.features)], ["metrics.json"],
-        )
-    return EXIT_OK
+    if out is not None:
+        write_json(out / "metrics.json", asdict(report), indent=2)
+    return args.seed, [Path(args.model), Path(args.features)], ["metrics.json"]
 
 
-def cmd_explain(args) -> int:
-    cfgmod.load_config(args.config)  # validate early; nothing else read here
-    out = _out_dir(args)
+def cmd_explain(args, cfg: RunConfig, out: Path):
     model = gbdtmod.load_model(args.model)
     table = PassSampleTable.from_csv(args.features)
     phi, base = explainmod.shap_values(model, table.raw)
@@ -299,16 +241,11 @@ def cmd_explain(args) -> int:
                 row += [repr(float(v)) for v in phi[i]]
                 fh.write(",".join(row) + "\n")
         outputs.append("attributions.csv")
-    _write_manifest(
-        out, "explain", args.seed, args.config,
-        [Path(args.model), Path(args.features)], outputs,
-    )
     print(f"explain: top feature by mean |phi| is {summary.top_feature()}")
-    return EXIT_OK
+    return args.seed, [Path(args.model), Path(args.features)], outputs
 
 
-def cmd_compare_rankings(args) -> int:
-    cfg = cfgmod.load_config(args.config)
+def cmd_compare_rankings(args, cfg: RunConfig, out: Path | None):
     matches, inputs = _load_matches(args, cfg)
     n = args.n if args.n is not None else cfg.feature_n
     seed = args.seed if args.seed is not None else cfg.cv_seed
@@ -326,8 +263,7 @@ def cmd_compare_rankings(args) -> int:
         reports[label] = report
         print(f"[{label}]")
         print(gbdtmod.format_ranking_table(report))
-    if args.out:
-        out = _out_dir(args)
+    if out is not None:
         write_json(
             out / "ranking_report.json",
             {
@@ -346,23 +282,15 @@ def cmd_compare_rankings(args) -> int:
             },
             indent=1,
         )
-        _write_manifest(out, "compare-rankings", seed, args.config, inputs, ["ranking_report.json"])
-    return EXIT_OK
+    return seed, inputs, ["ranking_report.json"]
 
 
-def cmd_render(args) -> int:
-    cfg = cfgmod.load_config(args.config)
-    out = _out_dir(args)
+def cmd_render(args, cfg: RunConfig, out: Path):
     frames, events = load_match(args.tracking, args.events)
-    frame_ids = None
-    if args.frames:
-        a, _, b = args.frames.partition(":")
-        lo = int(a) if a else frames[0].frame_index
-        hi = int(b) if b else frames[-1].frame_index
-        frame_ids = (lo, hi)
-    selected = [
-        f for f in frames if frame_ids is None or frame_ids[0] <= f.frame_index <= frame_ids[1]
-    ]
+    first, last = args.frames or (None, None)  # frame indices increase strictly
+    first = frames[0].frame_index if first is None else first
+    last = frames[-1].frame_index if last is None else last
+    selected = [f for f in frames if first <= f.frame_index <= last]
     if not selected:
         raise SchemaError("no frames in the requested range", args.tracking)
 
@@ -409,17 +337,22 @@ def cmd_render(args) -> int:
             name = f"frame_{frame_index:06d}.svg"
             (out / name).write_text(doc, encoding="utf-8")
             outputs.append(name)
-    _write_manifest(
-        out, "render", args.seed, args.config,
-        [Path(args.tracking), Path(args.events)], outputs,
-    )
     print(f"render: wrote {len(outputs)} file(s) to {out}")
-    return EXIT_OK
+    return args.seed, [Path(args.tracking), Path(args.events)], outputs
 
 
 # ---------------------------------------------------------------------------
 # Parser and dispatch
 # ---------------------------------------------------------------------------
+
+
+def _frame_range(text: str) -> tuple[int | None, int | None]:
+    """--frames "lo:hi"; an omitted end means the first or last frame."""
+    a, _, b = text.partition(":")
+    try:
+        return (int(a) if a else None, int(b) if b else None)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected lo:hi with integer ends, got {text!r}") from None
 
 
 def build_parser() -> _Parser:
@@ -487,7 +420,7 @@ def build_parser() -> _Parser:
     common(p)
     p.add_argument("--tracking", required=True)
     p.add_argument("--events", required=True)
-    p.add_argument("--frames", help="frame range lo:hi (inclusive)")
+    p.add_argument("--frames", type=_frame_range, help="frame range lo:hi (inclusive)")
     p.add_argument("--attacking-team", dest="attacking_team", default=None)
     p.add_argument("--animate", action="store_true")
     p.set_defaults(func=cmd_render, needs_out=True)
@@ -507,7 +440,14 @@ def cli_dispatch(argv: list[str]) -> int:
         )
         if args.needs_out and not args.out:
             raise UsageError(f"{args.command}: --out is required")
-        return args.func(args)
+        cfg = cfgmod.load_config(args.config)
+        out = Path(args.out) if args.out else None
+        if out is not None:
+            out.mkdir(parents=True, exist_ok=True)
+        seed, inputs, outputs = args.func(args, cfg, out)
+        if out is not None:
+            _write_manifest(out, args.command, seed, args.config, inputs, outputs)
+        return EXIT_OK
     except (UsageError, ConfigError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         print("run 'pitchspace --help' for usage", file=sys.stderr)

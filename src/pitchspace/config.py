@@ -203,7 +203,7 @@ def parse_config(text: str) -> RunConfig:
         )
 
         paths = {}
-        for key in ("tracking", "events", "out", "matches"):
+        for key in ("tracking", "events"):
             v = pop(f"paths.{key}")
             if v is not None:
                 paths[key] = v

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import asdict, dataclass, field as dc_field, replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -469,7 +469,7 @@ def classification_metrics(
     )
 
 
-def format_metrics_table(reports: dict[str, MetricsReport], include_reference: bool = True) -> str:
+def format_metrics_table(reports: dict[str, MetricsReport]) -> str:
     """Fixed-layout evaluation table with the published full-season rows appended."""
     lines = [
         f"{'model':<12}{'accuracy':>10}{'prec(+)':>9}{'rec(+)':>9}{'f1(+)':>9}"
@@ -482,13 +482,12 @@ def format_metrics_table(reports: dict[str, MetricsReport], include_reference: b
             f"{neg.precision:>9.3f}{neg.recall:>9.3f}{neg.f1:>9.3f}"
             f"{mac.precision:>9.3f}{mac.recall:>9.3f}{mac.f1:>9.3f}"
         )
-    if include_reference:
-        lines.append("reference (full-season corpus, not reproducible at desk scale):")
-        for name, ref in REFERENCE_EVAL_ROWS.items():
-            lines.append(
-                f"  {name:<10}{ref['accuracy']:>10.3f}{ref['precision']:>9.2f}"
-                f"{ref['recall']:>9.2f}{ref['f1']:>9.2f}"
-            )
+    lines.append("reference (full-season corpus, not reproducible at desk scale):")
+    for name, ref in REFERENCE_EVAL_ROWS.items():
+        lines.append(
+            f"  {name:<10}{ref['accuracy']:>10.3f}{ref['precision']:>9.2f}"
+            f"{ref['recall']:>9.2f}{ref['f1']:>9.2f}"
+        )
     return "\n".join(lines)
 
 
@@ -635,16 +634,7 @@ def save_model(model: GbdtModel, path: str | Path) -> None:
         "format": MODEL_FORMAT,
         "columns": model.feature_names,
         "base_score": model.base_score,
-        "hyperparams": {
-            "n_trees": model.hyperparams.n_trees,
-            "max_depth": model.hyperparams.max_depth,
-            "learning_rate": model.hyperparams.learning_rate,
-            "min_child_weight": model.hyperparams.min_child_weight,
-            "l2_lambda": model.hyperparams.l2_lambda,
-            "gamma": model.hyperparams.gamma,
-            "subsample": model.hyperparams.subsample,
-            "seed": model.hyperparams.seed,
-        },
+        "hyperparams": asdict(model.hyperparams),
         "medians": model.medians,
         "training_logloss": model.training_logloss,
         "trees": [t.to_dict() for t in model.trees],
@@ -697,7 +687,7 @@ def load_model(path: str | Path) -> GbdtModel:
             hyperparams=GbdtHyperParams(**doc["hyperparams"]),
             training_logloss=[float(v) for v in doc["training_logloss"]],
         )
-    except (KeyError, TypeError, AttributeError) as exc:
+    except (KeyError, TypeError, AttributeError, ValueError) as exc:
         raise SchemaError(f"malformed model ({type(exc).__name__}: {exc})", path) from exc
     if not math.isfinite(model.base_score):
         raise SchemaError(f"base_score {model.base_score} is not finite", path)

@@ -29,15 +29,6 @@ class Point2:
         if not (math.isfinite(self.x) and math.isfinite(self.y)):
             raise ValueError(f"non-finite coordinates ({self.x}, {self.y})")
 
-    def __add__(self, other: "Point2") -> "Point2":
-        return Point2(self.x + other.x, self.y + other.y)
-
-    def __sub__(self, other: "Point2") -> "Point2":
-        return Point2(self.x - other.x, self.y - other.y)
-
-    def scaled(self, k: float) -> "Point2":
-        return Point2(self.x * k, self.y * k)
-
     def norm(self) -> float:
         return math.hypot(self.x, self.y)
 

@@ -558,6 +558,11 @@ class TestSerialization:
             pytest.param(lambda doc: doc.pop("hyperparams"), id="missing_key"),
             pytest.param(lambda doc: doc["trees"][0]["value"].__setitem__(1, None), id="null_value"),
             pytest.param(lambda doc: doc.__setitem__("medians", [0.5]), id="medians_not_object"),
+            pytest.param(lambda doc: doc.__setitem__("base_score", "abc"), id="base_score_text"),
+            pytest.param(lambda doc: doc["trees"][0]["threshold"].__setitem__(0, "abc"),
+                         id="threshold_text"),
+            pytest.param(lambda doc: doc["hyperparams"].__setitem__("n_trees", 0),
+                         id="zero_n_trees"),
         ],
     )
     def test_malformed_model_document_rejected(self, rng, tmp_path, edit):

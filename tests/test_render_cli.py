@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pitchspace
 from pitchspace import explain
 from pitchspace.cli import cli_dispatch
 from pitchspace.config import ConfigError, DEFAULT_CONFIG_TEXT, parse_config, parse_rule
@@ -133,6 +138,12 @@ class TestConfig:
         with pytest.raises(ConfigError):
             parse_config("cv.k = banana\n")
 
+    @pytest.mark.parametrize("key", ["paths.out", "paths.matches"])
+    def test_unread_path_keys_rejected(self, key):
+        # --out and --matches come only from the command line
+        with pytest.raises(ConfigError, match=f"unknown config keys: \\['{key}'\\]"):
+            parse_config(f"{key} = somewhere\n")
+
 
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
@@ -151,6 +162,71 @@ def workspace(tmp_path_factory):
                        "--out", str(root / "match")])
     assert rc == 0
     return root, cfg
+
+
+@pytest.fixture(scope="module")
+def trained(workspace):
+    """features.csv and model.json from the workspace match."""
+    root, cfg = workspace
+    m = root / "match"
+    assert cli_dispatch(["features", "--config", str(cfg),
+                         "--tracking", str(m / "tracking.jsonl"),
+                         "--events", str(m / "events.jsonl"),
+                         "--out", str(root / "trained")]) == 0
+    assert cli_dispatch(["train", "--config", str(cfg),
+                         "--features", str(root / "trained" / "features.csv"),
+                         "--out", str(root / "trained")]) == 0
+    return root / "trained"
+
+
+def _match_args(m):
+    return ["--tracking", str(m / "tracking.jsonl"), "--events", str(m / "events.jsonl")]
+
+
+def _model_args(t):
+    return ["--model", str(t / "model.json"), "--features", str(t / "features.csv")]
+
+
+class TestManifest:
+    @pytest.mark.parametrize(
+        "command, args",
+        [
+            pytest.param("synth", lambda m, t: ["--seed", "3"], id="synth"),
+            pytest.param("sync", lambda m, t: _match_args(m), id="sync"),
+            pytest.param("segment", lambda m, t: _match_args(m), id="segment"),
+            pytest.param("features", lambda m, t: _match_args(m), id="features"),
+            pytest.param("train", lambda m, t: ["--features", str(t / "features.csv")],
+                         id="train"),
+            pytest.param("eval", lambda m, t: _model_args(t), id="eval"),
+            pytest.param("explain", lambda m, t: _model_args(t), id="explain"),
+            pytest.param("explain", lambda m, t: _model_args(t) + ["--per-row"],
+                         id="explain_per_row"),
+            pytest.param("compare-rankings", lambda m, t: _match_args(m) + ["--n", "1"],
+                         id="compare_rankings"),
+            pytest.param("render", lambda m, t: _match_args(m) + ["--frames", "111:121"],
+                         id="render"),
+            pytest.param("render",
+                         lambda m, t: _match_args(m) + ["--frames", "111:121", "--animate"],
+                         id="render_animate"),
+        ],
+    )
+    def test_manifest_lists_every_output(self, workspace, trained, tmp_path, command, args):
+        root, cfg = workspace
+        out = tmp_path / "out"
+        rc = cli_dispatch([command, "--config", str(cfg), *args(root / "match", trained),
+                           "--out", str(out)])
+        assert rc == 0
+        manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+        assert manifest["command"] == command
+        created = sorted(p.name for p in out.iterdir() if p.name != "manifest.json")
+        assert manifest["outputs"] == created
+
+    def test_eval_without_out_writes_nothing(self, trained, tmp_path, monkeypatch):
+        before = sorted(trained.iterdir())
+        monkeypatch.chdir(tmp_path)
+        assert cli_dispatch(["eval", *_model_args(trained)]) == 0
+        assert list(tmp_path.iterdir()) == []
+        assert sorted(trained.iterdir()) == before
 
 
 class TestCli:
@@ -275,6 +351,34 @@ class TestCli:
     def test_unknown_subcommand_exits_1(self, capsys):
         assert cli_dispatch(["frobnicate"]) == 1
         assert "usage" in capsys.readouterr().err.lower()
+
+    def test_module_entry_point_runs_without_runtime_warning(self):
+        # Importing the package must not import pitchspace.cli, or
+        # `python -m pitchspace.cli` would execute that module twice.
+        src = str(Path(pitchspace.__file__).resolve().parents[1])
+        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": pythonpath}
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "pitchspace.cli", "frobnicate"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 1
+        assert "RuntimeWarning" not in proc.stderr
+        assert "usage error" in proc.stderr
+
+    def test_malformed_frame_range_exits_1(self, workspace, tmp_path, capsys):
+        root, cfg = workspace
+        rc = cli_dispatch(["render", "--config", str(cfg), *_match_args(root / "match"),
+                           "--frames", "abc", "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert "expected lo:hi with integer ends, got 'abc'" in capsys.readouterr().err
+
+    def test_empty_frame_range_exits_2(self, workspace, tmp_path, capsys):
+        root, cfg = workspace
+        rc = cli_dispatch(["render", "--config", str(cfg), *_match_args(root / "match"),
+                           "--frames", "5:1", "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "tracking.jsonl: no frames in the requested range" in capsys.readouterr().err
 
     def test_missing_file_exits_2(self, tmp_path):
         rc = cli_dispatch(["features", "--tracking", str(tmp_path / "nope.jsonl"),
