@@ -326,7 +326,11 @@ def _build_tree(
         tree.right[node] = build(rows[~mask], right_sorted, depth + 1)
         return node
 
-    build(*presorted.tree_orders(rows, g, h), 0)
+    # With l2_lambda = 0 a zero hessian sum divides by zero in the gain
+    # matrix; NaN gains are disqualified above, and any node with that sum
+    # raises ZeroDivisionError, which train_gbdt reports.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        build(*presorted.tree_orders(rows, g, h), 0)
     return tree
 
 

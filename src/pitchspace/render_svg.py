@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from xml.sax.saxutils import escape
 
+import numpy as np
+
 from .dominance import ATTACKING, DEFENDING, DominanceField, SpaceScoreTable
 from .match_io import TrackedFrame
 
@@ -82,47 +84,44 @@ def render_frame_svg(
         f'<rect width="{width:.0f}" height="{height:.0f}" fill="#1a3a23"/>',
     ]
 
-    # Dominance regions, row-run-length encoded into rects.
+    # Dominance regions, row-run-length encoded into rects. Strings are
+    # formatted once per column, row, run length and owner, not per cell.
     xs, ys = pitch.cell_centers()
     cell = pitch.grid_cell
     colors = {}
     for pid, entry in scores.entries.items():
         base = DEFEND_RGB if teams.get(pid) == DEFENDING else ATTACK_RGB
         colors[pid] = _mix(base, (entry.score - lo) / (hi - lo))
+    fills = [colors[pid] for pid in field.player_ids]
+    ow = field.owner
+    ny, nx = ow.shape
+    x_left = [fx(x - cell / 2) for x in xs]
+    y_top = [fy(y + cell / 2) for y in ys]
+    run_width = [f"{n * cell * SCALE:.2f}" for n in range(nx + 1)]
+    cell_px = f"{cell * SCALE:.2f}"
+    # edges[iy, ix]: a run boundary sits before column ix (both row ends count).
+    edges = np.ones((ny, nx + 1), dtype=bool)
+    np.not_equal(ow[:, 1:], ow[:, :-1], out=edges[:, 1:-1])
+    row, col = np.nonzero(edges)
+    opens = np.flatnonzero(col[:-1] != nx)  # each edge but a row end opens a run
+    row, start, stop = row[opens], col[opens], col[opens + 1]
     out.append('<g class="regions" opacity="0.6">')
-    for iy in range(field.owner.shape[0]):
-        row = field.owner[iy]
-        start = 0
-        for ix in range(1, len(row) + 1):
-            if ix == len(row) or row[ix] != row[start]:
-                pid = field.player_ids[int(row[start])]
-                x0 = xs[start] - cell / 2
-                y0 = ys[iy] + cell / 2
-                out.append(
-                    f'<rect x="{fx(x0)}" y="{fy(y0)}" '
-                    f'width="{(ix - start) * cell * SCALE:.2f}" height="{cell * SCALE:.2f}" '
-                    f'fill="{colors[pid]}"/>'
-                )
-                start = ix
+    for iy, x0, x1, o in zip(row.tolist(), start.tolist(), stop.tolist(), ow[row, start].tolist()):
+        out.append(
+            f'<rect x="{x_left[x0]}" y="{y_top[iy]}" width="{run_width[x1 - x0]}" '
+            f'height="{cell_px}" fill="{fills[o]}"/>'
+        )
     out.append("</g>")
 
     if opts.show_voronoi_boundaries:
-        segs: list[str] = []
-        ow = field.owner
-        for iy in range(ow.shape[0]):
-            for ix in range(ow.shape[1] - 1):
-                if ow[iy, ix] != ow[iy, ix + 1]:
-                    x = xs[ix] + cell / 2
-                    segs.append(
-                        f"M{fx(x)} {fy(ys[iy] - cell / 2)} L{fx(x)} {fy(ys[iy] + cell / 2)}"
-                    )
-        for iy in range(ow.shape[0] - 1):
-            for ix in range(ow.shape[1]):
-                if ow[iy, ix] != ow[iy + 1, ix]:
-                    y = ys[iy] + cell / 2
-                    segs.append(
-                        f"M{fx(xs[ix] - cell / 2)} {fy(y)} L{fx(xs[ix] + cell / 2)} {fy(y)}"
-                    )
+        x_right = [fx(x + cell / 2) for x in xs]
+        y_bottom = [fy(y - cell / 2) for y in ys]
+        # Vertical segments (row neighbours differ), then horizontal ones
+        # (column neighbours differ), each in row-major order.
+        vertical = zip(*(a.tolist() for a in np.nonzero(edges[:, 1:-1])))
+        horizontal = zip(*(a.tolist() for a in np.nonzero(ow[:-1] != ow[1:])))
+        segs = [f"M{x_right[ix]} {y_bottom[iy]} L{x_right[ix]} {y_top[iy]}" for iy, ix in vertical]
+        segs += [f"M{x_left[ix]} {y_top[iy]} L{x_right[ix]} {y_top[iy]}" for iy, ix in horizontal]
         out.append(
             f'<path class="boundaries" d="{" ".join(segs)}" stroke="#ffffff" '
             'stroke-width="0.8" fill="none" opacity="0.7"/>'
@@ -147,7 +146,7 @@ def render_frame_svg(
         entry = scores.entries.get(p.player_id)
         base = DEFEND_RGB if p.team == DEFENDING else ATTACK_RGB
         stroke = f"#{base[0]:02x}{base[1]:02x}{base[2]:02x}"
-        pid = escape(p.player_id)
+        pid = escape(p.player_id, {'"': "&quot;"})
         out.append(f'<g class="glyph player" id="p-{pid}">')
         if entry is not None and entry.excluded_offside:
             # Offside players are excluded from the calculation: hollow, no score.

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import pitchspace
-from pitchspace import explain
+from pitchspace import explain, render_svg
 from pitchspace.cli import cli_dispatch
 from pitchspace.config import ConfigError, DEFAULT_CONFIG_TEXT, parse_config, parse_rule
 from pitchspace.dominance import (
@@ -20,10 +20,11 @@ from pitchspace.dominance import (
     offside_positions,
     space_scores,
 )
-from pitchspace.features import PassSampleTable
+from pitchspace.features import PassSampleTable, orient_frame
 from pitchspace.gbdt import GbdtHyperParams, GbdtModel, Tree, load_model, save_model, train_gbdt
 from pitchspace.pitch import PitchSpec, WeightParams
 from pitchspace.render_svg import RenderOptions, render_animation_svg, render_frame_svg
+from pitchspace.synth import SynthConfig, synthesize_match
 
 from conftest import make_frame, player
 
@@ -47,6 +48,99 @@ def render(frame, opts=None):
     field = compute_dominance_grid(frame, PITCH, MP, excluded)
     scores = space_scores(field, frame, W)
     return render_frame_svg(frame, scores, field, opts or RenderOptions())
+
+
+def render_per_cell(frame, scores, field, opts):
+    """Reference for the dominance regions and boundaries of `render_frame_svg`.
+
+    Visits every cell of the owner grid: a row run ends where a cell's owner
+    differs from the run's first cell, and a boundary segment sits between
+    every pair of neighbours with different owners. The lines before the
+    regions and from the pitch markings on are taken from `render_frame_svg`,
+    so the whole documents compare equal only if the run and segment text,
+    and its place in the document, match.
+    """
+    doc = render_frame_svg(frame, scores, field, opts).splitlines()
+    head = doc[: doc.index('<g class="regions" opacity="0.6">') + 1]
+    tail = doc[next(i for i, line in enumerate(doc) if 'stroke="#e8e8e8"' in line):]
+    teams = {p.player_id: p.team for p in frame.players}
+    pitch = field.pitch
+    lo, hi = render_svg._score_range(scores, opts)
+    scale = render_svg.SCALE
+
+    def fx(x):
+        return f"{render_svg.MARGIN + (x + pitch.half_length) * scale:.2f}"
+
+    def fy(y):
+        return f"{render_svg.MARGIN + (pitch.half_width - y) * scale:.2f}"
+
+    xs, ys = pitch.cell_centers()
+    cell = pitch.grid_cell
+    colors = {}
+    for pid, entry in scores.entries.items():
+        base = render_svg.DEFEND_RGB if teams.get(pid) == DEFENDING else render_svg.ATTACK_RGB
+        colors[pid] = render_svg._mix(base, (entry.score - lo) / (hi - lo))
+    body = []
+    for iy in range(field.owner.shape[0]):
+        row = field.owner[iy]
+        start = 0
+        for ix in range(1, len(row) + 1):
+            if ix == len(row) or row[ix] != row[start]:
+                pid = field.player_ids[int(row[start])]
+                x0 = xs[start] - cell / 2
+                y0 = ys[iy] + cell / 2
+                body.append(
+                    f'<rect x="{fx(x0)}" y="{fy(y0)}" '
+                    f'width="{(ix - start) * cell * scale:.2f}" height="{cell * scale:.2f}" '
+                    f'fill="{colors[pid]}"/>'
+                )
+                start = ix
+    body.append("</g>")
+    if opts.show_voronoi_boundaries:
+        segs = []
+        ow = field.owner
+        for iy in range(ow.shape[0]):
+            for ix in range(ow.shape[1] - 1):
+                if ow[iy, ix] != ow[iy, ix + 1]:
+                    x = xs[ix] + cell / 2
+                    segs.append(
+                        f"M{fx(x)} {fy(ys[iy] - cell / 2)} L{fx(x)} {fy(ys[iy] + cell / 2)}"
+                    )
+        for iy in range(ow.shape[0] - 1):
+            for ix in range(ow.shape[1]):
+                if ow[iy, ix] != ow[iy + 1, ix]:
+                    y = ys[iy] + cell / 2
+                    segs.append(
+                        f"M{fx(xs[ix] - cell / 2)} {fy(y)} L{fx(xs[ix] + cell / 2)} {fy(y)}"
+                    )
+        body.append(
+            f'<path class="boundaries" d="{" ".join(segs)}" stroke="#ffffff" '
+            'stroke-width="0.8" fill="none" opacity="0.7"/>'
+        )
+    return "\n".join(head + body + tail) + "\n"
+
+
+def synth_pass_frames():
+    """The first pass frame of each team of a small synthetic match, oriented
+    to the passing team (so one of them is mirrored)."""
+    frames, events, _ = synthesize_match(
+        SynthConfig(passes=8, kickoff_frames=12, opponent_pass_rate=0.5), seed=41
+    )
+    by_index = {f.frame_index: f for f in frames}
+    first = {}
+    for e in events:
+        if e.type == "pass":
+            first.setdefault(e.team, orient_frame(by_index[e.frame], e.team))
+    return [first[team] for team in sorted(first)]
+
+
+ORACLE_FRAMES = {
+    "full": lambda: [full_frame()],
+    "offside": lambda: [full_frame(offside_attacker=True)],
+    "one_eligible": lambda: [make_frame([player("A00", ATTACKING, -10.0, -5.0),
+                                         player("A01", ATTACKING, 30.0, 5.0)])],
+    "synth": synth_pass_frames,
+}
 
 
 class TestRenderFrame:
@@ -94,6 +188,39 @@ class TestRenderFrame:
         scores = space_scores(field, frame, W)
         with pytest.raises(ValueError):
             render_frame_svg(frame, scores, field, RenderOptions())
+
+    @pytest.mark.parametrize("cell", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("kind", sorted(ORACLE_FRAMES))
+    @pytest.mark.parametrize(
+        "opts",
+        [
+            pytest.param(RenderOptions(), id="plain"),
+            pytest.param(RenderOptions(show_voronoi_boundaries=True), id="boundaries"),
+            pytest.param(RenderOptions(show_scores=False), id="no_scores"),
+            pytest.param(RenderOptions(show_voronoi_boundaries=True, show_scores=False),
+                         id="boundaries_no_scores"),
+            pytest.param(RenderOptions(show_voronoi_boundaries=True, score_min=50.0,
+                                       score_max=400.0), id="colormap_range"),
+        ],
+    )
+    def test_regions_match_per_cell_oracle(self, cell, kind, opts):
+        pitch = PitchSpec(grid_cell=cell)
+        for frame in ORACLE_FRAMES[kind]():
+            field = compute_dominance_grid(frame, pitch, MP, offside_positions(frame))
+            scores = space_scores(field, frame, W)
+            if kind == "one_eligible":
+                assert field.player_ids == ["A00"]  # A01 is offside: one run per row
+            doc = render_frame_svg(frame, scores, field, opts)
+            ref = render_per_cell(frame, scores, field, opts)
+            # Line lists with their line ends: byte equality, reported by line.
+            assert doc.splitlines(True) == ref.splitlines(True)
+
+    def test_quote_in_player_id_well_formed(self):
+        players = list(full_frame().players)
+        players[0] = player('A"0', ATTACKING, players[0].pos.x, players[0].pos.y)
+        root = ET.fromstring(render(make_frame(players)))
+        ids = [g.get("id") for g in root.iter("{http://www.w3.org/2000/svg}g")]
+        assert 'p-A"0' in ids and "p-A01" in ids
 
     def test_animation_well_formed(self):
         frame = full_frame()
@@ -424,6 +551,9 @@ class TestCli:
         assert rc == 2
         assert located in capsys.readouterr().err
 
+    # The gain matrix's 0/0 must not leak numpy RuntimeWarnings before the
+    # located message.
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_zero_hessian_with_zero_l2_lambda_exits_2(self, tmp_path, capsys):
         # A separable table fitted at learning rate 1 drives the positive
         # rows' probability to exactly 1 (hessian 0); a subsample of only
