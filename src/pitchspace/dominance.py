@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Container, Iterable
 
 import numpy as np
 
@@ -146,45 +146,45 @@ def _arrival_grid(
     """
     dx = xs - qx
     dy = ys[:, np.newaxis] - qy
-    return mp.reaction_time + np.sqrt(dx * dx + dy * dy) / mp.max_speed
+    t = dx * dx + dy * dy
+    np.sqrt(t, out=t)
+    t /= mp.max_speed
+    t += mp.reaction_time
+    return t
 
 
 def _partition(
-    players: list[PlayerState], pitch: PitchSpec, mp: MotionParams
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    players: list[PlayerState], pitch: PitchSpec, mp: MotionParams, keep: Container[int] = ()
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, dict[int, np.ndarray]]:
     """Best and runner-up arrival per cell over the id-sorted players.
 
-    Returns (owner, best, second_idx, second), each of shape (ny, nx); the
-    runner-up is the best player once the owner is left out (index 0 and
-    time +inf when there is nobody else). One pass over the players with
-    strict comparisons keeps the earlier, smaller-id player on ties.
+    Returns (owner, best, second_idx, second), each of shape (ny, nx), and the
+    own arrival grid of each player index in `keep`. The runner-up is the best
+    player once the owner is left out (index 0 and time +inf if nobody else).
+    Only a strictly earlier time moves an index: ties keep the smaller id.
     """
     if not players:
         raise ValueError("dominance grid requires at least one eligible player")
     xs, ys = pitch.cell_centers()
     rt = mp.reaction_time
-    grids = (
-        _arrival_grid(xs, ys, p.pos.x + p.vel.x * rt, p.pos.y + p.vel.y * rt, mp)
-        for p in players
-    )
-    best = next(grids)
-    owner = np.zeros(best.shape, dtype=np.int32)
-    second = np.full_like(best, np.inf)
-    second_idx = np.zeros_like(owner)
-    beats_best = np.empty(best.shape, dtype=bool)
-    beats_second = np.empty_like(beats_best)
-    for j, t in enumerate(grids, start=1):
+    shape = (len(ys), len(xs))
+    best, second = (np.full(shape, np.inf) for _ in range(2))
+    owner, second_idx = (np.zeros(shape, dtype=np.int32) for _ in range(2))
+    beats_best, beats_second = (np.empty(shape, dtype=bool) for _ in range(2))
+    grids = {}
+    for j, p in enumerate(players):
+        t = _arrival_grid(xs, ys, p.pos.x + p.vel.x * rt, p.pos.y + p.vel.y * rt, mp)
+        if j in keep:
+            grids[j] = t
         np.less(t, best, out=beats_best)
         np.less(t, second, out=beats_second)
-        # best <= second, so beats_best implies beats_second: keep the rest.
-        np.not_equal(beats_second, beats_best, out=beats_second)
-        np.copyto(second, best, where=beats_best)
-        np.copyto(second_idx, owner, where=beats_best)
-        np.copyto(best, t, where=beats_best)
-        np.copyto(owner, j, where=beats_best)
-        np.copyto(second, t, where=beats_second)
+        np.minimum(second, np.maximum(best, t), out=second)
+        np.minimum(best, t, out=best)
+        # best <= second, so beats_best implies beats_second: the owner copy wins.
         np.copyto(second_idx, j, where=beats_second)
-    return owner, best, second_idx, second
+        np.copyto(second_idx, owner, where=beats_best)
+        np.copyto(owner, j, where=beats_best)
+    return owner, best, second_idx, second, grids
 
 
 def compute_dominance_grid(
@@ -198,7 +198,7 @@ def compute_dominance_grid(
     Ties are broken by the smaller player id (ids are totally ordered).
     """
     players = _sorted_eligible(frame, excluded)
-    owner, best, _, _ = _partition(players, pitch, mp)
+    owner, best, *_ = _partition(players, pitch, mp)
     return DominanceField(pitch, [p.player_id for p in players], owner, best)
 
 
@@ -299,24 +299,25 @@ def offside_positions(frame: "TrackedFrame") -> frozenset[str]:
 # ---------------------------------------------------------------------------
 # Batch probe deltas used by the off-ball and on-ball features.
 #
-# directional_space_deltas recomputes the full partition for each 1 m probe,
-# which is O(candidates x 8 x players x cells) per pass. The batch path runs
-# the partition once and keeps each cell's runner-up: while one player moves,
-# everyone else's best time is fixed, so the mover owns a cell iff it arrives
-# strictly first, or ties a larger-index rest owner, where the rest is the
-# owner unless the mover owns the cell, and the runner-up if it does.
+# directional_space_deltas recomputes the full partition for each 1 m probe.
+# The batch path runs it once, keeping each cell's runner-up and each
+# candidate's own arrival grid: while one player moves, everyone else's best
+# time is fixed, so the mover owns a cell iff it arrives strictly first, or
+# ties a larger-index rest owner (the owner, or the runner-up where the mover
+# is the owner). So each cell gets one limit, lim = nextafter(rest_t, +inf) for
+# a larger-index rest owner and rest_t otherwise: no double lies between rest_t
+# and its successor, so a finite probe time is below lim iff it is <= rest_t,
+# or < rest_t. A +inf rest_t (nobody else eligible) lets every probe win.
 #
-# Each candidate's 8 probes are evaluated only inside a crop box. A probe
-# moves the candidate's predicted point by at most `shift`, the largest
-# actual distance between a clamped probe's predicted point and the unmoved
-# one (more than 1 m when the player stands off the pitch and the clamp pulls
-# them in). By the triangle inequality a probe's arrival time is at least
-# own_time - shift / max_speed, so no probe can own a cell where
-# own_time - (shift / max_speed + 1e-9) > rest_time (the 1e-9 s absorbs
-# rounding); the box bounds the remaining cells. Owned weights are summed
-# with bincount in row-major order inside the box, which is the full grid's
-# raveled order with only non-owned cells left out, so the sums equal the
-# naive recomputation bitwise (covered by tests).
+# A probe moves the predicted point by at most `shift` (over 1 m when the
+# clamp pulls an off-pitch player in), so by the triangle inequality its time
+# is at least own_time - shift / max_speed. Probes are evaluated only in the
+# box around the cells where own_time - (shift / max_speed + 1e-9) <= best
+# (1e-9 s absorbs rounding): best is the rest time outside the candidate's
+# region, and own_time == best inside it. Each probe's owned weights, zero
+# elsewhere, are summed by a sequential cumsum in row-major box order, the full
+# grid's raveled order without the unowned cells. The weights are non-negative,
+# so adding +0.0 changes no partial sum: the totals have bincount's bits.
 # ---------------------------------------------------------------------------
 
 
@@ -326,44 +327,37 @@ def _probe_deltas(
     second: np.ndarray,
     idx: int,
     player: PlayerState,
+    own_time: np.ndarray,
     mp: MotionParams,
     weight: np.ndarray,
     score: float,
 ) -> np.ndarray:
-    """Score change of player `idx` for the 8 clamped 1 m probes (see above)."""
+    """Score change of player `idx`, whose own arrival grid is `own_time`, for
+    the 8 clamped 1 m probes (see above)."""
     pitch = field_.pitch
     rt = mp.reaction_time
-    qx = player.pos.x + player.vel.x * rt
-    qy = player.pos.y + player.vel.y * rt
-    pred = np.empty((8, 2))
-    for k, (dx, dy) in enumerate(DIRECTIONS_8):
-        moved = pitch.clamp(Point2(player.pos.x + dx, player.pos.y + dy))
-        pred[k] = (moved.x + player.vel.x * rt, moved.y + player.vel.y * rt)
-    shift = max(math.hypot(px - qx, py - qy) for px, py in pred)
+    pos = np.array([player.pos.x, player.pos.y])
+    vel = np.array([player.vel.x, player.vel.y]) * rt
+    half = np.array([pitch.half_length, pitch.half_width])
+    pred = np.clip(pos + DIRECTIONS_8, -half, half) + vel  # (8, 2) moved predicted points
+    shift = np.hypot(*(pred - (pos + vel)).T).max()
 
-    xs, ys = pitch.cell_centers()
-    mine = field_.owner == idx
-    rest_time = np.where(mine, second, field_.time)
-    own_time = _arrival_grid(xs, ys, qx, qy, mp)
-    reach = own_time - (shift / mp.max_speed + 1e-9) <= rest_time
+    reach = own_time - (shift / mp.max_speed + 1e-9) <= field_.time
     rows = np.flatnonzero(reach.any(axis=1))
     cols = np.flatnonzero(reach.any(axis=0))
-    if rows.size:
-        box = (slice(rows[0], rows[-1] + 1), slice(cols[0], cols[-1] + 1))
-    else:
-        box = (slice(0, 0), slice(0, 0))
+    # With nothing in reach, sum over one cell that no probe can win.
+    box = np.s_[rows[0] : rows[-1] + 1, cols[0] : cols[-1] + 1] if rows.size else np.s_[:1, :1]
 
-    qxs = pred[:, 0, np.newaxis, np.newaxis]
-    qys = pred[:, 1, np.newaxis, np.newaxis]
-    probe = _arrival_grid(xs[box[1]], ys[box[0]], qxs, qys, mp)  # (8, by, bx)
-    rest_t = rest_time[box]
-    rest_idx = np.where(mine[box], second_idx[box], field_.owner[box])
-    wins = (probe < rest_t) | ((probe == rest_t) & (idx < rest_idx))
-    labels = np.where(wins, np.arange(8)[:, np.newaxis, np.newaxis], 8)
-    sums = np.bincount(
-        labels.ravel(), weights=np.broadcast_to(weight[box], probe.shape).ravel(), minlength=9
-    )
-    return sums[:8] * field_.cell_area - score
+    owner = field_.owner[box]
+    mine = owner == idx
+    rest_t = np.where(mine, second[box], field_.time[box])
+    rest_idx = np.where(mine, second_idx[box], owner)
+    lim = np.where(idx < rest_idx, np.nextafter(rest_t, np.inf), rest_t)
+    xs, ys = pitch.cell_centers()
+    qx, qy = pred.T[:, :, np.newaxis, np.newaxis]
+    probe = _arrival_grid(xs[box[1]], ys[box[0]], qx, qy, mp)  # (8, by, bx)
+    won = np.multiply(probe < lim, weight[box]).reshape(8, -1)
+    return np.cumsum(won, axis=1)[:, -1] * field_.cell_area - score
 
 
 def batch_scores_with_deltas(
@@ -388,12 +382,13 @@ def batch_scores_with_deltas(
         raise ValueError(f"deltas requested for excluded players {sorted(delta_ids & excluded)!r}")
 
     players = _sorted_eligible(frame, excluded)
-    owner, best, second_idx, second = _partition(players, pitch, mp)
+    keep = {i for i, p in enumerate(players) if p.player_id in delta_ids}
+    owner, best, second_idx, second, grids = _partition(players, pitch, mp, keep)
     field_ = DominanceField(pitch, [p.player_id for p in players], owner, best)
     table = space_scores(field_, frame, w)
-    for i, p in enumerate(players):
-        if p.player_id in delta_ids:
-            entry = table.entries[p.player_id]
-            weight = weight_grid(pitch, w, attacking_right=p.team != DEFENDING)
-            entry.deltas = _probe_deltas(field_, second_idx, second, i, p, mp, weight, entry.score)
+    for i, own in grids.items():
+        p = players[i]
+        entry = table.entries[p.player_id]
+        weight = weight_grid(pitch, w, attacking_right=p.team != DEFENDING)
+        entry.deltas = _probe_deltas(field_, second_idx, second, i, p, own, mp, weight, entry.score)
     return table

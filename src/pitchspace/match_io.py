@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -40,6 +41,7 @@ SET_PLAY_TYPES = frozenset(
 _TRACKING_KEYS = {"frame", "time", "ball", "players", "period", "attacks_right", "attacking_team"}
 _PLAYER_KEYS = {"id", "team", "x", "y", "vx", "vy"}
 _EVENT_KEYS = {"event_id", "type", "frame", "team", "player", "receiver", "outcome", "x", "y"}
+_XML_CHARS = re.compile("[\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]*")  # XML 1.0 Char
 
 
 class SchemaError(ValueError):
@@ -189,6 +191,8 @@ def _parse_player(rec: dict, path, line: int, warnings: list[str]) -> PlayerStat
     if not isinstance(rec, dict):
         raise SchemaError(f"player record must be an object, got {rec!r}", path, line)
     pid = str(_req(rec, "id", path, line))
+    if not _XML_CHARS.fullmatch(pid):
+        raise SchemaError(f"player id {pid!r} has a character XML 1.0 forbids", path, line)
     team = str(_req(rec, "team", path, line))
     x = _num(_req(rec, "x", path, line), "x", path, line)
     y = _num(_req(rec, "y", path, line), "y", path, line)

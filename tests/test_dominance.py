@@ -15,6 +15,7 @@ from pitchspace.dominance import (
     directional_space_deltas,
     offside_positions,
     space_scores,
+    _arrival_grid,
     _partition,
 )
 from pitchspace.pitch import PitchSpec, Point2, WeightParams, weight_grid
@@ -326,6 +327,42 @@ class TestDirectionalDeltas:
                 PitchSpec(grid_cell=1.0),
                 id="coarse_grid",
             ),
+            # Exact ties on whole cell columns: each +-x probe puts the mover
+            # the same distance from a column (x = 0.25 or -0.75) as the other
+            # player. A1 (smaller index) wins its ties, inside its own region
+            # (-x probe) and against the owner A2 outside it (+x probe); A2
+            # loses its ties to A1 inside its region (+x) and outside it (-x).
+            pytest.param(
+                lambda rng: make_frame(
+                    [player("A1", ATTACKING, -2.75, 0.25), player("A2", ATTACKING, 2.25, 0.25)],
+                    ball_pos=(20.0, 0.0),
+                ),
+                PITCH,
+                id="exact_tie_columns",
+            ),
+            # The same ties with the tied pair's id order swapped (A7 < B2) and
+            # a third player who owns, or is runner-up in, part of the grid.
+            pytest.param(
+                lambda rng: make_frame(
+                    [
+                        player("B2", DEFENDING, -2.75, 0.25),
+                        player("A7", ATTACKING, 2.25, 0.25),
+                        player("C1", DEFENDING, 0.25, 20.25),
+                    ],
+                    ball_pos=(20.0, 0.0),
+                ),
+                PITCH,
+                id="exact_tie_columns_third_player",
+            ),
+            # Nobody else is eligible, so the rest time is +inf everywhere and
+            # every probe stays inside the pitch.
+            pytest.param(
+                lambda rng: make_frame(
+                    [player("D1", DEFENDING, 12.0, -7.5, -2.0, 3.0)], ball_pos=(0.0, 0.0)
+                ),
+                PITCH,
+                id="lone_player_infinite_rest",
+            ),
         ],
     )
     def test_batch_path_matches_naive_exactly(self, rng, build, pitch):
@@ -360,6 +397,41 @@ class TestDirectionalDeltas:
         for pid in ("A1", "A2"):
             nd = directional_space_deltas(frame, pid, PITCH, MP, W, excluded=())
             assert np.array_equal(table.entries[pid].deltas, nd)
+
+    def test_exact_tie_columns_are_exact(self):
+        # The exact_tie_columns case above relies on these bitwise ties.
+        xs, ys = PITCH.cell_centers()
+        for mover_x, other_x, column in ((3.25, -2.75, 0.25), (-3.75, 2.25, -0.75)):
+            mover = _arrival_grid(xs, ys, mover_x, 0.25, MP)
+            other = _arrival_grid(xs, ys, other_x, 0.25, MP)
+            col = np.flatnonzero(xs == column)
+            assert col.size == 1
+            assert np.array_equal(mover[:, col], other[:, col])
+
+    def test_batch_path_matches_naive_on_random_coarse_frames(self):
+        pitch = PitchSpec(grid_cell=1.0)
+        rng = np.random.default_rng(2024)
+        for _ in range(10):
+            frame = random_frame(rng, n_attackers=6, n_defenders=6)
+            excluded = offside_positions(frame)
+            candidates = sorted(p.player_id for p in frame.players if p.player_id not in excluded)
+            table = batch_scores_with_deltas(frame, pitch, MP, W, candidates, excluded)
+            for pid in candidates:
+                nd = directional_space_deltas(frame, pid, pitch, MP, W, excluded=excluded)
+                assert table.entries[pid].deltas.tobytes() == nd.tobytes()
+
+    def test_partition_keeps_requested_arrival_grids(self, rng):
+        frame = random_frame(rng, n_attackers=5, n_defenders=5)
+        players = sorted(frame.players, key=lambda p: p.player_id)
+        xs, ys = PITCH.cell_centers()
+        rt = MP.reaction_time
+        *_, grids = _partition(players, PITCH, MP, keep={0, 3, 9})
+        assert sorted(grids) == [0, 3, 9]
+        for i, grid in grids.items():
+            p = players[i]
+            want = _arrival_grid(xs, ys, p.pos.x + p.vel.x * rt, p.pos.y + p.vel.y * rt, MP)
+            assert grid.tobytes() == want.tobytes()
+        assert _partition(players, PITCH, MP)[-1] == {}
 
     def test_boundary_clamping(self):
         # Player on the touchline: outward probes clamp to the boundary.
