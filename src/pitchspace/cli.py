@@ -27,6 +27,7 @@ from .dominance import compute_dominance_grid, offside_positions, space_scores
 from .features import (
     PassSampleTable,
     build_dataset,
+    extract_match_features,
     write_medians,
     orient_frame,
 )
@@ -252,13 +253,12 @@ def cmd_compare_rankings(args, cfg: RunConfig, out: Path | None):
     modes = [True] if cfg.infinite_rank == "first" else [False]
     if cfg.infinite_rank == "both":
         modes = [True, False]
+    event_features = extract_match_features(
+        matches, cfg.pitch, cfg.motion, cfg.weight, cfg.fast_space_vel_semantics
+    )
     reports = {}
     for infinite_first in modes:
-        report = gbdtmod.compare_ranking_variables(
-            matches, n, cfg.grid, cfg.cv_k, seed, cfg.pitch, cfg.motion, cfg.weight,
-            fast_space_vel_semantics=cfg.fast_space_vel_semantics,
-            infinite_times_first=infinite_first,
-        )
+        report = gbdtmod.rank_variables(event_features, n, cfg.grid, cfg.cv_k, seed, infinite_first)
         label = "infinite-first" if infinite_first else "infinite-last"
         reports[label] = report
         print(f"[{label}]")

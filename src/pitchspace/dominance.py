@@ -135,22 +135,34 @@ def _sorted_eligible(frame: "TrackedFrame", excluded: Iterable[str]) -> list[Pla
     return players
 
 
+def _sq_dist(xs: np.ndarray, ys: np.ndarray, qx, qy) -> np.ndarray:
+    """Squared distances from (qx, qy) to the points xs, ys (broadcast)."""
+    dx = xs - qx
+    dy = ys - qy
+    return dx * dx + dy * dy
+
+
+def _to_time(d2: np.ndarray, mp: MotionParams) -> np.ndarray:
+    """Arrival times from squared distances, in place. Each step is correctly
+    rounded, so the map is monotone non-decreasing: it keeps every order of
+    squared distances, but may round two of them to one time."""
+    np.sqrt(d2, out=d2)
+    d2 /= mp.max_speed
+    d2 += mp.reaction_time
+    return d2
+
+
 def _arrival_grid(
     xs: np.ndarray, ys: np.ndarray, qx, qy, mp: MotionParams
 ) -> np.ndarray:
     """Arrival times from predicted point(s) (qx, qy) to the cell centers xs x ys.
 
     A scalar point gives shape (len(ys), len(xs)); points of shape (k, 1, 1)
-    give (k, len(ys), len(xs)). The partition and the probes both use this
-    one elementwise formula, so their times agree bitwise.
+    give (k, len(ys), len(xs)). The partition, its tie re-ranking and the
+    probes all use _sq_dist and _to_time elementwise, so their times agree
+    bitwise.
     """
-    dx = xs - qx
-    dy = ys[:, np.newaxis] - qy
-    t = dx * dx + dy * dy
-    np.sqrt(t, out=t)
-    t /= mp.max_speed
-    t += mp.reaction_time
-    return t
+    return _to_time(_sq_dist(xs, ys[:, np.newaxis], qx, qy), mp)
 
 
 def _partition(
@@ -162,28 +174,48 @@ def _partition(
     own arrival grid of each player index in `keep`. The runner-up is the best
     player once the owner is left out (index 0 and time +inf if nobody else).
     Only a strictly earlier time moves an index: ties keep the smaller id.
+
+    Players are ranked by squared distance, keeping the three smallest, and
+    only those become times (see _to_time). Where the three times are distinct,
+    the squared-distance owner and runner-up are the time owner and runner-up.
+    Elsewhere two times may be a rounding tie that a smaller id should win,
+    so those cells are ranked again on their times.
     """
     if not players:
         raise ValueError("dominance grid requires at least one eligible player")
     xs, ys = pitch.cell_centers()
     rt = mp.reaction_time
+    qx, qy = np.array([(p.pos.x + p.vel.x * rt, p.pos.y + p.vel.y * rt) for p in players]).T
     shape = (len(ys), len(xs))
-    best, second = (np.full(shape, np.inf) for _ in range(2))
+    best, second, third = (np.full(shape, np.inf) for _ in range(3))
     owner, second_idx = (np.zeros(shape, dtype=np.int32) for _ in range(2))
     beats_best, beats_second = (np.empty(shape, dtype=bool) for _ in range(2))
     grids = {}
-    for j, p in enumerate(players):
-        t = _arrival_grid(xs, ys, p.pos.x + p.vel.x * rt, p.pos.y + p.vel.y * rt, mp)
-        if j in keep:
-            grids[j] = t
-        np.less(t, best, out=beats_best)
-        np.less(t, second, out=beats_second)
-        np.minimum(second, np.maximum(best, t), out=second)
-        np.minimum(best, t, out=best)
+    for j in range(len(players)):
+        d2 = _sq_dist(xs, ys[:, np.newaxis], qx[j], qy[j])
+        np.less(d2, best, out=beats_best)
+        np.less(d2, second, out=beats_second)
+        np.minimum(third, np.maximum(second, d2), out=third)
+        np.minimum(second, np.maximum(best, d2), out=second)
+        np.minimum(best, d2, out=best)
         # best <= second, so beats_best implies beats_second: the owner copy wins.
         np.copyto(second_idx, j, where=beats_second)
         np.copyto(second_idx, owner, where=beats_best)
         np.copyto(owner, j, where=beats_best)
+        if j in keep:
+            grids[j] = _to_time(d2, mp)
+    for g in (best, second, third):
+        _to_time(g, mp)
+    iy, ix = np.nonzero((best == second) | (second == third))
+    if iy.size:
+        # (P, k) times of the listed cells; argmin keeps the smaller id.
+        t = _to_time(_sq_dist(xs[ix], ys[iy], qx[:, np.newaxis], qy[:, np.newaxis]), mp)
+        cells = np.arange(iy.size)
+        owner[iy, ix] = o = t.argmin(axis=0)
+        best[iy, ix] = t[o, cells]
+        t[o, cells] = np.inf
+        second_idx[iy, ix] = s = t.argmin(axis=0)
+        second[iy, ix] = t[s, cells]
     return owner, best, second_idx, second, grids
 
 

@@ -514,6 +514,22 @@ def assemble_table(
     )
 
 
+def extract_match_features(
+    matches: Iterable[tuple[list[TrackedFrame], list[MatchEvent]]],
+    pitch: PitchSpec,
+    mp: MotionParams,
+    w: WeightParams,
+    fast_space_vel_semantics: str = "current",
+) -> list[EventFeatures]:
+    """extract_event_features over each match, concatenated in match order."""
+    all_features: list[EventFeatures] = []
+    for frames, events in matches:
+        all_features.extend(
+            extract_event_features(frames, events, pitch, mp, w, fast_space_vel_semantics)
+        )
+    return all_features
+
+
 def build_dataset(
     matches: Iterable[tuple[list[TrackedFrame], list[MatchEvent]]],
     n: int,
@@ -530,11 +546,7 @@ def build_dataset(
     padding); the medians are computed over finite values only and are what
     inference-time imputation should reuse.
     """
-    all_features: list[EventFeatures] = []
-    for frames, events in matches:
-        all_features.extend(
-            extract_event_features(frames, events, pitch, mp, w, fast_space_vel_semantics)
-        )
+    all_features = extract_match_features(matches, pitch, mp, w, fast_space_vel_semantics)
     table = assemble_table(all_features, n, ranking_variable, infinite_times_first)
     medians = table.finite_medians()
     return table, medians

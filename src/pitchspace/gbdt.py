@@ -29,7 +29,7 @@ from .features import (
     EventFeatures,
     PassSampleTable,
     assemble_table,
-    extract_event_features,
+    extract_match_features,
 )
 from .match_io import SchemaError, write_json
 from .pitch import PitchSpec, WeightParams
@@ -597,16 +597,22 @@ def compare_ranking_variables(
     fast_space_vel_semantics: str = "current",
     infinite_times_first: bool = True,
 ) -> RankingReport:
-    """CV accuracy per candidate ranking variable, with the argmax marked.
+    """CV accuracy per candidate ranking variable, with the argmax marked."""
+    event_features = extract_match_features(matches, pitch, mp, w, fast_space_vel_semantics)
+    return rank_variables(event_features, n, grid, k, seed, infinite_times_first)
 
-    Candidate features are extracted once; only the top-n selection differs
-    across the four variables.
-    """
-    event_features: list[EventFeatures] = []
-    for frames, events in matches:
-        event_features.extend(
-            extract_event_features(frames, events, pitch, mp, w, fast_space_vel_semantics)
-        )
+
+def rank_variables(
+    event_features: list[EventFeatures],
+    n: int,
+    grid: list[GbdtHyperParams],
+    k: int,
+    seed: int,
+    infinite_times_first: bool = True,
+) -> RankingReport:
+    """compare_ranking_variables on extracted features: only the top-n
+    selection differs across the four variables, and extraction does not
+    depend on `infinite_times_first`."""
     rows: list[RankingRow] = []
     for var in RANKING_VARIABLES:
         table = assemble_table(event_features, n, var, infinite_times_first)

@@ -103,10 +103,16 @@ class PitchSpec:
             min(max(p.y, -self.half_width), self.half_width),
         )
 
+    @lru_cache(maxsize=32)
     def cell_centers(self) -> tuple[np.ndarray, np.ndarray]:
-        """Grid cell center coordinates: (xs of shape (nx,), ys of shape (ny,))."""
+        """Grid cell center coordinates: (xs of shape (nx,), ys of shape (ny,)).
+
+        Built once per pitch and read-only, like weight_grid.
+        """
         xs = -self.half_length + (np.arange(self.nx) + 0.5) * self.grid_cell
         ys = -self.half_width + (np.arange(self.ny) + 0.5) * self.grid_cell
+        xs.setflags(write=False)
+        ys.setflags(write=False)
         return xs, ys
 
 

@@ -9,12 +9,14 @@ glyph. Identical inputs produce byte-identical documents.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache, partial
 from xml.sax.saxutils import escape
 
 import numpy as np
 
 from .dominance import ATTACKING, DEFENDING, DominanceField, SpaceScoreTable
 from .match_io import TrackedFrame
+from .pitch import PitchSpec
 
 SCALE = 8.0  # px per meter
 MARGIN = 20.0
@@ -55,6 +57,31 @@ def _score_range(scores: SpaceScoreTable, opts: RenderOptions) -> tuple[float, f
     return lo, hi
 
 
+def _fx(pitch: PitchSpec, x: float) -> str:
+    return f"{MARGIN + (x + pitch.half_length) * SCALE:.2f}"
+
+
+def _fy(pitch: PitchSpec, y: float) -> str:
+    return f"{MARGIN + (pitch.half_width - y) * SCALE:.2f}"
+
+
+@lru_cache(maxsize=32)
+def _grid_labels(pitch: PitchSpec) -> tuple[tuple[str, ...], ...]:
+    """Pixel strings of the cell edges (x_left, x_right, y_top, y_bottom), of
+    each run width in cells (0 to nx), and of the cell size: they depend only
+    on the pitch, so they are formatted once per pitch."""
+    xs, ys = pitch.cell_centers()
+    cell = pitch.grid_cell
+    return (
+        tuple(_fx(pitch, x - cell / 2) for x in xs),
+        tuple(_fx(pitch, x + cell / 2) for x in xs),
+        tuple(_fy(pitch, y + cell / 2) for y in ys),
+        tuple(_fy(pitch, y - cell / 2) for y in ys),
+        tuple(f"{n * cell * SCALE:.2f}" for n in range(pitch.nx + 1)),
+        f"{cell * SCALE:.2f}",
+    )
+
+
 def render_frame_svg(
     frame: TrackedFrame,
     scores: SpaceScoreTable,
@@ -69,11 +96,7 @@ def render_frame_svg(
     pitch = field.pitch
     lo, hi = _score_range(scores, opts)
 
-    def fx(x: float) -> str:
-        return f"{MARGIN + (x + pitch.half_length) * SCALE:.2f}"
-
-    def fy(y: float) -> str:
-        return f"{MARGIN + (pitch.half_width - y) * SCALE:.2f}"
+    fx, fy = partial(_fx, pitch), partial(_fy, pitch)
 
     width = 2 * MARGIN + pitch.length * SCALE
     height = 2 * MARGIN + pitch.width * SCALE
@@ -85,9 +108,8 @@ def render_frame_svg(
     ]
 
     # Dominance regions, row-run-length encoded into rects. Strings are
-    # formatted once per column, row, run length and owner, not per cell.
-    xs, ys = pitch.cell_centers()
-    cell = pitch.grid_cell
+    # formatted once per pitch (cell edges, run lengths) and owner, not per cell.
+    x_left, x_right, y_top, y_bottom, run_width, cell_px = _grid_labels(pitch)
     colors = {}
     for pid, entry in scores.entries.items():
         base = DEFEND_RGB if teams.get(pid) == DEFENDING else ATTACK_RGB
@@ -95,10 +117,6 @@ def render_frame_svg(
     fills = [colors[pid] for pid in field.player_ids]
     ow = field.owner
     ny, nx = ow.shape
-    x_left = [fx(x - cell / 2) for x in xs]
-    y_top = [fy(y + cell / 2) for y in ys]
-    run_width = [f"{n * cell * SCALE:.2f}" for n in range(nx + 1)]
-    cell_px = f"{cell * SCALE:.2f}"
     # edges[iy, ix]: a run boundary sits before column ix (both row ends count).
     edges = np.ones((ny, nx + 1), dtype=bool)
     np.not_equal(ow[:, 1:], ow[:, :-1], out=edges[:, 1:-1])
@@ -114,8 +132,6 @@ def render_frame_svg(
     out.append("</g>")
 
     if opts.show_voronoi_boundaries:
-        x_right = [fx(x + cell / 2) for x in xs]
-        y_bottom = [fy(y - cell / 2) for y in ys]
         # Vertical segments (row neighbours differ), then horizontal ones
         # (column neighbours differ), each in row-major order.
         vertical = zip(*(a.tolist() for a in np.nonzero(edges[:, 1:-1])))

@@ -420,6 +420,35 @@ class TestDirectionalDeltas:
                 nd = directional_space_deltas(frame, pid, pitch, MP, W, excluded=excluded)
                 assert table.entries[pid].deltas.tobytes() == nd.tobytes()
 
+    def test_partition_resolves_rounding_ties(self):
+        # A1 sits one ulp farther out than the mirror image of B1, so on the
+        # bisector column A1 is strictly farther in squared distance but the
+        # time formula rounds both to the same arrival. A1's smaller id must
+        # win: as owner in the upper half, and as runner-up in the lower half,
+        # which C1 owns.
+        ax, bx, y = -9.750000000000002, 10.25, 0.25
+        xs, ys = PITCH.cell_centers()
+        dy = ys[:, np.newaxis] - y
+        farther = (xs - ax) ** 2 + dy * dy > (xs - bx) ** 2 + dy * dy
+        rounding_tie = farther & (
+            _arrival_grid(xs, ys, ax, y, MP) == _arrival_grid(xs, ys, bx, y, MP)
+        )
+        frame = make_frame(
+            [
+                player("A1", ATTACKING, ax, y),
+                player("B1", DEFENDING, bx, y),
+                player("C1", DEFENDING, 0.25, -18.0),
+            ],
+            ball_pos=(20.0, 0.0),
+        )
+        ids, *want = oracle_partition(frame, PITCH, MP)
+        owner, _, second_idx, _ = want
+        assert np.any(rounding_tie & (owner == 0))
+        assert np.any(rounding_tie & (owner == 2) & (second_idx == 0))
+        players = [frame.player(pid) for pid in ids]
+        for got, w in zip(_partition(players, PITCH, MP), want):
+            assert got.tobytes() == w.astype(got.dtype).tobytes()
+
     def test_partition_keeps_requested_arrival_grids(self, rng):
         frame = random_frame(rng, n_attackers=5, n_defenders=5)
         players = sorted(frame.players, key=lambda p: p.player_id)

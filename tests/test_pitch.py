@@ -48,6 +48,15 @@ class TestTypes:
         fine = PitchSpec(grid_cell=0.05)
         assert fine.nx * fine.ny == 2_856_000 <= MAX_GRID_CELLS
 
+    def test_cell_centers_built_once_and_read_only(self):
+        xs, ys = PITCH.cell_centers()
+        again = PitchSpec().cell_centers()  # an equal pitch shares the arrays
+        assert again[0] is xs and again[1] is ys
+        assert xs[0] == -52.25 and ys[-1] == 33.75
+        for a in (xs, ys):
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+
     def test_point_finite(self):
         with pytest.raises(ValueError):
             Point2(math.nan, 0.0)

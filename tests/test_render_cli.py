@@ -215,6 +215,19 @@ class TestRenderFrame:
             # Line lists with their line ends: byte equality, reported by line.
             assert doc.splitlines(True) == ref.splitlines(True)
 
+    def test_interleaved_pitches_keep_their_own_labels(self):
+        # Cell-edge labels are cached per pitch; a non-divisible pitch is
+        # rendered in turn with the default one.
+        opts = RenderOptions(show_voronoi_boundaries=True)
+        frame = full_frame()
+        for pitch in [PitchSpec(), PitchSpec(105.3, 68.1, 0.7)] * 2:
+            field = compute_dominance_grid(frame, pitch, MP, offside_positions(frame))
+            scores = space_scores(field, frame, W)
+            doc = render_frame_svg(frame, scores, field, opts)
+            ref = render_per_cell(frame, scores, field, opts)
+            assert doc.splitlines(True) == ref.splitlines(True)
+            assert all(type(seq) is tuple for seq in render_svg._grid_labels(pitch)[:5])
+
     def test_quote_in_player_id_well_formed(self):
         players = list(full_frame().players)
         players[0] = player('A"0', ATTACKING, players[0].pos.x, players[0].pos.y)
@@ -631,6 +644,33 @@ class TestCli:
         assert "dist_ball" in out and "<- selected" in out
         report = json.loads((tmp_path / "cmp" / "ranking_report.json").read_text())
         assert "infinite-first" in report
+
+
+    def test_compare_rankings_extracts_once_for_both_modes(self, workspace, tmp_path, monkeypatch):
+        from pitchspace import features, gbdt
+
+        root, cfg = workspace
+        m = root / "match"
+        both = tmp_path / "both.cfg"
+        both.write_text(cfg.read_text() + "feature.infinite_rank = both\n", encoding="utf-8")
+        calls = []
+        extract = features.extract_event_features
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return extract(*args, **kwargs)
+
+        for mod in (features, gbdt):
+            if hasattr(mod, "extract_event_features"):
+                monkeypatch.setattr(mod, "extract_event_features", counting)
+        rc = cli_dispatch(["compare-rankings", "--config", str(both),
+                           "--tracking", str(m / "tracking.jsonl"),
+                           "--events", str(m / "events.jsonl"),
+                           "--n", "2", "--out", str(tmp_path / "cmp")])
+        assert rc == 0
+        assert len(calls) == 1
+        report = json.loads((tmp_path / "cmp" / "ranking_report.json").read_text())
+        assert sorted(report) == ["infinite-first", "infinite-last"]
 
 
 class TestSyncWorkflow:
