@@ -11,6 +11,7 @@ the names it wrote, and cli_dispatch writes manifest.json from them.
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import logging
 import sys
@@ -236,11 +237,11 @@ def cmd_explain(args, cfg: RunConfig, out: Path):
     if args.per_row:
         margins = model.margin(table.raw)
         with open(out / "attributions.csv", "w", encoding="utf-8", newline="") as fh:
-            fh.write(",".join(["event_id", "base_value", "margin", *model.feature_names]) + "\n")
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["event_id", "base_value", "margin", *model.feature_names])
             for i, eid in enumerate(table.event_ids):
                 row = [eid, repr(float(base)), repr(float(margins[i]))]
-                row += [repr(float(v)) for v in phi[i]]
-                fh.write(",".join(row) + "\n")
+                writer.writerow(row + [repr(float(v)) for v in phi[i]])
         outputs.append("attributions.csv")
     print(f"explain: top feature by mean |phi| is {summary.top_feature()}")
     return args.seed, [Path(args.model), Path(args.features)], outputs

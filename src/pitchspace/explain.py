@@ -88,7 +88,7 @@ def _leaf_games(tree: Tree) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, np
     the path's cover ratios for f's branches, in path order. `table` holds the
     leaf's phi contribution for every on/off pattern (see `_leaf_table`).
     """
-    if not tree.cover or tree.cover[0] <= 0:
+    if tree.cover.size == 0 or tree.cover[0] <= 0:
         raise ValueError("tree lacks training cover counts; attribution needs them")
     games = []
 

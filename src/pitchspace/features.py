@@ -129,11 +129,7 @@ class PassSampleTable:
     def imputed(self, medians: dict[str, float] | None = None) -> np.ndarray:
         if medians is None:
             medians = self.finite_medians()
-        out = self.raw.copy()
-        for j, col in enumerate(self.columns):
-            mask = ~np.isfinite(out[:, j])
-            out[mask, j] = medians[col]
-        return out
+        return impute_non_finite(self.raw, self.columns, medians)
 
     def subset(self, indices: Sequence[int]) -> "PassSampleTable":
         idx = list(indices)
@@ -212,6 +208,12 @@ class PassSampleTable:
             raw=np.array(rows, dtype=np.float64) if rows else np.empty((0, n_cols)),
             selected=[() for _ in event_ids],
         )
+
+
+def impute_non_finite(X: np.ndarray, columns: Sequence[str], medians: dict[str, float]) -> np.ndarray:
+    """A copy of X in which every non-finite cell holds its column's median."""
+    fill = np.array([medians[col] for col in columns], dtype=np.float64)
+    return np.where(np.isfinite(X), X, fill)
 
 
 def write_medians(medians: dict[str, float], path: str | Path) -> None:

@@ -30,6 +30,7 @@ from .features import (
     PassSampleTable,
     assemble_table,
     extract_match_features,
+    impute_non_finite,
 )
 from .match_io import SchemaError, write_json
 from .pitch import PitchSpec, WeightParams
@@ -74,28 +75,35 @@ class GbdtHyperParams:
             raise ValueError("min_child_weight, l2_lambda, and gamma must be >= 0")
 
 
+# The node table's fields and their fixed dtypes, in `model.json` key order.
+_NODE_DTYPES = {
+    "feature": np.int64,  # split column; < 0 marks a leaf
+    "threshold": np.float64,
+    "left": np.int64,
+    "right": np.int64,
+    "value": np.float64,
+    "cover": np.int64,  # training rows routed through each node
+}
+
+
 @dataclass
 class Tree:
-    """One regression tree as parallel node arrays; feature < 0 marks a leaf."""
+    """One regression tree as parallel node arrays of the `_NODE_DTYPES`
+    dtypes; any sequences given are converted."""
 
-    feature: list[int]
-    threshold: list[float]
-    left: list[int]
-    right: list[int]
-    value: list[float]
-    cover: list[int]  # training rows routed through each node
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    value: np.ndarray
+    cover: np.ndarray
 
-    def _arrays(self):
-        return (
-            np.asarray(self.feature, dtype=np.int64),
-            np.asarray(self.threshold, dtype=np.float64),
-            np.asarray(self.left, dtype=np.int64),
-            np.asarray(self.right, dtype=np.int64),
-            np.asarray(self.value, dtype=np.float64),
-        )
+    def __post_init__(self) -> None:
+        for name, dtype in _NODE_DTYPES.items():
+            setattr(self, name, np.asarray(getattr(self, name), dtype=dtype))
 
     def leaf_indices(self, X: np.ndarray) -> np.ndarray:
-        feat, thr, left, right, _ = self._arrays()
+        feat, thr, left, right = self.feature, self.threshold, self.left, self.right
         idx = np.zeros(len(X), dtype=np.int64)
         rows = np.arange(len(X))
         while True:
@@ -107,36 +115,24 @@ class Tree:
             idx = np.where(internal, np.where(go_left, left[idx], right[idx]), idx)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        return np.asarray(self.value, dtype=np.float64)[self.leaf_indices(X)]
+        return self.value[self.leaf_indices(X)]
 
     def expected_value(self) -> float:
         """Cover-weighted mean leaf value (the tree's training expectation)."""
-        feat = np.asarray(self.feature)
-        val = np.asarray(self.value, dtype=np.float64)
-        cov = np.asarray(self.cover, dtype=np.float64)
-        leaves = feat < 0
-        return float(np.sum(val[leaves] * cov[leaves]) / cov[0])
+        leaves = self.feature < 0
+        return float(np.sum(self.value[leaves] * self.cover[leaves]) / self.cover[0])
 
     def to_dict(self) -> dict:
-        return {
-            "feature": list(self.feature),
-            "threshold": [float(t) for t in self.threshold],
-            "left": list(self.left),
-            "right": list(self.right),
-            "value": [float(v) for v in self.value],
-            "cover": list(self.cover),
-        }
+        return {name: getattr(self, name).tolist() for name in _NODE_DTYPES}
 
     @classmethod
     def from_dict(cls, d: dict) -> "Tree":
-        return cls(
-            feature=[int(v) for v in d["feature"]],
-            threshold=[float(v) for v in d["threshold"]],
-            left=[int(v) for v in d["left"]],
-            right=[int(v) for v in d["right"]],
-            value=[float(v) for v in d["value"]],
-            cover=[int(v) for v in d["cover"]],
-        )
+        # Python's int() and float() per entry: they reject a null entry,
+        # which a float64 conversion would turn into NaN.
+        return cls(**{
+            name: [(int if dtype is np.int64 else float)(v) for v in d[name]]
+            for name, dtype in _NODE_DTYPES.items()
+        })
 
 
 @dataclass
@@ -151,18 +147,14 @@ class GbdtModel:
     training_logloss: list[float] = dc_field(default_factory=list)
 
     def impute(self, X: np.ndarray) -> np.ndarray:
-        X = np.array(X, dtype=np.float64, copy=True)
+        X = np.asarray(X, dtype=np.float64)
         if X.ndim == 1:
             X = X[np.newaxis, :]
         if X.shape[1] != len(self.feature_names):
             raise ValueError(
                 f"expected {len(self.feature_names)} columns, got {X.shape[1]}"
             )
-        for j, col in enumerate(self.feature_names):
-            mask = ~np.isfinite(X[:, j])
-            if mask.any():
-                X[mask, j] = self.medians[col]
-        return X
+        return impute_non_finite(X, self.feature_names, self.medians)
 
     def margin(self, X: np.ndarray) -> np.ndarray:
         X = self.impute(X)
@@ -257,27 +249,21 @@ def _build_tree(
     hp: GbdtHyperParams,
     presorted: _Presorted,
 ) -> Tree:
-    tree = Tree(feature=[], threshold=[], left=[], right=[], value=[], cover=[])
+    nodes: dict[str, list] = {name: [] for name in _NODE_DTYPES}  # in preorder
     lam = hp.l2_lambda
     n_features = X.shape[1]
     feature_ids = np.arange(n_features)[:, np.newaxis]
     goes_left = np.zeros(len(X), dtype=bool)  # row -> side of the current split
 
-    def new_node() -> int:
-        tree.feature.append(-1)
-        tree.threshold.append(0.0)
-        tree.left.append(-1)
-        tree.right.append(-1)
-        tree.value.append(0.0)
-        tree.cover.append(0)
-        return len(tree.feature) - 1
-
     def build(rows: np.ndarray, sorted_rows: np.ndarray | None, depth: int) -> int:
         """`rows` is in canonical order; row j of `sorted_rows` holds the same
         rows ordered by (X[:, j], g, h), ties in canonical order. It is None
         when the node is at max depth and cannot split."""
-        node = new_node()
-        tree.cover[node] = len(rows)
+        node = len(nodes["cover"])
+        new = {"feature": -1, "threshold": 0.0, "left": -1, "right": -1, "value": 0.0,
+               "cover": len(rows)}
+        for name, v in new.items():
+            nodes[name].append(v)
         G = float(np.cumsum(g[rows])[-1])
         H = float(np.cumsum(h[rows])[-1])
 
@@ -307,12 +293,12 @@ def _build_tree(
                 best_threshold = float((sv[j, k[j]] + sv[j, k[j] + 1]) / 2.0)
 
         if best_feature < 0:
-            tree.value[node] = -hp.learning_rate * G / (H + lam)
+            nodes["value"][node] = -hp.learning_rate * G / (H + lam)
             return node
 
         mask = X[rows, best_feature] <= best_threshold
-        tree.feature[node] = best_feature
-        tree.threshold[node] = best_threshold
+        nodes["feature"][node] = best_feature
+        nodes["threshold"][node] = best_threshold
         # Stable partitions keep both the canonical order and every per-feature
         # order of the children exactly as sorting their rows afresh would.
         left_sorted = right_sorted = None
@@ -322,8 +308,8 @@ def _build_tree(
             n_left = int(np.count_nonzero(mask))
             left_sorted = sorted_rows[side].reshape(n_features, n_left)
             right_sorted = sorted_rows[~side].reshape(n_features, len(rows) - n_left)
-        tree.left[node] = build(rows[mask], left_sorted, depth + 1)
-        tree.right[node] = build(rows[~mask], right_sorted, depth + 1)
+        nodes["left"][node] = build(rows[mask], left_sorted, depth + 1)
+        nodes["right"][node] = build(rows[~mask], right_sorted, depth + 1)
         return node
 
     # With l2_lambda = 0 a zero hessian sum divides by zero in the gain
@@ -331,7 +317,7 @@ def _build_tree(
     # raises ZeroDivisionError, which train_gbdt reports.
     with np.errstate(divide="ignore", invalid="ignore"):
         build(*presorted.tree_orders(rows, g, h), 0)
-    return tree
+    return Tree(**nodes)
 
 
 def train_gbdt(
@@ -658,8 +644,7 @@ def _check_tree(tree: Tree, n_columns: int, path: str | Path, t: int) -> None:
     so every path ends at a leaf; thresholds and values must be finite; and
     an internal node's cover must be the sum of its children's covers."""
     n = len(tree.feature)
-    arrays = (tree.threshold, tree.left, tree.right, tree.value, tree.cover)
-    if n == 0 or any(len(a) != n for a in arrays):
+    if n == 0 or any(len(getattr(tree, name)) != n for name in _NODE_DTYPES):
         raise SchemaError(f"tree {t}: node arrays must be non-empty and of equal length", path)
     for node, feat in enumerate(tree.feature):
         where = f"tree {t} node {node}"
@@ -673,12 +658,13 @@ def _check_tree(tree: Tree, n_columns: int, path: str | Path, t: int) -> None:
         for child in (tree.left[node], tree.right[node]):
             if not node < child < n:
                 raise SchemaError(f"{where}: child index {child} not in ({node}, {n})", path)
+    cover = tree.cover.tolist()  # Python ints, so that the sums cannot wrap
     for node, feat in enumerate(tree.feature):  # children are known to be in range now
         left, right = tree.left[node], tree.right[node]
-        if feat >= 0 and tree.cover[node] != tree.cover[left] + tree.cover[right]:
+        if feat >= 0 and cover[node] != cover[left] + cover[right]:
             raise SchemaError(
-                f"tree {t} node {node}: cover {tree.cover[node]} is not the sum of its"
-                f" children's covers {tree.cover[left]} + {tree.cover[right]}",
+                f"tree {t} node {node}: cover {cover[node]} is not the sum of its"
+                f" children's covers {cover[left]} + {cover[right]}",
                 path,
             )
 
@@ -697,7 +683,7 @@ def load_model(path: str | Path) -> GbdtModel:
             hyperparams=GbdtHyperParams(**doc["hyperparams"]),
             training_logloss=[float(v) for v in doc["training_logloss"]],
         )
-    except (KeyError, TypeError, AttributeError, ValueError) as exc:
+    except (KeyError, TypeError, AttributeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"malformed model ({type(exc).__name__}: {exc})", path) from exc
     if not math.isfinite(model.base_score):
         raise SchemaError(f"base_score {model.base_score} is not finite", path)

@@ -107,7 +107,7 @@ def brute_force_shapley(
 
     covers: list[list[int]] = []
     for tree in model.trees:
-        if not tree.cover or tree.cover[0] <= 0:
+        if len(tree.cover) == 0 or tree.cover[0] <= 0:
             raise ValueError("tree lacks training cover counts; attribution needs them")
         if background_table is None:
             covers.append(list(tree.cover))

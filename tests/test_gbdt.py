@@ -1,5 +1,6 @@
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -72,7 +73,7 @@ def build_tree_per_node_sort(X, g, h, rows, hp, presorted=None):
     column afresh at each node, then loops over the features. The presorted
     `gbdt._build_tree` must give the same trees bit for bit. `presorted` is
     accepted for its signature and ignored."""
-    tree = Tree(feature=[], threshold=[], left=[], right=[], value=[], cover=[])
+    tree = SimpleNamespace(feature=[], threshold=[], left=[], right=[], value=[], cover=[])
     lam = hp.l2_lambda
 
     def new_node():
@@ -126,7 +127,7 @@ def build_tree_per_node_sort(X, g, h, rows, hp, presorted=None):
         return node
 
     build(rows, 0)
-    return tree
+    return Tree(**vars(tree))
 
 
 def oracle_table(rng, n=240, d=5, levels=0, duplicates=False, constant=False, missing=0.0):
@@ -521,6 +522,29 @@ class TestSerialization:
         save_model(back, tmp_path / "m2.json")
         assert (tmp_path / "m.json").read_bytes() == (tmp_path / "m2.json").read_bytes()
 
+    def test_node_tables_are_fixed_dtype_arrays(self, rng, tmp_path):
+        dtypes = {"feature": np.int64, "threshold": np.float64, "left": np.int64,
+                  "right": np.int64, "value": np.float64, "cover": np.int64}
+        model = train_gbdt(random_table(rng), GbdtHyperParams(n_trees=4, max_depth=3))
+        save_model(model, tmp_path / "m.json")
+        listed = Tree([0, -1, -1], [0.30000000000000004, 0.0, 0.0], [1, -1, -1], [2, -1, -1],
+                      [0.0, -0.0, 1e-300], [4, 2, 2])
+        for tree in [*model.trees, *load_model(tmp_path / "m.json").trees, listed]:
+            for name, dtype in dtypes.items():
+                arr = getattr(tree, name)
+                assert isinstance(arr, np.ndarray) and arr.dtype == dtype, name
+        # model.json holds Python ints and the shortest float reprs, as lists of
+        # Python scalars with the same values give.
+        for tree in model.trees:
+            scalars = {name: [(int if dtype is np.int64 else float)(v) for v in getattr(tree, name)]
+                       for name, dtype in dtypes.items()}
+            assert json.dumps(tree.to_dict()) == json.dumps(scalars)
+        assert json.dumps(listed.to_dict()) == (
+            '{"feature": [0, -1, -1], "threshold": [0.30000000000000004, 0.0, 0.0], '
+            '"left": [1, -1, -1], "right": [2, -1, -1], "value": [0.0, -0.0, 1e-300], '
+            '"cover": [4, 2, 2]}'
+        )
+
     def test_format_marker_checked(self, tmp_path):
         (tmp_path / "bad.json").write_text('{"format": "something-else"}', encoding="utf-8")
         with pytest.raises(ValueError):
@@ -563,6 +587,10 @@ class TestSerialization:
                          id="threshold_text"),
             pytest.param(lambda doc: doc["hyperparams"].__setitem__("n_trees", 0),
                          id="zero_n_trees"),
+            pytest.param(lambda doc: doc["trees"][0]["left"].__setitem__(-1, 2**70),
+                         id="huge_int"),
+            pytest.param(lambda doc: doc["trees"][0]["threshold"].__setitem__(0, 10**400),
+                         id="huge_int_threshold"),
         ],
     )
     def test_malformed_model_document_rejected(self, rng, tmp_path, edit):
@@ -584,6 +612,8 @@ class TestSerialization:
                          id="nan_threshold"),
             pytest.param({"value": [0.0, 0.1, math.inf]}, "tree 0 node 2: value", id="inf_leaf"),
             pytest.param({"cover": [5, 2, 2]}, "tree 0 node 0: cover 5", id="cover_mismatch"),
+            pytest.param({"cover": [-2**63, 2**62, 2**62]}, "tree 0 node 0: cover -9223372036854775808",
+                         id="cover_sum_wraps_in_int64"),
         ],
     )
     def test_invalid_model_values_rejected(self, tmp_path, change, located):

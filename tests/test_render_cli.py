@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -454,6 +455,27 @@ class TestCli:
             lines.append(",".join(row + [repr(float(v)) for v in phi[i]]))
         expected = "".join(line + "\n" for line in lines).encode()
         assert (tmp_path / "out" / "attributions.csv").read_bytes() == expected
+
+    def test_attributions_csv_quotes_event_ids(self, tmp_path):
+        # Ids with a delimiter or a quote character read back exactly, in rows
+        # as wide as the header, as in features.csv.
+        rng = np.random.default_rng(5)
+        X = rng.normal(0.0, 1.0, (40, 3))
+        y = (X[:, 0] > 0).astype(np.int64)
+        ids = ["E,1", 'e"2', *(f"E{i}" for i in range(2, 40))]
+        PassSampleTable(
+            event_ids=ids, labels=y, columns=["a", "b", "c"], raw=X, selected=[() for _ in y],
+        ).to_csv(tmp_path / "features.csv")
+        save_model(train_gbdt(PassSampleTable.from_csv(tmp_path / "features.csv"),
+                              GbdtHyperParams(n_trees=3)), tmp_path / "model.json")
+        rc = cli_dispatch(["explain", "--model", str(tmp_path / "model.json"),
+                           "--features", str(tmp_path / "features.csv"),
+                           "--per-row", "--out", str(tmp_path / "out")])
+        assert rc == 0
+        with open(tmp_path / "out" / "attributions.csv", encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert [len(r) for r in rows] == [6] * (len(ids) + 1)
+        assert [r[0] for r in rows[1:]] == ids
 
     def test_sync_and_segment(self, workspace):
         root, cfg = workspace
