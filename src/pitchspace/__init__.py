@@ -41,7 +41,6 @@ from .synth import SynthConfig, synthesize_match
 from .features import (
     OffBallFeatures,
     OnBallFeatures,
-    PassSample,
     PassSampleTable,
     build_dataset,
     offball_features,

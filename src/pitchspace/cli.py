@@ -15,7 +15,7 @@ import csv
 import hashlib
 import logging
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +26,7 @@ from . import gbdt as gbdtmod
 from .config import ConfigError, RunConfig
 from .dominance import compute_dominance_grid, offside_positions, space_scores
 from .features import (
+    RANKING_VARIABLES,
     PassSampleTable,
     build_dataset,
     extract_match_features,
@@ -41,7 +42,7 @@ from .match_io import (
     synchronization_shift,
     write_json,
 )
-from .render_svg import RenderOptions, render_animation_svg, render_frame_svg
+from .render_svg import render_animation_svg, render_frame_svg
 from .synth import synthesize_match
 
 logger = logging.getLogger("pitchspace")
@@ -312,19 +313,12 @@ def cmd_render(args, cfg: RunConfig, out: Path):
         prepared.append((oriented, scores, fld))
         all_scores.extend(e.score for e in scores if not e.excluded_offside)
 
-    cm_min, cm_max = cfg.render.colormap_min, cfg.render.colormap_max
-    if cm_min is None or cm_max is None:
+    opts = cfg.render
+    if opts.score_min is None or opts.score_max is None:
         lo, hi = np.percentile(np.array(all_scores), [5.0, 95.0])
-        cm_min = float(lo) if cm_min is None else cm_min
-        cm_max = float(hi) if cm_max is None else cm_max
-        if not cm_min < cm_max:
-            cm_max = cm_min + 1.0
-    opts = RenderOptions(
-        show_voronoi_boundaries=cfg.render.show_voronoi_boundaries,
-        show_scores=cfg.render.show_scores,
-        score_min=cm_min,
-        score_max=cm_max,
-    )
+        lo = float(lo) if opts.score_min is None else opts.score_min
+        hi = float(hi) if opts.score_max is None else opts.score_max
+        opts = replace(opts, score_min=lo, score_max=hi if lo < hi else lo + 1.0)
     outputs = []
     for (oriented, scores, fld) in prepared:
         doc = render_frame_svg(oriented, scores, fld, opts)
@@ -388,7 +382,7 @@ def build_parser() -> _Parser:
     p.add_argument("--events")
     p.add_argument("--matches", help="directory of match directories")
     p.add_argument("--n", type=int, default=None)
-    p.add_argument("--ranking", default=None, choices=["fast_space_vel", "dist_ball", "time_to_player", "time_to_passline"])
+    p.add_argument("--ranking", default=None, choices=RANKING_VARIABLES)
     p.set_defaults(func=cmd_features, needs_out=True)
 
     p = sub.add_parser("train", help="grid-search CV and fit the final model")

@@ -1,22 +1,27 @@
 """Flat key-value run configuration.
 
-The config file is line-oriented `key = value` text with `#` comments. Every
-key mirrors a RunConfig field; unknown keys are rejected so typos surface
-immediately. List-valued model keys (comma separated) span the search grid.
+The config file is line-oriented `key = value` text with `#` comments. One
+table maps each key to the RunConfig field it sets and the parser of its
+value; keys left out keep the dataclass defaults, and unknown keys are
+rejected so typos surface immediately. List-valued model keys (comma
+separated) span the search grid.
 """
 
 from __future__ import annotations
 
 import hashlib
 import itertools
+import math
 import re
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
+from functools import partial
 from pathlib import Path
 
 from .dominance import MotionParams
 from .features import FAST_SPACE_SEMANTICS, RANKING_VARIABLES
 from .gbdt import GbdtHyperParams
 from .pitch import PitchSpec, WeightParams
+from .render_svg import RenderOptions
 from .synth import RULE_FEATURES, SynthConfig
 
 
@@ -24,12 +29,40 @@ class ConfigError(ValueError):
     """Bad configuration file or value."""
 
 
-@dataclass
-class RenderConfig:
-    show_voronoi_boundaries: bool = False
-    show_scores: bool = True
-    colormap_min: float | None = None
-    colormap_max: float | None = None
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _bool(text: str) -> bool:
+    v = text.lower()
+    if v in ("true", "1", "yes", "on"):
+        return True
+    if v in ("false", "0", "no", "off"):
+        return False
+    raise ValueError(f"expected a boolean, got {text!r}")
+
+
+# search-grid axis -> (parser of one value, default values)
+_GRID_AXES = {
+    "max_depth": (int, [3, 5]),
+    "learning_rate": (_finite, [0.1, 0.3]),
+    "n_trees": (int, [50, 100, 200]),
+    "l2_lambda": (_finite, [1.0]),
+    "gamma": (_finite, [0.0]),
+    "subsample": (_finite, [1.0]),
+    "min_child_weight": (_finite, [0.0]),
+}
+
+
+def _build_grid(axes: dict[str, list]) -> list[GbdtHyperParams]:
+    values = [axes.get(name, default) for name, (_, default) in _GRID_AXES.items()]
+    # product() varies the last axis fastest, as nested loops in key order would
+    return [
+        GbdtHyperParams(**dict(zip(_GRID_AXES, combo))) for combo in itertools.product(*values)
+    ]
 
 
 @dataclass
@@ -40,47 +73,33 @@ class RunConfig:
     feature_n: int = 3
     ranking_variable: str = "dist_ball"
     fast_space_vel_semantics: str = "current"
-    infinite_rank: str = "first"  # first | last | both
+    infinite_rank: str = "first"
     grid: list[GbdtHyperParams] = dc_field(default_factory=lambda: _build_grid({}))
     cv_k: int = 5
     cv_seed: int = 17
     threshold: float = 0.5
     synth: SynthConfig = dc_field(default_factory=SynthConfig)
-    render: RenderConfig = dc_field(default_factory=RenderConfig)
+    render: RenderOptions = dc_field(default_factory=RenderOptions)
     paths: dict = dc_field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        if self.feature_n < 1:
+            raise ValueError(f"feature_n must be >= 1, got {self.feature_n}")
+        for name, choices in (
+            ("ranking_variable", RANKING_VARIABLES),
+            ("fast_space_vel_semantics", FAST_SPACE_SEMANTICS),
+            ("infinite_rank", ("first", "last", "both")),
+        ):
+            if getattr(self, name) not in choices:
+                raise ValueError(f"{name} must be one of {choices}, got {getattr(self, name)!r}")
+        if self.cv_k < 2:
+            raise ValueError(f"cv_k must be >= 2, got {self.cv_k}")
+        if self.cv_seed < 0:
+            raise ValueError(f"cv_seed must be >= 0, got {self.cv_seed}")
 
     @property
     def infinite_times_first(self) -> bool:
         return self.infinite_rank != "last"
-
-
-_GRID_DEFAULTS = {
-    "max_depth": [3, 5],
-    "learning_rate": [0.1, 0.3],
-    "n_trees": [50, 100, 200],
-    "l2_lambda": [1.0],
-    "gamma": [0.0],
-    "subsample": [1.0],
-    "min_child_weight": [0.0],
-}
-
-
-def _build_grid(overrides: dict[str, list]) -> list[GbdtHyperParams]:
-    axes = {k: overrides.get(k, v) for k, v in _GRID_DEFAULTS.items()}
-    # product() varies the last axis fastest, as nested loops in key order would
-    return [
-        GbdtHyperParams(
-            n_trees=int(n_trees),
-            max_depth=int(max_depth),
-            learning_rate=float(learning_rate),
-            min_child_weight=float(mcw),
-            l2_lambda=float(l2_lambda),
-            gamma=float(gamma),
-            subsample=float(subsample),
-        )
-        for max_depth, learning_rate, n_trees, l2_lambda, gamma, subsample, mcw
-        in itertools.product(*axes.values())
-    ]
 
 
 _RULE_TERM = re.compile(r"([+-]?)\s*(\d*\.?\d+)(?:\s*\*\s*([A-Za-z_]\w*))?\s*")
@@ -97,7 +116,7 @@ def parse_rule(text: str) -> tuple[float, dict[str, float]]:
         if m is None or m.end() == pos:
             raise ConfigError(f"cannot parse rule term at {text[pos:]!r}")
         sign = -1.0 if m.group(1) == "-" else 1.0
-        value = sign * float(m.group(2))
+        value = sign * _finite(m.group(2))
         name = m.group(3)
         if name is None:
             intercept += value
@@ -109,21 +128,57 @@ def parse_rule(text: str) -> tuple[float, dict[str, float]]:
     return intercept, coeffs
 
 
-def _parse_bool(value: str, key: str) -> bool:
-    v = value.lower()
-    if v in ("true", "1", "yes", "on"):
-        return True
-    if v in ("false", "0", "no", "off"):
-        return False
-    raise ConfigError(f"{key}: expected a boolean, got {value!r}")
+# config key -> (RunConfig section, "" for a top-level field; field name(s); parser)
+_KEYS = {
+    "pitch.length": ("pitch", "length", _finite),
+    "pitch.width": ("pitch", "width", _finite),
+    "pitch.grid_cell": ("pitch", "grid_cell", _finite),
+    "motion.reaction_time": ("motion", "reaction_time", _finite),
+    "motion.max_speed": ("motion", "max_speed", _finite),
+    "weight.beta": ("weight", "beta", _finite),
+    "feature.n": ("", "feature_n", int),
+    "feature.ranking_variable": ("", "ranking_variable", str),
+    "feature.fast_space_vel": ("", "fast_space_vel_semantics", str),
+    "feature.infinite_rank": ("", "infinite_rank", str),
+    "cv.k": ("", "cv_k", int),
+    "cv.seed": ("", "cv_seed", int),
+    "metrics.threshold": ("", "threshold", _finite),
+    "synth.attackers": ("synth", "attackers", int),
+    "synth.defenders": ("synth", "defenders", int),
+    "synth.passes": ("synth", "passes", int),
+    "synth.noise": ("synth", "noise", _finite),
+    "synth.rule": ("synth", ("rule_intercept", "rule_coeffs"), parse_rule),
+    "synth.empty_defense_rate": ("synth", "empty_defense_rate", _finite),
+    "synth.opponent_pass_rate": ("synth", "opponent_pass_rate", _finite),
+    "synth.receiver_mode": ("synth", "receiver_mode", str),
+    "synth.kickoff_frames": ("synth", "kickoff_frames", int),
+    "synth.frame_rate": ("synth", "frame_rate", _finite),
+    "synth.frame_offset": ("synth", "frame_offset", int),
+    "render.show_voronoi_boundaries": ("render", "show_voronoi_boundaries", _bool),
+    "render.show_scores": ("render", "show_scores", _bool),
+    "render.colormap_min": ("render", "score_min", _finite),
+    "render.colormap_max": ("render", "score_max", _finite),
+    "paths.tracking": ("paths", "tracking", str),
+    "paths.events": ("paths", "events", str),
+}
 
 
-def _parse_float_list(value: str) -> list[float]:
-    return [float(v.strip()) for v in value.split(",") if v.strip()]
+def _axis_values(parse, text: str) -> list:
+    values = [parse(v.strip()) for v in text.split(",") if v.strip()]
+    if not values:
+        raise ValueError("expected one or more comma-separated values")
+    return values
+
+
+_KEYS.update(
+    (f"model.{axis}", ("grid", axis, partial(_axis_values, parse)))
+    for axis, (parse, _) in _GRID_AXES.items()
+)
 
 
 def parse_config(text: str) -> RunConfig:
-    values: dict[str, str] = {}
+    """RunConfig from config text; a bad line or value is a ConfigError naming its line and key."""
+    lines: dict[str, tuple[int, str]] = {}  # key -> (line number, value text)
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -132,104 +187,44 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"line {line_no}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key in values:
+        if key in lines:
             raise ConfigError(f"line {line_no}: duplicate key {key!r}")
-        values[key] = value
+        lines[key] = (line_no, value)
+    unknown = sorted(set(lines) - set(_KEYS))
+    if unknown:
+        raise ConfigError(f"unknown config keys: {unknown}")
 
-    def pop(key: str, default: str | None = None) -> str | None:
-        return values.pop(key, default)
+    def located(section: str, exc: ValueError, keys: list[str] | None = None) -> ConfigError:
+        keys = keys or [k for k in lines if _KEYS[k][0] == section]
+        return ConfigError(", ".join(f"line {lines[k][0]}: {k}" for k in keys) + f": {exc}")
 
+    sections: dict[str, dict] = {}  # RunConfig section -> field -> parsed value
+    for key, (_, value) in lines.items():
+        section, name, parse = _KEYS[key]
+        try:
+            parsed = parse(value)
+        except ValueError as exc:
+            raise located(section, exc, [key]) from None
+        fields = sections.setdefault(section, {})
+        fields.update(zip(name, parsed) if isinstance(name, tuple) else [(name, parsed)])
+
+    # each section is built, and so validated, once with all of its keys set
+    defaults = RunConfig()
+    top = sections.pop("", {})
+    for section, fields in sections.items():
+        try:
+            if section == "grid":
+                top[section] = _build_grid(fields)
+            elif section == "paths":
+                top[section] = fields
+            else:
+                top[section] = replace(getattr(defaults, section), **fields)
+        except ValueError as exc:
+            raise located(section, exc) from None
     try:
-        pitch = PitchSpec(
-            length=float(pop("pitch.length", "105")),
-            width=float(pop("pitch.width", "68")),
-            grid_cell=float(pop("pitch.grid_cell", "0.5")),
-        )
-        motion = MotionParams(
-            reaction_time=float(pop("motion.reaction_time", "0.2")),
-            max_speed=float(pop("motion.max_speed", "7.8")),
-        )
-        weight = WeightParams(beta=float(pop("weight.beta", "0.5")))
-
-        feature_n = int(pop("feature.n", "3"))
-        if feature_n < 1:
-            raise ConfigError("feature.n must be >= 1")
-        ranking_variable = pop("feature.ranking_variable", "dist_ball")
-        if ranking_variable not in RANKING_VARIABLES:
-            raise ConfigError(f"feature.ranking_variable must be one of {RANKING_VARIABLES}")
-        semantics = pop("feature.fast_space_vel", "current")
-        if semantics not in FAST_SPACE_SEMANTICS:
-            raise ConfigError(f"feature.fast_space_vel must be one of {FAST_SPACE_SEMANTICS}")
-        infinite_rank = pop("feature.infinite_rank", "first")
-        if infinite_rank not in ("first", "last", "both"):
-            raise ConfigError("feature.infinite_rank must be first, last, or both")
-
-        overrides = {}
-        for axis in _GRID_DEFAULTS:
-            raw_axis = pop(f"model.{axis}")
-            if raw_axis is not None:
-                overrides[axis] = _parse_float_list(raw_axis)
-        grid = _build_grid(overrides)
-
-        cv_k = int(pop("cv.k", "5"))
-        cv_seed = int(pop("cv.seed", "17"))
-        threshold = float(pop("metrics.threshold", "0.5"))
-
-        intercept, coeffs = parse_rule(pop("synth.rule", "2.0 - 0.2*dist_ball"))
-        synth = SynthConfig(
-            attackers=int(pop("synth.attackers", "10")),
-            defenders=int(pop("synth.defenders", "10")),
-            passes=int(pop("synth.passes", "200")),
-            noise=float(pop("synth.noise", "0.0")),
-            rule_intercept=intercept,
-            rule_coeffs=coeffs,
-            empty_defense_rate=float(pop("synth.empty_defense_rate", "0.05")),
-            opponent_pass_rate=float(pop("synth.opponent_pass_rate", "0.0")),
-            receiver_mode=pop("synth.receiver_mode", "nearest"),
-            kickoff_frames=int(pop("synth.kickoff_frames", "120")),
-            frame_rate=float(pop("synth.frame_rate", "10.0")),
-            frame_offset=int(pop("synth.frame_offset", "0")),
-        )
-
-        cm_min = pop("render.colormap_min")
-        cm_max = pop("render.colormap_max")
-        render = RenderConfig(
-            show_voronoi_boundaries=_parse_bool(
-                pop("render.show_voronoi_boundaries", "false"), "render.show_voronoi_boundaries"
-            ),
-            show_scores=_parse_bool(pop("render.show_scores", "true"), "render.show_scores"),
-            colormap_min=float(cm_min) if cm_min is not None else None,
-            colormap_max=float(cm_max) if cm_max is not None else None,
-        )
-
-        paths = {}
-        for key in ("tracking", "events"):
-            v = pop(f"paths.{key}")
-            if v is not None:
-                paths[key] = v
-    except ConfigError:
-        raise
+        return replace(defaults, **top)
     except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-    if values:
-        raise ConfigError(f"unknown config keys: {sorted(values)}")
-    return RunConfig(
-        pitch=pitch,
-        motion=motion,
-        weight=weight,
-        feature_n=feature_n,
-        ranking_variable=ranking_variable,
-        fast_space_vel_semantics=semantics,
-        infinite_rank=infinite_rank,
-        grid=grid,
-        cv_k=cv_k,
-        cv_seed=cv_seed,
-        threshold=threshold,
-        synth=synth,
-        render=render,
-        paths=paths,
-    )
+        raise located("", exc) from None
 
 
 def load_config(path: str | Path | None) -> RunConfig:

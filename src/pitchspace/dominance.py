@@ -65,10 +65,10 @@ class MotionParams:
     max_speed: float = 7.8
 
     def __post_init__(self) -> None:
-        if self.reaction_time < 0:
-            raise ValueError(f"reaction_time must be >= 0, got {self.reaction_time}")
-        if self.max_speed <= 0:
-            raise ValueError(f"max_speed must be > 0, got {self.max_speed}")
+        if not 0 <= self.reaction_time < math.inf:
+            raise ValueError(f"reaction_time must be finite and >= 0, got {self.reaction_time}")
+        if not 0 < self.max_speed < math.inf:
+            raise ValueError(f"max_speed must be finite and > 0, got {self.max_speed}")
 
 
 @dataclass

@@ -86,17 +86,6 @@ class OnBallFeatures:
             raise ValueError("exactly one of holder/open_ball must be set")
 
 
-@dataclass(frozen=True)
-class PassSample:
-    """One pass event row of the model table."""
-
-    event_id: str
-    label: int
-    selected: tuple[str | None, ...]
-    values: tuple[float, ...]
-    imputed: tuple[bool, ...]
-
-
 @dataclass
 class PassSampleTable:
     """Model-ready feature table; `raw` keeps +inf / padding NaN for
@@ -139,15 +128,6 @@ class PassSampleTable:
             columns=list(self.columns),
             raw=self.raw[idx],
             selected=[self.selected[i] for i in idx],
-        )
-
-    def sample(self, i: int) -> PassSample:
-        return PassSample(
-            event_id=self.event_ids[i],
-            label=int(self.labels[i]),
-            selected=self.selected[i],
-            values=tuple(float(v) for v in self.raw[i]),
-            imputed=tuple(bool(b) for b in self.imputation_flags[i]),
         )
 
     def to_csv(self, path: str | Path) -> None:
@@ -542,7 +522,7 @@ def build_dataset(
     fast_space_vel_semantics: str = "current",
     infinite_times_first: bool = True,
 ) -> tuple[PassSampleTable, dict[str, float]]:
-    """One PassSample row per pass event across matches, plus training medians.
+    """One table row per pass event across matches, plus training medians.
 
     The returned table keeps raw values (+inf interception times, NaN rank
     padding); the medians are computed over finite values only and are what

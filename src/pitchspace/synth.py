@@ -58,6 +58,8 @@ class SynthConfig:
             raise ValueError(f"unknown receiver_mode {self.receiver_mode!r}")
         if self.kickoff_frames < 12:
             raise ValueError("kickoff_frames must be >= 12")
+        if not 0 < self.frame_rate < math.inf:
+            raise ValueError(f"frame_rate must be finite and > 0, got {self.frame_rate}")
         if not 0 <= self.empty_defense_rate <= 1 or not 0 <= self.opponent_pass_rate <= 1:
             raise ValueError("rates must be in [0, 1]")
         unknown = set(self.rule_coeffs) - set(RULE_FEATURES)

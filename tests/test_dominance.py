@@ -132,6 +132,12 @@ class TestArrivalTime:
         with pytest.raises(ValueError):
             PlayerState("P", ATTACKING, Point2(0, 0), Point2(14.0, 0.0))
 
+    @pytest.mark.parametrize("field", ["max_speed", "reaction_time"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_motion_params_must_be_finite(self, field, value):
+        with pytest.raises(ValueError, match="finite"):
+            MotionParams(**{field: value})
+
 
 class TestDominanceGrid:
     def test_single_player_owns_everything(self):

@@ -12,7 +12,13 @@ import pytest
 import pitchspace
 from pitchspace import explain, render_svg
 from pitchspace.cli import cli_dispatch
-from pitchspace.config import ConfigError, DEFAULT_CONFIG_TEXT, parse_config, parse_rule
+from pitchspace.config import (
+    ConfigError,
+    DEFAULT_CONFIG_TEXT,
+    RunConfig,
+    parse_config,
+    parse_rule,
+)
 from pitchspace.dominance import (
     ATTACKING,
     DEFENDING,
@@ -244,6 +250,15 @@ class TestRenderFrame:
         assert anim.count("<set ") == 2
 
 
+# every key the config accepts: those set in the defaults text, the two
+# colormap keys it leaves commented out, and the input paths
+CONFIG_KEYS = [
+    line.split("=")[0].strip()
+    for line in DEFAULT_CONFIG_TEXT.splitlines()
+    if "=" in line and not line.startswith("#")
+] + ["render.colormap_min", "render.colormap_max", "paths.tracking", "paths.events"]
+
+
 class TestConfig:
     def test_default_config_text_parses_to_defaults(self):
         cfg = parse_config(DEFAULT_CONFIG_TEXT)
@@ -251,6 +266,7 @@ class TestConfig:
         assert cfg.feature_n == 3
         assert cfg.ranking_variable == "dist_ball"
         assert len(cfg.grid) == 12
+        assert cfg == RunConfig() == parse_config("")
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown"):
@@ -284,6 +300,19 @@ class TestConfig:
         # --out and --matches come only from the command line
         with pytest.raises(ConfigError, match=f"unknown config keys: \\['{key}'\\]"):
             parse_config(f"{key} = somewhere\n")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400", "2.7", "-1", "0", "x", ""])
+    @pytest.mark.parametrize("key", CONFIG_KEYS)
+    def test_any_value_loads_or_is_config_error(self, key, value):
+        # A value either loads or fails as a ConfigError naming its line and
+        # key; no other exception may escape the config boundary.
+        text = f"# leading comment\n{key} = {value}\n"
+        try:
+            cfg = parse_config(text)
+        except ConfigError as exc:
+            assert f"line 2: {key}" in str(exc)
+        else:
+            assert isinstance(cfg, RunConfig)
 
 
 @pytest.fixture(scope="module")
@@ -633,6 +662,22 @@ class TestCli:
         assert rc == 1
 
     @pytest.mark.parametrize(
+        "line",
+        [
+            pytest.param("model.n_trees = inf", id="infinite_n_trees"),
+            pytest.param("synth.frame_rate = 0", id="zero_frame_rate"),
+            pytest.param("motion.max_speed = nan", id="nan_max_speed"),
+        ],
+    )
+    def test_bad_config_value_exits_1(self, tmp_path, capsys, line):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n", encoding="utf-8")
+        rc = cli_dispatch(["synth", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert f"line 1: {line.split(' =')[0]}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
         "command, pitch_key",
         [
             pytest.param("features", "pitch.grid_cell = 0.0001", id="features_tiny_cell"),
@@ -748,27 +793,6 @@ class TestSyncWorkflow:
         assert rc == 0
         doc = (tmp_path / "anim" / "animation.svg").read_text()
         ET.fromstring(doc)
-
-
-class TestPassSampleAccessor:
-    def test_sample_view(self, workspace):
-        root, cfg = workspace
-        from pitchspace.features import PassSampleTable
-
-        table = PassSampleTable.from_csv(root / "feat" / "features.csv") \
-            if (root / "feat" / "features.csv").exists() else None
-        if table is None:
-            m = root / "match"
-            assert cli_dispatch(["features", "--config", str(cfg),
-                                 "--tracking", str(m / "tracking.jsonl"),
-                                 "--events", str(m / "events.jsonl"),
-                                 "--out", str(root / "feat")]) == 0
-            table = PassSampleTable.from_csv(root / "feat" / "features.csv")
-        s = table.sample(0)
-        assert s.event_id == table.event_ids[0]
-        assert len(s.values) == len(table.columns)
-        assert len(s.imputed) == len(table.columns)
-        assert s.label in (0, 1)
 
 
 class TestUsageErrors:
