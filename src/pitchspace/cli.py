@@ -28,6 +28,7 @@ from .dominance import compute_dominance_grid, offside_positions, space_scores
 from .features import (
     RANKING_VARIABLES,
     PassSampleTable,
+    Selection,
     build_dataset,
     extract_match_features,
     write_medians,
@@ -176,7 +177,7 @@ def cmd_segment(args, cfg: RunConfig, out: Path):
 
 def cmd_features(args, cfg: RunConfig, out: Path):
     matches, inputs = _load_matches(args, cfg)
-    n = args.n if args.n is not None else cfg.feature_n
+    n = cfg.feature_n
     ranking = args.ranking or cfg.ranking_variable
     table, medians = build_dataset(
         matches, n, ranking, cfg.pitch, cfg.motion, cfg.weight,
@@ -194,7 +195,7 @@ def cmd_features(args, cfg: RunConfig, out: Path):
 
 def cmd_train(args, cfg: RunConfig, out: Path):
     table = PassSampleTable.from_csv(args.features)
-    seed = args.seed if args.seed is not None else cfg.cv_seed
+    seed = cfg.cv_seed
     best_hp, results = gbdtmod.grid_search_cv(table, cfg.grid, k=cfg.cv_k, seed=seed)
     model = gbdtmod.train_gbdt(table, best_hp)
     gbdtmod.save_model(model, out / "model.json")
@@ -250,13 +251,13 @@ def cmd_explain(args, cfg: RunConfig, out: Path):
 
 def cmd_compare_rankings(args, cfg: RunConfig, out: Path | None):
     matches, inputs = _load_matches(args, cfg)
-    n = args.n if args.n is not None else cfg.feature_n
-    seed = args.seed if args.seed is not None else cfg.cv_seed
+    n, seed = cfg.feature_n, cfg.cv_seed
     modes = [True] if cfg.infinite_rank == "first" else [False]
     if cfg.infinite_rank == "both":
         modes = [True, False]
+    selection = Selection(n, tuple((var, first) for first in modes for var in RANKING_VARIABLES))
     event_features = extract_match_features(
-        matches, cfg.pitch, cfg.motion, cfg.weight, cfg.fast_space_vel_semantics
+        matches, cfg.pitch, cfg.motion, cfg.weight, cfg.fast_space_vel_semantics, selection
     )
     reports = {}
     for infinite_first in modes:
@@ -423,6 +424,22 @@ def build_parser() -> _Parser:
     return parser
 
 
+# command-line option -> the RunConfig field whose checks its value goes through
+_CLI_FIELDS = {"n": "feature_n", "seed": "cv_seed"}
+
+
+def _with_cli_values(cfg: RunConfig, args) -> RunConfig:
+    """cfg with the values of --n and --seed, checked as feature.n and cv.seed are."""
+    for option, name in _CLI_FIELDS.items():
+        value = getattr(args, option, None)
+        if value is not None:
+            try:
+                cfg = replace(cfg, **{name: value})
+            except ValueError as exc:
+                raise UsageError(f"--{option}: {exc}") from None
+    return cfg
+
+
 def cli_dispatch(argv: list[str]) -> int:
     """Run one CLI invocation; returns the process exit code."""
     parser = build_parser()
@@ -435,7 +452,7 @@ def cli_dispatch(argv: list[str]) -> int:
         )
         if args.needs_out and not args.out:
             raise UsageError(f"{args.command}: --out is required")
-        cfg = cfgmod.load_config(args.config)
+        cfg = _with_cli_values(cfgmod.load_config(args.config), args)
         out = Path(args.out) if args.out else None
         if out is not None:
             out.mkdir(parents=True, exist_ok=True)

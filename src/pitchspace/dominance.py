@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Container, Iterable
+from functools import lru_cache
+from typing import TYPE_CHECKING, Callable, Iterable
 
 import numpy as np
 
@@ -166,14 +167,14 @@ def _arrival_grid(
 
 
 def _partition(
-    players: list[PlayerState], pitch: PitchSpec, mp: MotionParams, keep: Container[int] = ()
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, dict[int, np.ndarray]]:
+    players: list[PlayerState], pitch: PitchSpec, mp: MotionParams
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Best and runner-up arrival per cell over the id-sorted players.
 
-    Returns (owner, best, second_idx, second), each of shape (ny, nx), and the
-    own arrival grid of each player index in `keep`. The runner-up is the best
-    player once the owner is left out (index 0 and time +inf if nobody else).
-    Only a strictly earlier time moves an index: ties keep the smaller id.
+    Returns (owner, best, second_idx, second), each of shape (ny, nx). The
+    runner-up is the best player once the owner is left out (index 0 and time
+    +inf if nobody else). Only a strictly earlier time moves an index: ties
+    keep the smaller id.
 
     Players are ranked by squared distance, keeping the three smallest, and
     only those become times (see _to_time). Where the three times are distinct,
@@ -186,24 +187,27 @@ def _partition(
     xs, ys = pitch.cell_centers()
     rt = mp.reaction_time
     qx, qy = np.array([(p.pos.x + p.vel.x * rt, p.pos.y + p.vel.y * rt) for p in players]).T
+    # Each player's squared column and row offsets; a grid is one broadcast add.
+    dx2 = xs - qx[:, np.newaxis]
+    dx2 *= dx2
+    dy2 = ys - qy[:, np.newaxis]
+    dy2 *= dy2
     shape = (len(ys), len(xs))
     best, second, third = (np.full(shape, np.inf) for _ in range(3))
     owner, second_idx = (np.zeros(shape, dtype=np.int32) for _ in range(2))
     beats_best, beats_second = (np.empty(shape, dtype=bool) for _ in range(2))
-    grids = {}
+    d2, scratch = (np.empty(shape) for _ in range(2))
     for j in range(len(players)):
-        d2 = _sq_dist(xs, ys[:, np.newaxis], qx[j], qy[j])
+        np.add(dx2[j], dy2[j, :, np.newaxis], out=d2)
         np.less(d2, best, out=beats_best)
         np.less(d2, second, out=beats_second)
-        np.minimum(third, np.maximum(second, d2), out=third)
-        np.minimum(second, np.maximum(best, d2), out=second)
+        np.minimum(third, np.maximum(second, d2, out=scratch), out=third)
+        np.minimum(second, np.maximum(best, d2, out=scratch), out=second)
         np.minimum(best, d2, out=best)
         # best <= second, so beats_best implies beats_second: the owner copy wins.
         np.copyto(second_idx, j, where=beats_second)
         np.copyto(second_idx, owner, where=beats_best)
         np.copyto(owner, j, where=beats_best)
-        if j in keep:
-            grids[j] = _to_time(d2, mp)
     for g in (best, second, third):
         _to_time(g, mp)
     iy, ix = np.nonzero((best == second) | (second == third))
@@ -216,7 +220,7 @@ def _partition(
         t[o, cells] = np.inf
         second_idx[iy, ix] = s = t.argmin(axis=0)
         second[iy, ix] = t[s, cells]
-    return owner, best, second_idx, second, grids
+    return owner, best, second_idx, second
 
 
 def compute_dominance_grid(
@@ -332,40 +336,98 @@ def offside_positions(frame: "TrackedFrame") -> frozenset[str]:
 # Batch probe deltas used by the off-ball and on-ball features.
 #
 # directional_space_deltas recomputes the full partition for each 1 m probe.
-# The batch path runs it once, keeping each cell's runner-up and each
-# candidate's own arrival grid: while one player moves, everyone else's best
-# time is fixed, so the mover owns a cell iff it arrives strictly first, or
-# ties a larger-index rest owner (the owner, or the runner-up where the mover
-# is the owner). So each cell gets one limit, lim = nextafter(rest_t, +inf) for
-# a larger-index rest owner and rest_t otherwise: no double lies between rest_t
-# and its successor, so a finite probe time is below lim iff it is <= rest_t,
-# or < rest_t. A +inf rest_t (nobody else eligible) lets every probe win.
+# The batch path runs it once, keeping each cell's runner-up: while one player
+# moves, everyone else's best time is fixed, so the mover owns a cell iff it
+# arrives strictly first, or ties a larger-index rest owner (the owner, or the
+# runner-up where the mover is the owner). So each cell gets one limit,
+# lim = nextafter(rest_t, +inf) for a larger-index rest owner and rest_t
+# otherwise: no double lies between rest_t and its successor, so a finite probe
+# time is below lim iff it is <= rest_t, or < rest_t. A +inf rest_t (nobody
+# else eligible) lets every probe win.
 #
 # A probe moves the predicted point by at most `shift` (over 1 m when the
 # clamp pulls an off-pitch player in), so by the triangle inequality its time
 # is at least own_time - shift / max_speed. Probes are evaluated only in the
-# box around the cells where own_time - (shift / max_speed + 1e-9) <= best
-# (1e-9 s absorbs rounding): best is the rest time outside the candidate's
-# region, and own_time == best inside it. Each probe's owned weights, zero
-# elsewhere, are summed by a sequential cumsum in row-major box order, the full
-# grid's raveled order without the unowned cells. The weights are non-negative,
-# so adding +0.0 changes no partial sum: the totals have bincount's bits.
+# box around the cells where own_time - slack <= best, slack = shift /
+# max_speed + 1e-9 (1e-9 s absorbs rounding): best is the rest time outside
+# the candidate's region, and own_time == best inside it.
+#
+# The box is found without a full-grid own_time. The grid is cut into _TILE x
+# _TILE cell tiles (ragged at the far edges), and a tile can hold such a cell
+# only if bound - slack <= its max of best, where bound is the arrival time at
+# the tile's rectangle of cell centres. The bound goes through the same
+# correctly rounded, monotone steps as own_time from offsets no larger than
+# any of the tile's, so it is <= own_time of every cell in the tile, bitwise.
+# The exact rule then runs on own_time over the box of the passing tiles
+# alone, which gives the full-grid box. Each probe's owned weights, zero
+# elsewhere, are summed by a sequential cumsum in row-major box order.
 # ---------------------------------------------------------------------------
+
+_TILE = 8  # cells per side of the tiles that bound each probe box
+
+
+def _tile_max(best: np.ndarray) -> np.ndarray:
+    """Per-tile max of `best`, shape (ceil(ny / _TILE), ceil(nx / _TILE))."""
+    ny, nx = best.shape
+    n = ny - ny % _TILE
+    rows = best[:n].reshape(-1, _TILE, nx).max(axis=1)
+    if n < ny:
+        rows = np.vstack([rows, best[n:].max(axis=0)])
+    return np.maximum.reduceat(rows, np.arange(0, nx, _TILE), axis=1)
+
+
+@lru_cache(maxsize=32)
+def _tile_spans(pitch: PitchSpec) -> tuple[np.ndarray, np.ndarray]:
+    """(lo, hi): the first and last cell centre of each tile, x tiles in row 0
+    and y tiles in row 1, the shorter row padded with zeros."""
+    spans = np.zeros((2, 2, math.ceil(max(pitch.nx, pitch.ny) / _TILE)))
+    for axis, centres in enumerate(pitch.cell_centers()):
+        first = np.arange(0, centres.size, _TILE)
+        spans[0, axis, : first.size] = centres[first]
+        spans[1, axis, : first.size] = centres[np.append(first[1:], centres.size) - 1]
+    spans.setflags(write=False)
+    return spans[0], spans[1]
+
+
+def _probe_box(
+    best: np.ndarray, tile_max: np.ndarray, pitch: PitchSpec, q: np.ndarray, slack: float,
+    mp: MotionParams,
+) -> tuple[slice, slice]:
+    """Rows and columns of the box around the cells where the arrival time
+    from the predicted point q = (x, y) minus `slack` is <= best (see above)."""
+    lo, hi = _tile_spans(pitch)
+    q = q[:, np.newaxis]
+    d = np.maximum(np.maximum(lo - q, q - hi), 0.0)  # offsets to each tile's span
+    d *= d
+    ty, tx = tile_max.shape
+    tiles = _to_time(d[1, :ty, np.newaxis] + d[0, :tx], mp) - slack <= tile_max
+    rows = tiles.any(axis=1).nonzero()[0]
+    if not rows.size:
+        return np.s_[:1, :1]  # nothing in reach: one cell that no probe can win
+    cols = tiles.any(axis=0).nonzero()[0]
+    y0, x0 = rows[0] * _TILE, cols[0] * _TILE
+    box = np.s_[y0 : (rows[-1] + 1) * _TILE, x0 : (cols[-1] + 1) * _TILE]
+    xs, ys = pitch.cell_centers()
+    reach = _arrival_grid(xs[box[1]], ys[box[0]], q[0], q[1], mp) - slack <= best[box]
+    rows = reach.any(axis=1).nonzero()[0]
+    if not rows.size:
+        return np.s_[:1, :1]
+    cols = reach.any(axis=0).nonzero()[0]
+    return np.s_[y0 + rows[0] : y0 + rows[-1] + 1, x0 + cols[0] : x0 + cols[-1] + 1]
 
 
 def _probe_deltas(
     field_: DominanceField,
     second_idx: np.ndarray,
     second: np.ndarray,
+    tile_max: np.ndarray,
     idx: int,
     player: PlayerState,
-    own_time: np.ndarray,
     mp: MotionParams,
     weight: np.ndarray,
     score: float,
 ) -> np.ndarray:
-    """Score change of player `idx`, whose own arrival grid is `own_time`, for
-    the 8 clamped 1 m probes (see above)."""
+    """Score change of player `idx` for the 8 clamped 1 m probes (see above)."""
     pitch = field_.pitch
     rt = mp.reaction_time
     pos = np.array([player.pos.x, player.pos.y])
@@ -373,12 +435,7 @@ def _probe_deltas(
     half = np.array([pitch.half_length, pitch.half_width])
     pred = np.clip(pos + DIRECTIONS_8, -half, half) + vel  # (8, 2) moved predicted points
     shift = np.hypot(*(pred - (pos + vel)).T).max()
-
-    reach = own_time - (shift / mp.max_speed + 1e-9) <= field_.time
-    rows = np.flatnonzero(reach.any(axis=1))
-    cols = np.flatnonzero(reach.any(axis=0))
-    # With nothing in reach, sum over one cell that no probe can win.
-    box = np.s_[rows[0] : rows[-1] + 1, cols[0] : cols[-1] + 1] if rows.size else np.s_[:1, :1]
+    box = _probe_box(field_.time, tile_max, pitch, pos + vel, shift / mp.max_speed + 1e-9, mp)
 
     owner = field_.owner[box]
     mine = owner == idx
@@ -399,11 +456,14 @@ def batch_scores_with_deltas(
     w: WeightParams,
     delta_ids: Iterable[str],
     excluded: Iterable[str] = (),
+    select: Callable[[SpaceScoreTable], Iterable[str]] | None = None,
 ) -> SpaceScoreTable:
     """Space scores for every player plus 8-direction deltas for `delta_ids`.
 
     Produces the same numbers as compute_dominance_grid -> space_scores ->
-    directional_space_deltas, with one partition per frame.
+    directional_space_deltas, with one partition per frame. If `select` is
+    given, it sees the scores before any probe, and only the players of
+    `delta_ids` that it returns get deltas; the others keep deltas None.
     """
     excluded = frozenset(excluded)
     delta_ids = set(delta_ids)
@@ -414,13 +474,18 @@ def batch_scores_with_deltas(
         raise ValueError(f"deltas requested for excluded players {sorted(delta_ids & excluded)!r}")
 
     players = _sorted_eligible(frame, excluded)
-    keep = {i for i, p in enumerate(players) if p.player_id in delta_ids}
-    owner, best, second_idx, second, grids = _partition(players, pitch, mp, keep)
+    owner, best, second_idx, second = _partition(players, pitch, mp)
     field_ = DominanceField(pitch, [p.player_id for p in players], owner, best)
     table = space_scores(field_, frame, w)
-    for i, own in grids.items():
-        p = players[i]
+    if select is not None:
+        delta_ids &= set(select(table))
+    tile_max = _tile_max(best)
+    for i, p in enumerate(players):
+        if p.player_id not in delta_ids:
+            continue
         entry = table.entries[p.player_id]
         weight = weight_grid(pitch, w, attacking_right=p.team != DEFENDING)
-        entry.deltas = _probe_deltas(field_, second_idx, second, i, p, own, mp, weight, entry.score)
+        entry.deltas = _probe_deltas(
+            field_, second_idx, second, tile_max, i, p, mp, weight, entry.score
+        )
     return table

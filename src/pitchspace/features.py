@@ -272,12 +272,16 @@ def offball_features(
     mp: MotionParams,
     w: WeightParams,
     fast_space_vel_semantics: str = "current",
+    selection: Selection | None = None,
 ) -> list[OffBallFeatures]:
-    """State variables for every eligible candidate receiver of a pass.
+    """State variables for the eligible candidate receivers of a pass, in id order.
 
     The frame must be oriented (attack toward +x, attacking/defending roles).
     Candidates are the attacking players minus the passer and minus offside
     positions; offside exclusion also applies to the dominance partition.
+    Without a selection every candidate is returned; with one, only those
+    that one of its top-n rankings keeps, and only they are probed (see
+    Selection).
     """
     if fast_space_vel_semantics not in FAST_SPACE_SEMANTICS:
         raise ValueError(f"unknown fast_space_vel semantics {fast_space_vel_semantics!r}")
@@ -296,21 +300,11 @@ def offball_features(
     )
     if not candidates:
         return []
-    table = batch_scores_with_deltas(
-        frame, pitch, mp, w, delta_ids=[c.player_id for c in candidates], excluded=excluded
-    )
     defenders = frame.team_players(DEFENDING)
     ball = frame.ball.pos
-
-    out: list[OffBallFeatures] = []
+    # (dist_ball, time_to_player, time_to_passline): the values that need no probe
+    plain: dict[str, tuple[float, float, float]] = {}
     for c in candidates:
-        entry = table.entries[c.player_id]
-        deltas = entry.deltas
-        k_star = int(np.argmax(np.abs(deltas)))  # first max -> smallest direction index on ties
-        variation = float(deltas[k_star])
-        score = entry.score
-        if fast_space_vel_semantics == "best_move":
-            score = score + float(np.max(deltas))
         if defenders:
             t_player = min(arrival_time(d, c.pos, mp) for d in defenders)
             t_passline = min(
@@ -319,16 +313,30 @@ def offball_features(
         else:
             t_player = math.inf
             t_passline = math.inf
-        out.append(
-            OffBallFeatures(
-                player_id=c.player_id,
-                fast_space_vel=score,
-                variation_space_vel=variation,
-                dist_ball=ball.dist(c.pos),
-                time_to_player=t_player,
-                time_to_passline=t_passline,
+        plain[c.player_id] = (ball.dist(c.pos), t_player, t_passline)
+
+    select = None
+    if selection is not None and not selection.needs_deltas(fast_space_vel_semantics):
+
+        def select(scores):
+            return selection.kept_ids(
+                [OffBallFeatures(pid, scores.score(pid), math.nan, *v) for pid, v in plain.items()]
             )
-        )
+
+    table = batch_scores_with_deltas(
+        frame, pitch, mp, w, delta_ids=list(plain), excluded=excluded, select=select
+    )
+    out: list[OffBallFeatures] = []
+    for pid, values in plain.items():
+        entry = table.entries[pid]
+        deltas = entry.deltas
+        if deltas is None:
+            continue  # no ranking of the selection keeps this candidate
+        k_star = int(np.argmax(np.abs(deltas)))  # first max -> smallest direction index on ties
+        score = entry.score
+        if fast_space_vel_semantics == "best_move":
+            score = score + float(np.max(deltas))
+        out.append(OffBallFeatures(pid, score, float(deltas[k_star]), *values))
     return out
 
 
@@ -426,9 +434,46 @@ def select_top_n(
     return [f.player_id for f in ordered[:n]]
 
 
+@dataclass(frozen=True)
+class Selection:
+    """The top-n selections that tables will make from extracted features:
+    `n` and the (ranking variable, infinite_times_first) pairs.
+
+    A candidate that none of them keeps never reaches a table, so extraction
+    under a selection probes and returns only the kept ones. The rankings
+    read dist_ball, the two times and the partition score, none of which
+    needs a probe, except fast_space_vel under best_move semantics.
+    """
+
+    n: int
+    rankings: tuple[tuple[str, bool], ...]
+
+    def __post_init__(self) -> None:
+        if self.n <= 0:
+            raise ValueError(f"n must be >= 1, got {self.n}")
+        for variable, _ in self.rankings:
+            if variable not in RANKING_VARIABLES:
+                raise ValueError(f"unknown ranking variable {variable!r}")
+
+    def needs_deltas(self, fast_space_vel_semantics: str) -> bool:
+        """Whether ranking needs every candidate's probe deltas."""
+        return fast_space_vel_semantics == "best_move" and any(
+            variable == "fast_space_vel" for variable, _ in self.rankings
+        )
+
+    def kept_ids(self, features: list[OffBallFeatures]) -> set[str]:
+        """Ids that at least one of the rankings puts in its top n."""
+        return {
+            pid
+            for variable, infinite_first in self.rankings
+            for pid in select_top_n(features, self.n, variable, infinite_first)
+        }
+
+
 @dataclass
 class EventFeatures:
-    """Candidate-receiver features for one pass event (selection-agnostic)."""
+    """Candidate-receiver features for one pass event, in id order: every
+    eligible candidate, or under a Selection only those it keeps."""
 
     event_id: str
     label: int
@@ -442,6 +487,7 @@ def extract_event_features(
     mp: MotionParams,
     w: WeightParams,
     fast_space_vel_semantics: str = "current",
+    selection: Selection | None = None,
 ) -> list[EventFeatures]:
     """Per-pass candidate features for one match, in event order."""
     frame_by_index = {f.frame_index: f for f in frames}
@@ -454,7 +500,7 @@ def extract_event_features(
                 "synchronize the match first"
             )
         oriented = orient_frame(frame, ev.team)
-        feats = offball_features(oriented, ev, pitch, mp, w, fast_space_vel_semantics)
+        feats = offball_features(oriented, ev, pitch, mp, w, fast_space_vel_semantics, selection)
         out.append(EventFeatures(ev.event_id, ev.label, feats))
     return out
 
@@ -502,12 +548,13 @@ def extract_match_features(
     mp: MotionParams,
     w: WeightParams,
     fast_space_vel_semantics: str = "current",
+    selection: Selection | None = None,
 ) -> list[EventFeatures]:
     """extract_event_features over each match, concatenated in match order."""
     all_features: list[EventFeatures] = []
     for frames, events in matches:
         all_features.extend(
-            extract_event_features(frames, events, pitch, mp, w, fast_space_vel_semantics)
+            extract_event_features(frames, events, pitch, mp, w, fast_space_vel_semantics, selection)
         )
     return all_features
 
@@ -528,7 +575,10 @@ def build_dataset(
     padding); the medians are computed over finite values only and are what
     inference-time imputation should reuse.
     """
-    all_features = extract_match_features(matches, pitch, mp, w, fast_space_vel_semantics)
+    selection = Selection(n, ((ranking_variable, infinite_times_first),))
+    all_features = extract_match_features(
+        matches, pitch, mp, w, fast_space_vel_semantics, selection
+    )
     table = assemble_table(all_features, n, ranking_variable, infinite_times_first)
     medians = table.finite_medians()
     return table, medians

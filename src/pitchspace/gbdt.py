@@ -28,6 +28,7 @@ from .features import (
     RANKING_VARIABLES,
     EventFeatures,
     PassSampleTable,
+    Selection,
     assemble_table,
     extract_match_features,
     impute_non_finite,
@@ -584,7 +585,10 @@ def compare_ranking_variables(
     infinite_times_first: bool = True,
 ) -> RankingReport:
     """CV accuracy per candidate ranking variable, with the argmax marked."""
-    event_features = extract_match_features(matches, pitch, mp, w, fast_space_vel_semantics)
+    selection = Selection(n, tuple((var, infinite_times_first) for var in RANKING_VARIABLES))
+    event_features = extract_match_features(
+        matches, pitch, mp, w, fast_space_vel_semantics, selection
+    )
     return rank_variables(event_features, n, grid, k, seed, infinite_times_first)
 
 
@@ -597,8 +601,9 @@ def rank_variables(
     infinite_times_first: bool = True,
 ) -> RankingReport:
     """compare_ranking_variables on extracted features: only the top-n
-    selection differs across the four variables, and extraction does not
-    depend on `infinite_times_first`."""
+    selection differs across the four variables. The features must come
+    from extraction with no selection, or with one that holds n and every
+    (variable, infinite_times_first) pair used here."""
     rows: list[RankingRow] = []
     for var in RANKING_VARIABLES:
         table = assemble_table(event_features, n, var, infinite_times_first)

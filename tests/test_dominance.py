@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from pitchspace import dominance
 from pitchspace.dominance import (
     ATTACKING,
     DEFENDING,
@@ -15,8 +16,10 @@ from pitchspace.dominance import (
     directional_space_deltas,
     offside_positions,
     space_scores,
+    _TILE,
     _arrival_grid,
     _partition,
+    _tile_max,
 )
 from pitchspace.pitch import PitchSpec, Point2, WeightParams, weight_grid
 
@@ -94,6 +97,46 @@ def oracle_deltas(frame, pid, pitch, mp, w, excluded):
         players = tuple(replace(p, pos=moved) if p.player_id == pid else p for p in frame.players)
         deltas[k] = score(replace(frame, players=players)) - base
     return deltas
+
+
+def oracle_probe_box(field, player, mp):
+    """The full-grid reach rule: the box around every cell where the player's
+    own arrival time minus (shift / max_speed + 1e-9) is <= best, shift being
+    the largest move of the 8 clamped probes; the top-left cell if none."""
+    pitch = field.pitch
+    xs, ys = pitch.cell_centers()
+    rt = mp.reaction_time
+    pos = np.array([player.pos.x, player.pos.y])
+    vel = np.array([player.vel.x, player.vel.y]) * rt
+    half = np.array([pitch.half_length, pitch.half_width])
+    pred = np.clip(pos + DIRECTIONS_8, -half, half) + vel
+    shift = np.hypot(*(pred - (pos + vel)).T).max()
+    own = _arrival_grid(xs, ys, *(pos + vel), mp)
+    reach = own - (shift / mp.max_speed + 1e-9) <= field.time
+    rows = np.flatnonzero(reach.any(axis=1))
+    cols = np.flatnonzero(reach.any(axis=0))
+    if not rows.size:
+        return np.s_[:1, :1]
+    return np.s_[rows[0] : rows[-1] + 1, cols[0] : cols[-1] + 1]
+
+
+def recorded_probe_boxes(monkeypatch):
+    """Patch dominance._probe_box to record every box that _probe_deltas uses."""
+    boxes = []
+    real = dominance._probe_box
+
+    def recording(*args):
+        boxes.append(real(*args))
+        return boxes[-1]
+
+    monkeypatch.setattr(dominance, "_probe_box", recording)
+    return boxes
+
+
+def assert_oracle_boxes(frame, pitch, excluded, candidates, boxes):
+    """Each candidate, in id order, was probed in the oracle's box."""
+    field = compute_dominance_grid(frame, pitch, MP, excluded)
+    assert boxes == [oracle_probe_box(field, frame.player(pid), MP) for pid in sorted(candidates)]
 
 
 class TestArrivalTime:
@@ -371,7 +414,7 @@ class TestDirectionalDeltas:
             ),
         ],
     )
-    def test_batch_path_matches_naive_exactly(self, rng, build, pitch):
+    def test_batch_path_matches_naive_exactly(self, rng, monkeypatch, build, pitch):
         frame = build(rng)
         excluded = offside_positions(frame)
         candidates = sorted(p.player_id for p in frame.players if p.player_id not in excluded)
@@ -385,7 +428,9 @@ class TestDirectionalDeltas:
         assert field.time.tobytes() == best.tobytes()
 
         expected = oracle_scores(frame, pitch, W, ids, owner)
+        boxes = recorded_probe_boxes(monkeypatch)
         table = batch_scores_with_deltas(frame, pitch, MP, W, candidates, excluded)
+        assert_oracle_boxes(frame, pitch, excluded, candidates, boxes)
         naive = space_scores(field, frame, W)
         for pid in candidates:
             assert table.entries[pid].score == naive.score(pid) == expected[pid]
@@ -455,18 +500,31 @@ class TestDirectionalDeltas:
         for got, w in zip(_partition(players, PITCH, MP), want):
             assert got.tobytes() == w.astype(got.dtype).tobytes()
 
-    def test_partition_keeps_requested_arrival_grids(self, rng):
-        frame = random_frame(rng, n_attackers=5, n_defenders=5)
-        players = sorted(frame.players, key=lambda p: p.player_id)
-        xs, ys = PITCH.cell_centers()
-        rt = MP.reaction_time
-        *_, grids = _partition(players, PITCH, MP, keep={0, 3, 9})
-        assert sorted(grids) == [0, 3, 9]
-        for i, grid in grids.items():
-            p = players[i]
-            want = _arrival_grid(xs, ys, p.pos.x + p.vel.x * rt, p.pos.y + p.vel.y * rt, MP)
-            assert grid.tobytes() == want.tobytes()
-        assert _partition(players, PITCH, MP)[-1] == {}
+    @pytest.mark.parametrize("grid_cell", [0.5, 0.75, 1.0])
+    def test_probe_box_matches_full_grid_rule(self, monkeypatch, grid_cell):
+        # 0.75 m gives ragged tiles on both axes (140 x 91 cells), 1.0 m on
+        # both (105 x 68), 0.5 m on x only (210 x 136).
+        pitch = PitchSpec(grid_cell=grid_cell)
+        rng = np.random.default_rng(2025)
+        boxes = recorded_probe_boxes(monkeypatch)
+        for _ in range(8):
+            frame = random_frame(rng, n_attackers=8, n_defenders=8, speed=6.0)
+            excluded = offside_positions(frame)
+            candidates = [p.player_id for p in frame.players if p.player_id not in excluded]
+            boxes.clear()
+            batch_scores_with_deltas(frame, pitch, MP, W, candidates, excluded)
+            assert_oracle_boxes(frame, pitch, excluded, candidates, boxes)
+
+    @pytest.mark.parametrize("shape", [(136, 210), (68, 105), (91, 140), (8, 8), (1, 3), (9, 17)])
+    def test_tile_max_is_per_tile_max(self, rng, shape):
+        best = rng.uniform(0.2, 9.0, shape)
+        want = np.array(
+            [
+                [best[r : r + _TILE, c : c + _TILE].max() for c in range(0, shape[1], _TILE)]
+                for r in range(0, shape[0], _TILE)
+            ]
+        )
+        assert _tile_max(best).tobytes() == want.tobytes()
 
     def test_boundary_clamping(self):
         # Player on the touchline: outward probes clamp to the boundary.

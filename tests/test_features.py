@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from pitchspace import dominance, features
 from pitchspace.dominance import (
     ATTACKING,
     DEFENDING,
@@ -11,7 +12,9 @@ from pitchspace.dominance import (
     directional_space_deltas,
 )
 from pitchspace.features import (
+    FAST_SPACE_SEMANTICS,
     FEATURE_VARIABLES,
+    RANKING_VARIABLES,
     OffBallFeatures,
     PassSampleTable,
     assemble_table,
@@ -26,6 +29,7 @@ from pitchspace.features import (
     select_top_n,
     write_medians,
     EventFeatures,
+    Selection,
 )
 from pitchspace.match_io import PassEvent, SchemaError
 from pitchspace.pitch import PitchSpec, Point2, WeightParams
@@ -481,6 +485,83 @@ class TestEndToEndDataset:
         db1 = table.raw[:, table.columns.index("dist_ball_1")]
         gen = np.array([gt["rule_features"][eid]["dist_ball"] for eid in table.event_ids])
         assert np.allclose(db1, gen, atol=1e-9)
+
+
+class TestSelectionAwareExtraction:
+    """Under a selection only the kept candidates are probed and returned;
+    the tables assembled from them are those of full extraction."""
+
+    @pytest.fixture(scope="class")
+    def match(self):
+        # empty defences give +inf times, so the infinite modes rank differently
+        frames, events, _ = synthesize_match(SynthConfig(passes=40, empty_defense_rate=0.3), seed=34)
+        return frames, events
+
+    @pytest.fixture(scope="class")
+    def full(self, match):
+        return {sem: extract_event_features(*match, PITCH, MP, W, sem) for sem in FAST_SPACE_SEMANTICS}
+
+    @staticmethod
+    def probe_counts(monkeypatch):
+        """Patch the probe kernel; returns (probes, kept candidates) per offball_features call."""
+        probes, per_pass = [], []
+        real_probe, real_offball = dominance._probe_deltas, features.offball_features
+
+        def probe(*args):
+            probes.append(1)
+            return real_probe(*args)
+
+        def offball(*args, **kwargs):
+            start = len(probes)
+            out = real_offball(*args, **kwargs)
+            per_pass.append((len(probes) - start, len(out)))
+            return out
+
+        monkeypatch.setattr(dominance, "_probe_deltas", probe)
+        monkeypatch.setattr(features, "offball_features", offball)
+        return per_pass
+
+    @pytest.mark.parametrize("semantics", FAST_SPACE_SEMANTICS)
+    @pytest.mark.parametrize("infinite_first", [True, False])
+    @pytest.mark.parametrize("variable", RANKING_VARIABLES)
+    def test_table_bytes_match_full_extraction(
+        self, tmp_path, match, full, variable, infinite_first, semantics
+    ):
+        table, medians = build_dataset([match], 3, variable, PITCH, MP, W, semantics, infinite_first)
+        want = assemble_table(full[semantics], 3, variable, infinite_first)
+        table.to_csv(tmp_path / "selected.csv")
+        want.to_csv(tmp_path / "full.csv")
+        assert (tmp_path / "selected.csv").read_bytes() == (tmp_path / "full.csv").read_bytes()
+        assert medians == want.finite_medians()
+        assert np.isinf(want.raw).any()
+
+    def test_selected_features_are_full_features_of_kept_ids(self, match, full):
+        selection = Selection(2, (("time_to_passline", True), ("dist_ball", False)))
+        got = extract_event_features(*match, PITCH, MP, W, selection=selection)
+        trimmed = 0
+        for ef, ef_full in zip(got, full["current"]):
+            kept = selection.kept_ids(ef_full.features)
+            assert ef.features == [f for f in ef_full.features if f.player_id in kept]
+            trimmed += len(ef_full.features) - len(ef.features)
+        assert trimmed > 0
+
+    def test_default_selection_probes_at_most_n_per_pass(self, monkeypatch, match, full):
+        per_pass = self.probe_counts(monkeypatch)
+        build_dataset([match], 3, "dist_ball", PITCH, MP, W)
+        assert len(per_pass) == len(full["current"])
+        assert all(probes == kept <= 3 for probes, kept in per_pass)
+        assert sum(kept for _, kept in per_pass) < sum(len(ef.features) for ef in full["current"])
+
+    def test_best_move_fast_space_vel_probes_every_candidate(self, monkeypatch, match, full):
+        per_pass = self.probe_counts(monkeypatch)
+        build_dataset([match], 3, "fast_space_vel", PITCH, MP, W, "best_move")
+        assert [probes for probes, _ in per_pass] == [len(ef.features) for ef in full["best_move"]]
+
+    def test_selection_is_checked_before_extraction(self):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            Selection(0, (("dist_ball", True),))
+        with pytest.raises(ValueError, match="unknown ranking variable"):
+            Selection(3, (("dist_goal", True),))
 
 
 class TestOrientation:

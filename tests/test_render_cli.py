@@ -740,6 +740,25 @@ class TestCli:
         assert sorted(report) == ["infinite-first", "infinite-last"]
 
 
+    def test_compare_rankings_report_bytes_match_full_extraction(
+        self, workspace, tmp_path, monkeypatch
+    ):
+        from pitchspace import cli
+
+        root, cfg = workspace
+        both = tmp_path / "both.cfg"
+        both.write_text(cfg.read_text() + "feature.infinite_rank = both\n", encoding="utf-8")
+        argv = ["compare-rankings", "--config", str(both), *_match_args(root / "match")]
+        assert cli_dispatch([*argv, "--out", str(tmp_path / "selected")]) == 0
+        extract = cli.extract_match_features
+        monkeypatch.setattr(
+            cli, "extract_match_features", lambda *args: extract(*args[:5], selection=None)
+        )
+        assert cli_dispatch([*argv, "--out", str(tmp_path / "full")]) == 0
+        report = "ranking_report.json"
+        assert (tmp_path / "selected" / report).read_bytes() == (tmp_path / "full" / report).read_bytes()
+
+
 class TestSyncWorkflow:
     def test_offset_clocks_sync_then_features(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -800,6 +819,24 @@ class TestUsageErrors:
         rc = cli_dispatch(["features", "--out", str(tmp_path / "o")])
         assert rc == 1
         assert "tracking" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, option",
+        [
+            pytest.param(["features", "--n", "0"], "--n", id="features_n"),
+            pytest.param(["compare-rankings", "--n", "0"], "--n", id="compare_rankings_n"),
+            pytest.param(["train", "--seed", "-1"], "--seed", id="train_seed"),
+        ],
+    )
+    def test_bad_cli_value_exits_1_before_reading_input(self, tmp_path, capsys, argv, option):
+        # None of the inputs exists, so reading any of them would exit 2.
+        missing = ["--tracking", str(tmp_path / "t.jsonl"), "--events", str(tmp_path / "e.jsonl")]
+        if argv[0] == "train":
+            missing = ["--features", str(tmp_path / "features.csv")]
+        rc = cli_dispatch([*argv, *missing, "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert f"usage error: {option}: " in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_missing_out_exit_1(self, tmp_path):
         rc = cli_dispatch(["synth"])
