@@ -28,9 +28,7 @@ from .dominance import compute_dominance_grid, offside_positions, space_scores
 from .features import (
     RANKING_VARIABLES,
     PassSampleTable,
-    Selection,
     build_dataset,
-    extract_match_features,
     write_medians,
     orient_frame,
 )
@@ -182,7 +180,6 @@ def cmd_features(args, cfg: RunConfig, out: Path):
     table, medians = build_dataset(
         matches, n, ranking, cfg.pitch, cfg.motion, cfg.weight,
         fast_space_vel_semantics=cfg.fast_space_vel_semantics,
-        infinite_times_first=cfg.infinite_times_first,
     )
     table.to_csv(out / "features.csv")
     write_medians(medians, out / "medians.json")
@@ -252,36 +249,24 @@ def cmd_explain(args, cfg: RunConfig, out: Path):
 def cmd_compare_rankings(args, cfg: RunConfig, out: Path | None):
     matches, inputs = _load_matches(args, cfg)
     n, seed = cfg.feature_n, cfg.cv_seed
-    modes = [True] if cfg.infinite_rank == "first" else [False]
-    if cfg.infinite_rank == "both":
-        modes = [True, False]
-    selection = Selection(n, tuple((var, first) for first in modes for var in RANKING_VARIABLES))
-    event_features = extract_match_features(
-        matches, cfg.pitch, cfg.motion, cfg.weight, cfg.fast_space_vel_semantics, selection
+    report = gbdtmod.compare_ranking_variables(
+        matches, n, cfg.grid, cfg.cv_k, seed, cfg.pitch, cfg.motion, cfg.weight,
+        cfg.fast_space_vel_semantics,
     )
-    reports = {}
-    for infinite_first in modes:
-        report = gbdtmod.rank_variables(event_features, n, cfg.grid, cfg.cv_k, seed, infinite_first)
-        label = "infinite-first" if infinite_first else "infinite-last"
-        reports[label] = report
-        print(f"[{label}]")
-        print(gbdtmod.format_ranking_table(report))
+    print(gbdtmod.format_ranking_table(report))
     if out is not None:
         write_json(
             out / "ranking_report.json",
             {
-                label: {
-                    "best_variable": r.best_variable,
-                    "rows": [
-                        {
-                            "variable": row.variable,
-                            "mean_accuracy": row.mean_accuracy,
-                            "reference_accuracy": row.reference_accuracy,
-                        }
-                        for row in r.rows
-                    ],
-                }
-                for label, r in reports.items()
+                "best_variable": report.best_variable,
+                "rows": [
+                    {
+                        "variable": row.variable,
+                        "mean_accuracy": row.mean_accuracy,
+                        "reference_accuracy": row.reference_accuracy,
+                    }
+                    for row in report.rows
+                ],
             },
             indent=1,
         )

@@ -1,10 +1,11 @@
 """Flat key-value run configuration.
 
 The config file is line-oriented `key = value` text with `#` comments. One
-table maps each key to the RunConfig field it sets and the parser of its
-value; keys left out keep the dataclass defaults, and unknown keys are
-rejected so typos surface immediately. List-valued model keys (comma
-separated) span the search grid.
+table, `_KEYS`, maps each key to the RunConfig field it sets and the parser
+of its value; keys left out keep the dataclass defaults, and unknown keys
+are rejected so typos surface immediately. List-valued model keys (comma
+separated) span the search grid. README's Configuration table names every
+key or `prefix.*` family of `_KEYS`, and a test holds the two together.
 """
 
 from __future__ import annotations
@@ -73,7 +74,6 @@ class RunConfig:
     feature_n: int = 3
     ranking_variable: str = "dist_ball"
     fast_space_vel_semantics: str = "current"
-    infinite_rank: str = "first"
     grid: list[GbdtHyperParams] = dc_field(default_factory=lambda: _build_grid({}))
     cv_k: int = 5
     cv_seed: int = 17
@@ -88,7 +88,6 @@ class RunConfig:
         for name, choices in (
             ("ranking_variable", RANKING_VARIABLES),
             ("fast_space_vel_semantics", FAST_SPACE_SEMANTICS),
-            ("infinite_rank", ("first", "last", "both")),
         ):
             if getattr(self, name) not in choices:
                 raise ValueError(f"{name} must be one of {choices}, got {getattr(self, name)!r}")
@@ -96,10 +95,6 @@ class RunConfig:
             raise ValueError(f"cv_k must be >= 2, got {self.cv_k}")
         if self.cv_seed < 0:
             raise ValueError(f"cv_seed must be >= 0, got {self.cv_seed}")
-
-    @property
-    def infinite_times_first(self) -> bool:
-        return self.infinite_rank != "last"
 
 
 _RULE_TERM = re.compile(r"([+-]?)\s*(\d*\.?\d+)(?:\s*\*\s*([A-Za-z_]\w*))?\s*")
@@ -139,7 +134,6 @@ _KEYS = {
     "feature.n": ("", "feature_n", int),
     "feature.ranking_variable": ("", "ranking_variable", str),
     "feature.fast_space_vel": ("", "fast_space_vel_semantics", str),
-    "feature.infinite_rank": ("", "infinite_rank", str),
     "cv.k": ("", "cv_k", int),
     "cv.seed": ("", "cv_seed", int),
     "metrics.threshold": ("", "threshold", _finite),
@@ -255,7 +249,6 @@ weight.beta = 0.5
 feature.n = 3
 feature.ranking_variable = dist_ball     # fast_space_vel | dist_ball | time_to_player | time_to_passline
 feature.fast_space_vel = current         # current | best_move
-feature.infinite_rank = first            # first | last | both
 
 # comma-separated values span the hyperparameter search grid
 model.max_depth = 3, 5

@@ -9,7 +9,6 @@ time_to_passline. Dataset columns are named <variable>_<rank> for ranks 1..n.
 from __future__ import annotations
 
 import csv
-import json
 import logging
 import math
 from dataclasses import dataclass, replace
@@ -198,11 +197,6 @@ def impute_non_finite(X: np.ndarray, columns: Sequence[str], medians: dict[str, 
 
 def write_medians(medians: dict[str, float], path: str | Path) -> None:
     write_json(path, medians, indent=2)
-
-
-def read_medians(path: str | Path) -> dict[str, float]:
-    with open(path, encoding="utf-8") as fh:
-        return {str(k): float(v) for k, v in json.load(fh).items()}
 
 
 # ---------------------------------------------------------------------------
@@ -408,14 +402,16 @@ def select_top_n(
     features: list[OffBallFeatures],
     n: int,
     ranking_variable: str,
-    infinite_times_first: bool = True,
 ) -> list[str]:
     """Player ids of the top-n candidates under the ranking variable.
 
-    dist_ball ranks ascending, the other variables descending. Infinite time
-    values rank first by default (largest under descending order); set
-    infinite_times_first=False to rank them after all finite values. Ties
-    break by player id. Returns fewer than n ids when fewer candidates exist.
+    dist_ball ranks ascending, the other variables descending, with infinite
+    time values first (largest under descending order). Ties break by player
+    id. Returns fewer than n ids when fewer candidates exist.
+
+    Where infinite values rank cannot change a pass's selection on extracted
+    features: the two times are minima over the frame's defenders, so within
+    a pass they are infinite for every candidate or for none.
     """
     if n <= 0:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -427,8 +423,8 @@ def select_top_n(
         if ranking_variable == "dist_ball":
             return (0, v, f.player_id)
         if math.isinf(v):
-            return (0 if infinite_times_first else 1, 0.0, f.player_id)
-        return (1 if infinite_times_first else 0, -v, f.player_id)
+            return (0, 0.0, f.player_id)
+        return (1, -v, f.player_id)
 
     ordered = sorted(features, key=key)
     return [f.player_id for f in ordered[:n]]
@@ -437,7 +433,7 @@ def select_top_n(
 @dataclass(frozen=True)
 class Selection:
     """The top-n selections that tables will make from extracted features:
-    `n` and the (ranking variable, infinite_times_first) pairs.
+    `n` and the ranking variables.
 
     A candidate that none of them keeps never reaches a table, so extraction
     under a selection probes and returns only the kept ones. The rankings
@@ -446,28 +442,22 @@ class Selection:
     """
 
     n: int
-    rankings: tuple[tuple[str, bool], ...]
+    rankings: tuple[str, ...]
 
     def __post_init__(self) -> None:
         if self.n <= 0:
             raise ValueError(f"n must be >= 1, got {self.n}")
-        for variable, _ in self.rankings:
+        for variable in self.rankings:
             if variable not in RANKING_VARIABLES:
                 raise ValueError(f"unknown ranking variable {variable!r}")
 
     def needs_deltas(self, fast_space_vel_semantics: str) -> bool:
         """Whether ranking needs every candidate's probe deltas."""
-        return fast_space_vel_semantics == "best_move" and any(
-            variable == "fast_space_vel" for variable, _ in self.rankings
-        )
+        return fast_space_vel_semantics == "best_move" and "fast_space_vel" in self.rankings
 
     def kept_ids(self, features: list[OffBallFeatures]) -> set[str]:
         """Ids that at least one of the rankings puts in its top n."""
-        return {
-            pid
-            for variable, infinite_first in self.rankings
-            for pid in select_top_n(features, self.n, variable, infinite_first)
-        }
+        return {pid for var in self.rankings for pid in select_top_n(features, self.n, var)}
 
 
 @dataclass
@@ -513,7 +503,6 @@ def assemble_table(
     event_features: list[EventFeatures],
     n: int,
     ranking_variable: str,
-    infinite_times_first: bool = True,
 ) -> PassSampleTable:
     """Rank candidates, lay out 5*n columns, leave padding as NaN in `raw`."""
     cols = column_names(n)
@@ -522,7 +511,7 @@ def assemble_table(
     labels = np.empty(len(event_features), dtype=np.int64)
     for i, ef in enumerate(event_features):
         labels[i] = ef.label
-        ids = select_top_n(ef.features, n, ranking_variable, infinite_times_first)
+        ids = select_top_n(ef.features, n, ranking_variable)
         by_id = {f.player_id: f for f in ef.features}
         padded: list[str | None] = list(ids) + [None] * (n - len(ids))
         selected.append(tuple(padded))
@@ -567,7 +556,6 @@ def build_dataset(
     mp: MotionParams,
     w: WeightParams,
     fast_space_vel_semantics: str = "current",
-    infinite_times_first: bool = True,
 ) -> tuple[PassSampleTable, dict[str, float]]:
     """One table row per pass event across matches, plus training medians.
 
@@ -575,10 +563,10 @@ def build_dataset(
     padding); the medians are computed over finite values only and are what
     inference-time imputation should reuse.
     """
-    selection = Selection(n, ((ranking_variable, infinite_times_first),))
+    selection = Selection(n, (ranking_variable,))
     all_features = extract_match_features(
         matches, pitch, mp, w, fast_space_vel_semantics, selection
     )
-    table = assemble_table(all_features, n, ranking_variable, infinite_times_first)
+    table = assemble_table(all_features, n, ranking_variable)
     medians = table.finite_medians()
     return table, medians

@@ -26,7 +26,6 @@ import numpy as np
 from .dominance import MotionParams
 from .features import (
     RANKING_VARIABLES,
-    EventFeatures,
     PassSampleTable,
     Selection,
     assemble_table,
@@ -582,31 +581,15 @@ def compare_ranking_variables(
     mp: MotionParams,
     w: WeightParams,
     fast_space_vel_semantics: str = "current",
-    infinite_times_first: bool = True,
 ) -> RankingReport:
     """CV accuracy per candidate ranking variable, with the argmax marked."""
-    selection = Selection(n, tuple((var, infinite_times_first) for var in RANKING_VARIABLES))
+    # one extraction serves all four tables: only the top-n selection differs
     event_features = extract_match_features(
-        matches, pitch, mp, w, fast_space_vel_semantics, selection
+        matches, pitch, mp, w, fast_space_vel_semantics, Selection(n, RANKING_VARIABLES)
     )
-    return rank_variables(event_features, n, grid, k, seed, infinite_times_first)
-
-
-def rank_variables(
-    event_features: list[EventFeatures],
-    n: int,
-    grid: list[GbdtHyperParams],
-    k: int,
-    seed: int,
-    infinite_times_first: bool = True,
-) -> RankingReport:
-    """compare_ranking_variables on extracted features: only the top-n
-    selection differs across the four variables. The features must come
-    from extraction with no selection, or with one that holds n and every
-    (variable, infinite_times_first) pair used here."""
     rows: list[RankingRow] = []
     for var in RANKING_VARIABLES:
-        table = assemble_table(event_features, n, var, infinite_times_first)
+        table = assemble_table(event_features, n, var)
         best_hp, results = grid_search_cv(table, grid, k, seed)
         best = max(results, key=lambda r: r.mean_accuracy)
         rows.append(RankingRow(var, best.mean_accuracy, best_hp, REFERENCE_RANKING_ACCURACY[var]))

@@ -8,8 +8,10 @@ tracking: {"frame": int, "time": s, "ball": {"x","y","vx","vy"},
 events:   {"event_id", "type", "frame", "team", "player", "x", "y"}
           Optional keys: "receiver", "outcome" ("success"/"failure", passes only).
 
-Coordinates are meters with the origin at the pitch center, +x toward the
-right goal before normalization. Unknown keys are preserved and ignored.
+Ids, team ids, "type" and "outcome" are JSON strings or integers (read as
+decimal text). Coordinates are meters with the origin at the pitch center,
++x toward the right goal before normalization. Unknown keys are preserved
+and ignored.
 """
 
 from __future__ import annotations
@@ -187,13 +189,27 @@ def _num(value, key: str, path, line: int) -> float:
     return float(value)
 
 
+def _text(record: dict, key: str, path, line: int, required: bool = True) -> str | None:
+    """A JSON string as is, or an integer in decimal; an optional key that is
+    absent or null is None."""
+    value = record.get(key)
+    if type(value) is str:
+        return value
+    if type(value) is int:
+        return str(value)
+    if value is None and not required:
+        return None
+    _req(record, key, path, line)  # an absent required key is reported as missing
+    raise SchemaError(f"key {key!r} must be a string or an integer, got {value!r}", path, line)
+
+
 def _parse_player(rec: dict, path, line: int, warnings: list[str]) -> PlayerState:
     if not isinstance(rec, dict):
         raise SchemaError(f"player record must be an object, got {rec!r}", path, line)
-    pid = str(_req(rec, "id", path, line))
+    pid = _text(rec, "id", path, line)
     if not _XML_CHARS.fullmatch(pid):
         raise SchemaError(f"player id {pid!r} has a character XML 1.0 forbids", path, line)
-    team = str(_req(rec, "team", path, line))
+    team = _text(rec, "team", path, line)
     x = _num(_req(rec, "x", path, line), "x", path, line)
     y = _num(_req(rec, "y", path, line), "y", path, line)
     if "vx" not in rec or "vy" not in rec:
@@ -270,12 +286,10 @@ def load_tracking(path: str | Path) -> list[TrackedFrame]:
         if not isinstance(period, int) or isinstance(period, bool):
             raise SchemaError(f"'period' must be an integer, got {period!r}", path, line_no)
         extra = {k: v for k, v in rec.items() if k not in _TRACKING_KEYS}
-        attacks_right = rec.get("attacks_right")
-        attacking_team = rec.get("attacking_team")
         meta = FrameMetadata(
             period=period,
-            attacking_team_id=str(attacking_team) if attacking_team is not None else None,
-            attacks_right_team=str(attacks_right) if attacks_right is not None else None,
+            attacking_team_id=_text(rec, "attacking_team", path, line_no, required=False),
+            attacks_right_team=_text(rec, "attacks_right", path, line_no, required=False),
             warnings=tuple(warnings),
             extra=extra,
         )
@@ -296,17 +310,17 @@ def load_events(path: str | Path) -> list[MatchEvent]:
     """Parse an event file; passes must carry a binary outcome."""
     events: list[MatchEvent] = []
     for line_no, rec in _iter_json_lines(path):
-        event_id = str(_req(rec, "event_id", path, line_no))
-        etype = str(_req(rec, "type", path, line_no))
+        event_id = _text(rec, "event_id", path, line_no)
+        etype = _text(rec, "type", path, line_no)
         frame = _req(rec, "frame", path, line_no)
         if not isinstance(frame, int) or isinstance(frame, bool):
             raise SchemaError(f"'frame' must be an integer, got {frame!r}", path, line_no)
-        team = str(_req(rec, "team", path, line_no))
-        player = str(_req(rec, "player", path, line_no))
+        team = _text(rec, "team", path, line_no)
+        player = _text(rec, "player", path, line_no)
         x = _num(_req(rec, "x", path, line_no), "x", path, line_no)
         y = _num(_req(rec, "y", path, line_no), "y", path, line_no)
-        receiver = rec.get("receiver")
-        outcome = rec.get("outcome")
+        receiver = _text(rec, "receiver", path, line_no, required=False)
+        outcome = _text(rec, "outcome", path, line_no, required=False)
         if etype == "pass":
             if outcome not in ("success", "failure"):
                 raise SchemaError(
@@ -323,8 +337,8 @@ def load_events(path: str | Path) -> list[MatchEvent]:
                 team=team,
                 player=player,
                 pos=Point2(x, y),
-                receiver=str(receiver) if receiver is not None else None,
-                outcome=str(outcome) if outcome is not None else None,
+                receiver=receiver,
+                outcome=outcome,
                 extra=extra,
             )
         )

@@ -90,10 +90,10 @@ class PitchSpec:
         """Center of the goal the attacking team plays toward (+x)."""
         return Point2(self.half_length, 0.0)
 
-    def contains(self, p: Point2, slack: float = 0.0) -> bool:
+    def contains(self, p: Point2) -> bool:
         return (
-            -self.half_length - slack <= p.x <= self.half_length + slack
-            and -self.half_width - slack <= p.y <= self.half_width + slack
+            -self.half_length <= p.x <= self.half_length
+            and -self.half_width <= p.y <= self.half_width
         )
 
     def clamp(self, p: Point2) -> Point2:
@@ -183,15 +183,14 @@ def goal_distance_angle(p: Point2, pitch: PitchSpec) -> tuple[float, float]:
 
 
 def normalize_attack_direction(
-    frame: "TrackedFrame", attacking_team_attacks_right: bool, pitch: PitchSpec | None = None
+    frame: "TrackedFrame", attacking_team_attacks_right: bool
 ) -> "TrackedFrame":
     """Return the frame with the attack aligned toward +x.
 
     If the attacking team already attacks right, the frame is returned
     unchanged. Otherwise every x position and x velocity component (players
     and ball) is negated; y is untouched and team labels are preserved.
-    Positions beyond the pitch bounds (+5 m slack) pass through but are
-    flagged once in the returned frame's metadata.
+    Positions beyond the pitch bounds are mirrored like any other.
     """
     if attacking_team_attacks_right:
         return frame
@@ -201,11 +200,4 @@ def normalize_attack_direction(
 
     players = tuple(replace(p, pos=_mirror(p.pos), vel=_mirror(p.vel)) for p in frame.players)
     ball = replace(frame.ball, pos=_mirror(frame.ball.pos), vel=_mirror(frame.ball.vel))
-    bounds = pitch if pitch is not None else PitchSpec()
-    metadata = frame.metadata
-    oob = sorted(p.player_id for p in frame.players if not bounds.contains(p.pos, slack=5.0))
-    if oob:
-        note = f"positions outside pitch bounds (+5 m slack): {', '.join(oob)}"
-        if note not in metadata.warnings:
-            metadata = replace(metadata, warnings=metadata.warnings + (note,))
-    return replace(frame, players=players, ball=ball, metadata=metadata)
+    return replace(frame, players=players, ball=ball)

@@ -25,9 +25,7 @@ from pitchspace.features import (
     onball_features,
     orient_frame,
     passline_interception_time,
-    read_medians,
     select_top_n,
-    write_medians,
     EventFeatures,
     Selection,
 )
@@ -302,11 +300,6 @@ class TestSelectTopN:
                  feat("c", time_to_player=5.0)]
         assert select_top_n(feats, 2, "time_to_player") == ["b", "c"]
 
-    def test_infinite_times_last_with_override(self):
-        feats = [feat("a", time_to_player=3.0), feat("b", time_to_player=math.inf),
-                 feat("c", time_to_player=5.0)]
-        assert select_top_n(feats, 2, "time_to_player", infinite_times_first=False) == ["c", "a"]
-
     def test_monotone_transform_invariance(self, rng):
         feats = [feat(f"p{i}", fast_space_vel=float(v))
                  for i, v in enumerate(rng.uniform(0, 100, 12))]
@@ -413,11 +406,6 @@ class TestAssembleAndDataset:
         with pytest.raises(SchemaError, match=located):
             PassSampleTable.from_csv(tmp_path / "f.csv")
 
-    def test_medians_sidecar_round_trip(self, tmp_path):
-        medians = {"a_1": 1.5, "b_1": -0.25}
-        write_medians(medians, tmp_path / "m.json")
-        assert read_medians(tmp_path / "m.json") == medians
-
 
 class TestEndToEndDataset:
     def test_build_dataset_on_synthetic_match(self):
@@ -493,7 +481,7 @@ class TestSelectionAwareExtraction:
 
     @pytest.fixture(scope="class")
     def match(self):
-        # empty defences give +inf times, so the infinite modes rank differently
+        # empty defences give +inf times, which the tables must carry through
         frames, events, _ = synthesize_match(SynthConfig(passes=40, empty_defense_rate=0.3), seed=34)
         return frames, events
 
@@ -522,13 +510,10 @@ class TestSelectionAwareExtraction:
         return per_pass
 
     @pytest.mark.parametrize("semantics", FAST_SPACE_SEMANTICS)
-    @pytest.mark.parametrize("infinite_first", [True, False])
     @pytest.mark.parametrize("variable", RANKING_VARIABLES)
-    def test_table_bytes_match_full_extraction(
-        self, tmp_path, match, full, variable, infinite_first, semantics
-    ):
-        table, medians = build_dataset([match], 3, variable, PITCH, MP, W, semantics, infinite_first)
-        want = assemble_table(full[semantics], 3, variable, infinite_first)
+    def test_table_bytes_match_full_extraction(self, tmp_path, match, full, variable, semantics):
+        table, medians = build_dataset([match], 3, variable, PITCH, MP, W, semantics)
+        want = assemble_table(full[semantics], 3, variable)
         table.to_csv(tmp_path / "selected.csv")
         want.to_csv(tmp_path / "full.csv")
         assert (tmp_path / "selected.csv").read_bytes() == (tmp_path / "full.csv").read_bytes()
@@ -536,7 +521,7 @@ class TestSelectionAwareExtraction:
         assert np.isinf(want.raw).any()
 
     def test_selected_features_are_full_features_of_kept_ids(self, match, full):
-        selection = Selection(2, (("time_to_passline", True), ("dist_ball", False)))
+        selection = Selection(2, ("time_to_passline", "dist_ball"))
         got = extract_event_features(*match, PITCH, MP, W, selection=selection)
         trimmed = 0
         for ef, ef_full in zip(got, full["current"]):
@@ -557,11 +542,29 @@ class TestSelectionAwareExtraction:
         build_dataset([match], 3, "fast_space_vel", PITCH, MP, W, "best_move")
         assert [probes for probes, _ in per_pass] == [len(ef.features) for ef in full["best_move"]]
 
+    @pytest.mark.parametrize("semantics", FAST_SPACE_SEMANTICS)
+    @pytest.mark.parametrize("defenders", [3, 10])
+    def test_ranking_values_are_all_finite_or_all_infinite_per_pass(self, defenders, semantics):
+        # select_top_n's placement of infinite values can then never change a
+        # selection: the times are minima over the frame's defenders, the other
+        # ranking variables are always finite.
+        cfg = SynthConfig(passes=40, defenders=defenders, empty_defense_rate=0.3,
+                          opponent_pass_rate=0.3)
+        frames, events, _ = synthesize_match(cfg, seed=defenders)
+        infinite = set()
+        for ef in extract_event_features(frames, events, PITCH, MP, W, semantics):
+            for var in RANKING_VARIABLES:
+                kinds = {math.isinf(getattr(f, var)) for f in ef.features}
+                assert len(kinds) == 1, (ef.event_id, var)
+                if kinds == {True}:
+                    infinite.add(var)
+        assert infinite == {"time_to_player", "time_to_passline"}
+
     def test_selection_is_checked_before_extraction(self):
         with pytest.raises(ValueError, match="n must be >= 1"):
-            Selection(0, (("dist_ball", True),))
+            Selection(0, ("dist_ball",))
         with pytest.raises(ValueError, match="unknown ranking variable"):
-            Selection(3, (("dist_goal", True),))
+            Selection(3, ("dist_goal",))
 
 
 class TestOrientation:

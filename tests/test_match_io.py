@@ -140,6 +140,85 @@ class TestLoadTracking:
         assert e1 == e2
 
 
+# JSON values that are neither a string nor an integer
+NOT_TEXT = [
+    pytest.param(True, id="bool"),
+    pytest.param(1.5, id="float"),
+    pytest.param(["A01"], id="list"),
+    pytest.param({"id": "A01"}, id="object"),
+]
+NULL = pytest.param(None, id="null")
+
+
+def event_record(**overrides):
+    # not a pass, so no outcome check runs before the key checks
+    rec = {"event_id": "E1", "type": "shot", "frame": 1, "team": "A", "player": "A00",
+           "x": 0.0, "y": 0.0}
+    rec.update(overrides)
+    return rec
+
+
+def write_events(path, records):
+    path.write_text("\n".join(json.dumps(r) for r in records) + "\n", encoding="utf-8")
+
+
+class TestTextKeys:
+    """Id-like keys take a JSON string or integer; anything else is a located
+    SchemaError, and null counts as absent only for an optional key."""
+
+    @pytest.mark.parametrize("value", [*NOT_TEXT, NULL])
+    @pytest.mark.parametrize("key", ["id", "team"])
+    def test_player_key(self, tmp_path, key, value):
+        rec = frame_record(0)
+        rec["players"][2][key] = value
+        write_tracking(tmp_path / "t.jsonl", [frame_record(-1), rec])
+        with pytest.raises(SchemaError, match=f":2: key '{key}' must be a string or an integer"):
+            load_tracking(tmp_path / "t.jsonl")
+
+    @pytest.mark.parametrize("value", NOT_TEXT)
+    @pytest.mark.parametrize("key", ["attacks_right", "attacking_team"])
+    def test_frame_key(self, tmp_path, key, value):
+        write_tracking(tmp_path / "t.jsonl", [frame_record(0, **{key: value})])
+        with pytest.raises(SchemaError, match=f":1: key '{key}' must be a string or an integer"):
+            load_tracking(tmp_path / "t.jsonl")
+
+    @pytest.mark.parametrize("value", [*NOT_TEXT, NULL])
+    @pytest.mark.parametrize("key", ["event_id", "type", "team", "player"])
+    def test_required_event_key(self, tmp_path, key, value):
+        records = [event_record(event_id="E0"), event_record(**{key: value})]
+        write_events(tmp_path / "e.jsonl", records)
+        with pytest.raises(SchemaError, match=f":2: key '{key}' must be a string or an integer"):
+            load_events(tmp_path / "e.jsonl")
+
+    @pytest.mark.parametrize("value", NOT_TEXT)
+    @pytest.mark.parametrize("key", ["receiver", "outcome"])
+    def test_optional_event_key(self, tmp_path, key, value):
+        write_events(tmp_path / "e.jsonl", [event_record(**{key: value})])
+        with pytest.raises(SchemaError, match=f":1: key '{key}' must be a string or an integer"):
+            load_events(tmp_path / "e.jsonl")
+
+    def test_missing_required_key_is_named_missing(self, tmp_path):
+        rec = event_record()
+        del rec["player"]
+        write_events(tmp_path / "e.jsonl", [rec])
+        with pytest.raises(SchemaError, match=":1: missing required key 'player'"):
+            load_events(tmp_path / "e.jsonl")
+
+    def test_integers_load_as_decimal_text_and_null_optionals_as_absent(self, tmp_path):
+        rec = frame_record(0, attacks_right=None, attacking_team=7)
+        rec["players"][0].update(id=10, team=7)
+        write_tracking(tmp_path / "t.jsonl", [rec])
+        frame = load_tracking(tmp_path / "t.jsonl")[0]
+        assert (frame.players[0].player_id, frame.players[0].team) == ("10", "7")
+        assert frame.metadata.attacks_right_team is None
+        assert frame.metadata.attacking_team_id == "7"
+        write_events(tmp_path / "e.jsonl", [event_record(event_id=3, type="shot", team=7,
+                                                         player=10, receiver=None, outcome=None)])
+        ev = load_events(tmp_path / "e.jsonl")[0]
+        assert (ev.event_id, ev.team, ev.player) == ("3", "7", "10")
+        assert ev.receiver is None and ev.outcome is None
+
+
 class TestLoadEvents:
     def test_pass_requires_outcome(self, tmp_path):
         p = tmp_path / "e.jsonl"

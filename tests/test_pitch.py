@@ -163,20 +163,16 @@ class TestNormalizeAttackDirection:
             [
                 player("A1", ATTACKING, 10.0, -3.0, vx=2.0, vy=1.0),
                 player("B1", DEFENDING, -7.5, 4.0, vx=-1.0, vy=0.5),
+                player("B2", DEFENDING, 60.0, 40.0),  # off the pitch
             ]
         )
         twice = normalize_attack_direction(normalize_attack_direction(frame, False), False)
         assert twice == frame
 
-    def test_out_of_bounds_positions_flagged_not_dropped(self):
-        frame = make_frame([player("A1", ATTACKING, 60.0, 0.0)])  # beyond +5 m slack
+    def test_out_of_bounds_positions_pass_through_mirrored(self):
+        frame = make_frame([player("A1", ATTACKING, 60.0, 0.0)])
         out = normalize_attack_direction(frame, False)
         assert out.players[0].pos.x == -60.0
-        assert any("outside pitch bounds" in w for w in out.metadata.warnings)
-        # The flag is idempotent, so the mirror stays an involution.
-        back = normalize_attack_direction(out, False)
-        assert back.players == frame.players
-        assert back.metadata.warnings == out.metadata.warnings
 
     def test_preserves_inter_player_distances(self, rng):
         players = [

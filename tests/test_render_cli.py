@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import pitchspace
-from pitchspace import explain, render_svg
+from pitchspace import config as cfgmod, explain, render_svg
 from pitchspace.cli import cli_dispatch
 from pitchspace.config import (
     ConfigError,
@@ -27,7 +28,7 @@ from pitchspace.dominance import (
     offside_positions,
     space_scores,
 )
-from pitchspace.features import PassSampleTable, orient_frame
+from pitchspace.features import RANKING_VARIABLES, PassSampleTable, orient_frame
 from pitchspace.gbdt import GbdtHyperParams, GbdtModel, Tree, load_model, save_model, train_gbdt
 from pitchspace.pitch import PitchSpec, WeightParams
 from pitchspace.render_svg import RenderOptions, render_animation_svg, render_frame_svg
@@ -300,6 +301,22 @@ class TestConfig:
         # --out and --matches come only from the command line
         with pytest.raises(ConfigError, match=f"unknown config keys: \\['{key}'\\]"):
             parse_config(f"{key} = somewhere\n")
+
+    def test_readme_config_table_matches_keys(self):
+        # the first column of each row of README's Configuration table names
+        # keys (`pitch.length`) or families (`synth.*`)
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("## Configuration", 1)[1].split("\n## ", 1)[0]
+        rows = [line for line in section.splitlines() if line.startswith("| `")]
+        names = [n for row in rows for n in re.findall(r"`([\w.*]+)`", row.split("|")[1])]
+        assert names
+        keys = set(cfgmod._KEYS)
+        for name in names:
+            if name.endswith(".*"):
+                assert any(k.startswith(name[:-1]) for k in keys), name
+            else:
+                assert name in keys, name
+        assert {k.split(".")[0] for k in keys} == {n.split(".")[0] for n in names}
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400", "2.7", "-1", "0", "x", ""])
     @pytest.mark.parametrize("key", CONFIG_KEYS)
@@ -661,6 +678,17 @@ class TestCli:
         rc = cli_dispatch(["synth", "--config", str(bad), "--out", str(tmp_path / "o")])
         assert rc == 1
 
+    def test_removed_infinite_rank_key_exits_1(self, workspace, tmp_path, capsys):
+        # infinite times always rank first, so no key places them
+        root, _ = workspace
+        cfg = tmp_path / "old.cfg"
+        cfg.write_text("feature.infinite_rank = first\n", encoding="utf-8")
+        rc = cli_dispatch(["compare-rankings", "--config", str(cfg),
+                           *_match_args(root / "match"), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert "unknown config keys: ['feature.infinite_rank']" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize(
         "line",
         [
@@ -709,17 +737,17 @@ class TestCli:
         assert rc == 0
         out = capsys.readouterr().out
         assert "dist_ball" in out and "<- selected" in out
+        assert "[infinite" not in out
         report = json.loads((tmp_path / "cmp" / "ranking_report.json").read_text())
-        assert "infinite-first" in report
+        assert sorted(report) == ["best_variable", "rows"]
+        assert [row["variable"] for row in report["rows"]] == list(RANKING_VARIABLES)
+        assert report["best_variable"] in RANKING_VARIABLES
 
-
-    def test_compare_rankings_extracts_once_for_both_modes(self, workspace, tmp_path, monkeypatch):
+    def test_compare_rankings_extracts_once(self, workspace, tmp_path, monkeypatch):
         from pitchspace import features, gbdt
 
         root, cfg = workspace
         m = root / "match"
-        both = tmp_path / "both.cfg"
-        both.write_text(cfg.read_text() + "feature.infinite_rank = both\n", encoding="utf-8")
         calls = []
         extract = features.extract_event_features
 
@@ -730,29 +758,24 @@ class TestCli:
         for mod in (features, gbdt):
             if hasattr(mod, "extract_event_features"):
                 monkeypatch.setattr(mod, "extract_event_features", counting)
-        rc = cli_dispatch(["compare-rankings", "--config", str(both),
+        rc = cli_dispatch(["compare-rankings", "--config", str(cfg),
                            "--tracking", str(m / "tracking.jsonl"),
                            "--events", str(m / "events.jsonl"),
                            "--n", "2", "--out", str(tmp_path / "cmp")])
         assert rc == 0
         assert len(calls) == 1
-        report = json.loads((tmp_path / "cmp" / "ranking_report.json").read_text())
-        assert sorted(report) == ["infinite-first", "infinite-last"]
-
 
     def test_compare_rankings_report_bytes_match_full_extraction(
         self, workspace, tmp_path, monkeypatch
     ):
-        from pitchspace import cli
+        from pitchspace import gbdt
 
         root, cfg = workspace
-        both = tmp_path / "both.cfg"
-        both.write_text(cfg.read_text() + "feature.infinite_rank = both\n", encoding="utf-8")
-        argv = ["compare-rankings", "--config", str(both), *_match_args(root / "match")]
+        argv = ["compare-rankings", "--config", str(cfg), *_match_args(root / "match")]
         assert cli_dispatch([*argv, "--out", str(tmp_path / "selected")]) == 0
-        extract = cli.extract_match_features
+        extract = gbdt.extract_match_features
         monkeypatch.setattr(
-            cli, "extract_match_features", lambda *args: extract(*args[:5], selection=None)
+            gbdt, "extract_match_features", lambda *args: extract(*args[:5], selection=None)
         )
         assert cli_dispatch([*argv, "--out", str(tmp_path / "full")]) == 0
         report = "ranking_report.json"
