@@ -29,7 +29,6 @@ from .features import (
     RANKING_VARIABLES,
     PassSampleTable,
     build_dataset,
-    write_medians,
     orient_frame,
 )
 from .match_io import (
@@ -177,17 +176,16 @@ def cmd_features(args, cfg: RunConfig, out: Path):
     matches, inputs = _load_matches(args, cfg)
     n = cfg.feature_n
     ranking = args.ranking or cfg.ranking_variable
-    table, medians = build_dataset(
+    table, _ = build_dataset(
         matches, n, ranking, cfg.pitch, cfg.motion, cfg.weight,
         fast_space_vel_semantics=cfg.fast_space_vel_semantics,
     )
     table.to_csv(out / "features.csv")
-    write_medians(medians, out / "medians.json")
     print(
         f"features: {len(table)} pass samples, {len(table.columns)} columns "
         f"(n={n}, ranked by {ranking})"
     )
-    return args.seed, inputs, ["features.csv", "medians.json"]
+    return args.seed, inputs, ["features.csv"]
 
 
 def cmd_train(args, cfg: RunConfig, out: Path):

@@ -5,12 +5,14 @@ player who reaches it first under a reaction-then-sprint motion model. A
 player's space score is the weighted area of their region, using the
 attacking-direction field weight for attackers and the left-right mirrored
 weight for defenders. Offside attackers are excluded from the partition.
+Frames are read as their player arrays (`ids`, `teams`, (P, 2) `xy` and
+`vxy`), never through the `players` view of PlayerState records.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, Iterable
 
@@ -42,7 +44,7 @@ DIRECTIONS_8: tuple[tuple[float, float], ...] = (
 
 @dataclass(frozen=True)
 class PlayerState:
-    """Kinematic state of one player at one instant."""
+    """Kinematic state of one player at one instant: a `TrackedFrame.players` record."""
 
     player_id: str
     team: str
@@ -119,21 +121,20 @@ class SpaceScoreTable:
         return iter(self.entries.values())
 
 
-def arrival_time(ps: PlayerState, target: Point2, mp: MotionParams) -> float:
-    """Time to reach the target: drift at current velocity for the reaction
-    time, then run straight at max speed."""
-    px = ps.pos.x + ps.vel.x * mp.reaction_time
-    py = ps.pos.y + ps.vel.y * mp.reaction_time
-    return mp.reaction_time + math.hypot(target.x - px, target.y - py) / mp.max_speed
+def arrival_time(pos, vel, target, mp: MotionParams) -> float:
+    """Time from `pos` at velocity `vel` to `target`, each an (x, y) pair: drift
+    at current velocity for the reaction time, then run straight at max speed."""
+    (x, y), (vx, vy), (tx, ty) = pos, vel, target
+    px = x + vx * mp.reaction_time
+    py = y + vy * mp.reaction_time
+    return mp.reaction_time + math.hypot(tx - px, ty - py) / mp.max_speed
 
 
-def _sorted_eligible(frame: "TrackedFrame", excluded: Iterable[str]) -> list[PlayerState]:
+def _sorted_eligible(frame: "TrackedFrame", excluded: Iterable[str]) -> list[int]:
+    """Rows of the players not in `excluded`, in ascending id order."""
     excluded = frozenset(excluded)
-    players = sorted(
-        (p for p in frame.players if p.player_id not in excluded),
-        key=lambda p: p.player_id,
-    )
-    return players
+    ids = frame.ids
+    return sorted((i for i, pid in enumerate(ids) if pid not in excluded), key=ids.__getitem__)
 
 
 def _sq_dist(xs: np.ndarray, ys: np.ndarray, qx, qy) -> np.ndarray:
@@ -167,9 +168,9 @@ def _arrival_grid(
 
 
 def _partition(
-    players: list[PlayerState], pitch: PitchSpec, mp: MotionParams
+    xy: np.ndarray, vxy: np.ndarray, pitch: PitchSpec, mp: MotionParams
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Best and runner-up arrival per cell over the id-sorted players.
+    """Best and runner-up arrival per cell over the id-sorted players (rows of xy, vxy).
 
     Returns (owner, best, second_idx, second), each of shape (ny, nx). The
     runner-up is the best player once the owner is left out (index 0 and time
@@ -182,11 +183,10 @@ def _partition(
     Elsewhere two times may be a rounding tie that a smaller id should win,
     so those cells are ranked again on their times.
     """
-    if not players:
+    if not len(xy):
         raise ValueError("dominance grid requires at least one eligible player")
     xs, ys = pitch.cell_centers()
-    rt = mp.reaction_time
-    qx, qy = np.array([(p.pos.x + p.vel.x * rt, p.pos.y + p.vel.y * rt) for p in players]).T
+    qx, qy = (xy + vxy * mp.reaction_time).T
     # Each player's squared column and row offsets; a grid is one broadcast add.
     dx2 = xs - qx[:, np.newaxis]
     dx2 *= dx2
@@ -197,7 +197,7 @@ def _partition(
     owner, second_idx = (np.zeros(shape, dtype=np.int32) for _ in range(2))
     beats_best, beats_second = (np.empty(shape, dtype=bool) for _ in range(2))
     d2, scratch = (np.empty(shape) for _ in range(2))
-    for j in range(len(players)):
+    for j in range(len(xy)):
         np.add(dx2[j], dy2[j, :, np.newaxis], out=d2)
         np.less(d2, best, out=beats_best)
         np.less(d2, second, out=beats_second)
@@ -233,9 +233,9 @@ def compute_dominance_grid(
 
     Ties are broken by the smaller player id (ids are totally ordered).
     """
-    players = _sorted_eligible(frame, excluded)
-    owner, best, *_ = _partition(players, pitch, mp)
-    return DominanceField(pitch, [p.player_id for p in players], owner, best)
+    rows = _sorted_eligible(frame, excluded)
+    owner, best, *_ = _partition(frame.xy[rows], frame.vxy[rows], pitch, mp)
+    return DominanceField(pitch, [frame.ids[i] for i in rows], owner, best)
 
 
 def space_scores(
@@ -246,7 +246,7 @@ def space_scores(
 
     Attackers use the attacking-direction weight, defenders the mirrored one.
     """
-    teams = {p.player_id: p.team for p in frame.players}
+    teams = dict(zip(frame.ids, frame.teams.tolist()))
     defending = np.array([teams[pid] == DEFENDING for pid in field_.player_ids])
     weight = np.where(
         defending[field_.owner],
@@ -258,13 +258,13 @@ def space_scores(
     )
     index = {pid: i for i, pid in enumerate(field_.player_ids)}
     entries: dict[str, PlayerSpaceScore] = {}
-    for p in sorted(frame.players, key=lambda q: q.player_id):
-        if p.player_id in index:
-            score = float(sums[index[p.player_id]] * field_.cell_area)
-            entries[p.player_id] = PlayerSpaceScore(p.player_id, p.team, score)
+    for pid in sorted(teams):
+        if pid in index:
+            score = float(sums[index[pid]] * field_.cell_area)
+            entries[pid] = PlayerSpaceScore(pid, teams[pid], score)
         else:
-            entries[p.player_id] = PlayerSpaceScore(
-                p.player_id, p.team, 0.0, deltas=np.zeros(8), excluded_offside=True
+            entries[pid] = PlayerSpaceScore(
+                pid, teams[pid], 0.0, deltas=np.zeros(8), excluded_offside=True
             )
     return SpaceScoreTable(entries)
 
@@ -286,8 +286,7 @@ def directional_space_deltas(
     if excluded is None:
         excluded = offside_positions(frame)
     excluded = frozenset(excluded)
-    target = frame.player(player_id)
-    if target is None:
+    if player_id not in frame.ids:
         raise ValueError(f"unknown player_id {player_id!r}")
     if player_id in excluded:
         raise ValueError(f"player {player_id!r} is excluded from the dominance computation")
@@ -295,13 +294,13 @@ def directional_space_deltas(
     base_field = compute_dominance_grid(frame, pitch, mp, excluded)
     base = space_scores(base_field, frame, w).score(player_id)
 
+    row = frame.ids.index(player_id)
+    half = np.array([pitch.half_length, pitch.half_width])
     deltas = np.empty(8)
-    for k, (dx, dy) in enumerate(DIRECTIONS_8):
-        moved = pitch.clamp(Point2(target.pos.x + dx, target.pos.y + dy))
-        players = tuple(
-            replace(p, pos=moved) if p.player_id == player_id else p for p in frame.players
-        )
-        probe = replace(frame, players=players)
+    for k, moved in enumerate(np.clip(frame.xy[row] + DIRECTIONS_8, -half, half)):
+        xy = frame.xy.copy()
+        xy[row] = moved
+        probe = frame.with_players(xy=xy)
         probe_field = compute_dominance_grid(probe, pitch, mp, excluded)
         deltas[k] = space_scores(probe_field, probe, w).score(player_id) - base
     return deltas
@@ -315,21 +314,10 @@ def offside_positions(frame: "TrackedFrame") -> frozenset[str]:
     (rearmost = largest x). With fewer than two defenders only the ball and
     halfway conditions apply. Defenders are never excluded.
     """
-    attackers = [p for p in frame.players if p.team == ATTACKING]
-    defenders = [p for p in frame.players if p.team == DEFENDING]
-    ball_x = frame.ball.pos.x
-    second_rearmost: float | None = None
-    if len(defenders) >= 2:
-        xs = sorted((d.pos.x for d in defenders), reverse=True)
-        second_rearmost = xs[1]
-    out = set()
-    for a in attackers:
-        if a.pos.x <= 0.0 or a.pos.x <= ball_x:
-            continue
-        if second_rearmost is not None and a.pos.x <= second_rearmost:
-            continue
-        out.add(a.player_id)
-    return frozenset(out)
+    rows = list(zip(frame.ids, frame.teams.tolist(), frame.xy[:, 0].tolist()))
+    defenders = sorted(x for _, team, x in rows if team == DEFENDING)
+    line = max(0.0, frame.ball.pos.x, defenders[-2] if len(defenders) >= 2 else -math.inf)
+    return frozenset(pid for pid, team, x in rows if team == ATTACKING and x > line)
 
 
 # ---------------------------------------------------------------------------
@@ -422,16 +410,15 @@ def _probe_deltas(
     second: np.ndarray,
     tile_max: np.ndarray,
     idx: int,
-    player: PlayerState,
+    pos: np.ndarray,
+    vel: np.ndarray,
     mp: MotionParams,
     weight: np.ndarray,
     score: float,
 ) -> np.ndarray:
-    """Score change of player `idx` for the 8 clamped 1 m probes (see above)."""
+    """Score change of player `idx` at `pos`, `vel` for the 8 clamped 1 m probes (see above)."""
     pitch = field_.pitch
-    rt = mp.reaction_time
-    pos = np.array([player.pos.x, player.pos.y])
-    vel = np.array([player.vel.x, player.vel.y]) * rt
+    vel = vel * mp.reaction_time
     half = np.array([pitch.half_length, pitch.half_width])
     pred = np.clip(pos + DIRECTIONS_8, -half, half) + vel  # (8, 2) moved predicted points
     shift = np.hypot(*(pred - (pos + vel)).T).max()
@@ -467,25 +454,26 @@ def batch_scores_with_deltas(
     """
     excluded = frozenset(excluded)
     delta_ids = set(delta_ids)
-    unknown = delta_ids - {p.player_id for p in frame.players}
+    unknown = delta_ids.difference(frame.ids)
     if unknown:
         raise ValueError(f"unknown player ids {sorted(unknown)!r}")
     if delta_ids & excluded:
         raise ValueError(f"deltas requested for excluded players {sorted(delta_ids & excluded)!r}")
 
-    players = _sorted_eligible(frame, excluded)
-    owner, best, second_idx, second = _partition(players, pitch, mp)
-    field_ = DominanceField(pitch, [p.player_id for p in players], owner, best)
+    rows = _sorted_eligible(frame, excluded)
+    xy, vxy = frame.xy[rows], frame.vxy[rows]
+    owner, best, second_idx, second = _partition(xy, vxy, pitch, mp)
+    field_ = DominanceField(pitch, [frame.ids[i] for i in rows], owner, best)
     table = space_scores(field_, frame, w)
     if select is not None:
         delta_ids &= set(select(table))
     tile_max = _tile_max(best)
-    for i, p in enumerate(players):
-        if p.player_id not in delta_ids:
+    for i, pid in enumerate(field_.player_ids):
+        if pid not in delta_ids:
             continue
-        entry = table.entries[p.player_id]
-        weight = weight_grid(pitch, w, attacking_right=p.team != DEFENDING)
+        entry = table.entries[pid]
+        weight = weight_grid(pitch, w, attacking_right=entry.team != DEFENDING)
         entry.deltas = _probe_deltas(
-            field_, second_idx, second, tile_max, i, p, mp, weight, entry.score
+            field_, second_idx, second, tile_max, i, xy[i], vxy[i], mp, weight, entry.score
         )
     return table

@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -25,8 +25,8 @@ from .dominance import (
     batch_scores_with_deltas,
     offside_positions,
 )
-from .match_io import MatchEvent, PassEvent, SchemaError, TrackedFrame, pass_events, write_json
-from .pitch import PitchSpec, Point2, WeightParams, goal_distance_angle, normalize_attack_direction
+from .match_io import MatchEvent, PassEvent, SchemaError, TrackedFrame, pass_events
+from .pitch import PitchSpec, WeightParams, goal_distance_angle, normalize_attack_direction
 
 logger = logging.getLogger(__name__)
 
@@ -94,7 +94,6 @@ class PassSampleTable:
     labels: np.ndarray
     columns: list[str]
     raw: np.ndarray
-    selected: list[tuple[str | None, ...]]
 
     def __len__(self) -> int:
         return len(self.event_ids)
@@ -126,7 +125,6 @@ class PassSampleTable:
             labels=self.labels[idx],
             columns=list(self.columns),
             raw=self.raw[idx],
-            selected=[self.selected[i] for i in idx],
         )
 
     def to_csv(self, path: str | Path) -> None:
@@ -185,7 +183,6 @@ class PassSampleTable:
             labels=np.array(labels, dtype=np.int64),
             columns=columns,
             raw=np.array(rows, dtype=np.float64) if rows else np.empty((0, n_cols)),
-            selected=[() for _ in event_ids],
         )
 
 
@@ -193,10 +190,6 @@ def impute_non_finite(X: np.ndarray, columns: Sequence[str], medians: dict[str, 
     """A copy of X in which every non-finite cell holds its column's median."""
     fill = np.array([medians[col] for col in columns], dtype=np.float64)
     return np.where(np.isfinite(X), X, fill)
-
-
-def write_medians(medians: dict[str, float], path: str | Path) -> None:
-    write_json(path, medians, indent=2)
 
 
 # ---------------------------------------------------------------------------
@@ -207,15 +200,15 @@ def write_medians(medians: dict[str, float], path: str | Path) -> None:
 def infer_attacks_right(frame: TrackedFrame, team_id: str) -> bool:
     """Heuristic orientation: a team sits in its own half on average, so the
     smaller mean-x team attacks right. Used only when no marker is present."""
-    own = [p.pos.x for p in frame.players if p.team == team_id]
-    other = [p.pos.x for p in frame.players if p.team != team_id]
-    if not own or not other:
+    x = frame.xy[:, 0]
+    own = frame.teams == team_id
+    if own.all() or not own.any():
         return True
-    return float(np.mean(own)) <= float(np.mean(other))
+    return float(np.mean(x[own])) <= float(np.mean(x[~own]))
 
 
 def orient_frame(frame: TrackedFrame, attacking_team_id: str) -> TrackedFrame:
-    """Relabel teams as attacking/defending and normalize the attack to +x."""
+    """Relabel teams as attacking/defending by a team mask and normalize the attack to +x."""
     if frame.metadata.attacks_right_team is not None:
         attacks_right = frame.metadata.attacks_right_team == attacking_team_id
     else:
@@ -226,12 +219,8 @@ def orient_frame(frame: TrackedFrame, attacking_team_id: str) -> TrackedFrame:
             attacks_right,
             attacking_team_id,
         )
-    players = tuple(
-        replace(p, team=ATTACKING if p.team == attacking_team_id else DEFENDING)
-        for p in frame.players
-    )
-    oriented = replace(frame, players=players)
-    return normalize_attack_direction(oriented, attacks_right)
+    roles = np.where(frame.teams == attacking_team_id, ATTACKING, DEFENDING).astype(object)
+    return normalize_attack_direction(frame.with_players(teams=roles), attacks_right)
 
 
 # ---------------------------------------------------------------------------
@@ -239,23 +228,22 @@ def orient_frame(frame: TrackedFrame, attacking_team_id: str) -> TrackedFrame:
 # ---------------------------------------------------------------------------
 
 
-def passline_interception_time(
-    defender_pos: Point2, defender_vel: Point2, a: Point2, b: Point2, mp: MotionParams
-) -> float:
-    """Minimal arrival time of a defender to any point of segment [a, b].
+def passline_interception_time(defender_pos, defender_vel, a, b, mp: MotionParams) -> float:
+    """Minimal arrival time of a defender to any point of segment [a, b] ((x, y) pairs).
 
     Arrival time is monotone in the distance from the defender's predicted
     point, so the minimizer is the orthogonal projection onto the segment.
     """
-    px = defender_pos.x + defender_vel.x * mp.reaction_time
-    py = defender_pos.y + defender_vel.y * mp.reaction_time
-    sx, sy = b.x - a.x, b.y - a.y
+    (x, y), (vx, vy), (ax, ay), (bx, by) = defender_pos, defender_vel, a, b
+    px = x + vx * mp.reaction_time
+    py = y + vy * mp.reaction_time
+    sx, sy = bx - ax, by - ay
     denom = sx * sx + sy * sy
     if denom == 0.0:
         t = 0.0
     else:
-        t = min(max(((px - a.x) * sx + (py - a.y) * sy) / denom, 0.0), 1.0)
-    cx, cy = a.x + t * sx, a.y + t * sy
+        t = min(max(((px - ax) * sx + (py - ay) * sy) / denom, 0.0), 1.0)
+    cx, cy = ax + t * sx, ay + t * sy
     return mp.reaction_time + math.hypot(px - cx, py - cy) / mp.max_speed
 
 
@@ -279,35 +267,33 @@ def offball_features(
     """
     if fast_space_vel_semantics not in FAST_SPACE_SEMANTICS:
         raise ValueError(f"unknown fast_space_vel semantics {fast_space_vel_semantics!r}")
-    if frame.player(pass_event.passer_id) is None:
-        raise ValueError(f"passer {pass_event.passer_id!r} missing from frame {frame.frame_index}")
+    ids, passer = frame.ids, pass_event.passer_id
+    if passer not in ids:
+        raise ValueError(f"passer {passer!r} missing from frame {frame.frame_index}")
     excluded = offside_positions(frame)
+    teams, xy, vxy = frame.teams.tolist(), frame.xy.tolist(), frame.vxy.tolist()
+    skip = excluded | {passer}
     candidates = sorted(
-        (
-            p
-            for p in frame.players
-            if p.team == ATTACKING
-            and p.player_id != pass_event.passer_id
-            and p.player_id not in excluded
-        ),
-        key=lambda p: p.player_id,
+        (i for i, pid in enumerate(ids) if teams[i] == ATTACKING and pid not in skip),
+        key=ids.__getitem__,
     )
     if not candidates:
         return []
-    defenders = frame.team_players(DEFENDING)
-    ball = frame.ball.pos
+    defenders = [i for i, team in enumerate(teams) if team == DEFENDING]
+    ball = bx, by = frame.ball.pos.x, frame.ball.pos.y
     # (dist_ball, time_to_player, time_to_passline): the values that need no probe
     plain: dict[str, tuple[float, float, float]] = {}
     for c in candidates:
+        cx, cy = xy[c]
         if defenders:
-            t_player = min(arrival_time(d, c.pos, mp) for d in defenders)
+            t_player = min(arrival_time(xy[d], vxy[d], xy[c], mp) for d in defenders)
             t_passline = min(
-                passline_interception_time(d.pos, d.vel, ball, c.pos, mp) for d in defenders
+                passline_interception_time(xy[d], vxy[d], ball, xy[c], mp) for d in defenders
             )
         else:
             t_player = math.inf
             t_passline = math.inf
-        plain[c.player_id] = (ball.dist(c.pos), t_player, t_passline)
+        plain[ids[c]] = (math.hypot(bx - cx, by - cy), t_player, t_passline)
 
     select = None
     if selection is not None and not selection.needs_deltas(fast_space_vel_semantics):
@@ -346,16 +332,18 @@ def onball_features(
     The frame must be oriented. The defending side's goal metrics are taken
     toward their own opponent goal (the -x goal), via mirroring.
     """
-    attackers = frame.team_players(ATTACKING)
-    defenders = frame.team_players(DEFENDING)
+    ids, teams = frame.ids, frame.teams.tolist()
+    xy, vxy = frame.xy.tolist(), frame.vxy.tolist()
+    attackers = [i for i, team in enumerate(teams) if team == ATTACKING]
+    defenders = [i for i, team in enumerate(teams) if team == DEFENDING]
     if holder_id is not None:
-        holder = frame.player(holder_id)
-        if holder is None:
+        if holder_id not in ids:
             raise ValueError(f"holder {holder_id!r} missing from frame {frame.frame_index}")
         if not defenders:
             raise ValueError("holder variant requires at least one defender")
-        dist_goal, angle_goal = goal_distance_angle(holder.pos, pitch)
-        nearest = min(arrival_time(d, holder.pos, mp) for d in defenders)
+        holder = xy[ids.index(holder_id)]
+        dist_goal, angle_goal = goal_distance_angle(holder, pitch)
+        nearest = min(arrival_time(xy[d], vxy[d], holder, mp) for d in defenders)
         table = batch_scores_with_deltas(
             frame, pitch, mp, w, delta_ids=[holder_id], excluded=offside_positions(frame)
         )
@@ -371,21 +359,21 @@ def onball_features(
         )
     if not attackers or not defenders:
         raise ValueError("open-ball variant requires players on both teams")
-    ball = frame.ball.pos
+    bx, by = frame.ball.pos.x, frame.ball.pos.y
 
-    def nearest_to_ball(players):
-        return min(players, key=lambda p: (ball.dist(p.pos), p.player_id))
+    def nearest_to_ball(rows):
+        return min(rows, key=lambda i: (math.hypot(bx - xy[i][0], by - xy[i][1]), ids[i]))
 
     a = nearest_to_ball(attackers)
     d = nearest_to_ball(defenders)
-    a_dist, a_angle = goal_distance_angle(a.pos, pitch)
-    d_dist, d_angle = goal_distance_angle(Point2(-d.pos.x, d.pos.y), pitch)
+    a_dist, a_angle = goal_distance_angle(xy[a], pitch)
+    d_dist, d_angle = goal_distance_angle((-xy[d][0], xy[d][1]), pitch)
     return OnBallFeatures(
         open_ball=NoHolderOnBall(
-            attacker_id=a.player_id,
+            attacker_id=ids[a],
             attacker_dist_goal=a_dist,
             attacker_angle_goal=a_angle,
-            defender_id=d.player_id,
+            defender_id=ids[d],
             defender_dist_goal=d_dist,
             defender_angle_goal=d_angle,
             ball_speed=frame.ball.vel.norm(),
@@ -507,17 +495,11 @@ def assemble_table(
     """Rank candidates, lay out 5*n columns, leave padding as NaN in `raw`."""
     cols = column_names(n)
     rows = np.full((len(event_features), len(cols)), np.nan)
-    selected: list[tuple[str | None, ...]] = []
     labels = np.empty(len(event_features), dtype=np.int64)
     for i, ef in enumerate(event_features):
         labels[i] = ef.label
-        ids = select_top_n(ef.features, n, ranking_variable)
         by_id = {f.player_id: f for f in ef.features}
-        padded: list[str | None] = list(ids) + [None] * (n - len(ids))
-        selected.append(tuple(padded))
-        for rank, pid in enumerate(padded):
-            if pid is None:
-                continue
+        for rank, pid in enumerate(select_top_n(ef.features, n, ranking_variable)):
             f = by_id[pid]
             base = rank * len(FEATURE_VARIABLES)
             for k, var in enumerate(FEATURE_VARIABLES):
@@ -527,7 +509,6 @@ def assemble_table(
         labels=labels,
         columns=cols,
         raw=rows,
-        selected=selected,
     )
 
 

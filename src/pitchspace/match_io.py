@@ -11,7 +11,7 @@ events:   {"event_id", "type", "frame", "team", "player", "x", "y"}
 Ids, team ids, "type" and "outcome" are JSON strings or integers (read as
 decimal text). Coordinates are meters with the origin at the pitch center,
 +x toward the right goal before normalization. Unknown keys are preserved
-and ignored.
+and ignored. A frame holds its players as one array table (see TrackedFrame).
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import json
 import logging
 import math
 import re
+import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -28,7 +29,7 @@ from typing import Iterable
 import numpy as np
 
 from .dominance import MAX_TRACKED_SPEED, PlayerState
-from .pitch import Point2
+from .pitch import Ball, Point2
 
 logger = logging.getLogger(__name__)
 
@@ -63,12 +64,6 @@ class SchemaError(ValueError):
 
 
 @dataclass(frozen=True)
-class Ball:
-    pos: Point2
-    vel: Point2
-
-
-@dataclass(frozen=True)
 class FrameMetadata:
     period: int = 1
     attacking_team_id: str | None = None  # team in possession, when known
@@ -77,24 +72,57 @@ class FrameMetadata:
     extra: dict = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, slots=True)
 class TrackedFrame:
-    """One synchronized snapshot: ball plus player kinematic states."""
+    """One synchronized snapshot: the ball, and the players as one array table.
+
+    Row i is player ids[i], in file order: teams[i] is its team id (its role
+    once oriented), xy[i] its position and vxy[i] its velocity; the arrays are
+    read-only. `extras` maps the id of each player whose record had unknown
+    keys to them. The library reads only this table; `players` is a view.
+    """
 
     frame_index: int
     time: float
     ball: Ball
-    players: tuple[PlayerState, ...]
+    ids: tuple[str, ...]
+    teams: np.ndarray  # (P,) object array of str
+    xy: np.ndarray  # (P, 2) float64
+    vxy: np.ndarray  # (P, 2) float64
     metadata: FrameMetadata = field(default_factory=FrameMetadata)
+    extras: dict[str, dict] = field(default_factory=dict)
 
-    def player(self, player_id: str) -> PlayerState | None:
-        for p in self.players:
-            if p.player_id == player_id:
-                return p
-        return None
+    def __post_init__(self) -> None:
+        n = len(self.ids)
+        if self.teams.shape != (n,) or self.xy.shape != (n, 2) or self.vxy.shape != (n, 2):
+            raise ValueError(f"frame {self.frame_index}: player columns disagree on {n} players")
+        for column in (self.teams, self.xy, self.vxy):
+            column.setflags(write=False)
 
-    def team_players(self, team: str) -> list[PlayerState]:
-        return [p for p in self.players if p.team == team]
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, TrackedFrame):
+            return NotImplemented
+        plain = ("frame_index", "time", "ball", "ids", "metadata", "extras")
+        return all(getattr(self, k) == getattr(other, k) for k in plain) and all(
+            np.array_equal(getattr(self, k), getattr(other, k)) for k in ("teams", "xy", "vxy")
+        )
+
+    def with_players(self, teams=None, xy=None, vxy=None, ball=None) -> "TrackedFrame":
+        """This frame with the given player columns, or ball, in place of its own."""
+        return TrackedFrame(
+            self.frame_index, self.time, self.ball if ball is None else ball, self.ids,
+            self.teams if teams is None else teams, self.xy if xy is None else xy,
+            self.vxy if vxy is None else vxy, self.metadata, self.extras,
+        )
+
+    @property
+    def players(self) -> tuple[PlayerState, ...]:
+        """The table as PlayerState records, built on each access."""
+        columns = zip(self.ids, self.teams.tolist(), self.xy.tolist(), self.vxy.tolist())
+        return tuple(
+            PlayerState(pid, team, Point2(x, y), Point2(vx, vy), self.extras.get(pid, {}))
+            for pid, team, (x, y), (vx, vy) in columns
+        )
 
 
 @dataclass(frozen=True)
@@ -184,9 +212,9 @@ def _req(record: dict, key: str, path, line: int):
 
 
 def _num(value, key: str, path, line: int) -> float:
-    if not isinstance(value, (int, float)) or isinstance(value, bool) or not math.isfinite(value):
-        raise SchemaError(f"key {key!r} must be a finite number, got {value!r}", path, line)
-    return float(value)
+    if type(value) in (int, float) and math.isfinite(value):  # a bool is neither type
+        return float(value)
+    raise SchemaError(f"key {key!r} must be a finite number, got {value!r}", path, line)
 
 
 def _text(record: dict, key: str, path, line: int, required: bool = True) -> str | None:
@@ -203,27 +231,37 @@ def _text(record: dict, key: str, path, line: int, required: bool = True) -> str
     raise SchemaError(f"key {key!r} must be a string or an integer, got {value!r}", path, line)
 
 
-def _parse_player(rec: dict, path, line: int, warnings: list[str]) -> PlayerState:
-    if not isinstance(rec, dict):
-        raise SchemaError(f"player record must be an object, got {rec!r}", path, line)
-    pid = _text(rec, "id", path, line)
-    if not _XML_CHARS.fullmatch(pid):
-        raise SchemaError(f"player id {pid!r} has a character XML 1.0 forbids", path, line)
-    team = _text(rec, "team", path, line)
-    x = _num(_req(rec, "x", path, line), "x", path, line)
-    y = _num(_req(rec, "y", path, line), "y", path, line)
-    if "vx" not in rec or "vy" not in rec:
-        warnings.append(f"player {pid}: velocity missing, assuming stationary")
-    vx = _num(rec.get("vx", 0.0), "vx", path, line)
-    vy = _num(rec.get("vy", 0.0), "vy", path, line)
-    speed = math.hypot(vx, vy)
-    if speed > MAX_TRACKED_SPEED:
-        # Tracking glitches produce superhuman speeds; keep direction, cap magnitude.
-        warnings.append(f"player {pid}: speed {speed:.1f} m/s capped to {MAX_TRACKED_SPEED}")
-        vx *= MAX_TRACKED_SPEED / speed
-        vy *= MAX_TRACKED_SPEED / speed
-    extra = {k: v for k, v in rec.items() if k not in _PLAYER_KEYS}
-    return PlayerState(pid, team, Point2(x, y), Point2(vx, vy), extra=extra)
+def _parse_players(recs: list, path, line: int, warnings: list[str]):
+    """The player table of one tracking record, in record order: ids, teams,
+    positions, velocities, and the unknown keys of each player that has any.
+    Ids and teams are interned, so the frames of a match share one copy of each."""
+    ids, teams, xy, vxy, extras = [], [], [], [], {}
+    for rec in recs:
+        if not isinstance(rec, dict):
+            raise SchemaError(f"player record must be an object, got {rec!r}", path, line)
+        pid = _text(rec, "id", path, line)
+        if not _XML_CHARS.fullmatch(pid):
+            raise SchemaError(f"player id {pid!r} has a character XML 1.0 forbids", path, line)
+        ids.append(sys.intern(pid))
+        teams.append(sys.intern(_text(rec, "team", path, line)))
+        x = _num(_req(rec, "x", path, line), "x", path, line)
+        y = _num(_req(rec, "y", path, line), "y", path, line)
+        if "vx" not in rec or "vy" not in rec:
+            warnings.append(f"player {pid}: velocity missing, assuming stationary")
+        vx = _num(rec.get("vx", 0.0), "vx", path, line)
+        vy = _num(rec.get("vy", 0.0), "vy", path, line)
+        speed = math.hypot(vx, vy)
+        if speed > MAX_TRACKED_SPEED:
+            # Tracking glitches produce superhuman speeds; keep direction, cap magnitude.
+            warnings.append(f"player {pid}: speed {speed:.1f} m/s capped to {MAX_TRACKED_SPEED}")
+            vx *= MAX_TRACKED_SPEED / speed
+            vy *= MAX_TRACKED_SPEED / speed
+        xy.append((x, y))
+        vxy.append((vx, vy))
+        if not rec.keys() <= _PLAYER_KEYS:
+            extras[pid] = {k: v for k, v in rec.items() if k not in _PLAYER_KEYS}
+    xy, vxy = (np.array(rows, dtype=np.float64).reshape(-1, 2) for rows in (xy, vxy))
+    return tuple(ids), np.array(teams, dtype=object), xy, vxy, extras
 
 
 def _iter_json_lines(path: str | Path):
@@ -274,14 +312,12 @@ def load_tracking(path: str | Path) -> list[TrackedFrame]:
             raise SchemaError("'players' must be a list", path, line_no)
         if len(player_recs) > 22:
             raise SchemaError(f"{len(player_recs)} players exceeds the 22-player bound", path, line_no)
-        players = tuple(_parse_player(p, path, line_no, warnings) for p in player_recs)
-        seen = set()
-        for p in players:
-            if p.player_id in seen:
-                raise SchemaError(f"duplicate player id {p.player_id!r}", path, line_no)
-            seen.add(p.player_id)
-        if len(players) < 22:
-            warnings.append(f"missing players: {len(players)}/22 present")
+        ids, teams, xy, vxy, extras = _parse_players(player_recs, path, line_no, warnings)
+        if len(set(ids)) < len(ids):
+            dup = next(pid for i, pid in enumerate(ids) if pid in ids[:i])
+            raise SchemaError(f"duplicate player id {dup!r}", path, line_no)
+        if len(ids) < 22:
+            warnings.append(f"missing players: {len(ids)}/22 present")
         period = rec.get("period", 1)
         if not isinstance(period, int) or isinstance(period, bool):
             raise SchemaError(f"'period' must be an integer, got {period!r}", path, line_no)
@@ -293,7 +329,7 @@ def load_tracking(path: str | Path) -> list[TrackedFrame]:
             warnings=tuple(warnings),
             extra=extra,
         )
-        frames.append(TrackedFrame(frame_index, time, ball, players, meta))
+        frames.append(TrackedFrame(frame_index, time, ball, ids, teams, xy, vxy, meta, extras))
     if not frames:
         raise SchemaError("tracking file contains no frames", path, 1)
     flagged = sum(1 for f in frames if f.metadata.warnings)
@@ -358,16 +394,11 @@ def _frame_record(f: TrackedFrame) -> dict:
         "time": f.time,
         "ball": {"x": f.ball.pos.x, "y": f.ball.pos.y, "vx": f.ball.vel.x, "vy": f.ball.vel.y},
         "players": [
-            {
-                "id": p.player_id,
-                "team": p.team,
-                "x": p.pos.x,
-                "y": p.pos.y,
-                "vx": p.vel.x,
-                "vy": p.vel.y,
-                **{k: p.extra[k] for k in sorted(p.extra)},
-            }
-            for p in f.players
+            {"id": pid, "team": team, "x": x, "y": y, "vx": vx, "vy": vy,
+             **{k: f.extras[pid][k] for k in sorted(f.extras.get(pid, ()))}}
+            for pid, team, (x, y), (vx, vy) in zip(
+                f.ids, f.teams.tolist(), f.xy.tolist(), f.vxy.tolist()
+            )
         ],
     }
     if f.metadata.period != 1:

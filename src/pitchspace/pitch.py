@@ -8,7 +8,7 @@ toward +x, so the opponent goal center sits at (length/2, 0).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
@@ -29,11 +29,17 @@ class Point2:
         if not (math.isfinite(self.x) and math.isfinite(self.y)):
             raise ValueError(f"non-finite coordinates ({self.x}, {self.y})")
 
+    def __iter__(self):  # unpacks as the pair (x, y)
+        return iter((self.x, self.y))
+
     def norm(self) -> float:
         return math.hypot(self.x, self.y)
 
-    def dist(self, other: "Point2") -> float:
-        return math.hypot(self.x - other.x, self.y - other.y)
+
+@dataclass(frozen=True)
+class Ball:
+    pos: Point2
+    vel: Point2
 
 
 # Largest area grid (nx * ny cells) a PitchSpec accepts. A dominance partition
@@ -94,13 +100,6 @@ class PitchSpec:
         return (
             -self.half_length <= p.x <= self.half_length
             and -self.half_width <= p.y <= self.half_width
-        )
-
-    def clamp(self, p: Point2) -> Point2:
-        """Clamp a point to the pitch rectangle (tracking noise routinely exceeds lines)."""
-        return Point2(
-            min(max(p.x, -self.half_length), self.half_length),
-            min(max(p.y, -self.half_width), self.half_width),
         )
 
     @lru_cache(maxsize=32)
@@ -167,15 +166,16 @@ def weight_grid(pitch: PitchSpec, w: WeightParams, attacking_right: bool = True)
     return grid
 
 
-def goal_distance_angle(p: Point2, pitch: PitchSpec) -> tuple[float, float]:
-    """Distance and absolute angle (radians, in [0, pi]) to the opponent goal center.
+def goal_distance_angle(p, pitch: PitchSpec) -> tuple[float, float]:
+    """Distance and absolute angle (radians, in [0, pi]) from (x, y) to the opponent goal center.
 
     Assumes attack normalized to +x. A point exactly at the goal center has
     distance 0 and angle 0.
     """
+    x, y = p
     goal = pitch.goal_center
-    dx = goal.x - p.x
-    dy = goal.y - p.y
+    dx = goal.x - x
+    dy = goal.y - y
     dist = math.hypot(dx, dy)
     if dist == 0.0:
         return 0.0, 0.0
@@ -188,16 +188,15 @@ def normalize_attack_direction(
     """Return the frame with the attack aligned toward +x.
 
     If the attacking team already attacks right, the frame is returned
-    unchanged. Otherwise every x position and x velocity component (players
-    and ball) is negated; y is untouched and team labels are preserved.
+    unchanged. Otherwise the x columns of `xy` and `vxy` and the ball's x
+    components are negated; y is untouched and team labels are preserved.
     Positions beyond the pitch bounds are mirrored like any other.
     """
     if attacking_team_attacks_right:
         return frame
-
-    def _mirror(v: Point2) -> Point2:
-        return Point2(-v.x, v.y)
-
-    players = tuple(replace(p, pos=_mirror(p.pos), vel=_mirror(p.vel)) for p in frame.players)
-    ball = replace(frame.ball, pos=_mirror(frame.ball.pos), vel=_mirror(frame.ball.vel))
-    return replace(frame, players=players, ball=ball)
+    pos, vel = frame.ball.pos, frame.ball.vel
+    return frame.with_players(
+        xy=frame.xy * (-1.0, 1.0),
+        vxy=frame.vxy * (-1.0, 1.0),
+        ball=Ball(Point2(-pos.x, pos.y), Point2(-vel.x, vel.y)),
+    )

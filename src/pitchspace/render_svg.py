@@ -89,7 +89,7 @@ def render_frame_svg(
     opts: RenderOptions,
 ) -> str:
     """Render one oriented frame (teams labeled attacking/defending) to SVG text."""
-    teams = {p.player_id: p.team for p in frame.players}
+    teams = dict(zip(frame.ids, frame.teams.tolist()))
     bad = [t for t in teams.values() if t not in (ATTACKING, DEFENDING)]
     if bad:
         raise ValueError(f"frame must be role-labeled (attacking/defending), got {bad[0]!r}")
@@ -158,27 +158,27 @@ def render_frame_svg(
         'fill="none" stroke="#e8e8e8" stroke-width="1.5"/>'
     )
 
-    for p in sorted(frame.players, key=lambda q: q.player_id):
-        entry = scores.entries.get(p.player_id)
-        base = DEFEND_RGB if p.team == DEFENDING else ATTACK_RGB
+    for pid, (x, y) in sorted(zip(frame.ids, frame.xy.tolist())):  # ids are unique
+        entry = scores.entries.get(pid)
+        base = DEFEND_RGB if teams[pid] == DEFENDING else ATTACK_RGB
         stroke = f"#{base[0]:02x}{base[1]:02x}{base[2]:02x}"
-        pid = escape(p.player_id, {'"': "&quot;"})
-        out.append(f'<g class="glyph player" id="p-{pid}">')
+        glyph_id = escape(pid, {'"': "&quot;"})
+        out.append(f'<g class="glyph player" id="p-{glyph_id}">')
         if entry is not None and entry.excluded_offside:
             # Offside players are excluded from the calculation: hollow, no score.
             out.append(
-                f'<circle cx="{fx(p.pos.x)}" cy="{fy(p.pos.y)}" r="{1.2 * SCALE:.2f}" '
+                f'<circle cx="{fx(x)}" cy="{fy(y)}" r="{1.2 * SCALE:.2f}" '
                 f'fill="none" stroke="{stroke}" stroke-width="2.0" stroke-dasharray="3 2"/>'
             )
         else:
-            fill = colors.get(p.player_id, stroke)
+            fill = colors.get(pid, stroke)
             out.append(
-                f'<circle cx="{fx(p.pos.x)}" cy="{fy(p.pos.y)}" r="{1.2 * SCALE:.2f}" '
+                f'<circle cx="{fx(x)}" cy="{fy(y)}" r="{1.2 * SCALE:.2f}" '
                 f'fill="{fill}" stroke="{stroke}" stroke-width="1.5"/>'
             )
             if opts.show_scores and entry is not None:
                 out.append(
-                    f'<text x="{fx(p.pos.x)}" y="{fy(p.pos.y - 2.4)}" class="score" '
+                    f'<text x="{fx(x)}" y="{fy(y - 2.4)}" class="score" '
                     'font-family="monospace" font-size="10" fill="#ffffff" '
                     f'text-anchor="middle">{entry.score:.1f}</text>'
                 )

@@ -16,7 +16,6 @@ import numpy as np
 
 from .dominance import MotionParams
 from .match_io import Ball, FrameMetadata, MatchEvent, TrackedFrame
-from .dominance import PlayerState
 from .pitch import PitchSpec, Point2
 
 RULE_FEATURES = ("dist_ball", "time_to_player", "time_to_passline")
@@ -120,14 +119,13 @@ def synthesize_match(
     # --- kickoff trace: everyone parked, ball kicked at the impulse frame ---
     impulse = config.kickoff_frames // 2
     kick_vel = Point2(BALL_KICK_SPEED * 0.8, BALL_KICK_SPEED * 0.3)
-    formation_a = [
-        PlayerState(pid, "A", Point2(-10.0 - 5.0 * (i // 4), -15.0 + 10.0 * (i % 4)))
-        for i, pid in enumerate(a_ids)
-    ]
-    formation_b = [
-        PlayerState(pid, "B", Point2(10.0 + 5.0 * (i // 4), -15.0 + 10.0 * (i % 4)))
-        for i, pid in enumerate(b_ids)
-    ]
+    roster = tuple(a_ids + b_ids)
+    roster_teams = np.array(["A"] * roster_a + ["B"] * roster_b, dtype=object)
+    formation = np.array(
+        [(-10.0 - 5.0 * (i // 4), -15.0 + 10.0 * (i % 4)) for i in range(roster_a)]
+        + [(10.0 + 5.0 * (i // 4), -15.0 + 10.0 * (i % 4)) for i in range(roster_b)]
+    )
+    parked = np.zeros_like(formation)
     for fi in range(config.kickoff_frames):
         if fi <= impulse:
             ball = Ball(Point2(0.0, 0.0), Point2(0.0, 0.0))
@@ -141,7 +139,10 @@ def synthesize_match(
                 frame_index=fi,
                 time=fi * dt,
                 ball=ball,
-                players=tuple(formation_a + formation_b),
+                ids=roster,
+                teams=roster_teams,
+                xy=formation,
+                vxy=parked,
                 metadata=FrameMetadata(attacking_team_id="A", attacks_right_team="A"),
             )
         )
@@ -219,37 +220,32 @@ def synthesize_match(
         p_true = _sigmoid(z)
         success = bool(rng.random() < p_true)
 
-        # Emit in true pitch coordinates: mirror x when team B attacks.
-        sign = -1.0 if by_b else 1.0
+        # Emit in true pitch coordinates: mirror x when team B attacks. The
+        # players' rows and then the ball's take the jitter rows in turn.
+        flip = np.array([-1.0 if by_b else 1.0, 1.0])
         jitter = rng.normal(0.0, config.noise, (len(att_ids) + len(def_ids) + 1, 2)) if config.noise > 0 else None
-
-        def emit(row: np.ndarray, vel: np.ndarray, k: int) -> tuple[Point2, Point2]:
-            x, y = sign * row[0], row[1]
-            if jitter is not None:
-                x, y = x + jitter[k, 0], y + jitter[k, 1]
-            return Point2(float(x), float(y)), Point2(float(sign * vel[0]), float(vel[1]))
-
-        players = []
-        k = 0
-        for j, pid in enumerate(att_ids):
-            pos, vel = emit(att[j], att_vel[j], k)
-            players.append(PlayerState(pid, "B" if by_b else "A", pos, vel))
-            k += 1
-        for j, pid in enumerate(def_ids):
-            pos, vel = emit(dfn[j], def_vel[j], k)
-            players.append(PlayerState(pid, "A" if by_b else "B", pos, vel))
-            k += 1
+        xy = np.vstack([att, dfn]) * flip
+        ball_at = ball_xy * flip
+        if jitter is not None:
+            xy += jitter[:-1]
+            ball_at += jitter[-1]
         ball_dir = att[receiver] - ball_xy
         ball_dir = ball_dir / max(float(np.hypot(*ball_dir)), 1e-9)
-        ball_pos, ball_vel = emit(ball_xy, PASS_BALL_SPEED * ball_dir, k)
+        ball_pos = Point2(*ball_at.tolist())
+        ball_vel = Point2(*(PASS_BALL_SPEED * ball_dir * flip).tolist())
+        attacking, defending = ("B", "A") if by_b else ("A", "B")
+        teams = np.array([attacking] * len(att_ids) + [defending] * len(def_ids), dtype=object)
         frames.append(
             TrackedFrame(
                 frame_index=frame_index,
                 time=frame_index * dt,
                 ball=Ball(ball_pos, ball_vel),
-                players=tuple(players),
+                ids=tuple(att_ids + def_ids),
+                teams=teams,
+                xy=xy,
+                vxy=np.vstack([att_vel, def_vel]) * flip,
                 metadata=FrameMetadata(
-                    attacking_team_id="B" if by_b else "A", attacks_right_team="A"
+                    attacking_team_id=attacking, attacks_right_team="A"
                 ),
             )
         )
@@ -259,7 +255,7 @@ def synthesize_match(
                 event_id=event_id,
                 type="pass",
                 frame=frame_index + config.frame_offset,
-                team="B" if by_b else "A",
+                team=attacking,
                 player=att_ids[passer],
                 pos=ball_pos,
                 receiver=att_ids[receiver],

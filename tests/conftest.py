@@ -6,14 +6,34 @@ from pitchspace.match_io import Ball, FrameMetadata, TrackedFrame
 from pitchspace.pitch import Point2
 
 
-def make_frame(players, ball_pos=(0.0, 0.0), ball_vel=(0.0, 0.0), frame_index=0, time=0.0):
+def frame_of(players, ball, frame_index=0, time=0.0, metadata=None):
+    """An array frame whose rows are the given PlayerState records, in order."""
+    players = list(players)
     return TrackedFrame(
         frame_index=frame_index,
         time=time,
-        ball=Ball(Point2(*ball_pos), Point2(*ball_vel)),
-        players=tuple(players),
-        metadata=FrameMetadata(),
+        ball=ball,
+        ids=tuple(p.player_id for p in players),
+        teams=np.array([p.team for p in players], dtype=object),
+        xy=np.array([(p.pos.x, p.pos.y) for p in players], dtype=np.float64).reshape(-1, 2),
+        vxy=np.array([(p.vel.x, p.vel.y) for p in players], dtype=np.float64).reshape(-1, 2),
+        metadata=FrameMetadata() if metadata is None else metadata,
+        extras={p.player_id: p.extra for p in players if p.extra},
     )
+
+
+def make_frame(players, ball_pos=(0.0, 0.0), ball_vel=(0.0, 0.0), frame_index=0, time=0.0):
+    return frame_of(players, Ball(Point2(*ball_pos), Point2(*ball_vel)), frame_index, time)
+
+
+def with_players(frame, players):
+    """The frame with its player table rebuilt from PlayerState records."""
+    return frame_of(players, frame.ball, frame.frame_index, frame.time, frame.metadata)
+
+
+def find_player(frame, player_id):
+    """The frame's PlayerState for the id, or None."""
+    return next((p for p in frame.players if p.player_id == player_id), None)
 
 
 def player(pid, team, x, y, vx=0.0, vy=0.0):

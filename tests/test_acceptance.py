@@ -200,7 +200,7 @@ def test_criterion_6_gbdt_correctness(corpus_table):
         X2 = a * sub.raw ** 3 + b * sub.raw
         t2 = type(sub)(
             event_ids=sub.event_ids, labels=sub.labels, columns=sub.columns,
-            raw=X2, selected=sub.selected,
+            raw=X2,
         )
         m2 = train_gbdt(t2, hp)
         if not np.array_equal(decision_paths(m2, t2.raw), base_paths):

@@ -23,7 +23,7 @@ from pitchspace.dominance import (
 )
 from pitchspace.pitch import PitchSpec, Point2, WeightParams, weight_grid
 
-from conftest import make_frame, player, random_frame
+from conftest import find_player, make_frame, player, random_frame, with_players
 
 PITCH = PitchSpec()
 MP = MotionParams()
@@ -84,7 +84,7 @@ def oracle_scores(frame, pitch, w, ids, owner):
 
 def oracle_deltas(frame, pid, pitch, mp, w, excluded):
     """Space-score change for the 8 clamped 1 m probes, each a full oracle partition."""
-    target = frame.player(pid)
+    target = find_player(frame, pid)
 
     def score(f):
         ids, owner, *_ = oracle_partition(f, pitch, mp, excluded)
@@ -93,9 +93,12 @@ def oracle_deltas(frame, pid, pitch, mp, w, excluded):
     base = score(frame)
     deltas = np.empty(8)
     for k, (dx, dy) in enumerate(DIRECTIONS_8):
-        moved = pitch.clamp(Point2(target.pos.x + dx, target.pos.y + dy))
-        players = tuple(replace(p, pos=moved) if p.player_id == pid else p for p in frame.players)
-        deltas[k] = score(replace(frame, players=players)) - base
+        moved = Point2(
+            min(max(target.pos.x + dx, -pitch.half_length), pitch.half_length),
+            min(max(target.pos.y + dy, -pitch.half_width), pitch.half_width),
+        )
+        players = [replace(p, pos=moved) if p.player_id == pid else p for p in frame.players]
+        deltas[k] = score(with_players(frame, players)) - base
     return deltas
 
 
@@ -136,28 +139,28 @@ def recorded_probe_boxes(monkeypatch):
 def assert_oracle_boxes(frame, pitch, excluded, candidates, boxes):
     """Each candidate, in id order, was probed in the oracle's box."""
     field = compute_dominance_grid(frame, pitch, MP, excluded)
-    assert boxes == [oracle_probe_box(field, frame.player(pid), MP) for pid in sorted(candidates)]
+    assert boxes == [oracle_probe_box(field, find_player(frame, pid), MP) for pid in sorted(candidates)]
 
 
 class TestArrivalTime:
     def test_stationary_player(self):
         ps = player("P", ATTACKING, 0.0, 0.0)
-        assert arrival_time(ps, Point2(7.8, 0.0), MP) == pytest.approx(1.2)
+        assert arrival_time(ps.pos, ps.vel, Point2(7.8, 0.0), MP) == pytest.approx(1.2)
 
     def test_target_at_predicted_position(self):
         ps = player("P", ATTACKING, 0.0, 0.0, vx=3.0, vy=-2.0)
         target = Point2(3.0 * 0.2, -2.0 * 0.2)
-        assert arrival_time(ps, target, MP) == pytest.approx(0.2)
+        assert arrival_time(ps.pos, ps.vel, target, MP) == pytest.approx(0.2)
 
     def test_velocity_carries_player_onto_target(self):
         ps = player("P", ATTACKING, 0.0, 0.0, vx=5.0)
-        assert arrival_time(ps, Point2(1.0, 0.0), MP) == pytest.approx(0.2)
+        assert arrival_time(ps.pos, ps.vel, Point2(1.0, 0.0), MP) == pytest.approx(0.2)
 
     def test_at_least_reaction_time(self, rng):
         for _ in range(100):
             ps = player("P", ATTACKING, rng.uniform(-50, 50), rng.uniform(-30, 30),
                         vx=rng.uniform(-5, 5), vy=rng.uniform(-5, 5))
-            t = arrival_time(ps, Point2(rng.uniform(-50, 50), rng.uniform(-30, 30)), MP)
+            t = arrival_time(ps.pos, ps.vel, Point2(rng.uniform(-50, 50), rng.uniform(-30, 30)), MP)
             assert t >= MP.reaction_time
 
     def test_translation_equivariance(self, rng):
@@ -166,9 +169,8 @@ class TestArrivalTime:
             vx, vy = rng.uniform(-5, 5, 2)
             tx, ty = rng.uniform(-40, 40, 2)
             sx, sy = rng.uniform(-10, 10, 2)
-            t0 = arrival_time(player("P", ATTACKING, x, y, vx, vy), Point2(tx, ty), MP)
-            t1 = arrival_time(player("P", ATTACKING, x + sx, y + sy, vx, vy),
-                              Point2(tx + sx, ty + sy), MP)
+            t0 = arrival_time((x, y), (vx, vy), (tx, ty), MP)
+            t1 = arrival_time((x + sx, y + sy), (vx, vy), (tx + sx, ty + sy), MP)
             assert t0 == pytest.approx(t1, abs=1e-12)
 
     def test_speed_sanity_bound(self):
@@ -419,8 +421,9 @@ class TestDirectionalDeltas:
         excluded = offside_positions(frame)
         candidates = sorted(p.player_id for p in frame.players if p.player_id not in excluded)
         ids, owner, best, second_idx, second = oracle_partition(frame, pitch, MP, excluded)
-        players = [frame.player(pid) for pid in ids]
-        for got, want in zip(_partition(players, pitch, MP), (owner, best, second_idx, second)):
+        rows = [frame.ids.index(pid) for pid in ids]
+        got_partition = _partition(frame.xy[rows], frame.vxy[rows], pitch, MP)
+        for got, want in zip(got_partition, (owner, best, second_idx, second)):
             assert got.tobytes() == want.astype(got.dtype).tobytes()
         field = compute_dominance_grid(frame, pitch, MP, excluded)
         assert field.player_ids == ids
@@ -496,8 +499,8 @@ class TestDirectionalDeltas:
         owner, _, second_idx, _ = want
         assert np.any(rounding_tie & (owner == 0))
         assert np.any(rounding_tie & (owner == 2) & (second_idx == 0))
-        players = [frame.player(pid) for pid in ids]
-        for got, w in zip(_partition(players, PITCH, MP), want):
+        rows = [frame.ids.index(pid) for pid in ids]
+        for got, w in zip(_partition(frame.xy[rows], frame.vxy[rows], PITCH, MP), want):
             assert got.tobytes() == w.astype(got.dtype).tobytes()
 
     @pytest.mark.parametrize("grid_cell", [0.5, 0.75, 1.0])

@@ -33,7 +33,7 @@ from pitchspace.match_io import PassEvent, SchemaError
 from pitchspace.pitch import PitchSpec, Point2, WeightParams
 from pitchspace.synth import SynthConfig, synthesize_match
 
-from conftest import make_frame, player
+from conftest import find_player, frame_of, make_frame, player, with_players
 
 PITCH = PitchSpec(grid_cell=1.0)  # coarse grid keeps feature tests quick
 MP = MotionParams()
@@ -146,8 +146,8 @@ class TestOffballFeatures:
         feats = offball_features(frame, _pass(frame), PITCH, MP, W)
         f = feats[0]
         defenders = [p for p in frame.players if p.team == DEFENDING]
-        receiver = frame.player("A02")
-        expected_player = min(arrival_time(d, receiver.pos, MP) for d in defenders)
+        receiver = find_player(frame, "A02")
+        expected_player = min(arrival_time(d.pos, d.vel, receiver.pos, MP) for d in defenders)
         assert f.time_to_player == pytest.approx(expected_player, abs=1e-12)
         expected_line = min(
             sampled_passline_time(d.pos, d.vel, frame.ball.pos, receiver.pos, MP)
@@ -172,11 +172,11 @@ class TestOffballFeatures:
             ]
             frame = make_frame(players, ball_pos=(0.0, 0.0))
             for f in offball_features(frame, _pass(frame), PITCH, MP, W):
-                receiver = frame.player(f.player_id)
+                receiver = find_player(frame, f.player_id)
                 defenders = [p for p in frame.players if p.team == DEFENDING]
                 per_defender = [
                     (passline_interception_time(d.pos, d.vel, frame.ball.pos, receiver.pos, MP),
-                     arrival_time(d, receiver.pos, MP))
+                     arrival_time(d.pos, d.vel, receiver.pos, MP))
                     for d in defenders
                 ]
                 line_time, endpoint_time = min(per_defender)
@@ -217,7 +217,7 @@ class TestOnballFeatures:
         assert out.holder.dist_goal == pytest.approx(11.0)
         assert out.holder.angle_goal == 0.0
         defenders = [p for p in self._frame().players if p.team == DEFENDING]
-        expected = min(arrival_time(d, Point2(41.5, 0.0), MP) for d in defenders)
+        expected = min(arrival_time(d.pos, d.vel, Point2(41.5, 0.0), MP) for d in defenders)
         assert out.holder.nearest_defender_time == pytest.approx(expected)
         assert len(out.holder.deltas) == 8
 
@@ -341,7 +341,6 @@ class TestAssembleAndDataset:
             labels=np.array([1, 0, 1]),
             columns=["x"],
             raw=np.array([[1.0], [math.inf], [3.0]]),
-            selected=[("p",)] * 3,
         )
         medians = table.finite_medians()
         assert medians == {"x": 2.0}
@@ -362,14 +361,17 @@ class TestAssembleAndDataset:
     def test_all_imputed_column_errors(self):
         table = PassSampleTable(
             event_ids=["a"], labels=np.array([1]), columns=["x"],
-            raw=np.array([[math.inf]]), selected=[("p",)],
+            raw=np.array([[math.inf]]),
         )
         with pytest.raises(ValueError, match="'x'"):
             table.finite_medians()
 
     def test_selected_ids_padded(self):
+        # E2's one candidate fills rank 1; ranks 2 and 3 are NaN padding.
         table = assemble_table(self._event_features(), 3, "dist_ball")
-        assert table.selected[table.event_ids.index("E2")] == ("c", None, None)
+        row = table.raw[table.event_ids.index("E2")]
+        assert row[FEATURE_VARIABLES.index("dist_ball")] == 1.0
+        assert not np.isnan(row[:5]).any() and np.isnan(row[5:]).all()
 
     def test_csv_round_trip(self, tmp_path):
         table = assemble_table(self._event_features(), 2, "dist_ball")
@@ -437,10 +439,7 @@ class TestEndToEndDataset:
         from dataclasses import replace as dreplace
 
         frames2 = [
-            dreplace(
-                f,
-                players=tuple(dreplace(p, player_id=rename(p.player_id)) for p in f.players),
-            )
+            with_players(f, [dreplace(p, player_id=rename(p.player_id)) for p in f.players])
             for f in frames
         ]
         events2 = [
@@ -572,15 +571,15 @@ class TestOrientation:
         frame = make_frame(
             [player("A01", "A", 10.0, 0.0), player("B01", "B", -10.0, 0.0)],
         )
-        frame = frame.__class__(
-            frame.frame_index, frame.time, frame.ball, frame.players,
+        frame = frame_of(
+            frame.players, frame.ball, frame.frame_index, frame.time,
             type(frame.metadata)(attacks_right_team="B"),
         )
         oriented = orient_frame(frame, "A")
         # A attacks left per the marker, so positions mirror.
-        assert oriented.player("A01").pos.x == -10.0
-        assert oriented.player("A01").team == ATTACKING
-        assert oriented.player("B01").team == DEFENDING
+        assert find_player(oriented, "A01").pos.x == -10.0
+        assert find_player(oriented, "A01").team == ATTACKING
+        assert find_player(oriented, "B01").team == DEFENDING
 
     def test_heuristic_infers_from_mean_x(self, caplog):
         frame = make_frame(
@@ -593,5 +592,5 @@ class TestOrientation:
         )
         with caplog.at_level("WARNING"):
             oriented = orient_frame(frame, "A")
-        assert oriented.player("A01").pos.x == -30.0  # A already attacks right
+        assert find_player(oriented, "A01").pos.x == -30.0  # A already attacks right
         assert any("inferred" in r.message for r in caplog.records)

@@ -38,7 +38,6 @@ def make_table(X, y, cols=None):
         labels=y,
         columns=cols,
         raw=X,
-        selected=[() for _ in y],
     )
 
 

@@ -1,5 +1,8 @@
+import gc
 import json
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from pitchspace.match_io import (
@@ -138,6 +141,82 @@ class TestLoadTracking:
         f2, e2 = load_match(tmp_path / "t2.jsonl", tmp_path / "e2.jsonl")
         assert f1 == f2
         assert e1 == e2
+
+
+
+class TestArrayFrames:
+    def test_frame_holds_one_array_table(self, tmp_path):
+        rec = frame_record(0)
+        rec["players"][1].update(vx=1.5, vy=-2.0, nickname="el niño")
+        write_tracking(tmp_path / "t.jsonl", [rec])
+        frame = load_tracking(tmp_path / "t.jsonl")[0]
+        assert frame.ids == tuple(p["id"] for p in rec["players"])
+        assert frame.teams.tolist() == ["A"] * 11 + ["B"] * 11
+        assert frame.xy.dtype == frame.vxy.dtype == np.float64
+        assert frame.xy.tolist() == [[p["x"], p["y"]] for p in rec["players"]]
+        assert frame.vxy[1].tolist() == [1.5, -2.0]
+        assert frame.extras == {"A01": {"nickname": "el niño"}}  # only players with extras
+        assert not frame.xy.flags.writeable
+        assert frame.with_players() == frame
+        assert frame.with_players(xy=frame.xy + 1.0) != frame
+        assert frame.with_players(teams=frame.teams[::-1].copy()) != frame
+        view = frame.players[1]
+        assert (view.player_id, view.team, view.pos, view.vel) == ("A01", "A", Point2(-11.0, 0.0),
+                                                                   Point2(1.5, -2.0))
+        assert view.extra == {"nickname": "el niño"}
+
+    def test_team_ids_keep_every_character(self, tmp_path):
+        rec = frame_record(0)
+        rec["players"][0]["team"] = "A\u0000"  # a numpy str array would drop the NUL
+        write_tracking(tmp_path / "t.jsonl", [rec])
+        frames = load_tracking(tmp_path / "t.jsonl")
+        assert frames[0].teams[0] == "A\u0000"
+        save_match(frames, [], tmp_path / "t2.jsonl", tmp_path / "e2.jsonl")
+        assert load_tracking(tmp_path / "t2.jsonl") == frames
+
+    def test_library_paths_never_read_the_players_view(self, tmp_path, monkeypatch):
+        from pitchspace.cli import cli_dispatch
+        from pitchspace.dominance import MotionParams, directional_space_deltas
+        from pitchspace.features import build_dataset, onball_features, orient_frame
+        from pitchspace.match_io import TrackedFrame
+        from pitchspace.pitch import PitchSpec, WeightParams
+        from pitchspace.synth import SynthConfig, synthesize_match
+
+        def refuse(frame):
+            raise AssertionError("a library path read TrackedFrame.players")
+
+        monkeypatch.setattr(TrackedFrame, "players", property(refuse))
+        pitch, mp, w = PitchSpec(grid_cell=2.0), MotionParams(), WeightParams()
+        config = SynthConfig(passes=12, opponent_pass_rate=0.5, noise=0.3, kickoff_frames=60)
+        frames, events, _ = synthesize_match(config, seed=5)
+        tracking, events_path = tmp_path / "tracking.jsonl", tmp_path / "events.jsonl"
+        save_match(frames, events, tracking, events_path)
+        frames, events = load_match(tracking, events_path)
+        table, _ = build_dataset([(frames, events)], 3, "dist_ball", pitch, mp, w, "best_move")
+        assert len(table) == 12
+        first = next(e for e in events if e.type == "pass")
+        frame = orient_frame(next(f for f in frames if f.frame_index == first.frame), first.team)
+        assert onball_features(frame, None, pitch, mp, w).open_ball is not None
+        directional_space_deltas(frame, first.player, pitch, mp, w)
+        out = tmp_path / "render"
+        argv = ["render", "--tracking", str(tracking), "--events", str(events_path), "--out", str(out)]
+        assert cli_dispatch(argv) == 0
+        assert len(list(out.glob("frame_*.svg"))) == len(frames)
+
+    def test_loaded_frames_hold_at_most_4_kb_each(self, tmp_path):
+        from pitchspace.synth import SynthConfig, synthesize_match
+
+        frames, events, _ = synthesize_match(SynthConfig(passes=200), seed=3)
+        save_match(frames, events, tmp_path / "t.jsonl", tmp_path / "e.jsonl")
+        del frames, events
+        gc.collect()
+        tracemalloc.start()
+        try:
+            frames = load_tracking(tmp_path / "t.jsonl")
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held / len(frames) <= 4096
 
 
 # JSON values that are neither a string nor an integer
@@ -317,12 +396,9 @@ def frames_for(events, extra=200):
 
 class TestSegmentation:
     def make_frames(self, n=400):
-        from pitchspace.match_io import Ball, FrameMetadata, TrackedFrame
+        from conftest import make_frame
 
-        return [
-            TrackedFrame(i, i * 0.1, Ball(Point2(0, 0), Point2(0, 0)), (), FrameMetadata())
-            for i in range(n)
-        ]
+        return [make_frame([], frame_index=i, time=i * 0.1) for i in range(n)]
 
     def test_single_opponent_touch_tolerated(self):
         events = [

@@ -183,6 +183,6 @@ class TestNormalizeAttackDirection:
         out = normalize_attack_direction(frame, False)
         for i in range(8):
             for j in range(i + 1, 8):
-                d0 = frame.players[i].pos.dist(frame.players[j].pos)
-                d1 = out.players[i].pos.dist(out.players[j].pos)
+                d0 = math.dist(frame.players[i].pos, frame.players[j].pos)
+                d1 = math.dist(out.players[i].pos, out.players[j].pos)
                 assert d0 == d1

@@ -473,7 +473,6 @@ class TestCli:
         PassSampleTable(
             event_ids=[f"E{i}" for i in range(60)], labels=y,
             columns=["dist_ball", "space", "speed", "angle"], raw=X,
-            selected=[() for _ in y],
         ).to_csv(tmp_path / "features.csv")
         table = PassSampleTable.from_csv(tmp_path / "features.csv")
         save_model(train_gbdt(table, GbdtHyperParams(n_trees=8)), tmp_path / "model.json")
@@ -510,7 +509,7 @@ class TestCli:
         y = (X[:, 0] > 0).astype(np.int64)
         ids = ["E,1", 'e"2', *(f"E{i}" for i in range(2, 40))]
         PassSampleTable(
-            event_ids=ids, labels=y, columns=["a", "b", "c"], raw=X, selected=[() for _ in y],
+            event_ids=ids, labels=y, columns=["a", "b", "c"], raw=X,
         ).to_csv(tmp_path / "features.csv")
         save_model(train_gbdt(PassSampleTable.from_csv(tmp_path / "features.csv"),
                               GbdtHyperParams(n_trees=3)), tmp_path / "model.json")
@@ -619,7 +618,7 @@ class TestCli:
             tmp_path / "model.json",
         )
         PassSampleTable(
-            ["e1", "e2"], np.array([0, 1]), ["f0"], np.array([[0.0], [1.0]]), [(), ()]
+            ["e1", "e2"], np.array([0, 1]), ["f0"], np.array([[0.0], [1.0]])
         ).to_csv(tmp_path / "features.csv")
         rc = cli_dispatch(["eval", "--model", str(tmp_path / "model.json"),
                            "--features", str(tmp_path / "features.csv")])
@@ -640,7 +639,7 @@ class TestCli:
         save_model(GbdtModel(0.0, [stump], ["f0"], medians, GbdtHyperParams()),
                    tmp_path / "model.json")
         PassSampleTable(
-            ["e1", "e2"], np.array([0, 1]), ["f0"], np.array([[0.0], [1.0]]), [(), ()]
+            ["e1", "e2"], np.array([0, 1]), ["f0"], np.array([[0.0], [1.0]])
         ).to_csv(tmp_path / "features.csv")
         with open(tmp_path / "features.csv", "a", encoding="utf-8", newline="") as fh:
             fh.write(csv_tail)
@@ -665,7 +664,7 @@ class TestCli:
         x = np.arange(20.0)
         PassSampleTable(
             [f"e{i}" for i in range(20)], (x >= 4).astype(np.int64), ["f0"],
-            x[:, np.newaxis], [()] * 20,
+            x[:, np.newaxis],
         ).to_csv(tmp_path / "features.csv")
         rc = cli_dispatch(["train", "--config", str(cfg), "--features",
                            str(tmp_path / "features.csv"), "--out", str(tmp_path / "out")])
