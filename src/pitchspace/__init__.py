@@ -29,7 +29,6 @@ from .dominance import (
 from .match_io import (
     AttackSequence,
     MatchEvent,
-    PassEvent,
     SchemaError,
     TrackedFrame,
     detect_kickoff_frame,
@@ -39,8 +38,8 @@ from .match_io import (
 )
 from .synth import SynthConfig, synthesize_match
 from .features import (
+    HolderOnBall,
     OffBallFeatures,
-    OnBallFeatures,
     PassSampleTable,
     build_dataset,
     offball_features,

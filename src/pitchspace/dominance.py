@@ -307,17 +307,21 @@ def directional_space_deltas(
 
 
 def offside_positions(frame: "TrackedFrame") -> frozenset[str]:
-    """Attackers in a static offside position (attack normalized to +x).
-
-    An attacker is excluded iff strictly beyond the halfway line, strictly
-    beyond the ball, and strictly beyond the second-rearmost defender
-    (rearmost = largest x). With fewer than two defenders only the ball and
-    halfway conditions apply. Defenders are never excluded.
-    """
+    """Attackers in a static offside position (attack normalized to +x):
+    strictly beyond the offside_line of the frame's defenders and ball.
+    Defenders are never excluded."""
     rows = list(zip(frame.ids, frame.teams.tolist(), frame.xy[:, 0].tolist()))
-    defenders = sorted(x for _, team, x in rows if team == DEFENDING)
-    line = max(0.0, frame.ball.pos.x, defenders[-2] if len(defenders) >= 2 else -math.inf)
+    line = offside_line([x for _, team, x in rows if team == DEFENDING], frame.ball.pos.x)
     return frozenset(pid for pid, team, x in rows if team == ATTACKING and x > line)
+
+
+def offside_line(defender_xs, ball_x: float) -> float:
+    """The x an attacker must strictly pass to stand offside (attack toward
+    +x): the largest of the halfway line, the ball and the second-rearmost
+    defender (rearmost = largest x), which counts only with two defenders or
+    more."""
+    xs = sorted(defender_xs)
+    return max(0.0, ball_x, xs[-2] if len(xs) >= 2 else -math.inf)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from .dominance import (
     batch_scores_with_deltas,
     offside_positions,
 )
-from .match_io import MatchEvent, PassEvent, SchemaError, TrackedFrame, pass_events
+from .match_io import MatchEvent, SchemaError, TrackedFrame
 from .pitch import PitchSpec, WeightParams, goal_distance_angle, normalize_attack_direction
 
 logger = logging.getLogger(__name__)
@@ -55,34 +55,13 @@ class OffBallFeatures:
 
 @dataclass(frozen=True)
 class HolderOnBall:
+    """State variables of the ball holder."""
+
     holder_id: str
     dist_goal: float
     angle_goal: float
     nearest_defender_time: float
     deltas: tuple[float, ...]
-
-
-@dataclass(frozen=True)
-class NoHolderOnBall:
-    attacker_id: str
-    attacker_dist_goal: float
-    attacker_angle_goal: float
-    defender_id: str
-    defender_dist_goal: float
-    defender_angle_goal: float
-    ball_speed: float
-
-
-@dataclass(frozen=True)
-class OnBallFeatures:
-    """Exactly one of `holder` / `open_ball` is populated."""
-
-    holder: HolderOnBall | None = None
-    open_ball: NoHolderOnBall | None = None
-
-    def __post_init__(self) -> None:
-        if (self.holder is None) == (self.open_ball is None):
-            raise ValueError("exactly one of holder/open_ball must be set")
 
 
 @dataclass
@@ -247,9 +226,32 @@ def passline_interception_time(defender_pos, defender_vel, a, b, mp: MotionParam
     return mp.reaction_time + math.hypot(px - cx, py - cy) / mp.max_speed
 
 
+def receiver_variables(target, ball, defenders, mp: MotionParams) -> tuple[float, float, float]:
+    """(dist_ball, time_to_player, time_to_passline) of a player at `target`,
+    with the ball at `ball` (each an (x, y) pair), against `defenders`, a
+    sequence of (pos, vel) pairs: the distance to the ball, and the least
+    defender arrival time at the player and at the pass line. Both times are
+    +inf without defenders."""
+    (tx, ty), (bx, by) = target, ball
+    dist_ball = math.hypot(bx - tx, by - ty)
+    if not defenders:
+        return dist_ball, math.inf, math.inf
+    return (
+        dist_ball,
+        min(arrival_time(pos, vel, target, mp) for pos, vel in defenders),
+        min(passline_interception_time(pos, vel, ball, target, mp) for pos, vel in defenders),
+    )
+
+
+def _defenders(frame: TrackedFrame) -> list[tuple[list[float], list[float]]]:
+    """(pos, vel) of each defending player of an oriented frame, in row order."""
+    teams, xy, vxy = frame.teams.tolist(), frame.xy.tolist(), frame.vxy.tolist()
+    return [(xy[i], vxy[i]) for i, team in enumerate(teams) if team == DEFENDING]
+
+
 def offball_features(
     frame: TrackedFrame,
-    pass_event: PassEvent,
+    passer_id: str,
     pitch: PitchSpec,
     mp: MotionParams,
     w: WeightParams,
@@ -267,33 +269,22 @@ def offball_features(
     """
     if fast_space_vel_semantics not in FAST_SPACE_SEMANTICS:
         raise ValueError(f"unknown fast_space_vel semantics {fast_space_vel_semantics!r}")
-    ids, passer = frame.ids, pass_event.passer_id
-    if passer not in ids:
-        raise ValueError(f"passer {passer!r} missing from frame {frame.frame_index}")
+    ids = frame.ids
+    if passer_id not in ids:
+        raise ValueError(f"passer {passer_id!r} missing from frame {frame.frame_index}")
     excluded = offside_positions(frame)
-    teams, xy, vxy = frame.teams.tolist(), frame.xy.tolist(), frame.vxy.tolist()
-    skip = excluded | {passer}
+    teams, xy = frame.teams.tolist(), frame.xy.tolist()
+    skip = excluded | {passer_id}
     candidates = sorted(
         (i for i, pid in enumerate(ids) if teams[i] == ATTACKING and pid not in skip),
         key=ids.__getitem__,
     )
     if not candidates:
         return []
-    defenders = [i for i, team in enumerate(teams) if team == DEFENDING]
-    ball = bx, by = frame.ball.pos.x, frame.ball.pos.y
+    defenders = _defenders(frame)
+    ball = frame.ball.pos.x, frame.ball.pos.y
     # (dist_ball, time_to_player, time_to_passline): the values that need no probe
-    plain: dict[str, tuple[float, float, float]] = {}
-    for c in candidates:
-        cx, cy = xy[c]
-        if defenders:
-            t_player = min(arrival_time(xy[d], vxy[d], xy[c], mp) for d in defenders)
-            t_passline = min(
-                passline_interception_time(xy[d], vxy[d], ball, xy[c], mp) for d in defenders
-            )
-        else:
-            t_player = math.inf
-            t_passline = math.inf
-        plain[ids[c]] = (math.hypot(bx - cx, by - cy), t_player, t_passline)
+    plain = {ids[c]: receiver_variables(xy[c], ball, defenders, mp) for c in candidates}
 
     select = None
     if selection is not None and not selection.needs_deltas(fast_space_vel_semantics):
@@ -322,62 +313,34 @@ def offball_features(
 
 def onball_features(
     frame: TrackedFrame,
-    holder_id: str | None,
+    holder_id: str,
     pitch: PitchSpec,
     mp: MotionParams,
     w: WeightParams,
-) -> OnBallFeatures:
-    """Ball-holder state variables, or the open-ball variant when nobody has it.
+) -> HolderOnBall:
+    """State variables of the ball holder, who must be onside.
 
-    The frame must be oriented. The defending side's goal metrics are taken
-    toward their own opponent goal (the -x goal), via mirroring.
+    The frame must be oriented and hold at least one defender.
     """
-    ids, teams = frame.ids, frame.teams.tolist()
-    xy, vxy = frame.xy.tolist(), frame.vxy.tolist()
-    attackers = [i for i, team in enumerate(teams) if team == ATTACKING]
-    defenders = [i for i, team in enumerate(teams) if team == DEFENDING]
-    if holder_id is not None:
-        if holder_id not in ids:
-            raise ValueError(f"holder {holder_id!r} missing from frame {frame.frame_index}")
-        if not defenders:
-            raise ValueError("holder variant requires at least one defender")
-        holder = xy[ids.index(holder_id)]
-        dist_goal, angle_goal = goal_distance_angle(holder, pitch)
-        nearest = min(arrival_time(xy[d], vxy[d], holder, mp) for d in defenders)
-        table = batch_scores_with_deltas(
-            frame, pitch, mp, w, delta_ids=[holder_id], excluded=offside_positions(frame)
-        )
-        deltas = table.entries[holder_id].deltas
-        return OnBallFeatures(
-            holder=HolderOnBall(
-                holder_id=holder_id,
-                dist_goal=dist_goal,
-                angle_goal=angle_goal,
-                nearest_defender_time=nearest,
-                deltas=tuple(float(d) for d in deltas),
-            )
-        )
-    if not attackers or not defenders:
-        raise ValueError("open-ball variant requires players on both teams")
-    bx, by = frame.ball.pos.x, frame.ball.pos.y
-
-    def nearest_to_ball(rows):
-        return min(rows, key=lambda i: (math.hypot(bx - xy[i][0], by - xy[i][1]), ids[i]))
-
-    a = nearest_to_ball(attackers)
-    d = nearest_to_ball(defenders)
-    a_dist, a_angle = goal_distance_angle(xy[a], pitch)
-    d_dist, d_angle = goal_distance_angle((-xy[d][0], xy[d][1]), pitch)
-    return OnBallFeatures(
-        open_ball=NoHolderOnBall(
-            attacker_id=ids[a],
-            attacker_dist_goal=a_dist,
-            attacker_angle_goal=a_angle,
-            defender_id=ids[d],
-            defender_dist_goal=d_dist,
-            defender_angle_goal=d_angle,
-            ball_speed=frame.ball.vel.norm(),
-        )
+    ids = frame.ids
+    if holder_id not in ids:
+        raise ValueError(f"holder {holder_id!r} missing from frame {frame.frame_index}")
+    defenders = _defenders(frame)
+    if not defenders:
+        raise ValueError("the holder's variables need at least one defender")
+    holder = frame.xy[ids.index(holder_id)].tolist()
+    dist_goal, angle_goal = goal_distance_angle(holder, pitch)
+    ball = frame.ball.pos.x, frame.ball.pos.y
+    _, nearest, _ = receiver_variables(holder, ball, defenders, mp)
+    table = batch_scores_with_deltas(
+        frame, pitch, mp, w, delta_ids=[holder_id], excluded=offside_positions(frame)
+    )
+    return HolderOnBall(
+        holder_id=holder_id,
+        dist_goal=dist_goal,
+        angle_goal=angle_goal,
+        nearest_defender_time=nearest,
+        deltas=tuple(float(d) for d in table.entries[holder_id].deltas),
     )
 
 
@@ -470,15 +433,19 @@ def extract_event_features(
     """Per-pass candidate features for one match, in event order."""
     frame_by_index = {f.frame_index: f for f in frames}
     out: list[EventFeatures] = []
-    for ev in pass_events(events):
-        frame = frame_by_index.get(ev.frame_index)
+    for ev in events:
+        if ev.type != "pass":
+            continue
+        frame = frame_by_index.get(ev.frame)
         if frame is None:
             raise ValueError(
-                f"pass {ev.event_id} references frame {ev.frame_index} absent from tracking; "
+                f"pass {ev.event_id} references frame {ev.frame} absent from tracking; "
                 "synchronize the match first"
             )
         oriented = orient_frame(frame, ev.team)
-        feats = offball_features(oriented, ev, pitch, mp, w, fast_space_vel_semantics, selection)
+        feats = offball_features(
+            oriented, ev.player, pitch, mp, w, fast_space_vel_semantics, selection
+        )
         out.append(EventFeatures(ev.event_id, ev.label, feats))
     return out
 

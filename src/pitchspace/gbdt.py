@@ -659,7 +659,10 @@ def _check_tree(tree: Tree, n_columns: int, path: str | Path, t: int) -> None:
 
 def load_model(path: str | Path) -> GbdtModel:
     with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:  # a JSON syntax error, or an integer over the digit limit
+            raise SchemaError(f"malformed model (not JSON: {exc})", path) from exc
     if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         raise ValueError(f"{path}: not a {MODEL_FORMAT} file")
     try:

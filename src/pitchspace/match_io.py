@@ -139,21 +139,9 @@ class MatchEvent:
     outcome: str | None = None
     extra: dict = field(default_factory=dict)
 
-
-@dataclass(frozen=True)
-class PassEvent:
-    """A pass event joined to its synchronized frame."""
-
-    event_id: str
-    frame_index: int
-    passer_id: str
-    outcome: str  # "success" | "failure"
-    ball_pos: Point2
-    intended_receiver_id: str | None = None
-    team: str = ""
-
     @property
     def label(self) -> int:
+        """A pass's model label: 1 for a success, else 0."""
         return 1 if self.outcome == "success" else 0
 
 
@@ -180,26 +168,6 @@ class DroppedEvents:
     reason: str
 
 
-def pass_events(events: Iterable[MatchEvent]) -> list[PassEvent]:
-    """The pass-typed events as labeled PassEvent records."""
-    out = []
-    for e in events:
-        if e.type != "pass":
-            continue
-        out.append(
-            PassEvent(
-                event_id=e.event_id,
-                frame_index=e.frame,
-                passer_id=e.player,
-                outcome=e.outcome or "failure",
-                ball_pos=e.pos,
-                intended_receiver_id=e.receiver,
-                team=e.team,
-            )
-        )
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Loading / saving
 # ---------------------------------------------------------------------------
@@ -212,8 +180,13 @@ def _req(record: dict, key: str, path, line: int):
 
 
 def _num(value, key: str, path, line: int) -> float:
-    if type(value) in (int, float) and math.isfinite(value):  # a bool is neither type
-        return float(value)
+    if type(value) in (int, float):  # a bool is neither type
+        try:
+            number = float(value)
+        except OverflowError:  # an integer beyond the float range
+            number = math.inf
+        if math.isfinite(number):
+            return number
     raise SchemaError(f"key {key!r} must be a finite number, got {value!r}", path, line)
 
 
@@ -274,6 +247,8 @@ def _iter_json_lines(path: str | Path):
                 record = json.loads(raw)
             except json.JSONDecodeError as exc:
                 raise SchemaError(f"invalid JSON ({exc.msg})", path, line_no) from exc
+            except ValueError as exc:  # an integer over the int-to-str digit limit
+                raise SchemaError(f"invalid JSON ({exc})", path, line_no) from exc
             if not isinstance(record, dict):
                 raise SchemaError("record must be a JSON object", path, line_no)
             yield line_no, record

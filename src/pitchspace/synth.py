@@ -14,7 +14,8 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .dominance import MotionParams
+from .dominance import MotionParams, offside_line
+from .features import receiver_variables
 from .match_io import Ball, FrameMetadata, MatchEvent, TrackedFrame
 from .pitch import PitchSpec, Point2
 
@@ -74,20 +75,6 @@ class SynthConfig:
 
 def _sigmoid(z: float) -> float:
     return 1.0 / (1.0 + math.exp(-z))
-
-
-def _project_time(defender_pred: np.ndarray, a: np.ndarray, b: np.ndarray, mp: MotionParams) -> float:
-    seg = b - a
-    denom = float(seg @ seg)
-    t = 0.0 if denom == 0.0 else float(np.clip((defender_pred - a) @ seg / denom, 0.0, 1.0))
-    closest = a + t * seg
-    return mp.reaction_time + float(np.hypot(*(defender_pred - closest))) / mp.max_speed
-
-
-def _second_rearmost_x(defenders: np.ndarray) -> float | None:
-    if len(defenders) < 2:
-        return None
-    return float(np.sort(defenders[:, 0])[-2])
 
 
 def synthesize_match(
@@ -194,28 +181,15 @@ def synthesize_match(
                 receiver = others[int(np.argmin(dists))]
             else:
                 receiver = others[int(rng.integers(len(others)))]
-            second_x = _second_rearmost_x(dfn)
-            rx = att[receiver, 0]
-            offside = rx > 0 and rx > ball_xy[0] and (second_x is None or rx > second_x)
-            if not offside:
+            if att[receiver, 0] <= offside_line(dfn[:, 0].tolist(), ball_xy[0]):
                 break
         else:
             raise RuntimeError("could not sample an onside receiver; config too constrained")
 
-        dist_ball = float(np.hypot(*(att[receiver] - ball_xy)))
-        if len(def_ids):
-            pred = dfn + mp.reaction_time * def_vel
-            t_player = min(
-                mp.reaction_time + float(np.hypot(*(pred[j] - att[receiver]))) / mp.max_speed
-                for j in range(len(def_ids))
-            )
-            t_passline = min(
-                _project_time(pred[j], ball_xy, att[receiver], mp) for j in range(len(def_ids))
-            )
-        else:
-            t_player = math.inf
-            t_passline = math.inf
-        feats = {"dist_ball": dist_ball, "time_to_player": t_player, "time_to_passline": t_passline}
+        # The values extraction gives the receiver in this (+x) layout.
+        defenders = list(zip(dfn.tolist(), def_vel.tolist()))
+        values = receiver_variables(att[receiver].tolist(), ball_xy.tolist(), defenders, mp)
+        feats = dict(zip(RULE_FEATURES, values))
         z = config.rule_intercept + sum(c * feats[k] for k, c in config.rule_coeffs.items())
         p_true = _sigmoid(z)
         success = bool(rng.random() < p_true)

@@ -15,6 +15,7 @@ from pitchspace.features import (
     FAST_SPACE_SEMANTICS,
     FEATURE_VARIABLES,
     RANKING_VARIABLES,
+    HolderOnBall,
     OffBallFeatures,
     PassSampleTable,
     assemble_table,
@@ -29,7 +30,7 @@ from pitchspace.features import (
     EventFeatures,
     Selection,
 )
-from pitchspace.match_io import PassEvent, SchemaError
+from pitchspace.match_io import SchemaError
 from pitchspace.pitch import PitchSpec, Point2, WeightParams
 from pitchspace.synth import SynthConfig, synthesize_match
 
@@ -82,20 +83,13 @@ class TestPasslineInterception:
             assert analytic <= sampled + 1e-12  # projection is the true minimum
 
 
-def _pass(frame, passer="A01"):
-    return PassEvent(
-        event_id="E1", frame_index=frame.frame_index, passer_id=passer,
-        outcome="success", ball_pos=frame.ball.pos, team=ATTACKING,
-    )
-
-
 class TestOffballFeatures:
     def test_no_defenders_infinite_times(self):
         frame = make_frame(
             [player("A01", ATTACKING, 0.0, 0.0), player("A02", ATTACKING, -10.0, 5.0)],
             ball_pos=(0.0, 0.0),
         )
-        feats = offball_features(frame, _pass(frame), PITCH, MP, W)
+        feats = offball_features(frame, "A01", PITCH, MP, W)
         assert len(feats) == 1
         f = feats[0]
         assert f.player_id == "A02"
@@ -111,13 +105,13 @@ class TestOffballFeatures:
                 player("B02", DEFENDING, 30.0, 0.0),
             ]
         )
-        feats = offball_features(frame, _pass(frame), PITCH, MP, W)
+        feats = offball_features(frame, "A01", PITCH, MP, W)
         assert [f.player_id for f in feats] == ["A02"]
 
     def test_missing_passer_errors(self):
         frame = make_frame([player("A02", ATTACKING, -10.0, 0.0)])
         with pytest.raises(ValueError):
-            offball_features(frame, _pass(frame, passer="GHOST"), PITCH, MP, W)
+            offball_features(frame, "GHOST", PITCH, MP, W)
 
     def test_offside_candidates_excluded(self):
         frame = make_frame(
@@ -130,7 +124,7 @@ class TestOffballFeatures:
             ],
             ball_pos=(0.0, 0.0),
         )
-        feats = offball_features(frame, _pass(frame), PITCH, MP, W)
+        feats = offball_features(frame, "A01", PITCH, MP, W)
         assert [f.player_id for f in feats] == ["A02"]
 
     def test_times_against_direct_minimization(self, rng):
@@ -143,7 +137,7 @@ class TestOffballFeatures:
             ],
             ball_pos=(0.0, 0.0),
         )
-        feats = offball_features(frame, _pass(frame), PITCH, MP, W)
+        feats = offball_features(frame, "A01", PITCH, MP, W)
         f = feats[0]
         defenders = [p for p in frame.players if p.team == DEFENDING]
         receiver = find_player(frame, "A02")
@@ -171,7 +165,7 @@ class TestOffballFeatures:
                 for i in range(1, 6)
             ]
             frame = make_frame(players, ball_pos=(0.0, 0.0))
-            for f in offball_features(frame, _pass(frame), PITCH, MP, W):
+            for f in offball_features(frame, "A01", PITCH, MP, W):
                 receiver = find_player(frame, f.player_id)
                 defenders = [p for p in frame.players if p.team == DEFENDING]
                 per_defender = [
@@ -192,8 +186,8 @@ class TestOffballFeatures:
                 player("B02", DEFENDING, 25.0, -3.0),
             ]
         )
-        current = offball_features(frame, _pass(frame), PITCH, MP, W, "current")[0]
-        best = offball_features(frame, _pass(frame), PITCH, MP, W, "best_move")[0]
+        current = offball_features(frame, "A01", PITCH, MP, W, "current")[0]
+        best = offball_features(frame, "A01", PITCH, MP, W, "best_move")[0]
         assert best.fast_space_vel != current.fast_space_vel
         assert best.variation_space_vel == current.variation_space_vel
 
@@ -213,19 +207,19 @@ class TestOnballFeatures:
 
     def test_holder_at_penalty_spot(self):
         out = onball_features(self._frame(), "A01", PITCH, MP, W)
-        assert out.holder is not None and out.open_ball is None
-        assert out.holder.dist_goal == pytest.approx(11.0)
-        assert out.holder.angle_goal == 0.0
+        assert isinstance(out, HolderOnBall) and out.holder_id == "A01"
+        assert out.dist_goal == pytest.approx(11.0)
+        assert out.angle_goal == 0.0
         defenders = [p for p in self._frame().players if p.team == DEFENDING]
         expected = min(arrival_time(d.pos, d.vel, Point2(41.5, 0.0), MP) for d in defenders)
-        assert out.holder.nearest_defender_time == pytest.approx(expected)
-        assert len(out.holder.deltas) == 8
+        assert out.nearest_defender_time == pytest.approx(expected)
+        assert len(out.deltas) == 8
 
     def test_holder_deltas_equal_naive_deltas(self):
         frame = self._frame()
         out = onball_features(frame, "A01", PITCH, MP, W)
         naive = directional_space_deltas(frame, "A01", PITCH, MP, W)
-        assert np.array(out.holder.deltas).tobytes() == naive.tobytes()
+        assert np.array(out.deltas).tobytes() == naive.tobytes()
 
     def test_offside_holder_errors(self):
         frame = make_frame(
@@ -239,31 +233,16 @@ class TestOnballFeatures:
         with pytest.raises(ValueError):
             onball_features(frame, "A01", PITCH, MP, W)
 
-    def test_no_holder_ball_speed(self):
-        out = onball_features(self._frame(), None, PITCH, MP, W)
-        assert out.open_ball is not None and out.holder is None
-        assert out.open_ball.ball_speed == pytest.approx(5.0)
-        assert out.open_ball.attacker_id == "A01"
-        assert out.open_ball.defender_id == "B01"
-        # Defender metrics point at their own opponent goal (-x).
-        d_dist = math.hypot(-52.5 - 45.0, 5.0)
-        assert out.open_ball.defender_dist_goal == pytest.approx(d_dist)
-
     def test_holder_alone_has_zero_deltas(self):
         frame = make_frame(
             [player("A01", ATTACKING, 10.0, 0.0), player("B01", DEFENDING, 20.0, 0.0)],
             ball_pos=(10.0, 0.0),
         )
         out = onball_features(frame, "A01", PITCH, MP, W)
-        assert out.holder.nearest_defender_time > 0.2
+        assert out.nearest_defender_time > 0.2
         frame_solo = make_frame([player("A01", ATTACKING, 10.0, 0.0)], ball_pos=(10.0, 0.0))
         with pytest.raises(ValueError):  # holder variant needs a defender
             onball_features(frame_solo, "A01", PITCH, MP, W)
-
-    def test_empty_team_errors(self):
-        frame = make_frame([player("A01", ATTACKING, 0.0, 0.0)])
-        with pytest.raises(ValueError):
-            onball_features(frame, None, PITCH, MP, W)
 
 
 def feat(pid, **kwargs):

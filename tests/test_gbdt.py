@@ -590,14 +590,20 @@ class TestSerialization:
                          id="huge_int"),
             pytest.param(lambda doc: doc["trees"][0]["threshold"].__setitem__(0, 10**400),
                          id="huge_int_threshold"),
+            pytest.param(lambda doc: "not json", id="not_json"),
+            pytest.param(lambda doc: json.dumps({**doc, "base_score": "N"}).replace('"N"', "9" * 4301),
+                         id="int_over_4300_digits"),
         ],
     )
     def test_malformed_model_document_rejected(self, rng, tmp_path, edit):
+        """`edit` changes the parsed document in place, or returns the text to write."""
         model = train_gbdt(random_table(rng, n=60), GbdtHyperParams(n_trees=2, max_depth=2))
         save_model(model, tmp_path / "m.json")
         doc = json.loads((tmp_path / "m.json").read_text(encoding="utf-8"))
-        edit(doc)
-        (tmp_path / "m.json").write_text(json.dumps(doc), encoding="utf-8")
+        text = edit(doc)
+        if not isinstance(text, str):
+            text = json.dumps(doc)
+        (tmp_path / "m.json").write_text(text, encoding="utf-8")
         with pytest.raises(SchemaError, match="m.json: malformed model"):
             load_model(tmp_path / "m.json")
 

@@ -1,5 +1,6 @@
 import gc
 import json
+import sys
 import tracemalloc
 
 import numpy as np
@@ -14,7 +15,6 @@ from pitchspace.match_io import (
     load_events,
     load_match,
     load_tracking,
-    pass_events,
     save_match,
     segment_attack_sequences,
     synchronization_shift,
@@ -176,7 +176,12 @@ class TestArrayFrames:
 
     def test_library_paths_never_read_the_players_view(self, tmp_path, monkeypatch):
         from pitchspace.cli import cli_dispatch
-        from pitchspace.dominance import MotionParams, directional_space_deltas
+        from pitchspace.dominance import (
+            DEFENDING,
+            MotionParams,
+            directional_space_deltas,
+            offside_positions,
+        )
         from pitchspace.features import build_dataset, onball_features, orient_frame
         from pitchspace.match_io import TrackedFrame
         from pitchspace.pitch import PitchSpec, WeightParams
@@ -194,9 +199,15 @@ class TestArrayFrames:
         frames, events = load_match(tracking, events_path)
         table, _ = build_dataset([(frames, events)], 3, "dist_ball", pitch, mp, w, "best_move")
         assert len(table) == 12
-        first = next(e for e in events if e.type == "pass")
-        frame = orient_frame(next(f for f in frames if f.frame_index == first.frame), first.team)
-        assert onball_features(frame, None, pitch, mp, w).open_ball is not None
+        by_index = {f.frame_index: f for f in frames}
+        passes = [
+            (e, orient_frame(by_index[e.frame], e.team)) for e in events if e.type == "pass"
+        ]
+        first, frame = next(
+            (e, f) for e, f in passes
+            if e.player not in offside_positions(f) and DEFENDING in f.teams.tolist()
+        )
+        assert onball_features(frame, first.player, pitch, mp, w).holder_id == first.player
         directional_space_deltas(frame, first.player, pitch, mp, w)
         out = tmp_path / "render"
         argv = ["render", "--tracking", str(tracking), "--events", str(events_path), "--out", str(out)]
@@ -298,6 +309,49 @@ class TestTextKeys:
         assert ev.receiver is None and ev.outcome is None
 
 
+class TestHugeIntegers:
+    """An integer beyond the float range is not a finite number, and one over
+    the int-to-str digit limit is not JSON the loader can read: both are
+    located SchemaErrors."""
+
+    @pytest.mark.parametrize(
+        "key, edit",
+        [
+            ("time", lambda rec: rec.__setitem__("time", 10**400)),
+            ("ball.x", lambda rec: rec["ball"].__setitem__("x", -(10**400))),
+            ("x", lambda rec: rec["players"][3].__setitem__("x", 2**1024)),
+            ("vy", lambda rec: rec["players"][3].__setitem__("vy", 10**400)),
+        ],
+    )
+    def test_tracking_integer_beyond_float_range(self, tmp_path, key, edit):
+        rec = frame_record(1)
+        edit(rec)
+        write_tracking(tmp_path / "t.jsonl", [frame_record(0), rec])
+        with pytest.raises(SchemaError, match=f"t.jsonl:2: key '{key}' must be a finite number"):
+            load_tracking(tmp_path / "t.jsonl")
+
+    def test_largest_float_integer_loads(self, tmp_path):
+        big = int(sys.float_info.max)
+        write_tracking(tmp_path / "t.jsonl", [frame_record(0, time=big)])
+        assert load_tracking(tmp_path / "t.jsonl")[0].time == sys.float_info.max
+
+    def test_event_integer_beyond_float_range(self, tmp_path):
+        write_events(tmp_path / "e.jsonl", [event_record(event_id="E0"), event_record(y=10**400)])
+        with pytest.raises(SchemaError, match="e.jsonl:2: key 'y' must be a finite number"):
+            load_events(tmp_path / "e.jsonl")
+
+    def test_integer_over_the_digit_limit_is_invalid_json(self, tmp_path):
+        digits = "9" * 4301
+        write_tracking(tmp_path / "t.jsonl", [frame_record(0)])
+        with open(tmp_path / "t.jsonl", "a", encoding="utf-8") as fh:
+            fh.write(json.dumps(frame_record(1)).replace('"time": 0.1', f'"time": {digits}') + "\n")
+        with pytest.raises(SchemaError, match="t.jsonl:2: invalid JSON"):
+            load_tracking(tmp_path / "t.jsonl")
+        (tmp_path / "e.jsonl").write_text(f'{{"event_id": {digits}}}\n', encoding="utf-8")
+        with pytest.raises(SchemaError, match="e.jsonl:1: invalid JSON"):
+            load_events(tmp_path / "e.jsonl")
+
+
 class TestLoadEvents:
     def test_pass_requires_outcome(self, tmp_path):
         p = tmp_path / "e.jsonl"
@@ -309,22 +363,23 @@ class TestLoadEvents:
         with pytest.raises(SchemaError):
             load_events(p)
 
-    def test_pass_events_view(self, tmp_path):
+    def test_match_event_label(self, tmp_path):
         p = tmp_path / "e.jsonl"
         p.write_text(
-            json.dumps({"event_id": "E1", "type": "pass", "frame": 4, "team": "A",
-                        "player": "A00", "receiver": "A03", "outcome": "failure",
-                        "x": 1.5, "y": -2.0}) + "\n",
+            "".join(
+                json.dumps({"event_id": f"E{i}", "type": etype, "frame": 4 + i, "team": "A",
+                            "player": "A00", "receiver": "A03", "outcome": outcome,
+                            "x": 1.5, "y": -2.0}) + "\n"
+                for i, (etype, outcome) in enumerate(
+                    [("pass", "failure"), ("pass", "success"), ("interception", None)]
+                )
+            ),
             encoding="utf-8",
         )
         events = load_events(p)
-        passes = pass_events(events)
-        assert len(passes) == 1
-        pe = passes[0]
-        assert pe.label == 0
-        assert pe.passer_id == "A00"
-        assert pe.intended_receiver_id == "A03"
-        assert pe.ball_pos == Point2(1.5, -2.0)
+        assert [e.label for e in events] == [0, 1, 0]
+        assert events[0].player == "A00" and events[0].receiver == "A03"
+        assert events[0].pos == Point2(1.5, -2.0)
 
 
 def impulse_frames(n, impulse, dt=0.1, v=(6.0, 2.0)):

@@ -604,6 +604,20 @@ class TestCli:
         )
         assert not list((tmp_path / "out").glob("frame_*.svg"))
 
+    def test_integer_beyond_float_range_exits_2(self, workspace, tmp_path, capsys):
+        root, cfg = workspace
+        m = root / "match"
+        lines = (m / "tracking.jsonl").read_text(encoding="utf-8").splitlines(True)
+        rec = json.loads(lines[1])
+        rec["players"][0]["x"] = 10**400
+        lines[1] = json.dumps(rec) + "\n"
+        tracking = tmp_path / "tracking.jsonl"
+        tracking.write_text("".join(lines), encoding="utf-8")
+        rc = cli_dispatch(["render", "--config", str(cfg), "--tracking", str(tracking),
+                           "--events", str(m / "events.jsonl"), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert f"{tracking}:2: key 'x' must be a finite number" in capsys.readouterr().err
+
     def test_missing_file_exits_2(self, tmp_path):
         rc = cli_dispatch(["features", "--tracking", str(tmp_path / "nope.jsonl"),
                            "--events", str(tmp_path / "nope2.jsonl"),

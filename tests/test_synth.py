@@ -4,8 +4,11 @@ import math
 import numpy as np
 import pytest
 
+from pitchspace.dominance import MotionParams, offside_positions
+from pitchspace.features import extract_event_features, orient_frame
 from pitchspace.match_io import detect_kickoff_frame, load_match, save_match
-from pitchspace.synth import SynthConfig, synthesize_match
+from pitchspace.pitch import PitchSpec, WeightParams
+from pitchspace.synth import RULE_FEATURES, SynthConfig, synthesize_match
 
 
 def sigmoid(z):
@@ -116,7 +119,27 @@ class TestOpponentPasses:
         assert all(f.metadata.attacks_right_team == "A" for f in frames)
 
 
-def _pass_view(events):
-    from pitchspace.match_io import pass_events
+class TestPlantedEqualsExtracted:
+    @pytest.mark.parametrize("defenders", [1, 3, 10])
+    def test_rule_features_are_the_extracted_receiver_values(self, defenders):
+        # The distance and both times do not depend on the grid, so a coarse
+        # one keeps the full extraction quick.
+        pitch, mp, w = PitchSpec(grid_cell=5.0), MotionParams(), WeightParams()
+        config = SynthConfig(
+            passes=200, defenders=defenders, opponent_pass_rate=0.3, empty_defense_rate=0.3
+        )
+        for seed in (7, 2024, 3):
+            frames, events, gt = synthesize_match(config, seed)
+            passes = _pass_view(events)
+            extracted = extract_event_features(frames, passes, pitch, mp, w)
+            by_index = {f.frame_index: f for f in frames}
+            for ev, ef in zip(passes, extracted):
+                frame = orient_frame(by_index[ev.frame], ev.team)
+                assert ev.receiver not in offside_positions(frame), ev.event_id
+                f = next(f for f in ef.features if f.player_id == ev.receiver)
+                planted = gt["rule_features"][ev.event_id]
+                assert [planted[k] for k in RULE_FEATURES] == [getattr(f, k) for k in RULE_FEATURES]
 
-    return pass_events(events)
+
+def _pass_view(events):
+    return [e for e in events if e.type == "pass"]
