@@ -187,7 +187,8 @@ def _partition(
         raise ValueError("dominance grid requires at least one eligible player")
     xs, ys = pitch.cell_centers()
     qx, qy = (xy + vxy * mp.reaction_time).T
-    # Each player's squared column and row offsets; a grid is one broadcast add.
+    # Each player's squared column and row offsets; a grid is the row copied
+    # down, plus the column added in place.
     dx2 = xs - qx[:, np.newaxis]
     dx2 *= dx2
     dy2 = ys - qy[:, np.newaxis]
@@ -198,7 +199,8 @@ def _partition(
     beats_best, beats_second = (np.empty(shape, dtype=bool) for _ in range(2))
     d2, scratch = (np.empty(shape) for _ in range(2))
     for j in range(len(xy)):
-        np.add(dx2[j], dy2[j, :, np.newaxis], out=d2)
+        np.copyto(d2, dx2[j])
+        d2 += dy2[j, :, np.newaxis]
         np.less(d2, best, out=beats_best)
         np.less(d2, second, out=beats_second)
         np.minimum(third, np.maximum(second, d2, out=scratch), out=third)

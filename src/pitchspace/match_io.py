@@ -227,6 +227,10 @@ def _parse_players(recs: list, path, line: int, warnings: list[str]):
         if speed > MAX_TRACKED_SPEED:
             # Tracking glitches produce superhuman speeds; keep direction, cap magnitude.
             warnings.append(f"player {pid}: speed {speed:.1f} m/s capped to {MAX_TRACKED_SPEED}")
+            if speed == math.inf:  # hypot overflowed: bring the components into range first
+                scale = max(abs(vx), abs(vy))
+                vx, vy = vx / scale, vy / scale
+                speed = math.hypot(vx, vy)
             vx *= MAX_TRACKED_SPEED / speed
             vy *= MAX_TRACKED_SPEED / speed
         xy.append((x, y))

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -23,6 +22,9 @@ MARGIN = 20.0
 ATTACK_RGB = (211, 47, 47)
 DEFEND_RGB = (30, 136, 229)
 PITCH_RGB = (43, 109, 61)
+# the attribute-value escapes of a player id; the loader has already rejected
+# every character XML 1.0 forbids
+_ID_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;"})
 
 
 @dataclass
@@ -162,8 +164,7 @@ def render_frame_svg(
         entry = scores.entries.get(pid)
         base = DEFEND_RGB if teams[pid] == DEFENDING else ATTACK_RGB
         stroke = f"#{base[0]:02x}{base[1]:02x}{base[2]:02x}"
-        glyph_id = escape(pid, {'"': "&quot;"})
-        out.append(f'<g class="glyph player" id="p-{glyph_id}">')
+        out.append(f'<g class="glyph player" id="p-{pid.translate(_ID_ESCAPES)}">')
         if entry is not None and entry.excluded_offside:
             # Offside players are excluded from the calculation: hollow, no score.
             out.append(

@@ -1,5 +1,6 @@
 import gc
 import json
+import math
 import sys
 import tracemalloc
 
@@ -107,14 +108,18 @@ class TestLoadTracking:
         with pytest.raises(SchemaError):
             load_tracking(p)
 
-    def test_superhuman_speed_capped_with_warning(self, tmp_path):
+    # the last velocity overflows math.hypot although both components are finite
+    @pytest.mark.parametrize("vxy", [(20.0, 0.0), (1.7e308, -1.7e308)])
+    def test_superhuman_speed_capped_with_warning(self, tmp_path, vxy):
         rec = frame_record(0)
-        rec["players"][0]["vx"] = 20.0
+        rec["players"][0]["vx"], rec["players"][0]["vy"] = vxy
         p = tmp_path / "t.jsonl"
         write_tracking(p, [rec])
         frames = load_tracking(p)
         assert any("capped" in w for w in frames[0].metadata.warnings)
-        assert frames[0].players[0].vel.norm() <= 13.0 + 1e-9
+        vel = frames[0].players[0].vel
+        assert vel.norm() == pytest.approx(13.0, rel=1e-12)
+        assert math.atan2(vel.y, vel.x) == pytest.approx(math.atan2(vxy[1], vxy[0]), abs=1e-12)
 
     def test_unknown_keys_preserved(self, tmp_path):
         rec = frame_record(0, vendor_tag="xyz")

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
+from xml.sax.saxutils import escape
 
 import numpy as np
 import pytest
@@ -236,12 +237,17 @@ class TestRenderFrame:
             assert doc.splitlines(True) == ref.splitlines(True)
             assert all(type(seq) is tuple for seq in render_svg._grid_labels(pitch)[:5])
 
-    def test_quote_in_player_id_well_formed(self):
+    @pytest.mark.parametrize("pid", ['A"0', "A&0", "A<0", "A>0", "A'0", "&amp;<\"'>"])
+    def test_quote_in_player_id_well_formed(self, pid):
         players = list(full_frame().players)
-        players[0] = player('A"0', ATTACKING, players[0].pos.x, players[0].pos.y)
-        root = ET.fromstring(render(make_frame(players)))
+        players[0] = player(pid, ATTACKING, players[0].pos.x, players[0].pos.y)
+        doc = render(make_frame(players))
+        root = ET.fromstring(doc)
         ids = [g.get("id") for g in root.iter("{http://www.w3.org/2000/svg}g")]
-        assert 'p-A"0' in ids and "p-A01" in ids
+        assert "p-" + pid in ids and "p-A01" in ids
+        # the attribute text is the stdlib escape of the id, byte for byte
+        glyph_ids = re.findall(r'<g class="glyph player" id="([^"]*)">', doc)
+        assert "p-" + escape(pid, {'"': "&quot;"}) in glyph_ids
 
     def test_animation_well_formed(self):
         frame = full_frame()
@@ -572,6 +578,27 @@ class TestCli:
         assert proc.returncode == 1
         assert "RuntimeWarning" not in proc.stderr
         assert "usage error" in proc.stderr
+
+    def test_import_loads_no_network_stack(self):
+        # The library and CLI need none of these; the stdlib XML escape alone
+        # pulls in urllib.request, http.client, email, ssl and socket.
+        src = str(Path(pitchspace.__file__).resolve().parents[1])
+        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        code = (
+            "import sys, numpy\n"
+            "before = set(sys.modules)\n"
+            "import pitchspace, pitchspace.cli\n"
+            "print('\\n'.join(sorted(set(sys.modules) - before)))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": pythonpath}, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        added = proc.stdout.split()
+        assert "pitchspace.cli" in added
+        heavy = ("xml.sax", "urllib.request", "http.client", "email", "ssl", "socket")
+        assert [m for m in added if m in heavy or m.startswith(tuple(h + "." for h in heavy))] == []
 
     def test_malformed_frame_range_exits_1(self, workspace, tmp_path, capsys):
         root, cfg = workspace
