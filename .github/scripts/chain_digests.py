@@ -4,12 +4,13 @@
     python .github/scripts/chain_digests.py compare BASE_JSON HEAD_JSON
 
 `run` executes the chain of test_criterion_10_pipeline_determinism in
-tests/test_acceptance.py (synth, features, train, eval, explain, render, with
-the same config) into OUT_DIR, using the pitchspace package found on
-PYTHONPATH, and writes {artifact path: sha256} to DIGESTS_JSON. `compare`
-prints a Markdown list of the artifacts whose digests differ, or that only one
-run wrote. Both exit 0 whatever they find: the report is for a reader, and a
-declared behaviour change may change artifacts.
+tests/test_acceptance.py (synth, features, train, eval, explain, render), then
+compare-rankings, segment and sync on the same match, so that every
+subcommand runs, all with the same config, into OUT_DIR. It uses the
+pitchspace package found on PYTHONPATH and writes {artifact path: sha256} to
+DIGESTS_JSON. `compare` prints a Markdown list of the artifacts whose digests
+differ, or that only one run wrote. Both exit 0 whatever they find: the report
+is for a reader, and a declared behaviour change may change artifacts.
 """
 
 import hashlib
@@ -35,16 +36,18 @@ def run(out: Path, digests_path: Path) -> None:
     cfg.write_text(CONFIG, encoding="utf-8")
     m = out / "match"
     feat, model = out / "feat" / "features.csv", out / "model" / "model.json"
+    match_args = ["--tracking", str(m / "tracking.jsonl"), "--events", str(m / "events.jsonl")]
     steps = [
         ["synth", "--seed", "7", "--out", str(m)],
-        ["features", "--tracking", str(m / "tracking.jsonl"), "--events", str(m / "events.jsonl"),
-         "--out", str(out / "feat")],
+        ["features", *match_args, "--out", str(out / "feat")],
         ["train", "--features", str(feat), "--out", str(out / "model")],
         ["eval", "--model", str(model), "--features", str(feat), "--out", str(out / "eval")],
         ["explain", "--model", str(model), "--features", str(feat), "--per-row",
          "--out", str(out / "explain")],
-        ["render", "--tracking", str(m / "tracking.jsonl"), "--events", str(m / "events.jsonl"),
-         "--frames", "111:141", "--out", str(out / "render")],
+        ["render", *match_args, "--frames", "111:141", "--out", str(out / "render")],
+        ["compare-rankings", *match_args, "--out", str(out / "rankings")],
+        ["segment", *match_args, "--out", str(out / "segment")],
+        ["sync", *match_args, "--out", str(out / "sync")],
     ]
     codes = {}
     for argv in steps:

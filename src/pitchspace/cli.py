@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
 import logging
 import sys
 from dataclasses import asdict, replace
@@ -61,6 +60,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _sha256(path: Path) -> str:
+    import hashlib  # loads OpenSSL; only runs that write a manifest need it
+
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
@@ -176,10 +177,7 @@ def cmd_features(args, cfg: RunConfig, out: Path):
     matches, inputs = _load_matches(args, cfg)
     n = cfg.feature_n
     ranking = args.ranking or cfg.ranking_variable
-    table, _ = build_dataset(
-        matches, n, ranking, cfg.pitch, cfg.motion, cfg.weight,
-        fast_space_vel_semantics=cfg.fast_space_vel_semantics,
-    )
+    table, _ = build_dataset(matches, n, ranking, cfg.pitch, cfg.motion, cfg.weight)
     table.to_csv(out / "features.csv")
     print(
         f"features: {len(table)} pass samples, {len(table.columns)} columns "
@@ -248,8 +246,7 @@ def cmd_compare_rankings(args, cfg: RunConfig, out: Path | None):
     matches, inputs = _load_matches(args, cfg)
     n, seed = cfg.feature_n, cfg.cv_seed
     report = gbdtmod.compare_ranking_variables(
-        matches, n, cfg.grid, cfg.cv_k, seed, cfg.pitch, cfg.motion, cfg.weight,
-        cfg.fast_space_vel_semantics,
+        matches, n, cfg.grid, cfg.cv_k, seed, cfg.pitch, cfg.motion, cfg.weight
     )
     print(gbdtmod.format_ranking_table(report))
     if out is not None:

@@ -10,7 +10,6 @@ key or `prefix.*` family of `_KEYS`, and a test holds the two together.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import math
 import re
@@ -19,7 +18,7 @@ from functools import partial
 from pathlib import Path
 
 from .dominance import MotionParams
-from .features import FAST_SPACE_SEMANTICS, RANKING_VARIABLES
+from .features import RANKING_VARIABLES
 from .gbdt import GbdtHyperParams
 from .pitch import PitchSpec, WeightParams
 from .render_svg import RenderOptions
@@ -73,7 +72,6 @@ class RunConfig:
     weight: WeightParams = dc_field(default_factory=WeightParams)
     feature_n: int = 3
     ranking_variable: str = "dist_ball"
-    fast_space_vel_semantics: str = "current"
     grid: list[GbdtHyperParams] = dc_field(default_factory=lambda: _build_grid({}))
     cv_k: int = 5
     cv_seed: int = 17
@@ -85,12 +83,11 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.feature_n < 1:
             raise ValueError(f"feature_n must be >= 1, got {self.feature_n}")
-        for name, choices in (
-            ("ranking_variable", RANKING_VARIABLES),
-            ("fast_space_vel_semantics", FAST_SPACE_SEMANTICS),
-        ):
-            if getattr(self, name) not in choices:
-                raise ValueError(f"{name} must be one of {choices}, got {getattr(self, name)!r}")
+        if self.ranking_variable not in RANKING_VARIABLES:
+            raise ValueError(
+                f"ranking_variable must be one of {RANKING_VARIABLES}, "
+                f"got {self.ranking_variable!r}"
+            )
         if self.cv_k < 2:
             raise ValueError(f"cv_k must be >= 2, got {self.cv_k}")
         if self.cv_seed < 0:
@@ -133,7 +130,6 @@ _KEYS = {
     "weight.beta": ("weight", "beta", _finite),
     "feature.n": ("", "feature_n", int),
     "feature.ranking_variable": ("", "ranking_variable", str),
-    "feature.fast_space_vel": ("", "fast_space_vel_semantics", str),
     "cv.k": ("", "cv_k", int),
     "cv.seed": ("", "cv_seed", int),
     "metrics.threshold": ("", "threshold", _finite),
@@ -144,7 +140,6 @@ _KEYS = {
     "synth.rule": ("synth", ("rule_intercept", "rule_coeffs"), parse_rule),
     "synth.empty_defense_rate": ("synth", "empty_defense_rate", _finite),
     "synth.opponent_pass_rate": ("synth", "opponent_pass_rate", _finite),
-    "synth.receiver_mode": ("synth", "receiver_mode", str),
     "synth.kickoff_frames": ("synth", "kickoff_frames", int),
     "synth.frame_rate": ("synth", "frame_rate", _finite),
     "synth.frame_offset": ("synth", "frame_offset", int),
@@ -229,6 +224,8 @@ def load_config(path: str | Path | None) -> RunConfig:
 
 
 def config_digest(path: str | Path | None) -> str:
+    import hashlib  # loads OpenSSL; only runs that write a manifest need it
+
     if path is None:
         return hashlib.sha256(b"<defaults>").hexdigest()
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
@@ -248,7 +245,6 @@ weight.beta = 0.5
 
 feature.n = 3
 feature.ranking_variable = dist_ball     # fast_space_vel | dist_ball | time_to_player | time_to_passline
-feature.fast_space_vel = current         # current | best_move
 
 # comma-separated values span the hyperparameter search grid
 model.max_depth = 3, 5
@@ -270,7 +266,6 @@ synth.noise = 0.0
 synth.rule = 2.0 - 0.2*dist_ball
 synth.empty_defense_rate = 0.05
 synth.opponent_pass_rate = 0.0
-synth.receiver_mode = nearest
 synth.kickoff_frames = 120
 synth.frame_rate = 10.0
 synth.frame_offset = 0

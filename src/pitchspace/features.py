@@ -38,7 +38,6 @@ FEATURE_VARIABLES = (
     "time_to_passline",
 )
 RANKING_VARIABLES = ("fast_space_vel", "dist_ball", "time_to_player", "time_to_passline")
-FAST_SPACE_SEMANTICS = ("current", "best_move")
 
 
 @dataclass(frozen=True)
@@ -134,6 +133,9 @@ class PassSampleTable:
                 columns = rest[:n_cols]
                 if rest[n_cols:] != [f"imputed_{c}" for c in columns]:
                     raise SchemaError("malformed feature table header", path, 1)
+                repeated = sorted({c for c in columns if columns.count(c) > 1})
+                if repeated:  # imputation medians are keyed by name
+                    raise SchemaError(f"repeated column names {repeated}", path, 1)
                 for rec in reader:
                     line = reader.line_num
                     if not rec:
@@ -255,7 +257,6 @@ def offball_features(
     pitch: PitchSpec,
     mp: MotionParams,
     w: WeightParams,
-    fast_space_vel_semantics: str = "current",
     selection: Selection | None = None,
 ) -> list[OffBallFeatures]:
     """State variables for the eligible candidate receivers of a pass, in id order.
@@ -267,8 +268,6 @@ def offball_features(
     that one of its top-n rankings keeps, and only they are probed (see
     Selection).
     """
-    if fast_space_vel_semantics not in FAST_SPACE_SEMANTICS:
-        raise ValueError(f"unknown fast_space_vel semantics {fast_space_vel_semantics!r}")
     ids = frame.ids
     if passer_id not in ids:
         raise ValueError(f"passer {passer_id!r} missing from frame {frame.frame_index}")
@@ -287,7 +286,7 @@ def offball_features(
     plain = {ids[c]: receiver_variables(xy[c], ball, defenders, mp) for c in candidates}
 
     select = None
-    if selection is not None and not selection.needs_deltas(fast_space_vel_semantics):
+    if selection is not None:
 
         def select(scores):
             return selection.kept_ids(
@@ -304,10 +303,7 @@ def offball_features(
         if deltas is None:
             continue  # no ranking of the selection keeps this candidate
         k_star = int(np.argmax(np.abs(deltas)))  # first max -> smallest direction index on ties
-        score = entry.score
-        if fast_space_vel_semantics == "best_move":
-            score = score + float(np.max(deltas))
-        out.append(OffBallFeatures(pid, score, float(deltas[k_star]), *values))
+        out.append(OffBallFeatures(pid, entry.score, float(deltas[k_star]), *values))
     return out
 
 
@@ -389,7 +385,7 @@ class Selection:
     A candidate that none of them keeps never reaches a table, so extraction
     under a selection probes and returns only the kept ones. The rankings
     read dist_ball, the two times and the partition score, none of which
-    needs a probe, except fast_space_vel under best_move semantics.
+    needs a probe.
     """
 
     n: int
@@ -401,10 +397,6 @@ class Selection:
         for variable in self.rankings:
             if variable not in RANKING_VARIABLES:
                 raise ValueError(f"unknown ranking variable {variable!r}")
-
-    def needs_deltas(self, fast_space_vel_semantics: str) -> bool:
-        """Whether ranking needs every candidate's probe deltas."""
-        return fast_space_vel_semantics == "best_move" and "fast_space_vel" in self.rankings
 
     def kept_ids(self, features: list[OffBallFeatures]) -> set[str]:
         """Ids that at least one of the rankings puts in its top n."""
@@ -427,7 +419,6 @@ def extract_event_features(
     pitch: PitchSpec,
     mp: MotionParams,
     w: WeightParams,
-    fast_space_vel_semantics: str = "current",
     selection: Selection | None = None,
 ) -> list[EventFeatures]:
     """Per-pass candidate features for one match, in event order."""
@@ -443,9 +434,7 @@ def extract_event_features(
                 "synchronize the match first"
             )
         oriented = orient_frame(frame, ev.team)
-        feats = offball_features(
-            oriented, ev.player, pitch, mp, w, fast_space_vel_semantics, selection
-        )
+        feats = offball_features(oriented, ev.player, pitch, mp, w, selection)
         out.append(EventFeatures(ev.event_id, ev.label, feats))
     return out
 
@@ -484,15 +473,12 @@ def extract_match_features(
     pitch: PitchSpec,
     mp: MotionParams,
     w: WeightParams,
-    fast_space_vel_semantics: str = "current",
     selection: Selection | None = None,
 ) -> list[EventFeatures]:
     """extract_event_features over each match, concatenated in match order."""
     all_features: list[EventFeatures] = []
     for frames, events in matches:
-        all_features.extend(
-            extract_event_features(frames, events, pitch, mp, w, fast_space_vel_semantics, selection)
-        )
+        all_features.extend(extract_event_features(frames, events, pitch, mp, w, selection))
     return all_features
 
 
@@ -503,7 +489,6 @@ def build_dataset(
     pitch: PitchSpec,
     mp: MotionParams,
     w: WeightParams,
-    fast_space_vel_semantics: str = "current",
 ) -> tuple[PassSampleTable, dict[str, float]]:
     """One table row per pass event across matches, plus training medians.
 
@@ -512,9 +497,7 @@ def build_dataset(
     inference-time imputation should reuse.
     """
     selection = Selection(n, (ranking_variable,))
-    all_features = extract_match_features(
-        matches, pitch, mp, w, fast_space_vel_semantics, selection
-    )
+    all_features = extract_match_features(matches, pitch, mp, w, selection)
     table = assemble_table(all_features, n, ranking_variable)
     medians = table.finite_medians()
     return table, medians

@@ -491,9 +491,16 @@ def stratified_kfold(labels: np.ndarray, k: int, seed: int) -> list[np.ndarray]:
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
     labels = np.asarray(labels)
+    classes, counts = np.unique(labels, return_counts=True)
+    # each class fills the folds from fold 0, so only the largest reaches them all
+    if counts.max(initial=0) < k:
+        raise ValueError(
+            f"the largest class has {counts.max(initial=0)} sample(s); "
+            f"stratified {k}-fold needs {k}"
+        )
     rng = np.random.default_rng(seed)
     folds: list[list[int]] = [[] for _ in range(k)]
-    for cls in np.unique(labels):
+    for cls in classes:
         idx = np.nonzero(labels == cls)[0]
         if idx.size < 2:
             raise ValueError(
@@ -580,12 +587,11 @@ def compare_ranking_variables(
     pitch: PitchSpec,
     mp: MotionParams,
     w: WeightParams,
-    fast_space_vel_semantics: str = "current",
 ) -> RankingReport:
     """CV accuracy per candidate ranking variable, with the argmax marked."""
     # one extraction serves all four tables: only the top-n selection differs
     event_features = extract_match_features(
-        matches, pitch, mp, w, fast_space_vel_semantics, Selection(n, RANKING_VARIABLES)
+        matches, pitch, mp, w, Selection(n, RANKING_VARIABLES)
     )
     rows: list[RankingRow] = []
     for var in RANKING_VARIABLES:
@@ -678,7 +684,9 @@ def load_model(path: str | Path) -> GbdtModel:
         raise SchemaError(f"malformed model ({type(exc).__name__}: {exc})", path) from exc
     if not math.isfinite(model.base_score):
         raise SchemaError(f"base_score {model.base_score} is not finite", path)
-    for col in model.feature_names:
+    for j, col in enumerate(model.feature_names):
+        if col in model.feature_names[:j]:  # medians are keyed by name
+            raise SchemaError(f"malformed model (column {col!r} repeated)", path)
         if not math.isfinite(model.medians.get(col, math.nan)):
             raise SchemaError(f"median of column {col!r} is missing or not finite", path)
     for t, tree in enumerate(model.trees):

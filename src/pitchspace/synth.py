@@ -40,7 +40,6 @@ class SynthConfig:
     rule_coeffs: dict = dc_field(default_factory=lambda: {"dist_ball": -0.2})
     empty_defense_rate: float = 0.05  # fraction of events with no defenders on pitch
     opponent_pass_rate: float = 0.0  # fraction of passes played by the left-attacking team
-    receiver_mode: str = "nearest"  # "nearest" | "random"
     kickoff_frames: int = 120
     frame_rate: float = 10.0
     frame_offset: int = 0  # event-clock misalignment, for sync testing
@@ -54,8 +53,6 @@ class SynthConfig:
             raise ValueError("passes must be >= 1")
         if self.noise < 0:
             raise ValueError("noise must be >= 0")
-        if self.receiver_mode not in ("nearest", "random"):
-            raise ValueError(f"unknown receiver_mode {self.receiver_mode!r}")
         if self.kickoff_frames < 12:
             raise ValueError("kickoff_frames must be >= 12")
         if not 0 < self.frame_rate < math.inf:
@@ -176,11 +173,8 @@ def synthesize_match(
             passer = int(rng.integers(len(att_ids)))
             ball_xy = att[passer].copy()
             others = [j for j in range(len(att_ids)) if j != passer]
-            if config.receiver_mode == "nearest":
-                dists = [float(np.hypot(*(att[j] - ball_xy))) for j in others]
-                receiver = others[int(np.argmin(dists))]
-            else:
-                receiver = others[int(rng.integers(len(others)))]
+            dists = [float(np.hypot(*(att[j] - ball_xy))) for j in others]
+            receiver = others[int(np.argmin(dists))]
             if att[receiver, 0] <= offside_line(dfn[:, 0].tolist(), ball_xy[0]):
                 break
         else:

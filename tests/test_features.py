@@ -12,7 +12,6 @@ from pitchspace.dominance import (
     directional_space_deltas,
 )
 from pitchspace.features import (
-    FAST_SPACE_SEMANTICS,
     FEATURE_VARIABLES,
     RANKING_VARIABLES,
     HolderOnBall,
@@ -176,20 +175,6 @@ class TestOffballFeatures:
                 line_time, endpoint_time = min(per_defender)
                 assert f.time_to_passline == pytest.approx(line_time, abs=1e-12)
                 assert line_time <= endpoint_time + 1e-12
-
-    def test_fast_space_vel_semantics_switch(self):
-        frame = make_frame(
-            [
-                player("A01", ATTACKING, 0.0, 0.0),
-                player("A02", ATTACKING, -10.0, 0.0),
-                player("B01", DEFENDING, 15.0, 3.0),
-                player("B02", DEFENDING, 25.0, -3.0),
-            ]
-        )
-        current = offball_features(frame, "A01", PITCH, MP, W, "current")[0]
-        best = offball_features(frame, "A01", PITCH, MP, W, "best_move")[0]
-        assert best.fast_space_vel != current.fast_space_vel
-        assert best.variation_space_vel == current.variation_space_vel
 
 
 class TestOnballFeatures:
@@ -376,6 +361,8 @@ class TestAssembleAndDataset:
                          "f.csv:3: column 'dist_ball_1': 'abc' is not a number", id="non_numeric"),
             pytest.param(lambda rows: rows.__setitem__(2, rows[2] + "0" * 200_000),
                          "f.csv:3: malformed CSV", id="field_over_csv_limit"),
+            pytest.param(lambda rows: rows.__setitem__(0, rows[0].replace("_ball_2", "_ball_1")),
+                         r"f.csv:1: repeated column names \['dist_ball_1'\]", id="repeated_column"),
         ],
     )
     def test_csv_errors_are_located(self, tmp_path, edit, located):
@@ -465,7 +452,7 @@ class TestSelectionAwareExtraction:
 
     @pytest.fixture(scope="class")
     def full(self, match):
-        return {sem: extract_event_features(*match, PITCH, MP, W, sem) for sem in FAST_SPACE_SEMANTICS}
+        return extract_event_features(*match, PITCH, MP, W)
 
     @staticmethod
     def probe_counts(monkeypatch):
@@ -487,11 +474,10 @@ class TestSelectionAwareExtraction:
         monkeypatch.setattr(features, "offball_features", offball)
         return per_pass
 
-    @pytest.mark.parametrize("semantics", FAST_SPACE_SEMANTICS)
     @pytest.mark.parametrize("variable", RANKING_VARIABLES)
-    def test_table_bytes_match_full_extraction(self, tmp_path, match, full, variable, semantics):
-        table, medians = build_dataset([match], 3, variable, PITCH, MP, W, semantics)
-        want = assemble_table(full[semantics], 3, variable)
+    def test_table_bytes_match_full_extraction(self, tmp_path, match, full, variable):
+        table, medians = build_dataset([match], 3, variable, PITCH, MP, W)
+        want = assemble_table(full, 3, variable)
         table.to_csv(tmp_path / "selected.csv")
         want.to_csv(tmp_path / "full.csv")
         assert (tmp_path / "selected.csv").read_bytes() == (tmp_path / "full.csv").read_bytes()
@@ -502,27 +488,22 @@ class TestSelectionAwareExtraction:
         selection = Selection(2, ("time_to_passline", "dist_ball"))
         got = extract_event_features(*match, PITCH, MP, W, selection=selection)
         trimmed = 0
-        for ef, ef_full in zip(got, full["current"]):
+        for ef, ef_full in zip(got, full):
             kept = selection.kept_ids(ef_full.features)
             assert ef.features == [f for f in ef_full.features if f.player_id in kept]
             trimmed += len(ef_full.features) - len(ef.features)
         assert trimmed > 0
 
-    def test_default_selection_probes_at_most_n_per_pass(self, monkeypatch, match, full):
+    @pytest.mark.parametrize("variable", RANKING_VARIABLES)
+    def test_default_selection_probes_at_most_n_per_pass(self, monkeypatch, match, full, variable):
         per_pass = self.probe_counts(monkeypatch)
-        build_dataset([match], 3, "dist_ball", PITCH, MP, W)
-        assert len(per_pass) == len(full["current"])
+        build_dataset([match], 3, variable, PITCH, MP, W)
+        assert len(per_pass) == len(full)
         assert all(probes == kept <= 3 for probes, kept in per_pass)
-        assert sum(kept for _, kept in per_pass) < sum(len(ef.features) for ef in full["current"])
+        assert sum(kept for _, kept in per_pass) < sum(len(ef.features) for ef in full)
 
-    def test_best_move_fast_space_vel_probes_every_candidate(self, monkeypatch, match, full):
-        per_pass = self.probe_counts(monkeypatch)
-        build_dataset([match], 3, "fast_space_vel", PITCH, MP, W, "best_move")
-        assert [probes for probes, _ in per_pass] == [len(ef.features) for ef in full["best_move"]]
-
-    @pytest.mark.parametrize("semantics", FAST_SPACE_SEMANTICS)
     @pytest.mark.parametrize("defenders", [3, 10])
-    def test_ranking_values_are_all_finite_or_all_infinite_per_pass(self, defenders, semantics):
+    def test_ranking_values_are_all_finite_or_all_infinite_per_pass(self, defenders):
         # select_top_n's placement of infinite values can then never change a
         # selection: the times are minima over the frame's defenders, the other
         # ranking variables are always finite.
@@ -530,7 +511,7 @@ class TestSelectionAwareExtraction:
                           opponent_pass_rate=0.3)
         frames, events, _ = synthesize_match(cfg, seed=defenders)
         infinite = set()
-        for ef in extract_event_features(frames, events, PITCH, MP, W, semantics):
+        for ef in extract_event_features(frames, events, PITCH, MP, W):
             for var in RANKING_VARIABLES:
                 kinds = {math.isinf(getattr(f, var)) for f in ef.features}
                 assert len(kinds) == 1, (ef.event_id, var)

@@ -591,6 +591,8 @@ class TestSerialization:
             pytest.param(lambda doc: doc["trees"][0]["threshold"].__setitem__(0, 10**400),
                          id="huge_int_threshold"),
             pytest.param(lambda doc: "not json", id="not_json"),
+            pytest.param(lambda doc: doc["columns"].__setitem__(1, doc["columns"][0]),
+                         id="repeated_column"),
             pytest.param(lambda doc: json.dumps({**doc, "base_score": "N"}).replace('"N"', "9" * 4301),
                          id="int_over_4300_digits"),
         ],

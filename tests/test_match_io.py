@@ -202,7 +202,7 @@ class TestArrayFrames:
         tracking, events_path = tmp_path / "tracking.jsonl", tmp_path / "events.jsonl"
         save_match(frames, events, tracking, events_path)
         frames, events = load_match(tracking, events_path)
-        table, _ = build_dataset([(frames, events)], 3, "dist_ball", pitch, mp, w, "best_move")
+        table, _ = build_dataset([(frames, events)], 3, "dist_ball", pitch, mp, w)
         assert len(table) == 12
         by_index = {f.frame_index: f for f in frames}
         passes = [

@@ -597,7 +597,8 @@ class TestCli:
         assert proc.returncode == 0, proc.stderr
         added = proc.stdout.split()
         assert "pitchspace.cli" in added
-        heavy = ("xml.sax", "urllib.request", "http.client", "email", "ssl", "socket")
+        heavy = ("xml.sax", "urllib.request", "http.client", "email", "ssl", "socket",
+                 "hashlib", "_hashlib")
         assert [m for m in added if m in heavy or m.startswith(tuple(h + "." for h in heavy))] == []
 
     def test_malformed_frame_range_exits_1(self, workspace, tmp_path, capsys):
@@ -712,21 +713,48 @@ class TestCli:
         assert rc == 2
         assert "l2_lambda=0.0: a tree node has hessian sum 0" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_fewer_rows_than_folds_exits_2(self, tmp_path, capsys):
+        # Two rows per class fill only two of the default five folds; an
+        # empty fold's accuracy would be NaN, which JSON cannot hold.
+        PassSampleTable(
+            ["e1", "e2", "e3", "e4"], np.array([0, 1, 0, 1]), ["f0"],
+            np.arange(4.0)[:, np.newaxis],
+        ).to_csv(tmp_path / "features.csv")
+        rc = cli_dispatch(["train", "--features", str(tmp_path / "features.csv"),
+                           "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "the largest class has 2 sample(s); stratified 5-fold needs 5" in (
+            capsys.readouterr().err
+        )
+        assert not (tmp_path / "out" / "cv_results.json").exists()
+
     def test_bad_config_exits_1(self, tmp_path):
         bad = tmp_path / "bad.cfg"
         bad.write_text("nonsense.key = 1\n", encoding="utf-8")
         rc = cli_dispatch(["synth", "--config", str(bad), "--out", str(tmp_path / "o")])
         assert rc == 1
 
-    def test_removed_infinite_rank_key_exits_1(self, workspace, tmp_path, capsys):
-        # infinite times always rank first, so no key places them
+    @pytest.mark.parametrize(
+        "line",
+        [
+            # infinite times always rank first, so no key places them
+            pytest.param("feature.infinite_rank = first", id="infinite_rank"),
+            # fast_space_vel is the space score; no best-move reading remains
+            pytest.param("feature.fast_space_vel = current", id="fast_space_vel"),
+            # the synthetic receiver is always the passer's nearest teammate
+            pytest.param("synth.receiver_mode = nearest", id="receiver_mode"),
+        ],
+    )
+    def test_removed_infinite_rank_key_exits_1(self, workspace, tmp_path, capsys, line):
         root, _ = workspace
         cfg = tmp_path / "old.cfg"
-        cfg.write_text("feature.infinite_rank = first\n", encoding="utf-8")
+        cfg.write_text(line + "\n", encoding="utf-8")
         rc = cli_dispatch(["compare-rankings", "--config", str(cfg),
                            *_match_args(root / "match"), "--out", str(tmp_path / "o")])
         assert rc == 1
-        assert "unknown config keys: ['feature.infinite_rank']" in capsys.readouterr().err
+        key = line.split(" =")[0]
+        assert f"unknown config keys: ['{key}']" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
@@ -815,7 +843,7 @@ class TestCli:
         assert cli_dispatch([*argv, "--out", str(tmp_path / "selected")]) == 0
         extract = gbdt.extract_match_features
         monkeypatch.setattr(
-            gbdt, "extract_match_features", lambda *args: extract(*args[:5], selection=None)
+            gbdt, "extract_match_features", lambda *args: extract(*args[:4], selection=None)
         )
         assert cli_dispatch([*argv, "--out", str(tmp_path / "full")]) == 0
         report = "ranking_report.json"
