@@ -265,6 +265,9 @@ CONFIG_KEYS = [
     if "=" in line and not line.startswith("#")
 ] + ["render.colormap_min", "render.colormap_max", "paths.tracking", "paths.events"]
 
+# keys of settings that were removed: every value of them is an unknown key
+REMOVED_CONFIG_KEYS = ["feature.infinite_rank", "feature.fast_space_vel", "synth.receiver_mode"]
+
 
 class TestConfig:
     def test_default_config_text_parses_to_defaults(self):
@@ -325,11 +328,15 @@ class TestConfig:
         assert {k.split(".")[0] for k in keys} == {n.split(".")[0] for n in names}
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400", "2.7", "-1", "0", "x", ""])
-    @pytest.mark.parametrize("key", CONFIG_KEYS)
+    @pytest.mark.parametrize("key", CONFIG_KEYS + REMOVED_CONFIG_KEYS)
     def test_any_value_loads_or_is_config_error(self, key, value):
         # A value either loads or fails as a ConfigError naming its line and
         # key; no other exception may escape the config boundary.
         text = f"# leading comment\n{key} = {value}\n"
+        if key in REMOVED_CONFIG_KEYS:
+            with pytest.raises(ConfigError, match=re.escape(f"unknown config keys: ['{key}']")):
+                parse_config(text)
+            return
         try:
             cfg = parse_config(text)
         except ConfigError as exc:
