@@ -421,7 +421,22 @@ def _with_cli_values(cfg: RunConfig, args) -> RunConfig:
 
 
 def cli_dispatch(argv: list[str]) -> int:
-    """Run one CLI invocation; returns the process exit code."""
+    """Run one CLI invocation; returns the process exit code. A failed
+    command removes the --out directories it created that are still empty."""
+    made: list[Path] = []  # the directories this invocation creates, deepest first
+    code = _dispatch(argv, made)
+    if code != EXIT_OK:
+        for path in made:
+            try:
+                path.rmdir()
+            except FileNotFoundError:
+                continue
+            except OSError:
+                break  # not empty: keep it and its parents
+    return code
+
+
+def _dispatch(argv: list[str], made: list[Path]) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -435,6 +450,7 @@ def cli_dispatch(argv: list[str]) -> int:
         cfg = _with_cli_values(cfgmod.load_config(args.config), args)
         out = Path(args.out) if args.out else None
         if out is not None:
+            made.extend(p for p in (out, *out.parents) if not p.exists())
             out.mkdir(parents=True, exist_ok=True)
         seed, inputs, outputs = args.func(args, cfg, out)
         if out is not None:

@@ -333,28 +333,42 @@ def offside_line(defender_xs, ball_x: float) -> float:
 # The batch path runs it once, keeping each cell's runner-up: while one player
 # moves, everyone else's best time is fixed, so the mover owns a cell iff it
 # arrives strictly first, or ties a larger-index rest owner (the owner, or the
-# runner-up where the mover is the owner). So each cell gets one limit,
-# lim = nextafter(rest_t, +inf) for a larger-index rest owner and rest_t
-# otherwise: no double lies between rest_t and its successor, so a finite probe
-# time is below lim iff it is <= rest_t, or < rest_t. A +inf rest_t (nobody
-# else eligible) lets every probe win.
+# runner-up where the mover is the owner). So each cell gets one limit, lim =
+# the next double above rest_t for a larger-index rest owner and rest_t
+# otherwise, and a probe wins the cell iff its time is < lim. Every finite
+# time is >= +0.0, so the next double is +1 on the int64 view; a +inf rest_t
+# (nobody else eligible) has rest index 0, so it is never stepped, and every
+# probe wins it.
 #
 # A probe moves the predicted point by at most `shift` (over 1 m when the
-# clamp pulls an off-pitch player in), so by the triangle inequality its time
-# is at least own_time - shift / max_speed. Probes are evaluated only in the
-# box around the cells where own_time - slack <= best, slack = shift /
-# max_speed + 1e-9 (1e-9 s absorbs rounding): best is the rest time outside
-# the candidate's region, and own_time == best inside it.
+# clamp pulls an off-pitch player in), so by the triangle inequality its exact
+# time is within shift / max_speed of the exact own_time, the time from the
+# unmoved point. Each computed time is within 3 eps T of its exact value, T
+# being the largest time from any of the candidate's points to any cell
+# centre. So with allowance = shift / max_speed + 16 eps T, which also covers
+# the rounding of gap = lim - own_time, every probe wins a cell where gap >
+# allowance and none wins one where gap < -allowance, for any MotionParams
+# under which no squared distance overflows. Only the band between them
+# needs the 8 probe times.
 #
-# The box is found without a full-grid own_time. The grid is cut into _TILE x
-# _TILE cell tiles (ragged at the far edges), and a tile can hold such a cell
-# only if bound - slack <= its max of best, where bound is the arrival time at
-# the tile's rectangle of cell centres. The bound goes through the same
-# correctly rounded, monotone steps as own_time from offsets no larger than
-# any of the tile's, so it is <= own_time of every cell in the tile, bitwise.
-# The exact rule then runs on own_time over the box of the passing tiles
-# alone, which gives the full-grid box. Each probe's owned weights, zero
-# elsewhere, are summed by a sequential cumsum in row-major box order.
+# Every cell that a probe can win has own_time - allowance <= best (best is
+# the rest time outside the candidate's region, and own_time == best inside
+# it), and the work is cut to the box around those cells. The box is found
+# without a full-grid own_time. The grid is cut into _TILE x _TILE cell tiles
+# (ragged at the far edges), and a tile can hold such a cell only if bound -
+# allowance <= its max of best, where bound is the arrival time at the tile's
+# rectangle of cell centres. The bound goes through the same correctly
+# rounded, monotone steps as own_time from offsets no larger than any of the
+# tile's, so it is <= own_time of every cell in the tile, bitwise. One array
+# pass per frame gives every candidate's probe points, allowance and tile
+# test. The exact rule then runs on own_time over the box of a candidate's
+# passing tiles alone, which gives the full-grid box, and the gaps are taken
+# from that own_time.
+#
+# space_scores adds each player's weights in row-major grid order from 0.0,
+# so each probe must add its won weights in row-major box order from 0.0 (the
+# cells outside the box add nothing). One weighted bincount over the won
+# (cell, probe) pairs, taken cell-major at cell * 8 + k, does that for all 8.
 # ---------------------------------------------------------------------------
 
 _TILE = 8  # cells per side of the tiles that bound each probe box
@@ -383,63 +397,90 @@ def _tile_spans(pitch: PitchSpec) -> tuple[np.ndarray, np.ndarray]:
     return spans[0], spans[1]
 
 
-def _probe_box(
-    best: np.ndarray, tile_max: np.ndarray, pitch: PitchSpec, q: np.ndarray, slack: float,
-    mp: MotionParams,
-) -> tuple[slice, slice]:
-    """Rows and columns of the box around the cells where the arrival time
-    from the predicted point q = (x, y) minus `slack` is <= best (see above)."""
+def _probe_frame(
+    xy: np.ndarray, vxy: np.ndarray, best: np.ndarray, pitch: PitchSpec, mp: MotionParams
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """For C candidates (rows of xy, vxy), in one array pass: the (C, 2)
+    predicted points, the (C, 8, 2) predicted points of their 8 clamped 1 m
+    probes, the (C,) allowances and the (C, ty, tx) tiles that may hold a cell
+    where the arrival time minus the allowance is <= best (see above)."""
+    vel = vxy * mp.reaction_time
+    q = xy + vel
+    half = np.array([pitch.half_length, pitch.half_width])
+    pred = np.clip(xy[:, np.newaxis] + DIRECTIONS_8, -half, half) + vel[:, np.newaxis]
+    shift = np.hypot(*(pred - q[:, np.newaxis]).T).max(axis=0)
+    far = np.hypot(*(np.abs(q) + half + pitch.grid_cell).T) + shift  # centres overhang < 1 cell
+    eps = np.finfo(float).eps
+    allowance = shift / mp.max_speed + 16 * eps * (mp.reaction_time + far / mp.max_speed)
     lo, hi = _tile_spans(pitch)
-    q = q[:, np.newaxis]
-    d = np.maximum(np.maximum(lo - q, q - hi), 0.0)  # offsets to each tile's span
+    qt = q[:, :, np.newaxis]
+    d = np.maximum(np.maximum(lo - qt, qt - hi), 0.0)  # offsets to each tile's span
     d *= d
+    tile_max = _tile_max(best)
     ty, tx = tile_max.shape
-    tiles = _to_time(d[1, :ty, np.newaxis] + d[0, :tx], mp) - slack <= tile_max
-    rows = tiles.any(axis=1).nonzero()[0]
-    if not rows.size:
-        return np.s_[:1, :1]  # nothing in reach: one cell that no probe can win
-    cols = tiles.any(axis=0).nonzero()[0]
-    y0, x0 = rows[0] * _TILE, cols[0] * _TILE
-    box = np.s_[y0 : (rows[-1] + 1) * _TILE, x0 : (cols[-1] + 1) * _TILE]
+    bound = _to_time(d[:, 1, :ty, np.newaxis] + d[:, 0, np.newaxis, :tx], mp)
+    return q, pred, allowance, bound - allowance[:, np.newaxis, np.newaxis] <= tile_max
+
+
+def _probe_box(
+    best: np.ndarray, pitch: PitchSpec, tiles: np.ndarray, q: np.ndarray, allowance: float,
+    mp: MotionParams,
+) -> tuple[tuple[slice, slice], np.ndarray]:
+    """The box around the cells where the arrival time from the predicted point
+    q = (x, y) minus `allowance` is <= best, and those arrival times over it;
+    `tiles` marks the tiles that may hold such a cell (see above)."""
     xs, ys = pitch.cell_centers()
-    reach = _arrival_grid(xs[box[1]], ys[box[0]], q[0], q[1], mp) - slack <= best[box]
-    rows = reach.any(axis=1).nonzero()[0]
-    if not rows.size:
-        return np.s_[:1, :1]
-    cols = reach.any(axis=0).nonzero()[0]
-    return np.s_[y0 + rows[0] : y0 + rows[-1] + 1, x0 + cols[0] : x0 + cols[-1] + 1]
+    rows = tiles.any(axis=1).nonzero()[0]
+    if rows.size:
+        cols = tiles.any(axis=0).nonzero()[0]
+        y0, x0 = rows[0] * _TILE, cols[0] * _TILE
+        box = np.s_[y0 : (rows[-1] + 1) * _TILE, x0 : (cols[-1] + 1) * _TILE]
+        own = _arrival_grid(xs[box[1]], ys[box[0]], q[0], q[1], mp)
+        reach = own - allowance <= best[box]
+        rows = reach.any(axis=1).nonzero()[0]
+        if rows.size:
+            cols = reach.any(axis=0).nonzero()[0]
+            r, c = slice(rows[0], rows[-1] + 1), slice(cols[0], cols[-1] + 1)
+            return np.s_[y0 + r.start : y0 + r.stop, x0 + c.start : x0 + c.stop], own[r, c]
+    # nothing in reach: one cell that no probe can win
+    return np.s_[:1, :1], _arrival_grid(xs[:1], ys[:1], q[0], q[1], mp)
 
 
 def _probe_deltas(
     field_: DominanceField,
     second_idx: np.ndarray,
     second: np.ndarray,
-    tile_max: np.ndarray,
     idx: int,
-    pos: np.ndarray,
-    vel: np.ndarray,
+    box: tuple[slice, slice],
+    own: np.ndarray,
+    pred: np.ndarray,
+    allowance: float,
     mp: MotionParams,
     weight: np.ndarray,
     score: float,
 ) -> np.ndarray:
-    """Score change of player `idx` at `pos`, `vel` for the 8 clamped 1 m probes (see above)."""
-    pitch = field_.pitch
-    vel = vel * mp.reaction_time
-    half = np.array([pitch.half_length, pitch.half_width])
-    pred = np.clip(pos + DIRECTIONS_8, -half, half) + vel  # (8, 2) moved predicted points
-    shift = np.hypot(*(pred - (pos + vel)).T).max()
-    box = _probe_box(field_.time, tile_max, pitch, pos + vel, shift / mp.max_speed + 1e-9, mp)
-
+    """Score change of player `idx` for its 8 probes, at the (8, 2) predicted
+    points `pred`, from its arrival times `own` over `box` (see above)."""
     owner = field_.owner[box]
     mine = owner == idx
-    rest_t = np.where(mine, second[box], field_.time[box])
-    rest_idx = np.where(mine, second_idx[box], owner)
-    lim = np.where(idx < rest_idx, np.nextafter(rest_t, np.inf), rest_t)
-    xs, ys = pitch.cell_centers()
-    qx, qy = pred.T[:, :, np.newaxis, np.newaxis]
-    probe = _arrival_grid(xs[box[1]], ys[box[0]], qx, qy, mp)  # (8, by, bx)
-    won = np.multiply(probe < lim, weight[box]).reshape(8, -1)
-    return np.cumsum(won, axis=1)[:, -1] * field_.cell_area - score
+    lim = np.where(mine, second[box], field_.time[box])
+    lim.view(np.int64)[...] += idx < np.where(mine, second_idx[box], owner)
+    gap = (lim - own).ravel()
+    band = np.flatnonzero(np.abs(gap) <= allowance)
+    row, col = np.divmod(band, own.shape[1])
+    xs, ys = field_.pitch.cell_centers()
+    qx, qy = pred.T
+    probe = _to_time(_sq_dist(xs[box[1]][col, np.newaxis], ys[box[0]][row, np.newaxis], qx, qy), mp)
+    won = np.repeat(gap > allowance, 8).reshape(-1, 8)
+    won[band] = probe < lim.ravel()[band, np.newaxis]
+    return _won_sums(won, weight[box].ravel()) * field_.cell_area - score
+
+
+def _won_sums(won: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    """Per probe k, the sum of `weight` over the cells where won[:, k], added
+    in cell order from 0.0: one bincount over the won pairs at cell * 8 + k."""
+    pairs = np.flatnonzero(won)
+    return np.bincount(pairs & 7, weights=weight[pairs >> 3], minlength=8)
 
 
 def batch_scores_with_deltas(
@@ -473,13 +514,15 @@ def batch_scores_with_deltas(
     table = space_scores(field_, frame, w)
     if select is not None:
         delta_ids &= set(select(table))
-    tile_max = _tile_max(best)
-    for i, pid in enumerate(field_.player_ids):
-        if pid not in delta_ids:
-            continue
-        entry = table.entries[pid]
+    probed = [i for i, pid in enumerate(field_.player_ids) if pid in delta_ids]
+    if not probed:
+        return table
+    q, pred, allowance, tiles = _probe_frame(xy[probed], vxy[probed], best, pitch, mp)
+    for c, i in enumerate(probed):
+        entry = table.entries[field_.player_ids[i]]
         weight = weight_grid(pitch, w, attacking_right=entry.team != DEFENDING)
+        box, own = _probe_box(best, pitch, tiles[c], q[c], allowance[c], mp)
         entry.deltas = _probe_deltas(
-            field_, second_idx, second, tile_max, i, xy[i], vxy[i], mp, weight, entry.score
+            field_, second_idx, second, i, box, own, pred[c], allowance[c], mp, weight, entry.score
         )
     return table

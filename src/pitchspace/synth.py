@@ -70,6 +70,16 @@ class SynthConfig:
             )
 
 
+def _rule_margin(config: SynthConfig, feats: dict) -> float:
+    """The planted rule's logit: intercept plus each coefficient times its
+    feature, the terms added left to right from 0.0. From Python 3.12 the
+    builtin sum() of floats is compensated, which could change the label."""
+    margin = 0.0
+    for name, coeff in config.rule_coeffs.items():
+        margin += coeff * feats[name]
+    return config.rule_intercept + margin
+
+
 def _sigmoid(z: float) -> float:
     return 1.0 / (1.0 + math.exp(-z))
 
@@ -184,8 +194,7 @@ def synthesize_match(
         defenders = list(zip(dfn.tolist(), def_vel.tolist()))
         values = receiver_variables(att[receiver].tolist(), ball_xy.tolist(), defenders, mp)
         feats = dict(zip(RULE_FEATURES, values))
-        z = config.rule_intercept + sum(c * feats[k] for k, c in config.rule_coeffs.items())
-        p_true = _sigmoid(z)
+        p_true = _sigmoid(_rule_margin(config, feats))
         success = bool(rng.random() < p_true)
 
         # Emit in true pitch coordinates: mirror x when team B attacks. The

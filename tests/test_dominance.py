@@ -20,6 +20,7 @@ from pitchspace.dominance import (
     _arrival_grid,
     _partition,
     _tile_max,
+    _won_sums,
 )
 from pitchspace.pitch import PitchSpec, Point2, WeightParams, weight_grid
 
@@ -104,8 +105,10 @@ def oracle_deltas(frame, pid, pitch, mp, w, excluded):
 
 def oracle_probe_box(field, player, mp):
     """The full-grid reach rule: the box around every cell where the player's
-    own arrival time minus (shift / max_speed + 1e-9) is <= best, shift being
-    the largest move of the 8 clamped probes; the top-left cell if none."""
+    own arrival time minus the allowance is <= best; the top-left cell if none.
+    The allowance is shift / max_speed plus 16 eps times the largest time from
+    the predicted point, moved by up to shift, to a cell centre, shift being
+    the largest move of the 8 clamped probes."""
     pitch = field.pitch
     xs, ys = pitch.cell_centers()
     rt = mp.reaction_time
@@ -114,8 +117,10 @@ def oracle_probe_box(field, player, mp):
     half = np.array([pitch.half_length, pitch.half_width])
     pred = np.clip(pos + DIRECTIONS_8, -half, half) + vel
     shift = np.hypot(*(pred - (pos + vel)).T).max()
+    far = np.hypot(*(np.abs(pos + vel) + half + pitch.grid_cell)) + shift
+    allowance = shift / mp.max_speed + 16 * np.finfo(float).eps * (rt + far / mp.max_speed)
     own = _arrival_grid(xs, ys, *(pos + vel), mp)
-    reach = own - (shift / mp.max_speed + 1e-9) <= field.time
+    reach = own - allowance <= field.time
     rows = np.flatnonzero(reach.any(axis=1))
     cols = np.flatnonzero(reach.any(axis=0))
     if not rows.size:
@@ -129,17 +134,18 @@ def recorded_probe_boxes(monkeypatch):
     real = dominance._probe_box
 
     def recording(*args):
-        boxes.append(real(*args))
-        return boxes[-1]
+        box, own = real(*args)
+        boxes.append(box)
+        return box, own
 
     monkeypatch.setattr(dominance, "_probe_box", recording)
     return boxes
 
 
-def assert_oracle_boxes(frame, pitch, excluded, candidates, boxes):
+def assert_oracle_boxes(frame, pitch, excluded, candidates, boxes, mp=MP):
     """Each candidate, in id order, was probed in the oracle's box."""
-    field = compute_dominance_grid(frame, pitch, MP, excluded)
-    assert boxes == [oracle_probe_box(field, find_player(frame, pid), MP) for pid in sorted(candidates)]
+    field = compute_dominance_grid(frame, pitch, mp, excluded)
+    assert boxes == [oracle_probe_box(field, find_player(frame, pid), mp) for pid in sorted(candidates)]
 
 
 class TestArrivalTime:
@@ -528,6 +534,79 @@ class TestDirectionalDeltas:
             ]
         )
         assert _tile_max(best).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "mp",
+        [
+            pytest.param(MP, id="default_motion"),
+            # One ulp of these times is 1/64 s and 1/2 s, far beyond any
+            # fixed rounding term: the allowance must scale with the times.
+            pytest.param(MotionParams(reaction_time=1e14, max_speed=1000.0), id="rt_1e14"),
+            pytest.param(MotionParams(reaction_time=3e15, max_speed=7.8), id="rt_3e15"),
+        ],
+    )
+    @pytest.mark.parametrize("grid_cell", [0.5, 0.75, 1.0])
+    def test_probe_kernel_sweep_matches_naive(self, monkeypatch, grid_cell, mp):
+        pitch = PitchSpec(grid_cell=grid_cell)
+        rng = np.random.default_rng(31)
+        frames = [
+            random_frame(rng, n_attackers=5, n_defenders=5, speed=6.0),
+            random_frame(rng, n_attackers=5, n_defenders=5, speed=0.0),
+            # nobody else is eligible: every rest time is +inf and the band is empty
+            make_frame([player("D1", DEFENDING, 12.0, -7.5, -2.0, 3.0)], ball_pos=(0.0, 0.0)),
+            # exact ties on whole cell columns at 0.5 m (see exact_tie_columns)
+            make_frame(
+                [player("A1", ATTACKING, -2.75, 0.25), player("A2", ATTACKING, 2.25, 0.25)],
+                ball_pos=(20.0, 0.0),
+            ),
+            # on a corner and beyond one: corner probes clamp to the corner,
+            # and the clamp pulls the off-pitch player in by more than 1 m
+            make_frame(
+                [
+                    player("A1", ATTACKING, 52.5, 34.0),
+                    player("A2", ATTACKING, -53.0, -35.5, 1.0, 1.0),
+                    player("B1", DEFENDING, 49.0, 31.0),
+                    player("B2", DEFENDING, -50.0, -30.0, -1.0, 0.5),
+                ],
+                ball_pos=(60.0, 0.0),
+            ),
+        ]
+        # A9 runs off the pitch behind a wall of defenders, who reach every
+        # cell before any of its probes: nothing is in reach
+        wall = make_frame(
+            [player("A9", ATTACKING, 60.0, 0.0, 13.0, 0.0)]
+            + [player(f"B{i:02d}", DEFENDING, 52.0, float(y)) for i, y in enumerate(range(-33, 34, 4))],
+            ball_pos=(61.0, 0.0),
+        )
+        cases = [(frame, None) for frame in frames] + [(wall, ["A9", "B08"])]
+        boxes = recorded_probe_boxes(monkeypatch)
+        for frame, probed in cases:
+            excluded = offside_positions(frame)
+            candidates = probed or sorted(pid for pid in frame.ids if pid not in excluded)
+            boxes.clear()
+            table = batch_scores_with_deltas(frame, pitch, mp, W, candidates, excluded)
+            assert_oracle_boxes(frame, pitch, excluded, candidates, boxes, mp)
+            if frame is wall:
+                assert boxes[0] == np.s_[:1, :1]
+            for pid in candidates:
+                nd = directional_space_deltas(frame, pid, pitch, mp, W, excluded=excluded)
+                assert table.entries[pid].deltas.tobytes() == nd.tobytes(), pid
+
+    @pytest.mark.parametrize(
+        "n, p_won",
+        [(3123, 0.5), (485, 0.9), (200, 0.0), (1, 1.0), (1, 0.0)],
+        ids=["random", "mostly_won", "all_false", "single_cell", "single_cell_lost"],
+    )
+    def test_won_sums_match_row_major_cumsum(self, rng, n, p_won):
+        won = rng.uniform(size=(n, 8)) < p_won
+        weight = rng.uniform(0.0, 1.0, n)
+        # each probe's masked weights, summed in row-major cell order
+        want = np.cumsum(np.where(won.T, weight, 0.0), axis=1)[:, -1]
+        assert _won_sums(won, weight).tobytes() == want.tobytes()
+        if n > 1000:
+            # the order matters: the reversed order rounds differently
+            reverse = np.cumsum(np.where(won.T, weight, 0.0)[:, ::-1], axis=1)[:, -1]
+            assert reverse.tobytes() != want.tobytes()
 
     def test_boundary_clamping(self):
         # Player on the touchline: outward probes clamp to the boundary.

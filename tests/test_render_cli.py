@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import pitchspace
-from pitchspace import config as cfgmod, explain, render_svg
+from pitchspace import cli, config as cfgmod, explain, render_svg
 from pitchspace.cli import cli_dispatch
 from pitchspace.config import (
     ConfigError,
@@ -735,6 +735,32 @@ class TestCli:
             capsys.readouterr().err
         )
         assert not (tmp_path / "out" / "cv_results.json").exists()
+
+    @pytest.mark.parametrize("existing", [False, True], ids=["new_out", "existing_out"])
+    def test_failed_command_removes_only_the_empty_out_it_made(self, tmp_path, existing):
+        PassSampleTable(
+            ["e1", "e2", "e3", "e4"], np.array([0, 1, 0, 1]), ["f0"],
+            np.arange(4.0)[:, np.newaxis],
+        ).to_csv(tmp_path / "features.csv")
+        out = tmp_path / "runs" / "a" / "out"
+        if existing:
+            out.mkdir(parents=True)
+        rc = cli_dispatch(["train", "--features", str(tmp_path / "features.csv"),
+                           "--out", str(out)])
+        assert rc == 2
+        assert out.is_dir() == existing
+        assert (tmp_path / "runs").is_dir() == existing
+
+    def test_failed_command_keeps_the_out_it_wrote_to(self, tmp_path, monkeypatch):
+        def fail_after_writing(args, cfg, out):
+            (out / "partial.txt").write_text("x", encoding="utf-8")
+            raise ValueError("failed after a write")
+
+        monkeypatch.setattr(cli, "cmd_synth", fail_after_writing)
+        out = tmp_path / "runs" / "out"
+        rc = cli_dispatch(["synth", "--out", str(out)])
+        assert rc == 2
+        assert [p.name for p in out.iterdir()] == ["partial.txt"]
 
     def test_bad_config_exits_1(self, tmp_path):
         bad = tmp_path / "bad.cfg"

@@ -8,7 +8,7 @@ from pitchspace.dominance import MotionParams, offside_positions
 from pitchspace.features import extract_event_features, orient_frame
 from pitchspace.match_io import detect_kickoff_frame, load_match, save_match
 from pitchspace.pitch import PitchSpec, WeightParams
-from pitchspace.synth import RULE_FEATURES, SynthConfig, synthesize_match
+from pitchspace.synth import RULE_FEATURES, SynthConfig, _rule_margin, synthesize_match
 
 
 def sigmoid(z):
@@ -29,6 +29,19 @@ class TestConfig:
 
     def test_dist_rule_with_empty_defense_ok(self):
         SynthConfig(defenders=0, rule_coeffs={"dist_ball": -0.2})
+
+    def test_rule_margin_adds_left_to_right(self):
+        # Left to right, 1.0 is lost against 1e16 and the sum is 0.0; the
+        # exact (and, from Python 3.12, the builtin sum()) total is 1.0.
+        config = SynthConfig(
+            rule_intercept=0.5,
+            rule_coeffs=dict(zip(RULE_FEATURES, (1.0, 1.0, -1.0))),
+            empty_defense_rate=0.0,
+        )
+        feats = dict(zip(RULE_FEATURES, (1e16, 1.0, 1e16)))
+        terms = [c * feats[k] for k, c in config.rule_coeffs.items()]
+        assert math.fsum(terms) == 1.0
+        assert _rule_margin(config, feats) == 0.5
 
 
 class TestDeterminism:
