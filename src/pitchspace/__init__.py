@@ -9,7 +9,6 @@ from .pitch import (
     PitchSpec,
     Point2,
     WeightParams,
-    field_weight,
     goal_distance_angle,
     normalize_attack_direction,
 )

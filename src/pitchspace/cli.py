@@ -28,6 +28,7 @@ from .features import (
     RANKING_VARIABLES,
     PassSampleTable,
     build_dataset,
+    column_names,
     orient_frame,
 )
 from .match_io import (
@@ -216,7 +217,8 @@ def cmd_eval(args, cfg: RunConfig, out: Path | None):
     probs = model.predict_proba_batch(table.raw)
     report = gbdtmod.classification_metrics(table.labels, probs, threshold=cfg.threshold)
     n = len(model.feature_names) // 5
-    print(gbdtmod.format_metrics_table({f"n={n}": report}))
+    label = f"n={n}" if model.feature_names == column_names(n) else "custom"
+    print(gbdtmod.format_metrics_table({label: report}))
     if out is not None:
         write_json(out / "metrics.json", asdict(report), indent=2)
     return args.seed, [Path(args.model), Path(args.features)], ["metrics.json"]

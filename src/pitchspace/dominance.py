@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Callable, Iterable
 
 import numpy as np
 
-from .pitch import PitchSpec, Point2, WeightParams, weight_grid
+from .pitch import MAX_COORDINATE, PitchSpec, Point2, WeightParams, weight_grid
 
 if TYPE_CHECKING:
     from .match_io import TrackedFrame
@@ -68,8 +68,11 @@ class MotionParams:
     max_speed: float = 7.8
 
     def __post_init__(self) -> None:
-        if not 0 <= self.reaction_time < math.inf:
-            raise ValueError(f"reaction_time must be finite and >= 0, got {self.reaction_time}")
+        limit = MAX_COORDINATE / MAX_TRACKED_SPEED  # so a drift stays within MAX_COORDINATE
+        if not 0 <= self.reaction_time <= limit:
+            raise ValueError(
+                f"reaction_time must be finite and in [0, {limit:.4g}] s, got {self.reaction_time}"
+            )
         if not 0 < self.max_speed < math.inf:
             raise ValueError(f"max_speed must be finite and > 0, got {self.max_speed}")
 
@@ -347,23 +350,23 @@ def offside_line(defender_xs, ball_x: float) -> float:
 # being the largest time from any of the candidate's points to any cell
 # centre. So with allowance = shift / max_speed + 16 eps T, which also covers
 # the rounding of gap = lim - own_time, every probe wins a cell where gap >
-# allowance and none wins one where gap < -allowance, for any MotionParams
-# under which no squared distance overflows. Only the band between them
-# needs the 8 probe times.
+# allowance and none wins one where gap < -allowance, as long as no squared
+# distance overflows, which MAX_COORDINATE ensures for every accepted input.
+# Only the band between them needs the 8 probe times.
 #
 # Every cell that a probe can win has own_time - allowance <= best (best is
 # the rest time outside the candidate's region, and own_time == best inside
-# it), and the work is cut to the box around those cells. The box is found
-# without a full-grid own_time. The grid is cut into _TILE x _TILE cell tiles
-# (ragged at the far edges), and a tile can hold such a cell only if bound -
-# allowance <= its max of best, where bound is the arrival time at the tile's
-# rectangle of cell centres. The bound goes through the same correctly
-# rounded, monotone steps as own_time from offsets no larger than any of the
-# tile's, so it is <= own_time of every cell in the tile, bitwise. One array
-# pass per frame gives every candidate's probe points, allowance and tile
-# test. The exact rule then runs on own_time over the box of a candidate's
-# passing tiles alone, which gives the full-grid box, and the gaps are taken
-# from that own_time.
+# it). The grid is cut into _TILE x _TILE cell tiles (ragged at the far
+# edges), and a tile can hold such a cell only if bound - allowance <= its
+# max of best, where bound is the arrival time at the tile's rectangle of
+# cell centres. The bound goes through the same correctly rounded, monotone
+# steps as own_time from offsets no larger than any of the tile's, so it is
+# <= own_time of every cell in the tile, bitwise: the box of the passing
+# tiles holds every cell a probe can win. One array pass per frame gives
+# every candidate's probe points, allowance and tile test. Inside the box
+# the band rule decides each cell exactly, so the box may hold more cells
+# than a probe can win; a candidate with no passing tile gets an empty box
+# and wins nothing.
 #
 # space_scores adds each player's weights in row-major grid order from 0.0,
 # so each probe must add its won weights in row-major box order from 0.0 (the
@@ -422,28 +425,12 @@ def _probe_frame(
     return q, pred, allowance, bound - allowance[:, np.newaxis, np.newaxis] <= tile_max
 
 
-def _probe_box(
-    best: np.ndarray, pitch: PitchSpec, tiles: np.ndarray, q: np.ndarray, allowance: float,
-    mp: MotionParams,
-) -> tuple[tuple[slice, slice], np.ndarray]:
-    """The box around the cells where the arrival time from the predicted point
-    q = (x, y) minus `allowance` is <= best, and those arrival times over it;
-    `tiles` marks the tiles that may hold such a cell (see above)."""
-    xs, ys = pitch.cell_centers()
-    rows = tiles.any(axis=1).nonzero()[0]
-    if rows.size:
-        cols = tiles.any(axis=0).nonzero()[0]
-        y0, x0 = rows[0] * _TILE, cols[0] * _TILE
-        box = np.s_[y0 : (rows[-1] + 1) * _TILE, x0 : (cols[-1] + 1) * _TILE]
-        own = _arrival_grid(xs[box[1]], ys[box[0]], q[0], q[1], mp)
-        reach = own - allowance <= best[box]
-        rows = reach.any(axis=1).nonzero()[0]
-        if rows.size:
-            cols = reach.any(axis=0).nonzero()[0]
-            r, c = slice(rows[0], rows[-1] + 1), slice(cols[0], cols[-1] + 1)
-            return np.s_[y0 + r.start : y0 + r.stop, x0 + c.start : x0 + c.stop], own[r, c]
-    # nothing in reach: one cell that no probe can win
-    return np.s_[:1, :1], _arrival_grid(xs[:1], ys[:1], q[0], q[1], mp)
+def _tile_box(tiles: np.ndarray) -> tuple[slice, slice]:
+    """The cell box of the tiles marked in the (ty, tx) mask `tiles`; empty if none."""
+    rows, cols = (np.flatnonzero(tiles.any(axis=a)) * _TILE for a in (1, 0))
+    if not rows.size:
+        return np.s_[:0, :0]
+    return np.s_[rows[0] : rows[-1] + _TILE, cols[0] : cols[-1] + _TILE]
 
 
 def _probe_deltas(
@@ -452,25 +439,27 @@ def _probe_deltas(
     second: np.ndarray,
     idx: int,
     box: tuple[slice, slice],
-    own: np.ndarray,
+    q: np.ndarray,
     pred: np.ndarray,
     allowance: float,
     mp: MotionParams,
     weight: np.ndarray,
     score: float,
 ) -> np.ndarray:
-    """Score change of player `idx` for its 8 probes, at the (8, 2) predicted
-    points `pred`, from its arrival times `own` over `box` (see above)."""
+    """Score change of player `idx` for its 8 probes over `box`, from its
+    predicted point q and those of its probes, the (8, 2) `pred` (see above)."""
+    xs, ys = field_.pitch.cell_centers()
+    xs, ys = xs[box[1]], ys[box[0]]
+    own = _arrival_grid(xs, ys, q[0], q[1], mp)
     owner = field_.owner[box]
     mine = owner == idx
     lim = np.where(mine, second[box], field_.time[box])
     lim.view(np.int64)[...] += idx < np.where(mine, second_idx[box], owner)
     gap = (lim - own).ravel()
     band = np.flatnonzero(np.abs(gap) <= allowance)
-    row, col = np.divmod(band, own.shape[1])
-    xs, ys = field_.pitch.cell_centers()
+    row, col = np.divmod(band, xs.size)
     qx, qy = pred.T
-    probe = _to_time(_sq_dist(xs[box[1]][col, np.newaxis], ys[box[0]][row, np.newaxis], qx, qy), mp)
+    probe = _to_time(_sq_dist(xs[col, np.newaxis], ys[row, np.newaxis], qx, qy), mp)
     won = np.repeat(gap > allowance, 8).reshape(-1, 8)
     won[band] = probe < lim.ravel()[band, np.newaxis]
     return _won_sums(won, weight[box].ravel()) * field_.cell_area - score
@@ -521,8 +510,8 @@ def batch_scores_with_deltas(
     for c, i in enumerate(probed):
         entry = table.entries[field_.player_ids[i]]
         weight = weight_grid(pitch, w, attacking_right=entry.team != DEFENDING)
-        box, own = _probe_box(best, pitch, tiles[c], q[c], allowance[c], mp)
         entry.deltas = _probe_deltas(
-            field_, second_idx, second, i, box, own, pred[c], allowance[c], mp, weight, entry.score
+            field_, second_idx, second, i, _tile_box(tiles[c]), q[c], pred[c], allowance[c], mp,
+            weight, entry.score,
         )
     return table

@@ -224,8 +224,7 @@ def passline_interception_time(defender_pos, defender_vel, a, b, mp: MotionParam
         t = 0.0
     else:
         t = min(max(((px - ax) * sx + (py - ay) * sy) / denom, 0.0), 1.0)
-    cx, cy = ax + t * sx, ay + t * sy
-    return mp.reaction_time + math.hypot(px - cx, py - cy) / mp.max_speed
+    return arrival_time(defender_pos, defender_vel, (ax + t * sx, ay + t * sy), mp)
 
 
 def receiver_variables(target, ball, defenders, mp: MotionParams) -> tuple[float, float, float]:

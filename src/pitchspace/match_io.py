@@ -29,7 +29,7 @@ from typing import Iterable
 import numpy as np
 
 from .dominance import MAX_TRACKED_SPEED, PlayerState
-from .pitch import Ball, Point2
+from .pitch import MAX_COORDINATE, Ball, Point2
 
 logger = logging.getLogger(__name__)
 
@@ -190,6 +190,16 @@ def _num(value, key: str, path, line: int) -> float:
     raise SchemaError(f"key {key!r} must be a finite number, got {value!r}", path, line)
 
 
+def _coord(value, key: str, path, line: int) -> float:
+    """A position coordinate: a finite number within MAX_COORDINATE of 0."""
+    number = _num(value, key, path, line)
+    if abs(number) > MAX_COORDINATE:
+        raise SchemaError(
+            f"key {key!r} must be within {MAX_COORDINATE:g} m of 0, got {value!r}", path, line
+        )
+    return number
+
+
 def _text(record: dict, key: str, path, line: int, required: bool = True) -> str | None:
     """A JSON string as is, or an integer in decimal; an optional key that is
     absent or null is None."""
@@ -217,8 +227,8 @@ def _parse_players(recs: list, path, line: int, warnings: list[str]):
             raise SchemaError(f"player id {pid!r} has a character XML 1.0 forbids", path, line)
         ids.append(sys.intern(pid))
         teams.append(sys.intern(_text(rec, "team", path, line)))
-        x = _num(_req(rec, "x", path, line), "x", path, line)
-        y = _num(_req(rec, "y", path, line), "y", path, line)
+        x = _coord(_req(rec, "x", path, line), "x", path, line)
+        y = _coord(_req(rec, "y", path, line), "y", path, line)
         if "vx" not in rec or "vy" not in rec:
             warnings.append(f"player {pid}: velocity missing, assuming stationary")
         vx = _num(rec.get("vx", 0.0), "vx", path, line)
@@ -278,8 +288,8 @@ def load_tracking(path: str | Path) -> list[TrackedFrame]:
             raise SchemaError("'ball' must be an object", path, line_no)
         ball = Ball(
             pos=Point2(
-                _num(_req(ball_rec, "x", path, line_no), "ball.x", path, line_no),
-                _num(_req(ball_rec, "y", path, line_no), "ball.y", path, line_no),
+                _coord(_req(ball_rec, "x", path, line_no), "ball.x", path, line_no),
+                _coord(_req(ball_rec, "y", path, line_no), "ball.y", path, line_no),
             ),
             vel=Point2(
                 _num(ball_rec.get("vx", 0.0), "ball.vx", path, line_no),
@@ -332,8 +342,8 @@ def load_events(path: str | Path) -> list[MatchEvent]:
             raise SchemaError(f"'frame' must be an integer, got {frame!r}", path, line_no)
         team = _text(rec, "team", path, line_no)
         player = _text(rec, "player", path, line_no)
-        x = _num(_req(rec, "x", path, line_no), "x", path, line_no)
-        y = _num(_req(rec, "y", path, line_no), "y", path, line_no)
+        x = _coord(_req(rec, "x", path, line_no), "x", path, line_no)
+        y = _coord(_req(rec, "y", path, line_no), "y", path, line_no)
         receiver = _text(rec, "receiver", path, line_no, required=False)
         outcome = _text(rec, "outcome", path, line_no, required=False)
         if etype == "pass":

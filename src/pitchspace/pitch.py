@@ -47,6 +47,12 @@ class Ball:
 # on a 105 x 68 pitch is 2.86 M cells.
 MAX_GRID_CELLS = 4_000_000
 
+# Largest |x| or |y|, in m, of a loaded position, of a pitch half-dimension,
+# and of a player's drift over the reaction time at the tracked-speed cap. A
+# predicted point and a cell centre then differ by less than 4e150 m on each
+# axis, so no squared distance between them overflows.
+MAX_COORDINATE = 1e150
+
 
 @dataclass(frozen=True)
 class PitchSpec:
@@ -57,9 +63,10 @@ class PitchSpec:
     grid_cell: float = 0.5
 
     def __post_init__(self) -> None:
-        if not (0 < self.length < math.inf and 0 < self.width < math.inf):
+        if not (0 < self.length <= 2 * MAX_COORDINATE and 0 < self.width <= 2 * MAX_COORDINATE):
             raise ValueError(
-                f"pitch dimensions must be positive and finite, got {self.length}x{self.width}"
+                f"pitch dimensions must be in (0, {2 * MAX_COORDINATE:g}] m, "
+                f"got {self.length}x{self.width}"
             )
         if not 0 < self.grid_cell <= min(self.length, self.width) / 10:
             raise ValueError(
@@ -96,12 +103,6 @@ class PitchSpec:
         """Center of the goal the attacking team plays toward (+x)."""
         return Point2(self.half_length, 0.0)
 
-    def contains(self, p: Point2) -> bool:
-        return (
-            -self.half_length <= p.x <= self.half_length
-            and -self.half_width <= p.y <= self.half_width
-        )
-
     @lru_cache(maxsize=32)
     def cell_centers(self) -> tuple[np.ndarray, np.ndarray]:
         """Grid cell center coordinates: (xs of shape (nx,), ys of shape (ny,)).
@@ -126,33 +127,15 @@ class WeightParams:
             raise ValueError(f"beta must be in [0, 1], got {self.beta}")
 
 
-def field_weight(
-    p: Point2, pitch: PitchSpec, w: WeightParams, attacking_right: bool = True
-) -> float:
-    """Positional weight in [0, 1]: grows toward the opponent goal and the lateral center.
+@lru_cache(maxsize=32)
+def weight_grid(pitch: PitchSpec, w: WeightParams, attacking_right: bool = True) -> np.ndarray:
+    """Positional weight in [0, 1] at every grid cell center, shape (ny, nx):
+    grows toward the opponent goal and the lateral center.
 
     Separable bilinear form x_norm * (1 - beta * y_norm). For a team attacking
     left the x term is mirrored (1 - x_norm), matching the defending-team
-    weight used for their space scores.
-
-    Raises ValueError for points outside the pitch rectangle; callers that
-    evaluate tracking points are expected to clamp first.
-    """
-    if not pitch.contains(p):
-        raise ValueError(f"point ({p.x}, {p.y}) outside {pitch.length}x{pitch.width} pitch")
-    x_norm = (p.x + pitch.half_length) / pitch.length
-    if not attacking_right:
-        x_norm = 1.0 - x_norm
-    y_norm = abs(p.y) / pitch.half_width
-    return x_norm * (1.0 - w.beta * y_norm)
-
-
-@lru_cache(maxsize=32)
-def weight_grid(pitch: PitchSpec, w: WeightParams, attacking_right: bool = True) -> np.ndarray:
-    """Field weight evaluated at every grid cell center, shape (ny, nx).
-
-    Cell centers that overhang the pitch rectangle (non-divisible dimensions)
-    are clamped to the boundary.
+    weight used for their space scores. Cell centers that overhang the pitch
+    rectangle (non-divisible dimensions) are clamped to the boundary.
     """
     xs, ys = pitch.cell_centers()
     xs = np.clip(xs, -pitch.half_length, pitch.half_length)

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -8,6 +9,7 @@ from pitchspace.dominance import (
     ATTACKING,
     DEFENDING,
     DIRECTIONS_8,
+    MAX_TRACKED_SPEED,
     MotionParams,
     PlayerState,
     arrival_time,
@@ -22,7 +24,7 @@ from pitchspace.dominance import (
     _tile_max,
     _won_sums,
 )
-from pitchspace.pitch import PitchSpec, Point2, WeightParams, weight_grid
+from pitchspace.pitch import MAX_COORDINATE, PitchSpec, Point2, WeightParams, weight_grid
 
 from conftest import find_player, make_frame, player, random_frame, with_players
 
@@ -105,7 +107,7 @@ def oracle_deltas(frame, pid, pitch, mp, w, excluded):
 
 def oracle_probe_box(field, player, mp):
     """The full-grid reach rule: the box around every cell where the player's
-    own arrival time minus the allowance is <= best; the top-left cell if none.
+    own arrival time minus the allowance is <= best; None if there is none.
     The allowance is shift / max_speed plus 16 eps times the largest time from
     the predicted point, moved by up to shift, to a cell centre, shift being
     the largest move of the 8 clamped probes."""
@@ -124,28 +126,34 @@ def oracle_probe_box(field, player, mp):
     rows = np.flatnonzero(reach.any(axis=1))
     cols = np.flatnonzero(reach.any(axis=0))
     if not rows.size:
-        return np.s_[:1, :1]
+        return None
     return np.s_[rows[0] : rows[-1] + 1, cols[0] : cols[-1] + 1]
 
 
 def recorded_probe_boxes(monkeypatch):
-    """Patch dominance._probe_box to record every box that _probe_deltas uses."""
+    """Patch dominance._tile_box to record every box that _probe_deltas uses."""
     boxes = []
-    real = dominance._probe_box
+    real = dominance._tile_box
 
-    def recording(*args):
-        box, own = real(*args)
-        boxes.append(box)
-        return box, own
+    def recording(tiles):
+        boxes.append(real(tiles))
+        return boxes[-1]
 
-    monkeypatch.setattr(dominance, "_probe_box", recording)
+    monkeypatch.setattr(dominance, "_tile_box", recording)
     return boxes
 
 
 def assert_oracle_boxes(frame, pitch, excluded, candidates, boxes, mp=MP):
-    """Each candidate, in id order, was probed in the oracle's box."""
+    """Each candidate, in id order, was probed in a box that holds the oracle's box."""
     field = compute_dominance_grid(frame, pitch, mp, excluded)
-    assert boxes == [oracle_probe_box(field, find_player(frame, pid), mp) for pid in sorted(candidates)]
+    assert len(boxes) == len(candidates)
+    for box, pid in zip(boxes, sorted(candidates)):
+        want = oracle_probe_box(field, find_player(frame, pid), mp)
+        if want is None:
+            continue
+        for got, need, n in zip(box, want, field.owner.shape):
+            start, stop, _ = got.indices(n)
+            assert start <= need.start and need.stop <= stop, (pid, box, want)
 
 
 class TestArrivalTime:
@@ -188,6 +196,15 @@ class TestArrivalTime:
     def test_motion_params_must_be_finite(self, field, value):
         with pytest.raises(ValueError, match="finite"):
             MotionParams(**{field: value})
+
+    def test_reaction_time_drift_stays_within_max_coordinate(self):
+        # the kernel sweep's extreme cases load; a drift past 1e150 m does not
+        MotionParams(reaction_time=1e14, max_speed=1000.0)
+        MotionParams(reaction_time=3e15, max_speed=7.8)
+        MotionParams(reaction_time=MAX_COORDINATE / MAX_TRACKED_SPEED)
+        for rt in (1e149, 1e160, 1e300):
+            with pytest.raises(ValueError, match="reaction_time must be finite and in"):
+                MotionParams(reaction_time=rt)
 
 
 class TestDominanceGrid:
@@ -510,7 +527,7 @@ class TestDirectionalDeltas:
             assert got.tobytes() == w.astype(got.dtype).tobytes()
 
     @pytest.mark.parametrize("grid_cell", [0.5, 0.75, 1.0])
-    def test_probe_box_matches_full_grid_rule(self, monkeypatch, grid_cell):
+    def test_probe_box_holds_full_grid_rule(self, monkeypatch, grid_cell):
         # 0.75 m gives ragged tiles on both axes (140 x 91 cells), 1.0 m on
         # both (105 x 68), 0.5 m on x only (210 x 136).
         pitch = PitchSpec(grid_cell=grid_cell)
@@ -586,11 +603,31 @@ class TestDirectionalDeltas:
             boxes.clear()
             table = batch_scores_with_deltas(frame, pitch, mp, W, candidates, excluded)
             assert_oracle_boxes(frame, pitch, excluded, candidates, boxes, mp)
-            if frame is wall:
-                assert boxes[0] == np.s_[:1, :1]
             for pid in candidates:
                 nd = directional_space_deltas(frame, pid, pitch, mp, W, excluded=excluded)
                 assert table.entries[pid].deltas.tobytes() == nd.tobytes(), pid
+
+    def test_no_passing_tile_wins_nothing(self, monkeypatch):
+        # With every tile failing, each candidate's box is empty and each
+        # probe's won sum is 0.0, so its deltas are 0.0 - score.
+        real = dominance._probe_frame
+
+        def no_tiles(*args):
+            *rest, tiles = real(*args)
+            return *rest, np.zeros_like(tiles)
+
+        monkeypatch.setattr(dominance, "_probe_frame", no_tiles)
+        boxes = recorded_probe_boxes(monkeypatch)
+        frame = random_frame(np.random.default_rng(8), n_attackers=4, n_defenders=4, speed=6.0)
+        excluded = offside_positions(frame)
+        candidates = sorted(pid for pid in frame.ids if pid not in excluded)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = batch_scores_with_deltas(frame, PITCH, MP, W, candidates, excluded)
+        assert boxes == [np.s_[:0, :0]] * len(candidates)
+        for pid in candidates:
+            entry = table.entries[pid]
+            assert entry.deltas.tobytes() == np.full(8, 0.0 - entry.score).tobytes()
 
     @pytest.mark.parametrize(
         "n, p_won",

@@ -20,7 +20,7 @@ from pitchspace.match_io import (
     segment_attack_sequences,
     synchronization_shift,
 )
-from pitchspace.pitch import Point2
+from pitchspace.pitch import MAX_COORDINATE, Point2
 
 FRAME_TEMPLATE = {
     "frame": 0,
@@ -355,6 +355,40 @@ class TestHugeIntegers:
         (tmp_path / "e.jsonl").write_text(f'{{"event_id": {digits}}}\n', encoding="utf-8")
         with pytest.raises(SchemaError, match="e.jsonl:1: invalid JSON"):
             load_events(tmp_path / "e.jsonl")
+
+
+class TestCoordinateBound:
+    """A position coordinate beyond MAX_COORDINATE is a located SchemaError,
+    so no squared distance from it can overflow; one at the bound loads."""
+
+    @pytest.mark.parametrize(
+        "key, edit",
+        [
+            ("x", lambda rec: rec["players"][3].__setitem__("x", -1e200)),
+            ("y", lambda rec: rec["players"][0].__setitem__("y", 2e150)),
+            ("ball.x", lambda rec: rec["ball"].__setitem__("x", 10**151)),
+            ("ball.y", lambda rec: rec["ball"].__setitem__("y", -1.0000000000000002e150)),
+        ],
+    )
+    def test_tracking_coordinate_beyond_bound(self, tmp_path, key, edit):
+        rec = frame_record(1)
+        edit(rec)
+        write_tracking(tmp_path / "t.jsonl", [frame_record(0), rec])
+        with pytest.raises(SchemaError, match=f"t.jsonl:2: key '{key}' must be within 1e\\+150 m"):
+            load_tracking(tmp_path / "t.jsonl")
+
+    def test_event_coordinate_beyond_bound(self, tmp_path):
+        write_events(tmp_path / "e.jsonl", [event_record(event_id="E0"), event_record(x=-1e151)])
+        with pytest.raises(SchemaError, match="e.jsonl:2: key 'x' must be within"):
+            load_events(tmp_path / "e.jsonl")
+
+    def test_coordinate_at_bound_loads(self, tmp_path):
+        rec = frame_record(0)
+        rec["players"][3]["x"] = -MAX_COORDINATE
+        rec["ball"]["y"] = MAX_COORDINATE
+        write_tracking(tmp_path / "t.jsonl", [rec])
+        frame = load_tracking(tmp_path / "t.jsonl")[0]
+        assert frame.xy[3, 0] == -MAX_COORDINATE and frame.ball.pos.y == MAX_COORDINATE
 
 
 class TestLoadEvents:

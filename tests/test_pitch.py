@@ -9,7 +9,6 @@ from pitchspace.pitch import (
     PitchSpec,
     Point2,
     WeightParams,
-    field_weight,
     goal_distance_angle,
     normalize_attack_direction,
     weight_grid,
@@ -19,6 +18,18 @@ from conftest import make_frame, player
 
 PITCH = PitchSpec()
 W = WeightParams()
+
+
+def field_weight(p, pitch, w, attacking_right=True):
+    """Scalar oracle of weight_grid: the weight x_norm * (1 - beta * y_norm)
+    at one point of the pitch rectangle, x mirrored for a team attacking left."""
+    if not (abs(p.x) <= pitch.half_length and abs(p.y) <= pitch.half_width):
+        raise ValueError(f"point ({p.x}, {p.y}) outside {pitch.length}x{pitch.width} pitch")
+    x_norm = (p.x + pitch.half_length) / pitch.length
+    if not attacking_right:
+        x_norm = 1.0 - x_norm
+    y_norm = abs(p.y) / pitch.half_width
+    return x_norm * (1.0 - w.beta * y_norm)
 
 
 class TestTypes:
@@ -38,6 +49,9 @@ class TestTypes:
             {"length": math.inf},
             {"width": math.nan},
             {"length": 1e300, "grid_cell": 1e-300},  # length / grid_cell overflows to inf
+            {"length": 2e150, "grid_cell": 1e-300},  # the same within MAX_COORDINATE
+            # 1000 x 1000 cells, but squared distances would overflow
+            {"length": 1e200, "width": 1e200, "grid_cell": 1e197},
         ],
     )
     def test_pitch_invariants(self, kwargs):
@@ -101,6 +115,27 @@ class TestFieldWeight:
             assert field_weight(p, PITCH, W, attacking_right=True) == pytest.approx(
                 field_weight(mirrored, PITCH, W, attacking_right=False), abs=1e-12
             )
+
+    @pytest.mark.parametrize("attacking_right", [True, False])
+    @pytest.mark.parametrize("grid_cell", [0.5, 4.0, 6.0])
+    def test_weight_grid_matches_scalar_oracle(self, grid_cell, attacking_right):
+        # The last cell centre overhangs the pitch on x at 4.0 m (53.5 m) and
+        # on y at 6.0 m (35 m); those centres are clamped to the boundary.
+        pitch = PitchSpec(grid_cell=grid_cell)
+        w = WeightParams(beta=0.3)
+        grid = weight_grid(pitch, w, attacking_right)
+        xs, ys = pitch.cell_centers()
+        want = [
+            [
+                field_weight(
+                    Point2(min(x, pitch.half_length), min(y, pitch.half_width)), pitch, w,
+                    attacking_right,
+                )
+                for x in xs.tolist()
+            ]
+            for y in ys.tolist()
+        ]
+        assert grid.tobytes() == np.array(want).tobytes()
 
     def test_defending_weight_is_mirrored_attacking_weight(self):
         att = weight_grid(PITCH, W, attacking_right=True)

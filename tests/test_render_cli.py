@@ -659,6 +659,23 @@ class TestCli:
                            "--out", str(tmp_path / "out")])
         assert rc == 2
 
+    @pytest.mark.parametrize("columns", [["f0", "f1", "f2"], [f"f{i}" for i in range(5)]])
+    def test_eval_names_a_custom_layout_neutrally(self, tmp_path, capsys, columns):
+        # Neither table is a top-n layout, so its row is not named n=0 or n=1.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("model.max_depth = 2\nmodel.n_trees = 5\ncv.k = 2\n", encoding="utf-8")
+        x = np.random.default_rng(3).uniform(size=(20, len(columns)))
+        PassSampleTable(
+            [f"e{i}" for i in range(20)], (x[:, 0] > 0.5).astype(np.int64), columns, x
+        ).to_csv(tmp_path / "features.csv")
+        args = ["--config", str(cfg), "--features", str(tmp_path / "features.csv")]
+        assert cli_dispatch(["train", *args, "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        assert cli_dispatch(["eval", *args, "--model", str(tmp_path / "model.json")]) == 0
+        rows = capsys.readouterr().out.splitlines()
+        assert rows[1].split()[0] == "custom"
+        assert not any(row.startswith("n=") for row in rows)
+
     def test_cyclic_model_exits_2(self, tmp_path, capsys):
         # Node 1 routes back to node 0, so traversal would never reach a leaf.
         cyclic = Tree([0, 0], [0.5, 0.5], [1, 0], [1, 0], [0.0, 0.0], [2, 2])
@@ -796,6 +813,8 @@ class TestCli:
             pytest.param("model.n_trees = inf", id="infinite_n_trees"),
             pytest.param("synth.frame_rate = 0", id="zero_frame_rate"),
             pytest.param("motion.max_speed = nan", id="nan_max_speed"),
+            # a drift of 13 m/s * 1e149 s would pass MAX_COORDINATE
+            pytest.param("motion.reaction_time = 1e149", id="overflowing_reaction_time"),
         ],
     )
     def test_bad_config_value_exits_1(self, tmp_path, capsys, line):
