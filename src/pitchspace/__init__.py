@@ -53,15 +53,9 @@ from .gbdt import (
     classification_metrics,
     compare_ranking_variables,
     grid_search_cv,
-    predict_proba,
     train_gbdt,
 )
-from .explain import (
-    ImportanceSummary,
-    ShapExplanation,
-    shap_summary,
-    tree_shap,
-)
+from .explain import ImportanceSummary
 from .render_svg import RenderOptions, render_frame_svg
 from .config import RunConfig, load_config
 

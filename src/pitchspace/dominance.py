@@ -73,8 +73,13 @@ class MotionParams:
             raise ValueError(
                 f"reaction_time must be finite and in [0, {limit:.4g}] s, got {self.reaction_time}"
             )
-        if not 0 < self.max_speed < math.inf:
-            raise ValueError(f"max_speed must be finite and > 0, got {self.max_speed}")
+        # Accepted points are a few MAX_COORDINATE apart at most, so times stay
+        # near 1e300 s or below, and every arrival time and allowance is finite.
+        slowest = 1.0 / MAX_COORDINATE
+        if not slowest <= self.max_speed < math.inf:
+            raise ValueError(
+                f"max_speed must be finite and >= {slowest:g} m/s, got {self.max_speed}"
+            )
 
 
 @dataclass

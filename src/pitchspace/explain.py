@@ -19,18 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .features import PassSampleTable
 from .gbdt import GbdtModel, Tree
-
-
-@dataclass
-class ShapExplanation:
-    """Additive decomposition of one prediction's margin."""
-
-    feature_names: list[str]
-    values: np.ndarray  # phi per feature, log-odds units
-    base_value: float  # expected margin over the training distribution
-    margin: float  # model margin for this row
 
 
 @dataclass
@@ -166,23 +155,3 @@ def shap_values(model: GbdtModel, X: np.ndarray) -> tuple[np.ndarray, float]:
             phi[:, feats] += table[patterns]
     return phi, float(base)
 
-
-def tree_shap(model: GbdtModel, row: np.ndarray | dict) -> ShapExplanation:
-    """Exact path-dependent Shapley attribution for one row."""
-    if isinstance(row, dict):
-        row = np.array([row[c] for c in model.feature_names], dtype=np.float64)
-    row = np.asarray(row, dtype=np.float64).reshape(1, -1)
-    phi, base = shap_values(model, row)
-    margin = float(model.margin(row)[0])
-    return ShapExplanation(
-        feature_names=list(model.feature_names),
-        values=phi[0],
-        base_value=base,
-        margin=margin,
-    )
-
-
-def shap_summary(model: GbdtModel, table: PassSampleTable | np.ndarray) -> ImportanceSummary:
-    """`ImportanceSummary.from_phi` of the table's attributions."""
-    X = table.raw if isinstance(table, PassSampleTable) else table
-    return ImportanceSummary.from_phi(model.feature_names, shap_values(model, X)[0])

@@ -91,11 +91,6 @@ class PassSampleTable:
             medians[col] = float(np.median(finite))
         return medians
 
-    def imputed(self, medians: dict[str, float] | None = None) -> np.ndarray:
-        if medians is None:
-            medians = self.finite_medians()
-        return impute_non_finite(self.raw, self.columns, medians)
-
     def subset(self, indices: Sequence[int]) -> "PassSampleTable":
         idx = list(indices)
         return PassSampleTable(
@@ -366,11 +361,7 @@ def select_top_n(
 
     def key(f: OffBallFeatures):
         v = getattr(f, ranking_variable)
-        if ranking_variable == "dist_ball":
-            return (0, v, f.player_id)
-        if math.isinf(v):
-            return (0, 0.0, f.player_id)
-        return (1, -v, f.player_id)
+        return (v if ranking_variable == "dist_ball" else -v, f.player_id)
 
     ordered = sorted(features, key=key)
     return [f.player_id for f in ordered[:n]]

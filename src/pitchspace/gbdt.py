@@ -148,11 +148,9 @@ class GbdtModel:
 
     def impute(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
-        if X.ndim == 1:
-            X = X[np.newaxis, :]
-        if X.shape[1] != len(self.feature_names):
+        if X.ndim != 2 or X.shape[1] != len(self.feature_names):
             raise ValueError(
-                f"expected {len(self.feature_names)} columns, got {X.shape[1]}"
+                f"expected rows of {len(self.feature_names)} columns, got shape {X.shape}"
             )
         return impute_non_finite(X, self.feature_names, self.medians)
 
@@ -337,7 +335,7 @@ def train_gbdt(
         raise ValueError("training requires both classes present")
     if medians is None:
         medians = table.finite_medians()
-    X = table.imputed(medians)
+    X = impute_non_finite(table.raw, table.columns, medians)
     presorted = _Presorted(X)
 
     p_bar = float(np.mean(y))
@@ -376,23 +374,6 @@ def train_gbdt(
         hyperparams=hp,
         training_logloss=logloss,
     )
-
-
-def predict_proba(model: GbdtModel, row: np.ndarray | dict) -> float:
-    """Success probability for one feature row (array in column order, or a
-    mapping by column name). Non-finite inputs are resolved by the stored medians."""
-    if isinstance(row, dict):
-        missing = [c for c in model.feature_names if c not in row]
-        if missing:
-            raise ValueError(f"row is missing columns {missing}")
-        row = np.array([row[c] for c in model.feature_names], dtype=np.float64)
-    else:
-        row = np.asarray(row, dtype=np.float64)
-        if row.shape != (len(model.feature_names),):
-            raise ValueError(
-                f"expected {len(model.feature_names)} values, got shape {row.shape}"
-            )
-    return float(model.predict_proba_batch(row[np.newaxis, :])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -568,7 +549,6 @@ def grid_search_cv(
 class RankingRow:
     variable: str
     mean_accuracy: float
-    best_hyperparams: GbdtHyperParams
     reference_accuracy: float
 
 
@@ -596,9 +576,9 @@ def compare_ranking_variables(
     rows: list[RankingRow] = []
     for var in RANKING_VARIABLES:
         table = assemble_table(event_features, n, var)
-        best_hp, results = grid_search_cv(table, grid, k, seed)
-        best = max(results, key=lambda r: r.mean_accuracy)
-        rows.append(RankingRow(var, best.mean_accuracy, best_hp, REFERENCE_RANKING_ACCURACY[var]))
+        _, results = grid_search_cv(table, grid, k, seed)
+        best = max(r.mean_accuracy for r in results)
+        rows.append(RankingRow(var, best, REFERENCE_RANKING_ACCURACY[var]))
     best_variable = max(rows, key=lambda r: (r.mean_accuracy, -rows.index(r))).variable
     return RankingReport(rows=rows, best_variable=best_variable)
 

@@ -490,47 +490,51 @@ def detect_kickoff_frame(frames: list[TrackedFrame], event_kickoff_frame_hint: i
     return window[peak].frame_index - KICKOFF_BACKOFF
 
 
+def _period_spans(frames: list[TrackedFrame]) -> list[tuple[int, int, int]]:
+    """(first, last, period): the frame-index span of each period, in period order."""
+    indices: dict[int, list[int]] = {}
+    for f in frames:
+        indices.setdefault(f.metadata.period, []).append(f.frame_index)
+    return [(idx[0], idx[-1], period) for period, idx in sorted(indices.items())]
+
+
+def _span_of(frame_index: int, spans: list[tuple[int, int, int]]) -> tuple[int, int, int]:
+    """The span that holds the frame index, else the one nearest to it (the
+    earlier period on a tie): the one rule that maps event frames to periods."""
+    return min(spans, key=lambda s: max(s[0] - frame_index, frame_index - s[1], 0))
+
+
 def synchronization_shift(frames: list[TrackedFrame], events: list[MatchEvent]) -> dict[int, int]:
     """Per-period shift to add to event frame indices to land on tracking frames.
 
-    The hint for each period is its kickoff event's frame; periods without a
-    kickoff event get shift 0 with a warning.
+    The hint for each period is the frame of the first kickoff event that maps
+    to it and lies within KICKOFF_WINDOW of its span; periods without one get
+    shift 0 with a warning.
     """
-    shifts: dict[int, int] = {}
-    periods = sorted({f.metadata.period for f in frames})
-    for period in periods:
-        period_frames = [f for f in frames if f.metadata.period == period]
-        kickoffs = [e for e in events if e.type == "kickoff"]
-        hint = None
-        for e in kickoffs:
-            # Kickoff events carry event-clock frames; match them to the period
-            # whose tracking span they fall nearest to.
-            first, last = period_frames[0].frame_index, period_frames[-1].frame_index
+    spans = _period_spans(frames)
+    hints: dict[int, int] = {}
+    for e in events:
+        if e.type == "kickoff":
+            first, last, period = _span_of(e.frame, spans)
             if first - KICKOFF_WINDOW <= e.frame <= last + KICKOFF_WINDOW:
-                hint = e.frame
-                break
+                hints.setdefault(period, e.frame)
+    shifts: dict[int, int] = {}
+    for _, _, period in spans:
+        hint = hints.get(period)
         if hint is None:
             logger.warning("period %d has no kickoff event in range; assuming shift 0", period)
             shifts[period] = 0
             continue
+        period_frames = [f for f in frames if f.metadata.period == period]
         shifts[period] = detect_kickoff_frame(period_frames, hint) - hint
     return shifts
 
 
 def apply_shift(events: list[MatchEvent], shifts: dict[int, int], frames: list[TrackedFrame]) -> list[MatchEvent]:
-    """Shift event frame indices into tracking-frame space."""
-    bounds: list[tuple[int, int, int]] = []
-    for period in sorted(shifts):
-        pf = [f for f in frames if f.metadata.period == period]
-        bounds.append((pf[0].frame_index, pf[-1].frame_index, period))
-
-    def period_of(frame_index: int) -> int:
-        for first, last, period in bounds:
-            if frame_index <= last + KICKOFF_WINDOW:
-                return period
-        return bounds[-1][2]
-
-    return [replace(e, frame=e.frame + shifts[period_of(e.frame)]) for e in events]
+    """Shift event frame indices into tracking-frame space, each by the shift
+    of the period whose span holds it (else the nearest span)."""
+    spans = [span for span in _period_spans(frames) if span[2] in shifts]
+    return [replace(e, frame=e.frame + shifts[_span_of(e.frame, spans)[2]]) for e in events]
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from pitchspace.dominance import (
     compute_dominance_grid,
     space_scores,
 )
-from pitchspace.explain import shap_summary, shap_values, tree_shap
+from pitchspace.explain import ImportanceSummary, shap_values
 from pitchspace.features import (
     assemble_table,
     extract_event_features,
@@ -226,8 +226,8 @@ def test_criterion_7_synthetic_end_to_end(corpus, corpus_features, corpus_table,
         [(frames, events)], 3, [CORPUS_HP], 5, 17, CORPUS_PITCH, MP, W
     )
 
-    summary = shap_summary(corpus_model, corpus_table)
-    top = summary.top_feature()
+    phi, _ = shap_values(corpus_model, corpus_table.raw)
+    top = ImportanceSummary.from_phi(corpus_model.feature_names, phi).top_feature()
 
     elapsed = time.perf_counter() - t0
     ok = (
@@ -258,8 +258,8 @@ def test_criterion_8_shap_exactness(corpus_features, corpus_table, corpus_model)
     worst = 0.0
     for i in range(100):
         bf = brute_force_shapley(small, X[i])
-        ts = tree_shap(small, X[i])
-        worst = max(worst, float(np.max(np.abs(bf - ts.values))))
+        ts = shap_values(small, X[i : i + 1])[0][0]
+        worst = max(worst, float(np.max(np.abs(bf - ts))))
     ok = local < 1e-6 and worst < 1e-9
     report(
         8,

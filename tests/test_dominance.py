@@ -206,6 +206,12 @@ class TestArrivalTime:
             with pytest.raises(ValueError, match="reaction_time must be finite and in"):
                 MotionParams(reaction_time=rt)
 
+    def test_max_speed_floor_is_tied_to_max_coordinate(self):
+        MotionParams(max_speed=1.0 / MAX_COORDINATE)
+        for speed in (1e-151, 1e-200, 1e-308, 0.0, -7.8):
+            with pytest.raises(ValueError, match="max_speed must be finite and >= 1e-150"):
+                MotionParams(max_speed=speed)
+
 
 class TestDominanceGrid:
     def test_single_player_owns_everything(self):
@@ -628,6 +634,37 @@ class TestDirectionalDeltas:
         for pid in candidates:
             entry = table.entries[pid]
             assert entry.deltas.tobytes() == np.full(8, 0.0 - entry.score).tobytes()
+
+    @pytest.mark.parametrize(
+        "pitch",
+        [PITCH, PitchSpec(length=2e150, width=2e150, grid_cell=1e148)],
+        ids=["default_pitch", "max_pitch"],
+    )
+    def test_slowest_motion_at_max_coordinate_stays_finite(self, pitch):
+        # Players on the coordinate bound drift a further MAX_COORDINATE at
+        # 13 m/s over the longest reaction time, then run at the slowest
+        # speed: times near 1e300 s, every one finite, with warnings as errors.
+        c = MAX_COORDINATE
+        mp = MotionParams(reaction_time=c / MAX_TRACKED_SPEED, max_speed=1.0 / c)
+        frame = make_frame(
+            [
+                player("A1", ATTACKING, -c, c, -13.0, 0.0),
+                player("A2", ATTACKING, c, -c, 0.0, -13.0),
+                player("B1", DEFENDING, c, c, 13.0, 0.0),
+                player("B2", DEFENDING, -c, -c, 0.0, -13.0),
+            ],
+            ball_pos=(c, -c),
+        )
+        excluded = offside_positions(frame)
+        candidates = sorted(pid for pid in frame.ids if pid not in excluded)
+        assert candidates
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = batch_scores_with_deltas(frame, pitch, mp, W, candidates, excluded)
+            for pid in candidates:
+                nd = directional_space_deltas(frame, pid, pitch, mp, W, excluded=excluded)
+                assert np.isfinite(nd).all()
+                assert table.entries[pid].deltas.tobytes() == nd.tobytes(), pid
 
     @pytest.mark.parametrize(
         "n, p_won",

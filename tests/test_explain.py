@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from pitchspace.explain import shap_summary, shap_values, tree_shap
+from pitchspace.explain import ImportanceSummary, shap_values
 from pitchspace.features import PassSampleTable
 from pitchspace.gbdt import GbdtHyperParams, GbdtModel, Tree, train_gbdt
 
@@ -87,7 +87,7 @@ def _recount_covers(tree: Tree, X: np.ndarray) -> list[int]:
 
 def brute_force_shapley(
     model: GbdtModel,
-    row: np.ndarray | dict,
+    row: np.ndarray,
     background_table: PassSampleTable | np.ndarray | None = None,
 ) -> np.ndarray:
     """Exact Shapley values by subset enumeration over the same conditional-
@@ -101,9 +101,7 @@ def brute_force_shapley(
     d = len(model.feature_names)
     if d > BRUTE_FORCE_MAX_FEATURES:
         raise ValueError(f"{d} features exceeds the brute-force limit of {BRUTE_FORCE_MAX_FEATURES}")
-    if isinstance(row, dict):
-        row = np.array([row[c] for c in model.feature_names], dtype=np.float64)
-    row = model.impute(np.asarray(row, dtype=np.float64))[0]
+    row = model.impute(np.asarray(row, dtype=np.float64)[np.newaxis, :])[0]
 
     covers: list[list[int]] = []
     for tree in model.trees:
@@ -246,13 +244,22 @@ def pattern_table_case(name):
     raise ValueError(name)
 
 
+def shap_row(model: GbdtModel, row: np.ndarray) -> np.ndarray:
+    """phi of one row, from a one-row batch."""
+    return shap_values(model, row[np.newaxis, :])[0][0]
+
+
+def summary_of(model: GbdtModel, X: np.ndarray) -> ImportanceSummary:
+    return ImportanceSummary.from_phi(model.feature_names, shap_values(model, X)[0])
+
+
 class TestTreeShapBasics:
     def test_single_leaf_tree(self):
         model = manual_model([leaf_tree(0.7)], n_features=3, base=0.1)
-        exp = tree_shap(model, np.zeros(3))
-        assert np.all(exp.values == 0.0)
-        assert exp.base_value == pytest.approx(0.8)
-        assert exp.margin == pytest.approx(0.8)
+        phi, base = shap_values(model, np.zeros((1, 3)))
+        assert np.all(phi == 0.0)
+        assert base == pytest.approx(0.8)
+        assert model.margin(np.zeros((1, 3)))[0] == pytest.approx(0.8)
 
     def test_depth_one_tree_single_feature_game(self):
         tree = stump(feature=1, threshold=0.0, left_value=-1.0, right_value=2.0,
@@ -260,16 +267,16 @@ class TestTreeShapBasics:
         model = manual_model([tree], n_features=3)
         expected_value = (6 * -1.0 + 4 * 2.0) / 10.0
         row = np.array([9.0, -1.0, 9.0])  # goes left
-        exp = tree_shap(model, row)
-        assert exp.values[1] == pytest.approx(-1.0 - expected_value)
-        assert exp.values[0] == exp.values[2] == 0.0
+        phi = shap_row(model, row)
+        assert phi[1] == pytest.approx(-1.0 - expected_value)
+        assert phi[0] == phi[2] == 0.0
 
     def test_missing_covers_error(self):
         bad = Tree(feature=[-1], threshold=[0.0], left=[-1], right=[-1],
                    value=[1.0], cover=[0])
         model = manual_model([bad], n_features=1)
         with pytest.raises(ValueError):
-            tree_shap(model, np.zeros(1))
+            shap_values(model, np.zeros((1, 1)))
         with pytest.raises(ValueError):
             brute_force_shapley(model, np.zeros(1))
 
@@ -285,7 +292,7 @@ class TestBruteForceOracle:
     def test_efficiency_axiom(self, rng):
         table = random_table(rng, n=200, d=5)
         model = train_gbdt(table, GbdtHyperParams(n_trees=4, max_depth=3))
-        X = table.imputed(model.medians)
+        X = model.impute(table.raw)
         for i in range(10):
             phi = brute_force_shapley(model, X[i])
             margin = float(model.margin(X[i : i + 1])[0])
@@ -305,8 +312,8 @@ class TestBruteForceOracle:
         model = manual_model([tree], n_features=2)
         phi = brute_force_shapley(model, np.array([0.0, 0.0]))
         assert phi[0] == pytest.approx(phi[1], abs=1e-12)
-        ts = tree_shap(model, np.array([0.0, 0.0]))
-        assert ts.values[0] == pytest.approx(ts.values[1], abs=1e-12)
+        ts = shap_row(model, np.array([0.0, 0.0]))
+        assert ts[0] == pytest.approx(ts[1], abs=1e-12)
 
     def test_feature_limit(self):
         model = manual_model([leaf_tree(1.0)], n_features=13)
@@ -316,7 +323,7 @@ class TestBruteForceOracle:
     def test_background_table_recounts_covers(self, rng):
         table = random_table(rng, n=150, d=4)
         model = train_gbdt(table, GbdtHyperParams(n_trees=3, max_depth=3))
-        X = table.imputed(model.medians)
+        X = model.impute(table.raw)
         # Routing the training table itself reproduces the stored covers.
         phi_stored = brute_force_shapley(model, X[0])
         phi_recount = brute_force_shapley(model, X[0], background_table=table)
@@ -343,11 +350,11 @@ class TestOracleEquivalence:
             table = random_table(r, n=300, d=4)
             model = train_gbdt(table, GbdtHyperParams(n_trees=5, max_depth=3,
                                                       learning_rate=0.3))
-            X = table.imputed(model.medians)
+            X = model.impute(table.raw)
             for i in range(25):
                 bf = brute_force_shapley(model, X[i])
-                ts = tree_shap(model, X[i])
-                worst = max(worst, float(np.max(np.abs(bf - ts.values))))
+                ts = shap_row(model, X[i])
+                worst = max(worst, float(np.max(np.abs(bf - ts))))
         assert worst < 1e-9
 
     def test_duplicated_feature_on_path(self):
@@ -357,8 +364,8 @@ class TestOracleEquivalence:
         for x0 in (-1.0, 0.0, 1.0):
             row = np.array([x0, 0.0])
             bf = brute_force_shapley(model, row)
-            ts = tree_shap(model, row)
-            assert np.allclose(bf, ts.values, atol=1e-12)
+            ts = shap_row(model, row)
+            assert np.allclose(bf, ts, atol=1e-12)
 
 
 class TestProperties:
@@ -384,7 +391,7 @@ class TestProperties:
     def test_additivity_across_trees(self, rng):
         table = random_table(rng, n=200, d=5)
         model = train_gbdt(table, GbdtHyperParams(n_trees=8, max_depth=3))
-        X = table.imputed(model.medians)
+        X = model.impute(table.raw)
         phi_full, _ = shap_values(model, X[:20])
         phi_sum = np.zeros_like(phi_full)
         for tree in model.trees:
@@ -401,7 +408,7 @@ class TestSummary:
     def test_constant_model_all_zero(self, rng):
         model = manual_model([leaf_tree(0.4)], n_features=4)
         table = make_table(rng.normal(0, 1, (30, 4)), np.array([0, 1] * 15))
-        summary = shap_summary(model, table)
+        summary = summary_of(model, table.raw)
         assert np.all(summary.mean_abs == 0.0)
         assert sorted(summary.rank.tolist()) == [1, 2, 3, 4]
 
@@ -409,7 +416,7 @@ class TestSummary:
         table = random_table(rng, n=100, d=4)
         model = train_gbdt(table, GbdtHyperParams(n_trees=10, max_depth=3))
         one = table.subset([0])
-        summary = shap_summary(model, one)
+        summary = summary_of(model, one.raw)
         phi, _ = shap_values(model, one.raw)
         assert np.allclose(summary.mean_abs, np.abs(phi[0]), atol=1e-12)
 
@@ -417,7 +424,7 @@ class TestSummary:
         table = random_table(rng, n=50, d=4)
         model = train_gbdt(table, GbdtHyperParams(n_trees=5))
         with pytest.raises(ValueError):
-            shap_summary(model, table.raw[:0])
+            summary_of(model, table.raw[:0])
 
     def test_signal_feature_ranks_first(self, rng):
         # Labels depend only on column 2; it must top the importance ranking.
@@ -426,13 +433,13 @@ class TestSummary:
         table = make_table(X, y)
         model = train_gbdt(table, GbdtHyperParams(n_trees=30, max_depth=3,
                                                   learning_rate=0.2))
-        summary = shap_summary(model, table)
+        summary = summary_of(model, table.raw)
         assert summary.top_feature() == "f2"
 
     def test_csv_export(self, rng, tmp_path):
         table = random_table(rng, n=80, d=4)
         model = train_gbdt(table, GbdtHyperParams(n_trees=5))
-        summary = shap_summary(model, table)
+        summary = summary_of(model, table.raw)
         summary.to_csv(tmp_path / "s.csv")
         lines = (tmp_path / "s.csv").read_text().splitlines()
         assert lines[0] == "feature,mean_abs_shap,rank,q05,q25,q50,q75,q95"

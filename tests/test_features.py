@@ -21,6 +21,7 @@ from pitchspace.features import (
     build_dataset,
     column_names,
     extract_event_features,
+    impute_non_finite,
     offball_features,
     onball_features,
     orient_frame,
@@ -308,7 +309,7 @@ class TestAssembleAndDataset:
         )
         medians = table.finite_medians()
         assert medians == {"x": 2.0}
-        assert list(table.imputed(medians)[:, 0]) == [1.0, 2.0, 3.0]
+        assert list(impute_non_finite(table.raw, table.columns, medians)[:, 0]) == [1.0, 2.0, 3.0]
         assert list(table.imputation_flags[:, 0]) == [False, True, False]
 
     def test_padding_flags_and_medians(self):
@@ -319,8 +320,7 @@ class TestAssembleAndDataset:
         flags = table.imputation_flags[i]
         assert flags[5:].all()
         medians = table.finite_medians()
-        imputed = table.imputed(medians)
-        assert np.isfinite(imputed).all()
+        assert np.isfinite(impute_non_finite(table.raw, table.columns, medians)).all()
 
     def test_all_imputed_column_errors(self):
         table = PassSampleTable(
@@ -381,7 +381,7 @@ class TestEndToEndDataset:
         table, medians = build_dataset([(frames, events)], 3, "dist_ball", PITCH, MP, W)
         assert len(table) == 40
         assert len(table.columns) == 15
-        assert np.isfinite(table.imputed(medians)).all()
+        assert np.isfinite(impute_non_finite(table.raw, table.columns, medians)).all()
         # rank-1 dist_ball equals the generator's rule input (nearest receiver)
         db1 = table.raw[:, table.columns.index("dist_ball_1")]
         gen = np.array([gt["rule_features"][eid]["dist_ball"] for eid in table.event_ids])

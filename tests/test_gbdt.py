@@ -7,7 +7,7 @@ import pytest
 
 from pitchspace import gbdt
 from pitchspace.config import RunConfig
-from pitchspace.features import PassSampleTable
+from pitchspace.features import PassSampleTable, impute_non_finite
 from pitchspace.gbdt import (
     GbdtHyperParams,
     GbdtModel,
@@ -18,7 +18,6 @@ from pitchspace.gbdt import (
     format_ranking_table,
     grid_search_cv,
     load_model,
-    predict_proba,
     save_model,
     stratified_kfold,
     train_gbdt,
@@ -243,7 +242,8 @@ class TestTraining:
         # Rounded g and h tie often, within runs of tied values and within
         # groups of identical rows, so every tie rule of the fresh sort counts.
         rng = np.random.default_rng(11)
-        X = oracle_table(rng, **table_kw).imputed()
+        table = oracle_table(rng, **table_kw)
+        X = impute_non_finite(table.raw, table.columns, table.finite_medians())
         g = np.round(rng.normal(0.0, 0.5, len(X)), 1)
         h = np.round(rng.uniform(0.0, 0.25, len(X)), 2)
         rows = np.arange(len(X))
@@ -308,21 +308,20 @@ class TestPrediction:
         table = random_table(rng, n=50)
         model = train_gbdt(table, GbdtHyperParams(n_trees=3, gamma=1e9))
         p_bar = table.labels.mean()
-        assert predict_proba(model, np.zeros(6)) == pytest.approx(p_bar, abs=1e-9)
+        assert model.predict_proba_batch(np.zeros((1, 6)))[0] == pytest.approx(p_bar, abs=1e-9)
 
     def test_monotone_single_feature_tree(self):
         X = np.array([[0.0], [1.0], [2.0], [3.0]])
         y = np.array([0, 0, 1, 1])
         model = train_gbdt(make_table(X, y), GbdtHyperParams(n_trees=5, max_depth=1,
                                                              learning_rate=0.5))
-        p_low = predict_proba(model, np.array([0.5]))
-        p_high = predict_proba(model, np.array([2.5]))
+        p_low, p_high = model.predict_proba_batch(np.array([[0.5], [2.5]]))
         assert p_high > p_low
 
     def test_margin_additivity_path_trace(self, rng):
         table = random_table(rng)
         model = train_gbdt(table, GbdtHyperParams(n_trees=20, max_depth=3))
-        X = table.imputed(model.medians)
+        X = model.impute(table.raw)
         margins = model.margin(table.raw)
         for i in range(0, len(X), 37):
             total = model.base_score
@@ -340,15 +339,13 @@ class TestPrediction:
         p = model.predict_proba_batch(table.raw)
         assert np.all(p > 0.0) and np.all(p < 1.0)
 
-    def test_dict_row_and_column_mismatch(self, rng):
+    def test_column_count_mismatch(self, rng):
         table = random_table(rng, n=50)
         model = train_gbdt(table, GbdtHyperParams(n_trees=3))
-        row = {c: 0.0 for c in model.feature_names}
-        assert 0.0 < predict_proba(model, row) < 1.0
-        with pytest.raises(ValueError):
-            predict_proba(model, np.zeros(3))
-        with pytest.raises(ValueError):
-            predict_proba(model, {c: 0.0 for c in model.feature_names[:-1]})
+        with pytest.raises(ValueError, match="expected rows of 6 columns"):
+            model.predict_proba_batch(np.zeros((1, 3)))
+        with pytest.raises(ValueError, match="expected rows of 6 columns"):
+            model.predict_proba_batch(np.zeros(6))  # a bare row is not a batch
 
     def test_non_finite_inputs_resolved_by_medians(self, rng):
         table = random_table(rng, n=80)
@@ -357,7 +354,8 @@ class TestPrediction:
         row[2] = math.inf
         imputed_row = row.copy()
         imputed_row[2] = model.medians[model.feature_names[2]]
-        assert predict_proba(model, row) == predict_proba(model, imputed_row)
+        p = model.predict_proba_batch(np.array([row, imputed_row]))
+        assert p[0] == p[1]
 
     def test_monotone_transform_preserves_decision_paths(self, rng):
         table = random_table(rng, n=250)

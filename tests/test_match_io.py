@@ -473,6 +473,33 @@ class TestKickoffDetection:
         assert [e.frame for e in shifted] == [96, 126]
         assert synchronization_shift(frames, shifted) == {1: 0}
 
+    def test_event_takes_the_shift_of_the_period_that_holds_it(self, tmp_path):
+        frames = two_period_frames(tmp_path, impulse=240)
+        # 210 lies within KICKOFF_WINDOW of period 1's last frame, but in period 2;
+        # 420 is past every span and takes the nearest one's shift
+        events = [ev(f"E{f}", "pass", f, "A") for f in (5, 199, 200, 210, 420)]
+        shifted = apply_shift(events, {1: 3, 2: -7}, frames)
+        assert [e.frame for e in shifted] == [8, 202, 193, 203, 413]
+
+    def test_kickoff_is_the_hint_of_its_own_period_only(self, tmp_path, caplog):
+        # Period 1 has no kickoff event. Period 2's, at 230, lies within
+        # KICKOFF_WINDOW of period 1's span too, but is no hint for it.
+        frames = two_period_frames(tmp_path, impulse=240)
+        with caplog.at_level("WARNING"):
+            shifts = synchronization_shift(frames, [ev("K2", "kickoff", 230, "B")])
+        assert shifts == {1: 0, 2: 6}  # detected 236, hint 230
+        assert any("period 1 has no kickoff" in r.message for r in caplog.records)
+
+
+def two_period_frames(tmp_path, impulse):
+    """Frames 0-199 of period 1 and 200-399 of period 2, the ball at rest
+    until the impulse frame."""
+    records = impulse_frames(400, impulse)
+    for rec in records[200:]:
+        rec["period"] = 2
+    write_tracking(tmp_path / "t.jsonl", records)
+    return load_tracking(tmp_path / "t.jsonl")
+
 
 def ev(eid, etype, frame, team, player="P"):
     outcome = "success" if etype == "pass" else None

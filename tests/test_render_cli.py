@@ -1,6 +1,8 @@
 import csv
+import importlib
 import json
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -327,6 +329,23 @@ class TestConfig:
                 assert name in keys, name
         assert {k.split(".")[0] for k in keys} == {n.split(".")[0] for n in names}
 
+    def test_readme_library_surface_names_exist(self):
+        # README's Library surface names every module as `pitchspace.<module>`,
+        # and each `<module>.<name>` it cites (a call's arguments aside) exists
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("## Library surface", 1)[1].split("\n## ", 1)[0]
+        cited = re.findall(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)", section)
+        modules = {m.name for m in pkgutil.iter_modules(pitchspace.__path__)}
+        named = {c.split(".")[1] for c in cited if c.startswith("pitchspace.")}
+        assert named == modules
+        attributes = [c for c in cited if c.split(".")[0] in modules]
+        assert len(attributes) >= 10
+        for c in attributes:
+            obj = importlib.import_module(f"pitchspace.{c.split('.')[0]}")
+            for name in c.split(".")[1:]:
+                assert hasattr(obj, name), c
+                obj = getattr(obj, name)
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400", "2.7", "-1", "0", "x", ""])
     @pytest.mark.parametrize("key", CONFIG_KEYS + REMOVED_CONFIG_KEYS)
     def test_any_value_loads_or_is_config_error(self, key, value):
@@ -477,8 +496,8 @@ class TestCli:
         assert (root / "explain" / "attributions.csv").exists()
 
     def test_explain_per_row_attributes_once(self, tmp_path, monkeypatch):
-        # One shap_values call feeds both files, with the bytes that the
-        # summary and a separate per-row pass over the same table give.
+        # One shap_values call feeds both files, with the bytes that a
+        # separate shap_values pass over the same table gives.
         rng = np.random.default_rng(3)
         X = rng.normal(0.0, 1.0, (60, 4))
         y = (X[:, 0] + rng.normal(0.0, 0.5, 60) > 0).astype(np.int64)
@@ -502,10 +521,10 @@ class TestCli:
         assert calls == [60]
         monkeypatch.undo()
 
-        explain.shap_summary(model, table).to_csv(tmp_path / "summary.csv")
+        phi, base = explain.shap_values(model, table.raw)
+        explain.ImportanceSummary.from_phi(model.feature_names, phi).to_csv(tmp_path / "summary.csv")
         summary = (tmp_path / "summary.csv").read_bytes()
         assert (tmp_path / "out" / "shap_summary.csv").read_bytes() == summary
-        phi, base = explain.shap_values(model, table.raw)
         margins = model.margin(table.raw)
         lines = [",".join(["event_id", "base_value", "margin", *model.feature_names])]
         for i, eid in enumerate(table.event_ids):
@@ -815,6 +834,8 @@ class TestCli:
             pytest.param("motion.max_speed = nan", id="nan_max_speed"),
             # a drift of 13 m/s * 1e149 s would pass MAX_COORDINATE
             pytest.param("motion.reaction_time = 1e149", id="overflowing_reaction_time"),
+            # a time over 1e150 m at under 1e-150 m/s could pass 1e300 s
+            pytest.param("motion.max_speed = 1e-151", id="vanishing_max_speed"),
         ],
     )
     def test_bad_config_value_exits_1(self, tmp_path, capsys, line):
