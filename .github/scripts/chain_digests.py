@@ -6,11 +6,14 @@
 `run` executes the chain of test_criterion_10_pipeline_determinism in
 tests/test_acceptance.py (synth, features, train, eval, explain, render), then
 compare-rankings, segment and sync on the same match, so that every
-subcommand runs, all with the same config, into OUT_DIR. It uses the
-pitchspace package found on PYTHONPATH and writes {artifact path: sha256} to
-DIGESTS_JSON. `compare` prints a Markdown list of the artifacts whose digests
-differ, or that only one run wrote. Both exit 0 whatever they find: the report
-is for a reader, and a declared behaviour change may change artifacts.
+subcommand runs, all with the same config, into OUT_DIR. Since that match has
+a single attack sequence, it then synthesizes a second match whose passes go
+to both teams (synth.opponent_pass_rate = 0.4) and segments it, which writes
+several sequences and drop records. It uses the pitchspace package found on
+PYTHONPATH and writes {artifact path: sha256} to DIGESTS_JSON. `compare`
+prints a Markdown list of the artifacts whose digests differ, or that only one
+run wrote. Both exit 0 whatever they find: the report is for a reader, and a
+declared behaviour change may change artifacts.
 """
 
 import hashlib
@@ -25,6 +28,7 @@ CONFIG = (
     "model.max_depth = 3\nmodel.learning_rate = 0.2\nmodel.n_trees = 30\n"
     "cv.k = 3\n"
 )
+OPPONENT_CONFIG = CONFIG + "synth.opponent_pass_rate = 0.4\n"
 
 
 def run(out: Path, digests_path: Path) -> None:
@@ -32,8 +36,10 @@ def run(out: Path, digests_path: Path) -> None:
     from pitchspace.cli import cli_dispatch
 
     out.mkdir(parents=True, exist_ok=True)
-    cfg = out / "run.cfg"
+    cfg, opp_cfg = out / "run.cfg", out / "opponent.cfg"
     cfg.write_text(CONFIG, encoding="utf-8")
+    opp_cfg.write_text(OPPONENT_CONFIG, encoding="utf-8")
+    opp = out / "opponent-match"
     m = out / "match"
     feat, model = out / "feat" / "features.csv", out / "model" / "model.json"
     match_args = ["--tracking", str(m / "tracking.jsonl"), "--events", str(m / "events.jsonl")]
@@ -49,13 +55,19 @@ def run(out: Path, digests_path: Path) -> None:
         ["segment", *match_args, "--out", str(out / "segment")],
         ["sync", *match_args, "--out", str(out / "sync")],
     ]
+    opp_steps = [
+        ["synth", "--seed", "7", "--out", str(opp)],
+        ["segment", "--tracking", str(opp / "tracking.jsonl"), "--events",
+         str(opp / "events.jsonl"), "--out", str(out / "opponent-segment")],
+    ]
     codes = {}
-    for argv in steps:
-        codes[argv[0]] = cli_dispatch([argv[0], "--config", str(cfg), *argv[1:]])
+    for config, prefix, chain in ((cfg, "", steps), (opp_cfg, "opponent-", opp_steps)):
+        for argv in chain:
+            codes[prefix + argv[0]] = cli_dispatch([argv[0], "--config", str(config), *argv[1:]])
     digests = {
         str(p.relative_to(out)): hashlib.sha256(p.read_bytes()).hexdigest()
         for p in sorted(out.rglob("*"))
-        if p.is_file() and p != cfg
+        if p.is_file() and p not in (cfg, opp_cfg)
     }
     doc = {"package": pitchspace.__file__, "exit_codes": codes, "digests": digests}
     digests_path.write_text(json.dumps(doc, indent=1))

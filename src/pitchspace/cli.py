@@ -60,10 +60,10 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _sha256(path: Path) -> str:
+def _sha256(data: bytes) -> str:
     import hashlib  # loads OpenSSL; only runs that write a manifest need it
 
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    return hashlib.sha256(data).hexdigest()
 
 
 def _write_manifest(
@@ -80,11 +80,12 @@ def _write_manifest(
     digests = {}
     for p in sorted(inputs, key=lambda p: (p.parent.name, p.name)):
         key = p.name if names.count(p.name) == 1 else f"{p.parent.name}/{p.name}"
-        digests[key] = _sha256(p)
+        digests[key] = _sha256(p.read_bytes())
+    config = b"<defaults>" if config_path is None else Path(config_path).read_bytes()
     doc = {
         "command": command,
         "seed": seed,
-        "config_sha256": cfgmod.config_digest(config_path),
+        "config_sha256": _sha256(config),
         "inputs": digests,
         "outputs": sorted(outputs),
     }
@@ -167,7 +168,7 @@ def cmd_segment(args, cfg: RunConfig, out: Path):
             }
             for s in sequences
         ],
-        "dropped": [{"event_ids": list(d.event_ids), "reason": d.reason} for d in drops],
+        "dropped": [asdict(d) for d in drops],
     }
     write_json(out / "sequences.json", doc, indent=1)
     print(f"segment: {len(sequences)} sequences, {len(drops)} drop records")
@@ -252,21 +253,7 @@ def cmd_compare_rankings(args, cfg: RunConfig, out: Path | None):
     )
     print(gbdtmod.format_ranking_table(report))
     if out is not None:
-        write_json(
-            out / "ranking_report.json",
-            {
-                "best_variable": report.best_variable,
-                "rows": [
-                    {
-                        "variable": row.variable,
-                        "mean_accuracy": row.mean_accuracy,
-                        "reference_accuracy": row.reference_accuracy,
-                    }
-                    for row in report.rows
-                ],
-            },
-            indent=1,
-        )
+        write_json(out / "ranking_report.json", asdict(report), indent=1)
     return seed, inputs, ["ranking_report.json"]
 
 

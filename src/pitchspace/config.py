@@ -223,14 +223,6 @@ def load_config(path: str | Path | None) -> RunConfig:
     return parse_config(text)
 
 
-def config_digest(path: str | Path | None) -> str:
-    import hashlib  # loads OpenSSL; only runs that write a manifest need it
-
-    if path is None:
-        return hashlib.sha256(b"<defaults>").hexdigest()
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
 DEFAULT_CONFIG_TEXT = """\
 # pitchspace run configuration (defaults shown)
 

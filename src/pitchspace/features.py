@@ -128,6 +128,8 @@ class PassSampleTable:
                 columns = rest[:n_cols]
                 if rest[n_cols:] != [f"imputed_{c}" for c in columns]:
                     raise SchemaError("malformed feature table header", path, 1)
+                if not columns:
+                    raise SchemaError("no feature columns", path, 1)
                 repeated = sorted({c for c in columns if columns.count(c) > 1})
                 if repeated:  # imputation medians are keyed by name
                     raise SchemaError(f"repeated column names {repeated}", path, 1)

@@ -318,14 +318,12 @@ def _build_tree(
     return Tree(**nodes)
 
 
-def train_gbdt(
-    table: PassSampleTable, hp: GbdtHyperParams, medians: dict[str, float] | None = None
-) -> GbdtModel:
+def train_gbdt(table: PassSampleTable, hp: GbdtHyperParams) -> GbdtModel:
     """Fit the boosted ensemble on a feature table.
 
-    Imputation medians are computed from this table (or taken from `medians`)
-    and stored on the model; per-round full-sample training logloss is
-    recorded for the monotonicity check.
+    Imputation medians are computed from this table and stored on the model;
+    per-round full-sample training logloss is recorded for the monotonicity
+    check.
     """
     if len(table) < 2:
         raise ValueError("training requires at least 2 samples")
@@ -333,8 +331,7 @@ def train_gbdt(
     classes = np.unique(y)
     if classes.size < 2:
         raise ValueError("training requires both classes present")
-    if medians is None:
-        medians = table.finite_medians()
+    medians = table.finite_medians()
     X = impute_non_finite(table.raw, table.columns, medians)
     presorted = _Presorted(X)
 
@@ -370,7 +367,7 @@ def train_gbdt(
         base_score=base,
         trees=trees,
         feature_names=list(table.columns),
-        medians=dict(medians),
+        medians=medians,
         hyperparams=hp,
         training_logloss=logloss,
     )

@@ -552,84 +552,51 @@ def segment_attack_sequences(
     on-ball events (the second touch triggers closure and the opponent's
     sequence opens retroactively at their first). Spans shorter than
     MIN_SEQUENCE_SECONDS and events referencing missing frames produce drop
-    records instead of sequences.
+    records instead of sequences. Events out of frame order raise ValueError.
     """
     frame_time = {f.frame_index: f.time for f in frames}
+    if any(b.frame < a.frame for a, b in zip(events, events[1:])):
+        raise ValueError("events must be sorted by frame")
     sequences: list[AttackSequence] = []
     drops: list[DroppedEvents] = []
-    counter = 0
 
-    current_team: str | None = None
-    current_events: list[MatchEvent] = []
-    poisoned = False
-    opp_run: list[MatchEvent] = []
+    def drop(run: list[MatchEvent], reason: str) -> None:
+        if run:
+            drops.append(DroppedEvents(tuple(e.event_id for e in run), reason))
 
-    def close(end_events: list[MatchEvent]) -> None:
-        nonlocal counter, poisoned
-        if not end_events:
+    def close(team: str, run: list[MatchEvent]) -> None:
+        if not run:
             return
-        ids = tuple(e.event_id for e in end_events)
-        team_events = [e for e in end_events if e.team == current_team]
-        start = end_events[0].frame
-        end = team_events[-1].frame if team_events else end_events[-1].frame
-        if poisoned:
-            drops.append(DroppedEvents(ids, "event referenced a missing frame"))
+        ids = tuple(e.event_id for e in run)
+        if any(e.frame not in frame_time for e in run):
+            drop(run, "event referenced a missing frame")
             logger.warning("sequence dropped (missing frame): events %s", ids)
             return
+        start, end = run[0].frame, run[-1].frame  # a run ends with its team's event
         duration = frame_time[end] - frame_time[start]
         if duration < MIN_SEQUENCE_SECONDS:
-            drops.append(DroppedEvents(ids, f"span {duration:.2f}s below {MIN_SEQUENCE_SECONDS}s floor"))
+            drop(run, f"span {duration:.2f}s below {MIN_SEQUENCE_SECONDS}s floor")
             logger.warning("sequence dropped (%.2fs span): events %s", duration, ids)
             return
-        counter += 1
-        sequences.append(
-            AttackSequence(
-                sequence_id=f"seq-{counter:04d}",
-                team_id=current_team or "",
-                start_frame=start,
-                end_frame=end,
-                event_ids=ids,
-            )
-        )
+        sequences.append(AttackSequence(f"seq-{len(sequences) + 1:04d}", team, start, end, ids))
 
-    last_frame = None
+    team, current, opp = "", [], []
     for ev in events:
-        if last_frame is not None and ev.frame < last_frame:
-            raise ValueError("events must be sorted by frame")
-        last_frame = ev.frame
-        missing = ev.frame not in frame_time
-
-        if current_team is None:
-            current_team, current_events, poisoned, opp_run = ev.team, [ev], missing, []
-            continue
-
-        if ev.type in SET_PLAY_TYPES:
-            # A set play means the ball went dead: previous attack is over.
-            close(current_events)
-            if opp_run:
-                drops.append(
-                    DroppedEvents(tuple(e.event_id for e in opp_run), "opponent touches before a set play")
-                )
-            current_team, current_events, poisoned, opp_run = ev.team, [ev], missing, []
-            continue
-
-        if ev.team == current_team:
-            current_events.extend(opp_run)  # tolerated isolated opponent touches
-            poisoned = poisoned or missing or any(e.frame not in frame_time for e in opp_run)
-            opp_run = []
-            current_events.append(ev)
+        if not current or ev.type in SET_PLAY_TYPES:
+            # A set play means the ball went dead: the previous attack is
+            # over. The first event opens the first sequence the same way.
+            close(team, current)
+            drop(opp, "opponent touches before a set play")
+            team, current, opp = ev.team, [ev], []
+        elif ev.team == team:
+            current += [*opp, ev]  # tolerated isolated opponent touches
+            opp = []
+        elif opp:
+            # Effective opponent possession: close and hand over.
+            close(team, current)
+            team, current, opp = ev.team, [*opp, ev], []
         else:
-            opp_run.append(ev)
-            if len(opp_run) >= 2:
-                # Effective opponent possession: close and hand over.
-                run = opp_run
-                close(current_events)
-                run_missing = any(e.frame not in frame_time for e in run)
-                current_team, current_events, poisoned, opp_run = ev.team, list(run), run_missing, []
-
-    close(current_events)
-    if opp_run:
-        drops.append(
-            DroppedEvents(tuple(e.event_id for e in opp_run), "trailing opponent touches at match end")
-        )
+            opp = [ev]
+    close(team, current)
+    drop(opp, "trailing opponent touches at match end")
     return sequences, drops

@@ -363,6 +363,9 @@ class TestAssembleAndDataset:
                          "f.csv:3: malformed CSV", id="field_over_csv_limit"),
             pytest.param(lambda rows: rows.__setitem__(0, rows[0].replace("_ball_2", "_ball_1")),
                          r"f.csv:1: repeated column names \['dist_ball_1'\]", id="repeated_column"),
+            pytest.param(lambda rows: rows.__setitem__(slice(None), [",".join(r.split(",")[:2])
+                                                                     for r in rows]),
+                         "f.csv:1: no feature columns", id="no_feature_columns"),
         ],
     )
     def test_csv_errors_are_located(self, tmp_path, edit, located):

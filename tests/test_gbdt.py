@@ -479,9 +479,9 @@ class TestCrossValidation:
         grid.append(grid[1])
         fitted = []
 
-        def counting_train(table, hp, medians=None):
+        def counting_train(table, hp):
             fitted.append(hp.n_trees)
-            return train_gbdt(table, hp, medians)
+            return train_gbdt(table, hp)
 
         monkeypatch.setattr(gbdt, "train_gbdt", counting_train)
         best, results = grid_search_cv(table, grid, k=3, seed=4)

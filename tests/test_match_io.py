@@ -9,6 +9,7 @@ import pytest
 
 from pitchspace.match_io import (
     AttackSequence,
+    DroppedEvents,
     MatchEvent,
     SchemaError,
     apply_shift,
@@ -614,6 +615,81 @@ class TestSegmentation:
             )
             for (s1, e1), (s2, e2) in zip(spans, spans[1:]):
                 assert e1 < s2
+
+    # Hand-built streams pinned to their full (sequences, drops); frames are
+    # 0.1 s apart, so the 1 s floor is 10 frames.
+    def test_set_play_after_a_lone_opponent_touch(self):
+        events = [
+            ev("1", "pass", 10, "A"),
+            ev("2", "pass", 40, "A"),
+            ev("3", "interception", 50, "B"),
+            ev("4", "throw_in", 70, "B"),
+            ev("5", "pass", 100, "B"),
+        ]
+        assert segment_attack_sequences(events, self.make_frames()) == (
+            [
+                AttackSequence("seq-0001", "A", 10, 40, ("1", "2")),
+                AttackSequence("seq-0002", "B", 70, 100, ("4", "5")),
+            ],
+            [DroppedEvents(("3",), "opponent touches before a set play")],
+        )
+
+    def test_trailing_opponent_touches(self):
+        events = [ev("1", "pass", 10, "A"), ev("2", "pass", 40, "A"), ev("3", "pass", 60, "B")]
+        assert segment_attack_sequences(events, self.make_frames()) == (
+            [AttackSequence("seq-0001", "A", 10, 40, ("1", "2"))],
+            [DroppedEvents(("3",), "trailing opponent touches at match end")],
+        )
+
+    def test_handover_touches_from_different_teams(self):
+        # B's lone touch and C's first make two opponent touches in a row; the
+        # new sequence belongs to the second touch's team and opens at the first.
+        events = [
+            ev("1", "pass", 10, "A"),
+            ev("2", "pass", 40, "A"),
+            ev("3", "interception", 60, "B"),
+            ev("4", "pass", 90, "C"),
+            ev("5", "pass", 120, "C"),
+        ]
+        assert segment_attack_sequences(events, self.make_frames()) == (
+            [
+                AttackSequence("seq-0001", "A", 10, 40, ("1", "2")),
+                AttackSequence("seq-0002", "C", 60, 120, ("3", "4", "5")),
+            ],
+            [],
+        )
+
+    def test_missing_frame_inside_an_absorbed_touch(self):
+        events = [
+            ev("1", "pass", 10, "A"),
+            ev("2", "pass", 40, "A"),
+            ev("3", "interception", 50, "B"),  # absorbed, but frame 50 is missing
+            ev("4", "pass", 70, "A"),
+            ev("5", "corner", 150, "B"),
+            ev("6", "pass", 190, "B"),
+        ]
+        frames = [f for f in self.make_frames() if f.frame_index != 50]
+        assert segment_attack_sequences(events, frames) == (
+            [AttackSequence("seq-0001", "B", 150, 190, ("5", "6"))],
+            [DroppedEvents(("1", "2", "3", "4"), "event referenced a missing frame")],
+        )
+
+    def test_numbering_continues_after_a_dropped_span(self):
+        events = [
+            ev("1", "pass", 10, "A"),
+            ev("2", "pass", 40, "A"),
+            ev("3", "pass", 50, "B"),
+            ev("4", "pass", 52, "B"),
+            ev("5", "free_kick", 55, "A"),
+            ev("6", "pass", 90, "A"),
+        ]
+        assert segment_attack_sequences(events, self.make_frames()) == (
+            [
+                AttackSequence("seq-0001", "A", 10, 40, ("1", "2")),
+                AttackSequence("seq-0002", "A", 55, 90, ("5", "6")),
+            ],
+            [DroppedEvents(("3", "4"), "span 0.20s below 1.0s floor")],
+        )
 
     def test_sequence_invariant_start_le_end(self):
         with pytest.raises(ValueError):

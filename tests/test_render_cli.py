@@ -772,6 +772,15 @@ class TestCli:
         )
         assert not (tmp_path / "out" / "cv_results.json").exists()
 
+    def test_feature_table_without_feature_columns_exits_2(self, tmp_path, capsys):
+        PassSampleTable(
+            [f"e{i}" for i in range(20)], np.arange(20) % 2, [], np.empty((20, 0))
+        ).to_csv(tmp_path / "features.csv")
+        rc = cli_dispatch(["train", "--features", str(tmp_path / "features.csv"),
+                           "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "features.csv:1: no feature columns" in capsys.readouterr().err
+
     @pytest.mark.parametrize("existing", [False, True], ids=["new_out", "existing_out"])
     def test_failed_command_removes_only_the_empty_out_it_made(self, tmp_path, existing):
         PassSampleTable(
