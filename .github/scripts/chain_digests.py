@@ -9,8 +9,11 @@ compare-rankings, segment and sync on the same match, so that every
 subcommand runs, all with the same config, into OUT_DIR. Since that match has
 a single attack sequence, it then synthesizes a second match whose passes go
 to both teams (synth.opponent_pass_rate = 0.4) and segments it, which writes
-several sequences and drop records. It uses the pitchspace package found on
-PYTHONPATH and writes {artifact path: sha256} to DIGESTS_JSON. `compare`
+several sequences and drop records. Last, `features --n 10` on the first
+match writes the padded table: ten attackers leave at most nine candidates
+per pass, so the rank-10 columns hold no finite value. Exit codes are keyed
+by command name, prefixed "opponent-" and "padded-" for these two groups. It
+uses the pitchspace package found on PYTHONPATH and writes {artifact path: sha256} to DIGESTS_JSON. `compare`
 prints a Markdown list of the artifacts whose digests differ, or that only one
 run wrote. Both exit 0 whatever they find: the report is for a reader, and a
 declared behaviour change may change artifacts.
@@ -60,8 +63,10 @@ def run(out: Path, digests_path: Path) -> None:
         ["segment", "--tracking", str(opp / "tracking.jsonl"), "--events",
          str(opp / "events.jsonl"), "--out", str(out / "opponent-segment")],
     ]
+    padded_steps = [["features", *match_args, "--n", "10", "--out", str(out / "padded-feat")]]
     codes = {}
-    for config, prefix, chain in ((cfg, "", steps), (opp_cfg, "opponent-", opp_steps)):
+    groups = ((cfg, "", steps), (opp_cfg, "opponent-", opp_steps), (cfg, "padded-", padded_steps))
+    for config, prefix, chain in groups:
         for argv in chain:
             codes[prefix + argv[0]] = cli_dispatch([argv[0], "--config", str(config), *argv[1:]])
     digests = {

@@ -27,8 +27,10 @@ from .dominance import compute_dominance_grid, offside_positions, space_scores
 from .features import (
     RANKING_VARIABLES,
     PassSampleTable,
-    build_dataset,
+    Selection,
+    assemble_table,
     column_names,
+    extract_match_features,
     orient_frame,
 )
 from .match_io import (
@@ -103,7 +105,7 @@ def _match_dirs(root: Path) -> list[Path]:
     return dirs
 
 
-def _load_matches(args, cfg: RunConfig) -> tuple[list, list[Path]]:
+def _load_matches(args) -> tuple[list, list[Path]]:
     inputs: list[Path] = []
     matches = []
     if getattr(args, "matches", None):
@@ -112,12 +114,10 @@ def _load_matches(args, cfg: RunConfig) -> tuple[list, list[Path]]:
             matches.append(load_match(t, e))
             inputs.extend([t, e])
     else:
-        tracking = args.tracking or cfg.paths.get("tracking")
-        events = args.events or cfg.paths.get("events")
-        if not tracking or not events:
+        if not args.tracking or not args.events:
             raise UsageError("provide --tracking/--events or --matches")
-        matches.append(load_match(tracking, events))
-        inputs.extend([Path(tracking), Path(events)])
+        matches.append(load_match(args.tracking, args.events))
+        inputs.extend([Path(args.tracking), Path(args.events)])
     return matches, inputs
 
 
@@ -176,10 +176,13 @@ def cmd_segment(args, cfg: RunConfig, out: Path):
 
 
 def cmd_features(args, cfg: RunConfig, out: Path):
-    matches, inputs = _load_matches(args, cfg)
+    matches, inputs = _load_matches(args)
     n = cfg.feature_n
     ranking = args.ranking or cfg.ranking_variable
-    table, _ = build_dataset(matches, n, ranking, cfg.pitch, cfg.motion, cfg.weight)
+    # build_dataset's table without its training medians: train computes and checks those
+    selection = Selection(n, (ranking,))
+    extracted = extract_match_features(matches, cfg.pitch, cfg.motion, cfg.weight, selection)
+    table = assemble_table(extracted, n, ranking)
     table.to_csv(out / "features.csv")
     print(
         f"features: {len(table)} pass samples, {len(table.columns)} columns "
@@ -246,7 +249,7 @@ def cmd_explain(args, cfg: RunConfig, out: Path):
 
 
 def cmd_compare_rankings(args, cfg: RunConfig, out: Path | None):
-    matches, inputs = _load_matches(args, cfg)
+    matches, inputs = _load_matches(args)
     n, seed = cfg.feature_n, cfg.cv_seed
     report = gbdtmod.compare_ranking_variables(
         matches, n, cfg.grid, cfg.cv_k, seed, cfg.pitch, cfg.motion, cfg.weight

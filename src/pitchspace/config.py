@@ -78,7 +78,6 @@ class RunConfig:
     threshold: float = 0.5
     synth: SynthConfig = dc_field(default_factory=SynthConfig)
     render: RenderOptions = dc_field(default_factory=RenderOptions)
-    paths: dict = dc_field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.feature_n < 1:
@@ -147,8 +146,6 @@ _KEYS = {
     "render.show_scores": ("render", "show_scores", _bool),
     "render.colormap_min": ("render", "score_min", _finite),
     "render.colormap_max": ("render", "score_max", _finite),
-    "paths.tracking": ("paths", "tracking", str),
-    "paths.events": ("paths", "events", str),
 }
 
 
@@ -204,8 +201,6 @@ def parse_config(text: str) -> RunConfig:
         try:
             if section == "grid":
                 top[section] = _build_grid(fields)
-            elif section == "paths":
-                top[section] = fields
             else:
                 top[section] = replace(getattr(defaults, section), **fields)
         except ValueError as exc:
@@ -222,47 +217,3 @@ def load_config(path: str | Path | None) -> RunConfig:
     text = Path(path).read_text(encoding="utf-8")
     return parse_config(text)
 
-
-DEFAULT_CONFIG_TEXT = """\
-# pitchspace run configuration (defaults shown)
-
-pitch.length = 105
-pitch.width = 68
-pitch.grid_cell = 0.5
-
-motion.reaction_time = 0.2
-motion.max_speed = 7.8
-
-weight.beta = 0.5
-
-feature.n = 3
-feature.ranking_variable = dist_ball     # fast_space_vel | dist_ball | time_to_player | time_to_passline
-
-# comma-separated values span the hyperparameter search grid
-model.max_depth = 3, 5
-model.learning_rate = 0.1, 0.3
-model.n_trees = 50, 100, 200
-model.l2_lambda = 1
-model.gamma = 0
-model.subsample = 1
-model.min_child_weight = 0
-
-cv.k = 5
-cv.seed = 17
-metrics.threshold = 0.5
-
-synth.attackers = 10
-synth.defenders = 10
-synth.passes = 200
-synth.noise = 0.0
-synth.rule = 2.0 - 0.2*dist_ball
-synth.empty_defense_rate = 0.05
-synth.opponent_pass_rate = 0.0
-synth.kickoff_frames = 120
-synth.frame_rate = 10.0
-synth.frame_offset = 0
-
-render.show_voronoi_boundaries = false
-render.show_scores = true
-# render.colormap_min / render.colormap_max default to the 5th/95th score percentiles
-"""

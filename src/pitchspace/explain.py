@@ -80,8 +80,11 @@ def _leaf_games(tree: Tree) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, np
     if tree.cover.size == 0 or tree.cover[0] <= 0:
         raise ValueError("tree lacks training cover counts; attribution needs them")
     games = []
-
-    def walk(node: int, z: dict, lo: dict, hi: dict) -> None:
+    # an explicit stack, so a deep tree cannot exhaust the recursion limit;
+    # the left child is popped first, so leaves come in preorder
+    stack: list[tuple[int, dict, dict, dict]] = [(0, {}, {}, {})]
+    while stack:
+        node, z, lo, hi = stack.pop()
         f = tree.feature[node]
         if f < 0:
             if z:  # dicts keep insertion order: first-encounter feature order
@@ -92,15 +95,13 @@ def _leaf_games(tree: Tree) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, np
                     np.array([hi.get(g, math.inf) for g in feats]),
                     _leaf_table(np.array([z[g] for g in feats]), tree.value[node]),
                 ))
-            return
+            continue
         t = tree.threshold[node]
         l, r, c = tree.left[node], tree.right[node], tree.cover[node]
-        walk(l, {**z, f: z.get(f, 1.0) * (tree.cover[l] / c)}, lo,
-             {**hi, f: min(hi.get(f, math.inf), t)})
-        walk(r, {**z, f: z.get(f, 1.0) * (tree.cover[r] / c)},
-             {**lo, f: max(lo.get(f, -math.inf), t)}, hi)
-
-    walk(0, {}, {}, {})
+        stack.append((r, {**z, f: z.get(f, 1.0) * (tree.cover[r] / c)},
+                      {**lo, f: max(lo.get(f, -math.inf), t)}, hi))
+        stack.append((l, {**z, f: z.get(f, 1.0) * (tree.cover[l] / c)}, lo,
+                      {**hi, f: min(hi.get(f, math.inf), t)}))
     return games
 
 

@@ -305,8 +305,6 @@ def load_tracking(path: str | Path) -> list[TrackedFrame]:
         if len(set(ids)) < len(ids):
             dup = next(pid for i, pid in enumerate(ids) if pid in ids[:i])
             raise SchemaError(f"duplicate player id {dup!r}", path, line_no)
-        if len(ids) < 22:
-            warnings.append(f"missing players: {len(ids)}/22 present")
         period = rec.get("period", 1)
         if not isinstance(period, int) or isinstance(period, bool):
             raise SchemaError(f"'period' must be an integer, got {period!r}", path, line_no)
@@ -327,6 +325,13 @@ def load_tracking(path: str | Path) -> list[TrackedFrame]:
         logger.warning(
             "%s: %d/%d frames flagged (first: frame %d: %s)",
             path, flagged, len(frames), first.frame_index, first.metadata.warnings[0],
+        )
+    roster = max(len(f.ids) for f in frames)
+    short = sum(1 for f in frames if len(f.ids) < roster)
+    if short:
+        logger.warning(
+            "%s: %d/%d frames hold fewer players than the largest roster (%d)",
+            path, short, len(frames), roster,
         )
     return frames
 

@@ -21,7 +21,6 @@ SCALE = 8.0  # px per meter
 MARGIN = 20.0
 ATTACK_RGB = (211, 47, 47)
 DEFEND_RGB = (30, 136, 229)
-PITCH_RGB = (43, 109, 61)
 # the attribute-value escapes of a player id; the loader has already rejected
 # every character XML 1.0 forbids
 _ID_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;"})

@@ -58,13 +58,27 @@ class TestLoadTracking:
         assert len(frames) == 2
         assert all(not f.metadata.warnings for f in frames)
 
-    def test_missing_player_is_a_warning(self, tmp_path):
-        rec = frame_record(0)
-        rec["players"] = rec["players"][:21]
+    def test_missing_player_is_a_warning(self, tmp_path, caplog):
+        # the roster is measured against the file's largest, not against 22
+        short = frame_record(1)
+        short["players"] = short["players"][:21]
         p = tmp_path / "t.jsonl"
-        write_tracking(p, [rec])
-        frames = load_tracking(p)
-        assert any("missing player" in w for w in frames[0].metadata.warnings)
+        write_tracking(p, [frame_record(0), short])
+        with caplog.at_level("WARNING"):
+            frames = load_tracking(p)
+        assert all(not f.metadata.warnings for f in frames)
+        assert [r.message for r in caplog.records] == [
+            f"{p}: 1/2 frames hold fewer players than the largest roster (22)"
+        ]
+
+    def test_smaller_full_roster_is_not_flagged(self, tmp_path, caplog):
+        rec = frame_record(0)
+        rec["players"] = rec["players"][:20]
+        p = tmp_path / "t.jsonl"
+        write_tracking(p, [rec, frame_record(1, players=rec["players"])])
+        with caplog.at_level("WARNING"):
+            load_tracking(p)
+        assert caplog.records == []
 
     def test_non_monotone_frame_index_names_both(self, tmp_path):
         p = tmp_path / "t.jsonl"

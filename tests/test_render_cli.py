@@ -18,7 +18,6 @@ from pitchspace import cli, config as cfgmod, explain, render_svg
 from pitchspace.cli import cli_dispatch
 from pitchspace.config import (
     ConfigError,
-    DEFAULT_CONFIG_TEXT,
     RunConfig,
     parse_config,
     parse_rule,
@@ -259,26 +258,27 @@ class TestRenderFrame:
         assert anim.count("<set ") == 2
 
 
-# every key the config accepts: those set in the defaults text, the two
-# colormap keys it leaves commented out, and the input paths
-CONFIG_KEYS = [
-    line.split("=")[0].strip()
-    for line in DEFAULT_CONFIG_TEXT.splitlines()
-    if "=" in line and not line.startswith("#")
-] + ["render.colormap_min", "render.colormap_max", "paths.tracking", "paths.events"]
+# every key the config accepts
+CONFIG_KEYS = list(cfgmod._KEYS)
 
 # keys of settings that were removed: every value of them is an unknown key
-REMOVED_CONFIG_KEYS = ["feature.infinite_rank", "feature.fast_space_vel", "synth.receiver_mode"]
+REMOVED_CONFIG_KEYS = [
+    "feature.infinite_rank",
+    "feature.fast_space_vel",
+    "synth.receiver_mode",
+    "paths.tracking",
+    "paths.events",
+]
 
 
 class TestConfig:
-    def test_default_config_text_parses_to_defaults(self):
-        cfg = parse_config(DEFAULT_CONFIG_TEXT)
+    def test_empty_config_parses_to_defaults(self):
+        cfg = parse_config("")
         assert cfg.pitch == PitchSpec()
         assert cfg.feature_n == 3
         assert cfg.ranking_variable == "dist_ball"
         assert len(cfg.grid) == 12
-        assert cfg == RunConfig() == parse_config("")
+        assert cfg == RunConfig()
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown"):
@@ -605,6 +605,25 @@ class TestCli:
         assert "RuntimeWarning" not in proc.stderr
         assert "usage error" in proc.stderr
 
+    @pytest.mark.parametrize(
+        "module", sorted(m.name for m in pkgutil.iter_modules(pitchspace.__path__))
+    )
+    def test_each_module_imports_on_its_own(self, module):
+        src = str(Path(pitchspace.__file__).resolve().parents[1])
+        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        code = (
+            "import sys\n"
+            f"import pitchspace.{module}\n"
+            "print('\\n'.join(sorted(m for m in sys.modules if m.startswith('pitchspace.'))))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-c", code],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": pythonpath}, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        if module == "pitch":  # the package itself imports none of its modules
+            assert proc.stdout.split() == ["pitchspace.pitch"]
+
     def test_import_loads_no_network_stack(self):
         # The library and CLI need none of these; the stdlib XML escape alone
         # pulls in urllib.request, http.client, email, ssl and socket.
@@ -709,6 +728,67 @@ class TestCli:
                            "--features", str(tmp_path / "features.csv")])
         assert rc == 2
         assert "model.json: tree 0 node 1" in capsys.readouterr().err
+
+    def test_deep_tree_explains(self, tmp_path):
+        # One feature, thresholds 0, 1, 2, ... down a right spine of 1,500
+        # internal nodes, each with a leaf on its left: deeper than Python's
+        # recursion limit, and a valid model for load_model.
+        depth = 1500
+        feature = [0, -1] * depth + [-1]
+        threshold = [float(k // 2) if k % 2 == 0 else 0.0 for k in range(2 * depth)] + [0.0]
+        left = [k + 1 if k % 2 == 0 else -1 for k in range(2 * depth)] + [-1]
+        right = [k + 2 if k % 2 == 0 else -1 for k in range(2 * depth)] + [-1]
+        value = [0.0 if k % 2 == 0 else 1e-3 * (k % 7) for k in range(2 * depth)] + [0.5]
+        cover = [depth - k // 2 + 1 if k % 2 == 0 else 1 for k in range(2 * depth)] + [1]
+        spine = Tree(feature, threshold, left, right, value, cover)
+        save_model(GbdtModel(0.1, [spine], ["f0"], {"f0": 0.0}, GbdtHyperParams()),
+                   tmp_path / "model.json")
+        x = np.linspace(-1.0, depth + 1.0, 25)
+        PassSampleTable(
+            [f"e{i}" for i in range(25)], np.arange(25) % 2, ["f0"], x[:, np.newaxis]
+        ).to_csv(tmp_path / "features.csv")
+        args = ["--model", str(tmp_path / "model.json"),
+                "--features", str(tmp_path / "features.csv")]
+        assert cli_dispatch(["eval", *args]) == 0
+        assert cli_dispatch(["explain", *args, "--per-row", "--out", str(tmp_path / "x")]) == 0
+        with open(tmp_path / "x" / "attributions.csv", encoding="utf-8", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 25
+        for row in rows:
+            base, margin, phi = (float(row[k]) for k in ("base_value", "margin", "f0"))
+            assert abs(base + phi - margin) <= 1e-9
+
+    @pytest.mark.parametrize(
+        "config, n, column",
+        [
+            # ten attackers leave at most nine candidates, so rank 10 is padding
+            pytest.param("", "10", "fast_space_vel_10", id="n_beyond_candidates"),
+            # with no defender every interception time is +inf
+            pytest.param("synth.defenders = 0\n", "3", "time_to_player_1", id="no_defenders"),
+        ],
+    )
+    def test_features_writes_a_column_without_finite_values(
+        self, tmp_path, capsys, config, n, column
+    ):
+        # features writes the padded table; only train needs the medians
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            "pitch.grid_cell = 2.0\nsynth.passes = 30\nsynth.kickoff_frames = 20\n" + config,
+            encoding="utf-8",
+        )
+        m, t = tmp_path / "match", tmp_path / "table"
+        assert cli_dispatch(["synth", "--config", str(cfg), "--seed", "3", "--out", str(m)]) == 0
+        assert cli_dispatch(["features", "--config", str(cfg), *_match_args(m), "--n", n,
+                             "--out", str(t)]) == 0
+        table = PassSampleTable.from_csv(t / "features.csv")
+        assert len(table) == 30
+        assert not np.isfinite(table.raw[:, table.columns.index(column)]).any()
+        capsys.readouterr()
+        rc = cli_dispatch(["train", "--config", str(cfg), "--features", str(t / "features.csv"),
+                           "--out", str(tmp_path / "model")])
+        assert rc == 2
+        assert f"column {column!r} has no finite values to impute from" in capsys.readouterr().err
+        assert not (tmp_path / "model").exists()
 
     @pytest.mark.parametrize(
         "medians, csv_tail, located",
@@ -822,6 +902,9 @@ class TestCli:
             pytest.param("feature.fast_space_vel = current", id="fast_space_vel"),
             # the synthetic receiver is always the passer's nearest teammate
             pytest.param("synth.receiver_mode = nearest", id="receiver_mode"),
+            # inputs come from --tracking/--events or --matches only
+            pytest.param("paths.tracking = tracking.jsonl", id="paths_tracking"),
+            pytest.param("paths.events = events.jsonl", id="paths_events"),
         ],
     )
     def test_removed_infinite_rank_key_exits_1(self, workspace, tmp_path, capsys, line):
