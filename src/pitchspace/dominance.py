@@ -168,11 +168,104 @@ def _arrival_grid(
     """Arrival times from predicted point(s) (qx, qy) to the cell centers xs x ys.
 
     A scalar point gives shape (len(ys), len(xs)); points of shape (k, 1, 1)
-    give (k, len(ys), len(xs)). The partition, its tie re-ranking and the
-    probes all use _sq_dist and _to_time elementwise, so their times agree
-    bitwise.
+    give (k, len(ys), len(xs)). The partition's dx2 + dy2, its tie
+    re-ranking and the probes all take the same squared distances through
+    _to_time elementwise, so their times agree bitwise.
     """
     return _to_time(_sq_dist(xs, ys[:, np.newaxis], qx, qy), mp)
+
+
+# ---------------------------------------------------------------------------
+# Tile bounds and the column-band partition.
+#
+# The grid is cut into _TILE x _TILE cell tiles (ragged at the far edges).
+# For a point q and a tile, the nearest and the farthest offsets from q to the
+# tile's span of cell centres on each axis, squared and added, go through the
+# same correctly rounded, monotone steps as a cell's computed dx2 + dy2: so
+# they bound it below and above, bitwise, for every cell of the tile.
+#
+# In _partition, ub3 is a tile's third smallest upper bound over the players:
+# three players reach every cell of the tile at or below it, so every cell's
+# final third smallest squared distance is <= ub3. A player whose lower bound
+# is > ub3 is strictly above that third everywhere in the tile, so its update
+# there changes no value of best/second/third and no first-argmin index. Each
+# player's span is the hull of the tile columns where it is not, and it
+# updates only those columns (all of them with fewer than three players).
+# ---------------------------------------------------------------------------
+
+_TILE = 8  # cells per side of the bounding tiles
+
+
+@lru_cache(maxsize=32)
+def _tile_spans(pitch: PitchSpec) -> tuple[np.ndarray, np.ndarray]:
+    """(lo, hi): the first and last cell centre of each tile, x tiles in row 0
+    and y tiles in row 1, the shorter row padded with zeros."""
+    spans = np.zeros((2, 2, math.ceil(max(pitch.nx, pitch.ny) / _TILE)))
+    for axis, centres in enumerate(pitch.cell_centers()):
+        first = np.arange(0, centres.size, _TILE)
+        spans[0, axis, : first.size] = centres[first]
+        spans[1, axis, : first.size] = centres[np.append(first[1:], centres.size) - 1]
+    spans.setflags(write=False)
+    return spans[0], spans[1]
+
+
+def _tile_d2(q: np.ndarray, pitch: PitchSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Lower and upper bounds of the squared distance from each of the points
+    q (C, 2) to the cell centres of each tile, each of shape (C, ty, tx)."""
+    lo, hi = _tile_spans(pitch)
+    qt = q[:, :, np.newaxis]
+    near = np.maximum(np.maximum(lo - qt, qt - hi), 0.0)
+    far = np.maximum(qt - lo, hi - qt)
+    ty, tx = -(-pitch.ny // _TILE), -(-pitch.nx // _TILE)
+    return tuple(
+        d[:, 1, :ty, np.newaxis] + d[:, 0, np.newaxis, :tx] for d in (near * near, far * far)
+    )
+
+
+def _column_spans(q: np.ndarray, pitch: PitchSpec) -> list[slice]:
+    """Per predicted point (rows of q), the cell columns outside which its
+    squared distance is above every cell's third smallest (see above)."""
+    lb, ub = _tile_d2(q, pitch)
+    # ub3: knock each tile's smallest ub out twice; +inf with under 3 points.
+    ub = ub.reshape(len(q), -1)
+    tiles = np.arange(ub.shape[1])
+    for _ in range(2):
+        ub[ub.argmin(axis=0), tiles] = np.inf
+    kept = (lb <= ub.min(axis=0).reshape(lb.shape[1:])).any(axis=1)
+    # The hull of each point's kept tile columns; empty (start > stop) if none.
+    cols = np.arange(kept.shape[1])
+    start = np.where(kept, cols, kept.shape[1]).min(axis=1) * _TILE
+    stop = np.where(kept, cols + 1, 0).max(axis=1) * _TILE
+    return [slice(a, b) for a, b in zip(start.tolist(), stop.tolist())]
+
+
+def _fold(
+    j: int,
+    d2: np.ndarray,
+    best: np.ndarray,
+    second: np.ndarray,
+    third: np.ndarray,
+    owner: np.ndarray,
+    second_idx: np.ndarray,
+    beats_best: np.ndarray,
+    beats_second: np.ndarray,
+) -> None:
+    """Fold player j's squared distances d2 into the three smallest per cell
+    and the indices of the first two, in place. An index moves only where d2
+    is strictly smaller."""
+    np.less(d2, best, out=beats_best)
+    np.less(d2, second, out=beats_second)
+    # best <= second <= third, so min(third, max(second, d2)) is
+    # max(second, min(third, d2)), and likewise for second: no scratch grid.
+    np.minimum(third, d2, out=third)
+    np.maximum(third, second, out=third)
+    np.minimum(second, d2, out=second)
+    np.maximum(second, best, out=second)
+    np.minimum(best, d2, out=best)
+    # best <= second, so beats_best implies beats_second: the owner copy wins.
+    np.copyto(second_idx, j, where=beats_second)
+    np.copyto(second_idx, owner, where=beats_best)
+    np.copyto(owner, j, where=beats_best)
 
 
 def _partition(
@@ -189,38 +282,54 @@ def _partition(
     only those become times (see _to_time). Where the three times are distinct,
     the squared-distance owner and runner-up are the time owner and runner-up.
     Elsewhere two times may be a rounding tie that a smaller id should win,
-    so those cells are ranked again on their times.
+    so those cells are ranked again on their times, over all players.
+
+    Each player updates only its column span (see _column_spans): outside it
+    the player cannot be one of a cell's three nearest, so its update there
+    would change nothing. The grids are worked on transposed, (nx, ny), so
+    that a span is one contiguous block.
     """
     if not len(xy):
         raise ValueError("dominance grid requires at least one eligible player")
     xs, ys = pitch.cell_centers()
-    qx, qy = (xy + vxy * mp.reaction_time).T
-    # Each player's squared column and row offsets; a grid is the row copied
-    # down, plus the column added in place.
+    q = xy + vxy * mp.reaction_time
+    qx, qy = q.T
+    # Each player's squared x and y offsets. On the transposed grid a span's
+    # d2 is the y offsets copied into each of its columns, plus each column's
+    # x offset.
     dx2 = xs - qx[:, np.newaxis]
     dx2 *= dx2
     dy2 = ys - qy[:, np.newaxis]
     dy2 *= dy2
-    shape = (len(ys), len(xs))
-    best, second, third = (np.full(shape, np.inf) for _ in range(3))
-    owner, second_idx = (np.zeros(shape, dtype=np.int32) for _ in range(2))
-    beats_best, beats_second = (np.empty(shape, dtype=bool) for _ in range(2))
-    d2, scratch = (np.empty(shape) for _ in range(2))
-    for j in range(len(xy)):
-        np.copyto(d2, dx2[j])
-        d2 += dy2[j, :, np.newaxis]
-        np.less(d2, best, out=beats_best)
-        np.less(d2, second, out=beats_second)
-        np.minimum(third, np.maximum(second, d2, out=scratch), out=third)
-        np.minimum(second, np.maximum(best, d2, out=scratch), out=second)
-        np.minimum(best, d2, out=best)
-        # best <= second, so beats_best implies beats_second: the owner copy wins.
-        np.copyto(second_idx, j, where=beats_second)
-        np.copyto(second_idx, owner, where=beats_best)
-        np.copyto(owner, j, where=beats_best)
-    for g in (best, second, third):
+    spans = _column_spans(q, pitch)
+    shape = (len(xs), len(ys))  # transposed: a column span is one block
+    owner, second_idx = (np.empty(shape[::-1], dtype=np.int32) for _ in range(2))
+    best, second = (np.empty(shape[::-1]) for _ in range(2))
+    # The transposed work grids. Those done before an output is laid out
+    # live in that output's buffer until then, so only best_t, second_t and
+    # second_idx_t need memory of their own: d2 in best's, third in second's,
+    # the masks in owner's and the running owner in second_idx's.
+    d2 = best.reshape(shape)
+    third = second.reshape(shape)
+    beats_best, beats_second = owner.view(bool).reshape(4, *shape)[:2]
+    owner_t = second_idx.reshape(shape)
+    best_t, second_t = np.full((2, *shape), np.inf)
+    third.fill(np.inf)
+    owner_t.fill(0)
+    second_idx_t = np.zeros(shape, dtype=np.int32)
+    grids = (best_t, second_t, third, owner_t, second_idx_t, beats_best, beats_second)
+    for j, cols in enumerate(spans):
+        span = d2[cols]
+        np.copyto(span, dy2[j])
+        span += dx2[j, cols, np.newaxis]  # the same sum as dx2 + dy2
+        _fold(j, span, *(g[cols] for g in grids))
+    for g in (best_t, second_t, third):
         _to_time(g, mp)
-    iy, ix = np.nonzero((best == second) | (second == third))
+    ties = ((best_t == second_t) | (second_t == third)).T
+    # owner before second_idx, whose buffer holds owner_t
+    for out, g in zip((best, second, owner, second_idx), (best_t, second_t, owner_t, second_idx_t)):
+        np.copyto(out, g.T)
+    iy, ix = np.nonzero(ties)
     if iy.size:
         # (P, k) times of the listed cells; argmin keeps the smaller id.
         t = _to_time(_sq_dist(xs[ix], ys[iy], qx[:, np.newaxis], qy[:, np.newaxis]), mp)
@@ -361,26 +470,20 @@ def offside_line(defender_xs, ball_x: float) -> float:
 #
 # Every cell that a probe can win has own_time - allowance <= best (best is
 # the rest time outside the candidate's region, and own_time == best inside
-# it). The grid is cut into _TILE x _TILE cell tiles (ragged at the far
-# edges), and a tile can hold such a cell only if bound - allowance <= its
-# max of best, where bound is the arrival time at the tile's rectangle of
-# cell centres. The bound goes through the same correctly rounded, monotone
-# steps as own_time from offsets no larger than any of the tile's, so it is
-# <= own_time of every cell in the tile, bitwise: the box of the passing
-# tiles holds every cell a probe can win. One array pass per frame gives
-# every candidate's probe points, allowance and tile test. Inside the box
-# the band rule decides each cell exactly, so the box may hold more cells
-# than a probe can win; a candidate with no passing tile gets an empty box
-# and wins nothing.
+# it). A tile can hold such a cell only if bound - allowance <= its max of
+# best, where bound is the time of the tile's lower squared-distance bound
+# (see _tile_d2). _to_time is monotone, so the bound is <= own_time of every
+# cell in the tile, bitwise: the box of the passing tiles holds every cell a
+# probe can win. One array pass per frame gives every candidate's probe
+# points, allowance and tile test. Inside the box the band rule decides each
+# cell exactly, so the box may hold more cells than a probe can win; a
+# candidate with no passing tile gets an empty box and wins nothing.
 #
 # space_scores adds each player's weights in row-major grid order from 0.0,
 # so each probe must add its won weights in row-major box order from 0.0 (the
 # cells outside the box add nothing). One weighted bincount over the won
 # (cell, probe) pairs, taken cell-major at cell * 8 + k, does that for all 8.
 # ---------------------------------------------------------------------------
-
-_TILE = 8  # cells per side of the tiles that bound each probe box
-
 
 def _tile_max(best: np.ndarray) -> np.ndarray:
     """Per-tile max of `best`, shape (ceil(ny / _TILE), ceil(nx / _TILE))."""
@@ -390,19 +493,6 @@ def _tile_max(best: np.ndarray) -> np.ndarray:
     if n < ny:
         rows = np.vstack([rows, best[n:].max(axis=0)])
     return np.maximum.reduceat(rows, np.arange(0, nx, _TILE), axis=1)
-
-
-@lru_cache(maxsize=32)
-def _tile_spans(pitch: PitchSpec) -> tuple[np.ndarray, np.ndarray]:
-    """(lo, hi): the first and last cell centre of each tile, x tiles in row 0
-    and y tiles in row 1, the shorter row padded with zeros."""
-    spans = np.zeros((2, 2, math.ceil(max(pitch.nx, pitch.ny) / _TILE)))
-    for axis, centres in enumerate(pitch.cell_centers()):
-        first = np.arange(0, centres.size, _TILE)
-        spans[0, axis, : first.size] = centres[first]
-        spans[1, axis, : first.size] = centres[np.append(first[1:], centres.size) - 1]
-    spans.setflags(write=False)
-    return spans[0], spans[1]
 
 
 def _probe_frame(
@@ -420,14 +510,8 @@ def _probe_frame(
     far = np.hypot(*(np.abs(q) + half + pitch.grid_cell).T) + shift  # centres overhang < 1 cell
     eps = np.finfo(float).eps
     allowance = shift / mp.max_speed + 16 * eps * (mp.reaction_time + far / mp.max_speed)
-    lo, hi = _tile_spans(pitch)
-    qt = q[:, :, np.newaxis]
-    d = np.maximum(np.maximum(lo - qt, qt - hi), 0.0)  # offsets to each tile's span
-    d *= d
-    tile_max = _tile_max(best)
-    ty, tx = tile_max.shape
-    bound = _to_time(d[:, 1, :ty, np.newaxis] + d[:, 0, np.newaxis, :tx], mp)
-    return q, pred, allowance, bound - allowance[:, np.newaxis, np.newaxis] <= tile_max
+    bound = _to_time(_tile_d2(q, pitch)[0], mp)
+    return q, pred, allowance, bound - allowance[:, np.newaxis, np.newaxis] <= _tile_max(best)
 
 
 def _tile_box(tiles: np.ndarray) -> tuple[slice, slice]:

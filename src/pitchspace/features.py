@@ -81,14 +81,14 @@ class PassSampleTable:
         return ~np.isfinite(self.raw)
 
     def finite_medians(self) -> dict[str, float]:
-        """Per-column median over finite values; errors on an all-imputed column."""
+        """Per-column median over finite values; 0.0 for a column with none
+        (all padding or +inf), which imputation makes constant, so no tree
+        splits on it."""
         medians: dict[str, float] = {}
         for j, col in enumerate(self.columns):
             vals = self.raw[:, j]
             finite = vals[np.isfinite(vals)]
-            if finite.size == 0:
-                raise ValueError(f"column {col!r} has no finite values to impute from")
-            medians[col] = float(np.median(finite))
+            medians[col] = float(np.median(finite)) if finite.size else 0.0
         return medians
 
     def subset(self, indices: Sequence[int]) -> "PassSampleTable":

@@ -254,7 +254,8 @@ def _build_tree(
     goes_left = np.zeros(len(X), dtype=bool)  # row -> side of the current split
 
     def build(rows: np.ndarray, sorted_rows: np.ndarray | None, depth: int) -> int:
-        """`rows` is in canonical order; row j of `sorted_rows` holds the same
+        """Append the node of `rows` and push its children onto `stack`.
+        `rows` is in canonical order; row j of `sorted_rows` holds the same
         rows ordered by (X[:, j], g, h), ties in canonical order. It is None
         when the node is at max depth and cannot split."""
         node = len(nodes["cover"])
@@ -306,15 +307,26 @@ def _build_tree(
             n_left = int(np.count_nonzero(mask))
             left_sorted = sorted_rows[side].reshape(n_features, n_left)
             right_sorted = sorted_rows[~side].reshape(n_features, len(rows) - n_left)
-        nodes["left"][node] = build(rows[mask], left_sorted, depth + 1)
-        nodes["right"][node] = build(rows[~mask], right_sorted, depth + 1)
+        # the left child is popped first, so nodes are numbered in preorder
+        stack.append((rows[~mask], right_sorted, depth + 1, ("right", node)))
+        stack.append((rows[mask], left_sorted, depth + 1, ("left", node)))
         return node
 
-    # With l2_lambda = 0 a zero hessian sum divides by zero in the gain
-    # matrix; NaN gains are disqualified above, and any node with that sum
-    # raises ZeroDivisionError, which train_gbdt reports.
+    # An explicit stack of the nodes still to build, each with the (link,
+    # parent) entry to point at it, so a deep tree cannot exhaust the
+    # recursion limit. With l2_lambda = 0 a zero hessian sum divides by zero
+    # in the gain matrix; NaN gains are disqualified above, and any node with
+    # that sum raises ZeroDivisionError, which train_gbdt reports.
+    stack: list[tuple[np.ndarray, np.ndarray | None, int, tuple[str, int] | None]] = [
+        (*presorted.tree_orders(rows, g, h), 0, None)
+    ]
     with np.errstate(divide="ignore", invalid="ignore"):
-        build(*presorted.tree_orders(rows, g, h), 0)
+        while stack:
+            *todo, parent = stack.pop()
+            node = build(*todo)
+            if parent is not None:
+                link, at = parent
+                nodes[link][at] = node
     return Tree(**nodes)
 
 

@@ -20,8 +20,10 @@ from pitchspace.dominance import (
     space_scores,
     _TILE,
     _arrival_grid,
+    _column_spans,
     _partition,
     _tile_max,
+    _to_time,
     _won_sums,
 )
 from pitchspace.pitch import MAX_COORDINATE, PitchSpec, Point2, WeightParams, weight_grid
@@ -50,7 +52,7 @@ def nearest_neighbor_owner(frame, pitch):
     return owners
 
 
-def oracle_partition(frame, pitch, mp, excluded=()):
+def oracle_time_stack(frame, pitch, mp, excluded=()):
     """Independent partition over the (P, ny, nx) arrival-time stack.
 
     Returns (player ids, owner, best, second_idx, second): argmin/min over the
@@ -73,6 +75,47 @@ def oracle_partition(frame, pitch, mp, excluded=()):
     return [p.player_id for p in players], owner, best, second_idx, second
 
 
+def oracle_partition(xy, vxy, pitch, mp):
+    """The full-grid partition: every player's update runs over every cell.
+
+    Returns (owner, best, second_idx, second) like dominance._partition, with
+    the same arithmetic: squared distances dx2 + dy2, the three smallest kept
+    per cell, and the cells whose times tie re-ranked over all players.
+    """
+    xs, ys = pitch.cell_centers()
+    qx, qy = (xy + vxy * mp.reaction_time).T
+    dx2 = xs - qx[:, np.newaxis]
+    dx2 *= dx2
+    dy2 = ys - qy[:, np.newaxis]
+    dy2 *= dy2
+    shape = (len(ys), len(xs))
+    best, second, third = (np.full(shape, np.inf) for _ in range(3))
+    owner, second_idx = (np.zeros(shape, dtype=np.int32) for _ in range(2))
+    for j in range(len(xy)):
+        d2 = dx2[j] + dy2[j, :, np.newaxis]
+        beats_best, beats_second = d2 < best, d2 < second
+        third = np.minimum(third, np.maximum(second, d2))
+        second = np.minimum(second, np.maximum(best, d2))
+        best = np.minimum(best, d2)
+        second_idx[beats_second] = j
+        second_idx[beats_best] = owner[beats_best]
+        owner[beats_best] = j
+    for g in (best, second, third):
+        _to_time(g, mp)
+    iy, ix = np.nonzero((best == second) | (second == third))
+    if iy.size:
+        dx = xs[ix] - qx[:, np.newaxis]
+        dy = ys[iy] - qy[:, np.newaxis]
+        t = _to_time(dx * dx + dy * dy, mp)
+        cells = np.arange(iy.size)
+        owner[iy, ix] = o = t.argmin(axis=0)
+        best[iy, ix] = t[o, cells]
+        t[o, cells] = np.inf
+        second_idx[iy, ix] = s = t.argmin(axis=0)
+        second[iy, ix] = t[s, cells]
+    return owner, best, second_idx, second
+
+
 def oracle_scores(frame, pitch, w, ids, owner):
     """Two bincounts, one per team weight, picked per player: {id: score}."""
     teams = {p.player_id: p.team for p in frame.players}
@@ -90,7 +133,7 @@ def oracle_deltas(frame, pid, pitch, mp, w, excluded):
     target = find_player(frame, pid)
 
     def score(f):
-        ids, owner, *_ = oracle_partition(f, pitch, mp, excluded)
+        ids, owner, *_ = oracle_time_stack(f, pitch, mp, excluded)
         return oracle_scores(f, pitch, w, ids, owner)[pid]
 
     base = score(frame)
@@ -254,6 +297,86 @@ class TestDominanceGrid:
         )
         field = compute_dominance_grid(frame, PITCH, MP)
         assert field.owned_cell_counts() == {"A1": PITCH.nx * PITCH.ny, "Z9": 0}
+
+
+def partition_players(rng, case, pitch):
+    """(xy, vxy) of a seeded partition sweep case, in id order."""
+    half = np.array([pitch.half_length, pitch.half_width])
+    if case.startswith("random_"):
+        n = int(case.split("_")[1])
+        return rng.uniform(-1.05, 1.05, (n, 2)) * half, rng.uniform(-4, 4, (n, 2))
+    if case == "coincident":
+        # groups of three on one point: three-way ties at every cell
+        xy = np.repeat(rng.uniform(-1, 1, (7, 2)) * half, 3, axis=0)[:20]
+        return xy, np.zeros_like(xy)
+    if case == "mirrored":
+        # pairs mirrored exactly about a column and a row of cell centres:
+        # the cells on them tie in squared distance
+        xs, ys = pitch.cell_centers()
+        centre = np.array([rng.choice(xs[10:-10]), rng.choice(ys[10:-10])])
+        offsets = rng.integers(1, 12, (5, 2)) * pitch.grid_cell
+        signs = ([1, 1], [-1, 1], [1, -1], [-1, -1])
+        xy = np.concatenate([centre + offsets * sign for sign in signs])
+        return xy, np.zeros_like(xy)
+    if case == "lattice":
+        # whole metres: many cells are equidistant from two or three players
+        xy = rng.integers(-8, 9, (20, 2)).astype(float)
+        return xy, np.zeros_like(xy)
+    far = np.array([(1, 1), (1, 1), (1, 1), (-1, -1), (1, -1)]) * MAX_COORDINATE
+    if case == "max_coordinate":
+        xy = rng.uniform(-1, 1, (20, 2)) * half
+        xy[rng.choice(20, 5, replace=False)] = far
+        return xy, np.zeros_like(xy)
+    if case == "only_max_coordinate":
+        # every squared distance rounds to 2e300: each tile's bounds are equal
+        xy = rng.permutation(far)
+        return xy, np.zeros_like(xy)
+    raise ValueError(case)
+
+
+PARTITION_CASES = [
+    "random_1", "random_2", "random_3", "random_20", "coincident", "mirrored", "lattice",
+    "max_coordinate", "only_max_coordinate",
+]
+
+
+class TestColumnBandPartition:
+    # 0.75 m gives ragged tiles on both axes (140 x 91 cells), 1.0 m on both
+    # (105 x 68), 0.5 m on x only (210 x 136).
+    @pytest.mark.parametrize("grid_cell", [0.5, 0.75, 1.0])
+    @pytest.mark.parametrize("case", PARTITION_CASES)
+    def test_partition_matches_full_grid_oracle(self, grid_cell, case):
+        pitch = PitchSpec(grid_cell=grid_cell)
+        rng = np.random.default_rng([2026, PARTITION_CASES.index(case), int(grid_cell * 4)])
+        for _ in range(3):
+            xy, vxy = partition_players(rng, case, pitch)
+            got = _partition(xy, vxy, pitch, MP)
+            for g, want in zip(got, oracle_partition(xy, vxy, pitch, MP)):
+                assert g.shape == (pitch.ny, pitch.nx) and g.flags.c_contiguous
+                assert g.dtype == want.dtype and g.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("grid_cell", [0.5, 0.75, 1.0])
+    @pytest.mark.parametrize("case", PARTITION_CASES)
+    def test_players_outside_their_span_are_above_third(self, grid_cell, case):
+        # Outside its span a player's squared distance is strictly above the
+        # cell's final third smallest, so skipping it there changes nothing.
+        pitch = PitchSpec(grid_cell=grid_cell)
+        xs, ys = pitch.cell_centers()
+        rng = np.random.default_rng([2027, PARTITION_CASES.index(case), int(grid_cell * 4)])
+        for _ in range(3):
+            xy, vxy = partition_players(rng, case, pitch)
+            q = xy + vxy * MP.reaction_time
+            dx2 = (xs - q[:, :1]) ** 2
+            dy2 = (ys - q[:, 1:]) ** 2
+            d2 = dx2[:, np.newaxis, :] + dy2[:, :, np.newaxis]
+            third = np.sort(d2, axis=0)[2] if len(q) >= 3 else np.full(d2.shape[1:], np.inf)
+            spans = _column_spans(q, pitch)
+            assert len(spans) == len(q)
+            for j, span in enumerate(spans):
+                outside = np.ones(pitch.nx, dtype=bool)
+                outside[span] = False
+                assert (d2[j][:, outside] > third[:, outside]).all(), (j, span)
+                assert len(q) >= 3 or not outside.any()  # no third: full width
 
 
 class TestSpaceScores:
@@ -449,7 +572,7 @@ class TestDirectionalDeltas:
         frame = build(rng)
         excluded = offside_positions(frame)
         candidates = sorted(p.player_id for p in frame.players if p.player_id not in excluded)
-        ids, owner, best, second_idx, second = oracle_partition(frame, pitch, MP, excluded)
+        ids, owner, best, second_idx, second = oracle_time_stack(frame, pitch, MP, excluded)
         rows = [frame.ids.index(pid) for pid in ids]
         got_partition = _partition(frame.xy[rows], frame.vxy[rows], pitch, MP)
         for got, want in zip(got_partition, (owner, best, second_idx, second)):
@@ -524,7 +647,7 @@ class TestDirectionalDeltas:
             ],
             ball_pos=(20.0, 0.0),
         )
-        ids, *want = oracle_partition(frame, PITCH, MP)
+        ids, *want = oracle_time_stack(frame, PITCH, MP)
         owner, _, second_idx, _ = want
         assert np.any(rounding_tie & (owner == 0))
         assert np.any(rounding_tie & (owner == 2) & (second_idx == 0))

@@ -322,13 +322,13 @@ class TestAssembleAndDataset:
         medians = table.finite_medians()
         assert np.isfinite(impute_non_finite(table.raw, table.columns, medians)).all()
 
-    def test_all_imputed_column_errors(self):
+    def test_all_imputed_column_gets_zero(self):
+        # a column of padding and +inf has no median: it is imputed with 0.0
         table = PassSampleTable(
-            event_ids=["a"], labels=np.array([1]), columns=["x"],
-            raw=np.array([[math.inf]]),
+            event_ids=["a", "b"], labels=np.array([1, 0]), columns=["x", "y"],
+            raw=np.array([[math.inf, 1.0], [math.nan, 3.0]]),
         )
-        with pytest.raises(ValueError, match="'x'"):
-            table.finite_medians()
+        assert table.finite_medians() == {"x": 0.0, "y": 2.0}
 
     def test_selected_ids_padded(self):
         # E2's one candidate fills rank 1; ranks 2 and 3 are NaN padding.

@@ -301,6 +301,24 @@ class TestTraining:
         taxed = train_gbdt(table, GbdtHyperParams(n_trees=5, max_depth=4, gamma=1e6))
         assert sum(len(t.feature) for t in taxed.trees) < sum(len(t.feature) for t in free.trees)
 
+    def test_deep_tree_builds_past_the_recursion_limit(self):
+        # Alternating labels along one column: each split can peel off one
+        # row, so the tree grows 1000 levels deep, past Python's recursion
+        # limit.
+        n = 3000
+        table = make_table(np.arange(n, dtype=np.float64)[:, np.newaxis], np.arange(n) % 2)
+        model = train_gbdt(table, GbdtHyperParams(n_trees=1, max_depth=1000, learning_rate=1.0))
+        tree = model.trees[0]
+        internal = np.flatnonzero(tree.feature >= 0)
+        assert internal.size == 1000
+        # preorder: every left child directly follows its parent
+        assert np.array_equal(tree.left[internal], internal + 1)
+        depth = np.zeros(len(tree.cover), dtype=np.int64)
+        for node in internal:
+            depth[[tree.left[node], tree.right[node]]] = depth[node] + 1
+        assert depth.max() == 1000
+        assert np.isfinite(model.training_logloss).all()
+
 
 class TestPrediction:
     def test_empty_ensemble_is_base_score(self, rng):

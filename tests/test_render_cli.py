@@ -770,7 +770,8 @@ class TestCli:
     def test_features_writes_a_column_without_finite_values(
         self, tmp_path, capsys, config, n, column
     ):
-        # features writes the padded table; only train needs the medians
+        # features writes the padded table; train imputes the column with
+        # 0.0, a constant no tree splits on
         cfg = tmp_path / "run.cfg"
         cfg.write_text(
             "pitch.grid_cell = 2.0\nsynth.passes = 30\nsynth.kickoff_frames = 20\n" + config,
@@ -782,13 +783,29 @@ class TestCli:
                              "--out", str(t)]) == 0
         table = PassSampleTable.from_csv(t / "features.csv")
         assert len(table) == 30
-        assert not np.isfinite(table.raw[:, table.columns.index(column)]).any()
-        capsys.readouterr()
+        j = table.columns.index(column)
+        assert not np.isfinite(table.raw[:, j]).any()
         rc = cli_dispatch(["train", "--config", str(cfg), "--features", str(t / "features.csv"),
                            "--out", str(tmp_path / "model")])
-        assert rc == 2
-        assert f"column {column!r} has no finite values to impute from" in capsys.readouterr().err
-        assert not (tmp_path / "model").exists()
+        assert rc == 0, capsys.readouterr().err
+        model = load_model(tmp_path / "model" / "model.json")
+        assert model.medians[column] == 0.0
+        assert all(j not in tree.feature.tolist() for tree in model.trees)
+
+    def test_compare_rankings_with_n_beyond_candidates(self, tmp_path, capsys):
+        # ten attackers leave at most nine candidates: rank 10 is all padding
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            "pitch.grid_cell = 2.0\nsynth.passes = 30\nsynth.kickoff_frames = 20\n",
+            encoding="utf-8",
+        )
+        m = tmp_path / "match"
+        assert cli_dispatch(["synth", "--config", str(cfg), "--seed", "3", "--out", str(m)]) == 0
+        rc = cli_dispatch(["compare-rankings", "--config", str(cfg), *_match_args(m),
+                           "--n", "10", "--out", str(tmp_path / "cmp")])
+        assert rc == 0, capsys.readouterr().err
+        report = json.loads((tmp_path / "cmp" / "ranking_report.json").read_text())
+        assert [row["variable"] for row in report["rows"]] == list(RANKING_VARIABLES)
 
     @pytest.mark.parametrize(
         "medians, csv_tail, located",
