@@ -9,11 +9,14 @@ compare-rankings, segment and sync on the same match, so that every
 subcommand runs, all with the same config, into OUT_DIR. Since that match has
 a single attack sequence, it then synthesizes a second match whose passes go
 to both teams (synth.opponent_pass_rate = 0.4) and segments it, which writes
-several sequences and drop records. Last, `features --n 10` on the first
+several sequences and drop records. Then `features --n 10` on the first
 match writes the padded table: ten attackers leave at most nine candidates
-per pass, so the rank-10 columns hold no finite value. Exit codes are keyed
-by command name, prefixed "opponent-" and "padded-" for these two groups. It
-uses the pitchspace package found on PYTHONPATH and writes {artifact path: sha256} to DIGESTS_JSON. `compare`
+per pass, so the rank-10 columns hold no finite value; `train` fits a model
+on it. Last, `features --matches` reads a directory holding copies of the
+two matches, which it loads one at a time. Exit codes are keyed by command
+name, prefixed "opponent-", "padded-" and "matches-" for these three groups.
+It uses the pitchspace package found on PYTHONPATH and writes {artifact
+path: sha256} to DIGESTS_JSON. `compare`
 prints a Markdown list of the artifacts whose digests differ, or that only one
 run wrote. Both exit 0 whatever they find: the report is for a reader, and a
 declared behaviour change may change artifacts.
@@ -21,6 +24,7 @@ declared behaviour change may change artifacts.
 
 import hashlib
 import json
+import shutil
 import sys
 from pathlib import Path
 
@@ -63,12 +67,27 @@ def run(out: Path, digests_path: Path) -> None:
         ["segment", "--tracking", str(opp / "tracking.jsonl"), "--events",
          str(opp / "events.jsonl"), "--out", str(out / "opponent-segment")],
     ]
-    padded_steps = [["features", *match_args, "--n", "10", "--out", str(out / "padded-feat")]]
+    padded_steps = [
+        ["features", *match_args, "--n", "10", "--out", str(out / "padded-feat")],
+        ["train", "--features", str(out / "padded-feat" / "features.csv"),
+         "--out", str(out / "padded-model")],
+    ]
+    matches = out / "matches"
+    matches_steps = [["features", "--matches", str(matches), "--out", str(out / "matches-feat")]]
     codes = {}
-    groups = ((cfg, "", steps), (opp_cfg, "opponent-", opp_steps), (cfg, "padded-", padded_steps))
-    for config, prefix, chain in groups:
+
+    def run_group(config, prefix, chain):
         for argv in chain:
             codes[prefix + argv[0]] = cli_dispatch([argv[0], "--config", str(config), *argv[1:]])
+
+    run_group(cfg, "", steps)
+    run_group(opp_cfg, "opponent-", opp_steps)
+    run_group(cfg, "padded-", padded_steps)
+    for i, match in enumerate((m, opp)):
+        (matches / f"m{i}").mkdir(parents=True)
+        for name in ("tracking.jsonl", "events.jsonl"):
+            shutil.copyfile(match / name, matches / f"m{i}" / name)
+    run_group(cfg, "matches-", matches_steps)
     digests = {
         str(p.relative_to(out)): hashlib.sha256(p.read_bytes()).hexdigest()
         for p in sorted(out.rglob("*"))

@@ -16,6 +16,7 @@ import logging
 import sys
 from dataclasses import asdict, replace
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -105,20 +106,17 @@ def _match_dirs(root: Path) -> list[Path]:
     return dirs
 
 
-def _load_matches(args) -> tuple[list, list[Path]]:
-    inputs: list[Path] = []
-    matches = []
-    if getattr(args, "matches", None):
-        for d in _match_dirs(Path(args.matches)):
-            t, e = d / "tracking.jsonl", d / "events.jsonl"
-            matches.append(load_match(t, e))
-            inputs.extend([t, e])
+def _load_matches(args) -> tuple[Iterator, list[Path]]:
+    """The matches of --matches, or of --tracking/--events, as an iterator that
+    loads each one only when it is reached; and the paths of their files."""
+    if args.matches:
+        dirs = _match_dirs(Path(args.matches))
+        pairs = [(d / "tracking.jsonl", d / "events.jsonl") for d in dirs]
+    elif args.tracking and args.events:
+        pairs = [(args.tracking, args.events)]
     else:
-        if not args.tracking or not args.events:
-            raise UsageError("provide --tracking/--events or --matches")
-        matches.append(load_match(args.tracking, args.events))
-        inputs.extend([Path(args.tracking), Path(args.events)])
-    return matches, inputs
+        raise UsageError("provide --tracking/--events or --matches")
+    return (load_match(t, e) for t, e in pairs), [Path(p) for pair in pairs for p in pair]
 
 
 # ---------------------------------------------------------------------------
@@ -157,19 +155,7 @@ def cmd_sync(args, cfg: RunConfig, out: Path):
 def cmd_segment(args, cfg: RunConfig, out: Path):
     frames, events = load_match(args.tracking, args.events)
     sequences, drops = segment_attack_sequences(events, frames)
-    doc = {
-        "sequences": [
-            {
-                "sequence_id": s.sequence_id,
-                "team": s.team_id,
-                "start_frame": s.start_frame,
-                "end_frame": s.end_frame,
-                "event_ids": list(s.event_ids),
-            }
-            for s in sequences
-        ],
-        "dropped": [asdict(d) for d in drops],
-    }
+    doc = {"sequences": [asdict(s) for s in sequences], "dropped": [asdict(d) for d in drops]}
     write_json(out / "sequences.json", doc, indent=1)
     print(f"segment: {len(sequences)} sequences, {len(drops)} drop records")
     return args.seed, [Path(args.tracking), Path(args.events)], ["sequences.json"]

@@ -20,6 +20,7 @@ from pathlib import Path
 from .dominance import MotionParams
 from .features import RANKING_VARIABLES
 from .gbdt import GbdtHyperParams
+from .match_io import MAX_PLAYERS
 from .pitch import PitchSpec, WeightParams
 from .render_svg import RenderOptions
 from .synth import RULE_FEATURES, SynthConfig
@@ -80,8 +81,9 @@ class RunConfig:
     render: RenderOptions = dc_field(default_factory=RenderOptions)
 
     def __post_init__(self) -> None:
-        if self.feature_n < 1:
-            raise ValueError(f"feature_n must be >= 1, got {self.feature_n}")
+        # a pass has at most MAX_PLAYERS - 1 other players to rank
+        if not 1 <= self.feature_n <= MAX_PLAYERS - 1:
+            raise ValueError(f"feature_n must be in [1, {MAX_PLAYERS - 1}], got {self.feature_n}")
         if self.ranking_variable not in RANKING_VARIABLES:
             raise ValueError(
                 f"ranking_variable must be one of {RANKING_VARIABLES}, "

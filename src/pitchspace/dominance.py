@@ -6,27 +6,25 @@ player's space score is the weighted area of their region, using the
 attacking-direction field weight for attackers and the left-right mirrored
 weight for defenders. Offside attackers are excluded from the partition.
 Frames are read as their player arrays (`ids`, `teams`, (P, 2) `xy` and
-`vxy`), never through the `players` view of PlayerState records.
+`vxy`), never through the `players` view of `match_io.PlayerState` records.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, Iterable
 
 import numpy as np
 
-from .pitch import MAX_COORDINATE, PitchSpec, Point2, WeightParams, weight_grid
+from .pitch import MAX_COORDINATE, MAX_TRACKED_SPEED, PitchSpec, WeightParams, weight_grid
 
 if TYPE_CHECKING:
     from .match_io import TrackedFrame
 
 ATTACKING = "attacking"
 DEFENDING = "defending"
-
-MAX_TRACKED_SPEED = 13.0  # m/s, sanity bound on tracked player velocity
 
 # Unit displacement directions at k*45 deg counterclockwise from +x (k = 0..7).
 _S = math.sqrt(0.5)
@@ -40,24 +38,6 @@ DIRECTIONS_8: tuple[tuple[float, float], ...] = (
     (0.0, -1.0),
     (_S, -_S),
 )
-
-
-@dataclass(frozen=True)
-class PlayerState:
-    """Kinematic state of one player at one instant: a `TrackedFrame.players` record."""
-
-    player_id: str
-    team: str
-    pos: Point2
-    vel: Point2 = Point2(0.0, 0.0)
-    extra: dict = field(default_factory=dict, compare=True)
-
-    def __post_init__(self) -> None:
-        if self.vel.norm() > MAX_TRACKED_SPEED + 1e-9:
-            raise ValueError(
-                f"player {self.player_id} velocity {self.vel.norm():.2f} m/s exceeds "
-                f"{MAX_TRACKED_SPEED} m/s sanity bound"
-            )
 
 
 @dataclass(frozen=True)

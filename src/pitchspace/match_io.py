@@ -28,14 +28,14 @@ from typing import Iterable
 
 import numpy as np
 
-from .dominance import MAX_TRACKED_SPEED, PlayerState
-from .pitch import MAX_COORDINATE, Ball, Point2
+from .pitch import MAX_COORDINATE, MAX_TRACKED_SPEED, Ball, Point2
 
 logger = logging.getLogger(__name__)
 
 KICKOFF_WINDOW = 50  # frames searched on each side of the kickoff hint
 KICKOFF_BACKOFF = 4  # kickoff is this many frames before the acceleration peak
 MIN_SEQUENCE_SECONDS = 1.0  # spans shorter than this are degenerate and dropped
+MAX_PLAYERS = 22  # players a tracking record may hold
 
 SET_PLAY_TYPES = frozenset(
     {"kickoff", "throw_in", "free_kick", "corner", "goal_kick", "penalty"}
@@ -69,6 +69,17 @@ class FrameMetadata:
     attacking_team_id: str | None = None  # team in possession, when known
     attacks_right_team: str | None = None  # team playing toward +x, when known
     warnings: tuple[str, ...] = ()
+    extra: dict = field(default_factory=dict)
+
+
+@dataclass(frozen=True)
+class PlayerState:
+    """Kinematic state of one player at one instant: a `TrackedFrame.players` record."""
+
+    player_id: str
+    team: str
+    pos: Point2
+    vel: Point2 = Point2(0.0, 0.0)
     extra: dict = field(default_factory=dict)
 
 
@@ -150,7 +161,7 @@ class AttackSequence:
     """Contiguous possession span for one team."""
 
     sequence_id: str
-    team_id: str
+    team: str
     start_frame: int
     end_frame: int
     event_ids: tuple[str, ...]
@@ -299,8 +310,10 @@ def load_tracking(path: str | Path) -> list[TrackedFrame]:
         player_recs = _req(rec, "players", path, line_no)
         if not isinstance(player_recs, list):
             raise SchemaError("'players' must be a list", path, line_no)
-        if len(player_recs) > 22:
-            raise SchemaError(f"{len(player_recs)} players exceeds the 22-player bound", path, line_no)
+        if len(player_recs) > MAX_PLAYERS:
+            raise SchemaError(
+                f"{len(player_recs)} players exceeds the {MAX_PLAYERS}-player bound", path, line_no
+            )
         ids, teams, xy, vxy, extras = _parse_players(player_recs, path, line_no, warnings)
         if len(set(ids)) < len(ids):
             dup = next(pid for i, pid in enumerate(ids) if pid in ids[:i])

@@ -32,9 +32,6 @@ class Point2:
     def __iter__(self):  # unpacks as the pair (x, y)
         return iter((self.x, self.y))
 
-    def norm(self) -> float:
-        return math.hypot(self.x, self.y)
-
 
 @dataclass(frozen=True)
 class Ball:
@@ -52,6 +49,8 @@ MAX_GRID_CELLS = 4_000_000
 # predicted point and a cell centre then differ by less than 4e150 m on each
 # axis, so no squared distance between them overflows.
 MAX_COORDINATE = 1e150
+
+MAX_TRACKED_SPEED = 13.0  # m/s: the loader caps every player velocity to this speed
 
 
 @dataclass(frozen=True)

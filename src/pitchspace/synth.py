@@ -81,7 +81,10 @@ def _rule_margin(config: SynthConfig, feats: dict) -> float:
 
 
 def _sigmoid(z: float) -> float:
-    return 1.0 / (1.0 + math.exp(-z))
+    try:
+        return 1.0 / (1.0 + math.exp(-z))
+    except OverflowError:  # exp(-z) is past the float range, and 1 / (1 + inf) is 0.0
+        return 0.0
 
 
 def synthesize_match(
@@ -194,7 +197,11 @@ def synthesize_match(
         defenders = list(zip(dfn.tolist(), def_vel.tolist()))
         values = receiver_variables(att[receiver].tolist(), ball_xy.tolist(), defenders, mp)
         feats = dict(zip(RULE_FEATURES, values))
-        p_true = _sigmoid(_rule_margin(config, feats))
+        event_id = f"E{i + 1:04d}"
+        margin = _rule_margin(config, feats)
+        if not math.isfinite(margin):
+            raise ValueError(f"pass {event_id}: the planted rule's margin is {margin}, not finite")
+        p_true = _sigmoid(margin)
         success = bool(rng.random() < p_true)
 
         # Emit in true pitch coordinates: mirror x when team B attacks. The
@@ -226,7 +233,6 @@ def synthesize_match(
                 ),
             )
         )
-        event_id = f"E{i + 1:04d}"
         events.append(
             MatchEvent(
                 event_id=event_id,

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from pitchspace.dominance import ATTACKING, DEFENDING, PlayerState
-from pitchspace.match_io import Ball, FrameMetadata, TrackedFrame
+from pitchspace.dominance import ATTACKING, DEFENDING
+from pitchspace.match_io import Ball, FrameMetadata, PlayerState, TrackedFrame
 from pitchspace.pitch import Point2
 
 

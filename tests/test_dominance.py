@@ -9,9 +9,7 @@ from pitchspace.dominance import (
     ATTACKING,
     DEFENDING,
     DIRECTIONS_8,
-    MAX_TRACKED_SPEED,
     MotionParams,
-    PlayerState,
     arrival_time,
     batch_scores_with_deltas,
     compute_dominance_grid,
@@ -26,7 +24,10 @@ from pitchspace.dominance import (
     _to_time,
     _won_sums,
 )
-from pitchspace.pitch import MAX_COORDINATE, PitchSpec, Point2, WeightParams, weight_grid
+from pitchspace.match_io import PlayerState
+from pitchspace.pitch import (
+    MAX_COORDINATE, MAX_TRACKED_SPEED, PitchSpec, Point2, WeightParams, weight_grid,
+)
 
 from conftest import find_player, make_frame, player, random_frame, with_players
 
@@ -229,10 +230,6 @@ class TestArrivalTime:
             t0 = arrival_time((x, y), (vx, vy), (tx, ty), MP)
             t1 = arrival_time((x + sx, y + sy), (vx, vy), (tx + sx, ty + sy), MP)
             assert t0 == pytest.approx(t1, abs=1e-12)
-
-    def test_speed_sanity_bound(self):
-        with pytest.raises(ValueError):
-            PlayerState("P", ATTACKING, Point2(0, 0), Point2(14.0, 0.0))
 
     @pytest.mark.parametrize("field", ["max_speed", "reaction_time"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])

@@ -133,7 +133,7 @@ class TestLoadTracking:
         frames = load_tracking(p)
         assert any("capped" in w for w in frames[0].metadata.warnings)
         vel = frames[0].players[0].vel
-        assert vel.norm() == pytest.approx(13.0, rel=1e-12)
+        assert math.hypot(*vel) == pytest.approx(13.0, rel=1e-12)
         assert math.atan2(vel.y, vel.x) == pytest.approx(math.atan2(vxy[1], vxy[0]), abs=1e-12)
 
     def test_unknown_keys_preserved(self, tmp_path):
@@ -546,7 +546,7 @@ class TestSegmentation:
         ]
         seqs, drops = segment_attack_sequences(events, self.make_frames())
         assert len(seqs) == 1
-        assert seqs[0].team_id == "A"
+        assert seqs[0].team == "A"
         assert seqs[0].event_ids == ("1", "2", "3", "4", "5")
         assert not drops
 
@@ -558,7 +558,7 @@ class TestSegmentation:
             ev("4", "pass", 90, "B"),
         ]
         seqs, drops = segment_attack_sequences(events, self.make_frames())
-        assert [s.team_id for s in seqs] == ["A", "B"]
+        assert [s.team for s in seqs] == ["A", "B"]
         assert seqs[0].event_ids == ("1", "2")
         assert seqs[0].end_frame == 40
         assert seqs[1].event_ids == ("3", "4")
@@ -572,7 +572,7 @@ class TestSegmentation:
             ev("4", "pass", 95, "B"),
         ]
         seqs, _ = segment_attack_sequences(events, self.make_frames())
-        assert [s.team_id for s in seqs] == ["A", "B"]
+        assert [s.team for s in seqs] == ["A", "B"]
         assert seqs[0].start_frame == 10
         assert seqs[1].start_frame == 80
 
@@ -583,7 +583,7 @@ class TestSegmentation:
             ev("3", "pass", 40, "B"),
         ]
         seqs, drops = segment_attack_sequences(events, self.make_frames())
-        assert [s.team_id for s in seqs] == ["B"]
+        assert [s.team for s in seqs] == ["B"]
         assert any("1" in d.event_ids for d in drops)
 
     def test_missing_frame_drops_sequence(self):
@@ -625,7 +625,7 @@ class TestSegmentation:
         seqs, _ = segment_attack_sequences(events, self.make_frames(1200))
         for team in ("A", "B"):
             spans = sorted(
-                (s.start_frame, s.end_frame) for s in seqs if s.team_id == team
+                (s.start_frame, s.end_frame) for s in seqs if s.team == team
             )
             for (s1, e1), (s2, e2) in zip(spans, spans[1:]):
                 assert e1 < s2

@@ -1,11 +1,14 @@
 import csv
+import gc
 import importlib
 import json
 import os
 import pkgutil
 import re
+import shutil
 import subprocess
 import sys
+import tracemalloc
 import xml.etree.ElementTree as ET
 from pathlib import Path
 from xml.sax.saxutils import escape
@@ -293,6 +296,14 @@ class TestConfig:
                            "model.n_trees = 30\n")
         assert len(cfg.grid) == 1
         assert cfg.grid[0].max_depth == 4
+
+    @pytest.mark.parametrize("value", ["22", "1000000000000"])
+    def test_feature_n_above_21_is_config_error(self, value):
+        # ranks past the 21 other players of a pass would be columns of padding only
+        assert parse_config("feature.n = 21\n").feature_n == 21
+        message = "line 1: feature.n: feature_n must be in [1, 21]"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            parse_config(f"feature.n = {value}\n")
 
     def test_rule_parsing(self):
         intercept, coeffs = parse_rule("2.0 - 0.2*dist_ball + 0.1*time_to_player")
@@ -623,6 +634,8 @@ class TestCli:
         assert proc.returncode == 0, proc.stderr
         if module == "pitch":  # the package itself imports none of its modules
             assert proc.stdout.split() == ["pitchspace.pitch"]
+        if module == "match_io":  # the loader needs no motion model
+            assert proc.stdout.split() == ["pitchspace.match_io", "pitchspace.pitch"]
 
     def test_import_loads_no_network_stack(self):
         # The library and CLI need none of these; the stdlib XML escape alone
@@ -955,6 +968,19 @@ class TestCli:
         assert f"line 1: {line.split(' =')[0]}" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_synth_rule_with_non_finite_margin_exits_2(self, tmp_path, capsys):
+        huge = "1" + "0" * 308
+        cfg = tmp_path / "rule.cfg"
+        cfg.write_text(
+            "synth.empty_defense_rate = 0\n"
+            f"synth.rule = {huge}*dist_ball - {huge}*time_to_player\n",
+            encoding="utf-8",
+        )
+        rc = cli_dispatch(["synth", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "the planted rule's margin is nan, not finite" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize(
         "command, pitch_key",
         [
@@ -1074,6 +1100,56 @@ class TestSyncWorkflow:
         lines = (tmp_path / "feat" / "features.csv").read_text().splitlines()
         assert len(lines) == 1 + 20  # header + 10 passes per match
 
+    def test_matches_are_loaded_one_at_a_time(self, tmp_path):
+        # Each match is loaded only when extraction reaches it, so the peak
+        # does not grow with the number of matches. The matches are copies of
+        # one match of mostly kickoff frames, which are loaded and not extracted.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            "pitch.grid_cell = 2.0\nsynth.passes = 20\nsynth.kickoff_frames = 400\n",
+            encoding="utf-8",
+        )
+        m = tmp_path / "match"
+        assert cli_dispatch(["synth", "--config", str(cfg), "--out", str(m)]) == 0
+        assert cli_dispatch(["features", "--config", str(cfg), *_match_args(m),
+                             "--out", str(tmp_path / "one")]) == 0
+        header, *rows = (tmp_path / "one" / "features.csv").read_text().splitlines(keepends=True)
+        peaks = {}
+        for copies in (2, 20):
+            root = tmp_path / f"copies{copies}"
+            for i in range(copies):
+                shutil.copytree(m, root / f"m{i:02d}")
+            gc.collect()
+            tracemalloc.start()
+            try:
+                rc = cli_dispatch(["features", "--config", str(cfg), "--matches", str(root),
+                                   "--out", str(tmp_path / f"feat{copies}")])
+                peaks[copies] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert rc == 0
+            table = (tmp_path / f"feat{copies}" / "features.csv").read_text()
+            assert table == header + "".join(rows * copies)
+        assert peaks[20] <= 2 * peaks[2], peaks
+
+    @pytest.mark.parametrize("command", ["features", "compare-rankings"])
+    def test_bad_later_match_exits_2_and_writes_nothing(self, tmp_path, capsys, command):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("pitch.grid_cell = 2.0\nsynth.passes = 10\ncv.k = 2\n", encoding="utf-8")
+        for i, seed in enumerate((5, 6)):
+            assert cli_dispatch(["synth", "--config", str(cfg), "--seed", str(seed),
+                                 "--out", str(tmp_path / "matches" / f"m{i}")]) == 0
+        bad = tmp_path / "matches" / "m1" / "tracking.jsonl"
+        lines = bad.read_text(encoding="utf-8").splitlines(keepends=True)
+        bad.write_text("".join([*lines[:2], "{not json\n", *lines[2:]]), encoding="utf-8")
+        capsys.readouterr()
+        out = tmp_path / "runs" / "out"
+        rc = cli_dispatch([command, "--config", str(cfg), "--matches", str(tmp_path / "matches"),
+                           "--out", str(out)])
+        assert rc == 2
+        assert f"data error: {bad}:3: invalid JSON" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
     def test_render_animate_flag(self, workspace, tmp_path):
         root, cfg = workspace
         m = root / "match"
@@ -1098,6 +1174,10 @@ class TestUsageErrors:
         [
             pytest.param(["features", "--n", "0"], "--n", id="features_n"),
             pytest.param(["compare-rankings", "--n", "0"], "--n", id="compare_rankings_n"),
+            # a pass has at most 21 other players; the value is refused, not run
+            pytest.param(["features", "--n", "22"], "--n", id="features_n_above_21"),
+            pytest.param(["compare-rankings", "--n", "1000000000000"], "--n",
+                         id="compare_rankings_huge_n"),
             pytest.param(["train", "--seed", "-1"], "--seed", id="train_seed"),
         ],
     )

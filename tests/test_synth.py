@@ -98,6 +98,27 @@ class TestGroundTruth:
         assert set(gt["events"]) == pass_ids
         assert all(0.0 <= p <= 1.0 for p in gt["events"].values())
 
+    def test_steep_rule_gives_probability_zero(self):
+        # exp(-margin) overflows below a margin of about -709.8, where the
+        # probability 1 / (1 + inf) is 0.0
+        cfg = SynthConfig(passes=20, rule_coeffs={"dist_ball": -1000.0})
+        _, events, gt = synthesize_match(cfg, seed=4)
+        margins = {eid: _rule_margin(cfg, f) for eid, f in gt["rule_features"].items()}
+        assert any(m < -710.0 for m in margins.values())
+        for eid, m in margins.items():
+            if m < -710.0:
+                assert gt["events"][eid] == 0.0
+            elif m > -700.0:
+                assert gt["events"][eid] == sigmoid(m)
+        assert {e.outcome for e in _pass_view(events)} == {"failure"}
+
+    def test_non_finite_margin_is_refused(self):
+        # the two terms overflow to +inf and -inf, and their sum is nan
+        cfg = SynthConfig(passes=5, empty_defense_rate=0.0,
+                          rule_coeffs={"dist_ball": 1e308, "time_to_player": -1e308})
+        with pytest.raises(ValueError, match=r"^pass E\d{4}: the planted rule's margin is nan"):
+            synthesize_match(cfg, seed=4)
+
     def test_class_imbalance_replicable(self):
         # The published corpus ratio is ~79/21 success/failure; a config must
         # be able to land near it.
