@@ -12,9 +12,14 @@ to both teams (synth.opponent_pass_rate = 0.4) and segments it, which writes
 several sequences and drop records. Then `features --n 10` on the first
 match writes the padded table: ten attackers leave at most nine candidates
 per pass, so the rank-10 columns hold no finite value; `train` fits a model
-on it. Last, `features --matches` reads a directory holding copies of the
-two matches, which it loads one at a time. Exit codes are keyed by command
-name, prefixed "opponent-", "padded-" and "matches-" for these three groups.
+on it. Then `features --matches` reads a directory holding copies of the
+two matches, which it loads one at a time, keying each row by its match
+directory. Last, `render` draws the first match's frames again at the
+default 0.5 m grid with render.show_voronoi_boundaries = true, once plain
+and once with `--animate`, so that the owner grid at full resolution and
+the boundary paths reach a digest. Exit codes are keyed by command name,
+prefixed "opponent-", "padded-", "matches-", "render-" and
+"render-animate-" for these groups.
 It uses the pitchspace package found on PYTHONPATH and writes {artifact
 path: sha256} to DIGESTS_JSON. `compare`
 prints a Markdown list of the artifacts whose digests differ, or that only one
@@ -36,6 +41,7 @@ CONFIG = (
     "cv.k = 3\n"
 )
 OPPONENT_CONFIG = CONFIG + "synth.opponent_pass_rate = 0.4\n"
+RENDER_CONFIG = "render.show_voronoi_boundaries = true\n"  # the default 0.5 m grid
 
 
 def run(out: Path, digests_path: Path) -> None:
@@ -43,9 +49,10 @@ def run(out: Path, digests_path: Path) -> None:
     from pitchspace.cli import cli_dispatch
 
     out.mkdir(parents=True, exist_ok=True)
-    cfg, opp_cfg = out / "run.cfg", out / "opponent.cfg"
+    cfg, opp_cfg, render_cfg = out / "run.cfg", out / "opponent.cfg", out / "render.cfg"
     cfg.write_text(CONFIG, encoding="utf-8")
     opp_cfg.write_text(OPPONENT_CONFIG, encoding="utf-8")
+    render_cfg.write_text(RENDER_CONFIG, encoding="utf-8")
     opp = out / "opponent-match"
     m = out / "match"
     feat, model = out / "feat" / "features.csv", out / "model" / "model.json"
@@ -74,6 +81,7 @@ def run(out: Path, digests_path: Path) -> None:
     ]
     matches = out / "matches"
     matches_steps = [["features", "--matches", str(matches), "--out", str(out / "matches-feat")]]
+    render_args = ["render", *match_args, "--frames", "111:141"]
     codes = {}
 
     def run_group(config, prefix, chain):
@@ -88,10 +96,13 @@ def run(out: Path, digests_path: Path) -> None:
         for name in ("tracking.jsonl", "events.jsonl"):
             shutil.copyfile(match / name, matches / f"m{i}" / name)
     run_group(cfg, "matches-", matches_steps)
+    run_group(render_cfg, "render-", [[*render_args, "--out", str(out / "render-plain")]])
+    run_group(render_cfg, "render-animate-",
+              [[*render_args, "--animate", "--out", str(out / "render-animate")]])
     digests = {
         str(p.relative_to(out)): hashlib.sha256(p.read_bytes()).hexdigest()
         for p in sorted(out.rglob("*"))
-        if p.is_file() and p not in (cfg, opp_cfg)
+        if p.is_file() and p not in (cfg, opp_cfg, render_cfg)
     }
     doc = {"package": pitchspace.__file__, "exit_codes": codes, "digests": digests}
     digests_path.write_text(json.dumps(doc, indent=1))

@@ -108,15 +108,27 @@ def _match_dirs(root: Path) -> list[Path]:
 
 def _load_matches(args) -> tuple[Iterator, list[Path]]:
     """The matches of --matches, or of --tracking/--events, as an iterator that
-    loads each one only when it is reached; and the paths of their files."""
+    loads each one only when it is reached; and the paths of their files.
+    Under --matches each event id becomes `<match directory name>/<event_id>`,
+    so that matches reusing ids give distinct rows."""
     if args.matches:
         dirs = _match_dirs(Path(args.matches))
         pairs = [(d / "tracking.jsonl", d / "events.jsonl") for d in dirs]
+        prefixes = [f"{d.resolve().name}/" for d in dirs]
     elif args.tracking and args.events:
         pairs = [(args.tracking, args.events)]
+        prefixes = [""]
     else:
         raise UsageError("provide --tracking/--events or --matches")
-    return (load_match(t, e) for t, e in pairs), [Path(p) for pair in pairs for p in pair]
+
+    def load(tracking, events, prefix):
+        frames, events = load_match(tracking, events)
+        if prefix:
+            events = [replace(e, event_id=prefix + e.event_id) for e in events]
+        return frames, events
+
+    matches = (load(t, e, prefix) for (t, e), prefix in zip(pairs, prefixes))
+    return matches, [Path(p) for pair in pairs for p in pair]
 
 
 # ---------------------------------------------------------------------------

@@ -164,13 +164,16 @@ def _arrival_grid(
 # same correctly rounded, monotone steps as a cell's computed dx2 + dy2: so
 # they bound it below and above, bitwise, for every cell of the tile.
 #
-# In _partition, ub3 is a tile's third smallest upper bound over the players:
-# three players reach every cell of the tile at or below it, so every cell's
-# final third smallest squared distance is <= ub3. A player whose lower bound
-# is > ub3 is strictly above that third everywhere in the tile, so its update
-# there changes no value of best/second/third and no first-argmin index. Each
-# player's span is the hull of the tile columns where it is not, and it
-# updates only those columns (all of them with fewer than three players).
+# _partition keeps the k smallest squared distances per cell, k = the ranks
+# it returns + 1: k = 2 (best, second) for the owner alone, k = 3 (best,
+# second, third) with the runner-up. The extra level is what finds the time
+# ties to re-rank. In _column_spans, ubk is a tile's k-th smallest upper bound
+# over the players: k players reach every cell of the tile at or below it, so
+# every cell's final k-th smallest squared distance is <= ubk. A player whose
+# lower bound is > ubk is strictly above that k-th everywhere in the tile, so
+# its update there changes none of the k smallest and no first-argmin index.
+# Each player's span is the hull of the tile columns where it is not, and it
+# updates only those columns (all of them with fewer than k players).
 # ---------------------------------------------------------------------------
 
 _TILE = 8  # cells per side of the bounding tiles
@@ -202,14 +205,14 @@ def _tile_d2(q: np.ndarray, pitch: PitchSpec) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
-def _column_spans(q: np.ndarray, pitch: PitchSpec) -> list[slice]:
+def _column_spans(q: np.ndarray, pitch: PitchSpec, k: int) -> list[slice]:
     """Per predicted point (rows of q), the cell columns outside which its
-    squared distance is above every cell's third smallest (see above)."""
+    squared distance is above every cell's k-th smallest (see above)."""
     lb, ub = _tile_d2(q, pitch)
-    # ub3: knock each tile's smallest ub out twice; +inf with under 3 points.
+    # ubk: knock each tile's smallest ub out k - 1 times; +inf with under k points.
     ub = ub.reshape(len(q), -1)
     tiles = np.arange(ub.shape[1])
-    for _ in range(2):
+    for _ in range(k - 1):
         ub[ub.argmin(axis=0), tiles] = np.inf
     kept = (lb <= ub.min(axis=0).reshape(lb.shape[1:])).any(axis=1)
     # The hull of each point's kept tile columns; empty (start > stop) if none.
@@ -224,48 +227,52 @@ def _fold(
     d2: np.ndarray,
     best: np.ndarray,
     second: np.ndarray,
-    third: np.ndarray,
     owner: np.ndarray,
-    second_idx: np.ndarray,
     beats_best: np.ndarray,
-    beats_second: np.ndarray,
+    third: np.ndarray | None = None,
+    second_idx: np.ndarray | None = None,
+    beats_second: np.ndarray | None = None,
 ) -> None:
-    """Fold player j's squared distances d2 into the three smallest per cell
-    and the indices of the first two, in place. An index moves only where d2
-    is strictly smaller."""
+    """Fold player j's squared distances d2 into the two smallest per cell and
+    the index of the first, in place; given `third`, also into the third
+    smallest and the index of the second. An index moves only where d2 is
+    strictly smaller."""
     np.less(d2, best, out=beats_best)
-    np.less(d2, second, out=beats_second)
-    # best <= second <= third, so min(third, max(second, d2)) is
-    # max(second, min(third, d2)), and likewise for second: no scratch grid.
-    np.minimum(third, d2, out=third)
-    np.maximum(third, second, out=third)
+    if third is not None:  # reads second and owner before they move
+        np.less(d2, second, out=beats_second)
+        # second <= third, so min(third, max(second, d2)) is
+        # max(second, min(third, d2)): no scratch grid.
+        np.minimum(third, d2, out=third)
+        np.maximum(third, second, out=third)
+        # best <= second, so beats_best implies beats_second: the owner copy wins.
+        np.copyto(second_idx, j, where=beats_second)
+        np.copyto(second_idx, owner, where=beats_best)
+    # Likewise min(second, max(best, d2)) is max(best, min(second, d2)).
     np.minimum(second, d2, out=second)
     np.maximum(second, best, out=second)
     np.minimum(best, d2, out=best)
-    # best <= second, so beats_best implies beats_second: the owner copy wins.
-    np.copyto(second_idx, j, where=beats_second)
-    np.copyto(second_idx, owner, where=beats_best)
     np.copyto(owner, j, where=beats_best)
 
 
 def _partition(
-    xy: np.ndarray, vxy: np.ndarray, pitch: PitchSpec, mp: MotionParams
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Best and runner-up arrival per cell over the id-sorted players (rows of xy, vxy).
+    xy: np.ndarray, vxy: np.ndarray, pitch: PitchSpec, mp: MotionParams, *, runner_up: bool
+) -> tuple[np.ndarray, ...]:
+    """Best, and if `runner_up` also runner-up, arrival per cell over the
+    id-sorted players (rows of xy, vxy).
 
-    Returns (owner, best, second_idx, second), each of shape (ny, nx). The
-    runner-up is the best player once the owner is left out (index 0 and time
-    +inf if nobody else). Only a strictly earlier time moves an index: ties
-    keep the smaller id.
+    Returns (owner, best), or with `runner_up` (owner, best, second_idx,
+    second), each of shape (ny, nx). The runner-up is the best player once
+    the owner is left out (index 0 and time +inf if nobody else). Only a
+    strictly earlier time moves an index: ties keep the smaller id.
 
-    Players are ranked by squared distance, keeping the three smallest, and
-    only those become times (see _to_time). Where the three times are distinct,
-    the squared-distance owner and runner-up are the time owner and runner-up.
+    Players are ranked by squared distance, keeping the k smallest (k = 2, or
+    3 with the runner-up), and only those become times (see _to_time). Where
+    the k times are distinct, the squared-distance ranks are the time ranks.
     Elsewhere two times may be a rounding tie that a smaller id should win,
     so those cells are ranked again on their times, over all players.
 
     Each player updates only its column span (see _column_spans): outside it
-    the player cannot be one of a cell's three nearest, so its update there
+    the player cannot be one of a cell's k nearest, so its update there
     would change nothing. The grids are worked on transposed, (nx, ny), so
     that a span is one contiguous block.
     """
@@ -281,45 +288,57 @@ def _partition(
     dx2 *= dx2
     dy2 = ys - qy[:, np.newaxis]
     dy2 *= dy2
-    spans = _column_spans(q, pitch)
+    spans = _column_spans(q, pitch, 3 if runner_up else 2)
     shape = (len(xs), len(ys))  # transposed: a column span is one block
-    owner, second_idx = (np.empty(shape[::-1], dtype=np.int32) for _ in range(2))
-    best, second = (np.empty(shape[::-1]) for _ in range(2))
+    owner = np.empty(shape[::-1], dtype=np.int32)
+    best = np.empty(shape[::-1])
     # The transposed work grids. Those done before an output is laid out
-    # live in that output's buffer until then, so only best_t, second_t and
-    # second_idx_t need memory of their own: d2 in best's, third in second's,
-    # the masks in owner's and the running owner in second_idx's.
+    # live in that output's buffer until then: d2 in best's, the masks in
+    # owner's and, with the runner-up, third in second's and the running
+    # owner in second_idx's.
     d2 = best.reshape(shape)
-    third = second.reshape(shape)
     beats_best, beats_second = owner.view(bool).reshape(4, *shape)[:2]
-    owner_t = second_idx.reshape(shape)
     best_t, second_t = np.full((2, *shape), np.inf)
-    third.fill(np.inf)
+    if runner_up:
+        second_idx = np.empty(shape[::-1], dtype=np.int32)
+        second = np.empty(shape[::-1])
+        third = second.reshape(shape)
+        third.fill(np.inf)
+        owner_t = second_idx.reshape(shape)
+        second_idx_t = np.zeros(shape, dtype=np.int32)
+        runner = (third, second_idx_t, beats_second)
+        # owner before second_idx, whose buffer holds owner_t
+        laid_out = (
+            (best, best_t), (second, second_t), (owner, owner_t), (second_idx, second_idx_t)
+        )
+    else:
+        owner_t = np.empty(shape, dtype=np.int32)
+        runner = ()
+        laid_out = ((best, best_t), (owner, owner_t))
     owner_t.fill(0)
-    second_idx_t = np.zeros(shape, dtype=np.int32)
-    grids = (best_t, second_t, third, owner_t, second_idx_t, beats_best, beats_second)
+    grids = (best_t, second_t, owner_t, beats_best, *runner)
     for j, cols in enumerate(spans):
         span = d2[cols]
         np.copyto(span, dy2[j])
         span += dx2[j, cols, np.newaxis]  # the same sum as dx2 + dy2
         _fold(j, span, *(g[cols] for g in grids))
-    for g in (best_t, second_t, third):
-        _to_time(g, mp)
-    ties = ((best_t == second_t) | (second_t == third)).T
-    # owner before second_idx, whose buffer holds owner_t
-    for out, g in zip((best, second, owner, second_idx), (best_t, second_t, owner_t, second_idx_t)):
+    ties = _to_time(best_t, mp) == _to_time(second_t, mp)
+    if runner_up:
+        ties |= second_t == _to_time(third, mp)
+    for out, g in laid_out:
         np.copyto(out, g.T)
-    iy, ix = np.nonzero(ties)
+    iy, ix = np.nonzero(ties.T)
     if iy.size:
         # (P, k) times of the listed cells; argmin keeps the smaller id.
         t = _to_time(_sq_dist(xs[ix], ys[iy], qx[:, np.newaxis], qy[:, np.newaxis]), mp)
         cells = np.arange(iy.size)
         owner[iy, ix] = o = t.argmin(axis=0)
         best[iy, ix] = t[o, cells]
-        t[o, cells] = np.inf
-        second_idx[iy, ix] = s = t.argmin(axis=0)
-        second[iy, ix] = t[s, cells]
-    return owner, best, second_idx, second
+        if runner_up:
+            t[o, cells] = np.inf
+            second_idx[iy, ix] = s = t.argmin(axis=0)
+            second[iy, ix] = t[s, cells]
+    return (owner, best, second_idx, second) if runner_up else (owner, best)
 
 
 def compute_dominance_grid(
@@ -333,7 +352,7 @@ def compute_dominance_grid(
     Ties are broken by the smaller player id (ids are totally ordered).
     """
     rows = _sorted_eligible(frame, excluded)
-    owner, best, *_ = _partition(frame.xy[rows], frame.vxy[rows], pitch, mp)
+    owner, best = _partition(frame.xy[rows], frame.vxy[rows], pitch, mp, runner_up=False)
     return DominanceField(pitch, [frame.ids[i] for i in rows], owner, best)
 
 
@@ -567,7 +586,7 @@ def batch_scores_with_deltas(
 
     rows = _sorted_eligible(frame, excluded)
     xy, vxy = frame.xy[rows], frame.vxy[rows]
-    owner, best, second_idx, second = _partition(xy, vxy, pitch, mp)
+    owner, best, second_idx, second = _partition(xy, vxy, pitch, mp, runner_up=True)
     field_ = DominanceField(pitch, [frame.ids[i] for i in rows], owner, best)
     table = space_scores(field_, frame, w)
     if select is not None:

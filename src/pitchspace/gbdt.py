@@ -246,7 +246,10 @@ def _build_tree(
     rows: np.ndarray,
     hp: GbdtHyperParams,
     presorted: _Presorted,
+    leaf_value: np.ndarray,
 ) -> Tree:
+    """The tree fitted to g and h over `rows`; also writes each of those
+    rows' leaf value into `leaf_value`, routed as Tree.predict routes it."""
     nodes: dict[str, list] = {name: [] for name in _NODE_DTYPES}  # in preorder
     lam = hp.l2_lambda
     n_features = X.shape[1]
@@ -292,7 +295,7 @@ def _build_tree(
                 best_threshold = float((sv[j, k[j]] + sv[j, k[j] + 1]) / 2.0)
 
         if best_feature < 0:
-            nodes["value"][node] = -hp.learning_rate * G / (H + lam)
+            nodes["value"][node] = leaf_value[rows] = -hp.learning_rate * G / (H + lam)
             return node
 
         mask = X[rows, best_feature] <= best_threshold
@@ -355,6 +358,7 @@ def train_gbdt(table: PassSampleTable, hp: GbdtHyperParams) -> GbdtModel:
     trees: list[Tree] = []
     logloss: list[float] = []
     n = len(y)
+    step = np.empty(n)
     for _ in range(hp.n_trees):
         p = _sigmoid(margins)
         g = p - y
@@ -365,14 +369,18 @@ def train_gbdt(table: PassSampleTable, hp: GbdtHyperParams) -> GbdtModel:
         else:
             rows = np.arange(n)
         try:
-            tree = _build_tree(X, g, h, rows, hp, presorted)
+            tree = _build_tree(X, g, h, rows, hp, presorted, step)
         except ZeroDivisionError:
             raise ValueError(
                 f"l2_lambda={hp.l2_lambda}: a tree node has hessian sum 0 (the model "
                 "predicts all its rows with certainty); use l2_lambda > 0"
             ) from None
         trees.append(tree)
-        margins += tree.predict(X)
+        if len(rows) < n:  # the builder routed only the sampled rows
+            rest = np.ones(n, dtype=bool)
+            rest[rows] = False
+            step[rest] = tree.predict(X[rest])
+        margins += step
         logloss.append(_logloss(y, margins))
 
     return GbdtModel(

@@ -340,23 +340,28 @@ PARTITION_CASES = [
 class TestColumnBandPartition:
     # 0.75 m gives ragged tiles on both axes (140 x 91 cells), 1.0 m on both
     # (105 x 68), 0.5 m on x only (210 x 136).
+    # Owner-only (owner, best) must be the oracle's first two outputs.
+    @pytest.mark.parametrize("runner_up", [True, False])
     @pytest.mark.parametrize("grid_cell", [0.5, 0.75, 1.0])
     @pytest.mark.parametrize("case", PARTITION_CASES)
-    def test_partition_matches_full_grid_oracle(self, grid_cell, case):
+    def test_partition_matches_full_grid_oracle(self, grid_cell, case, runner_up):
         pitch = PitchSpec(grid_cell=grid_cell)
         rng = np.random.default_rng([2026, PARTITION_CASES.index(case), int(grid_cell * 4)])
         for _ in range(3):
             xy, vxy = partition_players(rng, case, pitch)
-            got = _partition(xy, vxy, pitch, MP)
+            got = _partition(xy, vxy, pitch, MP, runner_up=runner_up)
+            assert len(got) == (4 if runner_up else 2)
             for g, want in zip(got, oracle_partition(xy, vxy, pitch, MP)):
                 assert g.shape == (pitch.ny, pitch.nx) and g.flags.c_contiguous
                 assert g.dtype == want.dtype and g.tobytes() == want.tobytes()
 
+    # k = 2 for the owner-only partition, 3 with the runner-up.
+    @pytest.mark.parametrize("k", [2, 3])
     @pytest.mark.parametrize("grid_cell", [0.5, 0.75, 1.0])
     @pytest.mark.parametrize("case", PARTITION_CASES)
-    def test_players_outside_their_span_are_above_third(self, grid_cell, case):
+    def test_players_outside_their_span_are_above_third(self, grid_cell, case, k):
         # Outside its span a player's squared distance is strictly above the
-        # cell's final third smallest, so skipping it there changes nothing.
+        # cell's final k-th smallest, so skipping it there changes nothing.
         pitch = PitchSpec(grid_cell=grid_cell)
         xs, ys = pitch.cell_centers()
         rng = np.random.default_rng([2027, PARTITION_CASES.index(case), int(grid_cell * 4)])
@@ -366,14 +371,14 @@ class TestColumnBandPartition:
             dx2 = (xs - q[:, :1]) ** 2
             dy2 = (ys - q[:, 1:]) ** 2
             d2 = dx2[:, np.newaxis, :] + dy2[:, :, np.newaxis]
-            third = np.sort(d2, axis=0)[2] if len(q) >= 3 else np.full(d2.shape[1:], np.inf)
-            spans = _column_spans(q, pitch)
+            kth = np.sort(d2, axis=0)[k - 1] if len(q) >= k else np.full(d2.shape[1:], np.inf)
+            spans = _column_spans(q, pitch, k)
             assert len(spans) == len(q)
             for j, span in enumerate(spans):
                 outside = np.ones(pitch.nx, dtype=bool)
                 outside[span] = False
-                assert (d2[j][:, outside] > third[:, outside]).all(), (j, span)
-                assert len(q) >= 3 or not outside.any()  # no third: full width
+                assert (d2[j][:, outside] > kth[:, outside]).all(), (j, span)
+                assert len(q) >= k or not outside.any()  # no k-th: full width
 
 
 class TestSpaceScores:
@@ -571,7 +576,7 @@ class TestDirectionalDeltas:
         candidates = sorted(p.player_id for p in frame.players if p.player_id not in excluded)
         ids, owner, best, second_idx, second = oracle_time_stack(frame, pitch, MP, excluded)
         rows = [frame.ids.index(pid) for pid in ids]
-        got_partition = _partition(frame.xy[rows], frame.vxy[rows], pitch, MP)
+        got_partition = _partition(frame.xy[rows], frame.vxy[rows], pitch, MP, runner_up=True)
         for got, want in zip(got_partition, (owner, best, second_idx, second)):
             assert got.tobytes() == want.astype(got.dtype).tobytes()
         field = compute_dominance_grid(frame, pitch, MP, excluded)
@@ -649,8 +654,13 @@ class TestDirectionalDeltas:
         assert np.any(rounding_tie & (owner == 0))
         assert np.any(rounding_tie & (owner == 2) & (second_idx == 0))
         rows = [frame.ids.index(pid) for pid in ids]
-        for got, w in zip(_partition(frame.xy[rows], frame.vxy[rows], PITCH, MP), want):
-            assert got.tobytes() == w.astype(got.dtype).tobytes()
+        for runner_up in (True, False):
+            got_partition = _partition(
+                frame.xy[rows], frame.vxy[rows], PITCH, MP, runner_up=runner_up
+            )
+            assert len(got_partition) == (4 if runner_up else 2)
+            for got, w in zip(got_partition, want):
+                assert got.tobytes() == w.astype(got.dtype).tobytes()
 
     @pytest.mark.parametrize("grid_cell", [0.5, 0.75, 1.0])
     def test_probe_box_holds_full_grid_rule(self, monkeypatch, grid_cell):

@@ -66,11 +66,12 @@ def lexsorted_columns(rows, X, g, h):
     return rows[np.lexsort(keys, axis=-1)]
 
 
-def build_tree_per_node_sort(X, g, h, rows, hp, presorted=None):
+def build_tree_per_node_sort(X, g, h, rows, hp, presorted=None, leaf_value=None):
     """Reference exact-greedy builder: canonicalizes the rows and lexsorts every
     column afresh at each node, then loops over the features. The presorted
     `gbdt._build_tree` must give the same trees bit for bit. `presorted` is
-    accepted for its signature and ignored."""
+    accepted for its signature and ignored; `leaf_value`, if given, gets the
+    rows' leaf values by traversing the finished tree."""
     tree = SimpleNamespace(feature=[], threshold=[], left=[], right=[], value=[], cover=[])
     lam = hp.l2_lambda
 
@@ -125,7 +126,10 @@ def build_tree_per_node_sort(X, g, h, rows, hp, presorted=None):
         return node
 
     build(rows, 0)
-    return Tree(**vars(tree))
+    tree = Tree(**vars(tree))
+    if leaf_value is not None:
+        leaf_value[rows] = tree.predict(X[rows])
+    return tree
 
 
 def oracle_table(rng, n=240, d=5, levels=0, duplicates=False, constant=False, missing=0.0):
@@ -270,17 +274,44 @@ class TestTraining:
         rows = rng.permutation(len(X))[:-9]
 
         def outcome(builder, hp):
+            leaf_value = np.full(len(X), np.nan)
             try:
                 with np.errstate(divide="ignore", invalid="ignore"):
-                    return builder(X, g, h, rows, hp, gbdt._Presorted(X)).to_dict()
+                    tree = builder(X, g, h, rows, hp, gbdt._Presorted(X), leaf_value)
             except ZeroDivisionError:  # a node whose hessian sum is 0 with no L2 term
                 return "ZeroDivisionError"
+            return tree.to_dict(), leaf_value.tobytes()
 
         for lam in (1.0, 0.0):
             hp = GbdtHyperParams(max_depth=depth, l2_lambda=lam)
             reference = outcome(build_tree_per_node_sort, hp)
-            assert lam == 0.0 or len(reference["feature"]) > 1
+            assert lam == 0.0 or len(reference[0]["feature"]) > 1
             assert outcome(gbdt._build_tree, hp) == reference
+
+    @pytest.mark.parametrize("subsample", [1.0, 0.5])
+    def test_margins_equal_traversing_every_tree(self, monkeypatch, subsample):
+        # The builder's leaf values, plus a traversal of the unsampled rows,
+        # must give the margins that traversing each tree over every row gives:
+        # the g of every round and the training logloss keep their bits.
+        table = oracle_table(np.random.default_rng(21), levels=6)
+        hp = GbdtHyperParams(n_trees=12, max_depth=4, learning_rate=0.3, subsample=subsample,
+                             seed=4)
+        gs = []
+        real = gbdt._build_tree
+
+        def recording(X, g, h, rows, *args):
+            gs.append(g.copy())
+            return real(X, g, h, rows, *args)
+
+        monkeypatch.setattr(gbdt, "_build_tree", recording)
+        model = train_gbdt(table, hp)
+        X = impute_non_finite(table.raw, table.columns, table.finite_medians())
+        y = table.labels.astype(np.float64)
+        margins = np.full(len(y), model.base_score)
+        for g, tree, logloss in zip(gs, model.trees, model.training_logloss, strict=True):
+            assert g.tobytes() == (gbdt._sigmoid(margins) - y).tobytes()
+            margins += tree.predict(X)
+            assert logloss == gbdt._logloss(y, margins)
 
     def test_subsample_deterministic_under_seed(self, rng):
         table = random_table(rng)

@@ -1129,8 +1129,32 @@ class TestSyncWorkflow:
                 tracemalloc.stop()
             assert rc == 0
             table = (tmp_path / f"feat{copies}" / "features.csv").read_text()
-            assert table == header + "".join(rows * copies)
+            assert table == header + "".join(
+                f"m{i:02d}/{row}" for i in range(copies) for row in rows
+            )
         assert peaks[20] <= 2 * peaks[2], peaks
+
+    def test_matches_rows_are_keyed_by_match(self, tmp_path):
+        # Synthetic matches all number their passes E0001...: under --matches
+        # each row's id names its match directory, and the values stay those
+        # of the single-match rows. --tracking/--events keeps bare ids.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("pitch.grid_cell = 2.0\nsynth.passes = 10\n", encoding="utf-8")
+        m = tmp_path / "match"
+        assert cli_dispatch(["synth", "--config", str(cfg), "--out", str(m)]) == 0
+        for name in ("a", "b"):
+            shutil.copytree(m, tmp_path / "matches" / name)
+        runs = {"one": _match_args(m), "two": ["--matches", str(tmp_path / "matches")]}
+        for out, args in runs.items():
+            assert cli_dispatch(["features", "--config", str(cfg), *args,
+                                 "--out", str(tmp_path / out)]) == 0
+        one = PassSampleTable.from_csv(tmp_path / "one" / "features.csv")
+        two = PassSampleTable.from_csv(tmp_path / "two" / "features.csv")
+        assert len(one) == 10 and all("/" not in eid for eid in one.event_ids)
+        assert two.event_ids == [f"{name}/{eid}" for name in "ab" for eid in one.event_ids]
+        assert two.columns == one.columns
+        assert two.raw.tobytes() == np.concatenate([one.raw, one.raw]).tobytes()
+        assert two.labels.tolist() == one.labels.tolist() * 2
 
     @pytest.mark.parametrize("command", ["features", "compare-rankings"])
     def test_bad_later_match_exits_2_and_writes_nothing(self, tmp_path, capsys, command):
