@@ -279,6 +279,12 @@ def cmd_render(args, cfg: RunConfig, out: Path):
             )
         oriented = orient_frame(f, team)
         excluded = offside_positions(oriented)
+        if excluded.issuperset(oriented.ids):
+            raise SchemaError(
+                f"frame {f.frame_index}: every player is offside-excluded, so no player "
+                "is eligible for the dominance grid",
+                args.tracking,
+            )
         fld = compute_dominance_grid(oriented, cfg.pitch, cfg.motion, excluded)
         scores = space_scores(fld, oriented, cfg.weight)
         prepared.append((oriented, scores, fld))

@@ -164,16 +164,15 @@ def _arrival_grid(
 # same correctly rounded, monotone steps as a cell's computed dx2 + dy2: so
 # they bound it below and above, bitwise, for every cell of the tile.
 #
-# _partition keeps the k smallest squared distances per cell, k = the ranks
-# it returns + 1: k = 2 (best, second) for the owner alone, k = 3 (best,
-# second, third) with the runner-up. The extra level is what finds the time
-# ties to re-rank. In _column_spans, ubk is a tile's k-th smallest upper bound
-# over the players: k players reach every cell of the tile at or below it, so
-# every cell's final k-th smallest squared distance is <= ubk. A player whose
-# lower bound is > ubk is strictly above that k-th everywhere in the tile, so
-# its update there changes none of the k smallest and no first-argmin index.
-# Each player's span is the hull of the tile columns where it is not, and it
-# updates only those columns (all of them with fewer than k players).
+# _partition keeps the two smallest squared distances per cell: best, and
+# second, which finds the time ties to re-rank. In _column_spans, ub2 is a
+# tile's second smallest upper bound over the players: two players reach every
+# cell of the tile at or below it, so every cell's final second smallest
+# squared distance is <= ub2. A player whose lower bound is > ub2 is strictly
+# above that second everywhere in the tile, so its update there changes
+# neither of the two smallest nor the first-argmin index. Each player's span
+# is the hull of the tile columns where it is not, and it updates only those
+# columns (all of them with a single player).
 # ---------------------------------------------------------------------------
 
 _TILE = 8  # cells per side of the bounding tiles
@@ -205,15 +204,13 @@ def _tile_d2(q: np.ndarray, pitch: PitchSpec) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
-def _column_spans(q: np.ndarray, pitch: PitchSpec, k: int) -> list[slice]:
+def _column_spans(q: np.ndarray, pitch: PitchSpec) -> list[slice]:
     """Per predicted point (rows of q), the cell columns outside which its
-    squared distance is above every cell's k-th smallest (see above)."""
+    squared distance is above every cell's second smallest (see above)."""
     lb, ub = _tile_d2(q, pitch)
-    # ubk: knock each tile's smallest ub out k - 1 times; +inf with under k points.
+    # ub2: knock each tile's smallest ub out; +inf with a single point.
     ub = ub.reshape(len(q), -1)
-    tiles = np.arange(ub.shape[1])
-    for _ in range(k - 1):
-        ub[ub.argmin(axis=0), tiles] = np.inf
+    ub[ub.argmin(axis=0), np.arange(ub.shape[1])] = np.inf
     kept = (lb <= ub.min(axis=0).reshape(lb.shape[1:])).any(axis=1)
     # The hull of each point's kept tile columns; empty (start > stop) if none.
     cols = np.arange(kept.shape[1])
@@ -229,25 +226,13 @@ def _fold(
     second: np.ndarray,
     owner: np.ndarray,
     beats_best: np.ndarray,
-    third: np.ndarray | None = None,
-    second_idx: np.ndarray | None = None,
-    beats_second: np.ndarray | None = None,
 ) -> None:
     """Fold player j's squared distances d2 into the two smallest per cell and
-    the index of the first, in place; given `third`, also into the third
-    smallest and the index of the second. An index moves only where d2 is
+    the index of the first, in place. The index moves only where d2 is
     strictly smaller."""
     np.less(d2, best, out=beats_best)
-    if third is not None:  # reads second and owner before they move
-        np.less(d2, second, out=beats_second)
-        # second <= third, so min(third, max(second, d2)) is
-        # max(second, min(third, d2)): no scratch grid.
-        np.minimum(third, d2, out=third)
-        np.maximum(third, second, out=third)
-        # best <= second, so beats_best implies beats_second: the owner copy wins.
-        np.copyto(second_idx, j, where=beats_second)
-        np.copyto(second_idx, owner, where=beats_best)
-    # Likewise min(second, max(best, d2)) is max(best, min(second, d2)).
+    # best <= second, so min(second, max(best, d2)) is max(best, min(second,
+    # d2)): no scratch grid.
     np.minimum(second, d2, out=second)
     np.maximum(second, best, out=second)
     np.minimum(best, d2, out=best)
@@ -255,24 +240,26 @@ def _fold(
 
 
 def _partition(
-    xy: np.ndarray, vxy: np.ndarray, pitch: PitchSpec, mp: MotionParams, *, runner_up: bool
-) -> tuple[np.ndarray, ...]:
-    """Best, and if `runner_up` also runner-up, arrival per cell over the
-    id-sorted players (rows of xy, vxy).
+    xy: np.ndarray, vxy: np.ndarray, pitch: PitchSpec, mp: MotionParams
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Best and second-best arrival per cell over the id-sorted players (rows
+    of xy, vxy).
 
-    Returns (owner, best), or with `runner_up` (owner, best, second_idx,
-    second), each of shape (ny, nx). The runner-up is the best player once
-    the owner is left out (index 0 and time +inf if nobody else). Only a
-    strictly earlier time moves an index: ties keep the smaller id.
+    Returns (owner, best, second), each of shape (ny, nx): the index and time
+    of the first arrival, and the second smallest time (+inf if nobody
+    else). Only a strictly earlier time moves the owner: ties keep the
+    smaller id. owner and best are C-contiguous; second is a transposed view,
+    free for callers that drop it.
 
-    Players are ranked by squared distance, keeping the k smallest (k = 2, or
-    3 with the runner-up), and only those become times (see _to_time). Where
-    the k times are distinct, the squared-distance ranks are the time ranks.
-    Elsewhere two times may be a rounding tie that a smaller id should win,
-    so those cells are ranked again on their times, over all players.
+    Players are ranked by squared distance, keeping the two smallest, and
+    only those become times (see _to_time). _to_time is monotone, so they are
+    the two smallest times, ties included. Where they are distinct, the
+    squared-distance owner is the time owner. Elsewhere the two times may be
+    a rounding tie that a smaller id should win, so those cells' owners are
+    ranked again on their times, over all players.
 
     Each player updates only its column span (see _column_spans): outside it
-    the player cannot be one of a cell's k nearest, so its update there
+    the player cannot be one of a cell's two nearest, so its update there
     would change nothing. The grids are worked on transposed, (nx, ny), so
     that a span is one contiguous block.
     """
@@ -288,57 +275,30 @@ def _partition(
     dx2 *= dx2
     dy2 = ys - qy[:, np.newaxis]
     dy2 *= dy2
-    spans = _column_spans(q, pitch, 3 if runner_up else 2)
+    spans = _column_spans(q, pitch)
     shape = (len(xs), len(ys))  # transposed: a column span is one block
     owner = np.empty(shape[::-1], dtype=np.int32)
     best = np.empty(shape[::-1])
-    # The transposed work grids. Those done before an output is laid out
-    # live in that output's buffer until then: d2 in best's, the masks in
-    # owner's and, with the runner-up, third in second's and the running
-    # owner in second_idx's.
+    # The transposed work grids. d2 lives in best's buffer and the mask in
+    # owner's until those outputs are laid out.
     d2 = best.reshape(shape)
-    beats_best, beats_second = owner.view(bool).reshape(4, *shape)[:2]
+    beats_best = owner.view(bool).reshape(4, *shape)[0]
     best_t, second_t = np.full((2, *shape), np.inf)
-    if runner_up:
-        second_idx = np.empty(shape[::-1], dtype=np.int32)
-        second = np.empty(shape[::-1])
-        third = second.reshape(shape)
-        third.fill(np.inf)
-        owner_t = second_idx.reshape(shape)
-        second_idx_t = np.zeros(shape, dtype=np.int32)
-        runner = (third, second_idx_t, beats_second)
-        # owner before second_idx, whose buffer holds owner_t
-        laid_out = (
-            (best, best_t), (second, second_t), (owner, owner_t), (second_idx, second_idx_t)
-        )
-    else:
-        owner_t = np.empty(shape, dtype=np.int32)
-        runner = ()
-        laid_out = ((best, best_t), (owner, owner_t))
-    owner_t.fill(0)
-    grids = (best_t, second_t, owner_t, beats_best, *runner)
+    owner_t = np.zeros(shape, dtype=np.int32)
     for j, cols in enumerate(spans):
         span = d2[cols]
         np.copyto(span, dy2[j])
         span += dx2[j, cols, np.newaxis]  # the same sum as dx2 + dy2
-        _fold(j, span, *(g[cols] for g in grids))
+        _fold(j, span, best_t[cols], second_t[cols], owner_t[cols], beats_best[cols])
     ties = _to_time(best_t, mp) == _to_time(second_t, mp)
-    if runner_up:
-        ties |= second_t == _to_time(third, mp)
-    for out, g in laid_out:
-        np.copyto(out, g.T)
+    np.copyto(best, best_t.T)
+    np.copyto(owner, owner_t.T)
     iy, ix = np.nonzero(ties.T)
     if iy.size:
-        # (P, k) times of the listed cells; argmin keeps the smaller id.
+        # (P, cells) times of the listed cells; argmin keeps the smaller id.
         t = _to_time(_sq_dist(xs[ix], ys[iy], qx[:, np.newaxis], qy[:, np.newaxis]), mp)
-        cells = np.arange(iy.size)
-        owner[iy, ix] = o = t.argmin(axis=0)
-        best[iy, ix] = t[o, cells]
-        if runner_up:
-            t[o, cells] = np.inf
-            second_idx[iy, ix] = s = t.argmin(axis=0)
-            second[iy, ix] = t[s, cells]
-    return (owner, best, second_idx, second) if runner_up else (owner, best)
+        owner[iy, ix] = t.argmin(axis=0)
+    return owner, best, second_t.T
 
 
 def compute_dominance_grid(
@@ -352,7 +312,7 @@ def compute_dominance_grid(
     Ties are broken by the smaller player id (ids are totally ordered).
     """
     rows = _sorted_eligible(frame, excluded)
-    owner, best = _partition(frame.xy[rows], frame.vxy[rows], pitch, mp, runner_up=False)
+    owner, best, _ = _partition(frame.xy[rows], frame.vxy[rows], pitch, mp)
     return DominanceField(pitch, [frame.ids[i] for i in rows], owner, best)
 
 
@@ -446,15 +406,20 @@ def offside_line(defender_xs, ball_x: float) -> float:
 # Batch probe deltas used by the off-ball and on-ball features.
 #
 # directional_space_deltas recomputes the full partition for each 1 m probe.
-# The batch path runs it once, keeping each cell's runner-up: while one player
-# moves, everyone else's best time is fixed, so the mover owns a cell iff it
-# arrives strictly first, or ties a larger-index rest owner (the owner, or the
-# runner-up where the mover is the owner). So each cell gets one limit, lim =
-# the next double above rest_t for a larger-index rest owner and rest_t
-# otherwise, and a probe wins the cell iff its time is < lim. Every finite
-# time is >= +0.0, so the next double is +1 on the int64 view; a +inf rest_t
-# (nobody else eligible) has rest index 0, so it is never stepped, and every
-# probe wins it.
+# The batch path runs it once, keeping each cell's second-best time: while one
+# player moves, everyone else's times are fixed, so the mover owns a cell iff
+# it arrives strictly before rest_t, the best time of the others, or ties it
+# and the rest owner (the first index at rest_t) has a larger index. Each cell
+# gets one limit, lim. Where the mover is not the owner, rest_t is best and
+# the rest owner is the owner, so lim is the next double above best for a
+# larger-index owner and best otherwise, and a probe wins iff its time is
+# < lim. Every finite time is >= +0.0, so the next double is +1 on the int64
+# view. Where the mover is the owner, lim is second, unstepped: a probe wins
+# iff its time is < lim, or == lim and the runner-up (the first index at
+# second, once the mover's time is +inf) is larger than the mover's. Only
+# the cells where a probe ties lim exactly need the runner-up, so it is
+# ranked there alone, from every eligible player's predicted point. A +inf
+# second (nobody else eligible) is never tied, and every probe wins it.
 #
 # A probe moves the predicted point by at most `shift` (over 1 m when the
 # clamp pulls an off-pitch player in), so by the triangle inequality its exact
@@ -465,7 +430,12 @@ def offside_line(defender_xs, ball_x: float) -> float:
 # the rounding of gap = lim - own_time, every probe wins a cell where gap >
 # allowance and none wins one where gap < -allowance, as long as no squared
 # distance overflows, which MAX_COORDINATE ensures for every accepted input.
-# Only the band between them needs the 8 probe times.
+# Only the band between them needs the 8 probe times. On the mover's own
+# cells gap is taken from the unstepped lim, while the tie rule acts like a
+# limit up to one ulp above it. That is still exact: the step only matters
+# where gap < -allowance, where lim < own_time <= T, so it is at most eps T,
+# and 16 eps T leaves more than that after the time errors (6 eps T) and
+# the rounding of gap.
 #
 # Every cell that a probe can win has own_time - allowance <= best (best is
 # the rest time outside the candidate's region, and own_time == best inside
@@ -496,11 +466,11 @@ def _tile_max(best: np.ndarray) -> np.ndarray:
 
 def _probe_frame(
     xy: np.ndarray, vxy: np.ndarray, best: np.ndarray, pitch: PitchSpec, mp: MotionParams
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """For C candidates (rows of xy, vxy), in one array pass: the (C, 2)
-    predicted points, the (C, 8, 2) predicted points of their 8 clamped 1 m
-    probes, the (C,) allowances and the (C, ty, tx) tiles that may hold a cell
-    where the arrival time minus the allowance is <= best (see above)."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For C candidates (rows of xy, vxy), in one array pass: the (C, 8, 2)
+    predicted points of their 8 clamped 1 m probes, the (C,) allowances and
+    the (C, ty, tx) tiles that may hold a cell where the arrival time minus
+    the allowance is <= best (see above)."""
     vel = vxy * mp.reaction_time
     q = xy + vel
     half = np.array([pitch.half_length, pitch.half_width])
@@ -510,7 +480,7 @@ def _probe_frame(
     eps = np.finfo(float).eps
     allowance = shift / mp.max_speed + 16 * eps * (mp.reaction_time + far / mp.max_speed)
     bound = _to_time(_tile_d2(q, pitch)[0], mp)
-    return q, pred, allowance, bound - allowance[:, np.newaxis, np.newaxis] <= _tile_max(best)
+    return pred, allowance, bound - allowance[:, np.newaxis, np.newaxis] <= _tile_max(best)
 
 
 def _tile_box(tiles: np.ndarray) -> tuple[slice, slice]:
@@ -523,33 +493,42 @@ def _tile_box(tiles: np.ndarray) -> tuple[slice, slice]:
 
 def _probe_deltas(
     field_: DominanceField,
-    second_idx: np.ndarray,
     second: np.ndarray,
+    points: np.ndarray,
     idx: int,
     box: tuple[slice, slice],
-    q: np.ndarray,
     pred: np.ndarray,
     allowance: float,
     mp: MotionParams,
     weight: np.ndarray,
     score: float,
 ) -> np.ndarray:
-    """Score change of player `idx` for its 8 probes over `box`, from its
-    predicted point q and those of its probes, the (8, 2) `pred` (see above)."""
+    """Score change of player `idx` for its 8 probes over `box`, from the
+    (P, 2) predicted points of every eligible player and the (8, 2) `pred`
+    of its probes (see above)."""
     xs, ys = field_.pitch.cell_centers()
     xs, ys = xs[box[1]], ys[box[0]]
-    own = _arrival_grid(xs, ys, q[0], q[1], mp)
+    own = _arrival_grid(xs, ys, *points[idx], mp)
     owner = field_.owner[box]
     mine = owner == idx
     lim = np.where(mine, second[box], field_.time[box])
-    lim.view(np.int64)[...] += idx < np.where(mine, second_idx[box], owner)
+    lim.view(np.int64)[...] += idx < owner  # never where mine
     gap = (lim - own).ravel()
     band = np.flatnonzero(np.abs(gap) <= allowance)
     row, col = np.divmod(band, xs.size)
     qx, qy = pred.T
     probe = _to_time(_sq_dist(xs[col, np.newaxis], ys[row, np.newaxis], qx, qy), mp)
     won = np.repeat(gap > allowance, 8).reshape(-1, 8)
-    won[band] = probe < lim.ravel()[band, np.newaxis]
+    band_lim = lim.ravel()[band, np.newaxis]
+    won[band] = probe < band_lim
+    tied = (probe == band_lim) & mine.ravel()[band, np.newaxis]
+    at = np.flatnonzero(tied.any(axis=1))
+    if at.size:
+        # The runner-up at the tied cells: argmin keeps the smaller id.
+        px, py = points.T
+        t = _to_time(_sq_dist(xs[col[at]], ys[row[at]], px[:, np.newaxis], py[:, np.newaxis]), mp)
+        t[idx] = np.inf
+        won[band[at]] |= tied[at] & (idx < t.argmin(axis=0))[:, np.newaxis]
     return _won_sums(won, weight[box].ravel()) * field_.cell_area - score
 
 
@@ -586,7 +565,7 @@ def batch_scores_with_deltas(
 
     rows = _sorted_eligible(frame, excluded)
     xy, vxy = frame.xy[rows], frame.vxy[rows]
-    owner, best, second_idx, second = _partition(xy, vxy, pitch, mp, runner_up=True)
+    owner, best, second = _partition(xy, vxy, pitch, mp)
     field_ = DominanceField(pitch, [frame.ids[i] for i in rows], owner, best)
     table = space_scores(field_, frame, w)
     if select is not None:
@@ -594,12 +573,14 @@ def batch_scores_with_deltas(
     probed = [i for i, pid in enumerate(field_.player_ids) if pid in delta_ids]
     if not probed:
         return table
-    q, pred, allowance, tiles = _probe_frame(xy[probed], vxy[probed], best, pitch, mp)
+    second = np.ascontiguousarray(second)  # laid out once for every candidate's box
+    points = xy + vxy * mp.reaction_time
+    pred, allowance, tiles = _probe_frame(xy[probed], vxy[probed], best, pitch, mp)
     for c, i in enumerate(probed):
         entry = table.entries[field_.player_ids[i]]
         weight = weight_grid(pitch, w, attacking_right=entry.team != DEFENDING)
         entry.deltas = _probe_deltas(
-            field_, second_idx, second, i, _tile_box(tiles[c]), q[c], pred[c], allowance[c], mp,
-            weight, entry.score,
+            field_, second, points, i, _tile_box(tiles[c]), pred[c], allowance[c], mp, weight,
+            entry.score,
         )
     return table

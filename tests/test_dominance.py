@@ -79,9 +79,9 @@ def oracle_time_stack(frame, pitch, mp, excluded=()):
 def oracle_partition(xy, vxy, pitch, mp):
     """The full-grid partition: every player's update runs over every cell.
 
-    Returns (owner, best, second_idx, second) like dominance._partition, with
-    the same arithmetic: squared distances dx2 + dy2, the three smallest kept
-    per cell, and the cells whose times tie re-ranked over all players.
+    Returns (owner, best, second) like dominance._partition, with the same
+    arithmetic: squared distances dx2 + dy2, the two smallest kept per cell,
+    and the owners of the cells whose two times tie re-ranked over all players.
     """
     xs, ys = pitch.cell_centers()
     qx, qy = (xy + vxy * mp.reaction_time).T
@@ -90,31 +90,22 @@ def oracle_partition(xy, vxy, pitch, mp):
     dy2 = ys - qy[:, np.newaxis]
     dy2 *= dy2
     shape = (len(ys), len(xs))
-    best, second, third = (np.full(shape, np.inf) for _ in range(3))
-    owner, second_idx = (np.zeros(shape, dtype=np.int32) for _ in range(2))
+    best, second = (np.full(shape, np.inf) for _ in range(2))
+    owner = np.zeros(shape, dtype=np.int32)
     for j in range(len(xy)):
         d2 = dx2[j] + dy2[j, :, np.newaxis]
-        beats_best, beats_second = d2 < best, d2 < second
-        third = np.minimum(third, np.maximum(second, d2))
+        beats_best = d2 < best
         second = np.minimum(second, np.maximum(best, d2))
         best = np.minimum(best, d2)
-        second_idx[beats_second] = j
-        second_idx[beats_best] = owner[beats_best]
         owner[beats_best] = j
-    for g in (best, second, third):
+    for g in (best, second):
         _to_time(g, mp)
-    iy, ix = np.nonzero((best == second) | (second == third))
+    iy, ix = np.nonzero(best == second)
     if iy.size:
         dx = xs[ix] - qx[:, np.newaxis]
         dy = ys[iy] - qy[:, np.newaxis]
-        t = _to_time(dx * dx + dy * dy, mp)
-        cells = np.arange(iy.size)
-        owner[iy, ix] = o = t.argmin(axis=0)
-        best[iy, ix] = t[o, cells]
-        t[o, cells] = np.inf
-        second_idx[iy, ix] = s = t.argmin(axis=0)
-        second[iy, ix] = t[s, cells]
-    return owner, best, second_idx, second
+        owner[iy, ix] = _to_time(dx * dx + dy * dy, mp).argmin(axis=0)
+    return owner, best, second
 
 
 def oracle_scores(frame, pitch, w, ids, owner):
@@ -319,6 +310,17 @@ def partition_players(rng, case, pitch):
         # whole metres: many cells are equidistant from two or three players
         xy = rng.integers(-8, 9, (20, 2)).astype(float)
         return xy, np.zeros_like(xy)
+    if case == "rounding_tie":
+        # a pair mirrored about a column of cell centres, the first one ulp
+        # farther out, among random players: on that column the first is
+        # strictly farther in squared distance, but many of those cells round
+        # to one time, which the first's smaller index must win
+        xs, _ = pitch.cell_centers()
+        centre, offset = rng.choice(xs[10:-10]), rng.integers(1, 5) * pitch.grid_cell
+        y = rng.uniform(-1, 1) * half[1]
+        pair = [(np.nextafter(centre - offset, -np.inf), y), (centre + offset, y)]
+        xy = np.concatenate([pair, rng.uniform(-1.05, 1.05, (6, 2)) * half])
+        return xy, np.zeros_like(xy)
     far = np.array([(1, 1), (1, 1), (1, 1), (-1, -1), (1, -1)]) * MAX_COORDINATE
     if case == "max_coordinate":
         xy = rng.uniform(-1, 1, (20, 2)) * half
@@ -333,52 +335,66 @@ def partition_players(rng, case, pitch):
 
 PARTITION_CASES = [
     "random_1", "random_2", "random_3", "random_20", "coincident", "mirrored", "lattice",
-    "max_coordinate", "only_max_coordinate",
+    "max_coordinate", "only_max_coordinate", "rounding_tie",
+]
+
+
+# One ulp of a 1e14 s time is 1/64 s, so with that motion most cells hold
+# rounding ties, and the sweeps re-rank most of the grid.
+SWEEP_MOTIONS = [
+    pytest.param(MP, id="default_motion"),
+    pytest.param(MotionParams(reaction_time=1e14, max_speed=1000.0), id="rt_1e14"),
 ]
 
 
 class TestColumnBandPartition:
     # 0.75 m gives ragged tiles on both axes (140 x 91 cells), 1.0 m on both
     # (105 x 68), 0.5 m on x only (210 x 136).
-    # Owner-only (owner, best) must be the oracle's first two outputs.
-    @pytest.mark.parametrize("runner_up", [True, False])
+    @pytest.mark.parametrize("mp", SWEEP_MOTIONS)
     @pytest.mark.parametrize("grid_cell", [0.5, 0.75, 1.0])
     @pytest.mark.parametrize("case", PARTITION_CASES)
-    def test_partition_matches_full_grid_oracle(self, grid_cell, case, runner_up):
+    def test_partition_matches_full_grid_oracle(self, grid_cell, case, mp):
         pitch = PitchSpec(grid_cell=grid_cell)
+        xs, ys = pitch.cell_centers()
         rng = np.random.default_rng([2026, PARTITION_CASES.index(case), int(grid_cell * 4)])
         for _ in range(3):
             xy, vxy = partition_players(rng, case, pitch)
-            got = _partition(xy, vxy, pitch, MP, runner_up=runner_up)
-            assert len(got) == (4 if runner_up else 2)
-            for g, want in zip(got, oracle_partition(xy, vxy, pitch, MP)):
-                assert g.shape == (pitch.ny, pitch.nx) and g.flags.c_contiguous
-                assert g.dtype == want.dtype and g.tobytes() == want.tobytes()
+            got = _partition(xy, vxy, pitch, mp)
+            assert len(got) == 3
+            want = oracle_partition(xy, vxy, pitch, mp)
+            for g, w in zip(got, want):
+                assert g.shape == (pitch.ny, pitch.nx)
+                assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+            assert got[0].flags.c_contiguous and got[1].flags.c_contiguous
+            if case == "rounding_tie" and mp is MP:
+                # some owner is not the squared-distance argmin
+                q = xy + vxy * mp.reaction_time
+                d2 = (xs - q[:, 0, None, None]) ** 2 + (ys[:, None] - q[:, 1, None, None]) ** 2
+                assert (d2.argmin(axis=0) != want[0]).any()
 
-    # k = 2 for the owner-only partition, 3 with the runner-up.
-    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("mp", SWEEP_MOTIONS)
     @pytest.mark.parametrize("grid_cell", [0.5, 0.75, 1.0])
     @pytest.mark.parametrize("case", PARTITION_CASES)
-    def test_players_outside_their_span_are_above_third(self, grid_cell, case, k):
+    def test_players_outside_their_span_are_above_second(self, grid_cell, case, mp):
         # Outside its span a player's squared distance is strictly above the
-        # cell's final k-th smallest, so skipping it there changes nothing.
+        # cell's final second smallest, so skipping it there changes nothing.
         pitch = PitchSpec(grid_cell=grid_cell)
         xs, ys = pitch.cell_centers()
         rng = np.random.default_rng([2027, PARTITION_CASES.index(case), int(grid_cell * 4)])
         for _ in range(3):
             xy, vxy = partition_players(rng, case, pitch)
-            q = xy + vxy * MP.reaction_time
+            q = xy + vxy * mp.reaction_time
             dx2 = (xs - q[:, :1]) ** 2
             dy2 = (ys - q[:, 1:]) ** 2
             d2 = dx2[:, np.newaxis, :] + dy2[:, :, np.newaxis]
-            kth = np.sort(d2, axis=0)[k - 1] if len(q) >= k else np.full(d2.shape[1:], np.inf)
-            spans = _column_spans(q, pitch, k)
+            second = np.sort(d2, axis=0)[1] if len(q) >= 2 else np.full(d2.shape[1:], np.inf)
+            spans = _column_spans(q, pitch)
             assert len(spans) == len(q)
             for j, span in enumerate(spans):
                 outside = np.ones(pitch.nx, dtype=bool)
                 outside[span] = False
-                assert (d2[j][:, outside] > kth[:, outside]).all(), (j, span)
-                assert len(q) >= k or not outside.any()  # no k-th: full width
+                assert (d2[j][:, outside] > second[:, outside]).all(), (j, span)
+                assert len(q) >= 2 or not outside.any()  # no second: full width
 
 
 class TestSpaceScores:
@@ -574,10 +590,10 @@ class TestDirectionalDeltas:
         frame = build(rng)
         excluded = offside_positions(frame)
         candidates = sorted(p.player_id for p in frame.players if p.player_id not in excluded)
-        ids, owner, best, second_idx, second = oracle_time_stack(frame, pitch, MP, excluded)
+        ids, owner, best, _, second = oracle_time_stack(frame, pitch, MP, excluded)
         rows = [frame.ids.index(pid) for pid in ids]
-        got_partition = _partition(frame.xy[rows], frame.vxy[rows], pitch, MP, runner_up=True)
-        for got, want in zip(got_partition, (owner, best, second_idx, second)):
+        got_partition = _partition(frame.xy[rows], frame.vxy[rows], pitch, MP)
+        for got, want in zip(got_partition, (owner, best, second)):
             assert got.tobytes() == want.astype(got.dtype).tobytes()
         field = compute_dominance_grid(frame, pitch, MP, excluded)
         assert field.player_ids == ids
@@ -606,6 +622,42 @@ class TestDirectionalDeltas:
             nd = directional_space_deltas(frame, pid, PITCH, MP, W, excluded=())
             assert np.array_equal(table.entries[pid].deltas, nd)
 
+    @pytest.mark.parametrize(
+        "runner_id, third_id",
+        [("A1", "C3"), ("C1", "A3")],
+        ids=["runner_up_smaller", "runner_up_larger"],
+    )
+    def test_probe_tying_the_runner_up_exactly(self, runner_id, third_id):
+        # B5 owns the cell column x = 0.25, 2 m away; the runner-up is 3 m
+        # away on the other side. B5's +x probe is 3 m from it too, an exact
+        # tie on B5's own cells that the smaller of the two ids must win.
+        # Other probes meet rounding ties with either player on a few cells.
+        frame = make_frame(
+            [
+                player("B5", ATTACKING, 2.25, 0.25),
+                player(runner_id, DEFENDING, -2.75, 0.25),
+                player(third_id, DEFENDING, 0.25, 30.25),
+            ],
+            ball_pos=(20.0, 0.0),
+        )
+        ids, owner, best, second_idx, second = oracle_time_stack(frame, PITCH, MP)
+        cand, runner = ids.index("B5"), ids.index(runner_id)
+        assert (runner < cand) == (runner_id < "B5")
+        xs, ys = PITCH.cell_centers()
+        probe = _arrival_grid(xs, ys, 3.25, 0.25, MP)
+        tied = (owner == cand) & (second_idx == runner) & (probe == second)
+        assert tied.any()
+        # the tied cells are in the band, where the probe times decide
+        row = frame.ids.index("B5")
+        _, allowance, _ = dominance._probe_frame(
+            frame.xy[[row]], frame.vxy[[row]], best, PITCH, MP
+        )
+        own = _arrival_grid(xs, ys, 2.25, 0.25, MP)
+        assert (np.abs(second - own)[tied] <= allowance[0]).all()
+        table = batch_scores_with_deltas(frame, PITCH, MP, W, ["B5"], excluded=())
+        nd = directional_space_deltas(frame, "B5", PITCH, MP, W, excluded=())
+        assert table.entries["B5"].deltas.tobytes() == nd.tobytes()
+
     def test_exact_tie_columns_are_exact(self):
         # The exact_tie_columns case above relies on these bitwise ties.
         xs, ys = PITCH.cell_centers()
@@ -633,7 +685,8 @@ class TestDirectionalDeltas:
         # bisector column A1 is strictly farther in squared distance but the
         # time formula rounds both to the same arrival. A1's smaller id must
         # win: as owner in the upper half, and as runner-up in the lower half,
-        # which C1 owns.
+        # which C1 owns (the partition returns the runner-up's time only; the
+        # probe kernel ranks it where it needs it).
         ax, bx, y = -9.750000000000002, 10.25, 0.25
         xs, ys = PITCH.cell_centers()
         dy = ys[:, np.newaxis] - y
@@ -649,18 +702,14 @@ class TestDirectionalDeltas:
             ],
             ball_pos=(20.0, 0.0),
         )
-        ids, *want = oracle_time_stack(frame, PITCH, MP)
-        owner, _, second_idx, _ = want
+        ids, owner, best, second_idx, second = oracle_time_stack(frame, PITCH, MP)
         assert np.any(rounding_tie & (owner == 0))
         assert np.any(rounding_tie & (owner == 2) & (second_idx == 0))
         rows = [frame.ids.index(pid) for pid in ids]
-        for runner_up in (True, False):
-            got_partition = _partition(
-                frame.xy[rows], frame.vxy[rows], PITCH, MP, runner_up=runner_up
-            )
-            assert len(got_partition) == (4 if runner_up else 2)
-            for got, w in zip(got_partition, want):
-                assert got.tobytes() == w.astype(got.dtype).tobytes()
+        got_partition = _partition(frame.xy[rows], frame.vxy[rows], PITCH, MP)
+        assert len(got_partition) == 3
+        for got, w in zip(got_partition, (owner, best, second)):
+            assert got.tobytes() == w.astype(got.dtype).tobytes()
 
     @pytest.mark.parametrize("grid_cell", [0.5, 0.75, 1.0])
     def test_probe_box_holds_full_grid_rule(self, monkeypatch, grid_cell):

@@ -673,6 +673,30 @@ class TestCli:
         assert rc == 2
         assert "tracking.jsonl: no frames in the requested range" in capsys.readouterr().err
 
+    def test_frame_with_every_player_offside_exits_2(self, workspace, tmp_path, capsys):
+        # frame 5 holds three team-A players beyond the halfway line and the
+        # ball, with no defender: all three are offside-excluded
+        root, cfg = workspace
+        m = root / "match"
+        lines = (m / "tracking.jsonl").read_text(encoding="utf-8").splitlines(True)
+        rec = json.loads(lines[5])
+        assert rec["frame"] == 5
+        rec["attacks_right"] = "A"
+        rec["ball"]["x"] = -40.0
+        rec["players"] = [
+            {"id": f"A0{i}", "team": "A", "x": 40.0 + i, "y": float(i), "vx": 0.0, "vy": 0.0}
+            for i in (1, 2, 3)
+        ]
+        lines[5] = json.dumps(rec) + "\n"
+        tracking = tmp_path / "tracking.jsonl"
+        tracking.write_text("".join(lines), encoding="utf-8")
+        rc = cli_dispatch(["render", "--config", str(cfg), "--tracking", str(tracking),
+                           "--events", str(m / "events.jsonl"), "--frames", "5:5",
+                           "--attacking-team", "A", "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert f"{tracking}: frame 5: every player is offside-excluded" in capsys.readouterr().err
+        assert not list((tmp_path / "out").glob("frame_*.svg"))
+
     def test_xml_forbidden_player_id_exits_2(self, workspace, tmp_path, capsys):
         root, cfg = workspace
         m = root / "match"
