@@ -28,10 +28,8 @@ from .dominance import compute_dominance_grid, offside_positions, space_scores
 from .features import (
     RANKING_VARIABLES,
     PassSampleTable,
-    Selection,
-    assemble_table,
+    build_dataset,
     column_names,
-    extract_match_features,
     orient_frame,
 )
 from .match_io import (
@@ -177,10 +175,7 @@ def cmd_features(args, cfg: RunConfig, out: Path):
     matches, inputs = _load_matches(args)
     n = cfg.feature_n
     ranking = args.ranking or cfg.ranking_variable
-    # build_dataset's table without its training medians: train computes and checks those
-    selection = Selection(n, (ranking,))
-    extracted = extract_match_features(matches, cfg.pitch, cfg.motion, cfg.weight, selection)
-    table = assemble_table(extracted, n, ranking)
+    table, _ = build_dataset(matches, n, ranking, cfg.pitch, cfg.motion, cfg.weight)
     table.to_csv(out / "features.csv")
     print(
         f"features: {len(table)} pass samples, {len(table.columns)} columns "
@@ -192,8 +187,11 @@ def cmd_features(args, cfg: RunConfig, out: Path):
 def cmd_train(args, cfg: RunConfig, out: Path):
     table = PassSampleTable.from_csv(args.features)
     seed = cfg.cv_seed
-    best_hp, results = gbdtmod.grid_search_cv(table, cfg.grid, k=cfg.cv_k, seed=seed)
-    model = gbdtmod.train_gbdt(table, best_hp)
+    try:
+        best_hp, results = gbdtmod.grid_search_cv(table, cfg.grid, k=cfg.cv_k, seed=seed)
+        model = gbdtmod.train_gbdt(table, best_hp)
+    except ValueError as exc:  # its rows refused, such as a class too small for the folds
+        raise SchemaError(str(exc), args.features) from None
     gbdtmod.save_model(model, out / "model.json")
     write_json(
         out / "cv_results.json",

@@ -64,17 +64,15 @@ class MotionParams:
 
 @dataclass
 class DominanceField:
-    """Grid partition of the pitch: per-cell owning player and minimal arrival time.
+    """Grid partition of the pitch: the player reaching each cell first.
 
-    `owner` holds indices into `player_ids` (ascending id order of the
-    eligible players); `time` holds the owner's arrival time in seconds.
-    Both arrays have shape (ny, nx).
+    `owner`, of shape (ny, nx), holds indices into `player_ids` (ascending id
+    order of the eligible players).
     """
 
     pitch: PitchSpec
     player_ids: list[str]
     owner: np.ndarray
-    time: np.ndarray
 
     @property
     def cell_area(self) -> float:
@@ -153,6 +151,18 @@ def _arrival_grid(
     _to_time elementwise, so their times agree bitwise.
     """
     return _to_time(_sq_dist(xs, ys[:, np.newaxis], qx, qy), mp)
+
+
+def _first_arrival(
+    q: np.ndarray, xs: np.ndarray, ys: np.ndarray, mp: MotionParams, skip: int | None = None
+) -> np.ndarray:
+    """Per listed cell centre (xs[i], ys[i]), the index of the first of the
+    predicted points q (P, 2) to arrive, leaving out point `skip`: argmin keeps
+    the smaller index at a tie."""
+    t = _to_time(_sq_dist(xs, ys, q[:, :1], q[:, 1:]), mp)
+    if skip is not None:
+        t[skip] = np.inf
+    return t.argmin(axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -240,10 +250,10 @@ def _fold(
 
 
 def _partition(
-    xy: np.ndarray, vxy: np.ndarray, pitch: PitchSpec, mp: MotionParams
+    q: np.ndarray, pitch: PitchSpec, mp: MotionParams
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Best and second-best arrival per cell over the id-sorted players (rows
-    of xy, vxy).
+    """Best and second-best arrival per cell over the predicted points q
+    (P, 2) of the id-sorted players.
 
     Returns (owner, best, second), each of shape (ny, nx): the index and time
     of the first arrival, and the second smallest time (+inf if nobody
@@ -256,17 +266,16 @@ def _partition(
     the two smallest times, ties included. Where they are distinct, the
     squared-distance owner is the time owner. Elsewhere the two times may be
     a rounding tie that a smaller id should win, so those cells' owners are
-    ranked again on their times, over all players.
+    ranked again on their times, over all players (_first_arrival).
 
     Each player updates only its column span (see _column_spans): outside it
     the player cannot be one of a cell's two nearest, so its update there
     would change nothing. The grids are worked on transposed, (nx, ny), so
     that a span is one contiguous block.
     """
-    if not len(xy):
+    if not len(q):
         raise ValueError("dominance grid requires at least one eligible player")
     xs, ys = pitch.cell_centers()
-    q = xy + vxy * mp.reaction_time
     qx, qy = q.T
     # Each player's squared x and y offsets. On the transposed grid a span's
     # d2 is the y offsets copied into each of its columns, plus each column's
@@ -295,9 +304,7 @@ def _partition(
     np.copyto(owner, owner_t.T)
     iy, ix = np.nonzero(ties.T)
     if iy.size:
-        # (P, cells) times of the listed cells; argmin keeps the smaller id.
-        t = _to_time(_sq_dist(xs[ix], ys[iy], qx[:, np.newaxis], qy[:, np.newaxis]), mp)
-        owner[iy, ix] = t.argmin(axis=0)
+        owner[iy, ix] = _first_arrival(q, xs[ix], ys[iy], mp)
     return owner, best, second_t.T
 
 
@@ -312,8 +319,8 @@ def compute_dominance_grid(
     Ties are broken by the smaller player id (ids are totally ordered).
     """
     rows = _sorted_eligible(frame, excluded)
-    owner, best, _ = _partition(frame.xy[rows], frame.vxy[rows], pitch, mp)
-    return DominanceField(pitch, [frame.ids[i] for i in rows], owner, best)
+    owner, _, _ = _partition(frame.xy[rows] + frame.vxy[rows] * mp.reaction_time, pitch, mp)
+    return DominanceField(pitch, [frame.ids[i] for i in rows], owner)
 
 
 def space_scores(
@@ -406,20 +413,15 @@ def offside_line(defender_xs, ball_x: float) -> float:
 # Batch probe deltas used by the off-ball and on-ball features.
 #
 # directional_space_deltas recomputes the full partition for each 1 m probe.
-# The batch path runs it once, keeping each cell's second-best time: while one
-# player moves, everyone else's times are fixed, so the mover owns a cell iff
-# it arrives strictly before rest_t, the best time of the others, or ties it
-# and the rest owner (the first index at rest_t) has a larger index. Each cell
-# gets one limit, lim. Where the mover is not the owner, rest_t is best and
-# the rest owner is the owner, so lim is the next double above best for a
-# larger-index owner and best otherwise, and a probe wins iff its time is
-# < lim. Every finite time is >= +0.0, so the next double is +1 on the int64
-# view. Where the mover is the owner, lim is second, unstepped: a probe wins
-# iff its time is < lim, or == lim and the runner-up (the first index at
-# second, once the mover's time is +inf) is larger than the mover's. Only
-# the cells where a probe ties lim exactly need the runner-up, so it is
-# ranked there alone, from every eligible player's predicted point. A +inf
-# second (nobody else eligible) is never tied, and every probe wins it.
+# The batch path runs it once and keeps its best and second-best times: while
+# one player moves, everyone else's times are fixed. Each cell gets one limit,
+# lim, the best time of the others: second on the mover's own cells, best
+# elsewhere. A probe wins a cell iff its time is < lim, or == lim and the
+# rival, the first of the others to arrive (_first_arrival), has a larger
+# index. On another player's cell the rival is that cell's owner. Only the
+# cells where a probe ties lim exactly need the rival, so it is ranked there
+# alone, from every eligible player's predicted point. A +inf second (nobody
+# else eligible) is never tied, and every probe wins it.
 #
 # A probe moves the predicted point by at most `shift` (over 1 m when the
 # clamp pulls an off-pitch player in), so by the triangle inequality its exact
@@ -427,15 +429,11 @@ def offside_line(defender_xs, ball_x: float) -> float:
 # unmoved point. Each computed time is within 3 eps T of its exact value, T
 # being the largest time from any of the candidate's points to any cell
 # centre. So with allowance = shift / max_speed + 16 eps T, which also covers
-# the rounding of gap = lim - own_time, every probe wins a cell where gap >
-# allowance and none wins one where gap < -allowance, as long as no squared
-# distance overflows, which MAX_COORDINATE ensures for every accepted input.
-# Only the band between them needs the 8 probe times. On the mover's own
-# cells gap is taken from the unstepped lim, while the tie rule acts like a
-# limit up to one ulp above it. That is still exact: the step only matters
-# where gap < -allowance, where lim < own_time <= T, so it is at most eps T,
-# and 16 eps T leaves more than that after the time errors (6 eps T) and
-# the rounding of gap.
+# the rounding of gap = lim - own_time, every probe time is < lim where gap >
+# allowance and > lim where gap < -allowance, as long as no squared distance
+# overflows, which MAX_COORDINATE ensures for every accepted input. Only the
+# band between them needs the 8 probe times, and only there can a probe tie
+# lim.
 #
 # Every cell that a probe can win has own_time - allowance <= best (best is
 # the rest time outside the candidate's region, and own_time == best inside
@@ -493,6 +491,7 @@ def _tile_box(tiles: np.ndarray) -> tuple[slice, slice]:
 
 def _probe_deltas(
     field_: DominanceField,
+    best: np.ndarray,
     second: np.ndarray,
     points: np.ndarray,
     idx: int,
@@ -504,15 +503,12 @@ def _probe_deltas(
     score: float,
 ) -> np.ndarray:
     """Score change of player `idx` for its 8 probes over `box`, from the
-    (P, 2) predicted points of every eligible player and the (8, 2) `pred`
-    of its probes (see above)."""
+    partition's `best` and `second` times, the (P, 2) predicted points of
+    every eligible player and the (8, 2) `pred` of its probes (see above)."""
     xs, ys = field_.pitch.cell_centers()
     xs, ys = xs[box[1]], ys[box[0]]
     own = _arrival_grid(xs, ys, *points[idx], mp)
-    owner = field_.owner[box]
-    mine = owner == idx
-    lim = np.where(mine, second[box], field_.time[box])
-    lim.view(np.int64)[...] += idx < owner  # never where mine
+    lim = np.where(field_.owner[box] == idx, second[box], best[box])
     gap = (lim - own).ravel()
     band = np.flatnonzero(np.abs(gap) <= allowance)
     row, col = np.divmod(band, xs.size)
@@ -521,14 +517,11 @@ def _probe_deltas(
     won = np.repeat(gap > allowance, 8).reshape(-1, 8)
     band_lim = lim.ravel()[band, np.newaxis]
     won[band] = probe < band_lim
-    tied = (probe == band_lim) & mine.ravel()[band, np.newaxis]
+    tied = probe == band_lim
     at = np.flatnonzero(tied.any(axis=1))
     if at.size:
-        # The runner-up at the tied cells: argmin keeps the smaller id.
-        px, py = points.T
-        t = _to_time(_sq_dist(xs[col[at]], ys[row[at]], px[:, np.newaxis], py[:, np.newaxis]), mp)
-        t[idx] = np.inf
-        won[band[at]] |= tied[at] & (idx < t.argmin(axis=0))[:, np.newaxis]
+        rival = _first_arrival(points, xs[col[at]], ys[row[at]], mp, skip=idx)
+        won[band[at]] |= tied[at] & (idx < rival)[:, np.newaxis]
     return _won_sums(won, weight[box].ravel()) * field_.cell_area - score
 
 
@@ -565,8 +558,9 @@ def batch_scores_with_deltas(
 
     rows = _sorted_eligible(frame, excluded)
     xy, vxy = frame.xy[rows], frame.vxy[rows]
-    owner, best, second = _partition(xy, vxy, pitch, mp)
-    field_ = DominanceField(pitch, [frame.ids[i] for i in rows], owner, best)
+    points = xy + vxy * mp.reaction_time
+    owner, best, second = _partition(points, pitch, mp)
+    field_ = DominanceField(pitch, [frame.ids[i] for i in rows], owner)
     table = space_scores(field_, frame, w)
     if select is not None:
         delta_ids &= set(select(table))
@@ -574,13 +568,12 @@ def batch_scores_with_deltas(
     if not probed:
         return table
     second = np.ascontiguousarray(second)  # laid out once for every candidate's box
-    points = xy + vxy * mp.reaction_time
     pred, allowance, tiles = _probe_frame(xy[probed], vxy[probed], best, pitch, mp)
     for c, i in enumerate(probed):
         entry = table.entries[field_.player_ids[i]]
         weight = weight_grid(pitch, w, attacking_right=entry.team != DEFENDING)
         entry.deltas = _probe_deltas(
-            field_, second, points, i, _tile_box(tiles[c]), pred[c], allowance[c], mp, weight,
-            entry.score,
+            field_, best, second, points, i, _tile_box(tiles[c]), pred[c], allowance[c], mp,
+            weight, entry.score,
         )
     return table

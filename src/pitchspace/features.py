@@ -156,11 +156,13 @@ class PassSampleTable:
                     rows.append(values)
             except csv.Error as exc:
                 raise SchemaError(f"malformed CSV ({exc})", path, reader.line_num) from exc
+        if not rows:
+            raise SchemaError("a header but no rows", path, 1)
         return cls(
             event_ids=event_ids,
             labels=np.array(labels, dtype=np.int64),
             columns=columns,
-            raw=np.array(rows, dtype=np.float64) if rows else np.empty((0, n_cols)),
+            raw=np.array(rows, dtype=np.float64),
         )
 
 

@@ -140,13 +140,13 @@ def oracle_deltas(frame, pid, pitch, mp, w, excluded):
     return deltas
 
 
-def oracle_probe_box(field, player, mp):
+def oracle_probe_box(pitch, best, player, mp):
     """The full-grid reach rule: the box around every cell where the player's
-    own arrival time minus the allowance is <= best; None if there is none.
+    own arrival time minus the allowance is <= best (oracle_time_stack's);
+    None if there is none.
     The allowance is shift / max_speed plus 16 eps times the largest time from
     the predicted point, moved by up to shift, to a cell centre, shift being
     the largest move of the 8 clamped probes."""
-    pitch = field.pitch
     xs, ys = pitch.cell_centers()
     rt = mp.reaction_time
     pos = np.array([player.pos.x, player.pos.y])
@@ -157,7 +157,7 @@ def oracle_probe_box(field, player, mp):
     far = np.hypot(*(np.abs(pos + vel) + half + pitch.grid_cell)) + shift
     allowance = shift / mp.max_speed + 16 * np.finfo(float).eps * (rt + far / mp.max_speed)
     own = _arrival_grid(xs, ys, *(pos + vel), mp)
-    reach = own - allowance <= field.time
+    reach = own - allowance <= best
     rows = np.flatnonzero(reach.any(axis=1))
     cols = np.flatnonzero(reach.any(axis=0))
     if not rows.size:
@@ -180,13 +180,13 @@ def recorded_probe_boxes(monkeypatch):
 
 def assert_oracle_boxes(frame, pitch, excluded, candidates, boxes, mp=MP):
     """Each candidate, in id order, was probed in a box that holds the oracle's box."""
-    field = compute_dominance_grid(frame, pitch, mp, excluded)
+    best = oracle_time_stack(frame, pitch, mp, excluded)[2]
     assert len(boxes) == len(candidates)
     for box, pid in zip(boxes, sorted(candidates)):
-        want = oracle_probe_box(field, find_player(frame, pid), mp)
+        want = oracle_probe_box(pitch, best, find_player(frame, pid), mp)
         if want is None:
             continue
-        for got, need, n in zip(box, want, field.owner.shape):
+        for got, need, n in zip(box, want, best.shape):
             start, stop, _ = got.indices(n)
             assert start <= need.start and need.stop <= stop, (pid, box, want)
 
@@ -268,7 +268,9 @@ class TestDominanceGrid:
             frame = random_frame(rng)
             field = compute_dominance_grid(frame, PITCH, MP)
             assert sum(field.owned_cell_counts().values()) == PITCH.nx * PITCH.ny
-            assert np.all(field.time >= MP.reaction_time)
+            _, best, second = _partition(frame.xy + frame.vxy * MP.reaction_time, PITCH, MP)
+            assert np.all(best >= MP.reaction_time)
+            assert np.all(second >= best)
 
     def test_classical_voronoi_degeneracy(self, rng):
         mp0 = MotionParams(reaction_time=0.0, max_speed=7.8)
@@ -359,7 +361,7 @@ class TestColumnBandPartition:
         rng = np.random.default_rng([2026, PARTITION_CASES.index(case), int(grid_cell * 4)])
         for _ in range(3):
             xy, vxy = partition_players(rng, case, pitch)
-            got = _partition(xy, vxy, pitch, mp)
+            got = _partition(xy + vxy * mp.reaction_time, pitch, mp)
             assert len(got) == 3
             want = oracle_partition(xy, vxy, pitch, mp)
             for g, w in zip(got, want):
@@ -592,13 +594,12 @@ class TestDirectionalDeltas:
         candidates = sorted(p.player_id for p in frame.players if p.player_id not in excluded)
         ids, owner, best, _, second = oracle_time_stack(frame, pitch, MP, excluded)
         rows = [frame.ids.index(pid) for pid in ids]
-        got_partition = _partition(frame.xy[rows], frame.vxy[rows], pitch, MP)
+        got_partition = _partition(frame.xy[rows] + frame.vxy[rows] * MP.reaction_time, pitch, MP)
         for got, want in zip(got_partition, (owner, best, second)):
             assert got.tobytes() == want.astype(got.dtype).tobytes()
         field = compute_dominance_grid(frame, pitch, MP, excluded)
         assert field.player_ids == ids
         assert field.owner.tobytes() == owner.astype(np.int32).tobytes()
-        assert field.time.tobytes() == best.tobytes()
 
         expected = oracle_scores(frame, pitch, W, ids, owner)
         boxes = recorded_probe_boxes(monkeypatch)
@@ -706,7 +707,7 @@ class TestDirectionalDeltas:
         assert np.any(rounding_tie & (owner == 0))
         assert np.any(rounding_tie & (owner == 2) & (second_idx == 0))
         rows = [frame.ids.index(pid) for pid in ids]
-        got_partition = _partition(frame.xy[rows], frame.vxy[rows], PITCH, MP)
+        got_partition = _partition(frame.xy[rows] + frame.vxy[rows] * MP.reaction_time, PITCH, MP)
         assert len(got_partition) == 3
         for got, w in zip(got_partition, (owner, best, second)):
             assert got.tobytes() == w.astype(got.dtype).tobytes()

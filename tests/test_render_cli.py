@@ -906,6 +906,34 @@ class TestCli:
         )
         assert not (tmp_path / "out" / "cv_results.json").exists()
 
+    def test_class_too_small_for_folds_is_located(self, tmp_path, capsys):
+        path = tmp_path / "features.csv"
+        PassSampleTable(
+            ["e1", "e2", "e3"], np.array([0, 0, 1]), ["f0"], np.arange(3.0)[:, np.newaxis]
+        ).to_csv(path)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("cv.k = 2\n", encoding="utf-8")
+        rc = cli_dispatch(["train", "--config", str(cfg), "--features", str(path),
+                           "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert f"data error: {path}: class 1 has 1 sample(s)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["eval", "explain", "train"])
+    def test_header_only_table_is_located(self, tmp_path, capsys, command):
+        model = tmp_path / "model.json"
+        save_model(train_gbdt(PassSampleTable(
+            ["e1", "e2"], np.array([0, 1]), ["f0"], np.array([[0.0], [1.0]])
+        ), GbdtHyperParams(n_trees=2, max_depth=1)), model)
+        path = tmp_path / "features.csv"
+        PassSampleTable([], np.array([], dtype=np.int64), ["f0"], np.empty((0, 1))).to_csv(path)
+        argv = {
+            "eval": ["eval", "--model", str(model)],
+            "explain": ["explain", "--model", str(model), "--out", str(tmp_path / "out")],
+            "train": ["train", "--out", str(tmp_path / "out")],
+        }[command]
+        assert cli_dispatch([*argv, "--features", str(path)]) == 2
+        assert f"data error: {path}:1: a header but no rows" in capsys.readouterr().err
+
     def test_feature_table_without_feature_columns_exits_2(self, tmp_path, capsys):
         PassSampleTable(
             [f"e{i}" for i in range(20)], np.arange(20) % 2, [], np.empty((20, 0))
@@ -1157,6 +1185,28 @@ class TestSyncWorkflow:
                 f"m{i:02d}/{row}" for i in range(copies) for row in rows
             )
         assert peaks[20] <= 2 * peaks[2], peaks
+
+    def test_render_peak_grows_at_most_a_quarter_mb_per_frame(self, tmp_path):
+        # render keeps each frame's owner grid and SVG text until the colormap
+        # range is known, but not the partition's arrival times.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("synth.passes = 10\nsynth.kickoff_frames = 80\n", encoding="utf-8")
+        m = tmp_path / "match"
+        assert cli_dispatch(["synth", "--config", str(cfg), "--out", str(m)]) == 0
+        peaks = {}
+        for frames in (20, 80):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                rc = cli_dispatch(["render", "--config", str(cfg), *_match_args(m),
+                                   "--frames", f"0:{frames - 1}",
+                                   "--out", str(tmp_path / f"render{frames}")])
+                peaks[frames] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert rc == 0
+            assert len(list((tmp_path / f"render{frames}").glob("frame_*.svg"))) == frames
+        assert (peaks[80] - peaks[20]) / 60 <= 0.25e6, peaks
 
     def test_matches_rows_are_keyed_by_match(self, tmp_path):
         # Synthetic matches all number their passes E0001...: under --matches
