@@ -164,7 +164,10 @@ def cmd_sync(args, cfg: RunConfig, out: Path):
 
 def cmd_segment(args, cfg: RunConfig, out: Path):
     frames, events = load_match(args.tracking, args.events)
-    sequences, drops = segment_attack_sequences(events, frames)
+    try:
+        sequences, drops = segment_attack_sequences(events, frames)
+    except ValueError as exc:  # events out of frame order
+        raise SchemaError(str(exc), args.events) from None
     doc = {"sequences": [asdict(s) for s in sequences], "dropped": [asdict(d) for d in drops]}
     write_json(out / "sequences.json", doc, indent=1)
     print(f"segment: {len(sequences)} sequences, {len(drops)} drop records")
@@ -176,6 +179,8 @@ def cmd_features(args, cfg: RunConfig, out: Path):
     n = cfg.feature_n
     ranking = args.ranking or cfg.ranking_variable
     table, _ = build_dataset(matches, n, ranking, cfg.pitch, cfg.motion, cfg.weight)
+    if not len(table):  # every reader refuses a table with no rows
+        raise SchemaError("no pass events to extract", args.matches or args.events)
     table.to_csv(out / "features.csv")
     print(
         f"features: {len(table)} pass samples, {len(table.columns)} columns "
@@ -265,9 +270,7 @@ def cmd_render(args, cfg: RunConfig, out: Path):
     if not selected:
         raise SchemaError("no frames in the requested range", args.tracking)
 
-    rendered: list[tuple[int, str]] = []
-    all_scores: list[float] = []
-    prepared = []
+    prepared = []  # (oriented frame, score table, field) per selected frame
     for f in selected:
         team = args.attacking_team or f.metadata.attacking_team_id
         if team is None:
@@ -284,29 +287,28 @@ def cmd_render(args, cfg: RunConfig, out: Path):
                 args.tracking,
             )
         fld = compute_dominance_grid(oriented, cfg.pitch, cfg.motion, excluded)
-        scores = space_scores(fld, oriented, cfg.weight)
-        prepared.append((oriented, scores, fld))
-        all_scores.extend(e.score for e in scores if not e.excluded_offside)
+        prepared.append((oriented, space_scores(fld, oriented, cfg.weight), fld))
 
     opts = cfg.render
     if opts.score_min is None or opts.score_max is None:
-        lo, hi = np.percentile(np.array(all_scores), [5.0, 95.0])
+        pooled = [e.score for _, table, _ in prepared for e in table if not e.excluded_offside]
+        lo, hi = np.percentile(np.array(pooled), [5.0, 95.0])
         lo = float(lo) if opts.score_min is None else opts.score_min
         hi = float(hi) if opts.score_max is None else opts.score_max
         opts = replace(opts, score_min=lo, score_max=hi if lo < hi else lo + 1.0)
-    outputs = []
-    for (oriented, scores, fld) in prepared:
+    outputs, docs = [], []  # docs: only --animate splices the frames into one document
+    for oriented, scores, fld in prepared:
         doc = render_frame_svg(oriented, scores, fld, opts)
-        rendered.append((oriented.frame_index, doc))
-    if args.animate:
-        anim = render_animation_svg([doc for _, doc in rendered], frame_seconds=0.2)
-        (out / "animation.svg").write_text(anim, encoding="utf-8")
-        outputs.append("animation.svg")
-    else:
-        for frame_index, doc in rendered:
-            name = f"frame_{frame_index:06d}.svg"
+        if args.animate:
+            docs.append(doc)
+        else:
+            name = f"frame_{oriented.frame_index:06d}.svg"
             (out / name).write_text(doc, encoding="utf-8")
             outputs.append(name)
+    if args.animate:
+        anim = render_animation_svg(docs, frame_seconds=0.2)
+        (out / "animation.svg").write_text(anim, encoding="utf-8")
+        outputs.append("animation.svg")
     print(f"render: wrote {len(outputs)} file(s) to {out}")
     return args.seed, [Path(args.tracking), Path(args.events)], outputs
 

@@ -573,8 +573,12 @@ def segment_attack_sequences(
     records instead of sequences. Events out of frame order raise ValueError.
     """
     frame_time = {f.frame_index: f.time for f in frames}
-    if any(b.frame < a.frame for a, b in zip(events, events[1:])):
-        raise ValueError("events must be sorted by frame")
+    for a, b in zip(events, events[1:]):
+        if b.frame < a.frame:
+            raise ValueError(
+                f"event {b.event_id} at frame {b.frame} follows frame {a.frame}: "
+                "events must be sorted by frame"
+            )
     sequences: list[AttackSequence] = []
     drops: list[DroppedEvents] = []
 

@@ -1,12 +1,14 @@
 """Property tests at the input boundaries: whatever a record holds, loading
-either accepts it or raises a located SchemaError, never anything else; and
+either accepts it or raises a located SchemaError, never anything else;
 whatever a feature table holds, the commands that read it exit 0 or with a
-data error that names it.
+data error that names it; and whatever an events file holds, the commands
+that read a match exit 0 or 2, `segment`'s data errors naming the file.
 
 Runs are derandomized and small, so the suite stays deterministic and quick.
 """
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -143,3 +145,81 @@ def test_feature_table_commands_exit_0_or_name_the_table(tmp_path, capsys, table
         assert rc in (0, 2), (argv[0], err)
         if rc == 2:
             assert f"data error: {path}" in err, (argv[0], err)
+
+
+# events.jsonl: a synthetic match whose events get 1-3 fields replaced and,
+# sometimes, two events swapped. A field value is the index of a tracking
+# frame, ("frame", k), or JSON text, ("json", text): other ids, ints of any
+# size, floats with nan and +-inf, bools, strings and null.
+EVENT_FIELDS = ["frame", "team", "player", "type", "x", "y", "receiver", "outcome", "event_id"]
+EVENT_VALUES = st.one_of(
+    st.integers(min_value=0).map(lambda k: ("frame", k)),
+    st.sampled_from(["A", "B", "A01", "B05", "E0001", "pass", "kickoff", "success", "failure"])
+    .map(lambda s: ("json", json.dumps(s))),
+    JSON_VALUES.map(lambda text: ("json", text)),
+    st.sampled_from(["NaN", "Infinity", "-Infinity"]).map(lambda text: ("json", text)),
+)
+
+
+@st.composite
+def event_edits(draw):
+    """({(event position, field): value}, the positions of two events to swap or None)."""
+    edits = draw(st.dictionaries(
+        st.tuples(st.integers(min_value=0, max_value=10), st.sampled_from(EVENT_FIELDS)),
+        EVENT_VALUES, min_size=1, max_size=3,
+    ))
+    swap = draw(st.none() | st.tuples(st.integers(0, 10), st.integers(0, 10)))
+    return edits, swap
+
+
+@pytest.fixture(scope="module")
+def event_match(tmp_path_factory):
+    """A synthetic match at the 2 m grid: its tracking file, event records
+    and tracking frame indices."""
+    root = tmp_path_factory.mktemp("event_match")
+    cfg = root / "run.cfg"
+    cfg.write_text("pitch.grid_cell = 2.0\nsynth.passes = 10\n", encoding="utf-8")
+    assert cli_dispatch(["synth", "--config", str(cfg), "--out", str(root / "m")]) == 0
+    events = (root / "m" / "events.jsonl").read_text(encoding="utf-8").splitlines()
+    frames = [f.frame_index for f in load_tracking(root / "m" / "tracking.jsonl")]
+    return cfg, root / "m" / "tracking.jsonl", [json.loads(line) for line in events], frames
+
+
+def events_text(records: list[dict], edits: dict, swap, frames: list[int]) -> str:
+    records = [dict(rec) for rec in records]
+    texts = []
+    for (i, key), (kind, value) in edits.items():
+        records[i % len(records)][key] = f"@{len(texts)}@"
+        texts.append(str(frames[value % len(frames)]) if kind == "frame" else value)
+    if swap is not None:
+        i, j = (k % len(records) for k in swap)
+        records[i], records[j] = records[j], records[i]
+    # one substitution pass, so that no inserted text is read as a placeholder
+    return "".join(
+        re.sub(r'"@(\d+)@"', lambda m: texts[int(m[1])], json.dumps(rec)) + "\n"
+        for rec in records
+    )
+
+
+@settings(
+    max_examples=60,
+    derandomize=True,
+    database=None,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(edit=event_edits())
+def test_event_commands_exit_0_or_2_and_segment_names_the_events(
+    tmp_path, capsys, event_match, edit
+):
+    cfg, tracking, records, frames = event_match
+    events = tmp_path / "events.jsonl"
+    events.write_text(events_text(records, *edit, frames), encoding="utf-8")
+    for command in ("features", "segment", "sync"):
+        capsys.readouterr()
+        rc = cli_dispatch([command, "--config", str(cfg), "--tracking", str(tracking),
+                           "--events", str(events), "--out", str(tmp_path / command)])
+        err = capsys.readouterr().err
+        assert rc in (0, 2), (command, err)
+        if command == "segment" and rc == 2:
+            assert f"data error: {events}" in err, err

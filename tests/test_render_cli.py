@@ -934,6 +934,40 @@ class TestCli:
         assert cli_dispatch([*argv, "--features", str(path)]) == 2
         assert f"data error: {path}:1: a header but no rows" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mode", ["files", "matches"])
+    def test_features_without_pass_events_exits_2(self, workspace, tmp_path, capsys, mode):
+        # A kickoff-only match gives no row, and every reader refuses a table
+        # with no rows: features refuses it, names its input and writes none.
+        root, cfg = workspace
+        m = tmp_path / "matches" / "kick"
+        shutil.copytree(root / "match", m)
+        events = m / "events.jsonl"
+        events.write_text(events.read_text(encoding="utf-8").splitlines(keepends=True)[0],
+                          encoding="utf-8")
+        source = {"files": _match_args(m), "matches": ["--matches", str(tmp_path / "matches")]}
+        named = {"files": events, "matches": tmp_path / "matches"}[mode]
+        capsys.readouterr()
+        out = tmp_path / "runs" / "out"
+        rc = cli_dispatch(["features", "--config", str(cfg), *source[mode], "--out", str(out)])
+        assert rc == 2
+        assert f"data error: {named}: no pass events to extract" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
+    def test_segment_names_the_event_out_of_frame_order(self, workspace, tmp_path, capsys):
+        root, cfg = workspace
+        m = tmp_path / "match"
+        shutil.copytree(root / "match", m)
+        events = m / "events.jsonl"
+        lines = events.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[3], lines[4] = lines[4], lines[3]  # E0004 at frame 141, then E0003 at 131
+        events.write_text("".join(lines), encoding="utf-8")
+        capsys.readouterr()
+        rc = cli_dispatch(["segment", "--config", str(cfg), *_match_args(m),
+                           "--out", str(tmp_path / "seg")])
+        assert rc == 2
+        assert (f"data error: {events}: event E0003 at frame 131 follows frame 141: "
+                "events must be sorted by frame") in capsys.readouterr().err
+
     def test_feature_table_without_feature_columns_exits_2(self, tmp_path, capsys):
         PassSampleTable(
             [f"e{i}" for i in range(20)], np.arange(20) % 2, [], np.empty((20, 0))
@@ -1186,27 +1220,42 @@ class TestSyncWorkflow:
             )
         assert peaks[20] <= 2 * peaks[2], peaks
 
-    def test_render_peak_grows_at_most_a_quarter_mb_per_frame(self, tmp_path):
-        # render keeps each frame's owner grid and SVG text until the colormap
-        # range is known, but not the partition's arrival times.
+    # (config, first frame, frame step, bound in bytes per frame): the kickoff
+    # frames are numbered 0, 1, ...; the pass frames 111, 121, ... after 60
+    # kickoff frames.
+    RENDER_MEMORY_CASES = {
+        "kickoff": ("synth.passes = 10\nsynth.kickoff_frames = 80\n", 0, 1, 0.25e6),
+        "passes": ("synth.passes = 80\nsynth.kickoff_frames = 60\n", 111, 10, 0.125e6),
+    }
+
+    @pytest.mark.parametrize("case", RENDER_MEMORY_CASES)
+    def test_render_peak_grows_at_most_a_quarter_mb_per_frame(self, tmp_path, case):
+        # render keeps each frame's owner grid until the colormap range is
+        # known, but not the partition's arrival times, and writes each SVG
+        # as it is drawn. An untraced render of one frame first builds the
+        # tables cached per pitch, so that neither peak counts them.
+        text, first, step, bound = self.RENDER_MEMORY_CASES[case]
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("synth.passes = 10\nsynth.kickoff_frames = 80\n", encoding="utf-8")
+        cfg.write_text(text, encoding="utf-8")
         m = tmp_path / "match"
         assert cli_dispatch(["synth", "--config", str(cfg), "--out", str(m)]) == 0
+        assert cli_dispatch(["render", "--config", str(cfg), *_match_args(m),
+                             "--frames", f"{first}:{first}",
+                             "--out", str(tmp_path / "warm-up")]) == 0
         peaks = {}
         for frames in (20, 80):
             gc.collect()
             tracemalloc.start()
             try:
                 rc = cli_dispatch(["render", "--config", str(cfg), *_match_args(m),
-                                   "--frames", f"0:{frames - 1}",
+                                   "--frames", f"{first}:{first + (frames - 1) * step}",
                                    "--out", str(tmp_path / f"render{frames}")])
                 peaks[frames] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
             assert rc == 0
             assert len(list((tmp_path / f"render{frames}").glob("frame_*.svg"))) == frames
-        assert (peaks[80] - peaks[20]) / 60 <= 0.25e6, peaks
+        assert (peaks[80] - peaks[20]) / 60 <= bound, peaks
 
     def test_matches_rows_are_keyed_by_match(self, tmp_path):
         # Synthetic matches all number their passes E0001...: under --matches
