@@ -14,6 +14,7 @@ import argparse
 import csv
 import logging
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict, replace
 from pathlib import Path
 from typing import Iterator
@@ -129,6 +130,20 @@ def _load_matches(args) -> tuple[Iterator, list[Path]]:
     return matches, [Path(p) for pair in pairs for p in pair]
 
 
+@contextmanager
+def _located_extraction(args) -> Iterator[None]:
+    """Report a ValueError raised while the matches of `args` are extracted,
+    such as a pass whose passer is missing from its frame, as a SchemaError
+    under the events path, or under the --matches directory. A SchemaError
+    passes through unchanged."""
+    try:
+        yield
+    except SchemaError:
+        raise
+    except ValueError as exc:
+        raise SchemaError(str(exc), args.matches or args.events) from None
+
+
 # ---------------------------------------------------------------------------
 # Subcommands: each takes (args, config, out directory or None) and returns
 # (effective seed, input paths, output names) for the manifest.
@@ -176,11 +191,9 @@ def cmd_segment(args, cfg: RunConfig, out: Path):
 
 def cmd_features(args, cfg: RunConfig, out: Path):
     matches, inputs = _load_matches(args)
-    n = cfg.feature_n
-    ranking = args.ranking or cfg.ranking_variable
-    table, _ = build_dataset(matches, n, ranking, cfg.pitch, cfg.motion, cfg.weight)
-    if not len(table):  # every reader refuses a table with no rows
-        raise SchemaError("no pass events to extract", args.matches or args.events)
+    n, ranking = cfg.feature_n, cfg.ranking_variable
+    with _located_extraction(args):
+        table, _ = build_dataset(matches, n, ranking, cfg.pitch, cfg.motion, cfg.weight)
     table.to_csv(out / "features.csv")
     print(
         f"features: {len(table)} pass samples, {len(table.columns)} columns "
@@ -252,9 +265,10 @@ def cmd_explain(args, cfg: RunConfig, out: Path):
 def cmd_compare_rankings(args, cfg: RunConfig, out: Path | None):
     matches, inputs = _load_matches(args)
     n, seed = cfg.feature_n, cfg.cv_seed
-    report = gbdtmod.compare_ranking_variables(
-        matches, n, cfg.grid, cfg.cv_k, seed, cfg.pitch, cfg.motion, cfg.weight
-    )
+    with _located_extraction(args):
+        report = gbdtmod.compare_ranking_variables(
+            matches, n, cfg.grid, cfg.cv_k, seed, cfg.pitch, cfg.motion, cfg.weight
+        )
     print(gbdtmod.format_ranking_table(report))
     if out is not None:
         write_json(out / "ranking_report.json", asdict(report), indent=1)
@@ -401,11 +415,12 @@ def build_parser() -> _Parser:
 
 
 # command-line option -> the RunConfig field whose checks its value goes through
-_CLI_FIELDS = {"n": "feature_n", "seed": "cv_seed"}
+_CLI_FIELDS = {"n": "feature_n", "seed": "cv_seed", "ranking": "ranking_variable"}
 
 
 def _with_cli_values(cfg: RunConfig, args) -> RunConfig:
-    """cfg with the values of --n and --seed, checked as feature.n and cv.seed are."""
+    """cfg with the values of --n, --seed and --ranking, checked as feature.n,
+    cv.seed and feature.ranking_variable are."""
     for option, name in _CLI_FIELDS.items():
         value = getattr(args, option, None)
         if value is not None:

@@ -26,7 +26,7 @@ from .dominance import (
     offside_positions,
 )
 from .match_io import MatchEvent, SchemaError, TrackedFrame
-from .pitch import PitchSpec, WeightParams, goal_distance_angle, normalize_attack_direction
+from .pitch import Ball, PitchSpec, Point2, WeightParams, goal_distance_angle
 
 logger = logging.getLogger(__name__)
 
@@ -177,30 +177,34 @@ def impute_non_finite(X: np.ndarray, columns: Sequence[str], medians: dict[str, 
 # ---------------------------------------------------------------------------
 
 
-def infer_attacks_right(frame: TrackedFrame, team_id: str) -> bool:
-    """Heuristic orientation: a team sits in its own half on average, so the
-    smaller mean-x team attacks right. Used only when no marker is present."""
-    x = frame.xy[:, 0]
-    own = frame.teams == team_id
-    if own.all() or not own.any():
-        return True
-    return float(np.mean(x[own])) <= float(np.mean(x[~own]))
-
-
 def orient_frame(frame: TrackedFrame, attacking_team_id: str) -> TrackedFrame:
-    """Relabel teams as attacking/defending by a team mask and normalize the attack to +x."""
+    """The frame, in one copy, with teams relabelled attacking/defending and
+    the attack toward +x: for a team attacking left the x columns of `xy`,
+    `vxy` and the ball are negated. The direction comes from the
+    `attacks_right_team` marker or, without one, from a guess: a team sits in
+    its own half on average, so the smaller mean-x team attacks right."""
+    own = frame.teams == attacking_team_id
     if frame.metadata.attacks_right_team is not None:
         attacks_right = frame.metadata.attacks_right_team == attacking_team_id
     else:
-        attacks_right = infer_attacks_right(frame, attacking_team_id)
+        x = frame.xy[:, 0]
+        attacks_right = bool(own.all() or not own.any() or np.mean(x[own]) <= np.mean(x[~own]))
         logger.warning(
             "frame %d: no attack-direction marker; inferred attacks_right=%s for team %s",
             frame.frame_index,
             attacks_right,
             attacking_team_id,
         )
-    roles = np.where(frame.teams == attacking_team_id, ATTACKING, DEFENDING).astype(object)
-    return normalize_attack_direction(frame.with_players(teams=roles), attacks_right)
+    roles = np.where(own, ATTACKING, DEFENDING).astype(object)
+    if attacks_right:
+        return frame.with_players(teams=roles)
+    pos, vel = frame.ball.pos, frame.ball.vel
+    return frame.with_players(
+        teams=roles,
+        xy=frame.xy * (-1.0, 1.0),
+        vxy=frame.vxy * (-1.0, 1.0),
+        ball=Ball(Point2(-pos.x, pos.y), Point2(-vel.x, vel.y)),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +432,10 @@ def extract_event_features(
                 "synchronize the match first"
             )
         oriented = orient_frame(frame, ev.team)
-        feats = offball_features(oriented, ev.player, pitch, mp, w, selection)
+        try:
+            feats = offball_features(oriented, ev.player, pitch, mp, w, selection)
+        except ValueError as exc:  # such as a passer missing from the frame
+            raise ValueError(f"pass {ev.event_id}: {exc}") from None
         out.append(EventFeatures(ev.event_id, ev.label, feats))
     return out
 
@@ -469,10 +476,13 @@ def extract_match_features(
     w: WeightParams,
     selection: Selection | None = None,
 ) -> list[EventFeatures]:
-    """extract_event_features over each match, concatenated in match order."""
+    """extract_event_features over each match, concatenated in match order.
+    Refuses input with no pass event: no table or fold holds zero rows."""
     all_features: list[EventFeatures] = []
     for frames, events in matches:
         all_features.extend(extract_event_features(frames, events, pitch, mp, w, selection))
+    if not all_features:
+        raise ValueError("no pass events to extract")
     return all_features
 
 

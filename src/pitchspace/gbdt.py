@@ -632,8 +632,10 @@ def save_model(model: GbdtModel, path: str | Path) -> None:
 def _check_tree(tree: Tree, n_columns: int, path: str | Path, t: int) -> None:
     """Reject node tables that traversal could not finish or whose margins
     would not be finite: every internal node's children must come after it,
-    so every path ends at a leaf; thresholds and values must be finite; and
-    an internal node's cover must be the sum of its children's covers."""
+    so every path ends at a leaf; thresholds and values must be finite; every
+    cover must be at least 1 (a trained node holds a row, and attribution
+    divides by covers); and an internal node's cover must be the sum of its
+    children's covers."""
     n = len(tree.feature)
     if n == 0 or any(len(getattr(tree, name)) != n for name in _NODE_DTYPES):
         raise SchemaError(f"tree {t}: node arrays must be non-empty and of equal length", path)
@@ -642,6 +644,8 @@ def _check_tree(tree: Tree, n_columns: int, path: str | Path, t: int) -> None:
         for name, v in (("threshold", tree.threshold[node]), ("value", tree.value[node])):
             if not math.isfinite(v):
                 raise SchemaError(f"{where}: {name} {v} is not finite", path)
+        if tree.cover[node] < 1:
+            raise SchemaError(f"{where}: cover {tree.cover[node]} is below 1", path)
         if feat < 0:
             continue
         if feat >= n_columns:
@@ -686,6 +690,15 @@ def load_model(path: str | Path) -> GbdtModel:
             raise SchemaError(f"malformed model (column {col!r} repeated)", path)
         if not math.isfinite(model.medians.get(col, math.nan)):
             raise SchemaError(f"median of column {col!r} is missing or not finite", path)
+    # Margins and attributions add leaf values over the trees, and a tree's
+    # expectation weighs them by cover; each such sum is at most `bound`.
+    bound = abs(model.base_score)
     for t, tree in enumerate(model.trees):
         _check_tree(tree, len(model.feature_names), path, t)
+        leaves = tree.feature < 0
+        bound += float(np.max(np.abs(tree.value[leaves]))) * sum(tree.cover[leaves].tolist())
+        if not math.isfinite(bound):
+            raise SchemaError(
+                f"tree {t}: leaf values too large; margins or attributions would overflow", path
+            )
     return model

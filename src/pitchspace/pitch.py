@@ -1,8 +1,9 @@
-"""Pitch coordinates, attack-direction normalization, and the positional field weight.
+"""Pitch coordinates, dimensions and grid, and the positional field weight.
 
 Coordinate convention: origin at the pitch center, x along the goal-to-goal
-axis, y along the halfway line. After normalization the attacking team plays
-toward +x, so the opponent goal center sits at (length/2, 0).
+axis, y along the halfway line. In a frame oriented by `features.orient_frame`
+the attacking team plays toward +x, so the opponent goal center sits at
+(length/2, 0).
 """
 
 from __future__ import annotations
@@ -10,12 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING
 
 import numpy as np
-
-if TYPE_CHECKING:
-    from .match_io import TrackedFrame
 
 
 @dataclass(frozen=True)
@@ -163,22 +160,3 @@ def goal_distance_angle(p, pitch: PitchSpec) -> tuple[float, float]:
         return 0.0, 0.0
     return dist, math.atan2(abs(dy), dx)
 
-
-def normalize_attack_direction(
-    frame: "TrackedFrame", attacking_team_attacks_right: bool
-) -> "TrackedFrame":
-    """Return the frame with the attack aligned toward +x.
-
-    If the attacking team already attacks right, the frame is returned
-    unchanged. Otherwise the x columns of `xy` and `vxy` and the ball's x
-    components are negated; y is untouched and team labels are preserved.
-    Positions beyond the pitch bounds are mirrored like any other.
-    """
-    if attacking_team_attacks_right:
-        return frame
-    pos, vel = frame.ball.pos, frame.ball.vel
-    return frame.with_players(
-        xy=frame.xy * (-1.0, 1.0),
-        vxy=frame.vxy * (-1.0, 1.0),
-        ball=Ball(Point2(-pos.x, pos.y), Point2(-vel.x, vel.y)),
-    )

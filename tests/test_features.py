@@ -30,7 +30,7 @@ from pitchspace.features import (
     EventFeatures,
     Selection,
 )
-from pitchspace.match_io import SchemaError
+from pitchspace.match_io import FrameMetadata, SchemaError
 from pitchspace.pitch import PitchSpec, Point2, WeightParams
 from pitchspace.synth import SynthConfig, synthesize_match
 
@@ -557,3 +557,62 @@ class TestOrientation:
             oriented = orient_frame(frame, "A")
         assert find_player(oriented, "A01").pos.x == -30.0  # A already attacks right
         assert any("inferred" in r.message for r in caplog.records)
+
+
+def marked_frame(players, attacks_right_team, ball_pos=(0.0, 0.0), ball_vel=(0.0, 0.0)):
+    """make_frame with an attack-direction marker naming the team that attacks right."""
+    frame = make_frame(players, ball_pos, ball_vel)
+    return frame_of(frame.players, frame.ball, metadata=FrameMetadata(attacks_right_team=attacks_right_team))
+
+
+class TestOrientFrameMirror:
+    """Team A attacks left per the marker, so orient_frame mirrors x."""
+
+    def test_attacking_right_is_identity(self):
+        frame = marked_frame([player("A1", "A", 10.0, -3.0)], attacks_right_team="A")
+        out = orient_frame(frame, "A")
+        assert out.xy is frame.xy and out.vxy is frame.vxy and out.ball is frame.ball
+
+    def test_attacking_left_mirrors_x(self):
+        frame = marked_frame(
+            [player("A1", "A", 10.0, -3.0, vx=2.0, vy=1.0)], "B", ball_pos=(5.0, 2.0),
+            ball_vel=(1.0, -1.0),
+        )
+        out = orient_frame(frame, "A")
+        p = out.players[0]
+        assert (p.pos.x, p.pos.y) == (-10.0, -3.0)
+        assert (p.vel.x, p.vel.y) == (-2.0, 1.0)
+        assert (out.ball.pos.x, out.ball.pos.y) == (-5.0, 2.0)
+        assert (out.ball.vel.x, out.ball.vel.y) == (-1.0, -1.0)
+        assert p.team == ATTACKING
+
+    def test_involution(self):
+        frame = marked_frame(
+            [
+                player("A1", "A", 10.0, -3.0, vx=2.0, vy=1.0),
+                player("B1", "B", -7.5, 4.0, vx=-1.0, vy=0.5),
+                player("B2", "B", 60.0, 40.0),  # off the pitch
+            ],
+            "B",
+        )
+        out = orient_frame(frame, "A")
+        assert (out.xy * (-1.0, 1.0)).tobytes() == frame.xy.tobytes()
+        assert (out.vxy * (-1.0, 1.0)).tobytes() == frame.vxy.tobytes()
+
+    def test_out_of_bounds_positions_pass_through_mirrored(self):
+        frame = marked_frame([player("A1", "A", 60.0, 0.0)], "B")
+        out = orient_frame(frame, "A")
+        assert out.players[0].pos.x == -60.0
+
+    def test_preserves_inter_player_distances(self, rng):
+        players = [
+            player(f"P{i}", "A", rng.uniform(-50, 50), rng.uniform(-30, 30))
+            for i in range(8)
+        ]
+        frame = marked_frame(players, "B")
+        out = orient_frame(frame, "A")
+        for i in range(8):
+            for j in range(i + 1, 8):
+                d0 = math.dist(frame.players[i].pos, frame.players[j].pos)
+                d1 = math.dist(out.players[i].pos, out.players[j].pos)
+                assert d0 == d1

@@ -1,13 +1,17 @@
 """Property tests at the input boundaries: whatever a record holds, loading
 either accepts it or raises a located SchemaError, never anything else;
 whatever a feature table holds, the commands that read it exit 0 or with a
-data error that names it; and whatever an events file holds, the commands
-that read a match exit 0 or 2, `segment`'s data errors naming the file.
+data error that names it; whatever an events file holds, the commands
+that read a match exit 0 or 2, `segment`'s data errors naming the file; and
+whatever a model's node tables hold, `eval` and `explain` exit 0, with
+finite attributions, or with a data error that names the model.
 
 Runs are derandomized and small, so the suite stays deterministic and quick.
 """
 
+import csv
 import json
+import math
 import re
 
 import numpy as np
@@ -223,3 +227,80 @@ def test_event_commands_exit_0_or_2_and_segment_names_the_events(
         assert rc in (0, 2), (command, err)
         if command == "segment" and rc == 2:
             assert f"data error: {events}" in err, err
+
+
+# model.json: one entry of one node array replaced by a value from a pool, or
+# a subtree's covers zeroed with its ancestors' covers lowered, so that every
+# cover sum still holds. "n" stands for the tree's node count.
+NODE_ARRAYS = ["feature", "threshold", "left", "right", "value", "cover"]
+NODE_VALUES = [0, -1, 1, "n", 2**63, 1e308, -1e308, 0.5, True, None, "x"]
+
+
+@st.composite
+def model_edits(draw):
+    """("entry", tree, node, array, value) or ("zero_subtree", tree, node);
+    tree and node are taken modulo the model's counts."""
+    tree, node = draw(st.integers(0, 10)), draw(st.integers(0, 10))
+    if draw(st.booleans()):
+        return ("zero_subtree", tree, node)
+    return ("entry", tree, node, draw(st.sampled_from(NODE_ARRAYS)),
+            draw(st.sampled_from(NODE_VALUES)))
+
+
+def edited_model(doc: dict, edit) -> dict:
+    doc = json.loads(json.dumps(doc))
+    kind, t, node, *entry = edit
+    tree = doc["trees"][t % len(doc["trees"])]
+    n = len(tree["feature"])
+    node %= n
+    if kind == "entry":
+        array, value = entry
+        tree[array][node] = n if value == "n" else value
+        return doc
+    parent = {c: p for p, f in enumerate(tree["feature"]) if f >= 0
+              for c in (tree["left"][p], tree["right"][p])}
+    lost, stack = tree["cover"][node], [node]
+    while stack:
+        k = stack.pop()
+        tree["cover"][k] = 0
+        if tree["feature"][k] >= 0:
+            stack += [tree["left"][k], tree["right"][k]]
+    while node in parent:
+        node = parent[node]
+        tree["cover"][node] -= lost
+    return doc
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(
+    max_examples=60,
+    derandomize=True,
+    database=None,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(edit=model_edits())
+def test_model_commands_exit_0_or_name_the_model(tmp_path, capsys, table_model, edit):
+    model, _ = table_model
+    path = tmp_path / "model.json"
+    doc = edited_model(json.loads(model.read_text(encoding="utf-8")), edit)
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    table = tmp_path / "features.csv"
+    X = np.array([[0.0, 1.0], [1.0, 0.0], [2.0, 1.0], [3.0, 0.0]])
+    PassSampleTable(["a", "b", "c", "d"], np.array([0, 1, 0, 1]), ["f0", "f1"], X).to_csv(table)
+    out = tmp_path / "x"
+    runs = [
+        ["eval", "--model", str(path), "--features", str(table)],
+        ["explain", "--model", str(path), "--features", str(table), "--out", str(out)],
+    ]
+    for argv in runs:
+        capsys.readouterr()
+        rc = cli_dispatch(argv)
+        err = capsys.readouterr().err
+        assert rc in (0, 2), (argv[0], err)
+        if rc == 2:
+            assert f"data error: {path}" in err, (argv[0], err)
+        elif argv[0] == "explain":
+            with open(out / "shap_summary.csv", encoding="utf-8", newline="") as fh:
+                rows = list(csv.reader(fh))[1:]
+            assert all(math.isfinite(float(v)) for row in rows for v in row[1:]), rows

@@ -3,18 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from pitchspace.dominance import ATTACKING, DEFENDING
 from pitchspace.pitch import (
     MAX_GRID_CELLS,
     PitchSpec,
     Point2,
     WeightParams,
     goal_distance_angle,
-    normalize_attack_direction,
     weight_grid,
 )
-
-from conftest import make_frame, player
 
 PITCH = PitchSpec()
 W = WeightParams()
@@ -174,50 +170,3 @@ class TestGoalDistanceAngle:
             _, angle = goal_distance_angle(p, PITCH)
             assert 0.0 <= angle <= math.pi
 
-
-class TestNormalizeAttackDirection:
-    def test_attacking_right_is_identity(self):
-        frame = make_frame([player("A1", ATTACKING, 10.0, -3.0)])
-        assert normalize_attack_direction(frame, True) is frame
-
-    def test_attacking_left_mirrors_x(self):
-        frame = make_frame(
-            [player("A1", ATTACKING, 10.0, -3.0, vx=2.0, vy=1.0)], ball_pos=(5.0, 2.0),
-            ball_vel=(1.0, -1.0),
-        )
-        out = normalize_attack_direction(frame, False)
-        p = out.players[0]
-        assert (p.pos.x, p.pos.y) == (-10.0, -3.0)
-        assert (p.vel.x, p.vel.y) == (-2.0, 1.0)
-        assert (out.ball.pos.x, out.ball.pos.y) == (-5.0, 2.0)
-        assert (out.ball.vel.x, out.ball.vel.y) == (-1.0, -1.0)
-        assert p.team == ATTACKING
-
-    def test_involution(self, rng):
-        frame = make_frame(
-            [
-                player("A1", ATTACKING, 10.0, -3.0, vx=2.0, vy=1.0),
-                player("B1", DEFENDING, -7.5, 4.0, vx=-1.0, vy=0.5),
-                player("B2", DEFENDING, 60.0, 40.0),  # off the pitch
-            ]
-        )
-        twice = normalize_attack_direction(normalize_attack_direction(frame, False), False)
-        assert twice == frame
-
-    def test_out_of_bounds_positions_pass_through_mirrored(self):
-        frame = make_frame([player("A1", ATTACKING, 60.0, 0.0)])
-        out = normalize_attack_direction(frame, False)
-        assert out.players[0].pos.x == -60.0
-
-    def test_preserves_inter_player_distances(self, rng):
-        players = [
-            player(f"P{i}", ATTACKING, rng.uniform(-50, 50), rng.uniform(-30, 30))
-            for i in range(8)
-        ]
-        frame = make_frame(players)
-        out = normalize_attack_direction(frame, False)
-        for i in range(8):
-            for j in range(i + 1, 8):
-                d0 = math.dist(frame.players[i].pos, frame.players[j].pos)
-                d1 = math.dist(out.players[i].pos, out.players[j].pos)
-                assert d0 == d1

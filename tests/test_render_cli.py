@@ -935,9 +935,13 @@ class TestCli:
         assert f"data error: {path}:1: a header but no rows" in capsys.readouterr().err
 
     @pytest.mark.parametrize("mode", ["files", "matches"])
-    def test_features_without_pass_events_exits_2(self, workspace, tmp_path, capsys, mode):
+    @pytest.mark.parametrize("command", ["features", "compare-rankings"])
+    def test_features_without_pass_events_exits_2(
+        self, workspace, tmp_path, capsys, command, mode
+    ):
         # A kickoff-only match gives no row, and every reader refuses a table
-        # with no rows: features refuses it, names its input and writes none.
+        # with no rows: features and compare-rankings refuse it, name their
+        # input and write nothing.
         root, cfg = workspace
         m = tmp_path / "matches" / "kick"
         shutil.copytree(root / "match", m)
@@ -948,10 +952,80 @@ class TestCli:
         named = {"files": events, "matches": tmp_path / "matches"}[mode]
         capsys.readouterr()
         out = tmp_path / "runs" / "out"
-        rc = cli_dispatch(["features", "--config", str(cfg), *source[mode], "--out", str(out)])
+        rc = cli_dispatch([command, "--config", str(cfg), *source[mode], "--out", str(out)])
         assert rc == 2
         assert f"data error: {named}: no pass events to extract" in capsys.readouterr().err
         assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("mode", ["files", "matches"])
+    @pytest.mark.parametrize("command", ["features", "compare-rankings"])
+    def test_missing_passer_names_the_events_and_the_pass(
+        self, workspace, tmp_path, capsys, command, mode
+    ):
+        root, cfg = workspace
+        m = tmp_path / "matches" / "m1"
+        shutil.copytree(root / "match", m)
+        events = m / "events.jsonl"
+        records = [json.loads(line) for line in events.read_text(encoding="utf-8").splitlines()]
+        first = next(r for r in records if r["type"] == "pass")
+        first["player"] = "ZZZ"
+        events.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        source = {"files": _match_args(m), "matches": ["--matches", str(tmp_path / "matches")]}
+        named = {"files": events, "matches": tmp_path / "matches"}[mode]
+        event_id = {"files": "", "matches": "m1/"}[mode] + first["event_id"]
+        capsys.readouterr()
+        rc = cli_dispatch([command, "--config", str(cfg), *source[mode],
+                           "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert (f"data error: {named}: pass {event_id}: passer 'ZZZ' missing from frame "
+                f"{first['frame']}\n") in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("command", ["eval", "explain"])
+    @pytest.mark.parametrize("case", ["zero_covers", "overflowing_values"])
+    def test_model_that_eval_or_explain_cannot_handle_exits_2(
+        self, trained, tmp_path, capsys, case, command
+    ):
+        doc = json.loads((trained / "model.json").read_text(encoding="utf-8"))
+        if case == "zero_covers":
+            # zero the right subtree of a split root, and lower the root's
+            # cover so that every cover sum still holds
+            t, tree = next((t, tree) for t, tree in enumerate(doc["trees"])
+                           if tree["feature"][0] >= 0)
+            stack = [tree["right"][0]]
+            while stack:
+                node = stack.pop()
+                tree["cover"][node] = 0
+                if tree["feature"][node] >= 0:
+                    stack += [tree["left"][node], tree["right"][node]]
+            tree["cover"][0] = tree["cover"][tree["left"][0]]
+            located = f"tree {t} node {tree['right'][0]}: cover 0 is below 1"
+        else:
+            for tree in doc["trees"][:2]:
+                tree["value"] = [1e308 if f < 0 else v
+                                 for f, v in zip(tree["feature"], tree["value"])]
+            located = "tree 0: leaf values too large"
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(doc), encoding="utf-8")
+        argv = [command, "--model", str(model), "--features", str(trained / "features.csv")]
+        capsys.readouterr()
+        rc = cli_dispatch(argv + (["--out", str(tmp_path / "x")] if command == "explain" else []))
+        assert rc == 2
+        assert f"data error: {model}: {located}" in capsys.readouterr().err
+
+    def test_ranking_option_is_the_config_key(self, workspace, trained, tmp_path):
+        root, cfg = workspace
+        keyed = tmp_path / "keyed.cfg"
+        keyed.write_text(cfg.read_text(encoding="utf-8")
+                         + "feature.ranking_variable = time_to_player\n", encoding="utf-8")
+        match = _match_args(root / "match")
+        assert cli_dispatch(["features", "--config", str(cfg), *match,
+                             "--ranking", "time_to_player", "--out", str(tmp_path / "opt")]) == 0
+        assert cli_dispatch(["features", "--config", str(keyed), *match,
+                             "--out", str(tmp_path / "key")]) == 0
+        written = [(tmp_path / d / "features.csv").read_bytes() for d in ("opt", "key")]
+        assert written[0] == written[1]
+        assert written[0] != (trained / "features.csv").read_bytes()  # ranked by dist_ball
 
     def test_segment_names_the_event_out_of_frame_order(self, workspace, tmp_path, capsys):
         root, cfg = workspace
