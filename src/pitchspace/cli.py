@@ -246,7 +246,10 @@ def cmd_explain(args, cfg: RunConfig, out: Path):
     model = gbdtmod.load_model(args.model)
     table = PassSampleTable.from_csv(args.features)
     phi, base = explainmod.shap_values(model, table.raw)
-    summary = explainmod.ImportanceSummary.from_phi(model.feature_names, phi)
+    try:
+        summary = explainmod.ImportanceSummary.from_phi(model.feature_names, phi)
+    except OverflowError as exc:
+        raise SchemaError(f"leaf values too large for this table: {exc}", args.model) from None
     summary.to_csv(out / "shap_summary.csv")
     outputs = ["shap_summary.csv"]
     if args.per_row:

@@ -18,6 +18,7 @@ from typing import TYPE_CHECKING, Callable, Iterable
 
 import numpy as np
 
+from .match_io import MAX_PLAYERS
 from .pitch import MAX_COORDINATE, MAX_TRACKED_SPEED, PitchSpec, WeightParams, weight_grid
 
 if TYPE_CHECKING:
@@ -66,8 +67,8 @@ class MotionParams:
 class DominanceField:
     """Grid partition of the pitch: the player reaching each cell first.
 
-    `owner`, of shape (ny, nx), holds indices into `player_ids` (ascending id
-    order of the eligible players).
+    `owner`, a uint8 grid of shape (ny, nx), holds indices into `player_ids`
+    (ascending id order of the eligible players, at most MAX_PLAYERS).
     """
 
     pitch: PitchSpec
@@ -249,24 +250,43 @@ def _fold(
     np.copyto(owner, j, where=beats_best)
 
 
+def _tie_screen(q: np.ndarray, pitch: PitchSpec, mp: MotionParams) -> float:
+    """c: where two squared distances a <= b to a cell centre round to one
+    time, fl(b - a) <= c (see _partition)."""
+    half = (pitch.half_length, pitch.half_width)
+    big = sum((m + h + pitch.grid_cell) ** 2 for m, h in zip(np.abs(q).max(axis=0).tolist(), half))
+    return 16 * np.finfo(float).eps * (mp.max_speed * mp.reaction_time * math.sqrt(big) + big)
+
+
 def _partition(
-    q: np.ndarray, pitch: PitchSpec, mp: MotionParams
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    q: np.ndarray, pitch: PitchSpec, mp: MotionParams, times: bool = True
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
     """Best and second-best arrival per cell over the predicted points q
-    (P, 2) of the id-sorted players.
+    (P, 2) of the id-sorted players, at most MAX_PLAYERS of them.
 
-    Returns (owner, best, second), each of shape (ny, nx): the index and time
-    of the first arrival, and the second smallest time (+inf if nobody
-    else). Only a strictly earlier time moves the owner: ties keep the
-    smaller id. owner and best are C-contiguous; second is a transposed view,
-    free for callers that drop it.
+    Returns (owner, best, second), each of shape (ny, nx) and C-contiguous:
+    the uint8 index and the time of the first arrival, and the second
+    smallest time (+inf if nobody else). With times=False, best and second
+    are None and no grid becomes times. Only a strictly earlier time moves
+    the owner: ties keep the smaller id.
 
-    Players are ranked by squared distance, keeping the two smallest, and
-    only those become times (see _to_time). _to_time is monotone, so they are
-    the two smallest times, ties included. Where they are distinct, the
-    squared-distance owner is the time owner. Elsewhere the two times may be
-    a rounding tie that a smaller id should win, so those cells' owners are
-    ranked again on their times, over all players (_first_arrival).
+    Players are ranked by squared distance, keeping the two smallest, a <=
+    b, and only those become times (see _to_time). _to_time is monotone, so
+    they are the two smallest times, ties included. Where they are distinct,
+    the squared-distance owner is the time owner. Elsewhere the two times may
+    be a rounding tie that a smaller id should win, so those cells' owners
+    are ranked again on their times, over all players (_first_arrival).
+
+    Only cells with fl(b - a) <= c (_tie_screen) can hold such a tie. Each
+    _to_time step is correctly rounded, so |t(x) - T(x)| <= 3.01 u T(x), with
+    u = eps / 2 and T(x) = r + sqrt(x) / v the exact time (r the reaction
+    time, v the max speed). Equal computed times then give T(b) - T(a) <=
+    6.02 u T(b), and b - a <= 2 sqrt(b) (sqrt(b) - sqrt(a)) <= 6.02 eps
+    (v r sqrt(b) + b). B, the sum over both axes of (max |q_axis| + half_axis
+    + grid_cell)^2, bounds every squared distance to a cell centre, so c = 16
+    eps (v r sqrt(B) + B) covers that bound and the roundings of b - a and c.
+    A +inf second gives a +inf difference, which a finite c never passes and
+    the exact test refuses; a larger c only sends more cells to the exact test.
 
     Each player updates only its column span (see _column_spans): outside it
     the player cannot be one of a cell's two nearest, so its update there
@@ -275,6 +295,8 @@ def _partition(
     """
     if not len(q):
         raise ValueError("dominance grid requires at least one eligible player")
+    if len(q) > MAX_PLAYERS:  # so that every index fits the uint8 owner grid
+        raise ValueError(f"{len(q)} eligible players exceeds the {MAX_PLAYERS}-player bound")
     xs, ys = pitch.cell_centers()
     qx, qy = q.T
     # Each player's squared x and y offsets. On the transposed grid a span's
@@ -286,26 +308,31 @@ def _partition(
     dy2 *= dy2
     spans = _column_spans(q, pitch)
     shape = (len(xs), len(ys))  # transposed: a column span is one block
-    owner = np.empty(shape[::-1], dtype=np.int32)
+    owner = np.empty(shape[::-1], dtype=np.uint8)
     best = np.empty(shape[::-1])
-    # The transposed work grids. d2 lives in best's buffer and the mask in
+    # The transposed work grids. d2 lives in best's buffer and the masks in
     # owner's until those outputs are laid out.
     d2 = best.reshape(shape)
-    beats_best = owner.view(bool).reshape(4, *shape)[0]
+    mask = owner.view(bool).reshape(shape)
     best_t, second_t = np.full((2, *shape), np.inf)
-    owner_t = np.zeros(shape, dtype=np.int32)
+    owner_t = np.zeros(shape, dtype=np.uint8)
     for j, cols in enumerate(spans):
         span = d2[cols]
         np.copyto(span, dy2[j])
         span += dx2[j, cols, np.newaxis]  # the same sum as dx2 + dy2
-        _fold(j, span, best_t[cols], second_t[cols], owner_t[cols], beats_best[cols])
-    ties = _to_time(best_t, mp) == _to_time(second_t, mp)
-    np.copyto(best, best_t.T)
+        _fold(j, span, best_t[cols], second_t[cols], owner_t[cols], mask[cols])
+    np.subtract(second_t, best_t, out=d2)
+    np.less_equal(d2, _tie_screen(q, pitch, mp), out=mask)
+    near = np.flatnonzero(mask)  # flat indices into the transposed grids
     np.copyto(owner, owner_t.T)
-    iy, ix = np.nonzero(ties.T)
-    if iy.size:
+    tied = near[_to_time(best_t.ravel()[near], mp) == _to_time(second_t.ravel()[near], mp)]
+    if tied.size:
+        ix, iy = np.divmod(tied, len(ys))
         owner[iy, ix] = _first_arrival(q, xs[ix], ys[iy], mp)
-    return owner, best, second_t.T
+    if not times:
+        return owner, None, None
+    np.copyto(best, _to_time(best_t, mp).T)
+    return owner, best, np.ascontiguousarray(_to_time(second_t, mp).T)
 
 
 def compute_dominance_grid(
@@ -319,7 +346,8 @@ def compute_dominance_grid(
     Ties are broken by the smaller player id (ids are totally ordered).
     """
     rows = _sorted_eligible(frame, excluded)
-    owner, _, _ = _partition(frame.xy[rows] + frame.vxy[rows] * mp.reaction_time, pitch, mp)
+    q = frame.xy[rows] + frame.vxy[rows] * mp.reaction_time
+    owner, _, _ = _partition(q, pitch, mp, times=False)
     return DominanceField(pitch, [frame.ids[i] for i in rows], owner)
 
 
@@ -333,14 +361,13 @@ def space_scores(
     """
     teams = dict(zip(frame.ids, frame.teams.tolist()))
     defending = np.array([teams[pid] == DEFENDING for pid in field_.player_ids])
+    owner = field_.owner.astype(np.intp)  # indexing and bincount would each cast it, slower
     weight = np.where(
-        defending[field_.owner],
+        defending[owner],
         weight_grid(field_.pitch, w, attacking_right=False),
         weight_grid(field_.pitch, w, attacking_right=True),
     )
-    sums = np.bincount(
-        field_.owner.ravel(), weights=weight.ravel(), minlength=len(field_.player_ids)
-    )
+    sums = np.bincount(owner.ravel(), weights=weight.ravel(), minlength=len(field_.player_ids))
     index = {pid: i for i, pid in enumerate(field_.player_ids)}
     entries: dict[str, PlayerSpaceScore] = {}
     for pid in sorted(teams):
@@ -567,7 +594,6 @@ def batch_scores_with_deltas(
     probed = [i for i, pid in enumerate(field_.player_ids) if pid in delta_ids]
     if not probed:
         return table
-    second = np.ascontiguousarray(second)  # laid out once for every candidate's box
     pred, allowance, tiles = _probe_frame(xy[probed], vxy[probed], best, pitch, mp)
     for c, i in enumerate(probed):
         entry = table.entries[field_.player_ids[i]]

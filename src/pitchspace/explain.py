@@ -34,20 +34,27 @@ class ImportanceSummary:
 
     @classmethod
     def from_phi(cls, feature_names: list[str], phi: np.ndarray) -> "ImportanceSummary":
-        """Mean |phi| per feature with descending ranks and a signed quantile sketch."""
+        """Mean |phi| per feature with descending ranks and a signed quantile
+        sketch. A sum of |phi| over the rows, or a quantile's interpolation,
+        can overflow for finite phi: that raises OverflowError."""
         if len(phi) == 0:
             raise ValueError("summary requires a non-empty table")
-        mean_abs = np.mean(np.abs(phi), axis=0)
+        levels = (0.05, 0.25, 0.5, 0.75, 0.95)
+        try:
+            with np.errstate(over="raise"):
+                mean_abs = np.mean(np.abs(phi), axis=0)
+                quantiles = np.quantile(phi, levels, axis=0).T
+        except FloatingPointError:
+            raise OverflowError(f"the attribution summary of {len(phi)} rows overflows") from None
         order = np.lexsort((np.arange(len(mean_abs)), -mean_abs))  # ties by column index
         rank = np.empty(len(mean_abs), dtype=np.int64)
         rank[order] = np.arange(1, len(mean_abs) + 1)
-        levels = (0.05, 0.25, 0.5, 0.75, 0.95)
         return cls(
             feature_names=list(feature_names),
             mean_abs=mean_abs,
             rank=rank,
             quantile_levels=levels,
-            quantiles=np.quantile(phi, levels, axis=0).T,
+            quantiles=quantiles,
         )
 
     def top_feature(self) -> str:

@@ -38,6 +38,7 @@ FEATURE_VARIABLES = (
     "time_to_passline",
 )
 RANKING_VARIABLES = ("fast_space_vel", "dist_ball", "time_to_player", "time_to_passline")
+_TIMES = frozenset(("time_to_player", "time_to_passline"))
 
 
 @dataclass(frozen=True)
@@ -284,8 +285,13 @@ def offball_features(
         return []
     defenders = _defenders(frame)
     ball = frame.ball.pos.x, frame.ball.pos.y
-    # (dist_ball, time_to_player, time_to_passline): the values that need no probe
-    plain = {ids[c]: receiver_variables(xy[c], ball, defenders, mp) for c in candidates}
+    # (dist_ball, time_to_player, time_to_passline): the values that need no
+    # probe. When no ranking reads a time, only the kept candidates get their
+    # times (below), and the selection sees +inf in their place.
+    later = selection is not None and _TIMES.isdisjoint(selection.rankings)
+    plain = {
+        ids[c]: receiver_variables(xy[c], ball, () if later else defenders, mp) for c in candidates
+    }
 
     select = None
     if selection is not None:
@@ -299,11 +305,13 @@ def offball_features(
         frame, pitch, mp, w, delta_ids=list(plain), excluded=excluded, select=select
     )
     out: list[OffBallFeatures] = []
-    for pid, values in plain.items():
+    for c in candidates:
+        pid = ids[c]
         entry = table.entries[pid]
         deltas = entry.deltas
         if deltas is None:
             continue  # no ranking of the selection keeps this candidate
+        values = receiver_variables(xy[c], ball, defenders, mp) if later else plain[pid]
         k_star = int(np.argmax(np.abs(deltas)))  # first max -> smallest direction index on ties
         out.append(OffBallFeatures(pid, entry.score, float(deltas[k_star]), *values))
     return out

@@ -68,9 +68,8 @@ def _fy(pitch: PitchSpec, y: float) -> str:
 
 @lru_cache(maxsize=32)
 def _grid_labels(pitch: PitchSpec) -> tuple[tuple[str, ...], ...]:
-    """Pixel strings of the cell edges (x_left, x_right, y_top, y_bottom), of
-    each run width in cells (0 to nx), and of the cell size: they depend only
-    on the pitch, so they are formatted once per pitch."""
+    """Pixel strings of the cell edges (x_left, x_right, y_top, y_bottom):
+    they depend only on the pitch, so they are formatted once per pitch."""
     xs, ys = pitch.cell_centers()
     cell = pitch.grid_cell
     return (
@@ -78,9 +77,26 @@ def _grid_labels(pitch: PitchSpec) -> tuple[tuple[str, ...], ...]:
         tuple(_fx(pitch, x + cell / 2) for x in xs),
         tuple(_fy(pitch, y + cell / 2) for y in ys),
         tuple(_fy(pitch, y - cell / 2) for y in ys),
-        tuple(f"{n * cell * SCALE:.2f}" for n in range(pitch.nx + 1)),
-        f"{cell * SCALE:.2f}",
     )
+
+
+@lru_cache(maxsize=32)
+def _rect_fragments(pitch: PitchSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The fixed text of a region rect, as read-only object arrays: from its
+    start to its y per cell column, from its y to its width per cell row, and
+    from its width to its fill per run width in cells (0 to nx)."""
+    x_left, _, y_top, _ = _grid_labels(pitch)
+    cell = pitch.grid_cell
+    height = f"{cell * SCALE:.2f}"
+    fragments = (
+        [f'<rect x="{x}" y="' for x in x_left],
+        [f'{y}" width="' for y in y_top],
+        [f'{n * cell * SCALE:.2f}" height="{height}" fill="' for n in range(pitch.nx + 1)],
+    )
+    arrays = tuple(np.array(f, dtype=object) for f in fragments)
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
 
 
 def render_frame_svg(
@@ -108,28 +124,29 @@ def render_frame_svg(
         f'<rect width="{width:.0f}" height="{height:.0f}" fill="#1a3a23"/>',
     ]
 
-    # Dominance regions, row-run-length encoded into rects. Strings are
-    # formatted once per pitch (cell edges, run lengths) and owner, not per cell.
-    x_left, x_right, y_top, y_bottom, run_width, cell_px = _grid_labels(pitch)
+    # Dominance regions, row-run-length encoded into rects. Each rect joins
+    # fragments formatted once per pitch (per column, row and run width) and
+    # once per owner, so no number is formatted per cell or per run.
+    x_left, x_right, y_top, y_bottom = _grid_labels(pitch)
     colors = {}
     for pid, entry in scores.entries.items():
         base = DEFEND_RGB if teams.get(pid) == DEFENDING else ATTACK_RGB
         colors[pid] = _mix(base, (entry.score - lo) / (hi - lo))
-    fills = [colors[pid] for pid in field.player_ids]
+    ends = np.array([f'{colors[pid]}"/>' for pid in field.player_ids], dtype=object)
     ow = field.owner
     ny, nx = ow.shape
     # edges[iy, ix]: a run boundary sits before column ix (both row ends count).
     edges = np.ones((ny, nx + 1), dtype=bool)
     np.not_equal(ow[:, 1:], ow[:, :-1], out=edges[:, 1:-1])
-    row, col = np.nonzero(edges)
+    row, col = np.divmod(np.flatnonzero(edges), nx + 1)  # np.nonzero's order, faster
     opens = np.flatnonzero(col[:-1] != nx)  # each edge but a row end opens a run
     row, start, stop = row[opens], col[opens], col[opens + 1]
+    at_x, at_y, at_width = _rect_fragments(pitch)
     out.append('<g class="regions" opacity="0.6">')
-    for iy, x0, x1, o in zip(row.tolist(), start.tolist(), stop.tolist(), ow[row, start].tolist()):
-        out.append(
-            f'<rect x="{x_left[x0]}" y="{y_top[iy]}" width="{run_width[x1 - x0]}" '
-            f'height="{cell_px}" fill="{fills[o]}"/>'
-        )
+    out.extend(map("".join, zip(
+        at_x[start].tolist(), at_y[row].tolist(), at_width[stop - start].tolist(),
+        ends[ow[row, start]].tolist(),
+    )))
     out.append("</g>")
 
     if opts.show_voronoi_boundaries:

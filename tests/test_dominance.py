@@ -24,7 +24,7 @@ from pitchspace.dominance import (
     _to_time,
     _won_sums,
 )
-from pitchspace.match_io import PlayerState
+from pitchspace.match_io import MAX_PLAYERS, PlayerState
 from pitchspace.pitch import (
     MAX_COORDINATE, MAX_TRACKED_SPEED, PitchSpec, Point2, WeightParams, weight_grid,
 )
@@ -91,7 +91,7 @@ def oracle_partition(xy, vxy, pitch, mp):
     dy2 *= dy2
     shape = (len(ys), len(xs))
     best, second = (np.full(shape, np.inf) for _ in range(2))
-    owner = np.zeros(shape, dtype=np.int32)
+    owner = np.zeros(shape, dtype=np.uint8)
     for j in range(len(xy)):
         d2 = dx2[j] + dy2[j, :, np.newaxis]
         beats_best = d2 < best
@@ -374,6 +374,18 @@ class TestColumnBandPartition:
                 d2 = (xs - q[:, 0, None, None]) ** 2 + (ys[:, None] - q[:, 1, None, None]) ** 2
                 assert (d2.argmin(axis=0) != want[0]).any()
 
+    def test_more_than_max_players_is_refused(self):
+        # The owner grid is uint8: an index past MAX_PLAYERS is refused, never wrapped.
+        rng = np.random.default_rng(2034)
+        xy = rng.uniform(-50, 50, (MAX_PLAYERS + 1, 2))
+        owner, _, _ = _partition(xy[:MAX_PLAYERS], PITCH, MP, times=False)
+        assert owner.dtype == np.uint8 and owner.max() == MAX_PLAYERS - 1
+        with pytest.raises(ValueError, match="23 eligible players exceeds the 22-player bound"):
+            _partition(xy, PITCH, MP)
+        frame = make_frame([player(f"A{i:02d}", ATTACKING, x, y) for i, (x, y) in enumerate(xy)])
+        with pytest.raises(ValueError, match="exceeds the 22-player bound"):
+            compute_dominance_grid(frame, PITCH, MP)
+
     @pytest.mark.parametrize("mp", SWEEP_MOTIONS)
     @pytest.mark.parametrize("grid_cell", [0.5, 0.75, 1.0])
     @pytest.mark.parametrize("case", PARTITION_CASES)
@@ -599,7 +611,7 @@ class TestDirectionalDeltas:
             assert got.tobytes() == want.astype(got.dtype).tobytes()
         field = compute_dominance_grid(frame, pitch, MP, excluded)
         assert field.player_ids == ids
-        assert field.owner.tobytes() == owner.astype(np.int32).tobytes()
+        assert field.owner.tobytes() == owner.astype(np.uint8).tobytes()
 
         expected = oracle_scores(frame, pitch, W, ids, owner)
         boxes = recorded_probe_boxes(monkeypatch)

@@ -505,6 +505,36 @@ class TestSelectionAwareExtraction:
         assert all(probes == kept <= 3 for probes, kept in per_pass)
         assert sum(kept for _, kept in per_pass) < sum(len(ef.features) for ef in full)
 
+    @pytest.mark.parametrize("variable", RANKING_VARIABLES)
+    def test_times_wait_for_the_kept_candidates_unless_ranked(
+        self, monkeypatch, match, full, variable
+    ):
+        # One passline_interception_time call per defender and candidate that
+        # gets its times: the kept ones when no ranking reads a time, else all.
+        calls = []
+        real = features.passline_interception_time
+
+        def counted(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(features, "passline_interception_time", counted)
+        frames, events = match
+        frame_by_index = {f.frame_index: f for f in frames}
+        selection = Selection(3, (variable,))
+        passes = [ev for ev in events if ev.type == "pass"]
+        assert len(passes) == len(full)
+        ranked = variable.startswith("time_")
+        every = 0  # the calls that timing every candidate makes
+        for ev, ef_full in zip(passes, full):
+            frame = orient_frame(frame_by_index[ev.frame], ev.team)
+            defenders = int(np.count_nonzero(frame.teams == DEFENDING))
+            start = len(calls)
+            kept = offball_features(frame, ev.player, PITCH, MP, W, selection)
+            assert len(calls) - start == len(ef_full.features if ranked else kept) * defenders
+            every += len(ef_full.features) * defenders
+        assert (len(calls) == every) == ranked
+
     @pytest.mark.parametrize("defenders", [3, 10])
     def test_ranking_values_are_all_finite_or_all_infinite_per_pass(self, defenders):
         # select_top_n's placement of infinite values can then never change a

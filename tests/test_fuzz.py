@@ -4,7 +4,9 @@ whatever a feature table holds, the commands that read it exit 0 or with a
 data error that names it; whatever an events file holds, the commands
 that read a match exit 0 or 2, `segment`'s data errors naming the file; and
 whatever a model's node tables hold, `eval` and `explain` exit 0, with
-finite attributions, or with a data error that names the model.
+finite attributions, or with a data error that names the model; and
+whatever the players' positions, the dominance partition is the full-grid
+oracle's, bit for bit.
 
 Runs are derandomized and small, so the suite stays deterministic and quick.
 """
@@ -18,12 +20,23 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import HealthCheck, given, settings, strategies as st  # noqa: E402
+from hypothesis import HealthCheck, example, given, settings, strategies as st  # noqa: E402
 
+from pitchspace import dominance  # noqa: E402
 from pitchspace.cli import cli_dispatch  # noqa: E402
+from pitchspace.dominance import (  # noqa: E402
+    ATTACKING,
+    MotionParams,
+    _partition,
+    compute_dominance_grid,
+)
 from pitchspace.features import PassSampleTable  # noqa: E402
 from pitchspace.gbdt import GbdtHyperParams, save_model, train_gbdt  # noqa: E402
-from pitchspace.match_io import SchemaError, load_tracking  # noqa: E402
+from pitchspace.match_io import MAX_PLAYERS, SchemaError, load_tracking  # noqa: E402
+from pitchspace.pitch import MAX_COORDINATE, PitchSpec  # noqa: E402
+
+from conftest import make_frame, player  # noqa: E402
+from test_dominance import oracle_partition  # noqa: E402
 
 # Every numeric field of a tracking record, as a key path.
 NUMERIC_FIELDS = [
@@ -304,3 +317,86 @@ def test_model_commands_exit_0_or_name_the_model(tmp_path, capsys, table_model, 
             with open(out / "shap_summary.csv", encoding="utf-8", newline="") as fh:
                 rows = list(csv.reader(fh))[1:]
             assert all(math.isfinite(float(v)) for row in rows for v in row[1:]), rows
+
+
+# Players for the partition: 1 to MAX_PLAYERS of them, each from one of the
+# kinds that make ties, drawn from a subset of the kinds per example. A mirror pair sits about a row or a column of cell
+# centres with its first player one ulp farther out, so that on that line
+# the first is strictly farther in squared distance but often ties it in
+# time, and wins those cells by its smaller index. A copy repeats a player;
+# lattice players stand on whole metres; far players hold coordinates at or
+# one ulp inside +-MAX_COORDINATE. Only random players move, and only some.
+PLAYER_KINDS = ["random", "mirror", "copy", "lattice", "far"]
+FAR = st.sampled_from(
+    [s * m for s in (1.0, -1.0) for m in (MAX_COORDINATE, float(np.nextafter(MAX_COORDINATE, 0)))]
+)
+
+
+@st.composite
+def partition_inputs(draw):
+    """(pitch, motion, xy, vxy) of id-sorted players."""
+    pitch = PitchSpec(grid_cell=draw(st.sampled_from([0.5, 0.75, 1.0, 2.0])))
+    mp = MotionParams(reaction_time=draw(st.sampled_from([0.0, 0.2, 1e14])))
+    half = (pitch.half_length, pitch.half_width)
+    n = draw(st.integers(min_value=1, max_value=MAX_PLAYERS))
+    kinds = draw(st.lists(st.sampled_from(PLAYER_KINDS), min_size=1, unique=True))
+    rows = []  # (x, y, vx, vy)
+    while len(rows) < n:
+        kind = draw(st.sampled_from(kinds))
+        if kind == "random":
+            x, y = (draw(st.floats(-1.05 * h, 1.05 * h)) for h in half)
+            moves = draw(st.booleans())
+            vx, vy = (draw(st.floats(-9.0, 9.0)) if moves else 0.0 for _ in "xy")
+            rows.append((x, y, vx, vy))
+        elif kind == "mirror":
+            axis = draw(st.integers(min_value=0, max_value=1))
+            centres = pitch.cell_centers()[axis]
+            centre = draw(st.sampled_from(centres[10:-10].tolist()))
+            offset = draw(st.integers(min_value=1, max_value=12)) * pitch.grid_cell
+            across = draw(st.floats(-half[1 - axis], half[1 - axis]))
+            for along in (float(np.nextafter(centre - offset, -np.inf)), centre + offset):
+                rows.append((along, across, 0.0, 0.0) if axis == 0 else (across, along, 0.0, 0.0))
+        elif kind == "copy" and rows:
+            rows.append(draw(st.sampled_from(rows)))
+        elif kind == "lattice":
+            x, y = (float(draw(st.integers(min_value=-8, max_value=8))) for _ in "xy")
+            rows.append((x, y, 0.0, 0.0))
+        elif kind == "far":
+            rows.append((draw(FAR | st.floats(-half[0], half[0])), draw(FAR), 0.0, 0.0))
+    table = np.array(rows[:n])
+    return pitch, mp, table[:, :2], table[:, 2:]
+
+
+def test_partition_matches_the_oracle_bitwise(monkeypatch):
+    # Cells whose two nearest squared distances pass the tie screen are
+    # tested for an exact time tie, and the tied ones ranked again: count them.
+    reranked = []
+    first_arrival = dominance._first_arrival
+
+    def counted(q, xs, *args, **kwargs):
+        reranked.append(len(xs))
+        return first_arrival(q, xs, *args, **kwargs)
+
+    monkeypatch.setattr(dominance, "_first_arrival", counted)
+
+    # A mirror pair alone: at reaction time 0 its ties differ by a few ulps
+    # of squared distance; at 1e14 s times round to 1/64 s, so cells whose
+    # squared distances differ by over 1 m^2 tie too.
+    pair = np.array([[np.nextafter(-47.75, -np.inf), 0.0], [-46.75, 0.0]])
+
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(case=partition_inputs())
+    @example(case=(PitchSpec(), MotionParams(reaction_time=0.0), pair, np.zeros((2, 2))))
+    @example(case=(PitchSpec(), MotionParams(reaction_time=1e14), pair, np.zeros((2, 2))))
+    def check(case):
+        pitch, mp, xy, vxy = case
+        want = oracle_partition(xy, vxy, pitch, mp)
+        got = _partition(xy + vxy * mp.reaction_time, pitch, mp)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+        rows = np.hstack([xy, vxy]).tolist()
+        frame = make_frame([player(f"P{i:02d}", ATTACKING, *row) for i, row in enumerate(rows)])
+        assert compute_dominance_grid(frame, pitch, mp).owner.tobytes() == want[0].tobytes()
+
+    check()
+    assert sum(reranked) > 0

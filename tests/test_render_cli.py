@@ -1013,6 +1013,29 @@ class TestCli:
         assert rc == 2
         assert f"data error: {model}: {located}" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_explain_summary_that_overflows_names_the_model(self, trained, tmp_path, capsys):
+        # Each row's attribution is within load_model's bound (+-5e307 with
+        # covers 1 and 1), but their sum over 10 rows is not.
+        doc = json.loads((trained / "model.json").read_text(encoding="utf-8"))
+        doc["base_score"] = 0.0
+        doc["trees"] = [{"feature": [0, -1, -1], "threshold": [0.0, 0.0, 0.0],
+                         "left": [1, -1, -1], "right": [2, -1, -1],
+                         "value": [0.0, 5e307, -5e307], "cover": [2, 1, 1]}]
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(doc), encoding="utf-8")
+        lines = (trained / "features.csv").read_text(encoding="utf-8").splitlines(True)
+        features = tmp_path / "features.csv"
+        features.write_text("".join(lines[:11]), encoding="utf-8")
+        argv = ["--model", str(model), "--features", str(features)]
+        assert cli_dispatch(["eval", *argv]) == 0
+        capsys.readouterr()
+        out = tmp_path / "x"
+        assert cli_dispatch(["explain", *argv, "--out", str(out)]) == 2
+        assert (f"data error: {model}: leaf values too large for this table: the attribution "
+                "summary of 10 rows overflows") in capsys.readouterr().err
+        assert not out.exists()
+
     def test_ranking_option_is_the_config_key(self, workspace, trained, tmp_path):
         root, cfg = workspace
         keyed = tmp_path / "keyed.cfg"
