@@ -131,17 +131,16 @@ def _load_matches(args) -> tuple[Iterator, list[Path]]:
 
 
 @contextmanager
-def _located_extraction(args) -> Iterator[None]:
-    """Report a ValueError raised while the matches of `args` are extracted,
-    such as a pass whose passer is missing from its frame, as a SchemaError
-    under the events path, or under the --matches directory. A SchemaError
-    passes through unchanged."""
+def _located(path) -> Iterator[None]:
+    """Report a ValueError raised inside the block, such as a pass whose
+    passer is missing from its frame, as a SchemaError under `path`, the
+    input whose data it refused. A SchemaError passes through unchanged."""
     try:
         yield
     except SchemaError:
         raise
     except ValueError as exc:
-        raise SchemaError(str(exc), args.matches or args.events) from None
+        raise SchemaError(str(exc), path) from None
 
 
 # ---------------------------------------------------------------------------
@@ -179,10 +178,8 @@ def cmd_sync(args, cfg: RunConfig, out: Path):
 
 def cmd_segment(args, cfg: RunConfig, out: Path):
     frames, events = load_match(args.tracking, args.events)
-    try:
+    with _located(args.events):  # events out of frame order
         sequences, drops = segment_attack_sequences(events, frames)
-    except ValueError as exc:  # events out of frame order
-        raise SchemaError(str(exc), args.events) from None
     doc = {"sequences": [asdict(s) for s in sequences], "dropped": [asdict(d) for d in drops]}
     write_json(out / "sequences.json", doc, indent=1)
     print(f"segment: {len(sequences)} sequences, {len(drops)} drop records")
@@ -192,7 +189,7 @@ def cmd_segment(args, cfg: RunConfig, out: Path):
 def cmd_features(args, cfg: RunConfig, out: Path):
     matches, inputs = _load_matches(args)
     n, ranking = cfg.feature_n, cfg.ranking_variable
-    with _located_extraction(args):
+    with _located(args.matches or args.events):
         table, _ = build_dataset(matches, n, ranking, cfg.pitch, cfg.motion, cfg.weight)
     table.to_csv(out / "features.csv")
     print(
@@ -205,11 +202,9 @@ def cmd_features(args, cfg: RunConfig, out: Path):
 def cmd_train(args, cfg: RunConfig, out: Path):
     table = PassSampleTable.from_csv(args.features)
     seed = cfg.cv_seed
-    try:
+    with _located(args.features):  # its rows refused, such as a class too small for the folds
         best_hp, results = gbdtmod.grid_search_cv(table, cfg.grid, k=cfg.cv_k, seed=seed)
         model = gbdtmod.train_gbdt(table, best_hp)
-    except ValueError as exc:  # its rows refused, such as a class too small for the folds
-        raise SchemaError(str(exc), args.features) from None
     gbdtmod.save_model(model, out / "model.json")
     write_json(
         out / "cv_results.json",
@@ -268,7 +263,7 @@ def cmd_explain(args, cfg: RunConfig, out: Path):
 def cmd_compare_rankings(args, cfg: RunConfig, out: Path | None):
     matches, inputs = _load_matches(args)
     n, seed = cfg.feature_n, cfg.cv_seed
-    with _located_extraction(args):
+    with _located(args.matches or args.events):
         report = gbdtmod.compare_ranking_variables(
             matches, n, cfg.grid, cfg.cv_k, seed, cfg.pitch, cfg.motion, cfg.weight
         )

@@ -1,7 +1,11 @@
 """Arrival-time motion model, velocity-aware Voronoi grids, and space scores.
 
 The pitch is partitioned on a cell-center grid: each cell belongs to the
-player who reaches it first under a reaction-then-sprint motion model. A
+player who reaches it first under a reaction-then-sprint motion model. Every
+player shares the reaction time and the top speed, so the first to arrive is
+the one whose predicted point (position plus velocity times the reaction
+time) is nearest: the partition is the Voronoi diagram of the predicted
+points, ranked by squared distance, with exact ties to the smaller id. A
 player's space score is the weighted area of their region, using the
 attacking-direction field weight for attackers and the left-right mirrored
 weight for defenders. Offside attackers are excluded from the partition.
@@ -55,7 +59,7 @@ class MotionParams:
                 f"reaction_time must be finite and in [0, {limit:.4g}] s, got {self.reaction_time}"
             )
         # Accepted points are a few MAX_COORDINATE apart at most, so times stay
-        # near 1e300 s or below, and every arrival time and allowance is finite.
+        # near 1e300 s or below, and every arrival time is finite.
         slowest = 1.0 / MAX_COORDINATE
         if not slowest <= self.max_speed < math.inf:
             raise ValueError(
@@ -131,39 +135,13 @@ def _sq_dist(xs: np.ndarray, ys: np.ndarray, qx, qy) -> np.ndarray:
     return dx * dx + dy * dy
 
 
-def _to_time(d2: np.ndarray, mp: MotionParams) -> np.ndarray:
-    """Arrival times from squared distances, in place. Each step is correctly
-    rounded, so the map is monotone non-decreasing: it keeps every order of
-    squared distances, but may round two of them to one time."""
-    np.sqrt(d2, out=d2)
-    d2 /= mp.max_speed
-    d2 += mp.reaction_time
-    return d2
-
-
-def _arrival_grid(
-    xs: np.ndarray, ys: np.ndarray, qx, qy, mp: MotionParams
-) -> np.ndarray:
-    """Arrival times from predicted point(s) (qx, qy) to the cell centers xs x ys.
-
-    A scalar point gives shape (len(ys), len(xs)); points of shape (k, 1, 1)
-    give (k, len(ys), len(xs)). The partition's dx2 + dy2, its tie
-    re-ranking and the probes all take the same squared distances through
-    _to_time elementwise, so their times agree bitwise.
-    """
-    return _to_time(_sq_dist(xs, ys[:, np.newaxis], qx, qy), mp)
-
-
-def _first_arrival(
-    q: np.ndarray, xs: np.ndarray, ys: np.ndarray, mp: MotionParams, skip: int | None = None
-) -> np.ndarray:
-    """Per listed cell centre (xs[i], ys[i]), the index of the first of the
-    predicted points q (P, 2) to arrive, leaving out point `skip`: argmin keeps
-    the smaller index at a tie."""
-    t = _to_time(_sq_dist(xs, ys, q[:, :1], q[:, 1:]), mp)
-    if skip is not None:
-        t[skip] = np.inf
-    return t.argmin(axis=0)
+def _first_arrival(q: np.ndarray, xs: np.ndarray, ys: np.ndarray, skip: int) -> np.ndarray:
+    """Per listed cell centre (xs[i], ys[i]), the index of the nearest of the
+    predicted points q (P, 2), leaving out point `skip`: argmin keeps the
+    smaller index at a tie."""
+    d2 = _sq_dist(xs, ys, q[:, :1], q[:, 1:])
+    d2[skip] = np.inf
+    return d2.argmin(axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -176,14 +154,15 @@ def _first_arrival(
 # they bound it below and above, bitwise, for every cell of the tile.
 #
 # _partition keeps the two smallest squared distances per cell: best, and
-# second, which finds the time ties to re-rank. In _column_spans, ub2 is a
-# tile's second smallest upper bound over the players: two players reach every
-# cell of the tile at or below it, so every cell's final second smallest
-# squared distance is <= ub2. A player whose lower bound is > ub2 is strictly
-# above that second everywhere in the tile, so its update there changes
-# neither of the two smallest nor the first-argmin index. Each player's span
-# is the hull of the tile columns where it is not, and it updates only those
-# columns (all of them with a single player).
+# second, which the probe kernel needs on the nearest player's own cells. In
+# _column_spans, ub2 is a tile's second smallest upper bound over the
+# players: two players reach every cell of the tile at or below it, so every
+# cell's final second smallest squared distance is <= ub2. A player whose
+# lower bound is > ub2 is strictly above that second everywhere in the tile,
+# so its update there changes neither of the two smallest nor the
+# first-argmin index. Each player's span is the hull of the tile columns
+# where it is not, and it updates only those columns (all of them with a
+# single player).
 # ---------------------------------------------------------------------------
 
 _TILE = 8  # cells per side of the bounding tiles
@@ -250,43 +229,15 @@ def _fold(
     np.copyto(owner, j, where=beats_best)
 
 
-def _tie_screen(q: np.ndarray, pitch: PitchSpec, mp: MotionParams) -> float:
-    """c: where two squared distances a <= b to a cell centre round to one
-    time, fl(b - a) <= c (see _partition)."""
-    half = (pitch.half_length, pitch.half_width)
-    big = sum((m + h + pitch.grid_cell) ** 2 for m, h in zip(np.abs(q).max(axis=0).tolist(), half))
-    return 16 * np.finfo(float).eps * (mp.max_speed * mp.reaction_time * math.sqrt(big) + big)
+def _partition(q: np.ndarray, pitch: PitchSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nearest and second-nearest predicted point per cell centre, over the
+    points q (P, 2) of the id-sorted players, at most MAX_PLAYERS of them.
 
-
-def _partition(
-    q: np.ndarray, pitch: PitchSpec, mp: MotionParams, times: bool = True
-) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
-    """Best and second-best arrival per cell over the predicted points q
-    (P, 2) of the id-sorted players, at most MAX_PLAYERS of them.
-
-    Returns (owner, best, second), each of shape (ny, nx) and C-contiguous:
-    the uint8 index and the time of the first arrival, and the second
-    smallest time (+inf if nobody else). With times=False, best and second
-    are None and no grid becomes times. Only a strictly earlier time moves
-    the owner: ties keep the smaller id.
-
-    Players are ranked by squared distance, keeping the two smallest, a <=
-    b, and only those become times (see _to_time). _to_time is monotone, so
-    they are the two smallest times, ties included. Where they are distinct,
-    the squared-distance owner is the time owner. Elsewhere the two times may
-    be a rounding tie that a smaller id should win, so those cells' owners
-    are ranked again on their times, over all players (_first_arrival).
-
-    Only cells with fl(b - a) <= c (_tie_screen) can hold such a tie. Each
-    _to_time step is correctly rounded, so |t(x) - T(x)| <= 3.01 u T(x), with
-    u = eps / 2 and T(x) = r + sqrt(x) / v the exact time (r the reaction
-    time, v the max speed). Equal computed times then give T(b) - T(a) <=
-    6.02 u T(b), and b - a <= 2 sqrt(b) (sqrt(b) - sqrt(a)) <= 6.02 eps
-    (v r sqrt(b) + b). B, the sum over both axes of (max |q_axis| + half_axis
-    + grid_cell)^2, bounds every squared distance to a cell centre, so c = 16
-    eps (v r sqrt(B) + B) covers that bound and the roundings of b - a and c.
-    A +inf second gives a +inf difference, which a finite c never passes and
-    the exact test refuses; a larger c only sends more cells to the exact test.
+    Returns (owner, best, second), each of shape (ny, nx): the C-contiguous
+    uint8 index of the nearest point, its squared distance, and the second
+    smallest squared distance (+inf if nobody else); best and second are
+    views of transposed grids. Only a strictly smaller squared distance moves
+    the owner: exact ties keep the smaller id.
 
     Each player updates only its column span (see _column_spans): outside it
     the player cannot be one of a cell's two nearest, so its update there
@@ -309,30 +260,19 @@ def _partition(
     spans = _column_spans(q, pitch)
     shape = (len(xs), len(ys))  # transposed: a column span is one block
     owner = np.empty(shape[::-1], dtype=np.uint8)
-    best = np.empty(shape[::-1])
-    # The transposed work grids. d2 lives in best's buffer and the masks in
-    # owner's until those outputs are laid out.
-    d2 = best.reshape(shape)
+    # The transposed work grids. The masks live in owner's buffer until it is
+    # laid out.
+    d2 = np.empty(shape)
     mask = owner.view(bool).reshape(shape)
-    best_t, second_t = np.full((2, *shape), np.inf)
+    best, second = np.full((2, *shape), np.inf)
     owner_t = np.zeros(shape, dtype=np.uint8)
     for j, cols in enumerate(spans):
         span = d2[cols]
         np.copyto(span, dy2[j])
         span += dx2[j, cols, np.newaxis]  # the same sum as dx2 + dy2
-        _fold(j, span, best_t[cols], second_t[cols], owner_t[cols], mask[cols])
-    np.subtract(second_t, best_t, out=d2)
-    np.less_equal(d2, _tie_screen(q, pitch, mp), out=mask)
-    near = np.flatnonzero(mask)  # flat indices into the transposed grids
+        _fold(j, span, best[cols], second[cols], owner_t[cols], mask[cols])
     np.copyto(owner, owner_t.T)
-    tied = near[_to_time(best_t.ravel()[near], mp) == _to_time(second_t.ravel()[near], mp)]
-    if tied.size:
-        ix, iy = np.divmod(tied, len(ys))
-        owner[iy, ix] = _first_arrival(q, xs[ix], ys[iy], mp)
-    if not times:
-        return owner, None, None
-    np.copyto(best, _to_time(best_t, mp).T)
-    return owner, best, np.ascontiguousarray(_to_time(second_t, mp).T)
+    return owner, best.T, second.T
 
 
 def compute_dominance_grid(
@@ -341,13 +281,14 @@ def compute_dominance_grid(
     mp: MotionParams,
     excluded: Iterable[str] = (),
 ) -> DominanceField:
-    """Assign every grid cell to the player reaching its center first.
+    """Assign every grid cell to the player reaching its center first, the
+    one with the nearest predicted point.
 
     Ties are broken by the smaller player id (ids are totally ordered).
     """
     rows = _sorted_eligible(frame, excluded)
     q = frame.xy[rows] + frame.vxy[rows] * mp.reaction_time
-    owner, _, _ = _partition(q, pitch, mp, times=False)
+    owner, _, _ = _partition(q, pitch)
     return DominanceField(pitch, [frame.ids[i] for i in rows], owner)
 
 
@@ -440,34 +381,43 @@ def offside_line(defender_xs, ball_x: float) -> float:
 # Batch probe deltas used by the off-ball and on-ball features.
 #
 # directional_space_deltas recomputes the full partition for each 1 m probe.
-# The batch path runs it once and keeps its best and second-best times: while
-# one player moves, everyone else's times are fixed. Each cell gets one limit,
-# lim, the best time of the others: second on the mover's own cells, best
-# elsewhere. A probe wins a cell iff its time is < lim, or == lim and the
-# rival, the first of the others to arrive (_first_arrival), has a larger
-# index. On another player's cell the rival is that cell's owner. Only the
-# cells where a probe ties lim exactly need the rival, so it is ranked there
-# alone, from every eligible player's predicted point. A +inf second (nobody
-# else eligible) is never tied, and every probe wins it.
+# The batch path runs it once and keeps its best and second smallest squared
+# distances: while one player moves, everyone else's are fixed. Each cell gets
+# one limit, lim, the smallest squared distance of the others: second on the
+# mover's own cells, best elsewhere. A probe wins a cell iff its squared
+# distance is < lim, or == lim and the rival, the nearest of the others
+# (_first_arrival), has a larger index. On another player's cell the rival is
+# that cell's owner. Only the cells where a probe ties lim exactly need the
+# rival, so it is ranked there alone, from every eligible player's predicted
+# point. A +inf second (nobody else eligible) is never tied, and every probe
+# wins it.
 #
-# A probe moves the predicted point by at most `shift` (over 1 m when the
-# clamp pulls an off-pitch player in), so by the triangle inequality its exact
-# time is within shift / max_speed of the exact own_time, the time from the
-# unmoved point. Each computed time is within 3 eps T of its exact value, T
-# being the largest time from any of the candidate's points to any cell
-# centre. So with allowance = shift / max_speed + 16 eps T, which also covers
-# the rounding of gap = lim - own_time, every probe time is < lim where gap >
-# allowance and > lim where gap < -allowance, as long as no squared distance
+# The band is found in distances, the roots of the squared distances: own,
+# from the unmoved point, against sqrt(lim). A probe moves the predicted point
+# by at most `shift` (over 1 m when the clamp pulls an off-pitch player in),
+# so by the triangle inequality its exact distance to a cell centre is within
+# shift of the exact own distance. A computed squared distance is within
+# 4.01 u of its exact value, relatively (u = eps / 2: two rounded differences,
+# two squares and a sum), and its correctly rounded root within 3.01 u; so
+# each computed distance is within 1.51 eps D of its exact value, D (`far`)
+# being the largest distance from any of the candidate's points to any cell
+# centre. With allowance = shift + 16 eps D, which also covers the roundings
+# of shift, D, the allowance and gap = sqrt(lim) - own, every probe's computed
+# distance is < sqrt(lim) where gap > allowance and > sqrt(lim) where gap <
+# -allowance. sqrt is correctly rounded, hence monotone: a strictly smaller
+# (larger) root comes from a strictly smaller (larger) squared distance, so
+# there every probe's squared distance is < lim (> lim), as long as none
 # overflows, which MAX_COORDINATE ensures for every accepted input. Only the
-# band between them needs the 8 probe times, and only there can a probe tie
-# lim.
+# band between them needs the 8 probes' squared distances, and only there can
+# a probe tie lim.
 #
-# Every cell that a probe can win has own_time - allowance <= best (best is
-# the rest time outside the candidate's region, and own_time == best inside
-# it). A tile can hold such a cell only if bound - allowance <= its max of
-# best, where bound is the time of the tile's lower squared-distance bound
-# (see _tile_d2). _to_time is monotone, so the bound is <= own_time of every
-# cell in the tile, bitwise: the box of the passing tiles holds every cell a
+# Every cell that a probe can win has own - allowance <= sqrt(best) (best is
+# the rest squared distance outside the candidate's region, and its own
+# squared distance inside it). A tile can hold such a cell only if bound -
+# allowance <= the root of its max of best, bound being the root of the
+# tile's lower squared-distance bound (see _tile_d2). sqrt is monotone, so
+# bound is <= own in every cell of the tile, bitwise, and the root of the max
+# is the max of the roots: the box of the passing tiles holds every cell a
 # probe can win. One array pass per frame gives every candidate's probe
 # points, allowance and tile test. Inside the box the band rule decides each
 # cell exactly, so the box may hold more cells than a probe can win; a
@@ -493,19 +443,18 @@ def _probe_frame(
     xy: np.ndarray, vxy: np.ndarray, best: np.ndarray, pitch: PitchSpec, mp: MotionParams
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """For C candidates (rows of xy, vxy), in one array pass: the (C, 8, 2)
-    predicted points of their 8 clamped 1 m probes, the (C,) allowances and
-    the (C, ty, tx) tiles that may hold a cell where the arrival time minus
-    the allowance is <= best (see above)."""
+    predicted points of their 8 clamped 1 m probes, the (C,) allowances in
+    metres and the (C, ty, tx) tiles that may hold a cell where the distance
+    minus the allowance is <= the root of best (see above)."""
     vel = vxy * mp.reaction_time
     q = xy + vel
     half = np.array([pitch.half_length, pitch.half_width])
     pred = np.clip(xy[:, np.newaxis] + DIRECTIONS_8, -half, half) + vel[:, np.newaxis]
     shift = np.hypot(*(pred - q[:, np.newaxis]).T).max(axis=0)
     far = np.hypot(*(np.abs(q) + half + pitch.grid_cell).T) + shift  # centres overhang < 1 cell
-    eps = np.finfo(float).eps
-    allowance = shift / mp.max_speed + 16 * eps * (mp.reaction_time + far / mp.max_speed)
-    bound = _to_time(_tile_d2(q, pitch)[0], mp)
-    return pred, allowance, bound - allowance[:, np.newaxis, np.newaxis] <= _tile_max(best)
+    allowance = shift + 16 * np.finfo(float).eps * far
+    bound = np.sqrt(_tile_d2(q, pitch)[0])
+    return pred, allowance, bound - allowance[:, np.newaxis, np.newaxis] <= np.sqrt(_tile_max(best))
 
 
 def _tile_box(tiles: np.ndarray) -> tuple[slice, slice]:
@@ -525,29 +474,28 @@ def _probe_deltas(
     box: tuple[slice, slice],
     pred: np.ndarray,
     allowance: float,
-    mp: MotionParams,
     weight: np.ndarray,
     score: float,
 ) -> np.ndarray:
     """Score change of player `idx` for its 8 probes over `box`, from the
-    partition's `best` and `second` times, the (P, 2) predicted points of
-    every eligible player and the (8, 2) `pred` of its probes (see above)."""
+    partition's `best` and `second` squared distances, the (P, 2) predicted
+    points of every eligible player and the (8, 2) `pred` of its probes (see
+    above)."""
     xs, ys = field_.pitch.cell_centers()
     xs, ys = xs[box[1]], ys[box[0]]
-    own = _arrival_grid(xs, ys, *points[idx], mp)
-    lim = np.where(field_.owner[box] == idx, second[box], best[box])
-    gap = (lim - own).ravel()
+    lim = np.where(field_.owner[box] == idx, second[box], best[box]).ravel()
+    gap = np.sqrt(lim) - np.sqrt(_sq_dist(xs, ys[:, np.newaxis], *points[idx]).ravel())
     band = np.flatnonzero(np.abs(gap) <= allowance)
     row, col = np.divmod(band, xs.size)
     qx, qy = pred.T
-    probe = _to_time(_sq_dist(xs[col, np.newaxis], ys[row, np.newaxis], qx, qy), mp)
+    probe = _sq_dist(xs[col, np.newaxis], ys[row, np.newaxis], qx, qy)
     won = np.repeat(gap > allowance, 8).reshape(-1, 8)
-    band_lim = lim.ravel()[band, np.newaxis]
+    band_lim = lim[band, np.newaxis]
     won[band] = probe < band_lim
     tied = probe == band_lim
     at = np.flatnonzero(tied.any(axis=1))
     if at.size:
-        rival = _first_arrival(points, xs[col[at]], ys[row[at]], mp, skip=idx)
+        rival = _first_arrival(points, xs[col[at]], ys[row[at]], skip=idx)
         won[band[at]] |= tied[at] & (idx < rival)[:, np.newaxis]
     return _won_sums(won, weight[box].ravel()) * field_.cell_area - score
 
@@ -586,7 +534,7 @@ def batch_scores_with_deltas(
     rows = _sorted_eligible(frame, excluded)
     xy, vxy = frame.xy[rows], frame.vxy[rows]
     points = xy + vxy * mp.reaction_time
-    owner, best, second = _partition(points, pitch, mp)
+    owner, best, second = _partition(points, pitch)
     field_ = DominanceField(pitch, [frame.ids[i] for i in rows], owner)
     table = space_scores(field_, frame, w)
     if select is not None:
@@ -594,12 +542,13 @@ def batch_scores_with_deltas(
     probed = [i for i, pid in enumerate(field_.player_ids) if pid in delta_ids]
     if not probed:
         return table
+    best, second = np.ascontiguousarray(best), np.ascontiguousarray(second)  # row-major boxes
     pred, allowance, tiles = _probe_frame(xy[probed], vxy[probed], best, pitch, mp)
     for c, i in enumerate(probed):
         entry = table.entries[field_.player_ids[i]]
         weight = weight_grid(pitch, w, attacking_right=entry.team != DEFENDING)
         entry.deltas = _probe_deltas(
-            field_, best, second, points, i, _tile_box(tiles[c]), pred[c], allowance[c], mp,
-            weight, entry.score,
+            field_, best, second, points, i, _tile_box(tiles[c]), pred[c], allowance[c], weight,
+            entry.score,
         )
     return table

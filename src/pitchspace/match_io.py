@@ -350,10 +350,18 @@ def load_tracking(path: str | Path) -> list[TrackedFrame]:
 
 
 def load_events(path: str | Path) -> list[MatchEvent]:
-    """Parse an event file; passes must carry a binary outcome."""
+    """Parse an event file; event ids must be unique and passes must carry a
+    binary outcome."""
     events: list[MatchEvent] = []
+    first_line: dict[str, int] = {}  # event id -> line it first appeared on
     for line_no, rec in _iter_json_lines(path):
         event_id = _text(rec, "event_id", path, line_no)
+        if event_id in first_line:
+            raise SchemaError(
+                f"duplicate event id {event_id!r} (first on line {first_line[event_id]})",
+                path, line_no,
+            )
+        first_line[event_id] = line_no
         etype = _text(rec, "type", path, line_no)
         frame = _req(rec, "frame", path, line_no)
         if not isinstance(frame, int) or isinstance(frame, bool):

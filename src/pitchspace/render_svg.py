@@ -140,20 +140,22 @@ def render_frame_svg(
     np.not_equal(ow[:, 1:], ow[:, :-1], out=edges[:, 1:-1])
     row, col = np.divmod(np.flatnonzero(edges), nx + 1)  # np.nonzero's order, faster
     opens = np.flatnonzero(col[:-1] != nx)  # each edge but a row end opens a run
-    row, start, stop = row[opens], col[opens], col[opens + 1]
+    run_row, start, stop = row[opens], col[opens], col[opens + 1]
     at_x, at_y, at_width = _rect_fragments(pitch)
     out.append('<g class="regions" opacity="0.6">')
     out.extend(map("".join, zip(
-        at_x[start].tolist(), at_y[row].tolist(), at_width[stop - start].tolist(),
-        ends[ow[row, start]].tolist(),
+        at_x[start].tolist(), at_y[run_row].tolist(), at_width[stop - start].tolist(),
+        ends[ow[run_row, start]].tolist(),
     )))
     out.append("</g>")
 
     if opts.show_voronoi_boundaries:
-        # Vertical segments (row neighbours differ), then horizontal ones
-        # (column neighbours differ), each in row-major order.
-        vertical = zip(*(a.tolist() for a in np.nonzero(edges[:, 1:-1])))
-        horizontal = zip(*(a.tolist() for a in np.nonzero(ow[:-1] != ow[1:])))
+        # Vertical segments (row neighbours differ: the run edges inside a
+        # row), then horizontal ones (column neighbours differ), each in
+        # row-major order.
+        inner = (col > 0) & (col < nx)
+        vertical = zip(row[inner].tolist(), (col[inner] - 1).tolist())
+        horizontal = zip(*(a.tolist() for a in np.divmod(np.flatnonzero(ow[:-1] != ow[1:]), nx)))
         segs = [f"M{x_right[ix]} {y_bottom[iy]} L{x_right[ix]} {y_top[iy]}" for iy, ix in vertical]
         segs += [f"M{x_left[ix]} {y_top[iy]} L{x_right[ix]} {y_top[iy]}" for iy, ix in horizontal]
         out.append(

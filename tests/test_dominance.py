@@ -17,11 +17,10 @@ from pitchspace.dominance import (
     offside_positions,
     space_scores,
     _TILE,
-    _arrival_grid,
     _column_spans,
     _partition,
+    _sq_dist,
     _tile_max,
-    _to_time,
     _won_sums,
 )
 from pitchspace.match_io import MAX_PLAYERS, PlayerState
@@ -53,8 +52,13 @@ def nearest_neighbor_owner(frame, pitch):
     return owners
 
 
-def oracle_time_stack(frame, pitch, mp, excluded=()):
-    """Independent partition over the (P, ny, nx) arrival-time stack.
+def arrival_times(d2, mp):
+    """Arrival times from squared distances to predicted points."""
+    return mp.reaction_time + np.sqrt(d2) / mp.max_speed
+
+
+def oracle_distance_stack(frame, pitch, mp, excluded=()):
+    """Independent partition over the (P, ny, nx) squared-distance stack.
 
     Returns (player ids, owner, best, second_idx, second): argmin/min over the
     id-sorted players, then again with each cell's owner masked out.
@@ -67,12 +71,12 @@ def oracle_time_stack(frame, pitch, mp, excluded=()):
     pred = np.array([(p.pos.x + p.vel.x * rt, p.pos.y + p.vel.y * rt) for p in players])
     dx = xs[np.newaxis, np.newaxis, :] - pred[:, 0, np.newaxis, np.newaxis]
     dy = ys[np.newaxis, :, np.newaxis] - pred[:, 1, np.newaxis, np.newaxis]
-    times = rt + np.sqrt(dx * dx + dy * dy) / mp.max_speed
-    owner = np.argmin(times, axis=0)
-    best = np.min(times, axis=0)
-    np.put_along_axis(times, owner[np.newaxis], np.inf, axis=0)
-    second_idx = np.argmin(times, axis=0)
-    second = np.min(times, axis=0)
+    d2 = dx * dx + dy * dy
+    owner = np.argmin(d2, axis=0)
+    best = np.min(d2, axis=0)
+    np.put_along_axis(d2, owner[np.newaxis], np.inf, axis=0)
+    second_idx = np.argmin(d2, axis=0)
+    second = np.min(d2, axis=0)
     return [p.player_id for p in players], owner, best, second_idx, second
 
 
@@ -80,8 +84,7 @@ def oracle_partition(xy, vxy, pitch, mp):
     """The full-grid partition: every player's update runs over every cell.
 
     Returns (owner, best, second) like dominance._partition, with the same
-    arithmetic: squared distances dx2 + dy2, the two smallest kept per cell,
-    and the owners of the cells whose two times tie re-ranked over all players.
+    arithmetic: squared distances dx2 + dy2 and the two smallest kept per cell.
     """
     xs, ys = pitch.cell_centers()
     qx, qy = (xy + vxy * mp.reaction_time).T
@@ -98,13 +101,6 @@ def oracle_partition(xy, vxy, pitch, mp):
         second = np.minimum(second, np.maximum(best, d2))
         best = np.minimum(best, d2)
         owner[beats_best] = j
-    for g in (best, second):
-        _to_time(g, mp)
-    iy, ix = np.nonzero(best == second)
-    if iy.size:
-        dx = xs[ix] - qx[:, np.newaxis]
-        dy = ys[iy] - qy[:, np.newaxis]
-        owner[iy, ix] = _to_time(dx * dx + dy * dy, mp).argmin(axis=0)
     return owner, best, second
 
 
@@ -125,7 +121,7 @@ def oracle_deltas(frame, pid, pitch, mp, w, excluded):
     target = find_player(frame, pid)
 
     def score(f):
-        ids, owner, *_ = oracle_time_stack(f, pitch, mp, excluded)
+        ids, owner, *_ = oracle_distance_stack(f, pitch, mp, excluded)
         return oracle_scores(f, pitch, w, ids, owner)[pid]
 
     base = score(frame)
@@ -142,11 +138,11 @@ def oracle_deltas(frame, pid, pitch, mp, w, excluded):
 
 def oracle_probe_box(pitch, best, player, mp):
     """The full-grid reach rule: the box around every cell where the player's
-    own arrival time minus the allowance is <= best (oracle_time_stack's);
-    None if there is none.
-    The allowance is shift / max_speed plus 16 eps times the largest time from
-    the predicted point, moved by up to shift, to a cell centre, shift being
-    the largest move of the 8 clamped probes."""
+    own distance minus the allowance is <= the root of best (the squared
+    distance of oracle_distance_stack); None if there is none.
+    The allowance is shift plus 16 eps times the largest distance from the
+    predicted point, moved by up to shift, to a cell centre, shift being the
+    largest move of the 8 clamped probes."""
     xs, ys = pitch.cell_centers()
     rt = mp.reaction_time
     pos = np.array([player.pos.x, player.pos.y])
@@ -155,9 +151,12 @@ def oracle_probe_box(pitch, best, player, mp):
     pred = np.clip(pos + DIRECTIONS_8, -half, half) + vel
     shift = np.hypot(*(pred - (pos + vel)).T).max()
     far = np.hypot(*(np.abs(pos + vel) + half + pitch.grid_cell)) + shift
-    allowance = shift / mp.max_speed + 16 * np.finfo(float).eps * (rt + far / mp.max_speed)
-    own = _arrival_grid(xs, ys, *(pos + vel), mp)
-    reach = own - allowance <= best
+    allowance = shift + 16 * np.finfo(float).eps * far
+    qx, qy = pos + vel
+    dx = xs - qx
+    dy = ys[:, np.newaxis] - qy
+    own = np.sqrt(dx * dx + dy * dy)
+    reach = own - allowance <= np.sqrt(best)
     rows = np.flatnonzero(reach.any(axis=1))
     cols = np.flatnonzero(reach.any(axis=0))
     if not rows.size:
@@ -180,7 +179,7 @@ def recorded_probe_boxes(monkeypatch):
 
 def assert_oracle_boxes(frame, pitch, excluded, candidates, boxes, mp=MP):
     """Each candidate, in id order, was probed in a box that holds the oracle's box."""
-    best = oracle_time_stack(frame, pitch, mp, excluded)[2]
+    best = oracle_distance_stack(frame, pitch, mp, excluded)[2]
     assert len(boxes) == len(candidates)
     for box, pid in zip(boxes, sorted(candidates)):
         want = oracle_probe_box(pitch, best, find_player(frame, pid), mp)
@@ -268,8 +267,8 @@ class TestDominanceGrid:
             frame = random_frame(rng)
             field = compute_dominance_grid(frame, PITCH, MP)
             assert sum(field.owned_cell_counts().values()) == PITCH.nx * PITCH.ny
-            _, best, second = _partition(frame.xy + frame.vxy * MP.reaction_time, PITCH, MP)
-            assert np.all(best >= MP.reaction_time)
+            _, best, second = _partition(frame.xy + frame.vxy * MP.reaction_time, PITCH)
+            assert np.all(best >= 0.0)
             assert np.all(second >= best)
 
     def test_classical_voronoi_degeneracy(self, rng):
@@ -315,8 +314,8 @@ def partition_players(rng, case, pitch):
     if case == "rounding_tie":
         # a pair mirrored about a column of cell centres, the first one ulp
         # farther out, among random players: on that column the first is
-        # strictly farther in squared distance, but many of those cells round
-        # to one time, which the first's smaller index must win
+        # strictly farther in squared distance, though many of those cells
+        # round to one arrival time, and the strictly nearer second must win
         xs, _ = pitch.cell_centers()
         centre, offset = rng.choice(xs[10:-10]), rng.integers(1, 5) * pitch.grid_cell
         y = rng.uniform(-1, 1) * half[1]
@@ -341,8 +340,9 @@ PARTITION_CASES = [
 ]
 
 
-# One ulp of a 1e14 s time is 1/64 s, so with that motion most cells hold
-# rounding ties, and the sweeps re-rank most of the grid.
+# The partition sees the motion only through the predicted points: at a
+# 1e14 s reaction time every moving player drifts up to 5.7e14 m out, where
+# squared distances to the cell centres are near 1e29 m^2.
 SWEEP_MOTIONS = [
     pytest.param(MP, id="default_motion"),
     pytest.param(MotionParams(reaction_time=1e14, max_speed=1000.0), id="rt_1e14"),
@@ -361,27 +361,30 @@ class TestColumnBandPartition:
         rng = np.random.default_rng([2026, PARTITION_CASES.index(case), int(grid_cell * 4)])
         for _ in range(3):
             xy, vxy = partition_players(rng, case, pitch)
-            got = _partition(xy + vxy * mp.reaction_time, pitch, mp)
+            got = _partition(xy + vxy * mp.reaction_time, pitch)
             assert len(got) == 3
             want = oracle_partition(xy, vxy, pitch, mp)
             for g, w in zip(got, want):
                 assert g.shape == (pitch.ny, pitch.nx)
                 assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
-            assert got[0].flags.c_contiguous and got[1].flags.c_contiguous
+            assert got[0].flags.c_contiguous
             if case == "rounding_tie" and mp is MP:
-                # some owner is not the squared-distance argmin
+                # some cell's two smallest squared distances differ but round
+                # to one arrival time, and the nearer player owns it
                 q = xy + vxy * mp.reaction_time
                 d2 = (xs - q[:, 0, None, None]) ** 2 + (ys[:, None] - q[:, 1, None, None]) ** 2
-                assert (d2.argmin(axis=0) != want[0]).any()
+                a, b = np.sort(d2, axis=0)[:2]
+                assert ((a < b) & (arrival_times(a, mp) == arrival_times(b, mp))).any()
+                assert (d2.argmin(axis=0) == want[0]).all()
 
     def test_more_than_max_players_is_refused(self):
         # The owner grid is uint8: an index past MAX_PLAYERS is refused, never wrapped.
         rng = np.random.default_rng(2034)
         xy = rng.uniform(-50, 50, (MAX_PLAYERS + 1, 2))
-        owner, _, _ = _partition(xy[:MAX_PLAYERS], PITCH, MP, times=False)
+        owner, _, _ = _partition(xy[:MAX_PLAYERS], PITCH)
         assert owner.dtype == np.uint8 and owner.max() == MAX_PLAYERS - 1
         with pytest.raises(ValueError, match="23 eligible players exceeds the 22-player bound"):
-            _partition(xy, PITCH, MP)
+            _partition(xy, PITCH)
         frame = make_frame([player(f"A{i:02d}", ATTACKING, x, y) for i, (x, y) in enumerate(xy)])
         with pytest.raises(ValueError, match="exceeds the 22-player bound"):
             compute_dominance_grid(frame, PITCH, MP)
@@ -604,9 +607,9 @@ class TestDirectionalDeltas:
         frame = build(rng)
         excluded = offside_positions(frame)
         candidates = sorted(p.player_id for p in frame.players if p.player_id not in excluded)
-        ids, owner, best, _, second = oracle_time_stack(frame, pitch, MP, excluded)
+        ids, owner, best, _, second = oracle_distance_stack(frame, pitch, MP, excluded)
         rows = [frame.ids.index(pid) for pid in ids]
-        got_partition = _partition(frame.xy[rows] + frame.vxy[rows] * MP.reaction_time, pitch, MP)
+        got_partition = _partition(frame.xy[rows] + frame.vxy[rows] * MP.reaction_time, pitch)
         for got, want in zip(got_partition, (owner, best, second)):
             assert got.tobytes() == want.astype(got.dtype).tobytes()
         field = compute_dominance_grid(frame, pitch, MP, excluded)
@@ -644,7 +647,6 @@ class TestDirectionalDeltas:
         # B5 owns the cell column x = 0.25, 2 m away; the runner-up is 3 m
         # away on the other side. B5's +x probe is 3 m from it too, an exact
         # tie on B5's own cells that the smaller of the two ids must win.
-        # Other probes meet rounding ties with either player on a few cells.
         frame = make_frame(
             [
                 player("B5", ATTACKING, 2.25, 0.25),
@@ -653,20 +655,20 @@ class TestDirectionalDeltas:
             ],
             ball_pos=(20.0, 0.0),
         )
-        ids, owner, best, second_idx, second = oracle_time_stack(frame, PITCH, MP)
+        ids, owner, best, second_idx, second = oracle_distance_stack(frame, PITCH, MP)
         cand, runner = ids.index("B5"), ids.index(runner_id)
         assert (runner < cand) == (runner_id < "B5")
         xs, ys = PITCH.cell_centers()
-        probe = _arrival_grid(xs, ys, 3.25, 0.25, MP)
+        probe = _sq_dist(xs, ys[:, np.newaxis], 3.25, 0.25)
         tied = (owner == cand) & (second_idx == runner) & (probe == second)
         assert tied.any()
-        # the tied cells are in the band, where the probe times decide
+        # the tied cells are in the band, where the probes' squared distances decide
         row = frame.ids.index("B5")
         _, allowance, _ = dominance._probe_frame(
             frame.xy[[row]], frame.vxy[[row]], best, PITCH, MP
         )
-        own = _arrival_grid(xs, ys, 2.25, 0.25, MP)
-        assert (np.abs(second - own)[tied] <= allowance[0]).all()
+        own = np.sqrt(_sq_dist(xs, ys[:, np.newaxis], 2.25, 0.25))
+        assert (np.abs(np.sqrt(second) - own)[tied] <= allowance[0]).all()
         table = batch_scores_with_deltas(frame, PITCH, MP, W, ["B5"], excluded=())
         nd = directional_space_deltas(frame, "B5", PITCH, MP, W, excluded=())
         assert table.entries["B5"].deltas.tobytes() == nd.tobytes()
@@ -675,8 +677,8 @@ class TestDirectionalDeltas:
         # The exact_tie_columns case above relies on these bitwise ties.
         xs, ys = PITCH.cell_centers()
         for mover_x, other_x, column in ((3.25, -2.75, 0.25), (-3.75, 2.25, -0.75)):
-            mover = _arrival_grid(xs, ys, mover_x, 0.25, MP)
-            other = _arrival_grid(xs, ys, other_x, 0.25, MP)
+            mover = _sq_dist(xs, ys[:, np.newaxis], mover_x, 0.25)
+            other = _sq_dist(xs, ys[:, np.newaxis], other_x, 0.25)
             col = np.flatnonzero(xs == column)
             assert col.size == 1
             assert np.array_equal(mover[:, col], other[:, col])
@@ -695,18 +697,14 @@ class TestDirectionalDeltas:
 
     def test_partition_resolves_rounding_ties(self):
         # A1 sits one ulp farther out than the mirror image of B1, so on the
-        # bisector column A1 is strictly farther in squared distance but the
-        # time formula rounds both to the same arrival. A1's smaller id must
-        # win: as owner in the upper half, and as runner-up in the lower half,
-        # which C1 owns (the partition returns the runner-up's time only; the
-        # probe kernel ranks it where it needs it).
+        # bisector column A1 is strictly farther in squared distance, though
+        # the time formula rounds both to one arrival. The strictly nearer B1
+        # wins: as owner in the upper half, and as runner-up in the lower
+        # half, which C1 owns. So the partition does not depend on max_speed.
         ax, bx, y = -9.750000000000002, 10.25, 0.25
         xs, ys = PITCH.cell_centers()
-        dy = ys[:, np.newaxis] - y
-        farther = (xs - ax) ** 2 + dy * dy > (xs - bx) ** 2 + dy * dy
-        rounding_tie = farther & (
-            _arrival_grid(xs, ys, ax, y, MP) == _arrival_grid(xs, ys, bx, y, MP)
-        )
+        d2_a, d2_b = (_sq_dist(xs, ys[:, np.newaxis], x, y) for x in (ax, bx))
+        rounding_tie = (d2_a > d2_b) & (arrival_times(d2_a, MP) == arrival_times(d2_b, MP))
         frame = make_frame(
             [
                 player("A1", ATTACKING, ax, y),
@@ -715,13 +713,17 @@ class TestDirectionalDeltas:
             ],
             ball_pos=(20.0, 0.0),
         )
-        ids, owner, best, second_idx, second = oracle_time_stack(frame, PITCH, MP)
-        assert np.any(rounding_tie & (owner == 0))
-        assert np.any(rounding_tie & (owner == 2) & (second_idx == 0))
+        owner = compute_dominance_grid(frame, PITCH, MP).owner
+        assert np.any(rounding_tie & (owner == 1))
+        assert not np.any(rounding_tie & (owner == 0))
+        slow = MotionParams(reaction_time=MP.reaction_time, max_speed=1.0)
+        assert compute_dominance_grid(frame, PITCH, slow).owner.tobytes() == owner.tobytes()
+        ids, want, best, second_idx, second = oracle_distance_stack(frame, PITCH, MP)
+        assert np.any(rounding_tie & (want == 2) & (second_idx == 1))
         rows = [frame.ids.index(pid) for pid in ids]
-        got_partition = _partition(frame.xy[rows] + frame.vxy[rows] * MP.reaction_time, PITCH, MP)
+        got_partition = _partition(frame.xy[rows] + frame.vxy[rows] * MP.reaction_time, PITCH)
         assert len(got_partition) == 3
-        for got, w in zip(got_partition, (owner, best, second)):
+        for got, w in zip(got_partition, (want, best, second)):
             assert got.tobytes() == w.astype(got.dtype).tobytes()
 
     @pytest.mark.parametrize("grid_cell", [0.5, 0.75, 1.0])
@@ -754,8 +756,9 @@ class TestDirectionalDeltas:
         "mp",
         [
             pytest.param(MP, id="default_motion"),
-            # One ulp of these times is 1/64 s and 1/2 s, far beyond any
-            # fixed rounding term: the allowance must scale with the times.
+            # Moving players drift 1e14 or 3e15 m out per m/s of speed, where
+            # one ulp of a distance is 1/64 m or 1/2 m, far beyond any fixed
+            # rounding term: the allowance must scale with the distances.
             pytest.param(MotionParams(reaction_time=1e14, max_speed=1000.0), id="rt_1e14"),
             pytest.param(MotionParams(reaction_time=3e15, max_speed=7.8), id="rt_3e15"),
         ],
@@ -782,6 +785,16 @@ class TestDirectionalDeltas:
                     player("A2", ATTACKING, -53.0, -35.5, 1.0, 1.0),
                     player("B1", DEFENDING, 49.0, 31.0),
                     player("B2", DEFENDING, -50.0, -30.0, -1.0, 0.5),
+                ],
+                ball_pos=(60.0, 0.0),
+            ),
+            # drifting apart: at rt_3e15 the two predicted points sit 3e15 m
+            # out on either side and their bisector crosses the pitch, so
+            # without its rounding term the allowance misses band cells
+            make_frame(
+                [
+                    player("A1", ATTACKING, -15.75, -4.8, -1.0, 0.3),
+                    player("B1", DEFENDING, 5.3, 9.0, 1.0, 0.3),
                 ],
                 ball_pos=(60.0, 0.0),
             ),
@@ -834,8 +847,8 @@ class TestDirectionalDeltas:
     )
     def test_slowest_motion_at_max_coordinate_stays_finite(self, pitch):
         # Players on the coordinate bound drift a further MAX_COORDINATE at
-        # 13 m/s over the longest reaction time, then run at the slowest
-        # speed: times near 1e300 s, every one finite, with warnings as errors.
+        # 13 m/s over the longest reaction time: squared distances near
+        # 1e301 m^2, every one finite, with warnings as errors.
         c = MAX_COORDINATE
         mp = MotionParams(reaction_time=c / MAX_TRACKED_SPEED, max_speed=1.0 / c)
         frame = make_frame(

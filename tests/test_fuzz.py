@@ -22,7 +22,6 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, example, given, settings, strategies as st  # noqa: E402
 
-from pitchspace import dominance  # noqa: E402
 from pitchspace.cli import cli_dispatch  # noqa: E402
 from pitchspace.dominance import (  # noqa: E402
     ATTACKING,
@@ -320,12 +319,14 @@ def test_model_commands_exit_0_or_name_the_model(tmp_path, capsys, table_model, 
 
 
 # Players for the partition: 1 to MAX_PLAYERS of them, each from one of the
-# kinds that make ties, drawn from a subset of the kinds per example. A mirror pair sits about a row or a column of cell
-# centres with its first player one ulp farther out, so that on that line
-# the first is strictly farther in squared distance but often ties it in
-# time, and wins those cells by its smaller index. A copy repeats a player;
-# lattice players stand on whole metres; far players hold coordinates at or
-# one ulp inside +-MAX_COORDINATE. Only random players move, and only some.
+# kinds that make ties, drawn from a subset of the kinds per example. A mirror
+# pair sits about a row or a column of cell centres with its first player one
+# ulp farther out, so that on that line the first is strictly farther in
+# squared distance, though the two often round to one arrival time: the
+# nearer second wins those cells. A copy repeats an earlier player, so the
+# first player is of another kind; lattice players stand on whole metres; far
+# players hold coordinates at or one ulp inside +-MAX_COORDINATE. Only random
+# players move, and only some.
 PLAYER_KINDS = ["random", "mirror", "copy", "lattice", "far"]
 FAR = st.sampled_from(
     [s * m for s in (1.0, -1.0) for m in (MAX_COORDINATE, float(np.nextafter(MAX_COORDINATE, 0)))]
@@ -333,16 +334,17 @@ FAR = st.sampled_from(
 
 
 @st.composite
-def partition_inputs(draw):
+def partition_inputs(draw, kinds=st.lists(st.sampled_from(PLAYER_KINDS), min_size=1, unique=True)):
     """(pitch, motion, xy, vxy) of id-sorted players."""
     pitch = PitchSpec(grid_cell=draw(st.sampled_from([0.5, 0.75, 1.0, 2.0])))
     mp = MotionParams(reaction_time=draw(st.sampled_from([0.0, 0.2, 1e14])))
     half = (pitch.half_length, pitch.half_width)
     n = draw(st.integers(min_value=1, max_value=MAX_PLAYERS))
-    kinds = draw(st.lists(st.sampled_from(PLAYER_KINDS), min_size=1, unique=True))
+    kinds = draw(kinds)
+    starts = [k for k in kinds if k != "copy"] or ["random"]
     rows = []  # (x, y, vx, vy)
     while len(rows) < n:
-        kind = draw(st.sampled_from(kinds))
+        kind = draw(st.sampled_from(kinds if rows else starts))
         if kind == "random":
             x, y = (draw(st.floats(-1.05 * h, 1.05 * h)) for h in half)
             moves = draw(st.booleans())
@@ -356,7 +358,7 @@ def partition_inputs(draw):
             across = draw(st.floats(-half[1 - axis], half[1 - axis]))
             for along in (float(np.nextafter(centre - offset, -np.inf)), centre + offset):
                 rows.append((along, across, 0.0, 0.0) if axis == 0 else (across, along, 0.0, 0.0))
-        elif kind == "copy" and rows:
+        elif kind == "copy":
             rows.append(draw(st.sampled_from(rows)))
         elif kind == "lattice":
             x, y = (float(draw(st.integers(min_value=-8, max_value=8))) for _ in "xy")
@@ -367,21 +369,21 @@ def partition_inputs(draw):
     return pitch, mp, table[:, :2], table[:, 2:]
 
 
-def test_partition_matches_the_oracle_bitwise(monkeypatch):
-    # Cells whose two nearest squared distances pass the tie screen are
-    # tested for an exact time tie, and the tied ones ranked again: count them.
-    reranked = []
-    first_arrival = dominance._first_arrival
+@settings(max_examples=10, derandomize=True, database=None, deadline=None)
+@given(case=partition_inputs(kinds=st.just(["copy"])))
+def test_copies_only_repeat_a_first_player_of_another_kind(case):
+    _, _, xy, vxy = case
+    assert (xy == xy[0]).all() and (vxy == vxy[0]).all()
 
-    def counted(q, xs, *args, **kwargs):
-        reranked.append(len(xs))
-        return first_arrival(q, xs, *args, **kwargs)
 
-    monkeypatch.setattr(dominance, "_first_arrival", counted)
+def test_partition_matches_the_oracle_bitwise():
+    # Cells whose two smallest squared distances are equal: count them.
+    exact_ties = []
 
-    # A mirror pair alone: at reaction time 0 its ties differ by a few ulps
-    # of squared distance; at 1e14 s times round to 1/64 s, so cells whose
-    # squared distances differ by over 1 m^2 tie too.
+    # A mirror pair alone: on its line the squared distances differ by a few
+    # ulps. At reaction time 1e14 s arrival times round to 1/64 s, so cells
+    # whose squared distances differ by over 1 m^2 would tie in time too; the
+    # nearer player owns them all.
     pair = np.array([[np.nextafter(-47.75, -np.inf), 0.0], [-46.75, 0.0]])
 
     @settings(max_examples=60, derandomize=True, database=None, deadline=None)
@@ -391,12 +393,13 @@ def test_partition_matches_the_oracle_bitwise(monkeypatch):
     def check(case):
         pitch, mp, xy, vxy = case
         want = oracle_partition(xy, vxy, pitch, mp)
-        got = _partition(xy + vxy * mp.reaction_time, pitch, mp)
+        got = _partition(xy + vxy * mp.reaction_time, pitch)
         for g, w in zip(got, want):
             assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+        exact_ties.append(int((got[1] == got[2]).sum()))
         rows = np.hstack([xy, vxy]).tolist()
         frame = make_frame([player(f"P{i:02d}", ATTACKING, *row) for i, row in enumerate(rows)])
         assert compute_dominance_grid(frame, pitch, mp).owner.tobytes() == want[0].tobytes()
 
     check()
-    assert sum(reranked) > 0
+    assert sum(exact_ties) > 0

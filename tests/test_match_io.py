@@ -407,6 +407,15 @@ class TestCoordinateBound:
 
 
 class TestLoadEvents:
+    def test_repeated_event_id_is_located(self, tmp_path):
+        # Both rows would reach features.csv and attributions.csv under one id.
+        ids = ["E0001", "E0003", "E0002", "E0003"]
+        write_events(tmp_path / "e.jsonl", [event_record(event_id=e) for e in ids])
+        with pytest.raises(
+            SchemaError, match=r"e.jsonl:4: duplicate event id 'E0003' \(first on line 2\)"
+        ):
+            load_events(tmp_path / "e.jsonl")
+
     def test_pass_requires_outcome(self, tmp_path):
         p = tmp_path / "e.jsonl"
         p.write_text(
