@@ -164,7 +164,8 @@ def cmd_synth(args, cfg: RunConfig, out: Path):
 
 def cmd_sync(args, cfg: RunConfig, out: Path):
     frames, events = load_match(args.tracking, args.events)
-    shifts = synchronization_shift(frames, events)
+    with _located(args.tracking):  # such as repeated timestamps in a kickoff window
+        shifts = synchronization_shift(frames, events)
     shifted = apply_shift(events, shifts, frames)
     save_match(frames, shifted, out / "tracking.jsonl", out / "events.jsonl")
     write_json(out / "sync_report.json", {"shifts": {str(k): v for k, v in shifts.items()}}, indent=2)
@@ -220,13 +221,19 @@ def cmd_train(args, cfg: RunConfig, out: Path):
     return seed, [Path(args.features)], ["model.json", "cv_results.json"]
 
 
-def cmd_eval(args, cfg: RunConfig, out: Path | None):
+def _model_and_table(args) -> tuple[gbdtmod.GbdtModel, PassSampleTable]:
+    """The --model model and the --features table, refused unless it holds the model's columns."""
     model = gbdtmod.load_model(args.model)
     table = PassSampleTable.from_csv(args.features)
     if table.columns != model.feature_names:
         raise SchemaError(
             f"feature columns {table.columns[:3]}... do not match the model's", args.features
         )
+    return model, table
+
+
+def cmd_eval(args, cfg: RunConfig, out: Path | None):
+    model, table = _model_and_table(args)
     probs = model.predict_proba_batch(table.raw)
     report = gbdtmod.classification_metrics(table.labels, probs, threshold=cfg.threshold)
     n = len(model.feature_names) // 5
@@ -238,8 +245,7 @@ def cmd_eval(args, cfg: RunConfig, out: Path | None):
 
 
 def cmd_explain(args, cfg: RunConfig, out: Path):
-    model = gbdtmod.load_model(args.model)
-    table = PassSampleTable.from_csv(args.features)
+    model, table = _model_and_table(args)
     phi, base = explainmod.shap_values(model, table.raw)
     try:
         summary = explainmod.ImportanceSummary.from_phi(model.feature_names, phi)

@@ -21,7 +21,6 @@ from .dominance import (
     ATTACKING,
     DEFENDING,
     MotionParams,
-    arrival_time,
     batch_scores_with_deltas,
     offside_positions,
 )
@@ -38,7 +37,6 @@ FEATURE_VARIABLES = (
     "time_to_passline",
 )
 RANKING_VARIABLES = ("fast_space_vel", "dist_ball", "time_to_player", "time_to_passline")
-_TIMES = frozenset(("time_to_player", "time_to_passline"))
 
 
 @dataclass(frozen=True)
@@ -214,44 +212,46 @@ def orient_frame(frame: TrackedFrame, attacking_team_id: str) -> TrackedFrame:
 
 
 def passline_interception_time(defender_pos, defender_vel, a, b, mp: MotionParams) -> float:
-    """Minimal arrival time of a defender to any point of segment [a, b] ((x, y) pairs).
-
-    Arrival time is monotone in the distance from the defender's predicted
-    point, so the minimizer is the orthogonal projection onto the segment.
-    """
-    (x, y), (vx, vy), (ax, ay), (bx, by) = defender_pos, defender_vel, a, b
-    px = x + vx * mp.reaction_time
-    py = y + vy * mp.reaction_time
-    sx, sy = bx - ax, by - ay
-    denom = sx * sx + sy * sy
-    if denom == 0.0:
-        t = 0.0
-    else:
-        t = min(max(((px - ax) * sx + (py - ay) * sy) / denom, 0.0), 1.0)
-    return arrival_time(defender_pos, defender_vel, (ax + t * sx, ay + t * sy), mp)
+    """Minimal arrival time of a defender to any point of segment [a, b] ((x, y)
+    pairs): receiver_variables' time_to_passline for this one defender."""
+    (x, y), (vx, vy), rt = defender_pos, defender_vel, mp.reaction_time
+    return receiver_variables(b, a, [(x + vx * rt, y + vy * rt)], mp)[2]
 
 
 def receiver_variables(target, ball, defenders, mp: MotionParams) -> tuple[float, float, float]:
     """(dist_ball, time_to_player, time_to_passline) of a player at `target`,
-    with the ball at `ball` (each an (x, y) pair), against `defenders`, a
-    sequence of (pos, vel) pairs: the distance to the ball, and the least
-    defender arrival time at the player and at the pass line. Both times are
-    +inf without defenders."""
+    with the ball at `ball`, against the defenders' predicted points (see
+    _defenders), each an (x, y) pair: the distance to the ball, and the least
+    defender arrival time at the player and at the pass line (+inf without
+    defenders). A time is reaction_time + d / max_speed, d the distance from
+    a predicted point, to the line at its orthogonal projection. Both rounded
+    steps are monotone in d, so the time of the least d is the least
+    per-defender time bit for bit."""
     (tx, ty), (bx, by) = target, ball
     dist_ball = math.hypot(bx - tx, by - ty)
     if not defenders:
         return dist_ball, math.inf, math.inf
-    return (
-        dist_ball,
-        min(arrival_time(pos, vel, target, mp) for pos, vel in defenders),
-        min(passline_interception_time(pos, vel, ball, target, mp) for pos, vel in defenders),
-    )
+    sx, sy = tx - bx, ty - by
+    denom = sx * sx + sy * sy
+    to_player = to_line = math.inf
+    for px, py in defenders:
+        d = math.hypot(tx - px, ty - py)
+        if d < to_player:
+            to_player = d
+        t = 0.0 if denom == 0.0 else ((px - bx) * sx + (py - by) * sy) / denom
+        t = 0.0 if t < 0.0 else 1.0 if t > 1.0 else t  # clamped to the segment
+        d = math.hypot(bx + t * sx - px, by + t * sy - py)
+        if d < to_line:
+            to_line = d
+    rt, speed = mp.reaction_time, mp.max_speed
+    return dist_ball, rt + to_player / speed, rt + to_line / speed
 
 
-def _defenders(frame: TrackedFrame) -> list[tuple[list[float], list[float]]]:
-    """(pos, vel) of each defending player of an oriented frame, in row order."""
-    teams, xy, vxy = frame.teams.tolist(), frame.xy.tolist(), frame.vxy.tolist()
-    return [(xy[i], vxy[i]) for i, team in enumerate(teams) if team == DEFENDING]
+def _defenders(frame: TrackedFrame, mp: MotionParams) -> list[list[float]]:
+    """Predicted point (x, y) of each defender of an oriented frame, in row
+    order: its position after drifting at its velocity for the reaction time."""
+    rows = frame.teams == DEFENDING
+    return (frame.xy[rows] + frame.vxy[rows] * mp.reaction_time).tolist()
 
 
 def offball_features(
@@ -283,15 +283,10 @@ def offball_features(
     )
     if not candidates:
         return []
-    defenders = _defenders(frame)
+    defenders = _defenders(frame, mp)
     ball = frame.ball.pos.x, frame.ball.pos.y
-    # (dist_ball, time_to_player, time_to_passline): the values that need no
-    # probe. When no ranking reads a time, only the kept candidates get their
-    # times (below), and the selection sees +inf in their place.
-    later = selection is not None and _TIMES.isdisjoint(selection.rankings)
-    plain = {
-        ids[c]: receiver_variables(xy[c], ball, () if later else defenders, mp) for c in candidates
-    }
+    # (dist_ball, time_to_player, time_to_passline): the values that need no probe.
+    plain = {ids[c]: receiver_variables(xy[c], ball, defenders, mp) for c in candidates}
 
     select = None
     if selection is not None:
@@ -305,13 +300,11 @@ def offball_features(
         frame, pitch, mp, w, delta_ids=list(plain), excluded=excluded, select=select
     )
     out: list[OffBallFeatures] = []
-    for c in candidates:
-        pid = ids[c]
+    for pid, values in plain.items():
         entry = table.entries[pid]
         deltas = entry.deltas
         if deltas is None:
             continue  # no ranking of the selection keeps this candidate
-        values = receiver_variables(xy[c], ball, defenders, mp) if later else plain[pid]
         k_star = int(np.argmax(np.abs(deltas)))  # first max -> smallest direction index on ties
         out.append(OffBallFeatures(pid, entry.score, float(deltas[k_star]), *values))
     return out
@@ -331,7 +324,7 @@ def onball_features(
     ids = frame.ids
     if holder_id not in ids:
         raise ValueError(f"holder {holder_id!r} missing from frame {frame.frame_index}")
-    defenders = _defenders(frame)
+    defenders = _defenders(frame, mp)
     if not defenders:
         raise ValueError("the holder's variables need at least one defender")
     holder = frame.xy[ids.index(holder_id)].tolist()

@@ -194,7 +194,7 @@ def synthesize_match(
             raise RuntimeError("could not sample an onside receiver; config too constrained")
 
         # The values extraction gives the receiver in this (+x) layout.
-        defenders = list(zip(dfn.tolist(), def_vel.tolist()))
+        defenders = (dfn + def_vel * mp.reaction_time).tolist()
         values = receiver_variables(att[receiver].tolist(), ball_xy.tolist(), defenders, mp)
         feats = dict(zip(RULE_FEATURES, values))
         event_id = f"E{i + 1:04d}"

@@ -6,12 +6,17 @@ session and shared.
 """
 
 import hashlib
+import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pitchspace
 from pitchspace.cli import cli_dispatch
 from pitchspace.dominance import (
     ATTACKING,
@@ -337,6 +342,36 @@ def test_criterion_10_pipeline_determinism(tmp_path):
         10,
         ok,
         f"{len(d1)} artifacts byte-identical across reruns (SVG renders included)"
+        if ok
+        else f"differing artifacts: {differing[:5]}",
+    )
+
+
+def test_criterion_10_across_hash_seeds(tmp_path):
+    # The chain above runs twice under one string-hash seed, so it cannot see
+    # output that follows the iteration order of a set or dict of ids. Here
+    # the wider chain of chain_digests.py runs in two interpreters whose
+    # seeds differ, and every artifact must be the same.
+    script = Path(__file__).resolve().parents[1] / ".github" / "scripts" / "chain_digests.py"
+    src = str(Path(pitchspace.__file__).resolve().parents[1])
+    runs = []
+    for seed in ("0", "1"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+        digests = tmp_path / f"seed{seed}.json"
+        subprocess.run(
+            [sys.executable, str(script), "run", str(tmp_path / f"chain{seed}"), str(digests)],
+            env=env, check=True, capture_output=True,
+        )
+        runs.append(json.loads(digests.read_text(encoding="utf-8")))
+    a, b = runs
+    assert set(a["exit_codes"].values()) == {0}, a["exit_codes"]
+    differing = sorted(k for k in a["digests"].keys() | b["digests"].keys()
+                       if a["digests"].get(k) != b["digests"].get(k))
+    ok = not differing and "feat/features.csv" in a["digests"]
+    report(
+        10,
+        ok,
+        f"{len(a['digests'])} artifacts byte-identical under PYTHONHASHSEED 0 and 1"
         if ok
         else f"differing artifacts: {differing[:5]}",
     )

@@ -26,12 +26,13 @@ from pitchspace.features import (
     onball_features,
     orient_frame,
     passline_interception_time,
+    receiver_variables,
     select_top_n,
     EventFeatures,
     Selection,
 )
 from pitchspace.match_io import FrameMetadata, SchemaError
-from pitchspace.pitch import PitchSpec, Point2, WeightParams
+from pitchspace.pitch import MAX_COORDINATE, MAX_TRACKED_SPEED, PitchSpec, Point2, WeightParams
 from pitchspace.synth import SynthConfig, synthesize_match
 
 from conftest import find_player, frame_of, make_frame, player, with_players
@@ -81,6 +82,88 @@ class TestPasslineInterception:
             sampled = sampled_passline_time(dpos, dvel, a, b, MP)
             assert abs(analytic - sampled) < 1e-3
             assert analytic <= sampled + 1e-12  # projection is the true minimum
+
+
+def projection_passline_time(pos, vel, a, b, mp):
+    """One defender's least arrival time at segment [a, b], found at the
+    orthogonal projection of its predicted point and timed by arrival_time."""
+    (x, y), (vx, vy), (ax, ay), (bx, by) = pos, vel, a, b
+    px = x + vx * mp.reaction_time
+    py = y + vy * mp.reaction_time
+    sx, sy = bx - ax, by - ay
+    denom = sx * sx + sy * sy
+    t = 0.0 if denom == 0.0 else min(max(((px - ax) * sx + (py - ay) * sy) / denom, 0.0), 1.0)
+    return arrival_time(pos, vel, (ax + t * sx, ay + t * sy), mp)
+
+
+def oracle_receiver_variables(target, ball, defenders, mp):
+    """receiver_variables as minima of per-defender times, (pos, vel) each."""
+    dist_ball = math.hypot(ball[0] - target[0], ball[1] - target[1])
+    if not defenders:
+        return dist_ball, math.inf, math.inf
+    return (
+        dist_ball,
+        min(arrival_time(pos, vel, target, mp) for pos, vel in defenders),
+        min(projection_passline_time(pos, vel, ball, target, mp) for pos, vel in defenders),
+    )
+
+
+class TestReceiverVariablesExact:
+    """receiver_variables converts the least distance once; the result must be
+    the least of the per-defender times, bit for bit."""
+
+    LIMIT_RT = MAX_COORDINATE / MAX_TRACKED_SPEED
+    MOTIONS = [
+        pytest.param(MP, id="default"),
+        pytest.param(MotionParams(reaction_time=0.0, max_speed=1e-3), id="rt_0_slow"),
+        pytest.param(MotionParams(reaction_time=1e3, max_speed=13.0), id="rt_1e3"),
+        pytest.param(MotionParams(reaction_time=LIMIT_RT, max_speed=7.8), id="rt_limit"),
+        pytest.param(MotionParams(max_speed=1.0 / MAX_COORDINATE), id="slowest"),
+        pytest.param(MotionParams(max_speed=1e300), id="fastest"),
+    ]
+
+    @staticmethod
+    def draw(rng, kind):
+        """(target, ball, [(pos, vel)]) of one case; 0 and 1 defenders come often."""
+        if kind == "lattice":  # whole metres: equal distances and collinear points
+            def point():
+                return tuple(float(v) for v in rng.integers(-6, 7, 2))
+        elif kind == "far":
+            def point():
+                return tuple(rng.uniform(-MAX_COORDINATE, MAX_COORDINATE, 2).tolist())
+        else:
+            def point():
+                return (rng.uniform(-52.5, 52.5), rng.uniform(-34.0, 34.0))
+
+        def vel():
+            if kind == "lattice":
+                return tuple(float(v) for v in rng.integers(-2, 3, 2))
+            return tuple(rng.uniform(-MAX_TRACKED_SPEED, MAX_TRACKED_SPEED, 2).tolist())
+
+        n = int(rng.choice([0, 1, int(rng.integers(2, 12))]))
+        target = point()
+        ball = target if kind == "ball_is_target" else point()
+        return target, ball, [(point(), vel()) for _ in range(n)]
+
+    @pytest.mark.parametrize("mp", MOTIONS)
+    @pytest.mark.parametrize("kind", ["random", "lattice", "ball_is_target", "far"])
+    def test_matches_per_defender_minima_bitwise(self, mp, kind):
+        rng = np.random.default_rng(36)
+        counts = set()
+        for _ in range(400):
+            target, ball, defenders = self.draw(rng, kind)
+            counts.add(min(len(defenders), 2))
+            frame = make_frame(
+                [player(f"B{i:02d}", DEFENDING, *pos, *v) for i, (pos, v) in enumerate(defenders)]
+                + [player("A01", ATTACKING, *target)]
+            )
+            got = receiver_variables(target, ball, features._defenders(frame, mp), mp)
+            want = oracle_receiver_variables(target, ball, defenders, mp)
+            assert np.array(got).tobytes() == np.array(want).tobytes(), (target, ball, defenders)
+            for pos, v in defenders[:1]:
+                one = passline_interception_time(pos, v, ball, target, mp)
+                assert one == projection_passline_time(pos, v, ball, target, mp)
+        assert counts == {0, 1, 2}
 
 
 class TestOffballFeatures:
@@ -506,34 +589,19 @@ class TestSelectionAwareExtraction:
         assert sum(kept for _, kept in per_pass) < sum(len(ef.features) for ef in full)
 
     @pytest.mark.parametrize("variable", RANKING_VARIABLES)
-    def test_times_wait_for_the_kept_candidates_unless_ranked(
-        self, monkeypatch, match, full, variable
-    ):
-        # One passline_interception_time call per defender and candidate that
-        # gets its times: the kept ones when no ranking reads a time, else all.
+    def test_each_candidate_gets_its_values_once(self, monkeypatch, match, full, variable):
+        # One receiver_variables call per eligible candidate, before the
+        # selection, whatever the ranking reads.
         calls = []
-        real = features.passline_interception_time
+        real = features.receiver_variables
 
         def counted(*args):
             calls.append(1)
             return real(*args)
 
-        monkeypatch.setattr(features, "passline_interception_time", counted)
-        frames, events = match
-        frame_by_index = {f.frame_index: f for f in frames}
-        selection = Selection(3, (variable,))
-        passes = [ev for ev in events if ev.type == "pass"]
-        assert len(passes) == len(full)
-        ranked = variable.startswith("time_")
-        every = 0  # the calls that timing every candidate makes
-        for ev, ef_full in zip(passes, full):
-            frame = orient_frame(frame_by_index[ev.frame], ev.team)
-            defenders = int(np.count_nonzero(frame.teams == DEFENDING))
-            start = len(calls)
-            kept = offball_features(frame, ev.player, PITCH, MP, W, selection)
-            assert len(calls) - start == len(ef_full.features if ranked else kept) * defenders
-            every += len(ef_full.features) * defenders
-        assert (len(calls) == every) == ranked
+        monkeypatch.setattr(features, "receiver_variables", counted)
+        build_dataset([match], 3, variable, PITCH, MP, W)
+        assert len(calls) == sum(len(ef.features) for ef in full)
 
     @pytest.mark.parametrize("defenders", [3, 10])
     def test_ranking_values_are_all_finite_or_all_infinite_per_pass(self, defenders):

@@ -4,9 +4,10 @@ whatever a feature table holds, the commands that read it exit 0 or with a
 data error that names it; whatever an events file holds, the commands
 that read a match exit 0 or 2, `segment`'s data errors naming the file; and
 whatever a model's node tables hold, `eval` and `explain` exit 0, with
-finite attributions, or with a data error that names the model; and
+finite attributions, or with a data error that names the model;
 whatever the players' positions, the dominance partition is the full-grid
-oracle's, bit for bit.
+oracle's, bit for bit; and a match's features.csv keeps its bytes when each
+frame's player rows are reversed or the match is mirrored in x.
 
 Runs are derandomized and small, so the suite stays deterministic and quick.
 """
@@ -15,6 +16,7 @@ import csv
 import json
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,10 +31,11 @@ from pitchspace.dominance import (  # noqa: E402
     _partition,
     compute_dominance_grid,
 )
-from pitchspace.features import PassSampleTable  # noqa: E402
+from pitchspace.features import RANKING_VARIABLES, PassSampleTable, build_dataset  # noqa: E402
 from pitchspace.gbdt import GbdtHyperParams, save_model, train_gbdt  # noqa: E402
-from pitchspace.match_io import MAX_PLAYERS, SchemaError, load_tracking  # noqa: E402
-from pitchspace.pitch import MAX_COORDINATE, PitchSpec  # noqa: E402
+from pitchspace.match_io import MAX_PLAYERS, SchemaError, TrackedFrame, load_tracking  # noqa: E402
+from pitchspace.pitch import MAX_COORDINATE, Ball, PitchSpec, Point2, WeightParams  # noqa: E402
+from pitchspace.synth import SynthConfig, synthesize_match  # noqa: E402
 
 from conftest import make_frame, player  # noqa: E402
 from test_dominance import oracle_partition  # noqa: E402
@@ -403,3 +406,76 @@ def test_partition_matches_the_oracle_bitwise():
 
     check()
     assert sum(exact_ties) > 0
+
+
+# ---------------------------------------------------------------------------
+# Metamorphic relations of feature extraction: a match and its transform must
+# give the same features.csv bytes.
+# ---------------------------------------------------------------------------
+
+MATCH_PITCH = PitchSpec(grid_cell=2.0)
+
+
+@st.composite
+def synthetic_matches(draw):
+    """(frames, events, n, ranking variable) of a small synthetic match whose
+    passes go to both teams. When the draw says so, the players stand still
+    on whole metres, so that cells equidistant from two players are common."""
+    config = SynthConfig(passes=60, opponent_pass_rate=0.3)
+    frames, events, _ = synthesize_match(config, draw(st.integers(0, 2**16)))
+    if draw(st.booleans()):
+        frames = [f.with_players(xy=np.round(f.xy), vxy=np.zeros_like(f.vxy)) for f in frames]
+    return frames, events, draw(st.integers(1, 4)), draw(st.sampled_from(RANKING_VARIABLES))
+
+
+def features_csv(tmp_path, frames, events, n, ranking) -> bytes:
+    table, _ = build_dataset([(frames, events)], n, ranking, MATCH_PITCH, MotionParams(), WeightParams())
+    table.to_csv(tmp_path / "features.csv")
+    return (tmp_path / "features.csv").read_bytes()
+
+
+def reversed_rows(frame: TrackedFrame) -> TrackedFrame:
+    """The frame with its player rows in reverse file order."""
+    return TrackedFrame(
+        frame.frame_index, frame.time, frame.ball, frame.ids[::-1], frame.teams[::-1],
+        frame.xy[::-1], frame.vxy[::-1], frame.metadata, frame.extras,
+    )
+
+
+def mirrored_frame(frame: TrackedFrame) -> TrackedFrame:
+    """The frame mirrored in x, the other team now attacking right."""
+    other = ({"A", "B"} - {frame.metadata.attacks_right_team}).pop()
+    pos, vel = frame.ball.pos, frame.ball.vel
+    mirrored = frame.with_players(
+        xy=frame.xy * (-1.0, 1.0),
+        vxy=frame.vxy * (-1.0, 1.0),
+        ball=Ball(Point2(-pos.x, pos.y), Point2(-vel.x, vel.y)),
+    )
+    return replace(mirrored, metadata=replace(frame.metadata, attacks_right_team=other))
+
+
+RELATION_SETTINGS = settings(
+    max_examples=12,
+    derandomize=True,
+    database=None,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+
+
+@RELATION_SETTINGS
+@given(match=synthetic_matches())
+def test_features_ignore_the_order_of_player_rows(tmp_path, match):
+    frames, events, n, ranking = match
+    want = features_csv(tmp_path, frames, events, n, ranking)
+    assert features_csv(tmp_path, [reversed_rows(f) for f in frames], events, n, ranking) == want
+
+
+@RELATION_SETTINGS
+@given(match=synthetic_matches())
+def test_features_ignore_a_mirror_in_x(tmp_path, match):
+    frames, events, n, ranking = match
+    want = features_csv(tmp_path, frames, events, n, ranking)
+    mirrored_events = [replace(e, pos=Point2(-e.pos.x, e.pos.y)) for e in events]
+    got = features_csv(tmp_path, [mirrored_frame(f) for f in frames], mirrored_events, n, ranking)
+    assert got == want

@@ -751,6 +751,26 @@ class TestCli:
         assert rows[1].split()[0] == "custom"
         assert not any(row.startswith("n=") for row in rows)
 
+    @pytest.mark.parametrize("command", ["eval", "explain"])
+    @pytest.mark.parametrize("table", ["swapped_names", "five_columns"])
+    def test_model_commands_refuse_a_table_of_other_columns(
+        self, trained, tmp_path, capsys, command, table
+    ):
+        # Either table would be read by position against the model's columns.
+        t = PassSampleTable.from_csv(trained / "features.csv")
+        if table == "swapped_names":
+            t.columns[:2] = t.columns[1::-1]
+        else:
+            t = PassSampleTable(t.event_ids, t.labels, t.columns[:5], t.raw[:, :5])
+        features = tmp_path / "features.csv"
+        t.to_csv(features)
+        out = tmp_path / "out"
+        rc = cli_dispatch([command, "--model", str(trained / "model.json"),
+                           "--features", str(features), "--out", str(out)])
+        assert rc == 2
+        assert f"data error: {features}: feature columns [" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_cyclic_model_exits_2(self, tmp_path, capsys):
         # Node 1 routes back to node 0, so traversal would never reach a leaf.
         cyclic = Tree([0, 0], [0.5, 0.5], [1, 0], [1, 0], [0.0, 0.0], [2, 2])
@@ -1269,6 +1289,20 @@ class TestSyncWorkflow:
                            "--events", str(tmp_path / "synced" / "events.jsonl"),
                            "--out", str(tmp_path / "feat")])
         assert rc == 0
+
+    def test_sync_names_the_tracking_file(self, workspace, tmp_path, capsys):
+        # Every frame at one timestamp: the kickoff window cannot be differentiated.
+        root, cfg = workspace
+        m = root / "match"
+        tracking = tmp_path / "tracking.jsonl"
+        with open(tracking, "w", encoding="utf-8") as fh:
+            for line in (m / "tracking.jsonl").read_text(encoding="utf-8").splitlines():
+                fh.write(json.dumps({**json.loads(line), "time": 0.0}) + "\n")
+        rc = cli_dispatch(["sync", "--config", str(cfg), "--tracking", str(tracking),
+                           "--events", str(m / "events.jsonl"), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert (f"data error: {tracking}: frame timestamps must be strictly increasing"
+                in capsys.readouterr().err)
 
     def test_matches_directory_mode(self, tmp_path):
         cfg = tmp_path / "run.cfg"
