@@ -112,15 +112,6 @@ class SpaceScoreTable:
         return iter(self.entries.values())
 
 
-def arrival_time(pos, vel, target, mp: MotionParams) -> float:
-    """Time from `pos` at velocity `vel` to `target`, each an (x, y) pair: drift
-    at current velocity for the reaction time, then run straight at max speed."""
-    (x, y), (vx, vy), (tx, ty) = pos, vel, target
-    px = x + vx * mp.reaction_time
-    py = y + vy * mp.reaction_time
-    return mp.reaction_time + math.hypot(tx - px, ty - py) / mp.max_speed
-
-
 def _sorted_eligible(frame: "TrackedFrame", excluded: Iterable[str]) -> list[int]:
     """Rows of the players not in `excluded`, in ascending id order."""
     excluded = frozenset(excluded)
@@ -153,16 +144,18 @@ def _first_arrival(q: np.ndarray, xs: np.ndarray, ys: np.ndarray, skip: int) -> 
 # same correctly rounded, monotone steps as a cell's computed dx2 + dy2: so
 # they bound it below and above, bitwise, for every cell of the tile.
 #
-# _partition keeps the two smallest squared distances per cell: best, and
-# second, which the probe kernel needs on the nearest player's own cells. In
-# _column_spans, ub2 is a tile's second smallest upper bound over the
-# players: two players reach every cell of the tile at or below it, so every
-# cell's final second smallest squared distance is <= ub2. A player whose
-# lower bound is > ub2 is strictly above that second everywhere in the tile,
-# so its update there changes neither of the two smallest nor the
-# first-argmin index. Each player's span is the hull of the tile columns
-# where it is not, and it updates only those columns (all of them with a
-# single player).
+# _partition keeps the k smallest squared distances per cell, k chosen by the
+# caller: best alone (k = 1) for the owner, which render and the space scores
+# need, and best and second (k = 2) for the probe kernel, which needs second
+# on the nearest player's own cells. In _column_spans, ubk is a tile's k-th
+# smallest upper bound over the players: k players reach every cell of the
+# tile at or below it, so every cell's final k-th smallest squared distance is
+# <= ubk. A player whose lower bound is > ubk is strictly above that k-th
+# smallest everywhere in the tile, so its update there changes none of the k
+# smallest nor the first-argmin index: with k = 1 it can neither own nor tie a
+# cell there. Each player's span is the hull of the tile columns where it is
+# not, and it updates only those columns (all of them with fewer than k
+# players).
 # ---------------------------------------------------------------------------
 
 _TILE = 8  # cells per side of the bounding tiles
@@ -194,13 +187,14 @@ def _tile_d2(q: np.ndarray, pitch: PitchSpec) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
-def _column_spans(q: np.ndarray, pitch: PitchSpec) -> list[slice]:
+def _column_spans(q: np.ndarray, pitch: PitchSpec, k: int) -> list[slice]:
     """Per predicted point (rows of q), the cell columns outside which its
-    squared distance is above every cell's second smallest (see above)."""
+    squared distance is above every cell's k-th smallest (see above)."""
     lb, ub = _tile_d2(q, pitch)
-    # ub2: knock each tile's smallest ub out; +inf with a single point.
+    # ubk: knock each tile's k - 1 smallest ub out; +inf with fewer than k points.
     ub = ub.reshape(len(q), -1)
-    ub[ub.argmin(axis=0), np.arange(ub.shape[1])] = np.inf
+    for _ in range(k - 1):
+        ub[ub.argmin(axis=0), np.arange(ub.shape[1])] = np.inf
     kept = (lb <= ub.min(axis=0).reshape(lb.shape[1:])).any(axis=1)
     # The hull of each point's kept tile columns; empty (start > stop) if none.
     cols = np.arange(kept.shape[1])
@@ -213,35 +207,39 @@ def _fold(
     j: int,
     d2: np.ndarray,
     best: np.ndarray,
-    second: np.ndarray,
+    second: np.ndarray | None,
     owner: np.ndarray,
     beats_best: np.ndarray,
 ) -> None:
-    """Fold player j's squared distances d2 into the two smallest per cell and
-    the index of the first, in place. The index moves only where d2 is
-    strictly smaller."""
+    """Fold player j's squared distances d2 into the smallest per cell, the
+    second smallest unless `second` is None, and the index of the first, in
+    place. The index moves only where d2 is strictly smaller."""
     np.less(d2, best, out=beats_best)
-    # best <= second, so min(second, max(best, d2)) is max(best, min(second,
-    # d2)): no scratch grid.
-    np.minimum(second, d2, out=second)
-    np.maximum(second, best, out=second)
+    if second is not None:
+        # best <= second, so min(second, max(best, d2)) is max(best,
+        # min(second, d2)): no scratch grid.
+        np.minimum(second, d2, out=second)
+        np.maximum(second, best, out=second)
     np.minimum(best, d2, out=best)
     np.copyto(owner, j, where=beats_best)
 
 
-def _partition(q: np.ndarray, pitch: PitchSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Nearest and second-nearest predicted point per cell centre, over the
-    points q (P, 2) of the id-sorted players, at most MAX_PLAYERS of them.
+def _partition(
+    q: np.ndarray, pitch: PitchSpec, k: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Nearest predicted point per cell centre, and with k = 2 the
+    second-nearest squared distance, over the points q (P, 2) of the id-sorted
+    players, at most MAX_PLAYERS of them.
 
     Returns (owner, best, second), each of shape (ny, nx): the C-contiguous
-    uint8 index of the nearest point, its squared distance, and the second
-    smallest squared distance (+inf if nobody else); best and second are
-    views of transposed grids. Only a strictly smaller squared distance moves
-    the owner: exact ties keep the smaller id.
+    uint8 index of the nearest point, its squared distance, and, for k = 2,
+    the second smallest squared distance (+inf if nobody else), None for
+    k = 1; best and second are views of transposed grids. Only a strictly
+    smaller squared distance moves the owner: exact ties keep the smaller id.
 
     Each player updates only its column span (see _column_spans): outside it
-    the player cannot be one of a cell's two nearest, so its update there
-    would change nothing. The grids are worked on transposed, (nx, ny), so
+    the player cannot be one of a cell's k nearest, so its update there would
+    change nothing. The grids are worked on transposed, (nx, ny), so
     that a span is one contiguous block.
     """
     if not len(q):
@@ -257,22 +255,24 @@ def _partition(q: np.ndarray, pitch: PitchSpec) -> tuple[np.ndarray, np.ndarray,
     dx2 *= dx2
     dy2 = ys - qy[:, np.newaxis]
     dy2 *= dy2
-    spans = _column_spans(q, pitch)
+    spans = _column_spans(q, pitch, k)
     shape = (len(xs), len(ys))  # transposed: a column span is one block
     owner = np.empty(shape[::-1], dtype=np.uint8)
     # The transposed work grids. The masks live in owner's buffer until it is
     # laid out.
     d2 = np.empty(shape)
     mask = owner.view(bool).reshape(shape)
-    best, second = np.full((2, *shape), np.inf)
+    best = np.full(shape, np.inf)
+    second = np.full(shape, np.inf) if k == 2 else None
     owner_t = np.zeros(shape, dtype=np.uint8)
     for j, cols in enumerate(spans):
         span = d2[cols]
         np.copyto(span, dy2[j])
         span += dx2[j, cols, np.newaxis]  # the same sum as dx2 + dy2
-        _fold(j, span, best[cols], second[cols], owner_t[cols], mask[cols])
+        second_span = None if second is None else second[cols]
+        _fold(j, span, best[cols], second_span, owner_t[cols], mask[cols])
     np.copyto(owner, owner_t.T)
-    return owner, best.T, second.T
+    return owner, best.T, None if second is None else second.T
 
 
 def compute_dominance_grid(
@@ -288,7 +288,7 @@ def compute_dominance_grid(
     """
     rows = _sorted_eligible(frame, excluded)
     q = frame.xy[rows] + frame.vxy[rows] * mp.reaction_time
-    owner, _, _ = _partition(q, pitch)
+    owner, _, _ = _partition(q, pitch, 1)
     return DominanceField(pitch, [frame.ids[i] for i in rows], owner)
 
 
@@ -534,7 +534,7 @@ def batch_scores_with_deltas(
     rows = _sorted_eligible(frame, excluded)
     xy, vxy = frame.xy[rows], frame.vxy[rows]
     points = xy + vxy * mp.reaction_time
-    owner, best, second = _partition(points, pitch)
+    owner, best, second = _partition(points, pitch, 2)
     field_ = DominanceField(pitch, [frame.ids[i] for i in rows], owner)
     table = space_scores(field_, frame, w)
     if select is not None:

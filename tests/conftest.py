@@ -1,9 +1,21 @@
+import math
+
 import numpy as np
 import pytest
 
 from pitchspace.dominance import ATTACKING, DEFENDING
 from pitchspace.match_io import Ball, FrameMetadata, PlayerState, TrackedFrame
 from pitchspace.pitch import Point2
+
+
+def arrival_time(pos, vel, target, mp):
+    """One-player arrival oracle: the time from `pos` at velocity `vel` to
+    `target`, each an (x, y) pair, drifting at the current velocity for the
+    reaction time, then running straight at max speed."""
+    (x, y), (vx, vy), (tx, ty) = pos, vel, target
+    px = x + vx * mp.reaction_time
+    py = y + vy * mp.reaction_time
+    return mp.reaction_time + math.hypot(tx - px, ty - py) / mp.max_speed
 
 
 def frame_of(players, ball, frame_index=0, time=0.0, metadata=None):

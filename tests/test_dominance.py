@@ -10,7 +10,6 @@ from pitchspace.dominance import (
     DEFENDING,
     DIRECTIONS_8,
     MotionParams,
-    arrival_time,
     batch_scores_with_deltas,
     compute_dominance_grid,
     directional_space_deltas,
@@ -28,7 +27,9 @@ from pitchspace.pitch import (
     MAX_COORDINATE, MAX_TRACKED_SPEED, PitchSpec, Point2, WeightParams, weight_grid,
 )
 
-from conftest import find_player, make_frame, player, random_frame, with_players
+from conftest import (
+    arrival_time, find_player, make_frame, player, random_frame, with_players,
+)
 
 PITCH = PitchSpec()
 MP = MotionParams()
@@ -267,7 +268,7 @@ class TestDominanceGrid:
             frame = random_frame(rng)
             field = compute_dominance_grid(frame, PITCH, MP)
             assert sum(field.owned_cell_counts().values()) == PITCH.nx * PITCH.ny
-            _, best, second = _partition(frame.xy + frame.vxy * MP.reaction_time, PITCH)
+            _, best, second = _partition(frame.xy + frame.vxy * MP.reaction_time, PITCH, 2)
             assert np.all(best >= 0.0)
             assert np.all(second >= best)
 
@@ -352,19 +353,23 @@ SWEEP_MOTIONS = [
 class TestColumnBandPartition:
     # 0.75 m gives ragged tiles on both axes (140 x 91 cells), 1.0 m on both
     # (105 x 68), 0.5 m on x only (210 x 136).
+    @pytest.mark.parametrize("k", [1, 2])
     @pytest.mark.parametrize("mp", SWEEP_MOTIONS)
     @pytest.mark.parametrize("grid_cell", [0.5, 0.75, 1.0])
     @pytest.mark.parametrize("case", PARTITION_CASES)
-    def test_partition_matches_full_grid_oracle(self, grid_cell, case, mp):
+    def test_partition_matches_full_grid_oracle(self, grid_cell, case, mp, k):
+        # k = 1 keeps the owner and best alone (second is None), k = 2 all three.
         pitch = PitchSpec(grid_cell=grid_cell)
         xs, ys = pitch.cell_centers()
         rng = np.random.default_rng([2026, PARTITION_CASES.index(case), int(grid_cell * 4)])
         for _ in range(3):
             xy, vxy = partition_players(rng, case, pitch)
-            got = _partition(xy + vxy * mp.reaction_time, pitch)
+            got = _partition(xy + vxy * mp.reaction_time, pitch, k)
             assert len(got) == 3
             want = oracle_partition(xy, vxy, pitch, mp)
-            for g, w in zip(got, want):
+            if k == 1:
+                assert got[2] is None
+            for g, w in zip(got[:k + 1], want):
                 assert g.shape == (pitch.ny, pitch.nx)
                 assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
             assert got[0].flags.c_contiguous
@@ -381,20 +386,23 @@ class TestColumnBandPartition:
         # The owner grid is uint8: an index past MAX_PLAYERS is refused, never wrapped.
         rng = np.random.default_rng(2034)
         xy = rng.uniform(-50, 50, (MAX_PLAYERS + 1, 2))
-        owner, _, _ = _partition(xy[:MAX_PLAYERS], PITCH)
-        assert owner.dtype == np.uint8 and owner.max() == MAX_PLAYERS - 1
-        with pytest.raises(ValueError, match="23 eligible players exceeds the 22-player bound"):
-            _partition(xy, PITCH)
+        for k in (1, 2):
+            owner, _, _ = _partition(xy[:MAX_PLAYERS], PITCH, k)
+            assert owner.dtype == np.uint8 and owner.max() == MAX_PLAYERS - 1
+            with pytest.raises(ValueError, match="23 eligible players exceeds the 22-player bound"):
+                _partition(xy, PITCH, k)
         frame = make_frame([player(f"A{i:02d}", ATTACKING, x, y) for i, (x, y) in enumerate(xy)])
         with pytest.raises(ValueError, match="exceeds the 22-player bound"):
             compute_dominance_grid(frame, PITCH, MP)
 
+    @pytest.mark.parametrize("k", [1, 2])
     @pytest.mark.parametrize("mp", SWEEP_MOTIONS)
     @pytest.mark.parametrize("grid_cell", [0.5, 0.75, 1.0])
     @pytest.mark.parametrize("case", PARTITION_CASES)
-    def test_players_outside_their_span_are_above_second(self, grid_cell, case, mp):
+    def test_players_outside_their_span_are_above_second(self, grid_cell, case, mp, k):
         # Outside its span a player's squared distance is strictly above the
-        # cell's final second smallest, so skipping it there changes nothing.
+        # cell's final k-th smallest (best for k = 1, second for k = 2), so
+        # skipping it there changes nothing.
         pitch = PitchSpec(grid_cell=grid_cell)
         xs, ys = pitch.cell_centers()
         rng = np.random.default_rng([2027, PARTITION_CASES.index(case), int(grid_cell * 4)])
@@ -404,14 +412,34 @@ class TestColumnBandPartition:
             dx2 = (xs - q[:, :1]) ** 2
             dy2 = (ys - q[:, 1:]) ** 2
             d2 = dx2[:, np.newaxis, :] + dy2[:, :, np.newaxis]
-            second = np.sort(d2, axis=0)[1] if len(q) >= 2 else np.full(d2.shape[1:], np.inf)
-            spans = _column_spans(q, pitch)
+            kth = np.sort(d2, axis=0)[k - 1] if len(q) >= k else np.full(d2.shape[1:], np.inf)
+            spans = _column_spans(q, pitch, k)
             assert len(spans) == len(q)
             for j, span in enumerate(spans):
                 outside = np.ones(pitch.nx, dtype=bool)
                 outside[span] = False
-                assert (d2[j][:, outside] > second[:, outside]).all(), (j, span)
-                assert len(q) >= 2 or not outside.any()  # no second: full width
+                assert (d2[j][:, outside] > kth[:, outside]).all(), (j, span)
+                assert len(q) >= k or not outside.any()  # no k-th: full width
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("grid_cell", [0.5, 0.75])
+    @pytest.mark.parametrize("case", PARTITION_CASES)
+    def test_spans_are_the_hull_of_the_tiles_under_the_kth_bound(self, grid_cell, case, k):
+        # A span is no wider than it must be: it is the hull of the tile
+        # columns where the player's lower bound is <= the tile's k-th
+        # smallest upper bound (found here by sorting).
+        pitch = PitchSpec(grid_cell=grid_cell)
+        rng = np.random.default_rng([2028, PARTITION_CASES.index(case), int(grid_cell * 4)])
+        for _ in range(3):
+            xy, vxy = partition_players(rng, case, pitch)
+            q = xy + vxy * MP.reaction_time
+            lb, ub = dominance._tile_d2(q, pitch)
+            ubk = np.sort(ub, axis=0)[k - 1] if len(q) >= k else np.full(ub.shape[1:], np.inf)
+            spans = _column_spans(q, pitch, k)
+            for j, span in enumerate(spans):
+                cols = np.flatnonzero((lb[j] <= ubk).any(axis=0))
+                start, stop = (cols[0] * _TILE, (cols[-1] + 1) * _TILE) if cols.size else (0, 0)
+                assert range(pitch.nx)[span] == range(pitch.nx)[start:stop], (j, span)
 
 
 class TestSpaceScores:
@@ -609,7 +637,7 @@ class TestDirectionalDeltas:
         candidates = sorted(p.player_id for p in frame.players if p.player_id not in excluded)
         ids, owner, best, _, second = oracle_distance_stack(frame, pitch, MP, excluded)
         rows = [frame.ids.index(pid) for pid in ids]
-        got_partition = _partition(frame.xy[rows] + frame.vxy[rows] * MP.reaction_time, pitch)
+        got_partition = _partition(frame.xy[rows] + frame.vxy[rows] * MP.reaction_time, pitch, 2)
         for got, want in zip(got_partition, (owner, best, second)):
             assert got.tobytes() == want.astype(got.dtype).tobytes()
         field = compute_dominance_grid(frame, pitch, MP, excluded)
@@ -721,7 +749,7 @@ class TestDirectionalDeltas:
         ids, want, best, second_idx, second = oracle_distance_stack(frame, PITCH, MP)
         assert np.any(rounding_tie & (want == 2) & (second_idx == 1))
         rows = [frame.ids.index(pid) for pid in ids]
-        got_partition = _partition(frame.xy[rows] + frame.vxy[rows] * MP.reaction_time, PITCH)
+        got_partition = _partition(frame.xy[rows] + frame.vxy[rows] * MP.reaction_time, PITCH, 2)
         assert len(got_partition) == 3
         for got, w in zip(got_partition, (want, best, second)):
             assert got.tobytes() == w.astype(got.dtype).tobytes()

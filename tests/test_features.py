@@ -8,7 +8,6 @@ from pitchspace.dominance import (
     ATTACKING,
     DEFENDING,
     MotionParams,
-    arrival_time,
     directional_space_deltas,
 )
 from pitchspace.features import (
@@ -35,7 +34,7 @@ from pitchspace.match_io import FrameMetadata, SchemaError
 from pitchspace.pitch import MAX_COORDINATE, MAX_TRACKED_SPEED, PitchSpec, Point2, WeightParams
 from pitchspace.synth import SynthConfig, synthesize_match
 
-from conftest import find_player, frame_of, make_frame, player, with_players
+from conftest import arrival_time, find_player, frame_of, make_frame, player, with_players
 
 PITCH = PitchSpec(grid_cell=1.0)  # coarse grid keeps feature tests quick
 MP = MotionParams()

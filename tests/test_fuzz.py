@@ -6,8 +6,9 @@ that read a match exit 0 or 2, `segment`'s data errors naming the file; and
 whatever a model's node tables hold, `eval` and `explain` exit 0, with
 finite attributions, or with a data error that names the model;
 whatever the players' positions, the dominance partition is the full-grid
-oracle's, bit for bit; and a match's features.csv keeps its bytes when each
-frame's player rows are reversed or the match is mirrored in x.
+oracle's, bit for bit; and a match's features.csv and its rendered SVGs keep
+their bytes when each frame's player rows are reversed or the match is
+mirrored in x.
 
 Runs are derandomized and small, so the suite stays deterministic and quick.
 """
@@ -30,11 +31,19 @@ from pitchspace.dominance import (  # noqa: E402
     MotionParams,
     _partition,
     compute_dominance_grid,
+    offside_positions,
+    space_scores,
 )
-from pitchspace.features import RANKING_VARIABLES, PassSampleTable, build_dataset  # noqa: E402
+from pitchspace.features import (  # noqa: E402
+    RANKING_VARIABLES,
+    PassSampleTable,
+    build_dataset,
+    orient_frame,
+)
 from pitchspace.gbdt import GbdtHyperParams, save_model, train_gbdt  # noqa: E402
 from pitchspace.match_io import MAX_PLAYERS, SchemaError, TrackedFrame, load_tracking  # noqa: E402
 from pitchspace.pitch import MAX_COORDINATE, Ball, PitchSpec, Point2, WeightParams  # noqa: E402
+from pitchspace.render_svg import RenderOptions, render_frame_svg  # noqa: E402
 from pitchspace.synth import SynthConfig, synthesize_match  # noqa: E402
 
 from conftest import make_frame, player  # noqa: E402
@@ -396,9 +405,13 @@ def test_partition_matches_the_oracle_bitwise():
     def check(case):
         pitch, mp, xy, vxy = case
         want = oracle_partition(xy, vxy, pitch, mp)
-        got = _partition(xy + vxy * mp.reaction_time, pitch)
+        q = xy + vxy * mp.reaction_time
+        got = _partition(q, pitch, 2)
         for g, w in zip(got, want):
             assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+        owner, best, second = _partition(q, pitch, 1)
+        assert owner.tobytes() == want[0].tobytes() and best.tobytes() == want[1].tobytes()
+        assert second is None
         exact_ties.append(int((got[1] == got[2]).sum()))
         rows = np.hstack([xy, vxy]).tolist()
         frame = make_frame([player(f"P{i:02d}", ATTACKING, *row) for i, row in enumerate(rows)])
@@ -479,3 +492,42 @@ def test_features_ignore_a_mirror_in_x(tmp_path, match):
     mirrored_events = [replace(e, pos=Point2(-e.pos.x, e.pos.y)) for e in events]
     got = features_csv(tmp_path, [mirrored_frame(f) for f in frames], mirrored_events, n, ranking)
     assert got == want
+
+
+# ---------------------------------------------------------------------------
+# Metamorphic relations of rendering: a match and its transform must give the
+# same SVG bytes for every pass frame.
+# ---------------------------------------------------------------------------
+
+
+def pass_frame_svgs(frames, events) -> list[str]:
+    """The SVG text of each pass frame, oriented for the passing team, with
+    the region boundaries drawn."""
+    by_index = {f.frame_index: f for f in frames}
+    opts = RenderOptions(show_voronoi_boundaries=True)
+    docs = []
+    for e in events:
+        if e.type != "pass":
+            continue
+        oriented = orient_frame(by_index[e.frame], e.team)
+        excluded = offside_positions(oriented)
+        field_ = compute_dominance_grid(oriented, MATCH_PITCH, MotionParams(), excluded)
+        scores = space_scores(field_, oriented, WeightParams())
+        docs.append(render_frame_svg(oriented, scores, field_, opts))
+    return docs
+
+
+@RELATION_SETTINGS
+@given(match=synthetic_matches())
+def test_render_ignores_the_order_of_player_rows(match):
+    frames, events, *_ = match
+    want = pass_frame_svgs(frames, events)
+    assert want and pass_frame_svgs([reversed_rows(f) for f in frames], events) == want
+
+
+@RELATION_SETTINGS
+@given(match=synthetic_matches())
+def test_render_ignores_a_mirror_in_x(match):
+    frames, events, *_ = match
+    want = pass_frame_svgs(frames, events)
+    assert want and pass_frame_svgs([mirrored_frame(f) for f in frames], events) == want
