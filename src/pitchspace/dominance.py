@@ -425,9 +425,20 @@ def offside_line(defender_xs, ball_x: float) -> float:
 #
 # space_scores adds each player's weights in row-major grid order from 0.0,
 # so each probe must add its won weights in row-major box order from 0.0 (the
-# cells outside the box add nothing). One weighted bincount over the won
-# (cell, probe) pairs, taken cell-major at cell * 8 + k, does that for all 8.
+# cells outside the box add nothing). _won_sums takes the box's cells in
+# blocks of _SUM_BLOCK rows and the won (cell, probe) pairs of each block
+# cell-major, at cell * 8 + k: a weighted bincount adds the first block's
+# pairs from 0.0, and np.add.at continues every probe's sum with each later
+# block's, in the same left-to-right order, so the sums keep their bits. The
+# pair index and weight arrays, 32 B per won pair, are then bounded by one
+# block (about 1 MB) and not by the box, which at a fine grid can hold most
+# of the pitch. The sums are cast to float64 after the bincount: on a block
+# with no won pair it returns int64 zeros even with weights, into which
+# np.add.at would add truncated.
 # ---------------------------------------------------------------------------
+
+_SUM_BLOCK = 4096  # box cells per block of won pairs
+
 
 def _tile_max(best: np.ndarray) -> np.ndarray:
     """Per-tile max of `best`, shape (ceil(ny / _TILE), ceil(nx / _TILE))."""
@@ -501,10 +512,15 @@ def _probe_deltas(
 
 
 def _won_sums(won: np.ndarray, weight: np.ndarray) -> np.ndarray:
-    """Per probe k, the sum of `weight` over the cells where won[:, k], added
-    in cell order from 0.0: one bincount over the won pairs at cell * 8 + k."""
-    pairs = np.flatnonzero(won)
-    return np.bincount(pairs & 7, weights=weight[pairs >> 3], minlength=8)
+    """Per probe k, the float64 sum of `weight` over the cells where won[:, k],
+    added in cell order from 0.0, one block of _SUM_BLOCK cells at a time
+    (see above)."""
+    pairs = np.flatnonzero(won[:_SUM_BLOCK])
+    sums = np.bincount(pairs & 7, weights=weight[pairs >> 3], minlength=8).astype(float)
+    for start in range(_SUM_BLOCK, len(won), _SUM_BLOCK):
+        pairs = np.flatnonzero(won[start : start + _SUM_BLOCK])
+        np.add.at(sums, pairs & 7, weight[start + (pairs >> 3)])
+    return sums
 
 
 def batch_scores_with_deltas(

@@ -1,3 +1,5 @@
+import gc
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -15,6 +17,7 @@ from pitchspace.dominance import (
     directional_space_deltas,
     offside_positions,
     space_scores,
+    _SUM_BLOCK,
     _TILE,
     _column_spans,
     _partition,
@@ -135,6 +138,17 @@ def oracle_deltas(frame, pid, pitch, mp, w, excluded):
         players = [replace(p, pos=moved) if p.player_id == pid else p for p in frame.players]
         deltas[k] = score(with_players(frame, players)) - base
     return deltas
+
+
+def oracle_won_sums(won, weight):
+    """Per probe k, the weights of the cells where won[:, k], added one by
+    one in cell order from 0.0 in Python floats."""
+    sums = [0.0] * 8
+    for row, w in zip(won.tolist(), weight.tolist()):
+        for k, hit in enumerate(row):
+            if hit:
+                sums[k] += w
+    return np.array(sums)
 
 
 def oracle_probe_box(pitch, best, player, mp):
@@ -914,6 +928,53 @@ class TestDirectionalDeltas:
             # the order matters: the reversed order rounds differently
             reverse = np.cumsum(np.where(won.T, weight, 0.0)[:, ::-1], axis=1)[:, -1]
             assert reverse.tobytes() != want.tobytes()
+
+    @pytest.mark.parametrize(
+        "n", [0, 1, _SUM_BLOCK - 1, _SUM_BLOCK, _SUM_BLOCK + 1, 3 * _SUM_BLOCK + 5]
+    )
+    @pytest.mark.parametrize("case", ["random", "first_block_lost", "all_false"])
+    def test_won_sums_match_python_sum_across_blocks(self, rng, n, case):
+        # The won pairs are summed one block of _SUM_BLOCK cells at a time:
+        # each probe's sum must still be the one left-to-right sum over all
+        # cells, bit for bit, and float64 even when nothing is won.
+        won = rng.uniform(size=(n, 8)) < 0.6
+        if case == "first_block_lost":
+            won[:_SUM_BLOCK] = False
+        elif case == "all_false":
+            won[:] = False
+        weight = rng.uniform(0.0, 1.0, n)
+        got = _won_sums(won, weight)
+        assert got.dtype == np.float64
+        assert got.tobytes() == oracle_won_sums(won, weight).tobytes()
+
+    def test_probe_memory_scales_with_the_sum_block_not_the_box(self, monkeypatch):
+        # A1 owns most of a 0.25 m grid, so all 8 probes win nearly every
+        # cell of its box. The won pairs, 32 B each in the sums, are held one
+        # block at a time, so the traced peak stays within 64 B per box cell
+        # plus 1.5 MB. A first call fills the caches kept per pitch.
+        pitch = PitchSpec(grid_cell=0.25)
+        frame = make_frame(
+            [
+                player("A1", ATTACKING, 0.0, 0.0),
+                player("A2", ATTACKING, -50.0, 32.0),
+                player("B1", DEFENDING, 50.0, -32.0),
+            ],
+            ball_pos=(0.0, 0.0),
+        )
+        boxes = recorded_probe_boxes(monkeypatch)
+        want = batch_scores_with_deltas(frame, pitch, MP, W, ["A1"]).entries["A1"].deltas
+        (rows, cols), = boxes
+        box_cells = len(range(*rows.indices(pitch.ny))) * len(range(*cols.indices(pitch.nx)))
+        assert box_cells >= pitch.nx * pitch.ny / 2
+        gc.collect()
+        tracemalloc.start()
+        try:
+            table = batch_scores_with_deltas(frame, pitch, MP, W, ["A1"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table.entries["A1"].deltas.tobytes() == want.tobytes()
+        assert peak <= 64 * box_cells + 1.5e6, (peak, box_cells)
 
     def test_boundary_clamping(self):
         # Player on the touchline: outward probes clamp to the boundary.
