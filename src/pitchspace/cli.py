@@ -14,7 +14,6 @@ import argparse
 import csv
 import logging
 import sys
-from contextlib import contextmanager
 from dataclasses import asdict, replace
 from pathlib import Path
 from typing import Iterator
@@ -37,6 +36,7 @@ from .match_io import (
     SchemaError,
     apply_shift,
     load_match,
+    located,
     save_match,
     segment_attack_sequences,
     synchronization_shift,
@@ -130,19 +130,6 @@ def _load_matches(args) -> tuple[Iterator, list[Path]]:
     return matches, [Path(p) for pair in pairs for p in pair]
 
 
-@contextmanager
-def _located(path) -> Iterator[None]:
-    """Report a ValueError raised inside the block, such as a pass whose
-    passer is missing from its frame, as a SchemaError under `path`, the
-    input whose data it refused. A SchemaError passes through unchanged."""
-    try:
-        yield
-    except SchemaError:
-        raise
-    except ValueError as exc:
-        raise SchemaError(str(exc), path) from None
-
-
 # ---------------------------------------------------------------------------
 # Subcommands: each takes (args, config, out directory or None) and returns
 # (effective seed, input paths, output names) for the manifest.
@@ -164,7 +151,7 @@ def cmd_synth(args, cfg: RunConfig, out: Path):
 
 def cmd_sync(args, cfg: RunConfig, out: Path):
     frames, events = load_match(args.tracking, args.events)
-    with _located(args.tracking):  # such as repeated timestamps in a kickoff window
+    with located(args.tracking):  # such as repeated timestamps in a kickoff window
         shifts = synchronization_shift(frames, events)
     shifted = apply_shift(events, shifts, frames)
     save_match(frames, shifted, out / "tracking.jsonl", out / "events.jsonl")
@@ -179,7 +166,7 @@ def cmd_sync(args, cfg: RunConfig, out: Path):
 
 def cmd_segment(args, cfg: RunConfig, out: Path):
     frames, events = load_match(args.tracking, args.events)
-    with _located(args.events):  # events out of frame order
+    with located(args.events):  # events out of frame order
         sequences, drops = segment_attack_sequences(events, frames)
     doc = {"sequences": [asdict(s) for s in sequences], "dropped": [asdict(d) for d in drops]}
     write_json(out / "sequences.json", doc, indent=1)
@@ -190,7 +177,7 @@ def cmd_segment(args, cfg: RunConfig, out: Path):
 def cmd_features(args, cfg: RunConfig, out: Path):
     matches, inputs = _load_matches(args)
     n, ranking = cfg.feature_n, cfg.ranking_variable
-    with _located(args.matches or args.events):
+    with located(args.matches or args.events):
         table, _ = build_dataset(matches, n, ranking, cfg.pitch, cfg.motion, cfg.weight)
     table.to_csv(out / "features.csv")
     print(
@@ -203,7 +190,7 @@ def cmd_features(args, cfg: RunConfig, out: Path):
 def cmd_train(args, cfg: RunConfig, out: Path):
     table = PassSampleTable.from_csv(args.features)
     seed = cfg.cv_seed
-    with _located(args.features):  # its rows refused, such as a class too small for the folds
+    with located(args.features):  # its rows refused, such as a class too small for the folds
         best_hp, results = gbdtmod.grid_search_cv(table, cfg.grid, k=cfg.cv_k, seed=seed)
         model = gbdtmod.train_gbdt(table, best_hp)
     gbdtmod.save_model(model, out / "model.json")
@@ -246,11 +233,12 @@ def cmd_eval(args, cfg: RunConfig, out: Path | None):
 
 def cmd_explain(args, cfg: RunConfig, out: Path):
     model, table = _model_and_table(args)
-    phi, base = explainmod.shap_values(model, table.raw)
-    try:
-        summary = explainmod.ImportanceSummary.from_phi(model.feature_names, phi)
-    except OverflowError as exc:
-        raise SchemaError(f"leaf values too large for this table: {exc}", args.model) from None
+    with located(args.model):  # such as a leaf path over too many features
+        phi, base = explainmod.shap_values(model, table.raw)
+        try:
+            summary = explainmod.ImportanceSummary.from_phi(model.feature_names, phi)
+        except OverflowError as exc:
+            raise SchemaError(f"leaf values too large for this table: {exc}") from None
     summary.to_csv(out / "shap_summary.csv")
     outputs = ["shap_summary.csv"]
     if args.per_row:
@@ -269,7 +257,7 @@ def cmd_explain(args, cfg: RunConfig, out: Path):
 def cmd_compare_rankings(args, cfg: RunConfig, out: Path | None):
     matches, inputs = _load_matches(args)
     n, seed = cfg.feature_n, cfg.cv_seed
-    with _located(args.matches or args.events):
+    with located(args.matches or args.events):
         report = gbdtmod.compare_ranking_variables(
             matches, n, cfg.grid, cfg.cv_k, seed, cfg.pitch, cfg.motion, cfg.weight
         )

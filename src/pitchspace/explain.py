@@ -21,6 +21,11 @@ import numpy as np
 
 from .gbdt import GbdtModel, Tree
 
+# Distinct features one leaf path may split on: a leaf's table holds 2**u rows
+# of u values, 8.4 MB at u = 16, and its size and build time more than double
+# with each further feature.
+MAX_PATH_FEATURES = 16
+
 
 @dataclass
 class ImportanceSummary:
@@ -83,10 +88,12 @@ def _leaf_games(tree: Tree) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, np
     feature f on the path (an interval test lo < x_f <= hi); z_f = product of
     the path's cover ratios for f's branches, in path order. `table` holds the
     leaf's phi contribution for every on/off pattern (see `_leaf_table`).
+    A path over more than MAX_PATH_FEATURES features raises ValueError before
+    any table is built.
     """
     if tree.cover.size == 0 or tree.cover[0] <= 0:
         raise ValueError("tree lacks training cover counts; attribution needs them")
-    games = []
+    paths = []  # (z, lo, hi, leaf value) per leaf with a path feature
     # an explicit stack, so a deep tree cannot exhaust the recursion limit;
     # the left child is popped first, so leaves come in preorder
     stack: list[tuple[int, dict, dict, dict]] = [(0, {}, {}, {})]
@@ -94,14 +101,8 @@ def _leaf_games(tree: Tree) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, np
         node, z, lo, hi = stack.pop()
         f = tree.feature[node]
         if f < 0:
-            if z:  # dicts keep insertion order: first-encounter feature order
-                feats = list(z)
-                games.append((
-                    np.array(feats, dtype=np.int64),
-                    np.array([lo.get(g, -math.inf) for g in feats]),
-                    np.array([hi.get(g, math.inf) for g in feats]),
-                    _leaf_table(np.array([z[g] for g in feats]), tree.value[node]),
-                ))
+            if z:
+                paths.append((z, lo, hi, tree.value[node]))
             continue
         t = tree.threshold[node]
         l, r, c = tree.left[node], tree.right[node], tree.cover[node]
@@ -109,6 +110,21 @@ def _leaf_games(tree: Tree) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, np
                       {**lo, f: max(lo.get(f, -math.inf), t)}, hi))
         stack.append((l, {**z, f: z.get(f, 1.0) * (tree.cover[l] / c)}, lo,
                       {**hi, f: min(hi.get(f, math.inf), t)}))
+    widest = max((len(z) for z, *_ in paths), default=0)
+    if widest > MAX_PATH_FEATURES:
+        raise ValueError(
+            f"a leaf path splits on {widest} distinct features; attribution takes at most"
+            f" {MAX_PATH_FEATURES}"
+        )
+    games = []
+    for z, lo, hi, value in paths:
+        feats = list(z)  # dicts keep insertion order: first-encounter feature order
+        games.append((
+            np.array(feats, dtype=np.int64),
+            np.array([lo.get(g, -math.inf) for g in feats]),
+            np.array([hi.get(g, math.inf) for g in feats]),
+            _leaf_table(np.array([z[g] for g in feats]), value),
+        ))
     return games
 
 

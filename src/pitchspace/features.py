@@ -24,7 +24,7 @@ from .dominance import (
     batch_scores_with_deltas,
     offside_positions,
 )
-from .match_io import MatchEvent, SchemaError, TrackedFrame
+from .match_io import MatchEvent, SchemaError, TrackedFrame, located
 from .pitch import Ball, PitchSpec, Point2, WeightParams, goal_distance_angle
 
 logger = logging.getLogger(__name__)
@@ -119,37 +119,36 @@ class PassSampleTable:
         with open(path, encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
             try:
-                header = next(reader, None)
-                if not header or header[:2] != ["event_id", "label"]:
-                    raise SchemaError("not a feature table (bad header)", path, 1)
-                rest = header[2:]
-                n_cols = len(rest) // 2
-                columns = rest[:n_cols]
-                if rest[n_cols:] != [f"imputed_{c}" for c in columns]:
-                    raise SchemaError("malformed feature table header", path, 1)
-                if not columns:
-                    raise SchemaError("no feature columns", path, 1)
-                repeated = sorted({c for c in columns if columns.count(c) > 1})
-                if repeated:  # imputation medians are keyed by name
-                    raise SchemaError(f"repeated column names {repeated}", path, 1)
+                with located(path, 1):
+                    header = next(reader, None)
+                    if not header or header[:2] != ["event_id", "label"]:
+                        raise SchemaError("not a feature table (bad header)")
+                    rest = header[2:]
+                    n_cols = len(rest) // 2
+                    columns = rest[:n_cols]
+                    if rest[n_cols:] != [f"imputed_{c}" for c in columns]:
+                        raise SchemaError("malformed feature table header")
+                    if not columns:
+                        raise SchemaError("no feature columns")
+                    repeated = sorted({c for c in columns if columns.count(c) > 1})
+                    if repeated:  # imputation medians are keyed by name
+                        raise SchemaError(f"repeated column names {repeated}")
                 for rec in reader:
-                    line = reader.line_num
-                    if not rec:
-                        raise SchemaError("blank line", path, line)
-                    if len(rec) != len(header):
-                        raise SchemaError(
-                            f"{len(rec)} fields, the header has {len(header)}", path, line
-                        )
-                    if rec[1] not in ("0", "1"):
-                        raise SchemaError(f"label must be 0 or 1, got {rec[1]!r}", path, line)
-                    values = []
-                    for col, cell in zip(columns, rec[2 : 2 + n_cols]):
-                        try:
-                            values.append(float(cell))
-                        except ValueError:
-                            raise SchemaError(
-                                f"column {col!r}: {cell!r} is not a number", path, line
-                            ) from None
+                    with located(path, reader.line_num):
+                        if not rec:
+                            raise SchemaError("blank line")
+                        if len(rec) != len(header):
+                            raise SchemaError(f"{len(rec)} fields, the header has {len(header)}")
+                        if rec[1] not in ("0", "1"):
+                            raise SchemaError(f"label must be 0 or 1, got {rec[1]!r}")
+                        values = []
+                        for col, cell in zip(columns, rec[2 : 2 + n_cols]):
+                            try:
+                                values.append(float(cell))
+                            except ValueError:
+                                raise SchemaError(
+                                    f"column {col!r}: {cell!r} is not a number"
+                                ) from None
                     event_ids.append(rec[0])
                     labels.append(int(rec[1]))
                     rows.append(values)

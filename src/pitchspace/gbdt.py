@@ -32,7 +32,7 @@ from .features import (
     extract_match_features,
     impute_non_finite,
 )
-from .match_io import SchemaError, write_json
+from .match_io import SchemaError, located, write_json
 from .pitch import PitchSpec, WeightParams
 
 MODEL_FORMAT = "pitchspace-gbdt-1"
@@ -629,7 +629,7 @@ def save_model(model: GbdtModel, path: str | Path) -> None:
     write_json(path, doc, indent=1)
 
 
-def _check_tree(tree: Tree, n_columns: int, path: str | Path, t: int) -> None:
+def _check_tree(tree: Tree, n_columns: int, t: int) -> None:
     """Reject node tables that traversal could not finish or whose margins
     would not be finite: every internal node's children must come after it,
     so every path ends at a leaf; thresholds and values must be finite; every
@@ -638,67 +638,67 @@ def _check_tree(tree: Tree, n_columns: int, path: str | Path, t: int) -> None:
     children's covers."""
     n = len(tree.feature)
     if n == 0 or any(len(getattr(tree, name)) != n for name in _NODE_DTYPES):
-        raise SchemaError(f"tree {t}: node arrays must be non-empty and of equal length", path)
+        raise SchemaError(f"tree {t}: node arrays must be non-empty and of equal length")
     for node, feat in enumerate(tree.feature):
         where = f"tree {t} node {node}"
         for name, v in (("threshold", tree.threshold[node]), ("value", tree.value[node])):
             if not math.isfinite(v):
-                raise SchemaError(f"{where}: {name} {v} is not finite", path)
+                raise SchemaError(f"{where}: {name} {v} is not finite")
         if tree.cover[node] < 1:
-            raise SchemaError(f"{where}: cover {tree.cover[node]} is below 1", path)
+            raise SchemaError(f"{where}: cover {tree.cover[node]} is below 1")
         if feat < 0:
             continue
         if feat >= n_columns:
-            raise SchemaError(f"{where}: feature index {feat} >= {n_columns} columns", path)
+            raise SchemaError(f"{where}: feature index {feat} >= {n_columns} columns")
         for child in (tree.left[node], tree.right[node]):
             if not node < child < n:
-                raise SchemaError(f"{where}: child index {child} not in ({node}, {n})", path)
+                raise SchemaError(f"{where}: child index {child} not in ({node}, {n})")
     cover = tree.cover.tolist()  # Python ints, so that the sums cannot wrap
     for node, feat in enumerate(tree.feature):  # children are known to be in range now
         left, right = tree.left[node], tree.right[node]
         if feat >= 0 and cover[node] != cover[left] + cover[right]:
             raise SchemaError(
                 f"tree {t} node {node}: cover {cover[node]} is not the sum of its"
-                f" children's covers {cover[left]} + {cover[right]}",
-                path,
+                f" children's covers {cover[left]} + {cover[right]}"
             )
 
 
 def load_model(path: str | Path) -> GbdtModel:
-    with open(path, encoding="utf-8") as fh:
+    with located(path):
+        with open(path, encoding="utf-8") as fh:
+            try:
+                doc = json.load(fh)
+            except ValueError as exc:  # a JSON syntax error, or an integer over the digit limit
+                raise SchemaError(f"malformed model (not JSON: {exc})") from exc
+        if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
+            raise SchemaError(f"not a {MODEL_FORMAT} file")
         try:
-            doc = json.load(fh)
-        except ValueError as exc:  # a JSON syntax error, or an integer over the digit limit
-            raise SchemaError(f"malformed model (not JSON: {exc})", path) from exc
-    if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
-        raise ValueError(f"{path}: not a {MODEL_FORMAT} file")
-    try:
-        model = GbdtModel(
-            base_score=float(doc["base_score"]),
-            trees=[Tree.from_dict(t) for t in doc["trees"]],
-            feature_names=[str(c) for c in doc["columns"]],
-            medians={str(k): float(v) for k, v in doc["medians"].items()},
-            hyperparams=GbdtHyperParams(**doc["hyperparams"]),
-            training_logloss=[float(v) for v in doc["training_logloss"]],
-        )
-    except (KeyError, TypeError, AttributeError, ValueError, OverflowError) as exc:
-        raise SchemaError(f"malformed model ({type(exc).__name__}: {exc})", path) from exc
-    if not math.isfinite(model.base_score):
-        raise SchemaError(f"base_score {model.base_score} is not finite", path)
-    for j, col in enumerate(model.feature_names):
-        if col in model.feature_names[:j]:  # medians are keyed by name
-            raise SchemaError(f"malformed model (column {col!r} repeated)", path)
-        if not math.isfinite(model.medians.get(col, math.nan)):
-            raise SchemaError(f"median of column {col!r} is missing or not finite", path)
-    # Margins and attributions add leaf values over the trees, and a tree's
-    # expectation weighs them by cover; each such sum is at most `bound`.
-    bound = abs(model.base_score)
-    for t, tree in enumerate(model.trees):
-        _check_tree(tree, len(model.feature_names), path, t)
-        leaves = tree.feature < 0
-        bound += float(np.max(np.abs(tree.value[leaves]))) * sum(tree.cover[leaves].tolist())
-        if not math.isfinite(bound):
-            raise SchemaError(
-                f"tree {t}: leaf values too large; margins or attributions would overflow", path
+            model = GbdtModel(
+                base_score=float(doc["base_score"]),
+                trees=[Tree.from_dict(t) for t in doc["trees"]],
+                feature_names=[str(c) for c in doc["columns"]],
+                medians={str(k): float(v) for k, v in doc["medians"].items()},
+                hyperparams=GbdtHyperParams(**doc["hyperparams"]),
+                training_logloss=[float(v) for v in doc["training_logloss"]],
             )
+        except (KeyError, TypeError, AttributeError, ValueError, OverflowError) as exc:
+            raise SchemaError(f"malformed model ({type(exc).__name__}: {exc})") from exc
+        if not math.isfinite(model.base_score):
+            raise SchemaError(f"base_score {model.base_score} is not finite")
+        for j, col in enumerate(model.feature_names):
+            if col in model.feature_names[:j]:  # medians are keyed by name
+                raise SchemaError(f"malformed model (column {col!r} repeated)")
+            if not math.isfinite(model.medians.get(col, math.nan)):
+                raise SchemaError(f"median of column {col!r} is missing or not finite")
+        # Margins and attributions add leaf values over the trees, and a tree's
+        # expectation weighs them by cover; each such sum is at most `bound`.
+        bound = abs(model.base_score)
+        for t, tree in enumerate(model.trees):
+            _check_tree(tree, len(model.feature_names), t)
+            leaves = tree.feature < 0
+            bound += float(np.max(np.abs(tree.value[leaves]))) * sum(tree.cover[leaves].tolist())
+            if not math.isfinite(bound):
+                raise SchemaError(
+                    f"tree {t}: leaf values too large; margins or attributions would overflow"
+                )
     return model

@@ -22,9 +22,10 @@ import math
 import re
 import sys
 from bisect import bisect_left, bisect_right
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -61,6 +62,21 @@ class SchemaError(ValueError):
         else:
             where = f"{self.path}:{line}: "
         super().__init__(f"{where}{message}")
+
+
+@contextmanager
+def located(path: str | Path, line: int | None = None) -> Iterator[None]:
+    """Attach the place of the input being read to what the block refuses:
+    a ValueError raised inside it, such as a bare SchemaError from a
+    validator, becomes a SchemaError under `path` and `line`. A SchemaError
+    that already names a file passes through unchanged, so the innermost
+    block wins; other exceptions pass through untouched."""
+    try:
+        yield
+    except ValueError as exc:
+        if isinstance(exc, SchemaError) and exc.path is not None:
+            raise
+        raise SchemaError(str(exc), path, line) from None
 
 
 @dataclass(frozen=True)
@@ -184,13 +200,13 @@ class DroppedEvents:
 # ---------------------------------------------------------------------------
 
 
-def _req(record: dict, key: str, path, line: int):
+def _req(record: dict, key: str):
     if key not in record:
-        raise SchemaError(f"missing required key {key!r}", path, line)
+        raise SchemaError(f"missing required key {key!r}")
     return record[key]
 
 
-def _num(value, key: str, path, line: int) -> float:
+def _num(value, key: str) -> float:
     if type(value) in (int, float):  # a bool is neither type
         try:
             number = float(value)
@@ -198,20 +214,18 @@ def _num(value, key: str, path, line: int) -> float:
             number = math.inf
         if math.isfinite(number):
             return number
-    raise SchemaError(f"key {key!r} must be a finite number, got {value!r}", path, line)
+    raise SchemaError(f"key {key!r} must be a finite number, got {value!r}")
 
 
-def _coord(value, key: str, path, line: int) -> float:
+def _coord(value, key: str) -> float:
     """A position coordinate: a finite number within MAX_COORDINATE of 0."""
-    number = _num(value, key, path, line)
+    number = _num(value, key)
     if abs(number) > MAX_COORDINATE:
-        raise SchemaError(
-            f"key {key!r} must be within {MAX_COORDINATE:g} m of 0, got {value!r}", path, line
-        )
+        raise SchemaError(f"key {key!r} must be within {MAX_COORDINATE:g} m of 0, got {value!r}")
     return number
 
 
-def _text(record: dict, key: str, path, line: int, required: bool = True) -> str | None:
+def _text(record: dict, key: str, required: bool = True) -> str | None:
     """A JSON string as is, or an integer in decimal; an optional key that is
     absent or null is None."""
     value = record.get(key)
@@ -221,29 +235,29 @@ def _text(record: dict, key: str, path, line: int, required: bool = True) -> str
         return str(value)
     if value is None and not required:
         return None
-    _req(record, key, path, line)  # an absent required key is reported as missing
-    raise SchemaError(f"key {key!r} must be a string or an integer, got {value!r}", path, line)
+    _req(record, key)  # an absent required key is reported as missing
+    raise SchemaError(f"key {key!r} must be a string or an integer, got {value!r}")
 
 
-def _parse_players(recs: list, path, line: int, warnings: list[str]):
+def _parse_players(recs: list, warnings: list[str]):
     """The player table of one tracking record, in record order: ids, teams,
     positions, velocities, and the unknown keys of each player that has any.
     Ids and teams are interned, so the frames of a match share one copy of each."""
     ids, teams, xy, vxy, extras = [], [], [], [], {}
     for rec in recs:
         if not isinstance(rec, dict):
-            raise SchemaError(f"player record must be an object, got {rec!r}", path, line)
-        pid = _text(rec, "id", path, line)
+            raise SchemaError(f"player record must be an object, got {rec!r}")
+        pid = _text(rec, "id")
         if not _XML_CHARS.fullmatch(pid):
-            raise SchemaError(f"player id {pid!r} has a character XML 1.0 forbids", path, line)
+            raise SchemaError(f"player id {pid!r} has a character XML 1.0 forbids")
         ids.append(sys.intern(pid))
-        teams.append(sys.intern(_text(rec, "team", path, line)))
-        x = _coord(_req(rec, "x", path, line), "x", path, line)
-        y = _coord(_req(rec, "y", path, line), "y", path, line)
+        teams.append(sys.intern(_text(rec, "team")))
+        x = _coord(_req(rec, "x"), "x")
+        y = _coord(_req(rec, "y"), "y")
         if "vx" not in rec or "vy" not in rec:
             warnings.append(f"player {pid}: velocity missing, assuming stationary")
-        vx = _num(rec.get("vx", 0.0), "vx", path, line)
-        vy = _num(rec.get("vy", 0.0), "vy", path, line)
+        vx = _num(rec.get("vx", 0.0), "vx")
+        vy = _num(rec.get("vy", 0.0), "vy")
         speed = math.hypot(vx, vy)
         if speed > MAX_TRACKED_SPEED:
             # Tracking glitches produce superhuman speeds; keep direction, cap magnitude.
@@ -284,51 +298,50 @@ def load_tracking(path: str | Path) -> list[TrackedFrame]:
     frames: list[TrackedFrame] = []
     last_index: int | None = None
     for line_no, rec in _iter_json_lines(path):
-        warnings: list[str] = []
-        frame_index = _req(rec, "frame", path, line_no)
-        if not isinstance(frame_index, int) or isinstance(frame_index, bool):
-            raise SchemaError(f"'frame' must be an integer, got {frame_index!r}", path, line_no)
-        if last_index is not None and frame_index <= last_index:
-            raise SchemaError(
-                f"non-monotone frame index: {frame_index} follows {last_index}", path, line_no
+        with located(path, line_no):
+            warnings: list[str] = []
+            frame_index = _req(rec, "frame")
+            if not isinstance(frame_index, int) or isinstance(frame_index, bool):
+                raise SchemaError(f"'frame' must be an integer, got {frame_index!r}")
+            if last_index is not None and frame_index <= last_index:
+                raise SchemaError(f"non-monotone frame index: {frame_index} follows {last_index}")
+            last_index = frame_index
+            time = _num(_req(rec, "time"), "time")
+            ball_rec = _req(rec, "ball")
+            if not isinstance(ball_rec, dict):
+                raise SchemaError("'ball' must be an object")
+            ball = Ball(
+                pos=Point2(
+                    _coord(_req(ball_rec, "x"), "ball.x"),
+                    _coord(_req(ball_rec, "y"), "ball.y"),
+                ),
+                vel=Point2(
+                    _num(ball_rec.get("vx", 0.0), "ball.vx"),
+                    _num(ball_rec.get("vy", 0.0), "ball.vy"),
+                ),
             )
-        last_index = frame_index
-        time = _num(_req(rec, "time", path, line_no), "time", path, line_no)
-        ball_rec = _req(rec, "ball", path, line_no)
-        if not isinstance(ball_rec, dict):
-            raise SchemaError("'ball' must be an object", path, line_no)
-        ball = Ball(
-            pos=Point2(
-                _coord(_req(ball_rec, "x", path, line_no), "ball.x", path, line_no),
-                _coord(_req(ball_rec, "y", path, line_no), "ball.y", path, line_no),
-            ),
-            vel=Point2(
-                _num(ball_rec.get("vx", 0.0), "ball.vx", path, line_no),
-                _num(ball_rec.get("vy", 0.0), "ball.vy", path, line_no),
-            ),
-        )
-        player_recs = _req(rec, "players", path, line_no)
-        if not isinstance(player_recs, list):
-            raise SchemaError("'players' must be a list", path, line_no)
-        if len(player_recs) > MAX_PLAYERS:
-            raise SchemaError(
-                f"{len(player_recs)} players exceeds the {MAX_PLAYERS}-player bound", path, line_no
+            player_recs = _req(rec, "players")
+            if not isinstance(player_recs, list):
+                raise SchemaError("'players' must be a list")
+            if len(player_recs) > MAX_PLAYERS:
+                raise SchemaError(
+                    f"{len(player_recs)} players exceeds the {MAX_PLAYERS}-player bound"
+                )
+            ids, teams, xy, vxy, extras = _parse_players(player_recs, warnings)
+            if len(set(ids)) < len(ids):
+                dup = next(pid for i, pid in enumerate(ids) if pid in ids[:i])
+                raise SchemaError(f"duplicate player id {dup!r}")
+            period = rec.get("period", 1)
+            if not isinstance(period, int) or isinstance(period, bool):
+                raise SchemaError(f"'period' must be an integer, got {period!r}")
+            extra = {k: v for k, v in rec.items() if k not in _TRACKING_KEYS}
+            meta = FrameMetadata(
+                period=period,
+                attacking_team_id=_text(rec, "attacking_team", required=False),
+                attacks_right_team=_text(rec, "attacks_right", required=False),
+                warnings=tuple(warnings),
+                extra=extra,
             )
-        ids, teams, xy, vxy, extras = _parse_players(player_recs, path, line_no, warnings)
-        if len(set(ids)) < len(ids):
-            dup = next(pid for i, pid in enumerate(ids) if pid in ids[:i])
-            raise SchemaError(f"duplicate player id {dup!r}", path, line_no)
-        period = rec.get("period", 1)
-        if not isinstance(period, int) or isinstance(period, bool):
-            raise SchemaError(f"'period' must be an integer, got {period!r}", path, line_no)
-        extra = {k: v for k, v in rec.items() if k not in _TRACKING_KEYS}
-        meta = FrameMetadata(
-            period=period,
-            attacking_team_id=_text(rec, "attacking_team", path, line_no, required=False),
-            attacks_right_team=_text(rec, "attacks_right", path, line_no, required=False),
-            warnings=tuple(warnings),
-            extra=extra,
-        )
         frames.append(TrackedFrame(frame_index, time, ball, ids, teams, xy, vxy, meta, extras))
     if not frames:
         raise SchemaError("tracking file contains no frames", path, 1)
@@ -355,30 +368,27 @@ def load_events(path: str | Path) -> list[MatchEvent]:
     events: list[MatchEvent] = []
     first_line: dict[str, int] = {}  # event id -> line it first appeared on
     for line_no, rec in _iter_json_lines(path):
-        event_id = _text(rec, "event_id", path, line_no)
-        if event_id in first_line:
-            raise SchemaError(
-                f"duplicate event id {event_id!r} (first on line {first_line[event_id]})",
-                path, line_no,
-            )
-        first_line[event_id] = line_no
-        etype = _text(rec, "type", path, line_no)
-        frame = _req(rec, "frame", path, line_no)
-        if not isinstance(frame, int) or isinstance(frame, bool):
-            raise SchemaError(f"'frame' must be an integer, got {frame!r}", path, line_no)
-        team = _text(rec, "team", path, line_no)
-        player = _text(rec, "player", path, line_no)
-        x = _coord(_req(rec, "x", path, line_no), "x", path, line_no)
-        y = _coord(_req(rec, "y", path, line_no), "y", path, line_no)
-        receiver = _text(rec, "receiver", path, line_no, required=False)
-        outcome = _text(rec, "outcome", path, line_no, required=False)
-        if etype == "pass":
-            if outcome not in ("success", "failure"):
+        with located(path, line_no):
+            event_id = _text(rec, "event_id")
+            if event_id in first_line:
                 raise SchemaError(
-                    f"pass outcome must be 'success' or 'failure', got {outcome!r}", path, line_no
+                    f"duplicate event id {event_id!r} (first on line {first_line[event_id]})"
                 )
-            if receiver is None:
-                logger.warning("%s:%d: pass %s has no receiver", path, line_no, event_id)
+            first_line[event_id] = line_no
+            etype = _text(rec, "type")
+            frame = _req(rec, "frame")
+            if not isinstance(frame, int) or isinstance(frame, bool):
+                raise SchemaError(f"'frame' must be an integer, got {frame!r}")
+            team = _text(rec, "team")
+            player = _text(rec, "player")
+            x = _coord(_req(rec, "x"), "x")
+            y = _coord(_req(rec, "y"), "y")
+            receiver = _text(rec, "receiver", required=False)
+            outcome = _text(rec, "outcome", required=False)
+            if etype == "pass" and outcome not in ("success", "failure"):
+                raise SchemaError(f"pass outcome must be 'success' or 'failure', got {outcome!r}")
+        if etype == "pass" and receiver is None:
+            logger.warning("%s:%d: pass %s has no receiver", path, line_no, event_id)
         extra = {k: v for k, v in rec.items() if k not in _EVENT_KEYS}
         events.append(
             MatchEvent(

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from pitchspace.explain import ImportanceSummary, shap_values
+from pitchspace import explain
+from pitchspace.explain import MAX_PATH_FEATURES, ImportanceSummary, _leaf_games, shap_values
 from pitchspace.features import PassSampleTable
 from pitchspace.gbdt import GbdtHyperParams, GbdtModel, Tree, train_gbdt
 
@@ -35,6 +36,21 @@ def repeated_feature_tree():
         right=[2, 4, -1, -1, -1],
         value=[0.0, 0.0, 3.0, -1.0, 1.0],
         cover=[10, 6, 4, 2, 4],
+    )
+
+
+def chain_tree(u):
+    """A right spine of u splits, on features 0, 1, ..., u - 1, each with a
+    leaf on its left: a valid tree whose deepest leaf path splits on all u
+    features."""
+    internal = range(0, 2 * u, 2)
+    return Tree(
+        feature=[k // 2 if k in internal else -1 for k in range(2 * u)] + [-1],
+        threshold=[0.0] * (2 * u + 1),
+        left=[k + 1 if k in internal else -1 for k in range(2 * u)] + [-1],
+        right=[k + 2 if k in internal else -1 for k in range(2 * u)] + [-1],
+        value=[0.0 if k in internal else 0.01 * (k % 5) for k in range(2 * u)] + [0.05],
+        cover=[u - k // 2 + 1 if k in internal else 1 for k in range(2 * u)] + [1],
     )
 
 
@@ -279,6 +295,35 @@ class TestTreeShapBasics:
             shap_values(model, np.zeros((1, 1)))
         with pytest.raises(ValueError):
             brute_force_shapley(model, np.zeros(1))
+
+
+class TestPathFeatureBound:
+    """A leaf's table holds 2**u rows for the u distinct features on its
+    path, so `_leaf_games` refuses a tree with a path over MAX_PATH_FEATURES
+    features before it builds any table."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """The feature counts of the leaf tables built, each a table of zeros."""
+        widths = []
+
+        def zeros(z, value):
+            widths.append(len(z))
+            return np.zeros((1 << len(z), len(z)))
+
+        monkeypatch.setattr(explain, "_leaf_table", zeros)
+        return widths
+
+    def test_path_at_the_bound_is_attributed(self, built):
+        games = _leaf_games(chain_tree(MAX_PATH_FEATURES))
+        # a leaf under each split, then the deepest leaf, past the last split
+        widths = [*range(1, MAX_PATH_FEATURES + 1), MAX_PATH_FEATURES]
+        assert [len(feats) for feats, *_ in games] == widths == built
+
+    def test_path_over_the_bound_raises_before_any_table(self, built):
+        with pytest.raises(ValueError, match=f"a leaf path splits on {MAX_PATH_FEATURES + 1} "):
+            _leaf_games(chain_tree(MAX_PATH_FEATURES + 1))
+        assert built == []
 
 
 class TestBruteForceOracle:

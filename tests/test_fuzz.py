@@ -6,9 +6,11 @@ that read a match exit 0 or 2, `segment`'s data errors naming the file; and
 whatever a model's node tables hold, `eval` and `explain` exit 0, with
 finite attributions, or with a data error that names the model;
 whatever the players' positions, the dominance partition is the full-grid
-oracle's, bit for bit; and a match's features.csv and its rendered SVGs keep
+oracle's, bit for bit; a match's features.csv and its rendered SVGs keep
 their bytes when each frame's player rows are reversed or the match is
-mirrored in x.
+mirrored in x; its features.csv keeps them when its frame numbers are
+shifted and its player ids renamed in sort order; and `features --matches`
+over two copies of a match gives its rows twice, under each copy's name.
 
 Runs are derandomized and small, so the suite stays deterministic and quick.
 """
@@ -41,7 +43,13 @@ from pitchspace.features import (  # noqa: E402
     orient_frame,
 )
 from pitchspace.gbdt import GbdtHyperParams, save_model, train_gbdt  # noqa: E402
-from pitchspace.match_io import MAX_PLAYERS, SchemaError, TrackedFrame, load_tracking  # noqa: E402
+from pitchspace.match_io import (  # noqa: E402
+    MAX_PLAYERS,
+    SchemaError,
+    TrackedFrame,
+    load_tracking,
+    save_match,
+)
 from pitchspace.pitch import MAX_COORDINATE, Ball, PitchSpec, Point2, WeightParams  # noqa: E402
 from pitchspace.render_svg import RenderOptions, render_frame_svg  # noqa: E402
 from pitchspace.synth import SynthConfig, synthesize_match  # noqa: E402
@@ -423,10 +431,11 @@ def test_partition_matches_the_oracle_bitwise():
 
 # ---------------------------------------------------------------------------
 # Metamorphic relations of feature extraction: a match and its transform must
-# give the same features.csv bytes.
+# give the same features.csv bytes, and two copies of it its rows twice.
 # ---------------------------------------------------------------------------
 
 MATCH_PITCH = PitchSpec(grid_cell=2.0)
+MATCH_FILES = ("tracking.jsonl", "events.jsonl")
 
 
 @st.composite
@@ -492,6 +501,47 @@ def test_features_ignore_a_mirror_in_x(tmp_path, match):
     mirrored_events = [replace(e, pos=Point2(-e.pos.x, e.pos.y)) for e in events]
     got = features_csv(tmp_path, [mirrored_frame(f) for f in frames], mirrored_events, n, ranking)
     assert got == want
+
+
+def relabelled(frames, events, shift):
+    """The match with `shift` added to every frame number, and each player id
+    renamed so that the ids keep their sort order."""
+    ids = sorted({pid for f in frames for pid in f.ids} | {e.player for e in events}
+                 | {e.receiver for e in events if e.receiver is not None})
+    new = {pid: f"p{rank:03d}" for rank, pid in enumerate(ids)}
+    frames = [
+        replace(f, frame_index=f.frame_index + shift, ids=tuple(new[p] for p in f.ids),
+                extras={new[p]: extra for p, extra in f.extras.items()})
+        for f in frames
+    ]
+    events = [replace(e, frame=e.frame + shift, player=new[e.player], receiver=new.get(e.receiver))
+              for e in events]
+    return frames, events
+
+
+@RELATION_SETTINGS
+@given(match=synthetic_matches(), shift=st.integers(-10**6, 10**6))
+def test_features_ignore_frame_numbers_and_player_names(tmp_path, match, shift):
+    frames, events, n, ranking = match
+    want = features_csv(tmp_path, frames, events, n, ranking)
+    assert features_csv(tmp_path, *relabelled(frames, events, shift), n, ranking) == want
+
+
+@RELATION_SETTINGS
+@given(match=synthetic_matches())
+def test_features_of_two_copies_of_a_match_repeat_its_rows(tmp_path, match):
+    frames, events, n, ranking = match
+    header, *rows = features_csv(tmp_path, frames, events, n, ranking).splitlines(keepends=True)
+    for name in ("m1", "m2"):
+        (tmp_path / "matches" / name).mkdir(parents=True, exist_ok=True)
+        save_match(frames, events, *(tmp_path / "matches" / name / f for f in MATCH_FILES))
+    (tmp_path / "run.cfg").write_text(f"pitch.grid_cell = {MATCH_PITCH.grid_cell}\n", encoding="utf-8")
+    rc = cli_dispatch(["features", "--config", str(tmp_path / "run.cfg"), "--n", str(n),
+                       "--ranking", ranking, "--matches", str(tmp_path / "matches"),
+                       "--out", str(tmp_path / "out")])
+    assert rc == 0
+    want = header + b"".join(name + row for name in (b"m1/", b"m2/") for row in rows)
+    assert (tmp_path / "out" / "features.csv").read_bytes() == want
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import csv
 import gc
 import json
 import math
@@ -17,6 +18,7 @@ from pitchspace.match_io import (
     load_events,
     load_match,
     load_tracking,
+    located,
     save_match,
     segment_attack_sequences,
     synchronization_shift,
@@ -404,6 +406,42 @@ class TestCoordinateBound:
         write_tracking(tmp_path / "t.jsonl", [rec])
         frame = load_tracking(tmp_path / "t.jsonl")[0]
         assert frame.xy[3, 0] == -MAX_COORDINATE and frame.ball.pos.y == MAX_COORDINATE
+
+
+class TestLocated:
+    """`located` attaches the place of a refused input to a ValueError raised
+    in its block, and to a SchemaError that names no file; it leaves every
+    other exception alone."""
+
+    @pytest.mark.parametrize("error", [ValueError("bad value"), SchemaError("bad value")])
+    @pytest.mark.parametrize("line, where", [(7, "data/t.jsonl:7: "), (None, "data/t.jsonl: ")])
+    def test_refusal_gets_the_path_and_line(self, error, line, where):
+        with pytest.raises(SchemaError) as info:
+            with located("data/t.jsonl", line):
+                raise error
+        assert str(info.value) == f"{where}bad value"
+        assert (info.value.path, info.value.line) == ("data/t.jsonl", line)
+
+    def test_an_error_that_names_a_file_passes_unchanged(self):
+        error = SchemaError("bad value", "inner.csv", 3)
+        with pytest.raises(SchemaError) as info:
+            with located("outer.csv", 9):
+                raise error
+        assert info.value is error and str(error) == "inner.csv:3: bad value"
+
+    def test_nested_blocks_keep_the_inner_location(self):
+        with pytest.raises(SchemaError) as info:
+            with located("model.json"):
+                with located("features.csv", 4):
+                    raise ValueError("bad value")
+        assert str(info.value) == "features.csv:4: bad value"
+
+    @pytest.mark.parametrize("error", [OSError(2, "no such file"), csv.Error("bad quote")])
+    def test_other_errors_pass_untouched(self, error):
+        with pytest.raises(type(error)) as info:
+            with located("features.csv", 4):
+                raise error
+        assert info.value is error
 
 
 class TestLoadEvents:

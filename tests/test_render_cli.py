@@ -40,6 +40,7 @@ from pitchspace.render_svg import RenderOptions, render_animation_svg, render_fr
 from pitchspace.synth import SynthConfig, synthesize_match
 
 from conftest import make_frame, player
+from test_explain import chain_tree
 
 PITCH = PitchSpec(grid_cell=2.0)
 MP = MotionParams()
@@ -814,6 +815,25 @@ class TestCli:
         for row in rows:
             base, margin, phi = (float(row[k]) for k in ("base_value", "margin", "f0"))
             assert abs(base + phi - margin) <= 1e-9
+
+    def test_explain_refuses_a_leaf_path_over_the_feature_bound(self, tmp_path, capsys):
+        # A valid model whose deepest leaf path splits on all 40 columns: its
+        # leaf table would hold 2**40 rows, so explain refuses it before
+        # building any; eval builds none and still runs.
+        columns = [f"f{j}" for j in range(40)]
+        model = tmp_path / "model.json"
+        save_model(GbdtModel(0.1, [chain_tree(40)], columns, dict.fromkeys(columns, 0.0),
+                             GbdtHyperParams()), model)
+        x = np.random.default_rng(0).normal(size=(25, 40))
+        PassSampleTable([f"e{i}" for i in range(25)], np.arange(25) % 2, columns, x).to_csv(
+            tmp_path / "features.csv"
+        )
+        args = ["--model", str(model), "--features", str(tmp_path / "features.csv")]
+        assert cli_dispatch(["eval", *args]) == 0
+        capsys.readouterr()
+        assert cli_dispatch(["explain", *args, "--out", str(tmp_path / "x")]) == 2
+        assert (f"data error: {model}: a leaf path splits on 40 distinct features; "
+                f"attribution takes at most {explain.MAX_PATH_FEATURES}\n") in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "config, n, column",
