@@ -21,14 +21,19 @@ the boundary paths reach a digest. Exit codes are keyed by command name,
 prefixed "opponent-", "padded-", "matches-", "render-" and
 "render-animate-" for these groups.
 It uses the pitchspace package found on PYTHONPATH and writes {artifact
-path: sha256} to DIGESTS_JSON. `compare`
+path: sha256} to DIGESTS_JSON, with OUT_DIR. `compare`
 prints a Markdown list of the artifacts whose digests differ, or that only one
-run wrote. Both exit 0 whatever they find: the report is for a reader, and a
-declared behaviour change may change artifacts.
+run wrote. For a differing `.csv` artifact whose two files are still in their
+runs' OUT_DIRs, it also names the columns that differ, each with its largest
+relative change |head - base| / max(|base|, |head|) over the rows. Both exit 0
+whatever they find: the report is for a reader, and a declared behaviour
+change may change artifacts.
 """
 
+import csv
 import hashlib
 import json
+import math
 import shutil
 import sys
 from pathlib import Path
@@ -104,8 +109,39 @@ def run(out: Path, digests_path: Path) -> None:
         for p in sorted(out.rglob("*"))
         if p.is_file() and p not in (cfg, opp_cfg, render_cfg)
     }
-    doc = {"package": pitchspace.__file__, "exit_codes": codes, "digests": digests}
+    doc = {"package": pitchspace.__file__, "out": str(out), "exit_codes": codes, "digests": digests}
     digests_path.write_text(json.dumps(doc, indent=1))
+
+
+def relative_change(a: str, b: str) -> float:
+    """|b - a| / max(|a|, |b|) for two numeric cells; inf if either is not a
+    finite number."""
+    try:
+        x, y = float(a), float(b)
+    except ValueError:
+        return math.inf
+    if not (math.isfinite(x) and math.isfinite(y)):
+        return math.inf
+    return 0.0 if x == y else abs(y - x) / max(abs(x), abs(y))
+
+
+def csv_changes(base_file: Path, head_file: Path) -> str:
+    """The columns of two CSV files whose cells differ, each with its largest
+    relative change ("text" where a changed cell is not a finite number)."""
+    tables = []
+    for path in (base_file, head_file):
+        with open(path, newline="", encoding="utf-8") as fh:
+            tables.append(list(csv.reader(fh)))
+    base, head = tables
+    if not base or base[0] != head[0] or [len(r) for r in base] != [len(r) for r in head]:
+        return "the header or the table's shape differs"
+    changed = []
+    for j, name in enumerate(base[0]):
+        worst = max((relative_change(b[j], h[j]) for b, h in zip(base, head) if b[j] != h[j]),
+                    default=None)
+        if worst is not None:
+            changed.append(f"`{name}` {'text' if worst == math.inf else f'{worst:.2g}'}")
+    return "columns " + ", ".join(changed) if changed else "no cell differs"
 
 
 def compare(base_path: Path, head_path: Path) -> None:
@@ -117,7 +153,12 @@ def compare(base_path: Path, head_path: Path) -> None:
         if failed:
             print(f"- {name}: commands exited non-zero: {failed}")
     b, h = base["digests"], head["digests"]
-    lines = [f"- `{k}`: sha256 differs" for k in sorted(set(b) & set(h)) if b[k] != h[k]]
+    lines = []
+    for k in sorted(set(b) & set(h)):
+        if b[k] != h[k]:
+            files = [Path(doc["out"]) / k for doc in (base, head) if "out" in doc]
+            csvs = k.endswith(".csv") and len(files) == 2 and all(f.is_file() for f in files)
+            lines.append(f"- `{k}`: sha256 differs" + (f"; {csv_changes(*files)}" if csvs else ""))
     lines += [f"- `{k}`: only on the base branch" for k in sorted(set(b) - set(h))]
     lines += [f"- `{k}`: only on this branch" for k in sorted(set(h) - set(b))]
     print("\n" + ("\n".join(lines) if lines else f"All {len(h)} artifacts are byte-identical."))

@@ -90,13 +90,15 @@ class DominanceField:
 
 @dataclass
 class PlayerSpaceScore:
-    """Weighted-area score for one player, with optional 1 m directional deltas."""
+    """Weighted-area score for one player, the cell area times `weight_sum` (the
+    exact sum of the field weights over its cells), with optional 1 m deltas."""
 
     player_id: str
     team: str
     score: float
     deltas: np.ndarray | None = None
     excluded_offside: bool = False
+    weight_sum: float = 0.0
 
 
 @dataclass
@@ -313,8 +315,8 @@ def space_scores(
     entries: dict[str, PlayerSpaceScore] = {}
     for pid in sorted(teams):
         if pid in index:
-            score = float(sums[index[pid]] * field_.cell_area)
-            entries[pid] = PlayerSpaceScore(pid, teams[pid], score)
+            ws = float(sums[index[pid]])
+            entries[pid] = PlayerSpaceScore(pid, teams[pid], ws * field_.cell_area, weight_sum=ws)
         else:
             entries[pid] = PlayerSpaceScore(
                 pid, teams[pid], 0.0, deltas=np.zeros(8), excluded_offside=True
@@ -420,24 +422,17 @@ def offside_line(defender_xs, ball_x: float) -> float:
 # is the max of the roots: the box of the passing tiles holds every cell a
 # probe can win. One array pass per frame gives every candidate's probe
 # points, allowance and tile test. Inside the box the band rule decides each
-# cell exactly, so the box may hold more cells than a probe can win; a
-# candidate with no passing tile gets an empty box and wins nothing.
+# cell exactly, so the box may hold more cells than a probe can win. It holds
+# the candidate's whole region too, where own - allowance <= own = sqrt(best).
 #
-# space_scores adds each player's weights in row-major grid order from 0.0,
-# so each probe must add its won weights in row-major box order from 0.0 (the
-# cells outside the box add nothing). _won_sums takes the box's cells in
-# blocks of _SUM_BLOCK rows and the won (cell, probe) pairs of each block
-# cell-major, at cell * 8 + k: a weighted bincount adds the first block's
-# pairs from 0.0, and np.add.at continues every probe's sum with each later
-# block's, in the same left-to-right order, so the sums keep their bits. The
-# pair index and weight arrays, 32 B per won pair, are then bounded by one
-# block (about 1 MB) and not by the box, which at a fine grid can hold most
-# of the pitch. The sums are cast to float64 after the bincount: on a block
-# with no won pair it returns int64 zeros even with weights, into which
-# np.add.at would add truncated.
+# Off the band a probe wins exactly the region's cells: there gap >= 0, as
+# lim = second >= best = the own squared distance, bit for bit, and elsewhere
+# gap <= 0, as lim = best <= it. weight_grid puts every weight on a lattice
+# where any sum over cells is exact in any order, so each probe's won sum is
+# the region's `weight_sum`, minus the weights of its band cells, plus those
+# of the band cells the probe wins: the float that directional_space_deltas
+# gets from its own partition, from the band cells alone.
 # ---------------------------------------------------------------------------
-
-_SUM_BLOCK = 4096  # box cells per block of won pairs
 
 
 def _tile_max(best: np.ndarray) -> np.ndarray:
@@ -486,41 +481,31 @@ def _probe_deltas(
     pred: np.ndarray,
     allowance: float,
     weight: np.ndarray,
-    score: float,
+    region: float,
 ) -> np.ndarray:
     """Score change of player `idx` for its 8 probes over `box`, from the
     partition's `best` and `second` squared distances, the (P, 2) predicted
-    points of every eligible player and the (8, 2) `pred` of its probes (see
-    above)."""
+    points of every eligible player, the (8, 2) `pred` of its probes and the
+    weight sum of its region (see above)."""
     xs, ys = field_.pitch.cell_centers()
     xs, ys = xs[box[1]], ys[box[0]]
-    lim = np.where(field_.owner[box] == idx, second[box], best[box]).ravel()
+    mine = field_.owner[box] == idx
+    lim = np.where(mine, second[box], best[box]).ravel()
     gap = np.sqrt(lim) - np.sqrt(_sq_dist(xs, ys[:, np.newaxis], *points[idx]).ravel())
     band = np.flatnonzero(np.abs(gap) <= allowance)
     row, col = np.divmod(band, xs.size)
     qx, qy = pred.T
     probe = _sq_dist(xs[col, np.newaxis], ys[row, np.newaxis], qx, qy)
-    won = np.repeat(gap > allowance, 8).reshape(-1, 8)
     band_lim = lim[band, np.newaxis]
-    won[band] = probe < band_lim
+    won = probe < band_lim
     tied = probe == band_lim
     at = np.flatnonzero(tied.any(axis=1))
     if at.size:
         rival = _first_arrival(points, xs[col[at]], ys[row[at]], skip=idx)
-        won[band[at]] |= tied[at] & (idx < rival)[:, np.newaxis]
-    return _won_sums(won, weight[box].ravel()) * field_.cell_area - score
-
-
-def _won_sums(won: np.ndarray, weight: np.ndarray) -> np.ndarray:
-    """Per probe k, the float64 sum of `weight` over the cells where won[:, k],
-    added in cell order from 0.0, one block of _SUM_BLOCK cells at a time
-    (see above)."""
-    pairs = np.flatnonzero(won[:_SUM_BLOCK])
-    sums = np.bincount(pairs & 7, weights=weight[pairs >> 3], minlength=8).astype(float)
-    for start in range(_SUM_BLOCK, len(won), _SUM_BLOCK):
-        pairs = np.flatnonzero(won[start : start + _SUM_BLOCK])
-        np.add.at(sums, pairs & 7, weight[start + (pairs >> 3)])
-    return sums
+        won[at] |= tied[at] & (idx < rival)[:, np.newaxis]
+    w = weight[box][row, col]
+    sums = region - w[mine[row, col]].sum() + np.where(won, w[:, np.newaxis], 0.0).sum(axis=0)
+    return sums * field_.cell_area - region * field_.cell_area  # minus the score
 
 
 def batch_scores_with_deltas(
@@ -565,6 +550,6 @@ def batch_scores_with_deltas(
         weight = weight_grid(pitch, w, attacking_right=entry.team != DEFENDING)
         entry.deltas = _probe_deltas(
             field_, best, second, points, i, _tile_box(tiles[c]), pred[c], allowance[c], weight,
-            entry.score,
+            entry.weight_sum,
         )
     return table

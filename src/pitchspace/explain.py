@@ -25,6 +25,9 @@ from .gbdt import GbdtModel, Tree
 # of u values, 8.4 MB at u = 16, and its size and build time more than double
 # with each further feature.
 MAX_PATH_FEATURES = 16
+# Rows of all the leaf tables of one tree, 34 MB at most: a chain of
+# MAX_PATH_FEATURES distinct splits needs 3 * 2**16 - 2 of them.
+MAX_TREE_TABLE_ROWS = 4 << MAX_PATH_FEATURES
 
 
 @dataclass
@@ -88,8 +91,8 @@ def _leaf_games(tree: Tree) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, np
     feature f on the path (an interval test lo < x_f <= hi); z_f = product of
     the path's cover ratios for f's branches, in path order. `table` holds the
     leaf's phi contribution for every on/off pattern (see `_leaf_table`).
-    A path over more than MAX_PATH_FEATURES features raises ValueError before
-    any table is built.
+    A path over more than MAX_PATH_FEATURES features, or tables of more than
+    MAX_TREE_TABLE_ROWS rows in all, raise ValueError before any table is built.
     """
     if tree.cover.size == 0 or tree.cover[0] <= 0:
         raise ValueError("tree lacks training cover counts; attribution needs them")
@@ -115,6 +118,12 @@ def _leaf_games(tree: Tree) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, np
         raise ValueError(
             f"a leaf path splits on {widest} distinct features; attribution takes at most"
             f" {MAX_PATH_FEATURES}"
+        )
+    rows = sum(1 << len(z) for z, *_ in paths)
+    if rows > MAX_TREE_TABLE_ROWS:
+        raise ValueError(
+            f"the leaf tables of one tree would hold {rows} rows; attribution takes at most"
+            f" {MAX_TREE_TABLE_ROWS}"
         )
     games = []
     for z, lo, hi, value in paths:

@@ -131,7 +131,10 @@ def weight_grid(pitch: PitchSpec, w: WeightParams, attacking_right: bool = True)
     Separable bilinear form x_norm * (1 - beta * y_norm). For a team attacking
     left the x term is mirrored (1 - x_norm), matching the defending-team
     weight used for their space scores. Cell centers that overhang the pitch
-    rectangle (non-divisible dimensions) are clamped to the boundary.
+    rectangle (non-divisible dimensions) are clamped to the boundary. Each
+    weight is rounded to the nearest multiple of 2**-q, q = 53 - ceil(log2(nx *
+    ny)), so a sum over any cells counts at most 2**53 units of 2**-q: every
+    partial sum is exact, and the sum is the same float in any order.
     """
     xs, ys = pitch.cell_centers()
     xs = np.clip(xs, -pitch.half_length, pitch.half_length)
@@ -141,6 +144,8 @@ def weight_grid(pitch: PitchSpec, w: WeightParams, attacking_right: bool = True)
         x_norm = 1.0 - x_norm
     y_norm = np.abs(ys) / pitch.half_width
     grid = x_norm[np.newaxis, :] * (1.0 - w.beta * y_norm)[:, np.newaxis]
+    q = 53 - (pitch.nx * pitch.ny - 1).bit_length()
+    grid = np.ldexp(np.rint(np.ldexp(grid, q)), -q)
     grid.setflags(write=False)
     return grid
 

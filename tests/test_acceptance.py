@@ -375,3 +375,27 @@ def test_criterion_10_across_hash_seeds(tmp_path):
         if ok
         else f"differing artifacts: {differing[:5]}",
     )
+
+
+def test_chain_digests_compare_names_the_changed_csv_columns(tmp_path):
+    # A declared numeric change should read plainly in the report: for a
+    # differing .csv artifact still in both runs' directories, `compare`
+    # names each changed column with its largest relative change.
+    script = Path(__file__).resolve().parents[1] / ".github" / "scripts" / "chain_digests.py"
+    tables = {
+        "base": "event_id,a,b,c\nE1,1.0,2.0,x\nE2,4.0,0.0,y\n",
+        "head": "event_id,a,b,c\nE1,1.0,2.5,x\nE2,4.0,-0.0,z\n",
+    }
+    for side, text in tables.items():
+        (tmp_path / side / "feat").mkdir(parents=True)
+        (tmp_path / side / "feat" / "features.csv").write_text(text, encoding="utf-8")
+        doc = {"package": side, "out": str(tmp_path / side), "exit_codes": {},
+               "digests": {"feat/features.csv": side, "model.json": "same"}}
+        (tmp_path / f"{side}.json").write_text(json.dumps(doc), encoding="utf-8")
+    out = subprocess.run(
+        [sys.executable, str(script), "compare", str(tmp_path / "base.json"),
+         str(tmp_path / "head.json")],
+        check=True, capture_output=True, text=True,
+    ).stdout
+    assert "- `feat/features.csv`: sha256 differs; columns `b` 0.2, `c` text\n" in out
+    assert "model.json" not in out

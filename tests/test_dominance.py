@@ -1,4 +1,5 @@
 import gc
+import math
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -17,13 +18,11 @@ from pitchspace.dominance import (
     directional_space_deltas,
     offside_positions,
     space_scores,
-    _SUM_BLOCK,
     _TILE,
     _column_spans,
     _partition,
     _sq_dist,
     _tile_max,
-    _won_sums,
 )
 from pitchspace.match_io import MAX_PLAYERS, PlayerState
 from pitchspace.pitch import (
@@ -138,17 +137,6 @@ def oracle_deltas(frame, pid, pitch, mp, w, excluded):
         players = [replace(p, pos=moved) if p.player_id == pid else p for p in frame.players]
         deltas[k] = score(with_players(frame, players)) - base
     return deltas
-
-
-def oracle_won_sums(won, weight):
-    """Per probe k, the weights of the cells where won[:, k], added one by
-    one in cell order from 0.0 in Python floats."""
-    sums = [0.0] * 8
-    for row, w in zip(won.tolist(), weight.tolist()):
-        for k, hit in enumerate(row):
-            if hit:
-                sums[k] += w
-    return np.array(sums)
 
 
 def oracle_probe_box(pitch, best, player, mp):
@@ -508,6 +496,25 @@ class TestSpaceScores:
         for pid in t1.entries:
             assert t1.score(pid) == pytest.approx(t2.score(pid), rel=1e-12)
 
+    @pytest.mark.parametrize("grid_cell", [0.5, 2.0])
+    def test_owner_sums_are_exact_in_any_cell_order(self, grid_cell):
+        # The probe kernel starts from these sums and adds or removes cells
+        # in another order: that keeps the bits only because every sum of
+        # weights is exact, so it equals math.fsum whatever the order.
+        pitch = PitchSpec(grid_cell=grid_cell)
+        rng = np.random.default_rng(5)
+        for _ in range(4):
+            frame = random_frame(rng, n_attackers=6, n_defenders=6, speed=6.0)
+            field = compute_dominance_grid(frame, pitch, MP, offside_positions(frame))
+            table = space_scores(field, frame, W)
+            for i, pid in enumerate(field.player_ids):
+                attacking = table.entries[pid].team != DEFENDING
+                weights = weight_grid(pitch, W, attacking)[field.owner == i].tolist()
+                exact = math.fsum(weights)
+                assert table.score(pid) == exact * field.cell_area, pid
+                rng.shuffle(weights)
+                assert sum(weights) == exact, pid
+
     def test_grid_refinement_under_two_percent(self, rng):
         frame = random_frame(rng)
         fine_pitch = PitchSpec(grid_cell=0.25)
@@ -860,27 +867,30 @@ class TestDirectionalDeltas:
                 nd = directional_space_deltas(frame, pid, pitch, mp, W, excluded=excluded)
                 assert table.entries[pid].deltas.tobytes() == nd.tobytes(), pid
 
-    def test_no_passing_tile_wins_nothing(self, monkeypatch):
-        # With every tile failing, each candidate's box is empty and each
-        # probe's won sum is 0.0, so its deltas are 0.0 - score.
-        real = dominance._probe_frame
-
-        def no_tiles(*args):
-            *rest, tiles = real(*args)
-            return *rest, np.zeros_like(tiles)
-
-        monkeypatch.setattr(dominance, "_probe_frame", no_tiles)
+    @pytest.mark.parametrize("grid_cell", [0.5, 2.0])
+    def test_every_owned_cell_lies_in_the_probe_box(self, monkeypatch, grid_cell):
+        # The won sums start from the region's sum over the whole grid, which
+        # holds only if the box of each probed candidate covers its region.
+        pitch = PitchSpec(grid_cell=grid_cell)
+        rng = np.random.default_rng(31)
+        frames = [random_frame(rng, n_attackers=6, n_defenders=6, speed=6.0) for _ in range(6)]
+        frames.append(make_frame(  # A1 owns nearly the whole pitch
+            [player("A1", ATTACKING, 0.0, 0.0), player("B1", DEFENDING, 52.0, 33.0)],
+            ball_pos=(0.0, 0.0),
+        ))
         boxes = recorded_probe_boxes(monkeypatch)
-        frame = random_frame(np.random.default_rng(8), n_attackers=4, n_defenders=4, speed=6.0)
-        excluded = offside_positions(frame)
-        candidates = sorted(pid for pid in frame.ids if pid not in excluded)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            table = batch_scores_with_deltas(frame, PITCH, MP, W, candidates, excluded)
-        assert boxes == [np.s_[:0, :0]] * len(candidates)
-        for pid in candidates:
-            entry = table.entries[pid]
-            assert entry.deltas.tobytes() == np.full(8, 0.0 - entry.score).tobytes()
+        for frame in frames:
+            excluded = offside_positions(frame)
+            candidates = sorted(pid for pid in frame.ids if pid not in excluded)
+            boxes.clear()
+            batch_scores_with_deltas(frame, pitch, MP, W, candidates, excluded)
+            field = compute_dominance_grid(frame, pitch, MP, excluded)
+            assert len(boxes) == len(candidates)
+            for box, pid in zip(boxes, candidates):
+                region = field.owner == field.player_ids.index(pid)
+                outside = region.copy()
+                outside[box] = False
+                assert not outside.any(), pid
 
     @pytest.mark.parametrize(
         "pitch",
@@ -913,45 +923,11 @@ class TestDirectionalDeltas:
                 assert np.isfinite(nd).all()
                 assert table.entries[pid].deltas.tobytes() == nd.tobytes(), pid
 
-    @pytest.mark.parametrize(
-        "n, p_won",
-        [(3123, 0.5), (485, 0.9), (200, 0.0), (1, 1.0), (1, 0.0)],
-        ids=["random", "mostly_won", "all_false", "single_cell", "single_cell_lost"],
-    )
-    def test_won_sums_match_row_major_cumsum(self, rng, n, p_won):
-        won = rng.uniform(size=(n, 8)) < p_won
-        weight = rng.uniform(0.0, 1.0, n)
-        # each probe's masked weights, summed in row-major cell order
-        want = np.cumsum(np.where(won.T, weight, 0.0), axis=1)[:, -1]
-        assert _won_sums(won, weight).tobytes() == want.tobytes()
-        if n > 1000:
-            # the order matters: the reversed order rounds differently
-            reverse = np.cumsum(np.where(won.T, weight, 0.0)[:, ::-1], axis=1)[:, -1]
-            assert reverse.tobytes() != want.tobytes()
-
-    @pytest.mark.parametrize(
-        "n", [0, 1, _SUM_BLOCK - 1, _SUM_BLOCK, _SUM_BLOCK + 1, 3 * _SUM_BLOCK + 5]
-    )
-    @pytest.mark.parametrize("case", ["random", "first_block_lost", "all_false"])
-    def test_won_sums_match_python_sum_across_blocks(self, rng, n, case):
-        # The won pairs are summed one block of _SUM_BLOCK cells at a time:
-        # each probe's sum must still be the one left-to-right sum over all
-        # cells, bit for bit, and float64 even when nothing is won.
-        won = rng.uniform(size=(n, 8)) < 0.6
-        if case == "first_block_lost":
-            won[:_SUM_BLOCK] = False
-        elif case == "all_false":
-            won[:] = False
-        weight = rng.uniform(0.0, 1.0, n)
-        got = _won_sums(won, weight)
-        assert got.dtype == np.float64
-        assert got.tobytes() == oracle_won_sums(won, weight).tobytes()
-
     def test_probe_memory_scales_with_the_sum_block_not_the_box(self, monkeypatch):
         # A1 owns most of a 0.25 m grid, so all 8 probes win nearly every
-        # cell of its box. The won pairs, 32 B each in the sums, are held one
-        # block at a time, so the traced peak stays within 64 B per box cell
-        # plus 1.5 MB. A first call fills the caches kept per pitch.
+        # cell of its box. Only the band's cells are summed, so the traced
+        # peak stays within 64 B per box cell plus 1.5 MB. A first call fills
+        # the caches kept per pitch.
         pitch = PitchSpec(grid_cell=0.25)
         frame = make_frame(
             [

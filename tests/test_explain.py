@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from pitchspace import explain
-from pitchspace.explain import MAX_PATH_FEATURES, ImportanceSummary, _leaf_games, shap_values
+from pitchspace.explain import (
+    MAX_PATH_FEATURES, MAX_TREE_TABLE_ROWS, ImportanceSummary, _leaf_games, shap_values,
+)
 from pitchspace.features import PassSampleTable
 from pitchspace.gbdt import GbdtHyperParams, GbdtModel, Tree, train_gbdt
 
@@ -51,6 +53,21 @@ def chain_tree(u):
         right=[k + 2 if k in internal else -1 for k in range(2 * u)] + [-1],
         value=[0.0 if k in internal else 0.01 * (k % 5) for k in range(2 * u)] + [0.05],
         cover=[u - k // 2 + 1 if k in internal else 1 for k in range(2 * u)] + [1],
+    )
+
+
+def full_tree(depth):
+    """A full binary tree of the given depth whose nodes at depth d split on
+    feature d: 2**depth leaves, each path splitting on all `depth` features."""
+    n = (2 << depth) - 1
+    internal = (1 << depth) - 1
+    return Tree(
+        feature=[(i + 1).bit_length() - 1 if i < internal else -1 for i in range(n)],
+        threshold=[0.0] * n,
+        left=[2 * i + 1 if i < internal else -1 for i in range(n)],
+        right=[2 * i + 2 if i < internal else -1 for i in range(n)],
+        value=[0.0 if i < internal else 0.01 * (i % 7) for i in range(n)],
+        cover=[1 << (depth - (i + 1).bit_length() + 1) for i in range(n)],
     )
 
 
@@ -323,6 +340,17 @@ class TestPathFeatureBound:
     def test_path_over_the_bound_raises_before_any_table(self, built):
         with pytest.raises(ValueError, match=f"a leaf path splits on {MAX_PATH_FEATURES + 1} "):
             _leaf_games(chain_tree(MAX_PATH_FEATURES + 1))
+        assert built == []
+
+    def test_chain_at_the_path_bound_fits_the_tree_bound(self):
+        rows = sum(1 << u for u in [*range(1, MAX_PATH_FEATURES + 1), MAX_PATH_FEATURES])
+        assert rows <= MAX_TREE_TABLE_ROWS
+
+    def test_tree_over_the_table_bound_raises_before_any_table(self, built):
+        # Every path of a full depth-10 tree splits on 10 features, within the
+        # path bound, but its 1,024 tables would hold 2**20 rows in all.
+        with pytest.raises(ValueError, match=f"would hold {1 << 20} rows; .* {MAX_TREE_TABLE_ROWS}$"):
+            _leaf_games(full_tree(10))
         assert built == []
 
 

@@ -8,9 +8,10 @@ finite attributions, or with a data error that names the model;
 whatever the players' positions, the dominance partition is the full-grid
 oracle's, bit for bit; a match's features.csv and its rendered SVGs keep
 their bytes when each frame's player rows are reversed or the match is
-mirrored in x; its features.csv keeps them when its frame numbers are
-shifted and its player ids renamed in sort order; and `features --matches`
-over two copies of a match gives its rows twice, under each copy's name.
+mirrored in x; its features.csv keeps them under a mirror in y, and when
+its frame numbers are shifted and its player ids renamed in sort order; and
+`features --matches` over two copies of a match gives its rows twice, under
+each copy's name.
 
 Runs are derandomized and small, so the suite stays deterministic and quick.
 """
@@ -476,6 +477,19 @@ def mirrored_frame(frame: TrackedFrame) -> TrackedFrame:
     return replace(mirrored, metadata=replace(frame.metadata, attacks_right_team=other))
 
 
+def mirrored_in_y(frames, events):
+    """The match mirrored in y: every y and vy of players, ball and events negated."""
+    frames = [
+        f.with_players(
+            xy=f.xy * (1.0, -1.0),
+            vxy=f.vxy * (1.0, -1.0),
+            ball=Ball(Point2(f.ball.pos.x, -f.ball.pos.y), Point2(f.ball.vel.x, -f.ball.vel.y)),
+        )
+        for f in frames
+    ]
+    return frames, [replace(e, pos=Point2(e.pos.x, -e.pos.y)) for e in events]
+
+
 RELATION_SETTINGS = settings(
     max_examples=12,
     derandomize=True,
@@ -501,6 +515,17 @@ def test_features_ignore_a_mirror_in_x(tmp_path, match):
     mirrored_events = [replace(e, pos=Point2(-e.pos.x, e.pos.y)) for e in events]
     got = features_csv(tmp_path, [mirrored_frame(f) for f in frames], mirrored_events, n, ranking)
     assert got == want
+
+
+@RELATION_SETTINGS
+@given(match=synthetic_matches())
+def test_features_ignore_a_mirror_in_y(tmp_path, match):
+    # The cell grid is symmetric in y, so the partition mirrors exactly, and
+    # each score sums the same weights in another order: the same float,
+    # because every sum of weights is exact (pitch.weight_grid).
+    frames, events, n, ranking = match
+    want = features_csv(tmp_path, frames, events, n, ranking)
+    assert features_csv(tmp_path, *mirrored_in_y(frames, events), n, ranking) == want
 
 
 def relabelled(frames, events, shift):

@@ -16,16 +16,23 @@ PITCH = PitchSpec()
 W = WeightParams()
 
 
+def lattice_exponent(pitch):
+    """q = 53 - ceil(log2(nx * ny)): the weights are multiples of 2**-q."""
+    return 53 - math.ceil(math.log2(pitch.nx * pitch.ny))
+
+
 def field_weight(p, pitch, w, attacking_right=True):
     """Scalar oracle of weight_grid: the weight x_norm * (1 - beta * y_norm)
-    at one point of the pitch rectangle, x mirrored for a team attacking left."""
+    at one point of the pitch rectangle, x mirrored for a team attacking left,
+    rounded to the nearest multiple of 2**-q (half to even)."""
     if not (abs(p.x) <= pitch.half_length and abs(p.y) <= pitch.half_width):
         raise ValueError(f"point ({p.x}, {p.y}) outside {pitch.length}x{pitch.width} pitch")
     x_norm = (p.x + pitch.half_length) / pitch.length
     if not attacking_right:
         x_norm = 1.0 - x_norm
     y_norm = abs(p.y) / pitch.half_width
-    return x_norm * (1.0 - w.beta * y_norm)
+    q = lattice_exponent(pitch)
+    return math.ldexp(round(math.ldexp(x_norm * (1.0 - w.beta * y_norm), q)), -q)
 
 
 class TestTypes:
@@ -132,6 +139,23 @@ class TestFieldWeight:
             for y in ys.tolist()
         ]
         assert grid.tobytes() == np.array(want).tobytes()
+
+    @pytest.mark.parametrize("attacking_right", [True, False])
+    @pytest.mark.parametrize("grid_cell", [0.5, 0.1, 4.0, 6.0])
+    def test_weights_lie_on_a_lattice_where_every_sum_is_exact(self, grid_cell, attacking_right):
+        # Every weight is m * 2**-q with 0 <= m <= 2**q, so a sum over the
+        # grid's nx * ny cells counts at most 2**53 units of 2**-q: exact.
+        pitch = PitchSpec(grid_cell=grid_cell)
+        q = lattice_exponent(pitch)
+        assert pitch.nx * pitch.ny * 2**q <= 2**53
+        units = np.ldexp(weight_grid(pitch, W, attacking_right), q)
+        assert np.array_equal(units, np.rint(units))
+        assert units.min() >= 0 and units.max() <= 2**q
+
+    def test_lattice_exponent_at_the_default_and_the_largest_grid(self):
+        largest = PitchSpec(length=2000.0, width=2000.0, grid_cell=1.0)
+        assert largest.nx * largest.ny == MAX_GRID_CELLS
+        assert (lattice_exponent(PITCH), lattice_exponent(largest)) == (38, 31)
 
     def test_defending_weight_is_mirrored_attacking_weight(self):
         att = weight_grid(PITCH, W, attacking_right=True)

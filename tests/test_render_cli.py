@@ -40,7 +40,7 @@ from pitchspace.render_svg import RenderOptions, render_animation_svg, render_fr
 from pitchspace.synth import SynthConfig, synthesize_match
 
 from conftest import make_frame, player
-from test_explain import chain_tree
+from test_explain import chain_tree, full_tree
 
 PITCH = PitchSpec(grid_cell=2.0)
 MP = MotionParams()
@@ -834,6 +834,27 @@ class TestCli:
         assert cli_dispatch(["explain", *args, "--out", str(tmp_path / "x")]) == 2
         assert (f"data error: {model}: a leaf path splits on 40 distinct features; "
                 f"attribution takes at most {explain.MAX_PATH_FEATURES}\n") in capsys.readouterr().err
+
+    def test_explain_refuses_a_tree_over_the_table_bound(self, tmp_path, capsys, monkeypatch):
+        # A full depth-12 tree over 12 columns: each leaf path is within the
+        # feature bound, but the 4,096 leaf tables would take 1.6 GB. explain
+        # refuses it before building any table (exit 2, naming the model).
+        def no_table(z, value):
+            raise AssertionError("a leaf table was built")
+
+        monkeypatch.setattr(explain, "_leaf_table", no_table)
+        columns = [f"f{j}" for j in range(12)]
+        model = tmp_path / "model.json"
+        save_model(GbdtModel(0.1, [full_tree(12)], columns, dict.fromkeys(columns, 0.0),
+                             GbdtHyperParams()), model)
+        x = np.random.default_rng(0).normal(size=(25, 12))
+        PassSampleTable([f"e{i}" for i in range(25)], np.arange(25) % 2, columns, x).to_csv(
+            tmp_path / "features.csv"
+        )
+        args = ["--model", str(model), "--features", str(tmp_path / "features.csv")]
+        assert cli_dispatch(["explain", *args, "--out", str(tmp_path / "x")]) == 2
+        assert (f"data error: {model}: the leaf tables of one tree would hold {1 << 24} rows; "
+                f"attribution takes at most {explain.MAX_TREE_TABLE_ROWS}\n") in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "config, n, column",
