@@ -867,6 +867,33 @@ class TestDirectionalDeltas:
                 nd = directional_space_deltas(frame, pid, pitch, mp, W, excluded=excluded)
                 assert table.entries[pid].deltas.tobytes() == nd.tobytes(), pid
 
+    def test_no_passing_tile_wins_nothing(self, monkeypatch):
+        # D1 runs off the pitch over a long reaction time: its predicted point
+        # lies 50 m beyond the goal line, behind D2's, so every cell is nearer
+        # D2 or A1 by far more than the 1 m allowance. D1 owns no cell, its box
+        # is empty, its region's weight sum is 0.0 and so is every delta.
+        mp = MotionParams(reaction_time=5.0)
+        frame = make_frame(
+            [
+                player("A1", ATTACKING, -10.0, 0.0),
+                player("D1", DEFENDING, 52.5, 0.0, 10.0, 0.0),
+                player("D2", DEFENDING, 52.5, 0.0),
+            ],
+        )
+        excluded = offside_positions(frame)
+        candidates = sorted(pid for pid in frame.ids if pid not in excluded)
+        assert candidates == ["A1", "D1", "D2"]
+        boxes = recorded_probe_boxes(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = batch_scores_with_deltas(frame, PITCH, mp, W, candidates, excluded)
+            nd = directional_space_deltas(frame, "D1", PITCH, mp, W, excluded=excluded)
+        assert boxes[1] == np.s_[:0, :0]
+        assert all(box != np.s_[:0, :0] for box in (boxes[0], boxes[2]))
+        entry = table.entries["D1"]
+        assert entry.score == entry.weight_sum == 0.0
+        assert entry.deltas.tobytes() == np.zeros(8).tobytes() == nd.tobytes()
+
     @pytest.mark.parametrize("grid_cell", [0.5, 2.0])
     def test_every_owned_cell_lies_in_the_probe_box(self, monkeypatch, grid_cell):
         # The won sums start from the region's sum over the whole grid, which
@@ -922,6 +949,50 @@ class TestDirectionalDeltas:
                 nd = directional_space_deltas(frame, pid, pitch, mp, W, excluded=excluded)
                 assert np.isfinite(nd).all()
                 assert table.entries[pid].deltas.tobytes() == nd.tobytes(), pid
+
+    @pytest.mark.parametrize("grid_cell", [0.25, 0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("case", ["random", "one_owner"])
+    def test_band_sums_equal_fsum_of_the_won_cells(self, grid_cell, case):
+        # Each probe's won sum is built from the region's sum and the band
+        # cells alone. Over the whole grid, a probe wins a cell where its
+        # squared distance is below lim, or ties it ahead of the nearest
+        # other player by index; math.fsum of those weights is the exact sum,
+        # so the deltas must match it bit for bit.
+        pitch = PitchSpec(grid_cell=grid_cell)
+        rng = np.random.default_rng(17)
+        if case == "random":
+            frames = [random_frame(rng, n_attackers=5, n_defenders=5, speed=6.0) for _ in range(2)]
+        else:
+            frames = [make_frame(  # A1 owns nearly the whole pitch
+                [player("A1", ATTACKING, -3.0, 2.0, 1.5, -0.5), player("B1", DEFENDING, 50.0, 30.0)],
+                ball_pos=(0.0, 0.0),
+            )]
+        xs, ys = pitch.cell_centers()
+        half = np.array([pitch.half_length, pitch.half_width])
+        area = pitch.grid_cell ** 2
+        for frame in frames:
+            excluded = offside_positions(frame)
+            ids, owner, best, second_idx, second = oracle_distance_stack(frame, pitch, MP, excluded)
+            table = batch_scores_with_deltas(frame, pitch, MP, W, ids, excluded)
+            for i, pid in enumerate(ids):
+                target = find_player(frame, pid)
+                attacking = table.entries[pid].team != DEFENDING
+                weight = weight_grid(pitch, W, attacking)
+                mine = owner == i
+                lim = np.where(mine, second, best)
+                rival = np.where(mine, second_idx, owner)
+                pos = np.array([target.pos.x, target.pos.y])
+                vel = np.array([target.vel.x, target.vel.y]) * MP.reaction_time
+                region = math.fsum(weight[mine].tolist())
+                want = np.empty(8)
+                for k, (px, py) in enumerate(np.clip(pos + DIRECTIONS_8, -half, half) + vel):
+                    dx = xs - px
+                    dy = ys[:, np.newaxis] - py
+                    d2 = dx * dx + dy * dy
+                    won = (d2 < lim) | ((d2 == lim) & (i < rival))
+                    won_sum = math.fsum(weight[won].tolist())
+                    want[k] = won_sum * area - region * area
+                assert table.entries[pid].deltas.tobytes() == want.tobytes(), pid
 
     def test_probe_memory_scales_with_the_sum_block_not_the_box(self, monkeypatch):
         # A1 owns most of a 0.25 m grid, so all 8 probes win nearly every
