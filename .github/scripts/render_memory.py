@@ -11,7 +11,7 @@ of them under tracemalloc, and prints one Markdown line for LABEL: both
 peaks and their growth per extra frame, in MB (1e6 bytes), and the minor page
 faults per extra frame, read from this process's ru_minflt around the same
 two runs. The peaks are the measurements of
-test_render_peak_grows_at_most_a_quarter_mb_per_frame in
+test_render_peak_grows_at_most_10_kb_per_frame in
 tests/test_render_cli.py. It uses the pitchspace package found on PYTHONPATH.
 """
 

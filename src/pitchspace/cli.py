@@ -276,7 +276,16 @@ def cmd_render(args, cfg: RunConfig, out: Path):
     if not selected:
         raise SchemaError("no frames in the requested range", args.tracking)
 
-    prepared = []  # (oriented frame, score table, field) per selected frame
+    def scored(oriented, excluded):
+        fld = compute_dominance_grid(oriented, cfg.pitch, cfg.motion, excluded)
+        return fld, space_scores(fld, oriented, cfg.weight)
+
+    # Pass 1 validates every frame, so that a refusal writes no SVG. Unless
+    # both colormap ends are set, it also pools the scores that set the range,
+    # keeping those floats alone: no field outlives its frame.
+    opts = cfg.render
+    percentiles = opts.score_min is None or opts.score_max is None
+    jobs, pooled = [], []  # jobs: (frame, attacking team) per selected frame
     for f in selected:
         team = args.attacking_team or f.metadata.attacking_team_id
         if team is None:
@@ -292,18 +301,21 @@ def cmd_render(args, cfg: RunConfig, out: Path):
                 "is eligible for the dominance grid",
                 args.tracking,
             )
-        fld = compute_dominance_grid(oriented, cfg.pitch, cfg.motion, excluded)
-        prepared.append((oriented, space_scores(fld, oriented, cfg.weight), fld))
+        jobs.append((f, team))
+        if percentiles:
+            _, table = scored(oriented, excluded)
+            pooled.extend(e.score for e in table if not e.excluded_offside)
 
-    opts = cfg.render
-    if opts.score_min is None or opts.score_max is None:
-        pooled = [e.score for _, table, _ in prepared for e in table if not e.excluded_offside]
+    if percentiles:
         lo, hi = np.percentile(np.array(pooled), [5.0, 95.0])
         lo = float(lo) if opts.score_min is None else opts.score_min
         hi = float(hi) if opts.score_max is None else opts.score_max
         opts = replace(opts, score_min=lo, score_max=hi if lo < hi else lo + 1.0)
+    # Pass 2 computes each frame's field again and writes its SVG at once.
     outputs, docs = [], []  # docs: only --animate splices the frames into one document
-    for oriented, scores, fld in prepared:
+    for f, team in jobs:
+        oriented = orient_frame(f, team)
+        fld, scores = scored(oriented, offside_positions(oriented))
         doc = render_frame_svg(oriented, scores, fld, opts)
         if args.animate:
             docs.append(doc)

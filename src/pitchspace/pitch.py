@@ -103,7 +103,7 @@ class PitchSpec:
     def cell_centers(self) -> tuple[np.ndarray, np.ndarray]:
         """Grid cell center coordinates: (xs of shape (nx,), ys of shape (ny,)).
 
-        Built once per pitch and read-only, like weight_grid.
+        Built once per pitch and read-only, like weight_prefix.
         """
         xs = -self.half_length + (np.arange(self.nx) + 0.5) * self.grid_cell
         ys = -self.half_width + (np.arange(self.ny) + 0.5) * self.grid_cell
@@ -123,7 +123,6 @@ class WeightParams:
             raise ValueError(f"beta must be in [0, 1], got {self.beta}")
 
 
-@lru_cache(maxsize=32)
 def weight_grid(pitch: PitchSpec, w: WeightParams, attacking_right: bool = True) -> np.ndarray:
     """Positional weight in [0, 1] at every grid cell center, shape (ny, nx):
     grows toward the opponent goal and the lateral center.
@@ -145,9 +144,23 @@ def weight_grid(pitch: PitchSpec, w: WeightParams, attacking_right: bool = True)
     y_norm = np.abs(ys) / pitch.half_width
     grid = x_norm[np.newaxis, :] * (1.0 - w.beta * y_norm)[:, np.newaxis]
     q = 53 - (pitch.nx * pitch.ny - 1).bit_length()
-    grid = np.ldexp(np.rint(np.ldexp(grid, q)), -q)
-    grid.setflags(write=False)
-    return grid
+    return np.ldexp(np.rint(np.ldexp(grid, q)), -q)
+
+
+@lru_cache(maxsize=32)
+def weight_prefix(
+    pitch: PitchSpec, w: WeightParams, attacking_right: bool = True
+) -> np.ndarray:
+    """Prefix sums of weight_grid in row-major cell order, read-only, shape
+    (nx * ny + 1,): entry k is the sum of the weights of the first k cells,
+    so the cells of flat indices a to b - 1 weigh prefix[b] - prefix[a]. Every
+    entry is a partial sum on weight_grid's lattice, so it is exact, and so is
+    every difference of two entries: a cell's weight is the difference of two
+    adjacent ones. One table per side is built once, in place of the grids.
+    """
+    prefix = np.concatenate(([0.0], np.cumsum(weight_grid(pitch, w, attacking_right))))
+    prefix.setflags(write=False)
+    return prefix
 
 
 def goal_distance_angle(p, pitch: PitchSpec) -> tuple[float, float]:

@@ -21,6 +21,9 @@ SCALE = 8.0  # px per meter
 MARGIN = 20.0
 ATTACK_RGB = (211, 47, 47)
 DEFEND_RGB = (30, 136, 229)
+_STROKES = {team_is_defending: "#{:02x}{:02x}{:02x}".format(*rgb)
+            for team_is_defending, rgb in ((False, ATTACK_RGB), (True, DEFEND_RGB))}
+_PLAYER_R = f"{1.2 * SCALE:.2f}"  # player glyph radius, px
 # the attribute-value escapes of a player id; the loader has already rejected
 # every character XML 1.0 forbids
 _ID_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;"})
@@ -45,7 +48,8 @@ class RenderOptions:
 def _mix(base: tuple[int, int, int], t: float) -> str:
     """Linear white-to-base ramp; a floor keeps low scores visible."""
     t = 0.15 + 0.85 * min(max(t, 0.0), 1.0)
-    r, g, b = (round(255 + (c - 255) * t) for c in base)
+    r, g, b = base  # unrolled: a generator here costs a fifth of the call
+    r, g, b = round(255 + (r - 255) * t), round(255 + (g - 255) * t), round(255 + (b - 255) * t)
     return f"#{r:02x}{g:02x}{b:02x}"
 
 
@@ -99,6 +103,31 @@ def _rect_fragments(pitch: PitchSpec) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return arrays
 
 
+@lru_cache(maxsize=32)
+def _pitch_text(pitch: PitchSpec) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The lines that depend only on the pitch: the document header, up to
+    the background, and the pitch markings."""
+    fx, fy = partial(_fx, pitch), partial(_fy, pitch)
+    width = 2 * MARGIN + pitch.length * SCALE
+    height = 2 * MARGIN + pitch.width * SCALE
+    header = (
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" height="{height:.0f}" '
+        f'viewBox="0 0 {width:.0f} {height:.0f}">',
+        f'<rect width="{width:.0f}" height="{height:.0f}" fill="#1a3a23"/>',
+    )
+    markings = (
+        f'<rect x="{fx(-pitch.half_length)}" y="{fy(pitch.half_width)}" '
+        f'width="{pitch.length * SCALE:.2f}" height="{pitch.width * SCALE:.2f}" '
+        'fill="none" stroke="#e8e8e8" stroke-width="1.5"/>',
+        f'<line x1="{fx(0)}" y1="{fy(pitch.half_width)}" x2="{fx(0)}" '
+        f'y2="{fy(-pitch.half_width)}" stroke="#e8e8e8" stroke-width="1.5"/>',
+        f'<circle cx="{fx(0)}" cy="{fy(0)}" r="{9.15 * SCALE:.2f}" '
+        'fill="none" stroke="#e8e8e8" stroke-width="1.5"/>',
+    )
+    return header, markings
+
+
 def render_frame_svg(
     frame: TrackedFrame,
     scores: SpaceScoreTable,
@@ -112,19 +141,11 @@ def render_frame_svg(
         raise ValueError(f"frame must be role-labeled (attacking/defending), got {bad[0]!r}")
     pitch = field.pitch
     lo, hi = _score_range(scores, opts)
-
     fx, fy = partial(_fx, pitch), partial(_fy, pitch)
+    header, markings = _pitch_text(pitch)
+    out: list[str] = list(header)
 
-    width = 2 * MARGIN + pitch.length * SCALE
-    height = 2 * MARGIN + pitch.width * SCALE
-    out: list[str] = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" height="{height:.0f}" '
-        f'viewBox="0 0 {width:.0f} {height:.0f}">',
-        f'<rect width="{width:.0f}" height="{height:.0f}" fill="#1a3a23"/>',
-    ]
-
-    # Dominance regions, row-run-length encoded into rects. Each rect joins
+    # Dominance regions: one rect per row run of the field. Each rect joins
     # fragments formatted once per pitch (per column, row and run width) and
     # once per owner, so no number is formatted per cell or per run.
     x_left, x_right, y_top, y_bottom = _grid_labels(pitch)
@@ -134,13 +155,7 @@ def render_frame_svg(
         colors[pid] = _mix(base, (entry.score - lo) / (hi - lo))
     ends = np.array([f'{colors[pid]}"/>' for pid in field.player_ids], dtype=object)
     ow = field.owner
-    ny, nx = ow.shape
-    # edges[iy, ix]: a run boundary sits before column ix (both row ends count).
-    edges = np.ones((ny, nx + 1), dtype=bool)
-    np.not_equal(ow[:, 1:], ow[:, :-1], out=edges[:, 1:-1])
-    row, col = np.divmod(np.flatnonzero(edges), nx + 1)  # np.nonzero's order, faster
-    opens = np.flatnonzero(col[:-1] != nx)  # each edge but a row end opens a run
-    run_row, start, stop = row[opens], col[opens], col[opens + 1]
+    run_row, start, stop = field.runs
     at_x, at_y, at_width = _rect_fragments(pitch)
     out.append('<g class="regions" opacity="0.6">')
     out.extend(map("".join, zip(
@@ -150,12 +165,13 @@ def render_frame_svg(
     out.append("</g>")
 
     if opts.show_voronoi_boundaries:
-        # Vertical segments (row neighbours differ: the run edges inside a
-        # row), then horizontal ones (column neighbours differ), each in
+        # Vertical segments (row neighbours differ: where a run opens inside
+        # a row), then horizontal ones (column neighbours differ), each in
         # row-major order.
-        inner = (col > 0) & (col < nx)
-        vertical = zip(row[inner].tolist(), (col[inner] - 1).tolist())
-        horizontal = zip(*(a.tolist() for a in np.divmod(np.flatnonzero(ow[:-1] != ow[1:]), nx)))
+        inner = start > 0
+        vertical = zip(run_row[inner].tolist(), (start[inner] - 1).tolist())
+        cuts = np.flatnonzero(ow[:-1] != ow[1:])
+        horizontal = zip(*(a.tolist() for a in np.divmod(cuts, pitch.nx)))
         segs = [f"M{x_right[ix]} {y_bottom[iy]} L{x_right[ix]} {y_top[iy]}" for iy, ix in vertical]
         segs += [f"M{x_left[ix]} {y_top[iy]} L{x_right[ix]} {y_top[iy]}" for iy, ix in horizontal]
         out.append(
@@ -163,41 +179,28 @@ def render_frame_svg(
             'stroke-width="0.8" fill="none" opacity="0.7"/>'
         )
 
-    # Pitch markings.
-    out.append(
-        f'<rect x="{fx(-pitch.half_length)}" y="{fy(pitch.half_width)}" '
-        f'width="{pitch.length * SCALE:.2f}" height="{pitch.width * SCALE:.2f}" '
-        'fill="none" stroke="#e8e8e8" stroke-width="1.5"/>'
-    )
-    out.append(
-        f'<line x1="{fx(0)}" y1="{fy(pitch.half_width)}" x2="{fx(0)}" '
-        f'y2="{fy(-pitch.half_width)}" stroke="#e8e8e8" stroke-width="1.5"/>'
-    )
-    out.append(
-        f'<circle cx="{fx(0)}" cy="{fy(0)}" r="{9.15 * SCALE:.2f}" '
-        'fill="none" stroke="#e8e8e8" stroke-width="1.5"/>'
-    )
+    out.extend(markings)
 
     for pid, (x, y) in sorted(zip(frame.ids, frame.xy.tolist())):  # ids are unique
         entry = scores.entries.get(pid)
-        base = DEFEND_RGB if teams[pid] == DEFENDING else ATTACK_RGB
-        stroke = f"#{base[0]:02x}{base[1]:02x}{base[2]:02x}"
+        stroke = _STROKES[teams[pid] == DEFENDING]
+        cx, cy = fx(x), fy(y)
         out.append(f'<g class="glyph player" id="p-{pid.translate(_ID_ESCAPES)}">')
         if entry is not None and entry.excluded_offside:
             # Offside players are excluded from the calculation: hollow, no score.
             out.append(
-                f'<circle cx="{fx(x)}" cy="{fy(y)}" r="{1.2 * SCALE:.2f}" '
+                f'<circle cx="{cx}" cy="{cy}" r="{_PLAYER_R}" '
                 f'fill="none" stroke="{stroke}" stroke-width="2.0" stroke-dasharray="3 2"/>'
             )
         else:
             fill = colors.get(pid, stroke)
             out.append(
-                f'<circle cx="{fx(x)}" cy="{fy(y)}" r="{1.2 * SCALE:.2f}" '
+                f'<circle cx="{cx}" cy="{cy}" r="{_PLAYER_R}" '
                 f'fill="{fill}" stroke="{stroke}" stroke-width="1.5"/>'
             )
             if opts.show_scores and entry is not None:
                 out.append(
-                    f'<text x="{fx(x)}" y="{fy(y - 2.4)}" class="score" '
+                    f'<text x="{cx}" y="{fy(y - 2.4)}" class="score" '
                     'font-family="monospace" font-size="10" fill="#ffffff" '
                     f'text-anchor="middle">{entry.score:.1f}</text>'
                 )

@@ -515,6 +515,65 @@ class TestSpaceScores:
                 rng.shuffle(weights)
                 assert sum(weights) == exact, pid
 
+    @staticmethod
+    def run_sum_frame(rng, case, pitch):
+        """(frame, excluded) of a run-sum case: offside-excluded attackers, a
+        lone eligible defender, a one-ulp mirror pair, or whole-metre points."""
+        if case == "offside":
+            frame = random_frame(rng, n_attackers=8, n_defenders=8)
+            extra = [player(f"A9{i}", ATTACKING, 52.0, y) for i, y in enumerate((-20.0, 25.0))]
+            frame = with_players(frame, [*frame.players, *extra])
+            assert {"A90", "A91"} <= offside_positions(frame)
+            return frame, offside_positions(frame)
+        if case == "lone":
+            # fewer than two defenders: the line is the ball, and both attackers pass it
+            players = [
+                player("A1", ATTACKING, 30.0, -5.0), player("A2", ATTACKING, 40.0, 12.0),
+                player("D1", DEFENDING, *rng.uniform(-30, 30, 2)),
+            ]
+            frame = make_frame(players, ball_pos=(10.0, 0.0))
+            assert offside_positions(frame) == {"A1", "A2"}
+            return frame, offside_positions(frame)
+        xy, vxy = partition_players(rng, {"ulp_mirror": "rounding_tie"}.get(case, case), pitch)
+        teams = (ATTACKING, DEFENDING)
+        players = [
+            player(f"P{i:02d}", teams[i % 2], x, y, vx, vy)
+            for i, ((x, y), (vx, vy)) in enumerate(zip(xy.tolist(), vxy.tolist()))
+        ]
+        return make_frame(players), frozenset()
+
+    # 0.75 m leaves a ragged last tile on both axes (140 x 91 cells).
+    @pytest.mark.parametrize("grid_cell", [0.25, 0.5, 0.75, 1.0, 2.0])
+    @pytest.mark.parametrize("case", ["offside", "lone", "ulp_mirror", "lattice"])
+    def test_run_sums_equal_the_cell_bincounts_bitwise(self, grid_cell, case):
+        # space_scores sums each run as a difference of row prefix sums; on
+        # the weight lattice that is the bincount over the cells, bit for bit.
+        pitch = PitchSpec(grid_cell=grid_cell)
+        rng = np.random.default_rng([41, int(grid_cell * 4), len(case)])
+        for _ in range(3):
+            frame, excluded = self.run_sum_frame(rng, case, pitch)
+            field = compute_dominance_grid(frame, pitch, MP, excluded)
+            table = space_scores(field, frame, W)
+            want = oracle_scores(frame, pitch, W, field.player_ids, field.owner)
+            for pid, score in want.items():
+                assert np.float64(table.score(pid)).tobytes() == np.float64(score).tobytes(), pid
+            assert all(table.score(pid) == 0.0 for pid in excluded)
+            if case == "lone":
+                assert field.player_ids == ["D1"]
+
+            # The runs tile the grid in row-major order, each as long as it can be.
+            row, start, stop = field.runs
+            owner = field.owner[row, start]
+            assert np.repeat(owner, stop - start).tobytes() == field.owner.tobytes()
+            rows = np.arange(pitch.ny).repeat(pitch.nx)
+            assert np.array_equal(np.repeat(row, stop - start), rows)
+            assert ((row[1:] != row[:-1]) | (owner[1:] != owner[:-1])).all()
+            counts = field.owned_cell_counts()
+            assert sum(counts.values()) == pitch.nx * pitch.ny
+            assert list(counts.values()) == np.bincount(
+                field.owner.ravel(), minlength=len(field.player_ids)
+            ).tolist()
+
     def test_grid_refinement_under_two_percent(self, rng):
         frame = random_frame(rng)
         fine_pitch = PitchSpec(grid_cell=0.25)

@@ -1,4 +1,6 @@
+import csv
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -523,6 +525,57 @@ class TestEndToEndDataset:
         db1 = table.raw[:, table.columns.index("dist_ball_1")]
         gen = np.array([gt["rule_features"][eid]["dist_ball"] for eid in table.event_ids])
         assert np.allclose(db1, gen, atol=1e-9)
+
+
+def csv_columns(path, table) -> dict[str, list[str]]:
+    """The columns of the table as features.csv writes them, by name."""
+    table.to_csv(path)
+    header, *rows = csv.reader(path.read_text(encoding="utf-8").splitlines())
+    return dict(zip(header, zip(*rows)))
+
+
+class TestMotionRescaling:
+    """A predicted point is position + velocity * reaction_time. Halving every
+    velocity and doubling motion.reaction_time are both exact in binary, so
+    every predicted point keeps its bits, and max_speed enters no distance:
+    the dist_ball_*, fast_space_vel_* and variation_space_vel_* columns of
+    features.csv keep theirs under either change. The time_to_* columns do
+    change (each is reaction_time + d / max_speed), and rounding can make two
+    candidates' times tie, which could reorder a ranking by time: so the rows
+    are ranked by dist_ball or fast_space_vel. The frames stay in memory, where
+    the loader's 13 m/s speed cap cannot touch a velocity."""
+
+    UNTIMED = ("dist_ball_", "fast_space_vel_", "variation_space_vel_")
+
+    @pytest.mark.parametrize("ranking", ["dist_ball", "fast_space_vel"])
+    @pytest.mark.parametrize("seed, lattice", [(41, False), (42, False), (43, True)])
+    def test_untimed_columns_keep_their_bits(self, tmp_path, seed, lattice, ranking):
+        frames, events, _ = synthesize_match(SynthConfig(passes=30, opponent_pass_rate=0.3), seed)
+        if lattice:  # whole metres: cells equidistant from two players are common
+            frames = [f.with_players(xy=np.round(f.xy)) for f in frames]
+
+        def columns(frames, mp):
+            table, _ = build_dataset([(frames, events)], 3, ranking, PITCH, mp, W)
+            return csv_columns(tmp_path / "features.csv", table)
+
+        want = columns(frames, MP)
+        halved = [
+            f.with_players(
+                vxy=f.vxy * 0.5,
+                ball=replace(f.ball, vel=Point2(f.ball.vel.x * 0.5, f.ball.vel.y * 0.5)),
+            )
+            for f in frames
+        ]
+        for got in (
+            columns(halved, replace(MP, reaction_time=2 * MP.reaction_time)),
+            columns(frames, replace(MP, max_speed=5.5)),
+        ):
+            assert got.keys() == want.keys()
+            for name in want:
+                if name.startswith(self.UNTIMED):
+                    assert got[name] == want[name], name
+            # not vacuous: the motion reached the time columns
+            assert any(got[n] != want[n] for n in want if n.startswith("time_to_"))
 
 
 class TestSelectionAwareExtraction:

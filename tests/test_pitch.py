@@ -10,6 +10,7 @@ from pitchspace.pitch import (
     WeightParams,
     goal_distance_angle,
     weight_grid,
+    weight_prefix,
 )
 
 PITCH = PitchSpec()
@@ -156,6 +157,20 @@ class TestFieldWeight:
         largest = PitchSpec(length=2000.0, width=2000.0, grid_cell=1.0)
         assert largest.nx * largest.ny == MAX_GRID_CELLS
         assert (lattice_exponent(PITCH), lattice_exponent(largest)) == (38, 31)
+
+    @pytest.mark.parametrize("attacking_right", [True, False])
+    @pytest.mark.parametrize("grid_cell", [0.5, 0.75, 4.0])
+    def test_prefix_sums_difference_back_to_the_weights(self, grid_cell, attacking_right):
+        # Each entry is an exact partial sum in row-major order, so adjacent
+        # entries differ by exactly one cell's weight, and the last is the fsum.
+        pitch = PitchSpec(grid_cell=grid_cell)
+        prefix = weight_prefix(pitch, W, attacking_right)
+        assert prefix.shape == (pitch.nx * pitch.ny + 1,) and not prefix.flags.writeable
+        assert weight_prefix(pitch, W, attacking_right) is prefix  # one table per side
+        grid = weight_grid(pitch, W, attacking_right)
+        assert prefix[0] == 0.0
+        assert np.diff(prefix).tobytes() == grid.tobytes()
+        assert prefix[-1] == math.fsum(grid.ravel().tolist())
 
     def test_defending_weight_is_mirrored_attacking_weight(self):
         att = weight_grid(PITCH, W, attacking_right=True)

@@ -698,6 +698,53 @@ class TestCli:
         assert f"{tracking}: frame 5: every player is offside-excluded" in capsys.readouterr().err
         assert not list((tmp_path / "out").glob("frame_*.svg"))
 
+    def test_refused_last_frame_leaves_no_svg_of_the_earlier_ones(
+        self, workspace, tmp_path, capsys
+    ):
+        # render validates every frame in its first pass: frame 4 renders,
+        # but frame 5, all offside (as above), is refused before any SVG.
+        root, cfg = workspace
+        m = root / "match"
+        lines = (m / "tracking.jsonl").read_text(encoding="utf-8").splitlines(True)
+        rec = json.loads(lines[5])
+        rec["ball"]["x"] = -40.0
+        rec["players"] = [
+            {"id": f"A0{i}", "team": "A", "x": 40.0 + i, "y": float(i), "vx": 0.0, "vy": 0.0}
+            for i in (1, 2, 3)
+        ]
+        lines[5] = json.dumps(rec) + "\n"
+        tracking = tmp_path / "tracking.jsonl"
+        tracking.write_text("".join(lines), encoding="utf-8")
+        argv = ["render", "--config", str(cfg), "--tracking", str(tracking),
+                "--events", str(m / "events.jsonl"), "--attacking-team", "A"]
+        assert cli_dispatch([*argv, "--frames", "4:4", "--out", str(tmp_path / "ok")]) == 0
+        rc = cli_dispatch([*argv, "--frames", "4:5", "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert f"{tracking}: frame 5: every player is offside-excluded" in capsys.readouterr().err
+        assert not list((tmp_path / "out").glob("frame_*.svg"))
+
+    @pytest.mark.parametrize("keys, per_frame", [
+        pytest.param("", 2, id="percentiles"),
+        pytest.param("render.colormap_min = 0.0\nrender.colormap_max = 900.0\n", 1, id="set"),
+    ])
+    def test_render_partitions_each_frame_once_when_the_colormap_is_set(
+        self, workspace, tmp_path, monkeypatch, keys, per_frame
+    ):
+        # The first pass needs the partition only for the colormap
+        # percentiles; the second computes each frame's field again.
+        root, cfg = workspace
+        calls = []
+        real = cli.compute_dominance_grid
+        monkeypatch.setattr(
+            cli, "compute_dominance_grid", lambda *a: calls.append(a[0].frame_index) or real(*a)
+        )
+        run_cfg = tmp_path / "run.cfg"
+        run_cfg.write_text(cfg.read_text(encoding="utf-8") + keys, encoding="utf-8")
+        rc = cli_dispatch(["render", "--config", str(run_cfg), *_match_args(root / "match"),
+                           "--frames", "111:131", "--out", str(tmp_path / "out")])
+        assert rc == 0
+        assert calls == [111, 121, 131] * per_frame
+
     def test_xml_forbidden_player_id_exits_2(self, workspace, tmp_path, capsys):
         root, cfg = workspace
         m = root / "match"
@@ -1396,16 +1443,17 @@ class TestSyncWorkflow:
     # frames are numbered 0, 1, ...; the pass frames 111, 121, ... after 60
     # kickoff frames.
     RENDER_MEMORY_CASES = {
-        "kickoff": ("synth.passes = 10\nsynth.kickoff_frames = 80\n", 0, 1, 0.25e6),
-        "passes": ("synth.passes = 80\nsynth.kickoff_frames = 60\n", 111, 10, 0.125e6),
+        "kickoff": ("synth.passes = 10\nsynth.kickoff_frames = 80\n", 0, 1, 0.01e6),
+        "passes": ("synth.passes = 80\nsynth.kickoff_frames = 60\n", 111, 10, 0.01e6),
     }
 
     @pytest.mark.parametrize("case", RENDER_MEMORY_CASES)
-    def test_render_peak_grows_at_most_a_quarter_mb_per_frame(self, tmp_path, case):
-        # render keeps each frame's owner grid until the colormap range is
-        # known, but not the partition's arrival times, and writes each SVG
-        # as it is drawn. An untraced render of one frame first builds the
-        # tables cached per pitch, so that neither peak counts them.
+    def test_render_peak_grows_at_most_10_kb_per_frame(self, tmp_path, case):
+        # render streams: its first pass keeps each frame's non-offside
+        # scores alone, for the colormap range, and its second draws each
+        # frame from a field computed again and writes its SVG at once. An
+        # untraced render of one frame first builds the tables cached per
+        # pitch, so that neither peak counts them.
         text, first, step, bound = self.RENDER_MEMORY_CASES[case]
         cfg = tmp_path / "run.cfg"
         cfg.write_text(text, encoding="utf-8")
